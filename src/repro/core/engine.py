@@ -38,6 +38,8 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, Mapping
 
 from repro.core import costmodel, topk
 from repro.core.codegen import CompiledGroup, generate_group
@@ -58,7 +60,6 @@ from repro.core.runtime import (
 )
 from repro.core.viewgen import ViewGenerator, ViewPlan
 from repro.data.catalog import Database
-from repro.data.relation import Relation
 from repro.data.trie import TrieIndex
 from repro.jointree.construction import build_join_tree
 from repro.jointree.jointree import JoinTree
@@ -135,11 +136,15 @@ class EngineConfig:
     naming ``EngineConfig.<field>`` and the offending value):
 
     ``workers`` (int, default 1)
-        must be an integer ≥ 1; 1 = sequential. The scheduler exploits
-        **task parallelism** — independent groups of the dependency DAG
-        run concurrently — and, combined with ``partitions``, **domain
-        parallelism**: each large group fans out across trie partitions
-        under the same shared worker budget (paper §2.3, §4);
+        must be an integer ≥ 1. 1 = the DAG walk
+        (:meth:`LMFAO.walk_groups`) runs groups one at a time on the
+        caller's thread. More, under the thread executor, make the same
+        walk an event-driven scheduler exploiting **task parallelism** —
+        independent groups of the dependency DAG run concurrently — and,
+        combined with ``partitions``, **domain parallelism**: each large
+        group fans out across trie partitions under the same shared
+        worker budget (paper §2.3, §4). Under ``executor="process"`` it
+        sizes the worker-process pool instead;
     ``partitions`` (int, default 1)
         must be an integer ≥ 1; 1 = no domain parallelism. Number of
         disjoint level-0 trie partitions a group's scan is split into.
@@ -188,11 +193,13 @@ class EngineConfig:
         artefacts or the serving layer's structural fingerprints
         (:class:`EngineConfig` itself, including this flag, does);
     ``executor`` (str, default "thread")
-        must be ``"thread"`` or ``"process"``. ``"thread"`` keeps both
-        parallelism axes on the in-process thread pool (real scaling only
-        where the backend releases the GIL). ``"process"`` routes domain
-        parallelism to a persistent pool of worker processes
-        (:mod:`repro.core.mpexec`): trie partitions travel as read-only
+        must be ``"thread"`` or ``"process"`` — how the group step
+        (:meth:`LMFAO.execute_group`) turns a group's trie partitions
+        into partial outputs. ``"thread"`` keeps both parallelism axes on
+        the in-process thread pool (real scaling only where the backend
+        releases the GIL). ``"process"`` walks groups one at a time and
+        ships each group's partitions to a persistent pool of worker
+        processes (:mod:`repro.core.mpexec`): they travel as read-only
         ``multiprocessing.shared_memory`` segments (never pickled),
         workers recompile each batch's plans once per process, and
         partials merge local-combine-then-tree-reduce — bit-identical
@@ -354,6 +361,20 @@ class CompiledBatch:
     def num_groups(self) -> int:
         return self.group_plan.num_groups
 
+    @cached_property
+    def view_group_by(self) -> dict[str, tuple[str, ...]]:
+        """View name → its canonical group-by (pure structure, memoized)."""
+        return {name: view.group_by for name, view in self.view_plan.views.items()}
+
+    @cached_property
+    def producers(self) -> dict[str, int]:
+        """View/query name → index of the group that emits it (memoized)."""
+        return {
+            emission.artifact: index
+            for index, plan in enumerate(self.plans)
+            for emission in plan.emissions
+        }
+
     def generated_source(self, group_index: int) -> str:
         """The generated Python for one group — the demo's code tab."""
         return self.code[group_index].source
@@ -383,6 +404,40 @@ class ViewSeeds:
 
     seeds: dict[str, dict] = field(default_factory=dict)
     publish: object | None = None
+
+
+@dataclass
+class GroupRun:
+    """The per-run state one pass over a compiled batch's groups shares.
+
+    What the group step (:meth:`LMFAO.execute_group`) reads — the
+    compilation, the runtime functions and pushed-down predicates bound
+    for this request, the pinned snapshot, the views computed (or seeded)
+    so far — and what the DAG walk (:meth:`LMFAO.walk_groups`) writes
+    back. The engine's own runs, the incremental maintainer's rounds and
+    the view-cache refresh each build one; ``snapshot`` may stay None
+    when every group is stepped over an explicit (delta) trie.
+    """
+
+    compiled: CompiledBatch
+    functions: Mapping[str, Function]
+    shared: tuple[Predicate, ...]
+    snapshot: Snapshot | None = None
+    #: view name → contents: inputs of downstream groups, seeded or computed.
+    view_data: dict[str, dict] = field(default_factory=dict)
+    #: query name → raw (unfinished) groups.
+    query_raw: dict[str, dict] = field(default_factory=dict)
+    #: group name → wall-clock seconds / cost-model decision record.
+    group_times: dict[str, float] = field(default_factory=dict)
+    decisions: dict[str, dict] = field(default_factory=dict)
+
+    def adopt(self, index: int, outputs: dict[str, dict], started: float) -> None:
+        """Store one finished group's outputs and its wall-clock."""
+        for emission in self.compiled.plans[index].emissions:
+            store = self.view_data if emission.kind == "view" else self.query_raw
+            store[emission.artifact] = outputs[emission.artifact]
+        name = self.compiled.group_plan.groups[index].name
+        self.group_times[name] = time.perf_counter() - started
 
 
 @dataclass
@@ -690,14 +745,13 @@ class LMFAO:
         — or unlink its shared-memory segments — mid-run.
         """
         watch = watch or Stopwatch()
-        config = self.config
         if snapshot is None:
             snapshot = self._snapshots.pin()
         else:
             self._snapshots.repin(snapshot)
         try:
             return self._execute_pinned(
-                compiled, watch, snapshot, binding, config, view_seeds
+                compiled, watch, snapshot, binding, view_seeds
             )
         finally:
             self._snapshots.unpin(snapshot.version)
@@ -734,96 +788,33 @@ class LMFAO:
         watch: Stopwatch,
         snapshot: Snapshot,
         binding: PlanBinding | None,
-        config: EngineConfig,
-        view_seeds: ViewSeeds | None = None,
+        view_seeds: ViewSeeds | None,
     ) -> RunResult:
-        if binding is not None:
-            functions = binding.functions
-            shared = binding.shared_predicates
-            batch = binding.batch
-        else:
-            functions = compiled.functions
-            shared = compiled.shared_predicates
-            batch = compiled.batch
-        group_times: dict[str, float] = {}
-        decisions: dict[str, dict] = {}
-        concurrency = self._partition_concurrency()
-        view_data: dict[str, dict] = {}
-        view_group_by = {
-            name: view.group_by for name, view in compiled.view_plan.views.items()
-        }
-        query_raw: dict[str, dict] = {}
+        # a binding carries the request's batch, functions and pushed-down
+        # predicates under the compiled batch's own field names
+        bound = compiled if binding is None else binding
+        batch = bound.batch
+        run = GroupRun(compiled, bound.functions, bound.shared_predicates, snapshot)
         seeds: dict[str, dict] = view_seeds.seeds if view_seeds is not None else {}
         skipped: set[int] = set()
         if seeds:
-            view_data.update(seeds)
+            run.view_data.update(seeds)
             skipped = self._skippable_groups(compiled, seeds)
 
-        def store_outputs(index: int, outputs: dict[str, dict]) -> None:
-            for emission in compiled.plans[index].emissions:
-                if emission.kind == "view":
-                    view_data[emission.artifact] = outputs[emission.artifact]
-                else:
-                    query_raw[emission.artifact] = outputs[emission.artifact]
-
         with watch.lap("execute"):
-            if config.executor == "process" and (
-                config.workers > 1 or config.partitions > 1
-            ):
-                self._run_process(
-                    compiled, view_data, view_group_by, store_outputs,
-                    group_times, snapshot, functions, shared, decisions,
-                    skipped,
-                )
-            elif config.workers > 1:
-                self._run_parallel(
-                    compiled, view_data, view_group_by, store_outputs,
-                    group_times, snapshot, functions, shared, decisions,
-                    skipped,
-                )
-            else:
-                for index in compiled.execution_order:
-                    if index in skipped:
-                        continue
-                    group = compiled.group_plan.groups[index]
-                    plan = compiled.plans[index]
-                    start = time.perf_counter()
-                    trie = self._trie(plan.node, plan.order, shared, snapshot)
-                    native, backend = self._select_native(
-                        compiled, index, trie.num_rows
-                    )
-                    tries = partition_tries(
-                        plan, trie, config.partitions,
-                        config.parallel_threshold, concurrency,
-                    )
-                    decisions[group.name] = costmodel.group_decision(
-                        plan, trie, backend=backend, partitions=len(tries),
-                        adaptive=config.adaptive,
-                    )
-                    outputs = execute_plan_partitioned(
-                        compiled.code[index],
-                        native,
-                        plan,
-                        tries,
-                        view_data,
-                        view_group_by,
-                        functions,
-                    )
-                    store_outputs(index, outputs)
-                    group_times[group.name] = time.perf_counter() - start
+            self.walk_groups(run, skipped)
 
         if view_seeds is not None and view_seeds.publish is not None:
             # still inside the run's snapshot pin: the version (and its
             # auxiliary resources) cannot be reclaimed mid-publish.
-            for name, data in view_data.items():
+            for name, data in run.view_data.items():
                 if seeds.get(name) is not data:
                     view_seeds.publish(name, data)
 
         with watch.lap("collect"):
             results: dict[str, QueryResult] = {}
-            producers: dict[str, str] | None = None
             for query in batch:
-                raw = query_raw[query.name]
+                raw = run.query_raw[query.name]
                 if query.order_by is not None:
                     # ordered queries finish here — once, over the full
                     # merged raw groups — and the kernel choice lands in
@@ -831,27 +822,25 @@ class LMFAO:
                     # never seeded, so that group always executed).
                     groups, strategy = topk.finish_ordered(query, raw)
                     results[query.name] = QueryResult(query=query, groups=groups)
-                    if producers is None:
-                        producers = _query_producers(compiled)
-                    entry = decisions.get(producers.get(query.name))
+                    entry = run.decisions.get(_producer_name(compiled, query.name))
                     if entry is not None:
                         entry.setdefault("topk", {})[query.name] = strategy
                 else:
                     results[query.name] = _to_query_result(query, raw)
-        run = RunResult(
+        result = RunResult(
             results=results,
             compiled=compiled,
             timings=watch.laps,
-            group_times=group_times,
+            group_times=run.group_times,
             snapshot_version=snapshot.version,
-            decisions=decisions,
+            decisions=run.decisions,
             skipped_groups=tuple(
                 compiled.group_plan.groups[index].name for index in sorted(skipped)
             ),
         )
         if debug_checks_enabled():
-            _debug_check_run_consistency(batch, run)
-        return run
+            _debug_check_run_consistency(batch, result)
+        return result
 
     # ------------------------------------------------------------------ helpers
     def _assign_roots(self, batch: QueryBatch, db: Database) -> dict[str, str]:
@@ -876,13 +865,6 @@ class LMFAO:
     ) -> TrieIndex:
         return node_trie(snapshot.db, node, order, shared, snapshot.tries)
 
-    def _partition_concurrency(self) -> int | None:
-        """The concurrency cap :func:`partition_tries` should respect, or
-        None under ``adaptive=False`` (literal static fan-out)."""
-        if not self.config.adaptive:
-            return None
-        return costmodel.effective_concurrency(self.config)
-
     def _select_native(self, compiled: CompiledBatch, index: int, rows: int):
         """One group's native implementation and the backend name it runs.
 
@@ -904,160 +886,183 @@ class LMFAO:
         native = compiled.native_groups[index] if compiled.native_groups else None
         return native, (config.backend if native is not None else "python")
 
-    def _run_process(
-        self,
-        compiled: CompiledBatch,
-        view_data: dict,
-        view_group_by: dict,
-        store_outputs,
-        group_times: dict[str, float],
-        snapshot: Snapshot,
-        functions: dict[str, Function],
-        shared: tuple[Predicate, ...],
-        decisions: dict[str, dict],
-        skipped: set[int] = frozenset(),
-    ) -> None:
-        """Domain parallelism across worker processes (``executor="process"``).
-
-        Groups run in dependency order on this thread; each group that
-        partitions fans its trie partitions out to the multiprocess pool
-        via snapshot-pinned shared-memory segments
-        (:mod:`repro.core.mpexec`). A group stays in-process when it does
-        not partition (below threshold, unsafe merge, single level-0 run)
-        or references functions that cannot travel by name — both produce
-        bit-identical results to the shipped path, so the fallback is
-        purely a performance decision. The snapshot version is retained
-        for the whole run: concurrent maintenance installing successors
-        can never unlink a segment a worker still maps.
-        """
-        config = self.config
-        concurrency = self._partition_concurrency()
-        executor = self._process_executor()
-        executor.retain(snapshot.version)
-        try:
-            for index in compiled.execution_order:
-                if index in skipped:
-                    continue
-                group = compiled.group_plan.groups[index]
-                plan = compiled.plans[index]
-                start = time.perf_counter()
-                trie = self._trie(plan.node, plan.order, shared, snapshot)
-                tries = partition_tries(
-                    plan, trie, config.partitions,
-                    config.parallel_threshold, concurrency,
-                )
-                decisions[group.name] = costmodel.group_decision(
-                    plan, trie,
-                    backend=self._select_native(compiled, index, trie.num_rows)[1],
-                    partitions=len(tries),
-                    adaptive=config.adaptive,
-                )
-                outputs = self._execute_group_partitioned(
-                    compiled, index, tries, view_data, view_group_by,
-                    functions, snapshot=snapshot, shared=shared,
-                )
-                store_outputs(index, outputs)
-                group_times[group.name] = time.perf_counter() - start
-        finally:
-            executor.release(snapshot.version)
-
-    def _execute_group_partitioned(
-        self,
-        compiled: CompiledBatch,
-        index: int,
-        tries,
-        view_data: dict,
-        view_group_by: dict,
-        functions: dict[str, Function],
-        snapshot: Snapshot | None = None,
-        shared: tuple[Predicate, ...] = (),
+    # ------------------------------------------------------ group execution seam
+    def execute_group(
+        self, run: GroupRun, index: int, trie: TrieIndex | None = None
     ) -> dict[str, dict]:
-        """One group over pre-partitioned tries — the single offload point.
+        """The group step: one compiled group over one trie → its outputs.
 
-        Ships the partitions to the process pool when ``executor="process"``,
-        the trie actually split, the plan's functions travel by name, and a
-        snapshot identifies the segment (version + trie cache key);
-        otherwise runs in-process via :func:`execute_plan_partitioned`.
-        Both :meth:`execute` and the incremental maintainer
-        (:meth:`repro.incremental.maintain.MaintainedBatch._execute`) come
-        through here, so the two always take the same path per plan and the
-        merged float association is identical — a maintained rescan stays
-        bit-identical to a from-scratch run under the same config.
+        The single place a group turns into execution, for every caller —
+        the DAG walk (:meth:`walk_groups`), the incremental maintainer's
+        dirty-path rescans and the numeric delta run
+        (:func:`repro.incremental.rules.numeric_delta_run`). ``trie=None``
+        scans the group's node under ``run.snapshot`` (cached trie, shared
+        predicates pushed down); an explicit ``trie`` is ad hoc — a delta
+        trie over just the inserted tuples — and always runs in-process,
+        since no snapshot trie key addresses it. Records the cost model's
+        decision in ``run.decisions`` and returns the merged outputs
+        without storing them: adoption (plain store, or the maintainer's
+        diff-tracking merge) belongs to the caller.
+        """
+        return merge_partial_outputs(
+            run.compiled.plans[index],
+            [task() for task in self._group_tasks(run, index, trie)],
+        )
+
+    def _group_tasks(
+        self,
+        run: GroupRun,
+        index: int,
+        trie: TrieIndex | None = None,
+        pooled: bool = False,
+    ) -> list[Callable[[], dict]]:
+        """Plan one group's execution: the calls that produce its partials.
+
+        Everything data-dependent about running a group is decided here
+        and nowhere else — the trie, the native implementation (per group
+        under ``backend="auto"``), the partition fan-out, the recorded
+        :func:`~repro.core.costmodel.group_decision` — and the partitions
+        become partial-producing calls the executor-specific way:
+
+        * ``executor="process"`` and the snapshot's trie actually split
+          and the plan's functions travel by name: one call shipping the
+          partitions to the worker pool (canonical chunk grid, pairwise
+          tree reduce — :meth:`_ship_group`);
+        * ``pooled`` (the thread scheduler): bindings marshalled once,
+          then one call per partition for the shared pool;
+        * otherwise one call running the partitions in order on the
+          caller's thread (:func:`execute_plan_partitioned`).
+
+        :func:`merge_partial_outputs` over the calls' results, in list
+        order, is the group's output in every case: a partition-order
+        left fold in-process, the identity over the single shipped or
+        inline result. The fallbacks from shipping are bit-identical to
+        it, so they are purely performance decisions.
+        """
+        compiled, config = run.compiled, self.config
+        plan = compiled.plans[index]
+        shippable = trie is None and config.executor == "process"
+        if trie is None:
+            trie = self._trie(plan.node, plan.order, run.shared, run.snapshot)
+        native, backend = self._select_native(compiled, index, trie.num_rows)
+        tries = partition_tries(
+            plan, trie, config.partitions, config.parallel_threshold,
+            # adaptive=False keeps the literal static fan-out
+            costmodel.effective_concurrency(config) if config.adaptive else None,
+        )
+        # distinct key per group; plain dict assignment is safe across the
+        # scheduler pool's threads.
+        run.decisions[compiled.group_plan.groups[index].name] = (
+            costmodel.group_decision(
+                plan, trie, backend=backend, partitions=len(tries),
+                adaptive=config.adaptive,
+            )
+        )
+        if len(tries) > 1 and shippable:
+            from repro.core import mpexec
+
+            if mpexec.plan_transportable(plan, run.functions):
+                return [lambda: self._ship_group(run, index, tries)]
+        code, group_by = compiled.code[index], compiled.view_group_by
+        if len(tries) > 1 and pooled:
+            prepared = prepare_bindings(native, plan, run.view_data, group_by)
+            return [
+                lambda part=part: execute_plan(
+                    code, native, plan, part, run.view_data, group_by,
+                    run.functions, prepared,
+                )
+                for part in tries
+            ]
+        return [
+            lambda: execute_plan_partitioned(
+                code, native, plan, tries, run.view_data, group_by,
+                run.functions,
+            )
+        ]
+
+    def _ship_group(self, run: GroupRun, index: int, tries) -> dict[str, dict]:
+        """Run one group's partitions in the worker pool (``executor="process"``).
+
+        The partitions travel as one snapshot-pinned shared-memory segment
+        keyed by ``(version, trie cache key)``; only the views the plan
+        binds and the functions it resolves are sent along.
         """
         from repro.core import mpexec
 
-        plan = compiled.plans[index]
-        native, _backend = self._select_native(
-            compiled, index, sum(t.num_rows for t in tries)
-        )
-        if (
-            snapshot is not None
-            and self.config.executor == "process"
-            and len(tries) > 1
-            and mpexec.plan_transportable(plan, functions)
-        ):
-            executor = self._process_executor()
-            executor.retain(snapshot.version)
-            try:
-                export = executor.export(
-                    snapshot.version,
-                    trie_cache_key(snapshot.db, plan.node, plan.order, shared),
-                    tries,
-                )
-                needed_views = {b.view for b in plan.bindings}
-                return executor.execute_group(
-                    compiled,
-                    index,
-                    export,
-                    {v: view_data[v] for v in needed_views if v in view_data},
-                    {v: view_group_by[v] for v in needed_views},
-                    {
-                        name: functions[name]
-                        for name in mpexec.plan_function_names(plan)
-                    },
-                )
-            finally:
-                executor.release(snapshot.version)
-        return execute_plan_partitioned(
-            compiled.code[index],
-            native,
-            plan,
-            tries,
-            view_data,
-            view_group_by,
-            functions,
-        )
+        plan = run.compiled.plans[index]
+        snapshot = run.snapshot
+        executor = self._process_executor()
+        executor.retain(snapshot.version)
+        try:
+            export = executor.export(
+                snapshot.version,
+                trie_cache_key(snapshot.db, plan.node, plan.order, run.shared),
+                tries,
+            )
+            needed_views = {b.view for b in plan.bindings}
+            return executor.execute_group(
+                run.compiled,
+                index,
+                export,
+                {v: run.view_data[v] for v in needed_views if v in run.view_data},
+                {v: run.compiled.view_group_by[v] for v in needed_views},
+                {
+                    name: run.functions[name]
+                    for name in mpexec.plan_function_names(plan)
+                },
+            )
+        finally:
+            executor.release(snapshot.version)
 
-    def _run_parallel(
-        self,
-        compiled: CompiledBatch,
-        view_data: dict,
-        view_group_by: dict,
-        store_outputs,
-        group_times: dict[str, float],
-        snapshot: Snapshot,
-        functions: dict[str, Function],
-        shared: tuple[Predicate, ...],
-        decisions: dict[str, dict],
-        skipped: set[int] = frozenset(),
-    ) -> None:
-        """Event-driven scheduler over both parallelism axes.
+    def walk_groups(self, run: GroupRun, skipped: set[int] = frozenset()) -> None:
+        """The DAG walk: every non-skipped group through the group step.
 
-        **Task parallelism**: a group is launched as soon as its
-        dependencies complete. **Domain parallelism**: a launched group
-        first runs a *prepare* task (trie build + partitioning + one-time
-        view marshalling), then one task per trie partition; its partial
-        outputs are merged in partition order on the scheduler thread.
-        All tasks — prepare and partition, across all in-flight groups —
-        share one ``workers``-sized pool, and no task ever blocks on
-        another, so the pool cannot deadlock. The scheduler itself sleeps
-        in :func:`concurrent.futures.wait` (no busy-wait polling); when a
-        group completes, only its **consumers** (from the inverted
-        dependency index) are re-checked for launch — no full rescan of
-        all groups per wake-up — and any task exception propagates out of
-        the run immediately, cancelling work that has not started.
+        One walk for every configuration; ``run`` collects the outputs,
+        decisions and per-group wall-clock. What varies is only who runs
+        the step's partial-producing calls:
+
+        * the **thread scheduler** (``executor="thread"``, ``workers > 1``)
+          is event-driven over both parallelism axes. *Task parallelism*:
+          a group is launched as soon as its dependencies complete.
+          *Domain parallelism*: a launched group first runs a *prepare*
+          task (the group step's planning half — trie build, partitioning,
+          one-time view marshalling), then one task per trie partition;
+          partials merge in partition order on the scheduler thread. All
+          tasks, across all in-flight groups, share one ``workers``-sized
+          pool and none ever blocks on another, so the pool cannot
+          deadlock. The scheduler sleeps in
+          :func:`concurrent.futures.wait`; a completed group re-checks
+          only its **consumers** for launch, and any task exception
+          propagates out of the run immediately, cancelling work that has
+          not started;
+        * otherwise groups run one at a time, in ``execution_order``, on
+          the caller's thread — no pool, no futures. Under
+          ``executor="process"`` each step ships its own partitions to
+          the worker pool, and the snapshot version stays retained for
+          the whole walk: concurrent maintenance installing successors
+          can never unlink a segment a worker still maps, nor make a
+          later group of this run re-export one.
         """
         config = self.config
+        if config.executor == "thread" and config.workers > 1:
+            self._walk_pooled(run, skipped)
+            return
+        executor = None
+        if config.executor == "process":
+            executor = self._process_executor()
+            executor.retain(run.snapshot.version)
+        try:
+            for index in run.compiled.execution_order:
+                if index not in skipped:
+                    started = time.perf_counter()
+                    run.adopt(index, self.execute_group(run, index), started)
+        finally:
+            if executor is not None:
+                executor.release(run.snapshot.version)
+
+    def _walk_pooled(self, run: GroupRun, skipped: set[int]) -> None:
+        """:meth:`walk_groups` under the thread scheduler (see there)."""
+        compiled = run.compiled
         num_groups = compiled.num_groups
         remaining = {
             i: set(compiled.group_plan.dependencies.get(i, ()))
@@ -1068,52 +1073,20 @@ class LMFAO:
         # are already in view_data, so consumers may launch over them.
         done: set[int] = set(skipped)
         launched: set[int] = set(skipped)
-        pending: dict = {}  # Future -> ("prepare", index, None) | ("part", index, p)
+        pending: dict = {}  # Future -> (index, None) prepare | (index, p) partition
         partial: dict[int, list] = {}  # index -> per-partition outputs
         outstanding: dict[int, int] = {}  # index -> partitions still running
         started: dict[int, float] = {}
 
-        concurrency = self._partition_concurrency()
-
         def prepare(index: int):
             started[index] = time.perf_counter()
-            plan = compiled.plans[index]
-            trie = self._trie(plan.node, plan.order, shared, snapshot)
-            native, backend = self._select_native(compiled, index, trie.num_rows)
-            tries = partition_tries(
-                plan, trie, config.partitions,
-                config.parallel_threshold, concurrency,
-            )
-            # distinct key per group; plain dict assignment is safe across
-            # the pool's threads.
-            decisions[compiled.group_plan.groups[index].name] = (
-                costmodel.group_decision(
-                    plan, trie, backend=backend, partitions=len(tries),
-                    adaptive=config.adaptive,
-                )
-            )
-            prepared = None
-            if len(tries) > 1:
-                prepared = prepare_bindings(native, plan, view_data, view_group_by)
-            return native, tries, prepared
+            return self._group_tasks(run, index, pooled=True)
 
-        def run_partition(index: int, native, trie, prepared):
-            return execute_plan(
-                compiled.code[index],
-                native,
-                compiled.plans[index],
-                trie,
-                view_data,
-                view_group_by,
-                functions,
-                prepared_bindings=prepared,
-            )
-
-        pool = ThreadPoolExecutor(max_workers=config.workers)
+        pool = ThreadPoolExecutor(max_workers=self.config.workers)
 
         def launch(index: int) -> None:
             launched.add(index)
-            pending[pool.submit(prepare, index)] = ("prepare", index, None)
+            pending[pool.submit(prepare, index)] = (index, None)
 
         try:
             for index in range(num_groups):
@@ -1124,28 +1097,25 @@ class LMFAO:
                     raise PlanError("group dependency graph is not schedulable")
                 ready, _ = wait(set(pending), return_when=FIRST_COMPLETED)
                 for future in ready:
-                    kind, index, part = pending.pop(future)
-                    if kind == "prepare":
-                        native, tries, prepared = future.result()
-                        partial[index] = [None] * len(tries)
-                        outstanding[index] = len(tries)
-                        for p, trie in enumerate(tries):
-                            task = pool.submit(
-                                run_partition, index, native, trie, prepared
-                            )
-                            pending[task] = ("part", index, p)
+                    index, part = pending.pop(future)
+                    if part is None:
+                        tasks = future.result()
+                        partial[index] = [None] * len(tasks)
+                        outstanding[index] = len(tasks)
+                        for p, task in enumerate(tasks):
+                            pending[pool.submit(task)] = (index, p)
                         continue
                     partial[index][part] = future.result()
                     outstanding[index] -= 1
                     if outstanding[index]:
                         continue
-                    outputs = merge_partial_outputs(
-                        compiled.plans[index], partial.pop(index)
-                    )
                     del outstanding[index]
-                    store_outputs(index, outputs)
-                    group_times[compiled.group_plan.groups[index].name] = (
-                        time.perf_counter() - started[index]
+                    run.adopt(
+                        index,
+                        merge_partial_outputs(
+                            compiled.plans[index], partial.pop(index)
+                        ),
+                        started[index],
                     )
                     done.add(index)
                     for consumer in consumers.get(index, ()):
@@ -1153,9 +1123,9 @@ class LMFAO:
                             launch(consumer)
         except BaseException:
             # Drop every half-merged partial so nothing incomplete can
-            # reach store_outputs, then cancel all queued tasks and wait
-            # out the running ones — ``cancel_futures`` covers tasks a
-            # worker thread may still be submitting results for, so the
+            # reach the run's stores, then cancel all queued tasks and
+            # wait out the running ones — ``cancel_futures`` covers tasks
+            # a worker thread may still be submitting results for, so the
             # raise below never leaves the pool accepting work.
             partial.clear()
             outstanding.clear()
@@ -1295,14 +1265,9 @@ def _to_query_result(query: Query, raw: dict) -> QueryResult:
     return QueryResult(query=query, groups=groups)
 
 
-def _query_producers(compiled: CompiledBatch) -> dict[str, str]:
-    """Map query name -> name of the group whose plan emits it."""
-    producers: dict[str, str] = {}
-    for index, plan in enumerate(compiled.plans):
-        group_name = compiled.group_plan.groups[index].name
-        for query_name in plan.produced_queries:
-            producers[query_name] = group_name
-    return producers
+def _producer_name(compiled: CompiledBatch, artifact: str) -> str:
+    """Name of the group whose plan emits one view or query."""
+    return compiled.group_plan.groups[compiled.producers[artifact]].name
 
 
 def _debug_check_run_consistency(batch: QueryBatch, run: RunResult) -> None:
@@ -1327,11 +1292,10 @@ def _debug_check_run_consistency(batch: QueryBatch, run: RunResult) -> None:
         f"group_times diverge from executed groups: "
         f"{sorted(set(run.group_times) ^ executed)}"
     )
-    producers = _query_producers(run.compiled)
     for query in batch:
         if query.order_by is None:
             continue
-        producer = producers.get(query.name)
+        producer = _producer_name(run.compiled, query.name)
         assert producer in executed, (
             f"ordered query {query.name} has no executed producer group"
         )

@@ -506,12 +506,6 @@ class ProcessExecutor:
             self._conns.append(parent_conn)
             self._warmed.append(set())
 
-    def ensure_workers(self) -> int:
-        """Spawn the pool if needed; returns the live worker count."""
-        with self._lock:
-            self._ensure_pool_locked()
-            return sum(1 for proc in self._procs if proc.is_alive())
-
     def _abort_locked(self, reason: str):
         """Kill the pool and surface a clean error; next use respawns."""
         for proc in self._procs:

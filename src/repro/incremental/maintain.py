@@ -13,12 +13,16 @@ of it per update round:
    incoming views changed this round; everything off the path keeps its
    cached outputs;
 3. **per-group maintenance** — a dirty group is refreshed either by the
-   **numeric** delta step (insert-only change at its own node: execute the
-   same compiled group code over a trie of just the inserted tuples and add
-   the emitted deltas in — exact because every slot is a sum over the
-   node's rows, hence linear in the row multiset, and key sets only grow
-   under inserts) or by a **rescan** (re-execute over the node's full trie
-   with refreshed inputs — bit-identical to a from-scratch run);
+   **numeric** delta step (insert-only change at its own node:
+   :func:`~repro.incremental.rules.numeric_delta_run` executes the same
+   compiled group code over a trie of just the inserted tuples and
+   :func:`~repro.incremental.rules.merge_delta_outputs` adds the emitted
+   deltas in — exact because every slot is a sum over the node's rows,
+   hence linear in the row multiset, and key sets only grow under
+   inserts) or by a **rescan** (re-execute over the node's full trie with
+   refreshed inputs — bit-identical to a from-scratch run). Both go
+   through the engine's one group step
+   (:meth:`~repro.core.engine.LMFAO.execute_group`);
 4. **delta cutoff** — a refreshed view that compares equal to its previous
    contents stops dirtying its consumers.
 
@@ -67,20 +71,23 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.core.engine import CompiledBatch, LMFAO, RunResult, _to_query_result
-from repro.core.runtime import (
-    ArrayViewData,
-    apply_predicates,
-    debug_checks_enabled,
-    local_predicates,
-    node_trie,
-    partition_tries,
+from repro.core.engine import (
+    CompiledBatch,
+    GroupRun,
+    LMFAO,
+    RunResult,
+    _to_query_result,
 )
+from repro.core.runtime import ArrayViewData, debug_checks_enabled
 from repro.core.snapshot import Snapshot
 from repro.data.catalog import Database
-from repro.data.trie import TrieIndex
 from repro.incremental.delta import RelationDelta, stage_deltas
-from repro.incremental.rules import DeltaRules, refresh_ordered
+from repro.incremental.rules import (
+    DeltaRules,
+    merge_delta_outputs,
+    numeric_delta_run,
+    refresh_ordered,
+)
 from repro.query.query import QueryResult
 from repro.util.errors import PlanError
 
@@ -161,9 +168,6 @@ class MaintainedBatch:
         self.applies = 0
         self._engine = engine
         self._router = None  # set by AggregateServer.maintain (write queue)
-        self._view_group_by = {
-            name: view.group_by for name, view in compiled.view_plan.views.items()
-        }
         # ordered queries get targeted partition re-ranks on apply; their
         # raw changed-key sets are tracked per round for exactly this.
         self._ordered_queries = frozenset(
@@ -173,19 +177,15 @@ class MaintainedBatch:
         # memo only gains immutable entries, so warming it here warms the
         # engine's runs too); successor versions built by apply() share
         # every unchanged node's tries structurally.
-        snapshot = engine.snapshot()
-        view_data: dict[str, dict] = {}
-        query_raw: dict[str, dict] = {}
-        for index in compiled.execution_order:
-            self._adopt_outputs(
-                index, self._run_full(index, snapshot, view_data),
-                view_data, query_raw,
-            )
+        run = self._group_run(engine.snapshot(), {}, {})
+        engine.walk_groups(run)
         results = {
-            query.name: _to_query_result(query, query_raw[query.name])
+            query.name: _to_query_result(query, run.query_raw[query.name])
             for query in compiled.batch
         }
-        self._state = _MaintainedVersion(snapshot, view_data, query_raw, results)
+        self._state = _MaintainedVersion(
+            run.snapshot, run.view_data, run.query_raw, results
+        )
         self._debug_check_stores()
 
     # ---------------------------------------------------------------- accessors
@@ -242,8 +242,10 @@ class MaintainedBatch:
         Builds a fresh engine (cold tries, recompilation) so the comparison
         in benchmarks and differential tests is honest.
         """
-        fresh = LMFAO(self._state.snapshot.db, self.config)
-        return fresh.run(self.compiled.batch)
+        # closed on the way out: a process-executor engine owns a worker
+        # pool and shm segments that would otherwise wait for a cyclic GC
+        with LMFAO(self._state.snapshot.db, self.config) as fresh:
+            return fresh.run(self.compiled.batch)
 
     # -------------------------------------------------------------------- apply
     def apply(self, inserts=None, deletes=None) -> ApplyResult:
@@ -329,9 +331,11 @@ class MaintainedBatch:
             )
         changed: dict[str, RelationDelta] = dict(deltas)
 
-        # ---- build the successor version off to the side (copy-on-write)
-        view_data = dict(state.view_data)
-        query_raw = dict(state.query_raw)
+        # ---- build the successor version off to the side (copy-on-write);
+        # a downstream group reads its upstream views refreshed-this-round
+        run = self._group_run(
+            snapshot, dict(state.view_data), dict(state.query_raw)
+        )
 
         numeric = rescanned = skipped = 0
         changed_views: set[str] = set()
@@ -346,23 +350,21 @@ class MaintainedBatch:
                 skipped += 1
                 continue
             if self._numeric_applicable(node_delta, upstream_dirty):
-                outputs = self._run_delta(index, node_delta, view_data)
-                merge = self._merge_delta_outputs
+                outputs = numeric_delta_run(
+                    self._engine, run, index, node_delta.inserts
+                )
+                merge = merge_delta_outputs
                 numeric += 1
             else:
-                outputs = self._run_full(index, snapshot, view_data)
+                # over the node's full (cached) trie: same cut points,
+                # partition order and offload decision as a from-scratch
+                # run, so a rescan stays bit-identical to one
+                outputs = self._engine.execute_group(run, index)
                 merge = None
                 rescanned += 1
             self._adopt_outputs(
-                index,
-                outputs,
-                view_data,
-                query_raw,
-                merge=merge,
-                changed_views=changed_views,
-                refreshed_views=refreshed_views,
-                dirty_queries=dirty_queries,
-                dirty_keys=dirty_keys,
+                index, outputs, run, merge,
+                changed_views, refreshed_views, dirty_queries, dirty_keys,
             )
         results = dict(state.results)
         for query in self.compiled.batch:
@@ -374,15 +376,17 @@ class MaintainedBatch:
                     groups=refresh_ordered(
                         query,
                         state.results.get(query.name),
-                        query_raw[query.name],
+                        run.query_raw[query.name],
                         dirty_keys.get(query.name),
                     ),
                 )
             else:
                 results[query.name] = _to_query_result(
-                    query, query_raw[query.name]
+                    query, run.query_raw[query.name]
                 )
-        new_state = _MaintainedVersion(snapshot, view_data, query_raw, results)
+        new_state = _MaintainedVersion(
+            snapshot, run.view_data, run.query_raw, results
+        )
         result = ApplyResult(
             results=results,
             refreshed_queries=tuple(sorted(dirty_queries)),
@@ -414,91 +418,34 @@ class MaintainedBatch:
             and not upstream_dirty
         )
 
-    def _run_full(
-        self, index: int, snapshot: Snapshot, view_data: dict
-    ) -> dict[str, dict]:
-        """Re-execute one group over the full (cached) trie of its node."""
-        plan = self.compiled.plans[index]
-        trie = node_trie(
-            snapshot.db, plan.node, plan.order,
-            self.compiled.shared_predicates, snapshot.tries,
-        )
-        return self._execute(index, trie, view_data, snapshot=snapshot)
-
-    def _run_delta(
-        self, index: int, delta: RelationDelta, view_data: dict
-    ) -> dict[str, dict]:
-        """The numeric step: the same compiled code over the inserted tuples.
-
-        Every emitted slot is ``Σ over node rows`` of a product that does
-        not otherwise depend on the node's row multiset, so the outputs
-        over ``ΔR`` *are* the per-view deltas. Key sets are exact too: under
-        inserts a key exists in the updated view iff it existed before or
-        some inserted tuple supports it — exactly the keys the delta run
-        emits.
-        """
-        plan = self.compiled.plans[index]
-        relation = self._filter_shared(delta.inserts)
-        trie = TrieIndex(relation, plan.order)
-        return self._execute(index, trie, view_data)
-
-    def _execute(
-        self,
-        index: int,
-        trie: TrieIndex,
-        view_data: dict,
-        snapshot: Snapshot | None = None,
-    ) -> dict[str, dict]:
-        """Drive one group through the engine's partitioned execution path.
-
-        Under a partitioned configuration the maintainer splits and merges
-        exactly like the batch executor (same cut points, same partition
-        order, same :meth:`LMFAO._execute_group_partitioned` offload
-        decision — full rescans under ``executor="process"`` ship to the
-        worker pool with the same merge association), so a rescan stays
-        bit-identical to a from-scratch run with the same
-        :class:`EngineConfig`. Delta tries are ad hoc (built over the
-        inserted tuples, not addressable by a snapshot trie cache key),
-        so the numeric path passes ``snapshot=None`` and always runs
-        in-process — they are usually below ``parallel_threshold`` anyway.
-        ``view_data`` is the successor version's store being built: a
-        downstream group reads its upstream views refreshed-this-round.
-        """
+    def _group_run(
+        self, snapshot: Snapshot, view_data: dict, query_raw: dict
+    ) -> GroupRun:
+        """Per-round state for stepping this handle's groups over ``snapshot``."""
         compiled = self.compiled
-        plan = compiled.plans[index]
-        tries = partition_tries(
-            plan, trie, self.config.partitions, self.config.parallel_threshold,
-            self._engine._partition_concurrency(),
-        )
-        return self._engine._execute_group_partitioned(
-            compiled,
-            index,
-            tries,
-            view_data,
-            self._view_group_by,
-            compiled.functions,
-            snapshot=snapshot,
-            shared=compiled.shared_predicates,
+        return GroupRun(
+            compiled, compiled.functions, compiled.shared_predicates,
+            snapshot, view_data, query_raw,
         )
 
     def _adopt_outputs(
         self,
         index: int,
         outputs: dict[str, dict],
-        view_data: dict[str, dict],
-        query_raw: dict[str, dict],
-        merge=None,
-        changed_views: set[str] | None = None,
-        refreshed_views: set[str] | None = None,
-        dirty_queries: set[str] | None = None,
-        dirty_keys: dict[str, set] | None = None,
+        run: GroupRun,
+        merge,
+        changed_views: set[str],
+        refreshed_views: set[str],
+        dirty_queries: set[str],
+        dirty_keys: dict[str, set],
     ) -> None:
         """Adopt (rescan) or add (numeric) one group's outputs; track diffs.
 
-        Writes only into the successor version's stores (``view_data`` /
-        ``query_raw``); the previous version's dicts and value lists are
-        never touched — numeric merges go through the copy-on-write
-        :meth:`_merge_delta_outputs`.
+        Writes only into the successor version's stores (``run.view_data``
+        / ``run.query_raw``); the previous version's dicts and value lists
+        are never touched — numeric merges (``merge`` given) go through
+        the copy-on-write
+        :func:`~repro.incremental.rules.merge_delta_outputs`.
 
         For ordered queries the per-key change set is collected into
         ``dirty_keys`` (numeric merges report the keys they touched; a
@@ -509,34 +456,21 @@ class MaintainedBatch:
         cutoff = self.config.incremental_cutoff
         for emission in self.compiled.plans[index].emissions:
             is_view = emission.kind == "view"
-            store = view_data if is_view else query_raw
+            store = run.view_data if is_view else run.query_raw
             name = emission.artifact
             track: set | None = None
-            if (
-                dirty_keys is not None
-                and not is_view
-                and name in self._ordered_queries
-            ):
+            if not is_view and name in self._ordered_queries:
                 track = dirty_keys.setdefault(name, set())
+            old = store[name]
             if merge is not None:
-                merged, artifact_changed = merge(
-                    store[name], outputs[name], track
-                )
-                store[name] = merged
+                store[name], artifact_changed = merge(old, outputs[name], track)
             else:
-                old = store.get(name)
-                new = outputs[name]
-                store[name] = new
-                artifact_changed = old is None or old != new
+                new = store[name] = outputs[name]
+                artifact_changed = old != new
                 if track is not None and artifact_changed:
-                    if old is None:
-                        dirty_keys[name] = None  # unknown: force full finish
-                    else:
-                        for key in old.keys() | new.keys():
-                            if old.get(key) != new.get(key):
-                                track.add(key)
-            if changed_views is None:
-                continue
+                    for key in old.keys() | new.keys():
+                        if old.get(key) != new.get(key):
+                            track.add(key)
             if is_view:
                 if artifact_changed:
                     refreshed_views.add(name)
@@ -545,56 +479,6 @@ class MaintainedBatch:
             elif artifact_changed:
                 dirty_queries.add(name)
 
-    @staticmethod
-    def _merge_delta_outputs(
-        target: dict, delta: dict, changed_keys: set | None = None
-    ) -> tuple[dict, bool]:
-        """A merged copy ``target + delta`` per key and slot (copy-on-write).
-
-        Returns ``(merged, changed)``; when ``changed_keys`` is given,
-        every key the merge added or updated is also recorded into it
-        (the ordered-query refresh uses this to re-rank only the dirtied
-        partitions). ``target`` — the *previous*
-        version's artifact — is never mutated, and neither are its stored
-        value lists: the merge shallow-copies the key table and copies a
-        value list the first time a slot of it changes, so readers holding
-        the previous version keep a coherent artifact (including any
-        columnar :class:`ArrayViewData` state, which stays valid precisely
-        because nothing writes through it). The merged result is a plain
-        dict — whatever columnar mirror the old version carried does not
-        describe the new contents.
-
-        A new key is a change even with all-zero values: the inserted rows
-        give it join support, so a from-scratch run would emit it too.
-        """
-        merged: dict = dict(target)
-        changed = False
-        for key, values in delta.items():
-            current = merged.get(key)
-            if current is None:
-                merged[key] = list(values)
-                changed = True
-                if changed_keys is not None:
-                    changed_keys.add(key)
-                continue
-            updated = None
-            for slot, value in enumerate(values):
-                if value != 0.0:
-                    if updated is None:
-                        updated = list(current)
-                    updated[slot] += value
-                    changed = True
-            if updated is not None:
-                merged[key] = updated
-                if changed_keys is not None:
-                    changed_keys.add(key)
-        if debug_checks_enabled():
-            # the merge must leave both sources unscathed
-            for source in (target, delta):
-                if isinstance(source, ArrayViewData):
-                    source.check_consistent()
-        return merged, changed
-
     def _debug_check_stores(self) -> None:
         """Under ``LMFAO_DEBUG``: no maintained dict may carry stale arrays.
 
@@ -602,7 +486,7 @@ class MaintainedBatch:
         asserts columnar state (if any) still mirrors the dict contents —
         the incremental path's end-to-end guard against a mutation that
         slipped past the copy-on-write discipline of
-        :meth:`_merge_delta_outputs`.
+        :func:`~repro.incremental.rules.merge_delta_outputs`.
         """
         if not debug_checks_enabled():
             return
@@ -611,16 +495,6 @@ class MaintainedBatch:
             for data in store.values():
                 if isinstance(data, ArrayViewData):
                     data.check_consistent()
-
-    # ------------------------------------------------------------------- helpers
-    def _filter_shared(self, relation):
-        """Apply node-local pushed-down predicates to a delta relation."""
-        return apply_predicates(
-            relation,
-            local_predicates(
-                relation.attribute_names, self.compiled.shared_predicates
-            ),
-        )
 
     def __repr__(self) -> str:
         return (

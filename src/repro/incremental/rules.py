@@ -16,6 +16,11 @@ incremental maintenance the relevant structure is coarser and static:
 runtime scheduler in :mod:`repro.incremental.maintain` walks the execution
 order and consults them, additionally *cutting off* propagation when a
 refreshed view turns out unchanged (delta cutoff).
+
+The per-group rules applied along that path live here too:
+:func:`numeric_delta_run` + :func:`merge_delta_outputs` (the O(|Δ|)
+insert rule — shared by maintained handles and the serving layer's
+view-cache refresh) and :func:`refresh_ordered` (targeted top-k re-rank).
 """
 
 from __future__ import annotations
@@ -23,7 +28,90 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core import topk
-from repro.core.runtime import debug_checks_enabled
+from repro.core.runtime import (
+    ArrayViewData,
+    apply_predicates,
+    debug_checks_enabled,
+    local_predicates,
+)
+from repro.data.trie import TrieIndex
+
+
+def numeric_delta_run(engine, run, index: int, inserts) -> dict[str, dict]:
+    """The numeric delta rule: one group's compiled code over ``ΔR`` alone.
+
+    Every emitted slot is ``Σ over node rows`` of a product that does not
+    otherwise depend on the node's row multiset, so the group's outputs
+    over just the inserted tuples *are* the per-artifact deltas
+    (:func:`merge_delta_outputs` adds them in). Key sets are exact too:
+    under inserts a key exists in the updated artifact iff it existed
+    before or some inserted tuple supports it — exactly the keys the
+    delta run emits.
+
+    ``inserts`` is the inserted-tuples relation of the group's own node;
+    it is filtered by the node-local pushed-down predicates of ``run``
+    (the full trie it stands in for is), indexed in the plan's order and
+    stepped through :meth:`~repro.core.engine.LMFAO.execute_group` as an
+    ad hoc trie — in-process, reading incoming views from
+    ``run.view_data``. The maintained handle and the server's view-cache
+    refresh both apply deltas through this one function, so the two stay
+    bit-identical.
+    """
+    relation = apply_predicates(
+        inserts, local_predicates(inserts.attribute_names, run.shared)
+    )
+    trie = TrieIndex(relation, run.compiled.plans[index].order)
+    return engine.execute_group(run, index, trie)
+
+
+def merge_delta_outputs(
+    target: dict, delta: dict, changed_keys: set | None = None
+) -> tuple[dict, bool]:
+    """A merged copy ``target + delta`` per key and slot (copy-on-write).
+
+    Returns ``(merged, changed)``; when ``changed_keys`` is given,
+    every key the merge added or updated is also recorded into it
+    (the ordered-query refresh uses this to re-rank only the dirtied
+    partitions). ``target`` — the *previous*
+    version's artifact — is never mutated, and neither are its stored
+    value lists: the merge shallow-copies the key table and copies a
+    value list the first time a slot of it changes, so readers holding
+    the previous version keep a coherent artifact (including any
+    columnar :class:`ArrayViewData` state, which stays valid precisely
+    because nothing writes through it). The merged result is a plain
+    dict — whatever columnar mirror the old version carried does not
+    describe the new contents.
+
+    A new key is a change even with all-zero values: the inserted rows
+    give it join support, so a from-scratch run would emit it too.
+    """
+    merged: dict = dict(target)
+    changed = False
+    for key, values in delta.items():
+        current = merged.get(key)
+        if current is None:
+            merged[key] = list(values)
+            changed = True
+            if changed_keys is not None:
+                changed_keys.add(key)
+            continue
+        updated = None
+        for slot, value in enumerate(values):
+            if value != 0.0:
+                if updated is None:
+                    updated = list(current)
+                updated[slot] += value
+                changed = True
+        if updated is not None:
+            merged[key] = updated
+            if changed_keys is not None:
+                changed_keys.add(key)
+    if debug_checks_enabled():
+        # the merge must leave both sources unscathed
+        for source in (target, delta):
+            if isinstance(source, ArrayViewData):
+                source.check_consistent()
+    return merged, changed
 
 
 def refresh_ordered(query, old_result, new_raw, dirty_keys):

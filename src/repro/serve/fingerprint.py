@@ -282,18 +282,13 @@ def view_identities(
     )
     tree = compiled.tree
 
-    producer: dict[str, int] = {}
-    for index, plan in enumerate(compiled.plans):
-        for name in plan.produced_views:
-            producer[name] = index
-
     profiles: dict[str, tuple] = {}
 
     def profile(name: str) -> tuple:
         cached = profiles.get(name)
         if cached is not None:
             return cached
-        index = producer[name]
+        index = compiled.producers[name]
         plan = compiled.plans[index]
         own = (
             plan.order,

@@ -142,12 +142,6 @@ class LRUCache:
                 self._weight -= self._weights.pop(cold, 0)
                 self._evictions += 1
 
-    def remove(self, key) -> None:
-        """Drop one entry if present (not counted as an eviction)."""
-        with self._lock:
-            if self._entries.pop(key, None) is not None:
-                self._weight -= self._weights.pop(key, 0)
-
     def remove_where(self, predicate: Callable[[object], bool]) -> int:
         """Drop every entry whose key matches; returns how many (O(entries)).
 

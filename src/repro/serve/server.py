@@ -82,21 +82,20 @@ from __future__ import annotations
 import threading
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.engine import (
     CompiledBatch,
     EngineConfig,
+    GroupRun,
     LMFAO,
     PlanBinding,
     RunResult,
     ViewSeeds,
 )
-from repro.core.runtime import estimate_view_bytes, partition_tries
-from repro.core.runtime import apply_predicates, local_predicates
+from repro.core.runtime import estimate_view_bytes
 from repro.core.snapshot import Snapshot
 from repro.data.catalog import Database
-from repro.data.trie import TrieIndex
 from repro.incremental.delta import (
     RelationDelta,
     delta_footprint,
@@ -107,6 +106,7 @@ from repro.incremental.maintain import (
     MaintainedBatch,
     check_numeric_deletes,
 )
+from repro.incremental.rules import merge_delta_outputs, numeric_delta_run
 from repro.query.batch import QueryBatch
 from repro.serve.fingerprint import (
     BatchFingerprint,
@@ -117,9 +117,10 @@ from repro.serve.fingerprint import (
     view_identities,
 )
 from repro.serve.plancache import CacheStats, PlanCache
-from repro.serve.viewcache import CachedView, ViewCache, ViewUpdater
+from repro.serve.viewcache import CachedView, ViewCache
 from repro.serve.writequeue import WriteQueue, WriteStats, WriteTicket
 from repro.util.errors import PlanError
+from repro.util.timer import Stopwatch
 
 
 @dataclass(frozen=True)
@@ -320,8 +321,6 @@ class AggregateServer:
         if compiled is None:
             # Two racing first requests may both compile; both results are
             # correct and the cache keeps the last one (see PlanCache.put).
-            from repro.util.timer import Stopwatch
-
             watch = Stopwatch()
             with watch.lap("compile"):
                 compiled = self.engine.compile(batch, snapshot=snapshot)
@@ -363,47 +362,20 @@ class AggregateServer:
         if cache is None:
             return None
         identities = view_identities(compiled, binding)
-        signatures = compiled.view_plan.view_signatures()
         version = snapshot.version
         seeds: dict[str, dict] = {}
         for name, identity in identities.items():
             entry = cache.get(ViewKey(identity, version))
             if entry is not None:
                 seeds[name] = entry.data
-        if binding is not None:
-            functions = binding.functions
-            shared = binding.shared_predicates
-        else:
-            functions = compiled.functions
-            shared = compiled.shared_predicates
-        producer = {
-            name: index
-            for index, plan in enumerate(compiled.plans)
-            for name in plan.produced_views
-        }
+        bound = compiled if binding is None else binding
 
         def publish(name: str, data: dict) -> None:
-            index = producer[name]
-            updater = ViewUpdater(
-                compiled=compiled,
-                view_name=name,
-                group_index=index,
-                functions=functions,
-                shared=shared,
-                consumed=tuple(
-                    (consumed, identities[consumed])
-                    for consumed in compiled.plans[index].consumed_views
-                ),
-            )
             cache.put(
                 ViewKey(identities[name], version),
-                CachedView(
-                    data=data,
-                    nbytes=estimate_view_bytes(data),
-                    node=compiled.view_plan.views[name].source,
-                    subtree=signatures[name].subtree,
-                    identity=identities[name],
-                    updater=updater,
+                CachedView.of(
+                    compiled, name, data, identities,
+                    bound.functions, bound.shared_predicates,
                 ),
             )
 
@@ -541,7 +513,8 @@ class AggregateServer:
           the engine not pinned to ``incremental_mode="rescan"`` →
           **numeric in-place refresh**: the producing group re-runs over
           a trie of just the inserted tuples and merges O(|Δ|)-style
-          (:meth:`~repro.incremental.maintain.MaintainedBatch._merge_delta_outputs`);
+          (:func:`~repro.incremental.rules.numeric_delta_run`, the
+          maintained handles' own delta step);
         * anything else → **invalidate**: the key simply never exists at
           the successor (the old entry stays valid for readers still
           pinned to the old version and dies with it).
@@ -579,64 +552,37 @@ class AggregateServer:
     ) -> CachedView | None:
         """One cached view updated in place by an insert-only delta.
 
-        The exact numeric rule of the incremental maintainer, driven from
-        the cache: re-run the producing group's compiled code over a trie
-        of just the (shared-predicate-filtered) inserted tuples, binding
-        the *cached* child views at the pre-commit version, and merge the
-        emitted deltas copy-on-write into the cached data. Returns None —
+        The exact numeric rule of the incremental maintainer
+        (:func:`~repro.incremental.rules.numeric_delta_run`), driven from
+        the cache: the producing group's compiled code over just the
+        inserted tuples, binding the *cached* child views at the
+        pre-commit version and the constants the entry was materialized
+        with, merged copy-on-write into the cached data. Returns None —
         falling back to plain invalidation — when a consumed view was
         evicted meanwhile or the refresh fails for any reason; a cache
         refresh must never fail the commit.
         """
         updater = entry.updater
-        compiled = updater.compiled
         consumed_data: dict[str, dict] = {}
         for name, identity in updater.consumed:
             centry = self.view_cache.peek(ViewKey(identity, version))
             if centry is None:
                 return None
             consumed_data[name] = centry.data
-        plan = compiled.plans[updater.group_index]
+        run = GroupRun(
+            updater.compiled, updater.functions, updater.shared,
+            view_data=consumed_data,
+        )
         try:
-            inserts = delta.inserts
-            relation = apply_predicates(
-                inserts,
-                local_predicates(inserts.attribute_names, updater.shared),
+            outputs = numeric_delta_run(
+                self.engine, run, updater.group_index, delta.inserts
             )
-            trie = TrieIndex(relation, plan.order)
-            tries = partition_tries(
-                plan,
-                trie,
-                self.engine.config.partitions,
-                self.engine.config.parallel_threshold,
-                self.engine._partition_concurrency(),
-            )
-            outputs = self.engine._execute_group_partitioned(
-                compiled,
-                updater.group_index,
-                tries,
-                consumed_data,
-                {
-                    name: view.group_by
-                    for name, view in compiled.view_plan.views.items()
-                },
-                updater.functions,
-                snapshot=None,
-                shared=updater.shared,
-            )
-            merged, _changed = MaintainedBatch._merge_delta_outputs(
+            merged, _changed = merge_delta_outputs(
                 entry.data, outputs[updater.view_name]
             )
         except Exception:
             return None
-        return CachedView(
-            data=merged,
-            nbytes=estimate_view_bytes(merged),
-            node=entry.node,
-            subtree=entry.subtree,
-            identity=entry.identity,
-            updater=updater,
-        )
+        return replace(entry, data=merged, nbytes=estimate_view_bytes(merged))
 
     def _republish_handle_views(
         self, handle: MaintainedBatch, result: ApplyResult, version: int
@@ -655,38 +601,16 @@ class AggregateServer:
             return
         compiled = handle.compiled
         identities = view_identities(compiled)
-        signatures = compiled.view_plan.view_signatures()
-        producer = {
-            name: index
-            for index, plan in enumerate(compiled.plans)
-            for name in plan.produced_views
-        }
         store = handle.view_store()
         for name in result.refreshed_views:
             data = store.get(name)
-            if data is None or name not in producer:
+            if data is None or name not in compiled.producers:
                 continue
-            index = producer[name]
-            updater = ViewUpdater(
-                compiled=compiled,
-                view_name=name,
-                group_index=index,
-                functions=compiled.functions,
-                shared=compiled.shared_predicates,
-                consumed=tuple(
-                    (consumed, identities[consumed])
-                    for consumed in compiled.plans[index].consumed_views
-                ),
-            )
             cache.put(
                 ViewKey(identities[name], version),
-                CachedView(
-                    data=data,
-                    nbytes=estimate_view_bytes(data),
-                    node=compiled.view_plan.views[name].source,
-                    subtree=signatures[name].subtree,
-                    identity=identities[name],
-                    updater=updater,
+                CachedView.of(
+                    compiled, name, data, identities,
+                    compiled.functions, compiled.shared_predicates,
                 ),
             )
 

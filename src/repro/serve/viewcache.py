@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
+from repro.core.runtime import estimate_view_bytes
 from repro.query.functions import Function
 from repro.query.predicates import Predicate
 from repro.serve.fingerprint import ViewIdentity, ViewKey
@@ -89,6 +90,44 @@ class CachedView:
     identity: ViewIdentity
     updater: ViewUpdater | None = None
 
+    @classmethod
+    def of(
+        cls,
+        compiled,
+        name: str,
+        data: Mapping,
+        identities: Mapping[str, ViewIdentity],
+        functions: Mapping[str, Function],
+        shared: tuple[Predicate, ...],
+    ) -> "CachedView":
+        """The cache entry for view ``name`` of one compilation.
+
+        ``identities`` are the compilation's per-view identities under
+        the constants ``data`` was materialized with
+        (:func:`~repro.serve.fingerprint.view_identities`); ``functions``
+        and ``shared`` are those same bound constants, kept on the
+        :class:`ViewUpdater` for the group-commit refresh.
+        """
+        index = compiled.producers[name]
+        return cls(
+            data=data,
+            nbytes=estimate_view_bytes(data),
+            node=compiled.view_plan.views[name].source,
+            subtree=compiled.view_plan.view_signatures()[name].subtree,
+            identity=identities[name],
+            updater=ViewUpdater(
+                compiled=compiled,
+                view_name=name,
+                group_index=index,
+                functions=functions,
+                shared=shared,
+                consumed=tuple(
+                    (consumed, identities[consumed])
+                    for consumed in compiled.plans[index].consumed_views
+                ),
+            ),
+        )
+
 
 class ViewCache:
     """Byte-bounded LRU of materialized views keyed by :class:`ViewKey`.
@@ -127,11 +166,6 @@ class ViewCache:
     def put(self, key: ViewKey, entry: CachedView) -> None:
         """Insert one materialized view; may evict cold entries (byte bound)."""
         self._lru.put(key, entry, weight=entry.nbytes)
-
-    def invalidate(self, keys: Iterable[ViewKey]) -> None:
-        """Drop exactly the given keys (dirty views under a delta)."""
-        for key in keys:
-            self._lru.remove(key)
 
     def drop_version(self, version: int) -> int:
         """Drop every entry at ``version``; the snapshot-GC reclaim hook."""

@@ -131,11 +131,14 @@ def test_engine_run_records_partition_downgrade():
 
 
 def test_effective_concurrency_gil_and_cores():
-    # pure Python under the thread executor is GIL-serialised
-    assert effective_concurrency(EngineConfig(workers=8)) == 1
+    # pure Python under the thread executor is GIL-serialised (both knobs
+    # pinned: the CI legs rewrite the EngineConfig defaults)
+    assert effective_concurrency(
+        EngineConfig(workers=8, backend="python", executor="thread")
+    ) == 1
     cores = costmodel.usable_cores()
     assert effective_concurrency(
-        EngineConfig(workers=8, backend="numpy")
+        EngineConfig(workers=8, backend="numpy", executor="thread")
     ) == min(8, cores)
     assert (
         effective_concurrency(EngineConfig(workers=2, executor="process"))

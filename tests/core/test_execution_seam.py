@@ -1,0 +1,92 @@
+"""The group-execution seam stays a seam: one step, one walk, one delta run.
+
+Structural guard (an ``ast`` walk over ``src/repro``, no execution): the
+decisions that make up "run one group over one trie" — native selection,
+partition fan-out, the recorded cost-model decision, the partitioned
+execute — each have exactly one call site, inside the engine's group step
+(:meth:`repro.core.engine.LMFAO.execute_group`), plus the process
+executor's worker-local combine. The serving layer reaches the step only
+through :func:`repro.incremental.rules.numeric_delta_run`: it imports no
+execution primitive from :mod:`repro.core.runtime` and touches no engine
+private of the step.
+"""
+
+from __future__ import annotations
+
+import ast
+from functools import cache
+from pathlib import Path
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent
+
+
+@cache
+def _modules() -> dict[str, ast.Module]:
+    return {
+        path.relative_to(SRC).as_posix(): ast.parse(path.read_text())
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+
+def _call_sites(name: str) -> list[str]:
+    """``file:line`` of every call whose callee is (an attribute) ``name``."""
+    sites = []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            called = (
+                callee.id if isinstance(callee, ast.Name)
+                else callee.attr if isinstance(callee, ast.Attribute)
+                else None
+            )
+            if called == name:
+                sites.append(f"{module}:{node.lineno}")
+    return sites
+
+
+def test_group_step_owns_every_execution_decision():
+    for name in ("partition_tries", "group_decision", "_select_native"):
+        sites = _call_sites(name)
+        assert len(sites) == 1, f"{name} called from {sites}"
+        assert sites[0].startswith("core/engine.py:"), sites
+
+
+def test_partitioned_execute_has_two_homes():
+    # the group step's inline loop and the worker-local combine
+    sites = sorted(_call_sites("execute_plan_partitioned"))
+    assert [site.split(":")[0] for site in sites] == [
+        "core/engine.py", "core/mpexec.py",
+    ], sites
+
+
+def test_one_cache_entry_constructor():
+    assert len(_call_sites("ViewUpdater")) == 1
+    assert len(_call_sites("numeric_delta_run")) == 2  # handle + view cache
+
+
+def test_serving_layer_stays_above_the_seam():
+    for module, tree in _modules().items():
+        if not module.startswith("serve/"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                if node.module == "repro.core.runtime":
+                    imported = {alias.name for alias in node.names}
+                    assert imported <= {"estimate_view_bytes"}, (
+                        f"{module} imports {sorted(imported)} from the runtime"
+                    )
+                assert node.module != "repro.data.trie", module
+            if isinstance(node, ast.Attribute):
+                assert not node.attr.startswith(
+                    ("_execute_", "_partition_", "_group_tasks", "_ship_group")
+                ) or (
+                    # the server's own request entry point
+                    module == "serve/server.py"
+                    and node.attr == "_execute_pinned"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ), f"{module}:{node.lineno} reaches {node.attr}"

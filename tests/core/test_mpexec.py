@@ -16,6 +16,7 @@ The contract under test (see :mod:`repro.core.mpexec`):
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
 
 import pytest
@@ -138,6 +139,28 @@ def test_pinned_version_survives_apply():
         finally:
             executor.release(version)
         assert not old & set(executor.segment_names())
+
+
+def test_recompute_closes_its_engine_without_waiting_for_gc():
+    """``MaintainedBatch.recompute`` builds a throwaway engine; under the
+    process executor that engine owns a worker pool and shm segments and
+    sits in a reference cycle (snapshot-store reclaim hook → engine), so
+    it must be closed on the way out, not left to a cyclic GC pass."""
+    with LMFAO(_db(), _PROCESS_CONFIG) as engine:
+        handle = engine.maintain(_batch())
+        expected = engine.run(_batch()).results["q"].groups
+        gc.collect()
+        gc.disable()
+        try:
+            children = len(multiprocessing.active_children())
+            segments = set(mpexec.active_segment_names())
+            assert children and segments
+            assert handle.recompute().results["q"].groups == expected
+            assert len(multiprocessing.active_children()) == children
+            assert set(mpexec.active_segment_names()) == segments
+            assert segments <= _dev_shm_segments()
+        finally:
+            gc.enable()
 
 
 # ------------------------------------------------------- merge determinism

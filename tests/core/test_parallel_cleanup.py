@@ -1,4 +1,5 @@
-"""Failure hygiene of the parallel scheduler (:meth:`LMFAO._run_parallel`).
+"""Failure hygiene of the thread scheduler (:meth:`LMFAO.walk_groups` under
+``executor="thread"``, ``workers > 1``).
 
 A group that raises mid-execution must propagate its exception out of
 ``run()`` promptly — queued tasks cancelled, the pool drained, no

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import EngineConfig, LMFAO
-from repro.incremental import MaintainedBatch
+from repro.incremental.rules import merge_delta_outputs
 from repro.paper import FAVORITA_TREE, example_queries
 from repro.query import Aggregate, Factor, Op, Predicate, Query, QueryBatch
 from repro.util.errors import PlanError
@@ -344,7 +344,7 @@ def test_merge_delta_outputs_is_copy_on_write():
     delta = ArrayViewData.from_arrays(
         [np.array([2, 3])], np.array([[5.0], [7.0]])
     )
-    merged, changed = MaintainedBatch._merge_delta_outputs(target, delta)
+    merged, changed = merge_delta_outputs(target, delta)
     assert changed
     assert merged == {1: [1.0], 2: [7.0], 3: [7.0]}
     assert not isinstance(merged, ArrayViewData)

@@ -9,12 +9,14 @@ by the conftest leak fixture), survive insert-only deltas in place, and
 are invalidated exactly when their subtree is dirtied by anything else.
 """
 
+import numpy as np
 import pytest
 
-from repro.core import EngineConfig
+from repro.core import EngineConfig, LMFAO
 from repro.paper import FAVORITA_TREE
 from repro.query import Aggregate, Op, Predicate, Query, QueryBatch
 from repro.serve import AggregateServer, LRUCache
+from repro.serve.fingerprint import view_identities
 from repro.util.errors import PlanError
 
 
@@ -212,6 +214,82 @@ def test_delete_delta_invalidates_exactly_the_dirty_views(
     assert warm.skipped_groups != ()
     assert not any("Items" in name for name in warm.skipped_groups)
     assert _groups(warm) == _groups(oracle_server.run(_batch(("u2a", "u2b"))))
+
+
+def _pushed_batch(names, t):
+    """Both queries filter on the *leaf* relation Items, so under
+    ``push_shared_predicates`` the predicate becomes a physical filter on
+    the Items trie — and on any Items delta."""
+    where = (Predicate("class", Op.LE, t),)
+    return QueryBatch(
+        [
+            Query(names[0], group_by=("store",),
+                  aggregates=(Aggregate.count(),), where=where),
+            Query(names[1], group_by=("item",),
+                  aggregates=(Aggregate.sum("units"),), where=where),
+        ]
+    )
+
+
+def test_numeric_refresh_filters_inserts_by_rebound_shared_predicates(
+    favorita_db, monkeypatch
+):
+    """An insert-only delta under pushed-down shared predicates with
+    re-bound constants: the refreshed entry must have filtered the
+    inserted tuples by the constants it was *materialized* with (the
+    request's, not the cached compilation's), serve results equal to a
+    cache-off oracle, and hold exactly the data a maintained handle
+    computes for the same delta — both go through
+    :func:`repro.incremental.rules.numeric_delta_run`."""
+    monkeypatch.setenv("LMFAO_DEBUG", "1")
+    config = EngineConfig(
+        join_tree_edges=FAVORITA_TREE, push_shared_predicates=True
+    )
+    items = favorita_db.relation("Items")
+    classes = items.column("class")
+
+    def row_of_class(value):
+        return items.row(int(np.flatnonzero(classes == value)[0]))
+
+    # class 2 passes both constants, class 3 only the re-bound one (a
+    # refresh filtering by the compiled constant would drop it), class 4
+    # neither (an unfiltered refresh would count it)
+    delta = {"Items": [row_of_class(2), row_of_class(3), row_of_class(4)]}
+    names = ("qa", "qb")
+    with AggregateServer(
+        favorita_db, config, view_cache_bytes=32 * 1024 * 1024
+    ) as cached, AggregateServer(
+        favorita_db, config, view_cache_bytes=0
+    ) as oracle, LMFAO(favorita_db, config) as engine:
+        cached.run(_pushed_batch(names, 2.0))  # compiles with class <= 2
+        rebound = cached.run(_pushed_batch(names, 3.0))  # plan hit, re-bound
+        assert "compile" not in rebound.timings
+        handle = engine.maintain(_pushed_batch(names, 3.0))
+
+        version = cached.apply(inserts=delta)
+        oracle.apply(inserts=delta)
+        outcome = handle.apply(inserts=delta)
+        assert outcome.groups_numeric > 0
+
+        identities = view_identities(handle.compiled)
+        refreshed = {
+            entry.identity: entry.data
+            for _, entry in cached.view_cache.entries_at(version)
+            if entry.node == "Items"
+        }
+        maintained = {
+            identities[name]: data
+            for name, data in handle.view_store().items()
+            if handle.compiled.view_plan.views[name].source == "Items"
+        }
+        shared = refreshed.keys() & maintained.keys()
+        assert shared, "the re-bound Items view must be refreshed in place"
+        for identity in shared:
+            assert refreshed[identity] == maintained[identity]
+
+        warm = cached.run(_pushed_batch(names, 3.0))
+        assert warm.skipped_groups != ()
+        assert _groups(warm) == _groups(oracle.run(_pushed_batch(names, 3.0)))
 
 
 # ------------------------------------------------------------------ lifetime
