@@ -72,7 +72,7 @@ def main(scale: float = 0.1) -> None:
     print("\n== (c) Code Generation tab ==")
     largest = max(
         range(compiled.num_groups),
-        key=lambda i: compiled.code[i].source.count("\n"),
+        key=lambda i: compiled.generated_source(i).count("\n"),
     )
     source = compiled.generated_source(largest)
     name = compiled.group_plan.groups[largest].name

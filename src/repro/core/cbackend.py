@@ -4,8 +4,9 @@ The published LMFAO emits C++ compiled with g++; this module restores that
 fidelity where a toolchain is available: each :class:`MultiOutputPlan` is
 lowered to C99, compiled with ``gcc -O2 -shared`` and invoked through
 ctypes. The generated C mirrors the Python backend statement for
-statement — same trie loops, probes, γ/β locals, support guards and output
-updates — so the two backends are differentially testable.
+statement — both are emitters of the one loop-nest walker
+(:mod:`repro.core.loopnest`): same trie loops, probes, γ/β locals, support
+guards and output updates — so the two backends are differentially testable.
 
 Runtime data layout (all buffers allocated by Python as numpy arrays and
 passed as a single ``void**`` argument vector):
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import io
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -51,23 +51,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.loopnest import LoopNestEmitter
 from repro.core.lowering import (
     MODE_ALIGNED,
+    MODE_HASH,
     MODE_SCALAR,
     base_emission_mode,
-    lower_plan,
 )
-from repro.core.plan import (
-    CountTerm,
-    Emission,
-    EmissionSlot,
-    FactorTerm,
-    MultiOutputPlan,
-    RowSumTerm,
-    SubSumTerm,
-    Term,
-    ViewTerm,
-)
+from repro.core.plan import Emission, MultiOutputPlan, ViewBinding
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
@@ -122,24 +113,6 @@ def supports_plan(plan: MultiOutputPlan, attribute_kinds: Mapping[str, str]) -> 
 # ---------------------------------------------------------------------------
 
 
-class _CWriter:
-    def __init__(self) -> None:
-        self._buf = io.StringIO()
-        self._indent = 1
-
-    def line(self, text: str = "") -> None:
-        self._buf.write("    " * self._indent + text + "\n")
-
-    def push(self) -> None:
-        self._indent += 1
-
-    def pop(self) -> None:
-        self._indent -= 1
-
-    def text(self) -> str:
-        return self._buf.getvalue()
-
-
 @dataclass
 class _ArgSpec:
     """One slot of the void** argument vector, in order."""
@@ -149,17 +122,6 @@ class _ArgSpec:
     role: tuple  # how the Python wrapper fills it
 
 
-def _emission_mode(emission: Emission) -> str:
-    """The shared lowering's *base* mode, with ``'aligned'`` rendered as
-    this backend's ``'append'`` (aligned emissions append into
-    run-count-sized arrays instead of materialising masked columns).
-    Ordered (``'topk'``) emissions render as their base: the generated C
-    accumulates the full group set, and the bounded-heap ranked cut runs
-    over its output at result finishing (:mod:`repro.core.topk`)."""
-    mode = base_emission_mode(emission)
-    return "append" if mode == MODE_ALIGNED else mode
-
-
 def generate_c_source(plan: MultiOutputPlan, symbol: str) -> tuple[str, list[_ArgSpec]]:
     """Lower one plan to a C function ``int32_t <symbol>(void** a)``.
 
@@ -167,362 +129,209 @@ def generate_c_source(plan: MultiOutputPlan, symbol: str) -> tuple[str, list[_Ar
     provide. A return value of 1 signals output-table overflow (retry with
     larger buffers).
     """
-    num_rel = len(plan.relation_levels)
-    lowered = lower_plan(plan)
-    args: list[_ArgSpec] = []
+    emitter = CEmitter(plan, symbol)
+    return emitter.generate(), emitter.args
 
-    def arg(name: str, ctype: str, role: tuple) -> str:
-        args.append(_ArgSpec(name=name, ctype=ctype, role=role))
-        return name
 
-    w = _CWriter()
+def _mix(keys: list[str]) -> str:
+    return " ^ ".join(
+        f"lmfao_mix((uint64_t){key} + {p})" for p, key in enumerate(keys)
+    )
 
-    # ---------------- argument layout --------------------------------------
-    arg("NROWS_P", "const int64_t*", ("nrows",))
-    for k in range(num_rel):
-        for part in ("vals", "rs", "re", "cs", "ce"):
-            arg(f"L{k}_{part}", "const int64_t*", ("level", k, part))
-    arg("NRUNS_P", "const int64_t*", ("run_counts",))  # per-level run counts
-    farr_var: dict[tuple[int, str, str], str] = {}
-    for i, key in enumerate(plan.level_functions):
-        farr_var[key] = arg(f"F{i}", "const double*", ("farr", key))
-    psum_var: dict[tuple, str] = {}
-    for i, product in enumerate(plan.row_products):
-        psum_var[product] = arg(f"P{i}", "const double*", ("psum", product))
 
-    binding_index: dict[str, int] = {}
-    binding_by_view = {b.view: b for b in plan.bindings}
-    blocks = {cb.index: cb for cb in plan.carried_blocks}
-    block_binding = {
-        cb.index: binding_by_view[cb.view] for cb in plan.carried_blocks
-    }
-    for i, binding in enumerate(plan.bindings):
-        binding_index[binding.view] = i
-        kparts = len(binding.key)
-        arg(f"B{i}_m", "const int64_t*", ("bind_count", binding.view))
-        for p in range(kparts):
-            arg(f"B{i}_ek{p}", "const int64_t*", ("bind_keys", binding.view, p))
-        arg(f"B{i}_ev", "const double*", ("bind_vals", binding.view))
-        arg(f"B{i}_mask_p", "const int64_t*", ("bind_mask", binding.view))
-        arg(f"B{i}_occ", "int8_t*", ("bind_occ", binding.view))
-        for p in range(kparts):
-            arg(f"B{i}_k{p}", "int64_t*", ("bind_tk", binding.view, p))
-        arg(f"B{i}_lo", "int64_t*", ("bind_lo", binding.view))
-        arg(f"B{i}_hi", "int64_t*", ("bind_hi", binding.view))
-        if binding.is_carried:
+class CEmitter(LoopNestEmitter):
+    """C99 syntax leaves: open-addressing probes, entry ranges, flat outputs.
+
+    Term hoisting is always on (C consts). The walker's ``B<i>`` / ``O<i>``
+    positions name the argument-vector slots declared by :meth:`prologue`.
+    """
+
+    const_decl = "const double "
+    accum_decl = "double "
+    end = ";"
+    block_end = "}"
+    guard_form = "if ({}) {{"
+    count_cast = "(double)"
+    indent = 1
+
+    def __init__(self, plan: MultiOutputPlan, symbol: str) -> None:
+        super().__init__(plan)
+        self.symbol = symbol
+        self.args: list[_ArgSpec] = []
+        #: carried block index → position of the binding that fetches it
+        self.block_binding = {
+            cb.index: self.binding_index[cb.view] for cb in plan.carried_blocks
+        }
+
+    def _arg(self, name: str, ctype: str, role: tuple) -> None:
+        self.args.append(_ArgSpec(name=name, ctype=ctype, role=role))
+
+    def _ev(self, i: int, row: str, agg_index: int) -> str:
+        width = self.plan.bindings[i].num_aggregates
+        return f"B{i}_ev[{row} * {width} + {agg_index}]"
+
+    def prologue(self) -> None:
+        plan, w, arg = self.plan, self.w, self._arg
+
+        # ---------------- argument layout ----------------------------------
+        arg("NROWS_P", "const int64_t*", ("nrows",))
+        for k in range(self.lowered.num_levels):
+            for part in ("vals", "rs", "re", "cs", "ce"):
+                arg(f"L{k}_{part}", "const int64_t*", ("level", k, part))
+        arg("NRUNS_P", "const int64_t*", ("run_counts",))  # per-level run counts
+        for i, key in enumerate(plan.level_functions):
+            arg(f"F{i}", "const double*", ("farr", key))
+        for i, product in enumerate(plan.row_products):
+            arg(f"P{i}", "const double*", ("psum", product))
+        for i, binding in enumerate(plan.bindings):
+            kparts = len(binding.key)
+            arg(f"B{i}_m", "const int64_t*", ("bind_count", binding.view))
+            for p in range(kparts):
+                arg(f"B{i}_ek{p}", "const int64_t*", ("bind_keys", binding.view, p))
+            arg(f"B{i}_ev", "const double*", ("bind_vals", binding.view))
+            arg(f"B{i}_mask_p", "const int64_t*", ("bind_mask", binding.view))
+            arg(f"B{i}_occ", "int8_t*", ("bind_occ", binding.view))
+            for p in range(kparts):
+                arg(f"B{i}_k{p}", "int64_t*", ("bind_tk", binding.view, p))
+            arg(f"B{i}_lo", "int64_t*", ("bind_lo", binding.view))
+            arg(f"B{i}_hi", "int64_t*", ("bind_hi", binding.view))
             for p in range(len(binding.carried)):
                 arg(
                     f"CB{binding.block}_c{p}",
                     "const int64_t*",
                     ("bind_carried", binding.view, p),
                 )
-
-    out_specs: list[tuple[Emission, str]] = []
-    for i, emission in enumerate(plan.emissions):
-        mode = _emission_mode(emission)
-        out_specs.append((emission, mode))
-        kparts = len(emission.group_by)
-        if mode == "scalar":
-            arg(f"O{i}_v", "double*", ("out_scalar", i))
-        elif mode == "append":
-            for p in range(kparts):
-                arg(f"O{i}_k{p}", "int64_t*", ("out_keys", i, p))
-            arg(f"O{i}_v", "double*", ("out_vals", i))
-            arg(f"O{i}_n", "int64_t*", ("out_count", i))
-        else:  # hash accumulate
-            arg(f"O{i}_mask_p", "const int64_t*", ("out_mask", i))
-            arg(f"O{i}_occ", "int8_t*", ("out_occ", i))
-            for p in range(kparts):
+        for i, emission in enumerate(plan.emissions):
+            mode = base_emission_mode(emission)
+            if mode == MODE_SCALAR:
+                arg(f"O{i}_v", "double*", ("out_scalar", i))
+                continue
+            if mode == MODE_HASH:
+                arg(f"O{i}_mask_p", "const int64_t*", ("out_mask", i))
+                arg(f"O{i}_occ", "int8_t*", ("out_occ", i))
+            for p in range(len(emission.group_by)):
                 arg(f"O{i}_k{p}", "int64_t*", ("out_keys", i, p))
             arg(f"O{i}_v", "double*", ("out_vals", i))
             arg(f"O{i}_n", "int64_t*", ("out_count", i))
 
-    # ---------------- prologue: build view hash tables ----------------------
-    w.line("const int64_t NROWS = NROWS_P[0];")
-    w.line("(void)NROWS; (void)NRUNS_P;")
-    for i, binding in enumerate(plan.bindings):
-        kparts = len(binding.key)
-        w.line(f"const int64_t B{i}_mask = B{i}_mask_p[0];")
-        if not binding.is_carried:
-            # one table entry per view entry: key -> row range [e, e+1)
-            w.line(f"for (int64_t e = 0; e < B{i}_m[0]; e++) {{")
-            w.push()
-            parts = " ^ ".join(
-                f"lmfao_mix((uint64_t)B{i}_ek{p}[e] + {p})" for p in range(kparts)
-            )
-            w.line(f"uint64_t h = ({parts}) & (uint64_t)B{i}_mask;")
-            w.line(f"while (B{i}_occ[h]) h = (h + 1) & (uint64_t)B{i}_mask;")
-            w.line(f"B{i}_occ[h] = 1;")
-            for p in range(kparts):
-                w.line(f"B{i}_k{p}[h] = B{i}_ek{p}[e];")
-            w.line(f"B{i}_lo[h] = e; B{i}_hi[h] = e + 1;")
-            w.pop()
-            w.line("}")
-        else:
-            # entries arrive sorted by key: hash distinct keys to ranges
-            w.line(f"for (int64_t e = 0; e < B{i}_m[0]; e++) {{")
-            w.push()
-            same = " && ".join(
-                f"B{i}_ek{p}[e] == B{i}_ek{p}[e-1]" for p in range(kparts)
-            )
-            w.line(f"if (e > 0 && {same}) continue;")
-            w.line(f"int64_t hi = e + 1;")
-            cont = " && ".join(
-                f"B{i}_ek{p}[hi] == B{i}_ek{p}[e]" for p in range(kparts)
-            )
-            w.line(f"while (hi < B{i}_m[0] && {cont}) hi++;")
-            parts = " ^ ".join(
-                f"lmfao_mix((uint64_t)B{i}_ek{p}[e] + {p})" for p in range(kparts)
-            )
-            w.line(f"uint64_t h = ({parts}) & (uint64_t)B{i}_mask;")
-            w.line(f"while (B{i}_occ[h]) h = (h + 1) & (uint64_t)B{i}_mask;")
-            w.line(f"B{i}_occ[h] = 1;")
-            for p in range(kparts):
-                w.line(f"B{i}_k{p}[h] = B{i}_ek{p}[e];")
-            w.line(f"B{i}_lo[h] = e; B{i}_hi[h] = hi;")
-            w.pop()
-            w.line("}")
-
-    # ---------------- schedules (the shared lowering) -----------------------
-    # Per-level probe/γ/β/emission placement comes from repro.core.lowering
-    # — the same LoweredPlan the Python generator and the NumPy backend
-    # consume. Term hoisting stays local (C consts, always on).
-    term_vars: dict[tuple, tuple[str, str]] = {}
-    hoisted_at: dict[int, list[tuple[str, str]]] = {}
-    counter = [0]
-
-    def term_expr(term: Term) -> str:
-        if isinstance(term, ViewTerm):
-            i = binding_index[term.view]
-            width = binding_by_view[term.view].num_aggregates
-            return f"B{i}_ev[sl_B{i} * {width} + {term.agg_index}]"
-        if isinstance(term, SubSumTerm):
-            return f"ss_{term.block}_{term.agg_index}"
-        if isinstance(term, FactorTerm):
-            base = f"{farr_var[(term.level, term.attr, term.func_name)]}[r{term.level}]"
-        elif isinstance(term, CountTerm):
-            if term.level < 0:
-                base = "(double)NROWS"
-            else:
-                base = (
-                    f"(double)(L{term.level}_re[r{term.level}] - "
-                    f"L{term.level}_rs[r{term.level}])"
-                )
-        elif isinstance(term, RowSumTerm):
-            pv = psum_var[term.product]
-            if term.level < 0:
-                base = f"{pv}[NROWS]"
-            else:
-                base = (
-                    f"({pv}[L{term.level}_re[r{term.level}]] - "
-                    f"{pv}[L{term.level}_rs[r{term.level}]])"
-                )
-        else:  # pragma: no cover
-            raise PlanError(f"unknown term {term!r}")
-        cached = term_vars.get(term.sig)
-        if cached is None:
-            var = f"t{counter[0]}"
-            counter[0] += 1
-            term_vars[term.sig] = (var, base)
-            hoisted_at.setdefault(term.level, []).append((var, base))
-            cached = (var, base)
-        return cached[0]
-
-    gamma_exprs = {n.id: [term_expr(t) for t in n.terms] for n in plan.gammas}
-    beta_exprs = {n.id: [term_expr(t) for t in n.terms] for n in plan.betas}
-
-    def slot_value(slot: EmissionSlot) -> str:
-        pieces = []
-        if slot.gamma is not None:
-            pieces.append(f"g{slot.gamma}")
-        if slot.beta is not None:
-            pieces.append(f"b{slot.beta}")
-        for cf in slot.carried_factors:
-            width = block_binding[cf.block].num_aggregates
-            i = binding_index[block_binding[cf.block].view]
-            pieces.append(f"B{i}_ev[e{cf.block} * {width} + {cf.agg_index}]")
-        return " * ".join(pieces) if pieces else "1.0"
-
-    def emit_body(level: int) -> None:
-        for var, expr in hoisted_at.get(level, ()):
-            w.line(f"const double {var} = {expr};")
-        for node in lowered.level(level).gammas:
-            exprs = list(gamma_exprs[node.id])
-            if node.parent is not None:
-                exprs = [f"g{node.parent}"] + exprs
-            w.line(f"const double g{node.id} = {' * '.join(exprs)};")
-        for node in lowered.level(level).beta_inits:
-            w.line(f"double b{node.id} = 0.0;")
-
-    def emit_tail(level: int) -> None:
-        schedule = lowered.level(level)
-        for node in schedule.beta_accums:
-            exprs = list(beta_exprs[node.id])
-            if node.child is not None:
-                exprs.append(f"b{node.child}")
-            w.line(f"b{node.id} += {' * '.join(exprs)};")
-        for le in schedule.aligned_emissions:
-            _emit_output(w, plan, blocks, le.index, le.emission, le.emission.slots,
-                         slot_value)
-        for group in schedule.slot_groups:
-            _emit_output(w, plan, blocks, group.emission_index, group.emission,
-                         group.slots, slot_value)
-
-    def emit_probes(level: int) -> None:
-        for binding in lowered.level(level).probes:
-            i = binding_index[binding.view]
-            kparts = len(binding.key)
-            parts = " ^ ".join(
-                f"lmfao_mix((uint64_t)v{binding.key_levels[p]} + {p})"
-                for p in range(kparts)
-            )
-            w.line(f"int64_t sl_B{i} = -1, hi_B{i} = -1;")
-            w.line("{")
-            w.push()
-            w.line(f"uint64_t h = ({parts}) & (uint64_t)B{i}_mask;")
-            w.line(f"while (B{i}_occ[h]) {{")
-            w.push()
-            match = " && ".join(
-                f"B{i}_k{p}[h] == v{binding.key_levels[p]}" for p in range(kparts)
-            )
-            w.line(
-                f"if ({match}) {{ sl_B{i} = B{i}_lo[h]; hi_B{i} = B{i}_hi[h]; break; }}"
-            )
-            w.line(f"h = (h + 1) & (uint64_t)B{i}_mask;")
-            w.pop()
-            w.line("}")
-            w.pop()
-            w.line("}")
-            w.line(f"if (sl_B{i} < 0) continue;")
+        # ---------------- build the view hash tables -------------------------
+        w.line("const int64_t NROWS = NROWS_P[0];")
+        w.line("(void)NROWS; (void)NRUNS_P;")
+        for i, binding in enumerate(plan.bindings):
+            kparts = range(len(binding.key))
+            w.line(f"const int64_t B{i}_mask = B{i}_mask_p[0];")
+            w.open(f"for (int64_t e = 0; e < B{i}_m[0]; e++) {{")
+            hi = "e + 1"
             if binding.is_carried:
-                subs = lowered.block_subsums(binding.block)
-                if subs:
-                    for term in subs:
-                        w.line(f"double ss_{term.block}_{term.agg_index} = 0.0;")
-                    width = binding.num_aggregates
-                    w.line(
-                        f"for (int64_t e = sl_B{i}; e < hi_B{i}; e++) {{"
-                    )
-                    w.push()
-                    for term in subs:
-                        w.line(
-                            f"ss_{term.block}_{term.agg_index} += "
-                            f"B{i}_ev[e * {width} + {term.agg_index}];"
-                        )
-                    w.pop()
-                    w.line("}")
-            else:
-                w.line(f"(void)hi_B{i};")
+                # entries arrive sorted by key: hash distinct keys to ranges
+                same = " && ".join(f"B{i}_ek{p}[e] == B{i}_ek{p}[e-1]" for p in kparts)
+                w.line(f"if (e > 0 && {same}) continue;")
+                w.line("int64_t hi = e + 1;")
+                cont = " && ".join(f"B{i}_ek{p}[hi] == B{i}_ek{p}[e]" for p in kparts)
+                w.line(f"while (hi < B{i}_m[0] && {cont}) hi++;")
+                hi = "hi"
+            # else one table entry per view entry: key -> row range [e, e+1)
+            parts = _mix([f"B{i}_ek{p}[e]" for p in kparts])
+            w.line(f"uint64_t h = ({parts}) & (uint64_t)B{i}_mask;")
+            w.line(f"while (B{i}_occ[h]) h = (h + 1) & (uint64_t)B{i}_mask;")
+            w.line(f"B{i}_occ[h] = 1;")
+            for p in kparts:
+                w.line(f"B{i}_k{p}[h] = B{i}_ek{p}[e];")
+            w.line(f"B{i}_lo[h] = e; B{i}_hi[h] = {hi};")
+            w.close()
 
-    def emit_loops(level: int) -> None:
-        if level >= num_rel:
-            return
+    def epilogue(self) -> str:
+        self.w.line("return 0;")
+        unpack = "\n".join(
+            f"    {spec.ctype} {spec.name} = ({spec.ctype})a[{i}];"
+            for i, spec in enumerate(self.args)
+        )
+        return f"int32_t {self.symbol}(void** a) {{\n{unpack}\n" + self.w.text() + "}\n"
+
+    def loop_header(self, level: int) -> str:
         if level == 0:
-            w.line("for (int64_t r0 = 0; r0 < NRUNS_P[0]; r0++) {")
-        else:
-            w.line(
-                f"for (int64_t r{level} = L{level-1}_cs[r{level-1}]; "
-                f"r{level} < L{level-1}_ce[r{level-1}]; r{level}++) {{"
-            )
-        w.push()
-        w.line(f"const int64_t v{level} = L{level}_vals[r{level}]; (void)v{level};")
-        emit_probes(level)
-        emit_body(level)
-        emit_loops(level + 1)
-        emit_tail(level)
-        w.pop()
-        w.line("}")
-
-    emit_body(-1)
-    emit_loops(0)
-    emit_tail(-1)
-    for le in lowered.scalar_emissions:
-        for j, slot in enumerate(le.emission.slots):
-            w.line(f"O{le.index}_v[{j}] = {slot_value(slot)};")
-    w.line("return 0;")
-
-    unpack = "\n".join(
-        f"    {spec.ctype} {spec.name} = ({spec.ctype})a[{i}];"
-        for i, spec in enumerate(args)
-    )
-    source = f"int32_t {symbol}(void** a) {{\n{unpack}\n" + w.text() + "}\n"
-    return source, args
-
-
-def _emit_output(w, plan, blocks, index, emission, slots, slot_value) -> None:
-    first = slots[0]
-    width = emission.width
-    guarded = first.support is not None
-    if guarded:
-        w.line(f"if (b{first.support} > 0) {{")
-        w.push()
-
-    # nested entry loops over keyed carried blocks
-    binding_of_block = {cb.index: cb for cb in plan.carried_blocks}
-    for block in first.key_blocks:
-        i = next(
-            j for j, b in enumerate(plan.bindings)
-            if b.view == binding_of_block[block].view
+            return "for (int64_t r0 = 0; r0 < NRUNS_P[0]; r0++) {"
+        up = level - 1
+        return (
+            f"for (int64_t r{level} = L{up}_cs[r{up}]; "
+            f"r{level} < L{up}_ce[r{up}]; r{level}++) {{"
         )
-        w.line(f"for (int64_t e{block} = sl_B{i}; e{block} < hi_B{i}; e{block}++) {{")
-        w.push()
 
-    def key_expr(part) -> str:
-        if part.kind == "rel":
-            return f"v{part.level}"
-        return f"CB{part.level}_c{part.pos}[e{part.level}]"
+    def level_value(self, level: int) -> str:
+        return f"const int64_t v{level} = L{level}_vals[r{level}]; (void)v{level};"
 
-    key_exprs = [key_expr(p) for p in first.key_parts]
-    if emission.aligned:
-        w.line("{")
-        w.push()
+    def probe(self, i: int, binding: ViewBinding) -> None:
+        w = self.w
+        keys = [f"v{level}" for level in binding.key_levels]
+        w.line(f"int64_t sl_B{i} = -1, hi_B{i} = -1;")
+        w.open("{")
+        w.line(f"uint64_t h = ({_mix(keys)}) & (uint64_t)B{i}_mask;")
+        w.open(f"while (B{i}_occ[h]) {{")
+        match = " && ".join(f"B{i}_k{p}[h] == {key}" for p, key in enumerate(keys))
+        w.line(
+            f"if ({match}) {{ sl_B{i} = B{i}_lo[h]; hi_B{i} = B{i}_hi[h]; break; }}"
+        )
+        w.line(f"h = (h + 1) & (uint64_t)B{i}_mask;")
+        w.close()
+        w.close()
+        w.line(f"if (sl_B{i} < 0) continue;")
+        if not binding.is_carried:
+            w.line(f"(void)hi_B{i};")
+
+    def view_aggregate(self, i: int, agg_index: int) -> str:
+        return self._ev(i, f"sl_B{i}", agg_index)
+
+    def open_entries(self, block: int, keyed: bool) -> None:
+        i = self.block_binding[block]
+        e = f"e{block}" if keyed else "e"
+        self.w.open(f"for (int64_t {e} = sl_B{i}; {e} < hi_B{i}; {e}++) {{")
+
+    def entry_aggregate(self, block: int, agg_index: int, keyed: bool) -> str:
+        row = f"e{block}" if keyed else "e"
+        return self._ev(self.block_binding[block], row, agg_index)
+
+    def carried_key(self, block: int, pos: int) -> str:
+        return f"CB{block}_c{pos}[e{block}]"
+
+    def append_row(self, index: int, emission: Emission, keys, values) -> None:
+        w, width = self.w, emission.width
+        w.open("{")
         w.line(f"const int64_t n = O{index}_n[0];")
-        for p, expr in enumerate(key_exprs):
-            w.line(f"O{index}_k{p}[n] = {expr};")
-        for slot in slots:
-            w.line(f"O{index}_v[n * {width} + {slot.slot}] = {slot_value(slot)};")
+        for p, key in enumerate(keys):
+            w.line(f"O{index}_k{p}[n] = {key};")
+        for slot, value in values:
+            w.line(f"O{index}_v[n * {width} + {slot}] = {value};")
         w.line(f"O{index}_n[0] = n + 1;")
-        w.pop()
-        w.line("}")
-    else:
-        w.line("{")
-        w.push()
-        parts = " ^ ".join(
-            f"lmfao_mix((uint64_t)({expr}) + {p})" for p, expr in enumerate(key_exprs)
-        )
+        w.close()
+
+    def accumulate_row(
+        self, index: int, emission: Emission, keys, values, keyed: bool
+    ) -> None:
+        w, width = self.w, emission.width
+        w.open("{")
         w.line(f"const int64_t mask = O{index}_mask_p[0];")
-        w.line(f"uint64_t h = ({parts}) & (uint64_t)mask;")
-        w.line("while (1) {")
-        w.push()
-        w.line(f"if (!O{index}_occ[h]) {{")
-        w.push()
+        w.line(f"uint64_t h = ({_mix([f'({key})' for key in keys])}) & (uint64_t)mask;")
+        w.open("while (1) {")
+        w.open(f"if (!O{index}_occ[h]) {{")
         w.line(f"if (2 * (O{index}_n[0] + 1) > mask + 1) return 1;")
         w.line(f"O{index}_occ[h] = 1;")
-        for p, expr in enumerate(key_exprs):
-            w.line(f"O{index}_k{p}[h] = {expr};")
+        for p, key in enumerate(keys):
+            w.line(f"O{index}_k{p}[h] = {key};")
         w.line(f"for (int j = 0; j < {width}; j++) O{index}_v[h * {width} + j] = 0.0;")
         w.line(f"O{index}_n[0]++;")
         w.line("break;")
-        w.pop()
-        w.line("}")
-        match = " && ".join(
-            f"O{index}_k{p}[h] == ({expr})" for p, expr in enumerate(key_exprs)
-        )
+        w.close()
+        match = " && ".join(f"O{index}_k{p}[h] == ({key})" for p, key in enumerate(keys))
         w.line(f"if ({match}) break;")
         w.line("h = (h + 1) & (uint64_t)mask;")
-        w.pop()
-        w.line("}")
-        for slot in slots:
-            w.line(f"O{index}_v[h * {width} + {slot.slot}] += {slot_value(slot)};")
-        w.pop()
-        w.line("}")
+        w.close()
+        for slot, value in values:
+            w.line(f"O{index}_v[h * {width} + {slot}] += {value};")
+        w.close()
 
-    for _block in first.key_blocks:
-        w.pop()
-        w.line("}")
-    if guarded:
-        w.pop()
-        w.line("}")
+    def write_scalar(self, index: int, emission: Emission, values) -> None:
+        for j, value in enumerate(values):
+            self.w.line(f"O{index}_v[{j}] = {value};")
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +347,10 @@ def _next_pow2(n: int) -> int:
 
 
 class CCompiledGroup:
-    """One plan compiled to native code, with its marshaling logic."""
+    """One plan compiled to native code, with its marshaling logic.
+
+    Implements the compiled-group protocol (``prepare_bindings`` /
+    ``execute`` — see :mod:`repro.core.runtime`)."""
 
     def __init__(self, plan: MultiOutputPlan, symbol: str, args: list[_ArgSpec],
                  source: str) -> None:
@@ -638,12 +450,12 @@ class CCompiledGroup:
 
         def out_capacity(index: int) -> int:
             emission = plan.emissions[index]
-            mode = _emission_mode(emission)
-            if mode == "scalar":
+            mode = base_emission_mode(emission)
+            if mode == MODE_SCALAR:
                 return 1
             host = max(s.level for s in emission.slots)
             runs = trie.level(host).num_runs if host >= 0 else 1
-            if mode == "append":
+            if mode == MODE_ALIGNED:
                 return max(1, runs)
             # The host level's run count bounds the distinct keys but wildly
             # overshoots when the group-by domain is small (e.g. 256 keys
@@ -743,14 +555,14 @@ class CCompiledGroup:
 
         outputs: dict[str, dict] = {}
         for index, emission in enumerate(plan.emissions):
-            mode = _emission_mode(emission)
+            mode = base_emission_mode(emission)
             buffers = out_buffers[index]
             width = emission.width
-            if mode == "scalar":
+            if mode == MODE_SCALAR:
                 outputs[emission.artifact] = {(): list(buffers["vals"])}
                 continue
             kparts = len(emission.group_by)
-            if mode == "append":
+            if mode == MODE_ALIGNED:
                 n = int(buffers["count"][0])
                 vals = buffers["vals"][: n * width].reshape(n, width)
                 keys = [buffers[("keys", p)][:n] for p in range(kparts)]
@@ -827,12 +639,9 @@ def compile_c_groups(
 ) -> tuple[list, "CBackendLibrary | None"]:
     """Lower supported plans to C; unsupported ones stay on Python.
 
-    Returns ``(native_groups, library)`` in the
-    :attr:`~repro.core.engine.CompiledBatch.native_groups` layout. Shared
-    by the engine's compile step and the per-process warm-up of the
-    multiprocess executor (:mod:`repro.core.mpexec`), which recompiles the
-    same plans once per worker process — compiled code cannot cross a
-    process boundary, plans can.
+    Returns ``(groups, library)``: one entry per plan (``None`` where
+    :func:`supports_plan` says no) and the shared object keeping the
+    symbols alive. Raises :class:`PlanError` without gcc.
     """
     if not gcc_available():
         raise PlanError("backend='c' requires gcc on PATH")

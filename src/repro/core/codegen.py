@@ -14,6 +14,12 @@ function. The generated code has exactly the shape of the paper's Figure 3:
   probe-accumulate updates otherwise (the paper's
   ``if Q2(s) then Q2(s) += α6 else Q2(s) = α6``).
 
+The loop nest itself — what is emitted at which level, in which order —
+is walked once for every source backend by
+:class:`repro.core.loopnest.LoopNestEmitter`; this module supplies the
+Python syntax leaves (:class:`PythonEmitter`) and the runtime wrapper
+(:class:`CompiledGroup`, :class:`GroupEnvironment`).
+
 Substitution note (DESIGN.md): the paper generates C++; generating
 specialised Python over the trie/prefix-sum runtime keeps the identical
 plan structure while staying in-process. The generated source is kept on
@@ -23,327 +29,212 @@ Generation" tab.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
-from repro.core.lowering import lower_plan
-from repro.core.plan import (
-    CountTerm,
-    Emission,
-    EmissionSlot,
-    FactorTerm,
-    KeyPart,
-    MultiOutputPlan,
-    RowSumTerm,
-    SubSumTerm,
-    Term,
-    ViewTerm,
+from repro.core.loopnest import LoopNestEmitter
+from repro.core.plan import Emission, MultiOutputPlan, ViewBinding
+from repro.core.runtime import (
+    ViewData,
+    _product_column,
+    _product_signature,
+    reshape_binding,
 )
-from repro.core.runtime import GroupEnvironment
+from repro.data.trie import TrieIndex
+from repro.query.functions import Function
 from repro.util.errors import PlanError
+
+
+class GroupEnvironment:
+    """What the generated function reads: one plan's inputs as Python lists.
+
+    Trie level arrays, per-level factor value arrays (``f`` applied to the
+    distinct level values), prefix-sum registers for row-factor products,
+    and the incoming views reshaped to the consumer's key layout by
+    :meth:`CompiledGroup.prepare_bindings`.
+    """
+
+    def __init__(
+        self,
+        plan: MultiOutputPlan,
+        trie: TrieIndex,
+        functions: Mapping[str, Function],
+        bindings: dict[str, dict],
+    ) -> None:
+        self.nrows = trie.num_rows
+        self.levels = [trie.level_lists(k) for k in range(len(plan.relation_levels))]
+        self.farrs: dict[tuple[int, str, str], list] = {}
+        for level, attr, func_name in plan.level_functions:
+            func = functions.get(func_name)
+            if func is None:
+                raise PlanError(f"no runtime function registered for {func_name!r}")
+            # cache signature by the *bound* function's name, not the plan
+            # slot name — see _product_signature for why (constant rebinding)
+            self.farrs[(level, attr, func_name)] = trie.level_function_values(
+                level, f"{func.name}({attr})", func
+            )
+        self.psums: dict[tuple, list] = {}
+        for product in plan.row_products:
+            self.psums[product] = trie.prefix_sum_list(
+                _product_signature(product, functions),
+                _product_column(product, functions),
+            )
+        self.bindings = bindings
 
 
 @dataclass
 class CompiledGroup:
-    """A compiled group: callable plus its generated source for inspection."""
+    """One plan compiled to a Python function, plus its source for inspection.
+
+    Implements the compiled-group protocol (``prepare_bindings`` /
+    ``execute``) every backend shares — see
+    :func:`repro.core.runtime.execute_plan`.
+    """
 
     plan: MultiOutputPlan
     source: str
     fn: Callable[[GroupEnvironment], dict[str, dict]]
 
-    def __call__(self, env: GroupEnvironment) -> dict[str, dict]:
-        return self.fn(env)
+    def prepare_bindings(
+        self,
+        view_data: Mapping[str, ViewData],
+        view_group_by: Mapping[str, tuple[str, ...]],
+    ) -> dict[str, dict]:
+        """Reshape every incoming view to its consumer keying, once per group.
 
+        Scalar views: ``key → [aggs]``; carried views: ``key →
+        [(carried_values, [aggs]), ...]``. The result depends only on the
+        view data, never on the trie, and is read-only — partitioned
+        execution shares it across all partitions.
+        """
+        bindings: dict[str, dict] = {}
+        for binding in self.plan.bindings:
+            data = view_data.get(binding.view)
+            if data is None:
+                raise PlanError(f"missing incoming view data for {binding.view}")
+            bindings[binding.view] = reshape_binding(
+                binding, view_group_by[binding.view], data
+            )
+        return bindings
 
-class _Writer:
-    def __init__(self) -> None:
-        self._buf = io.StringIO()
-        self._indent = 0
-
-    def line(self, text: str = "") -> None:
-        self._buf.write("    " * self._indent + text + "\n")
-
-    def push(self) -> None:
-        self._indent += 1
-
-    def pop(self) -> None:
-        self._indent -= 1
-
-    def text(self) -> str:
-        return self._buf.getvalue()
+    def execute(
+        self,
+        trie: TrieIndex,
+        view_data: Mapping[str, ViewData],
+        view_group_by: Mapping[str, tuple[str, ...]],
+        functions: Mapping[str, Function],
+        bind_entries: dict | None = None,
+    ) -> dict[str, dict]:
+        if bind_entries is None:
+            bind_entries = self.prepare_bindings(view_data, view_group_by)
+        return self.fn(GroupEnvironment(self.plan, trie, functions, bind_entries))
 
 
 def generate_group(plan: MultiOutputPlan, share_terms: bool = True) -> CompiledGroup:
     """Generate, compile and return the executable for one group plan."""
-    source = _generate_source(plan, share_terms)
+    source = PythonEmitter(plan, share_terms).generate()
     namespace: dict = {}
     code = compile(source, filename=f"<lmfao:{plan.group_name}>", mode="exec")
     exec(code, namespace)  # noqa: S102 - compiling our own generated plan code
     return CompiledGroup(plan=plan, source=source, fn=namespace["_run_group"])
 
 
-# --------------------------------------------------------------------------
-# source generation
-# --------------------------------------------------------------------------
-
-
-def _generate_source(plan: MultiOutputPlan, share_terms: bool) -> str:
-    num_rel = len(plan.relation_levels)
-    lowered = lower_plan(plan)
-    w = _Writer()
-    w.line(f"# generated multi-output plan for {plan.group_name} at node {plan.node}")
-    w.line(f"# order: {plan.order}")
-    w.line("def _run_group(env):")
-    w.push()
-
-    # ---------------- prologue: unpack the environment -----------------------
-    w.line("NROWS = env.nrows")
-    for k in range(num_rel):
-        w.line(
-            f"L{k}_vals, L{k}_rs, L{k}_re, L{k}_cs, L{k}_ce = env.levels[{k}]"
-        )
-    farr_var: dict[tuple[int, str, str], str] = {}
-    for i, key in enumerate(plan.level_functions):
-        farr_var[key] = f"F{i}"
-        w.line(f"F{i} = env.farrs[{key!r}]")
-    psum_var: dict[tuple, str] = {}
-    for i, product in enumerate(plan.row_products):
-        psum_var[product] = f"P{i}"
-        w.line(f"P{i} = env.psums[{product!r}]")
-    binding_var: dict[str, str] = {}
-    for i, binding in enumerate(plan.bindings):
-        binding_var[binding.view] = f"B{i}"
-        w.line(f"B{i} = env.bindings[{binding.view!r}]")
-    out_var: dict[str, str] = {}
-    for i, emission in enumerate(plan.emissions):
-        out_var[emission.artifact] = f"O{i}"
-        w.line(f"O{i} = {{}}")
-
-    # ------------- static schedule (the shared lowering) --------------------
-    # All per-level bucketing — probes, γ/β placement, emission hosting —
-    # comes from repro.core.lowering; only term hoisting (a generated-code
-    # concern gated by share_terms) stays local to this backend.
-    term_vars: dict[tuple, str] = {}
-    term_var_count = 0
-
-    def term_expr(term: Term) -> str:
-        nonlocal term_var_count
-        if isinstance(term, ViewTerm):
-            return f"t_{binding_var[term.view]}[{term.agg_index}]"
-        if isinstance(term, SubSumTerm):
-            return f"ss_{term.block}_{term.agg_index}"
-        if isinstance(term, FactorTerm):
-            base = f"{farr_var[(term.level, term.attr, term.func_name)]}[r{term.level}]"
-        elif isinstance(term, CountTerm):
-            if term.level < 0:
-                base = "NROWS"
-            else:
-                base = f"(L{term.level}_re[r{term.level}] - L{term.level}_rs[r{term.level}])"
-        elif isinstance(term, RowSumTerm):
-            pv = psum_var[term.product]
-            if term.level < 0:
-                base = f"{pv}[NROWS]"
-            else:
-                base = f"({pv}[L{term.level}_re[r{term.level}]] - {pv}[L{term.level}_rs[r{term.level}]])"
-        else:  # pragma: no cover - exhaustive over Term union
-            raise PlanError(f"unknown term {term!r}")
-        if not share_terms:
-            return base
-        var = term_vars.get(term.sig)
-        if var is None:
-            var = f"t{term_var_count}"
-            term_var_count += 1
-            term_vars[term.sig] = var
-            hoisted_terms_at.setdefault(term.level, []).append((var, base))
-        return var
-
-    hoisted_terms_at: dict[int, list[tuple[str, str]]] = {}
-
-    # Pre-resolve every term expression so hoisted vars land on their levels.
-    gamma_exprs: dict[int, list[str]] = {}
-    for node in plan.gammas:
-        gamma_exprs[node.id] = [term_expr(t) for t in node.terms]
-    beta_exprs: dict[int, list[str]] = {}
-    for node in plan.betas:
-        beta_exprs[node.id] = [term_expr(t) for t in node.terms]
-
-    def key_expr(parts: tuple[KeyPart, ...]) -> str:
-        pieces = []
-        for part in parts:
-            if part.kind == "rel":
-                pieces.append(f"v{part.level}")
-            else:
-                pieces.append(f"_cv{part.level}[{part.pos}]")
-        if len(pieces) == 1:
-            return pieces[0]
-        return "(" + ", ".join(pieces) + ")"
-
-    def slot_value_expr(slot: EmissionSlot) -> str:
-        pieces = []
-        if slot.gamma is not None:
-            pieces.append(f"g{slot.gamma}")
-        if slot.beta is not None:
-            pieces.append(f"b{slot.beta}")
-        for cf in slot.carried_factors:
-            pieces.append(f"_ca{cf.block}[{cf.agg_index}]")
-        return " * ".join(pieces) if pieces else "1.0"
-
-    def emit_term_vars(level: int) -> None:
-        for var, expr in hoisted_terms_at.get(level, ()):  # stable order
-            w.line(f"{var} = {expr}")
-
-    def emit_gammas(level: int) -> None:
-        for node in lowered.level(level).gammas:
-            exprs = list(gamma_exprs[node.id])
-            if node.parent is not None:
-                exprs = [f"g{node.parent}"] + exprs
-            w.line(f"g{node.id} = {' * '.join(exprs)}")
-
-    def emit_beta_inits(level: int) -> None:
-        for node in lowered.level(level).beta_inits:
-            w.line(f"b{node.id} = 0.0")
-
-    def emit_beta_accums(level: int) -> None:
-        for node in lowered.level(level).beta_accums:
-            exprs = list(beta_exprs[node.id])
-            if node.child is not None:
-                exprs.append(f"b{node.child}")
-            w.line(f"b{node.id} += {' * '.join(exprs)}")
-
-    def emit_probes(level: int) -> None:
-        schedule = lowered.level(level)
-        for binding in schedule.scalar_probes:
-            bv = binding_var[binding.view]
-            key = _binding_key_expr(binding)
-            w.line(f"t_{bv} = {bv}.get({key})")
-            w.line(f"if t_{bv} is None: continue")
-        for binding in schedule.carried_probes:
-            bv = binding_var[binding.view]
-            block = binding.block
-            key = _binding_key_expr(binding)
-            w.line(f"E{block} = {bv}.get({key})")
-            w.line(f"if E{block} is None: continue")
-            subs = lowered.block_subsums(block)
-            if subs:
-                for term in subs:
-                    w.line(f"ss_{term.block}_{term.agg_index} = 0.0")
-                w.line(f"for _ent in E{block}:")
-                w.push()
-                w.line("_a = _ent[1]")
-                for term in subs:
-                    w.line(
-                        f"ss_{term.block}_{term.agg_index} += _a[{term.agg_index}]"
-                    )
-                w.pop()
-
-    def emit_aligned(emission: Emission) -> None:
-        ov = out_var[emission.artifact]
-        first = emission.slots[0]
-        key = key_expr(first.key_parts)
-        values = ", ".join(slot_value_expr(s) for s in emission.slots)
-        if first.support is not None:
-            w.line(f"if b{first.support} > 0:")
-            w.push()
-            w.line(f"{ov}[{key}] = [{values}]")
-            w.pop()
-        else:
-            w.line(f"{ov}[{key}] = [{values}]")
-
-    def emit_slot_group(emission: Emission, slots: tuple[EmissionSlot, ...]) -> None:
-        ov = out_var[emission.artifact]
-        first = slots[0]
-        guarded = first.support is not None
-        if guarded:
-            w.line(f"if b{first.support} > 0:")
-            w.push()
-        if first.key_blocks:
-            # nested loops over the keyed carried blocks' entries
-            for block in first.key_blocks:
-                w.line(f"for _ent{block} in E{block}:")
-                w.push()
-                w.line(f"_cv{block} = _ent{block}[0]")
-                w.line(f"_ca{block} = _ent{block}[1]")
-        w.line(f"_k = {key_expr(first.key_parts)}")
-        w.line(f"_o = {ov}.get(_k)")
-        if len(slots) == emission.width and not first.key_blocks:
-            values = ", ".join(slot_value_expr(s) for s in slots)
-            w.line("if _o is None:")
-            w.push()
-            w.line(f"{ov}[_k] = [{values}]")
-            w.pop()
-            w.line("else:")
-            w.push()
-            for i, slot in enumerate(slots):
-                w.line(f"_o[{slot.slot}] += {slot_value_expr(slot)}")
-            w.pop()
-        else:
-            w.line("if _o is None:")
-            w.push()
-            w.line(f"_o = {ov}[_k] = [0.0] * {emission.width}")
-            w.pop()
-            for slot in slots:
-                w.line(f"_o[{slot.slot}] += {slot_value_expr(slot)}")
-        if first.key_blocks:
-            for _block in first.key_blocks:
-                w.pop()
-        if guarded:
-            w.pop()
-
-    def emit_level_tail(level: int) -> None:
-        emit_beta_accums(level)
-        schedule = lowered.level(level)
-        for lowered_emission in schedule.aligned_emissions:
-            emit_aligned(lowered_emission.emission)
-        for group in schedule.slot_groups:
-            emit_slot_group(group.emission, group.slots)
-
-    # ------------------------- emit the loop nest -----------------------------
-    emit_term_vars(-1)
-    emit_gammas(-1)
-    emit_beta_inits(-1)
-
-    def emit_loops(level: int) -> None:
-        if level >= num_rel:
-            return
-        if level == 0:
-            w.line("for r0 in range(len(L0_vals)):")
-        else:
-            w.line(
-                f"for r{level} in range(L{level-1}_cs[r{level-1}], "
-                f"L{level-1}_ce[r{level-1}]):"
-            )
-        w.push()
-        w.line(f"v{level} = L{level}_vals[r{level}]")
-        emit_probes(level)
-        emit_term_vars(level)
-        emit_gammas(level)
-        emit_beta_inits(level)
-        emit_loops(level + 1)
-        emit_level_tail(level)
-        w.pop()
-
-    emit_loops(0)
-    emit_level_tail(-1)
-
-    # scalar emissions after all loops
-    for lowered_emission in lowered.scalar_emissions:
-        emission = lowered_emission.emission
-        ov = out_var[emission.artifact]
-        values = ", ".join(slot_value_expr(s) for s in emission.slots)
-        w.line(f"{ov}[()] = [{values}]")
-
-    results = ", ".join(
-        f"{emission.artifact!r}: {out_var[emission.artifact]}"
-        for emission in plan.emissions
-    )
-    w.line(f"return {{{results}}}")
-    w.pop()
-    return w.text()
-
-
-def _binding_key_expr(binding) -> str:
-    pieces = [f"v{level}" for level in binding.key_levels]
+def _key_tuple(pieces: list[str]) -> str:
     if len(pieces) == 1:
         return pieces[0]
     return "(" + ", ".join(pieces) + ")"
+
+
+class PythonEmitter(LoopNestEmitter):
+    """Python syntax leaves: dict probes, list entries, dict outputs."""
+
+    scalars_first = True
+
+    def prologue(self) -> None:
+        plan, w = self.plan, self.w
+        w.line(f"# generated multi-output plan for {plan.group_name} at node {plan.node}")
+        w.line(f"# order: {plan.order}")
+        w.open("def _run_group(env):")
+        w.line("NROWS = env.nrows")
+        for k in range(self.lowered.num_levels):
+            w.line(
+                f"L{k}_vals, L{k}_rs, L{k}_re, L{k}_cs, L{k}_ce = env.levels[{k}]"
+            )
+        for i, key in enumerate(plan.level_functions):
+            w.line(f"F{i} = env.farrs[{key!r}]")
+        for i, product in enumerate(plan.row_products):
+            w.line(f"P{i} = env.psums[{product!r}]")
+        for i, binding in enumerate(plan.bindings):
+            w.line(f"B{i} = env.bindings[{binding.view!r}]")
+        for i in range(len(plan.emissions)):
+            w.line(f"O{i} = {{}}")
+
+    def epilogue(self) -> str:
+        results = ", ".join(
+            f"{emission.artifact!r}: O{i}"
+            for i, emission in enumerate(self.plan.emissions)
+        )
+        self.w.line(f"return {{{results}}}")
+        return self.w.text()
+
+    def loop_header(self, level: int) -> str:
+        if level == 0:
+            return "for r0 in range(len(L0_vals)):"
+        up = level - 1
+        return f"for r{level} in range(L{up}_cs[r{up}], L{up}_ce[r{up}]):"
+
+    def level_value(self, level: int) -> str:
+        return f"v{level} = L{level}_vals[r{level}]"
+
+    def probe(self, i: int, binding: ViewBinding) -> None:
+        found = f"E{binding.block}" if binding.is_carried else f"t_B{i}"
+        key = _key_tuple([f"v{level}" for level in binding.key_levels])
+        self.w.line(f"{found} = B{i}.get({key})")
+        self.w.line(f"if {found} is None: continue")
+
+    def view_aggregate(self, i: int, agg_index: int) -> str:
+        return f"t_B{i}[{agg_index}]"
+
+    def open_entries(self, block: int, keyed: bool) -> None:
+        if keyed:
+            self.w.open(f"for _ent{block} in E{block}:")
+            self.w.line(f"_cv{block} = _ent{block}[0]")
+            self.w.line(f"_ca{block} = _ent{block}[1]")
+        else:
+            self.w.open(f"for _ent in E{block}:")
+            self.w.line("_a = _ent[1]")
+
+    def entry_aggregate(self, block: int, agg_index: int, keyed: bool) -> str:
+        return f"_ca{block}[{agg_index}]" if keyed else f"_a[{agg_index}]"
+
+    def carried_key(self, block: int, pos: int) -> str:
+        return f"_cv{block}[{pos}]"
+
+    def append_row(self, index: int, emission: Emission, keys, values) -> None:
+        row = ", ".join(value for _slot, value in values)
+        self.w.line(f"O{index}[{_key_tuple(keys)}] = [{row}]")
+
+    def accumulate_row(
+        self, index: int, emission: Emission, keys, values, keyed: bool
+    ) -> None:
+        w = self.w
+        w.line(f"_k = {_key_tuple(keys)}")
+        w.line(f"_o = O{index}.get(_k)")
+        w.open("if _o is None:")
+        if len(values) == emission.width and not keyed:
+            # all slots hosted here: the first hit assigns, later ones add
+            row = ", ".join(value for _slot, value in values)
+            w.line(f"O{index}[_k] = [{row}]")
+            w.close()
+            w.open("else:")
+            for slot, value in values:
+                w.line(f"_o[{slot}] += {value}")
+            w.close()
+        else:
+            w.line(f"_o = O{index}[_k] = [0.0] * {emission.width}")
+            w.close()
+            for slot, value in values:
+                w.line(f"_o[{slot}] += {value}")
+
+    def write_scalar(self, index: int, emission: Emission, values) -> None:
+        self.w.line(f"O{index}[()] = [{', '.join(values)}]")

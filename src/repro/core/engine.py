@@ -42,20 +42,20 @@ from functools import cached_property
 from typing import Callable, Mapping
 
 from repro.core import costmodel, topk
-from repro.core.codegen import CompiledGroup, generate_group
 from repro.core.decompose import decompose_group
 from repro.core.groups import GroupPlan, build_groups
 from repro.core.orders import GroupOrder, order_group
 from repro.core.plan import MultiOutputPlan
 from repro.core.snapshot import Snapshot, SnapshotStore
 from repro.core.runtime import (
+    compile_executables,
     debug_checks_enabled,
     execute_plan,
     execute_plan_partitioned,
     merge_partial_outputs,
     node_trie,
     partition_tries,
-    prepare_bindings,
+    select_executable,
     trie_cache_key,
 )
 from repro.core.viewgen import ViewGenerator, ViewPlan
@@ -275,8 +275,8 @@ class PlanBinding:
     Produced by :func:`repro.serve.fingerprint.bind_batch` when a
     plan-cache hit serves a batch that is structurally identical to the
     compiled one but differs in ``WHERE``-predicate constants. The
-    compiled artefacts — view plan, groups, orders, generated code,
-    native groups — are reused verbatim; everything constant-dependent is
+    compiled artefacts — view plan, groups, orders, every backend's
+    executables — are reused verbatim; everything constant-dependent is
     swapped at execution time through this object:
 
     ``batch``
@@ -293,7 +293,7 @@ class PlanBinding:
         with ``x <= 7`` binds the ``ind[<=7]`` function under the
         ``ind[<=5]`` key. Trie-side caches key on the *bound* function's
         own name, so re-bound constants never collide in shared caches
-        (see :class:`repro.core.runtime.GroupEnvironment`);
+        (see :func:`repro.core.runtime._product_signature`);
     ``shared_predicates``
         the request's pushed-down predicate constants (only non-empty
         under ``push_shared_predicates=True``); the trie cache key
@@ -323,7 +323,14 @@ class CompiledBatch:
     batch with non-shared predicates folded into indicator factors;
     ``execution_order`` a topological order of ``group_plan``'s
     dependency DAG; ``shared_predicates`` the predicates pushed into
-    physical filters (empty unless ``push_shared_predicates``).
+    physical filters (empty unless ``push_shared_predicates``);
+    ``executables`` the per-backend table of compiled groups
+    (:func:`repro.core.runtime.compile_executables`): backend name →
+    one entry per group, each implementing the compiled-group protocol.
+    ``"python"`` is always present and complete; ``"numpy"`` / ``"c"``
+    exist when ``config.backend`` compiles them (``"auto"``: both, ``"c"``
+    absent without gcc) and hold ``None`` for a group that backend does
+    not cover; ``c_library`` keeps the C groups' shared object loaded.
     """
 
     batch: QueryBatch
@@ -334,24 +341,23 @@ class CompiledBatch:
     group_plan: GroupPlan
     orders: list[GroupOrder]
     plans: list[MultiOutputPlan]
-    code: list[CompiledGroup]
     functions: dict[str, Function]
     shared_predicates: tuple[Predicate, ...]
     execution_order: list[int]
-    #: per-group native implementation — a C or NumPy compiled group, or
-    #: None for the generated-Python backend — plus, for C, the shared
-    #: library keeping the symbols alive.
-    native_groups: list = field(default_factory=list)
+    executables: dict[str, list]
     c_library: object | None = None
-    #: under ``backend="auto"``: the per-group compiled-C candidates the
-    #: cost model may pick over the NumPy groups in ``native_groups``
-    #: (all None when gcc is unavailable or a plan is unsupported).
-    c_groups: list = field(default_factory=list)
 
     @property
     def native_group_count(self) -> int:
-        """How many groups run on a non-Python (C or NumPy) backend."""
-        return sum(1 for g in self.native_groups if g is not None)
+        """How many groups have a non-Python (C or NumPy) implementation."""
+        return sum(
+            any(
+                table[index] is not None
+                for backend, table in self.executables.items()
+                if backend != "python"
+            )
+            for index in range(len(self.plans))
+        )
 
     @property
     def num_views(self) -> int:
@@ -377,7 +383,7 @@ class CompiledBatch:
 
     def generated_source(self, group_index: int) -> str:
         """The generated Python for one group — the demo's code tab."""
-        return self.code[group_index].source
+        return self.executables["python"][group_index].source
 
 
 @dataclass
@@ -535,16 +541,12 @@ class LMFAO:
             if self._mpexec is None:
                 from repro.core import mpexec
 
-                schema = self.db.schema
                 self._mpexec = mpexec.ProcessExecutor(
                     workers=self.config.workers,
                     backend=self.config.backend,
                     adaptive=self.config.adaptive,
                     share_terms=self.config.share_scan_terms,
-                    attribute_kinds={
-                        attr: schema.attribute_kind(attr).value
-                        for attr in schema.all_attributes
-                    },
+                    attribute_kinds=_attribute_kinds(self.db.schema),
                 )
             return self._mpexec
 
@@ -622,36 +624,18 @@ class LMFAO:
 
         orders: list[GroupOrder] = []
         plans: list[MultiOutputPlan] = []
-        code: list[CompiledGroup] = []
         for group in group_plan.groups:
             order = order_group(group, view_plan, db)
-            plan = decompose_group(group, order, factorize=config.factorize)
             orders.append(order)
-            plans.append(plan)
-            code.append(generate_group(plan, share_terms=config.share_scan_terms))
+            plans.append(decompose_group(group, order, factorize=config.factorize))
+        executables, c_library = compile_executables(
+            plans,
+            config.backend,
+            config.share_scan_terms,
+            config.adaptive,
+            _attribute_kinds(db.schema),
+        )
 
-        native_groups: list = [None] * len(plans)
-        c_groups: list = [None] * len(plans)
-        c_library = None
-        if config.backend == "c":
-            native_groups, c_library = self._compile_native(plans)
-        elif config.backend == "numpy":
-            from repro.core import npbackend
-
-            native_groups = npbackend.compile_numpy_groups(
-                plans, adaptive=config.adaptive
-            )
-        elif config.backend == "auto":
-            from repro.core import npbackend
-
-            native_groups = npbackend.compile_numpy_groups(plans, adaptive=True)
-            try:
-                c_groups, c_library = self._compile_native(plans)
-            except PlanError:
-                # no gcc on this machine: auto degrades to python/numpy.
-                c_groups = [None] * len(plans)
-
-        execution_order = _topological_order(group_plan)
         return CompiledBatch(
             batch=batch,
             folded=folded,
@@ -661,29 +645,12 @@ class LMFAO:
             group_plan=group_plan,
             orders=orders,
             plans=plans,
-            code=code,
             functions=functions,
             shared_predicates=shared,
-            execution_order=execution_order,
-            native_groups=native_groups,
+            execution_order=_topological_order(group_plan),
+            executables=executables,
             c_library=c_library,
-            c_groups=c_groups,
         )
-
-    def _compile_native(self, plans: list[MultiOutputPlan]):
-        """Lower supported plans to C; unsupported ones stay on Python.
-
-        Delegates to :func:`repro.core.cbackend.compile_c_groups` — the
-        same entry point the multiprocess executor's per-worker warm-up
-        uses, so parent and workers compile identical native groups.
-        """
-        from repro.core import cbackend
-
-        kinds = {
-            attr: self.db.schema.attribute_kind(attr).value
-            for attr in self.db.schema.all_attributes
-        }
-        return cbackend.compile_c_groups(plans, kinds)
 
     # --------------------------------------------------------------------- run
     def run(self, batch: QueryBatch) -> RunResult:
@@ -866,25 +833,22 @@ class LMFAO:
         return node_trie(snapshot.db, node, order, shared, snapshot.tries)
 
     def _select_native(self, compiled: CompiledBatch, index: int, rows: int):
-        """One group's native implementation and the backend name it runs.
+        """One group's executable and the backend name it runs as.
 
-        Static backends return the compiled batch's artefact verbatim
-        (``None`` = generated Python, also the C backend's per-plan
-        fallback); ``backend="auto"`` asks the cost model to pick per
-        group from the trie's row count — interpreted Python for tiny
-        tries, compiled C when this group has a C candidate, else NumPy.
+        Static backends take the configured backend's entry of
+        ``compiled.executables``; ``backend="auto"`` asks the cost model to
+        pick per group from the trie's row count — interpreted Python for
+        tiny tries, compiled C when this group has a C candidate, else
+        NumPy. Either way a group the chosen backend does not cover runs
+        (and is recorded) as generated Python.
         """
-        config = self.config
-        if config.backend == "auto":
-            c_group = compiled.c_groups[index] if compiled.c_groups else None
-            choice = costmodel.choose_backend(rows, c_group is not None)
-            if choice == "c":
-                return c_group, "c"
-            if choice == "numpy":
-                return compiled.native_groups[index], "numpy"
-            return None, "python"
-        native = compiled.native_groups[index] if compiled.native_groups else None
-        return native, (config.backend if native is not None else "python")
+        backend = self.config.backend
+        if backend == "auto":
+            c_table = compiled.executables.get("c")
+            backend = costmodel.choose_backend(
+                rows, bool(c_table) and c_table[index] is not None
+            )
+        return select_executable(compiled.executables, index, backend)
 
     # ------------------------------------------------------ group execution seam
     def execute_group(
@@ -919,8 +883,8 @@ class LMFAO:
         """Plan one group's execution: the calls that produce its partials.
 
         Everything data-dependent about running a group is decided here
-        and nowhere else — the trie, the native implementation (per group
-        under ``backend="auto"``), the partition fan-out, the recorded
+        and nowhere else — the trie, the executable (per group under
+        ``backend="auto"``), the partition fan-out, the recorded
         :func:`~repro.core.costmodel.group_decision` — and the partitions
         become partial-producing calls the executor-specific way:
 
@@ -944,7 +908,7 @@ class LMFAO:
         shippable = trie is None and config.executor == "process"
         if trie is None:
             trie = self._trie(plan.node, plan.order, run.shared, run.snapshot)
-        native, backend = self._select_native(compiled, index, trie.num_rows)
+        group, backend = self._select_native(compiled, index, trie.num_rows)
         tries = partition_tries(
             plan, trie, config.partitions, config.parallel_threshold,
             # adaptive=False keeps the literal static fan-out
@@ -963,20 +927,18 @@ class LMFAO:
 
             if mpexec.plan_transportable(plan, run.functions):
                 return [lambda: self._ship_group(run, index, tries)]
-        code, group_by = compiled.code[index], compiled.view_group_by
+        group_by = compiled.view_group_by
         if len(tries) > 1 and pooled:
-            prepared = prepare_bindings(native, plan, run.view_data, group_by)
+            prepared = group.prepare_bindings(run.view_data, group_by)
             return [
                 lambda part=part: execute_plan(
-                    code, native, plan, part, run.view_data, group_by,
-                    run.functions, prepared,
+                    group, part, run.view_data, group_by, run.functions, prepared
                 )
                 for part in tries
             ]
         return [
             lambda: execute_plan_partitioned(
-                code, native, plan, tries, run.view_data, group_by,
-                run.functions,
+                group, tries, run.view_data, group_by, run.functions
             )
         ]
 
@@ -1175,6 +1137,14 @@ def _validate_execution_config(config: EngineConfig) -> None:
             "executor='process' (worker processes warm one backend per "
             "batch); pick an explicit backend"
         )
+
+
+def _attribute_kinds(schema) -> dict[str, str]:
+    """Attribute name → ``"categorical"`` / ``"continuous"`` (what the C
+    backend's :func:`~repro.core.cbackend.supports_plan` decides on)."""
+    return {
+        attr: schema.attribute_kind(attr).value for attr in schema.all_attributes
+    }
 
 
 def _collect_functions(batch: QueryBatch) -> dict[str, Function]:

@@ -53,8 +53,10 @@ import numpy as np
 
 from repro.core.plan import MultiOutputPlan
 from repro.core.runtime import (
+    compile_executables,
     execute_plan_partitioned,
     merge_partial_outputs,
+    select_executable,
 )
 from repro.data.relation import Relation
 from repro.data.schema import RelationSchema
@@ -299,22 +301,17 @@ def _close_quietly(shm: shared_memory.SharedMemory) -> None:
 
 
 def _warm_batch(payload):
-    """Recompile one batch's plans in this process (the warm-up)."""
+    """Recompile one batch's plans in this process (the warm-up): each
+    group's executable on the pool's backend, plus the C library handle."""
     plans, backend, share_terms, attribute_kinds, adaptive = payload
-    from repro.core.codegen import generate_group
-
-    code = [generate_group(plan, share_terms=share_terms) for plan in plans]
-    natives: list = [None] * len(plans)
-    library = None
-    if backend == "c":
-        from repro.core import cbackend
-
-        natives, library = cbackend.compile_c_groups(plans, attribute_kinds)
-    elif backend == "numpy":
-        from repro.core import npbackend
-
-        natives = npbackend.compile_numpy_groups(plans, adaptive=adaptive)
-    return plans, code, natives, library
+    executables, library = compile_executables(
+        plans, backend, share_terms, adaptive, attribute_kinds
+    )
+    groups = [
+        select_executable(executables, index, backend)[0]
+        for index in range(len(plans))
+    ]
+    return groups, library
 
 
 def _worker_main(conn) -> None:
@@ -325,7 +322,7 @@ def _worker_main(conn) -> None:
     is reported as ``("error", traceback)`` — the parent turns it into a
     :class:`PlanError`; a vanished pipe ends the loop.
     """
-    batches: dict = {}  # batch key -> (plans, code, natives, library)
+    batches: dict = {}  # batch key -> (groups, library)
     segments: dict = {}  # segment name -> SharedMemory
     tries: dict = {}  # (segment name, partition index) -> TrieIndex
     while True:
@@ -351,7 +348,7 @@ def _worker_main(conn) -> None:
             elif kind == "exec":
                 (_, key, group_index, export, part_indices,
                  view_data, view_group_by, functions) = message
-                plans, code, natives, _library = batches[key]
+                groups, _library = batches[key]
                 shm = segments.get(export.segment)
                 if shm is None:
                     shm = _attach_segment(export.segment)
@@ -364,13 +361,7 @@ def _worker_main(conn) -> None:
                         tries[(export.segment, part)] = trie
                     chunk.append(trie)
                 outputs = execute_plan_partitioned(
-                    code[group_index],
-                    natives[group_index],
-                    plans[group_index],
-                    chunk,
-                    view_data,
-                    view_group_by,
-                    functions,
+                    groups[group_index], chunk, view_data, view_group_by, functions
                 )
                 conn.send(("done", outputs))
             else:

@@ -1057,10 +1057,9 @@ class _PlanEvaluation:
 class NumpyCompiledGroup:
     """One plan lowered to the staged NumPy array program.
 
-    Implements the same execution protocol as
-    :class:`repro.core.cbackend.CCompiledGroup` (``prepare_bindings`` /
-    ``execute``), so the runtime dispatch, the partitioned path and the
-    incremental maintainer drive it unchanged.
+    Implements the compiled-group protocol (``prepare_bindings`` /
+    ``execute`` — see :mod:`repro.core.runtime`), so the partitioned path
+    and the incremental maintainer drive it like any other backend.
     """
 
     def __init__(self, plan: MultiOutputPlan, adaptive: bool = True) -> None:
@@ -1108,11 +1107,6 @@ class NumpyCompiledGroup:
         functions: Mapping[str, Function],
         bind_entries: dict | None = None,
     ) -> dict[str, dict]:
-        if trie.order != self.plan.order:
-            raise PlanError(
-                f"trie order {trie.order} does not match plan order "
-                f"{self.plan.order}"
-            )
         if bind_entries is None:
             bind_entries = self.prepare_bindings(view_data, view_group_by)
         strategies = costmodel.resolve_strategies(

@@ -1,15 +1,20 @@
-"""Runtime preparation shared by the code generator and the interpreter.
+"""The compiled-group protocol: compile, execute, partition, merge.
 
-Given a :class:`MultiOutputPlan`, a :class:`TrieIndex` over the group's
-node relation and the already-computed incoming view contents, this module
-builds the *environment* the plan executes against:
+Every backend compiles a :class:`MultiOutputPlan` to an object with the
+same two methods — the generated-Python
+:class:`~repro.core.codegen.CompiledGroup`, the staged-array
+:class:`~repro.core.npbackend.NumpyCompiledGroup` and the native
+:class:`~repro.core.cbackend.CCompiledGroup`:
 
-* trie level arrays as Python lists;
-* per-level factor value arrays (``f`` applied to distinct level values);
-* prefix-sum registers for row-factor products;
-* incoming view bindings reshaped to the consumer's key layout
-  (scalar views: ``key → [aggs]``; carried views:
-  ``key → [(carried_values, [aggs]), ...]``).
+* ``prepare_bindings(view_data, view_group_by)`` marshals the incoming
+  views into the backend's probe layout, once per group (reshaped dicts,
+  sorted key-code tables, flattened entry arrays), read-only afterwards;
+* ``execute(trie, view_data, view_group_by, functions, bind_entries=None)``
+  runs the plan over one trie and returns ``artifact → ViewData``.
+
+:func:`compile_executables` builds the per-backend table of such groups
+for a list of plans, :func:`select_executable` picks one group's entry,
+and :func:`execute_plan` is the one place a compiled group meets a trie.
 
 View contents are dictionaries ``group_by_key → list_of_aggregate_values``
 where the key is a scalar for single-attribute group-bys and a tuple (in the
@@ -221,69 +226,6 @@ def reshape_binding(binding: ViewBinding, view_group_by: tuple[str, ...], data: 
     return grouped
 
 
-def prepare_python_bindings(
-    plan: MultiOutputPlan,
-    view_data: Mapping[str, ViewData],
-    view_group_by: Mapping[str, tuple[str, ...]],
-) -> dict[str, dict]:
-    """Reshape all incoming-view bindings of one plan (consumer keying).
-
-    Binding contents depend only on the incoming view data, never on the
-    trie, so partitioned execution prepares them **once** per group and
-    shares the (read-only) result across all partitions instead of
-    re-reshaping per partition.
-    """
-    bindings: dict[str, dict] = {}
-    for binding in plan.bindings:
-        data = view_data.get(binding.view)
-        if data is None:
-            raise PlanError(f"missing incoming view data for {binding.view}")
-        bindings[binding.view] = reshape_binding(
-            binding, view_group_by[binding.view], data
-        )
-    return bindings
-
-
-class GroupEnvironment:
-    """The fully prepared inputs for executing one group plan."""
-
-    def __init__(
-        self,
-        plan: MultiOutputPlan,
-        trie: TrieIndex,
-        view_data: Mapping[str, ViewData],
-        view_group_by: Mapping[str, tuple[str, ...]],
-        functions: Mapping[str, Function],
-        bindings: dict[str, dict] | None = None,
-    ) -> None:
-        if trie.order != plan.order:
-            raise PlanError(
-                f"trie order {trie.order} does not match plan order {plan.order}"
-            )
-        self.plan = plan
-        self.nrows = trie.num_rows
-        self.levels = [trie.level_lists(k) for k in range(len(plan.relation_levels))]
-        self.farrs: dict[tuple[int, str, str], list] = {}
-        for level, attr, func_name in plan.level_functions:
-            func = functions.get(func_name)
-            if func is None:
-                raise PlanError(f"no runtime function registered for {func_name!r}")
-            # cache signature by the *bound* function's name, not the plan
-            # slot name — see _product_signature for why (constant rebinding)
-            self.farrs[(level, attr, func_name)] = trie.level_function_values(
-                level, f"{func.name}({attr})", func
-            )
-        self.psums: dict[tuple, list] = {}
-        for product in plan.row_products:
-            self.psums[product] = trie.prefix_sum_list(
-                _product_signature(product, functions),
-                _product_column(product, functions),
-            )
-        if bindings is None:
-            bindings = prepare_python_bindings(plan, view_data, view_group_by)
-        self.bindings: dict[str, dict] = bindings
-
-
 def local_predicates(relation_attrs, predicates) -> tuple:
     """The pushed-down predicates applicable to one relation."""
     return tuple(p for p in predicates if p.attribute in relation_attrs)
@@ -327,10 +269,64 @@ def node_trie(db, node: str, order: tuple[str, ...], shared, cache: dict) -> Tri
     return trie
 
 
+def compile_executables(
+    plans: Sequence[MultiOutputPlan],
+    backend: str,
+    share_terms: bool,
+    adaptive: bool,
+    attribute_kinds: Mapping[str, str],
+) -> tuple[dict[str, list], object | None]:
+    """Compile every plan for ``backend``: the per-backend executable table.
+
+    Returns ``(executables, c_library)``. ``executables["python"]`` holds
+    the generated-Python group of every plan (always — it is each other
+    backend's fallback and the inspectable source); ``"numpy"`` / ``"c"``
+    are present when ``backend`` asks for them (``"auto"``: both), with
+    ``None`` where that backend does not cover a plan. ``c_library`` keeps
+    the C groups' shared object loaded. Called by :meth:`LMFAO.compile`
+    and by each worker process's warm-up (:mod:`repro.core.mpexec`) —
+    compiled code cannot cross a process boundary, plans can.
+    """
+    from repro.core.codegen import generate_group
+
+    executables: dict[str, list] = {
+        "python": [generate_group(plan, share_terms=share_terms) for plan in plans]
+    }
+    library = None
+    if backend in ("numpy", "auto"):
+        from repro.core import npbackend
+
+        executables["numpy"] = npbackend.compile_numpy_groups(
+            plans, adaptive=adaptive
+        )
+    if backend in ("c", "auto"):
+        from repro.core import cbackend
+
+        try:
+            executables["c"], library = cbackend.compile_c_groups(
+                plans, attribute_kinds
+            )
+        except PlanError:
+            # no gcc on this machine: auto degrades to python/numpy.
+            if backend == "c":
+                raise
+    return executables, library
+
+
+def select_executable(
+    executables: Mapping[str, list], index: int, backend: str
+) -> tuple[object, str]:
+    """Group ``index``'s implementation on ``backend`` and the backend name
+    it runs as — generated Python where ``backend`` does not cover it."""
+    table = executables.get(backend)
+    group = table[index] if table else None
+    if group is None:
+        return executables["python"][index], "python"
+    return group, backend
+
+
 def execute_plan(
-    code,
-    native,
-    plan: MultiOutputPlan,
+    group,
     trie: TrieIndex,
     view_data: Mapping[str, ViewData],
     view_group_by: Mapping[str, tuple[str, ...]],
@@ -339,52 +335,31 @@ def execute_plan(
 ) -> dict[str, dict]:
     """Run one compiled group over a trie and incoming view contents.
 
-    ``native`` is the group's C implementation (or None for the Python
-    backend); ``code`` the generated-Python :class:`CompiledGroup`. Both the
-    batch executor and the incremental maintainer call this — the
+    ``group`` is any backend's compiled group (see the module docstring).
+    Both the batch executor and the incremental maintainer call this — the
     maintainer additionally passes *delta* tries (an index over just the
     inserted tuples) to obtain per-view deltas from the very same compiled
     code, since every emitted slot is a sum over the node's rows and
     therefore linear in the row multiset.
 
-    ``prepared_bindings`` (from :func:`prepare_bindings`) lets partitioned
-    execution marshal the incoming views once and share them, read-only,
-    across concurrent per-partition calls.
+    The trie must be built in the plan's attribute order: compiled code
+    addresses level arrays positionally, so a mismatch would not fail but
+    aggregate the wrong attributes — checked here, for every backend.
+
+    ``prepared_bindings`` (from ``group.prepare_bindings``) lets
+    partitioned execution marshal the incoming views once and share them,
+    read-only, across concurrent per-partition calls.
     """
-    if native is not None:
-        return native.execute(
-            trie, view_data, view_group_by, functions, bind_entries=prepared_bindings
+    if trie.order != group.plan.order:
+        raise PlanError(
+            f"trie order {trie.order} does not match plan order {group.plan.order}"
         )
-    env = GroupEnvironment(
-        plan=plan,
-        trie=trie,
-        view_data=view_data,
-        view_group_by=view_group_by,
-        functions=functions,
-        bindings=prepared_bindings,
+    return group.execute(
+        trie, view_data, view_group_by, functions, bind_entries=prepared_bindings
     )
-    return code(env)
 
 
 # ------------------------------------------------------------ domain parallelism
-
-
-def prepare_bindings(
-    native,
-    plan: MultiOutputPlan,
-    view_data: Mapping[str, ViewData],
-    view_group_by: Mapping[str, tuple[str, ...]],
-):
-    """Marshal one group's incoming-view bindings for its backend, once.
-
-    The returned object is backend-specific (reshaped dicts for Python,
-    flattened entry arrays for C, sorted key-code tables for NumPy) and is
-    treated as immutable by every per-partition execution, so it is safe
-    to share across threads.
-    """
-    if native is not None:
-        return native.prepare_bindings(view_data, view_group_by)
-    return prepare_python_bindings(plan, view_data, view_group_by)
 
 
 def partition_tries(
@@ -489,9 +464,7 @@ def merge_partial_outputs(
 
 
 def execute_plan_partitioned(
-    code,
-    native,
-    plan: MultiOutputPlan,
+    group,
     tries: Sequence[TrieIndex],
     view_data: Mapping[str, ViewData],
     view_group_by: Mapping[str, tuple[str, ...]],
@@ -506,24 +479,13 @@ def execute_plan_partitioned(
     worker pool and merges with :func:`merge_partial_outputs` itself.
     """
     if len(tries) == 1:
-        return execute_plan(
-            code, native, plan, tries[0], view_data, view_group_by, functions
-        )
-    prepared = prepare_bindings(native, plan, view_data, view_group_by)
+        return execute_plan(group, tries[0], view_data, view_group_by, functions)
+    prepared = group.prepare_bindings(view_data, view_group_by)
     partial = [
-        execute_plan(
-            code,
-            native,
-            plan,
-            trie,
-            view_data,
-            view_group_by,
-            functions,
-            prepared_bindings=prepared,
-        )
+        execute_plan(group, trie, view_data, view_group_by, functions, prepared)
         for trie in tries
     ]
-    return merge_partial_outputs(plan, partial)
+    return merge_partial_outputs(group.plan, partial)
 
 
 def estimate_view_bytes(data: Mapping) -> int:

@@ -115,9 +115,7 @@ def describe_compiled_batch(compiled: CompiledBatch) -> str:
     sections.append(render_group_graph(compiled.group_plan))
     sections.append("")
     sections.append("== Generated code sizes ==")
-    for index, code in enumerate(compiled.code):
-        loc = code.source.count("\n")
-        sections.append(
-            f"  {compiled.group_plan.groups[index].name}: {loc} generated lines"
-        )
+    for index, group in enumerate(compiled.group_plan.groups):
+        loc = compiled.generated_source(index).count("\n")
+        sections.append(f"  {group.name}: {loc} generated lines")
     return "\n".join(sections)

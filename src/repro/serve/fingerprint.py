@@ -293,10 +293,11 @@ def view_identities(
         own = (
             plan.order,
             plan.partition_safe,
-            compiled.native_groups[index] is None
-            if compiled.native_groups
-            else True,
-            compiled.c_groups[index] is None if compiled.c_groups else True,
+            tuple(
+                backend
+                for backend, table in compiled.executables.items()
+                if table[index] is not None
+            ),
         )
         children = tuple(
             profile(child)

@@ -8,7 +8,7 @@ from repro.util.errors import (
     SchemaError,
 )
 from repro.util.ordered import OrderedSet, stable_unique
-from repro.util.timer import Stopwatch, Timer
+from repro.util.timer import Stopwatch
 
 __all__ = [
     "CyclicSchemaError",
@@ -18,6 +18,5 @@ __all__ = [
     "ReproError",
     "SchemaError",
     "Stopwatch",
-    "Timer",
     "stable_unique",
 ]

@@ -1,31 +1,8 @@
-"""Small timing helpers used by the engine and the benchmark harness."""
+"""The engine's and the server's timing helper: named wall-clock laps."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-
-
-@dataclass
-class Timer:
-    """Context manager measuring wall-clock time of a block.
-
-    Usage::
-
-        with Timer() as t:
-            work()
-        print(t.elapsed)
-    """
-
-    elapsed: float = 0.0
-    _start: float = field(default=0.0, repr=False)
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.elapsed = time.perf_counter() - self._start
 
 
 class Stopwatch:

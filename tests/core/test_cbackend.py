@@ -89,7 +89,7 @@ def test_c_sources_kept_for_inspection(favorita_db):
         favorita_db, EngineConfig(join_tree_edges=FAVORITA_TREE, backend="c")
     )
     compiled = engine.compile(example_queries())
-    native = [g for g in compiled.native_groups if g is not None]
+    native = [g for g in compiled.executables["c"] if g is not None]
     assert native
     assert all("int32_t lmfao_run_g" in g.source for g in native)
 

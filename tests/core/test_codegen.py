@@ -17,7 +17,7 @@ def _compile(db, batch, **config):
 def test_codegen_is_deterministic(favorita_db):
     _, first = _compile(favorita_db, example_queries())
     _, second = _compile(favorita_db, example_queries())
-    for a, b in zip(first.code, second.code):
+    for a, b in zip(first.executables["python"], second.executables["python"]):
         assert a.source == b.source
 
 
@@ -30,7 +30,9 @@ def test_share_terms_off_still_correct(favorita_db, favorita_join):
         assert_results_equal(run.results[query.name], oracle(favorita_join, query))
     # without sharing, no hoisted term variables are emitted
     sales_source = next(
-        c.source for c in compiled.code if "G" in c.plan.group_name and c.plan.node == "Sales"
+        c.source
+        for c in compiled.executables["python"]
+        if "G" in c.plan.group_name and c.plan.node == "Sales"
     )
     assert "t0 =" not in sales_source
 
@@ -62,7 +64,7 @@ def test_generated_function_has_no_free_variables(favorita_db):
     """The generated source compiles in an empty namespace and only needs
     the env argument."""
     _, compiled = _compile(favorita_db, example_queries())
-    for code in compiled.code:
+    for code in compiled.executables["python"]:
         namespace = {}
         exec(compile(code.source, "<test>", "exec"), namespace)
         assert callable(namespace["_run_group"])

@@ -9,6 +9,13 @@ executor's worker-local combine. The serving layer reaches the step only
 through :func:`repro.incremental.rules.numeric_delta_run`: it imports no
 execution primitive from :mod:`repro.core.runtime` and touches no engine
 private of the step.
+
+Below the step, the same holds for compilation: the loop nest of a
+lowered plan is walked in one place (:mod:`repro.core.loopnest`; the
+source backends are emitters of it, the NumPy backend a separate
+stage-wise consumer), every backend's compiler is called from one place
+(:func:`repro.core.runtime.compile_executables`), and the runtime drives
+one compiled-group protocol instead of branching on a native/Python pair.
 """
 
 from __future__ import annotations
@@ -90,3 +97,75 @@ def test_serving_layer_stays_above_the_seam():
                     and isinstance(node.value, ast.Name)
                     and node.value.id == "self"
                 ), f"{module}:{node.lineno} reaches {node.attr}"
+
+
+def _called_name(call: ast.Call) -> str | None:
+    callee = call.func
+    if isinstance(callee, ast.Name):
+        return callee.id
+    return callee.attr if isinstance(callee, ast.Attribute) else None
+
+
+def _functions(module: str) -> list[ast.FunctionDef]:
+    return [
+        node for node in ast.walk(_modules()[module])
+        if isinstance(node, ast.FunctionDef)
+    ]
+
+
+def test_one_loop_nest_walker():
+    # the level recursion lives in the walker; the source backends hold
+    # syntax leaves only — nothing in them recurses
+    homes = [
+        module for module in _modules()
+        for function in _functions(module) if function.name == "emit_loops"
+    ]
+    assert homes == ["core/loopnest.py"], homes
+    for module in ("core/codegen.py", "core/cbackend.py"):
+        recursive = [
+            function.name
+            for function in _functions(module)
+            if not function.name.startswith("__")
+            and any(
+                isinstance(node, ast.Call) and _called_name(node) == function.name
+                for node in ast.walk(function)
+            )
+        ]
+        assert not recursive, f"{module} recurses in {recursive}"
+    # one Term → expression dispatch for source; NumPy's evaluates arrays
+    dispatches = sorted(
+        module
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _called_name(node) == "isinstance"
+        and isinstance(node.args[1], ast.Name)
+        and node.args[1].id == "FactorTerm"
+    )
+    assert dispatches == ["core/loopnest.py", "core/npbackend.py"], dispatches
+    lowerings = [
+        site for site in _call_sites("lower_plan")
+        if not site.startswith("core/npbackend.py:")
+    ]
+    assert [site.split(":")[0] for site in lowerings] == ["core/loopnest.py"]
+    writers = [
+        f"{module}:{node.name}"
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Writer")
+    ]
+    assert writers == ["core/loopnest.py:SourceWriter"], writers
+
+
+def test_one_compiled_group_protocol():
+    for name in ("compile_c_groups", "compile_numpy_groups", "generate_group"):
+        sites = _call_sites(name)
+        assert len(sites) == 1, f"{name} called from {sites}"
+        assert sites[0].startswith("core/runtime.py:"), sites
+    # the runtime drives the protocol: no module-level binding dispatcher,
+    # no executable-or-None pair left to branch on
+    runtime = _modules()["core/runtime.py"]
+    assert "prepare_bindings" not in {f.name for f in _functions("core/runtime.py")}
+    for node in ast.walk(runtime):
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name):
+            assert node.left.id != "native", f"core/runtime.py:{node.lineno}"

@@ -380,13 +380,13 @@ def test_outputs_keep_columnar_arrays():
     index = next(
         i
         for i, plan in enumerate(compiled.plans)
-        if compiled.native_groups[i] is not None
+        if compiled.executables["numpy"][i] is not None
         and any(e.group_by for e in plan.emissions)
         and not plan.bindings
     )
     plan = compiled.plans[index]
     trie = node_trie(db, plan.node, plan.order, (), {})
-    outputs = compiled.native_groups[index].execute(
+    outputs = compiled.executables["numpy"][index].execute(
         trie, {}, {}, compiled.functions
     )
     keyed = [e.artifact for e in plan.emissions if e.group_by]
@@ -404,17 +404,6 @@ def test_missing_view_data_raises(favorita_db, favorita_engine):
     group = NumpyCompiledGroup(plan)
     with pytest.raises(PlanError):
         group.prepare_bindings({}, {})
-
-
-def test_trie_order_mismatch_raises(favorita_db, favorita_engine):
-    from repro.data import TrieIndex
-
-    compiled = favorita_engine.compile(example_queries())
-    plan = next(p for p in compiled.plans if supports_plan(p))
-    group = NumpyCompiledGroup(plan)
-    wrong = TrieIndex(favorita_db.relation(plan.node), ())
-    with pytest.raises(PlanError):
-        group.execute(wrong, {}, {}, compiled.functions)
 
 
 def test_array_view_data_roundtrip():

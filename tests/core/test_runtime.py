@@ -1,10 +1,13 @@
-"""Runtime preparation: binding reshapes and environment validation."""
+"""Runtime preparation: binding reshapes and the compiled-group entry checks."""
 
 import numpy as np
 import pytest
 
+from repro.core import EngineConfig, LMFAO
+from repro.core.cbackend import gcc_available
 from repro.core.plan import ViewBinding
-from repro.core.runtime import GroupEnvironment, reshape_binding
+from repro.core.runtime import execute_plan, reshape_binding
+from repro.paper import FAVORITA_TREE
 from repro.util.errors import PlanError
 
 
@@ -263,21 +266,36 @@ def test_carried_binding_multi_key():
     assert reshaped == {(1, 2): [((7,), [1.0])]}
 
 
-def test_environment_validates_order(favorita_db, favorita_engine):
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "python",
+        "numpy",
+        pytest.param(
+            "c", marks=pytest.mark.skipif(not gcc_available(), reason="needs gcc")
+        ),
+    ],
+)
+def test_execute_plan_rejects_a_trie_in_another_order(favorita_db, backend):
+    """Compiled code addresses level arrays positionally: a trie built in
+    another attribute order must fail loudly on every backend, not
+    aggregate the wrong attributes (the C group used to)."""
     from repro.data import TrieIndex
     from repro.paper import example_queries
 
-    compiled = favorita_engine.compile(example_queries())
-    plan = next(p for p in compiled.plans if p.bindings)
-    wrong_trie = TrieIndex(favorita_db.relation(plan.node), ())
-    with pytest.raises(PlanError):
-        GroupEnvironment(
-            plan=plan,
-            trie=wrong_trie,
-            view_data={},
-            view_group_by={},
-            functions=compiled.functions,
-        )
+    engine = LMFAO(
+        favorita_db, EngineConfig(join_tree_edges=FAVORITA_TREE, backend=backend)
+    )
+    compiled = engine.compile(example_queries())
+    index = next(i for i, p in enumerate(compiled.plans) if len(p.order) > 1)
+    plan = compiled.plans[index]
+    group = compiled.executables[backend][index]
+    assert group is not None
+    wrong_trie = TrieIndex(
+        favorita_db.relation(plan.node), tuple(reversed(plan.order))
+    )
+    with pytest.raises(PlanError, match="trie order"):
+        execute_plan(group, wrong_trie, {}, {}, compiled.functions)
 
 
 def test_environment_requires_view_data(favorita_db, favorita_engine):
@@ -285,13 +303,13 @@ def test_environment_requires_view_data(favorita_db, favorita_engine):
     from repro.paper import example_queries
 
     compiled = favorita_engine.compile(example_queries())
-    plan = next(p for p in compiled.plans if p.bindings)
+    index = next(i for i, p in enumerate(compiled.plans) if p.bindings)
+    plan = compiled.plans[index]
     trie = TrieIndex(favorita_db.relation(plan.node), plan.order)
     with pytest.raises(PlanError):
-        GroupEnvironment(
-            plan=plan,
-            trie=trie,
-            view_data={},  # missing inputs
-            view_group_by={},
-            functions=compiled.functions,
+        compiled.executables["python"][index].execute(
+            trie,
+            {},  # missing inputs
+            {},
+            compiled.functions,
         )

@@ -12,7 +12,6 @@ from repro.util import (
     ReproError,
     SchemaError,
     Stopwatch,
-    Timer,
     stable_unique,
 )
 
@@ -51,12 +50,6 @@ def test_ordered_set_misc():
     assert not s
     with pytest.raises(TypeError):
         hash(OrderedSet())
-
-
-def test_timer_measures():
-    with Timer() as t:
-        time.sleep(0.01)
-    assert t.elapsed >= 0.009
 
 
 def test_stopwatch_accumulates():

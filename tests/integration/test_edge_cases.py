@@ -95,17 +95,18 @@ def test_unknown_backend_is_rejected(favorita_db):
 
 def test_missing_view_data_raises(favorita_db, favorita_engine):
     """Executing a group without its inputs is an internal error, loudly."""
-    from repro.core.runtime import GroupEnvironment
+    from repro.core.runtime import execute_plan
     from repro.data import TrieIndex
     from repro.paper import example_queries
 
     compiled = favorita_engine.compile(example_queries())
-    plan = next(p for p in compiled.plans if p.bindings)
+    index = next(i for i, p in enumerate(compiled.plans) if p.bindings)
+    plan = compiled.plans[index]
     trie = TrieIndex(favorita_db.relation(plan.node), plan.order)
     with pytest.raises(PlanError):
-        GroupEnvironment(
-            plan=plan,
-            trie=trie,
+        execute_plan(
+            compiled.executables["python"][index],
+            trie,
             view_data={},
             view_group_by={},
             functions=compiled.functions,
