@@ -23,7 +23,9 @@ passed as a single ``void**`` argument vector):
   level's run count; accumulating emissions use a preallocated
   open-addressing table. Table overflow makes the function return 1 and
   the wrapper retries with doubled capacities (results are a pure function
-  of the inputs, so the retry is safe).
+  of the inputs, so the retry is safe). The filled key/value arrays leave
+  as a columnar :class:`~repro.core.runtime.ArrayViewData`; no Python
+  dict is built unless a dict consumer reads the view.
 
 Supported plans: integer (categorical) trie levels, view keys and group-by
 attributes. :func:`supports_plan` reports this; the engine falls back to
@@ -59,6 +61,12 @@ from repro.core.lowering import (
     base_emission_mode,
 )
 from repro.core.plan import Emission, MultiOutputPlan, ViewBinding
+from repro.core.runtime import (
+    ArrayViewData,
+    _product_column,
+    _product_signature,
+    view_columns,
+)
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
@@ -377,31 +385,23 @@ class CCompiledGroup:
     def _binding_entries(self, binding, view_data, view_group_by):
         """Entry arrays for one binding: key part cols, carried cols, aggs.
 
-        Carried bindings are sorted by their local key so the generated
-        prologue can hash distinct keys to contiguous ranges.
+        Read through :func:`~repro.core.runtime.view_columns` — a columnar
+        view from a native producer is used as is, never turned into
+        Python objects. Carried bindings are sorted by their local key so
+        the generated prologue can hash distinct keys to contiguous ranges.
         """
-        data = view_data[binding.view]
         group_by = view_group_by[binding.view]
-        m = len(data)
-        key_positions = [group_by.index(a) for a in binding.key]
-        carried_positions = [group_by.index(a) for a in binding.carried]
-        vals = np.asarray(list(data.values()), dtype=np.float64).reshape(
-            m, binding.num_aggregates
+        columns, vals = view_columns(
+            view_data[binding.view], group_by, binding.num_aggregates, np.int64
         )
-        if len(group_by) == 1:
-            keys = np.fromiter(data.keys(), dtype=np.int64, count=m).reshape(m, 1)
-        else:
-            keys = np.asarray(list(data.keys()), dtype=np.int64).reshape(
-                m, len(group_by)
-            )
-        key_cols = [np.ascontiguousarray(keys[:, p]) for p in key_positions]
-        carried_cols = [np.ascontiguousarray(keys[:, p]) for p in carried_positions]
-        if binding.is_carried and m > 1:
+        key_cols = [columns[group_by.index(a)] for a in binding.key]
+        carried_cols = [columns[group_by.index(a)] for a in binding.carried]
+        if binding.is_carried and len(vals) > 1:
             order = np.lexsort(tuple(reversed(key_cols)))
             key_cols = [c[order] for c in key_cols]
             carried_cols = [c[order] for c in carried_cols]
             vals = vals[order]
-        return key_cols, carried_cols, np.ascontiguousarray(vals)
+        return key_cols, carried_cols, vals
 
     def execute(
         self,
@@ -492,8 +492,6 @@ class CCompiledGroup:
                 ))
             elif kind == "psum":
                 _, product = role
-                from repro.core.runtime import _product_column, _product_signature
-
                 put(
                     i,
                     trie.prefix_sum(
@@ -570,12 +568,7 @@ class CCompiledGroup:
                 occ = buffers["occ"].view(bool)
                 vals = buffers["vals"].reshape(-1, width)[occ]
                 keys = [buffers[("keys", p)][occ] for p in range(kparts)]
-            if kparts == 1:
-                result = dict(zip(keys[0].tolist(), vals.tolist()))
-            else:
-                key_rows = list(zip(*(k.tolist() for k in keys)))
-                result = dict(zip(key_rows, vals.tolist()))
-            outputs[emission.artifact] = result
+            outputs[emission.artifact] = ArrayViewData.from_arrays(keys, vals)
         return outputs
 
 

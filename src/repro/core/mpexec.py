@@ -31,6 +31,10 @@ processes** instead — without ever pickling a trie or a relation:
   maps — garbage collection only reclaims unpinned, superseded versions
   (workers are told to drop their mappings first).
 
+Views travel as arrays: a columnar
+:class:`~repro.core.runtime.ArrayViewData` pickles as its key columns and
+value matrix alone, so the bindings sent to a worker and the NumPy/C
+partials it returns carry no dict mirror either way.
 Functions travel by name (:meth:`repro.query.functions.Function.__reduce__`);
 :func:`plan_transportable` gates offloading so plans referencing custom
 lambdas fall back to in-process execution rather than failing in a worker.

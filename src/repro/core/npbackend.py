@@ -40,10 +40,10 @@ construct for *all* runs of a level at once:
   counts per keyed block (``np.repeat`` cross product, the vectorized
   form of the generated nested entry loops), gather key columns from trie
   levels and the flattened carried columns, then reuse the same grouping
-  + ``bincount`` machinery. Aligned/hash outputs are converted to the
-  engine's dict format at the boundary via
-  :class:`~repro.core.runtime.ArrayViewData`, which keeps the columnar
-  arrays alive for downstream NumPy consumers and the partition merge.
+  + ``bincount`` machinery. Aligned/hash outputs leave as columnar
+  :class:`~repro.core.runtime.ArrayViewData` — read as arrays by
+  downstream native consumers and the partition merge, with the dict
+  mirror built only if a dict consumer reads it.
 
 **Supported plans.** Every plan the decomposition layer can produce is
 lowered — including carried blocks, float trie levels and float view keys
@@ -101,7 +101,7 @@ from repro.core.runtime import (
     ArrayViewData,
     _product_column,
     _product_signature,
-    debug_checks_enabled,
+    view_columns,
 )
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
@@ -147,35 +147,6 @@ def _composite(codes: list[np.ndarray], bases: list[int], as_object: bool) -> np
         comp = piece if comp is None else comp * base + piece
     assert comp is not None
     return comp
-
-
-def _view_arrays(
-    group_by: tuple[str, ...], width: int, data: dict
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """One incoming view as parallel key columns + float64 values matrix.
-
-    Columns come back in the producer's canonical group-by order; row
-    order is the producer's dict order (the order the interpreted entry
-    lists iterate). ``ArrayViewData`` inputs with live columnar state
-    skip the dict-to-array conversion entirely.
-    """
-    if isinstance(data, ArrayViewData) and data.has_columns:
-        if debug_checks_enabled():
-            data.check_consistent()
-        return (
-            [np.asarray(column) for column in data.key_columns],
-            np.asarray(data.value_matrix, dtype=np.float64),
-        )
-    m = len(data)
-    if m == 0:
-        empty = [np.empty(0, dtype=np.int64) for _ in group_by]
-        return empty, np.zeros((0, width), dtype=np.float64)
-    keys = np.asarray(list(data.keys())).reshape(m, len(group_by))
-    values = np.asarray(list(data.values()), dtype=np.float64).reshape(m, width)
-    return (
-        [np.ascontiguousarray(keys[:, p]) for p in range(len(group_by))],
-        values,
-    )
 
 
 class _ProbeTable:
@@ -240,7 +211,7 @@ class _BindingTable(_ProbeTable):
 
     def __init__(self, binding: ViewBinding, group_by: tuple[str, ...], data: dict):
         self.width = binding.num_aggregates
-        columns, values = _view_arrays(group_by, self.width, data)
+        columns, values = view_columns(data, group_by, self.width)
         positions = [group_by.index(attr) for attr in binding.key]
         self.m = len(values)
         self.values = values
@@ -284,7 +255,7 @@ class _CarriedTable(_ProbeTable):
 
     def __init__(self, binding: ViewBinding, group_by: tuple[str, ...], data: dict):
         self.width = binding.num_aggregates
-        columns, values = _view_arrays(group_by, self.width, data)
+        columns, values = view_columns(data, group_by, self.width)
         key_positions = [group_by.index(attr) for attr in binding.key]
         carried_positions = [group_by.index(attr) for attr in binding.carried]
         self.m = len(values)
@@ -1084,9 +1055,10 @@ class NumpyCompiledGroup:
 
         Scalar views become sorted key-code tables, carried views CSR
         entry-list tables. Tables are read-only and shared across
-        concurrent per-partition executions. ``ArrayViewData`` inputs
-        (produced by upstream NumPy groups) skip the dict-to-array
-        conversion entirely.
+        concurrent per-partition executions. Columnar ``ArrayViewData``
+        inputs (produced by upstream NumPy or C groups) skip the
+        dict-to-array conversion entirely
+        (:func:`~repro.core.runtime.view_columns`).
         """
         tables: dict[str, object] = {}
         for binding in self.plan.bindings:

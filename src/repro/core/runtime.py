@@ -16,9 +16,15 @@ same two methods — the generated-Python
 for a list of plans, :func:`select_executable` picks one group's entry,
 and :func:`execute_plan` is the one place a compiled group meets a trie.
 
-View contents are dictionaries ``group_by_key → list_of_aggregate_values``
-where the key is a scalar for single-attribute group-bys and a tuple (in the
-view's canonical group-by order) otherwise.
+View contents cross the group boundary in one of two forms. The
+generated-Python group emits dictionaries ``group_by_key →
+list_of_aggregate_values`` where the key is a scalar for
+single-attribute group-bys and a tuple (in the view's canonical group-by
+order) otherwise. The NumPy and C groups emit :class:`ArrayViewData`:
+parallel key columns and a value matrix, with that same dictionary as a
+mirror built only when a dict consumer first reads it. Native consumers
+read the columns through :func:`view_columns`, so a view one native
+group produces and another consumes never becomes Python objects.
 
 This module also hosts the **domain-parallel** execution mode: a group may
 run once per level-0 trie partition (:func:`partition_tries`) with its
@@ -29,6 +35,7 @@ for accumulating emissions, disjoint concatenation for aligned ones.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -54,27 +61,52 @@ def debug_checks_enabled() -> bool:
     return bool(os.environ.get("LMFAO_DEBUG"))
 
 
-class ArrayViewData(dict):
-    """View contents ``key → [aggregates]`` plus optional columnar arrays.
+def _row_keys(key_columns: Sequence[np.ndarray]) -> list:
+    """Dict keys of parallel key columns: scalars for one column, else tuples."""
+    if len(key_columns) == 1:
+        return key_columns[0].tolist()
+    return list(zip(*(column.tolist() for column in key_columns)))
 
-    The NumPy backend emits these: the dict contents are what every
-    consumer sees (compatible with the Python backend's plain dicts), and
-    the parallel ``key_columns`` / ``value_matrix`` arrays let columnar
-    consumers — the NumPy backend's binding preparation and the aligned
-    partition merge — skip per-entry dict iteration. ``key_columns`` are in
-    the producer's canonical group-by order.
+
+#: serialises mirror builds, so a view shared across threads builds once
+_MIRROR_LOCK = threading.Lock()
+
+
+class ArrayViewData(dict):
+    """View contents as columns — ``key_columns`` + ``value_matrix`` — and
+    the ``key → [aggregates]`` dict mirror of them.
+
+    The NumPy and C backends both emit these through :meth:`from_arrays`.
+    ``key_columns`` are in the producer's canonical group-by order, one
+    row per key, and the row order is the mirror's key order. Columnar
+    consumers — native binding preparation (:func:`view_columns`), the
+    aligned partition merge, the columnar top-k kernels — read the arrays.
+    Dict consumers see a dict like the Python backend's.
+
+    **The mirror is built lazily.** :meth:`from_arrays` returns a view
+    whose dict storage is still empty. The first dict-API read — ``[]``,
+    ``get``, ``in``, iteration, ``keys`` / ``values`` / ``items``,
+    ``==``, ``copy``, ``dict(x)`` — builds the mirror once and turns the
+    object into a plain ``ArrayViewData``, which has no read overrides:
+    from then on lookups run at ``dict.get`` speed. ``len()``,
+    :attr:`has_columns`, :func:`estimate_view_bytes` and pickling never
+    build it (:attr:`has_mirror` says whether it exists). A columnar view
+    pickles as its arrays alone and unpickles unbuilt.
 
     Every mutating dict operation (``__setitem__``, ``update``, ``pop``,
-    …) **auto-drops** the columnar arrays, so merge paths that grow or
-    rewrite entries can never serve stale arrays to a columnar consumer.
-    The one mutation the class cannot see is writing *through* a stored
-    aggregate list (``data[key][slot] += x``); paths that do that — the
-    incremental maintainer's numeric merge — must call
-    :meth:`drop_columnar` themselves, and :meth:`check_consistent` (run
-    by consumers under ``LMFAO_DEBUG``) catches any path that forgot.
+    …) builds the mirror, then **auto-drops** the columnar arrays, so
+    merge paths that grow or rewrite entries can never serve stale arrays
+    to a columnar consumer. The one mutation the class cannot see is
+    writing *through* a stored aggregate list (``data[key][slot] += x``);
+    paths that do that must call :meth:`drop_columnar` themselves, and
+    :meth:`check_consistent` (run by consumers under ``LMFAO_DEBUG``)
+    catches any path that forgot.
     """
 
     __slots__ = ("key_columns", "value_matrix")
+
+    #: whether the dict mirror exists (False only before the first read)
+    has_mirror = True
 
     def __init__(self, *args, **kwargs) -> None:
         # dict.__init__ bulk-inserts without dispatching to __setitem__,
@@ -87,10 +119,18 @@ class ArrayViewData(dict):
     def has_columns(self) -> bool:
         return self.value_matrix is not None
 
+    def build_mirror(self) -> None:
+        """Build the dict mirror if it is still pending (here: it is not)."""
+
     def drop_columnar(self) -> None:
         """Forget the columnar arrays (keep the dict contents)."""
         self.key_columns = None
         self.value_matrix = None
+
+    def __reduce__(self):
+        if self.has_columns:
+            return ArrayViewData.from_arrays, (self.key_columns, self.value_matrix)
+        return ArrayViewData, (dict(self),)
 
     # -- mutating dict operations invalidate the columnar mirror ------------
     def __setitem__(self, key, value) -> None:
@@ -129,36 +169,130 @@ class ArrayViewData(dict):
         super().clear()
 
     def check_consistent(self) -> None:
-        """Assert the columnar arrays mirror the dict contents exactly.
+        """Assert the columns are well-formed and the mirror matches them.
 
-        No-op without columns. O(n) — called by columnar consumers under
-        ``LMFAO_DEBUG`` (see :func:`debug_checks_enabled`) and by tests.
+        No-op without columns; the mirror comparison is skipped (and the
+        mirror not built) while it is pending. O(n) — called by columnar
+        consumers under ``LMFAO_DEBUG`` (see :func:`debug_checks_enabled`)
+        and by tests.
         """
         if not self.has_columns:
             return
-        if len(self.key_columns) == 1:
-            keys = self.key_columns[0].tolist()
-        else:
-            keys = list(zip(*(column.tolist() for column in self.key_columns)))
-        mirror = dict(zip(keys, np.asarray(self.value_matrix).tolist()))
-        assert mirror == dict(self), (
+        rows = len(self.value_matrix)
+        assert self.value_matrix.ndim == 2 and all(
+            len(column) == rows for column in self.key_columns
+        ), "ArrayViewData columns desynchronised: ragged key/value arrays"
+        if not self.has_mirror:
+            return
+        mirror = dict(zip(_row_keys(self.key_columns), self.value_matrix.tolist()))
+        assert len(mirror) == rows and mirror == dict(self), (
             "ArrayViewData columnar state desynchronised from dict contents "
             "(a mutation bypassed drop_columnar)"
         )
 
-    @classmethod
+    @staticmethod
     def from_arrays(
-        cls, key_columns: list[np.ndarray], value_matrix: np.ndarray
+        key_columns: Sequence[np.ndarray], value_matrix: np.ndarray
     ) -> "ArrayViewData":
-        """Materialise dict contents from parallel key/value arrays."""
-        if len(key_columns) == 1:
-            keys = key_columns[0].tolist()
-        else:
-            keys = list(zip(*(column.tolist() for column in key_columns)))
-        data = cls(zip(keys, value_matrix.tolist()))
+        """A view over parallel key/value arrays, its dict mirror pending.
+
+        Keys must be distinct row to row (every emission's are).
+        """
+        data = _PendingMirror()
         data.key_columns = list(key_columns)
         data.value_matrix = value_matrix
         return data
+
+
+class _PendingMirror(ArrayViewData):
+    """An :class:`ArrayViewData` whose dict mirror is not built yet.
+
+    Its dict storage is empty: every read override below builds the
+    mirror, reassigns ``__class__`` to :class:`ArrayViewData` (same
+    layout, no read overrides) and answers from the built dict. Mutations
+    reach :meth:`drop_columnar`, which builds before dropping.
+    """
+
+    __slots__ = ()
+    has_mirror = False
+
+    def build_mirror(self) -> None:
+        with _MIRROR_LOCK:
+            if type(self) is _PendingMirror:  # another thread may have built it
+                dict.update(
+                    self,
+                    zip(_row_keys(self.key_columns), self.value_matrix.tolist()),
+                )
+                self.__class__ = ArrayViewData
+
+    def drop_columnar(self) -> None:
+        self.build_mirror()
+        ArrayViewData.drop_columnar(self)
+
+    def __len__(self) -> int:
+        return len(self.value_matrix)
+
+    # comparisons re-dispatch once built, so a pending right operand is
+    # built by its own (reflected) __eq__ / __ne__
+    def __eq__(self, other):
+        self.build_mirror()
+        return self == other
+
+    def __ne__(self, other):
+        self.build_mirror()
+        return self != other
+
+
+def _read_after_build(name: str):
+    method = getattr(dict, name)
+
+    def read(self, *args):
+        self.build_mirror()
+        return method(self, *args)
+
+    read.__name__ = name
+    return read
+
+
+for _name in (
+    "__getitem__", "__contains__", "__iter__", "__reversed__", "__repr__",
+    "__or__", "get", "keys", "values", "items", "copy",
+):
+    setattr(_PendingMirror, _name, _read_after_build(_name))
+del _name
+
+
+def view_columns(
+    data: Mapping, group_by: tuple[str, ...], width: int, key_dtype=None
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """One view as key columns (``group_by`` order) + a float64 value matrix.
+
+    The single dict → columns conversion site for native consumers (the
+    NumPy and C binding preparation). A columnar :class:`ArrayViewData`
+    hands over its arrays without building its mirror; a dict is
+    converted in its key order — which is the mirror's row order, so both
+    paths yield the same rows in the same order. ``key_dtype`` (``None``:
+    inferred) is the key columns' dtype; every array comes back
+    C-contiguous. Under ``LMFAO_DEBUG`` an ``ArrayViewData`` is checked
+    with :meth:`~ArrayViewData.check_consistent` first.
+    """
+    if isinstance(data, ArrayViewData):
+        if debug_checks_enabled():
+            data.check_consistent()
+        if data.has_columns:
+            return (
+                [np.ascontiguousarray(c, dtype=key_dtype) for c in data.key_columns],
+                np.ascontiguousarray(data.value_matrix, dtype=np.float64),
+            )
+    m = len(data)
+    if m == 0:
+        return (
+            [np.empty(0, dtype=key_dtype or np.int64) for _ in group_by],
+            np.zeros((0, width), dtype=np.float64),
+        )
+    keys = np.asarray(list(data.keys()), dtype=key_dtype).reshape(m, len(group_by))
+    values = np.asarray(list(data.values()), dtype=np.float64).reshape(m, width)
+    return [np.ascontiguousarray(keys[:, p]) for p in range(len(group_by))], values
 
 
 def _product_signature(
@@ -198,11 +332,15 @@ def reshape_binding(binding: ViewBinding, view_group_by: tuple[str, ...], data: 
     """Re-key view contents for one consumer binding.
 
     ``data`` is keyed by the producer's canonical group-by. Scalar bindings
-    whose key order equals the producer's group-by are returned as-is;
-    carried bindings are grouped into entry lists per local key.
+    whose key order equals the producer's group-by are returned as-is —
+    an :class:`ArrayViewData` with its mirror built here, so generated
+    code probes a plain dict; carried bindings are grouped into entry
+    lists per local key.
     """
     if not binding.is_carried:
         if binding.key == view_group_by:
+            if isinstance(data, ArrayViewData):
+                data.build_mirror()
             return data
         # Same attribute set, different order (cannot happen while both are
         # name-sorted, but stay correct if conventions diverge).
@@ -402,9 +540,9 @@ def merge_partial_outputs(
     * **aligned** emissions (group-by = attribute-order prefix) are keyed by
       the level-0 attribute first, and level-0 values are disjoint across
       partitions — so the partial dicts concatenate (disjoint union). When
-      every partial is an :class:`ArrayViewData` (the NumPy backend), the
-      key columns and value matrices concatenate vectorised as well, so the
-      merged view keeps columnar access for downstream NumPy consumers;
+      every partial is a columnar :class:`ArrayViewData` (the NumPy and C
+      backends), the key columns and value matrices concatenate instead,
+      and the merged view stays columnar with its mirror pending;
     * **accumulating** emissions (hash / scalar) sum per key and slot, in
       partition order. A key exists in the full output iff some partition
       emitted it: key support is itself a sum over rows, so it is positive
@@ -493,10 +631,13 @@ def estimate_view_bytes(data: Mapping) -> int:
 
     The view cache's byte accounting (:mod:`repro.serve.viewcache`) needs
     a weight per entry without walking every key of a large view. Columnar
-    :class:`ArrayViewData` reports its arrays' true ``nbytes``; plain dict
-    views are estimated as ``entries × (per-key + per-aggregate cost)``
-    from one sampled entry. Estimates are stable for a given view, which
-    is all LRU weight accounting needs (the bound is approximate by
+    :class:`ArrayViewData` reports its arrays' true ``nbytes`` plus a
+    per-entry charge for the dict mirror — counted whether or not the
+    mirror is built yet (this function never builds it), so a cache
+    entry's weight does not change when a reader first touches its dict.
+    Plain dict views are estimated as ``entries × (per-key + per-aggregate
+    cost)`` from one sampled entry. Estimates are stable for a given view,
+    which is all LRU weight accounting needs (the bound is approximate by
     design — see ``docs/serving.md`` §View cache).
     """
     entries = len(data)
@@ -506,7 +647,7 @@ def estimate_view_bytes(data: Mapping) -> int:
         return int(
             sum(column.nbytes for column in data.key_columns)
             + np.asarray(data.value_matrix).nbytes
-            + 64 * entries  # dict-mirror overhead per entry
+            + 64 * entries  # dict-mirror overhead per entry, built or not
         )
     key, values = next(iter(data.items()))
     key_width = len(key) if isinstance(key, tuple) else 1

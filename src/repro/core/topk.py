@@ -20,10 +20,10 @@ per finish by :func:`repro.core.costmodel.topk_strategy` from ``k`` and
 the grouped-item count:
 
 * ``'heap'`` — bounded selection: per-partition ``heapq.nsmallest`` over
-  plain dict outputs (the generated-Python and C backends), and a
+  plain dict outputs (the generated-Python backend), and a
   per-partition ``np.argpartition`` with exact boundary-tie resolution
   over :class:`~repro.core.runtime.ArrayViewData` columnar outputs (the
-  NumPy backend). ``O(n + p·k log k)`` — wins when ``k`` is far below
+  NumPy and C backends). ``O(n + p·k log k)`` — wins when ``k`` is far below
   the partition sizes;
 * ``'sort'`` — one full sort by ``(partition, ±value, residual key)``
   (Python :func:`sorted` / ``np.lexsort``) then a per-partition cut.
@@ -261,7 +261,7 @@ def finish_ordered(query: Query, raw: dict) -> tuple[dict, str]:
     or ``'sort'`` kernel the cost model picked (recorded on
     ``RunResult.decisions`` by the engine). The kernel pair is chosen by
     the raw container: columnar ``np.argpartition``/``np.lexsort`` when
-    the NumPy backend's :class:`ArrayViewData` mirror is intact, bounded
+    a native backend's :class:`ArrayViewData` columns are live, bounded
     ``heapq``/:func:`sorted` over plain dict outputs otherwise.
     """
     if query.limit == 0:

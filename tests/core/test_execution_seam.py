@@ -169,3 +169,46 @@ def test_one_compiled_group_protocol():
     for node in ast.walk(runtime):
         if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name):
             assert node.left.id != "native", f"core/runtime.py:{node.lineno}"
+
+
+def _dict_to_array_sites(prefix: str) -> list[str]:
+    """``module:function`` of every numpy array built from a mapping's
+    ``keys()`` / ``values()`` / ``items()`` under ``prefix``."""
+    sites = set()
+    for module in _modules():
+        if not module.startswith(prefix):
+            continue
+        for function in _functions(module):
+            for node in ast.walk(function):
+                if not (
+                    isinstance(node, ast.Call)
+                    and _called_name(node) in {"asarray", "array", "fromiter"}
+                ):
+                    continue
+                if any(
+                    isinstance(inner, ast.Call)
+                    and _called_name(inner) in {"keys", "values", "items"}
+                    for arg in node.args
+                    for inner in ast.walk(arg)
+                ):
+                    sites.add(f"{module}:{function.name}")
+    return sorted(sites)
+
+
+def test_one_dict_to_columns_conversion():
+    # native consumers read views through one helper, which uses the
+    # producer's columns when they are live; the C backend returns its
+    # output tables as columns and builds no dict of its own
+    assert _dict_to_array_sites("core/") == ["core/runtime.py:view_columns"]
+    wrapper = next(
+        node for node in ast.walk(_modules()["core/cbackend.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "CCompiledGroup"
+    )
+    for node in ast.walk(wrapper):
+        if isinstance(node, ast.Call):
+            assert _called_name(node) not in {"dict", "tolist", "zip"}, (
+                f"core/cbackend.py:{node.lineno} builds Python containers"
+            )
+    assert "from_arrays" in {
+        _called_name(node) for node in ast.walk(wrapper) if isinstance(node, ast.Call)
+    }

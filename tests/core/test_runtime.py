@@ -1,12 +1,23 @@
 """Runtime preparation: binding reshapes and the compiled-group entry checks."""
 
+import copy
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import EngineConfig, LMFAO
 from repro.core.cbackend import gcc_available
 from repro.core.plan import ViewBinding
-from repro.core.runtime import execute_plan, reshape_binding
+from repro.core.runtime import (
+    ArrayViewData,
+    estimate_view_bytes,
+    execute_plan,
+    reshape_binding,
+    view_columns,
+)
 from repro.paper import FAVORITA_TREE
 from repro.util.errors import PlanError
 
@@ -313,3 +324,232 @@ def test_environment_requires_view_data(favorita_db, favorita_engine):
             {},
             compiled.functions,
         )
+
+
+# ------------------------------------------------- lazy dict-mirror contract
+
+_KEYS = [[3, 3, 1], [7, 8, 7]]
+_ROWS = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+_EAGER = {(3, 7): [1.0, 2.0], (3, 8): [3.0, 4.0], (1, 7): [5.0, 6.0]}
+
+
+def _pending():
+    data = ArrayViewData.from_arrays(
+        [np.asarray(column, dtype=np.int64) for column in _KEYS],
+        np.asarray(_ROWS),
+    )
+    assert not data.has_mirror and data.has_columns
+    return data
+
+
+def _unpickled(data):
+    return pickle.loads(pickle.dumps(data))
+
+
+#: every dict read ``src/`` applies to view data → the same read on a
+#: plain dict; each must build the mirror and answer like the eager dict
+_READS = {
+    "eq": lambda d: d == dict(_EAGER),
+    "eq-reflected": lambda d: dict(_EAGER) == d,
+    "eq-other": lambda d: d == {(3, 7): [1.0, 2.0]},
+    "eq-self": lambda d: d == d,
+    "ne": lambda d: d != dict(_EAGER),
+    "ne-reflected": lambda d: dict(_EAGER) != d,
+    "ne-other": lambda d: {(3, 7): [1.0, 2.0]} != d,
+    "get": lambda d: (d.get((3, 8)), d.get((9, 9)), d.get((9, 9), "x")),
+    "getitem": lambda d: d[(1, 7)],
+    "contains": lambda d: ((3, 7) in d, (9, 9) in d),
+    "iter": lambda d: list(d),
+    "reversed": lambda d: list(reversed(d)),
+    "keys": lambda d: list(d.keys()),
+    "values": lambda d: list(d.values()),
+    "items": lambda d: list(d.items()),
+    "keys-set-union": lambda d: d.keys() | {(0, 0)},
+    "dict": lambda d: dict(d),
+    "splat": lambda d: {**d},
+    "update-into": lambda d: {0: [0.0], **d},
+    "copy": lambda d: d.copy(),
+    "or": lambda d: d | {(0, 0): [0.0, 0.0]},
+    "ror": lambda d: {(0, 0): [0.0, 0.0]} | d,
+    "repr": lambda d: repr(d),
+}
+
+
+@pytest.mark.parametrize("read", sorted(_READS))
+def test_pending_mirror_reads_like_the_eager_dict(read):
+    """A ``from_arrays`` view answers every dict read exactly as the
+    eager dict would, building its mirror once on the way."""
+    data = _pending()
+    assert _READS[read](data) == _READS[read](dict(_EAGER))
+    assert data.has_mirror and type(data) is ArrayViewData
+    assert data.has_columns  # a read keeps the columns
+    data.check_consistent()
+    assert dict.__eq__(data, _EAGER)  # the storage itself is the mirror
+
+
+def test_pending_mirror_compares_pending_to_pending():
+    left, right = _pending(), _pending()
+    assert left == right and not (left != right)
+    assert left.has_mirror and right.has_mirror
+    left, right = _pending(), _pending()
+    right.drop_columnar()
+    right[(0, 0)] = [0.0, 0.0]
+    assert left != right and right != left
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        len,
+        bool,
+        lambda d: d.has_columns,
+        lambda d: d.check_consistent(),
+        estimate_view_bytes,
+        _unpickled,
+        copy.copy,
+    ],
+    ids=["len", "bool", "has_columns", "check_consistent",
+         "estimate_view_bytes", "pickle", "copy.copy"],
+)
+def test_pending_mirror_metadata_does_not_build(probe):
+    data = _pending()
+    probe(data)
+    assert not data.has_mirror
+    assert len(data) == 3 and bool(data)
+
+
+def test_pending_mirror_pickles_as_arrays_and_stays_pending():
+    data = _pending()
+    restored = _unpickled(data)
+    assert isinstance(restored, ArrayViewData) and not restored.has_mirror
+    assert restored == _EAGER and list(restored) == list(_EAGER)  # row order
+    # a built mirror is not shipped either: still the arrays alone
+    data.build_mirror()
+    again = _unpickled(data)
+    assert not again.has_mirror and again == _EAGER
+    assert len(pickle.dumps(data)) == len(pickle.dumps(_pending()))
+    # without columns the dict contents travel, and keep the type
+    data.drop_columnar()
+    plain = _unpickled(data)
+    assert type(plain) is ArrayViewData and not plain.has_columns
+    assert plain == _EAGER
+
+
+def test_columnar_view_pickles_near_its_array_bytes():
+    """What crosses the process boundary is the arrays, not the mirror."""
+    from multiprocessing.reduction import ForkingPickler
+
+    rng = np.random.default_rng(0)
+    keys = [rng.permutation(40_000)[:20_000].astype(np.int64),
+            rng.integers(0, 50, 20_000)]
+    data = ArrayViewData.from_arrays(keys, rng.random((20_000, 3)))
+    nbytes = sum(k.nbytes for k in keys) + data.value_matrix.nbytes
+    for state in ("pending", "built"):
+        if state == "built":
+            data.build_mirror()
+        size = len(ForkingPickler.dumps(data))
+        assert size <= 1.2 * nbytes, (state, size, nbytes)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.__setitem__((9, 9), [9.0, 9.0]),
+        lambda d: d.__delitem__((3, 7)),
+        lambda d: d.update({(9, 9): [9.0, 9.0]}),
+        lambda d: d.__ior__({(9, 9): [9.0, 9.0]}),
+        lambda d: d.setdefault((9, 9), [9.0, 9.0]),
+        lambda d: d.pop((3, 7)),
+        lambda d: d.popitem(),
+        lambda d: d.clear(),
+    ],
+)
+def test_pending_mirror_mutation_builds_then_drops(mutate):
+    """Mutations keep the eager contract: mirror built, columns dropped,
+    and the result is what the same mutation does to the eager dict."""
+    data, expected = _pending(), dict(_EAGER)
+    assert mutate(data) == mutate(expected)
+    assert data.has_mirror and not data.has_columns
+    assert dict(data) == expected
+    data.check_consistent()
+
+
+def test_pending_mirror_drop_columnar_keeps_contents():
+    data = _pending()
+    data.drop_columnar()
+    assert data.has_mirror and not data.has_columns and data == _EAGER
+
+
+def test_pending_mirror_builds_once_across_threads():
+    """Readers racing on one pending view all see one complete mirror."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            data = _pending()
+            barrier = threading.Barrier(6)
+            seen = []
+
+            def reader():
+                barrier.wait(timeout=10)
+                seen.append((data.get((3, 8)), len(list(data.items()))))
+
+            threads = [threading.Thread(target=reader) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert [entries for _, entries in seen] == [3] * 6
+            # one build: every reader got the very same stored list
+            assert all(value is seen[0][0] for value, _ in seen)
+            assert seen[0][0] == [3.0, 4.0] and dict.__len__(data) == 3
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_check_consistent_flags_ragged_columns():
+    data = _pending()
+    data.key_columns[0] = data.key_columns[0][:2]
+    with pytest.raises(AssertionError, match="ragged"):
+        data.check_consistent()
+
+
+@pytest.mark.parametrize("source", ["pending", "built", "dict", "no-columns"])
+@pytest.mark.parametrize("key_dtype", [None, np.int64])
+def test_view_columns_reads_every_form_alike(source, key_dtype, monkeypatch):
+    """The one dict → columns helper: columns when live, the dict
+    otherwise, same rows in the same order either way."""
+    monkeypatch.setenv("LMFAO_DEBUG", "1")
+    data = dict(_EAGER) if source == "dict" else _pending()
+    if source == "built":
+        data.build_mirror()
+    if source == "no-columns":
+        data.drop_columnar()
+    columns, values = view_columns(data, ("a", "b"), 2, key_dtype)
+    assert [c.tolist() for c in columns] == _KEYS
+    assert values.tolist() == _ROWS and values.dtype == np.float64
+    assert all(c.flags.c_contiguous for c in columns) and values.flags.c_contiguous
+    if source == "pending":
+        assert not data.has_mirror
+    empty_columns, empty_values = view_columns({}, ("a", "b"), 2, key_dtype)
+    assert [len(c) for c in empty_columns] == [0, 0]
+    assert empty_values.shape == (0, 2)
+
+
+def test_view_columns_debug_check_catches_desync(monkeypatch):
+    monkeypatch.setenv("LMFAO_DEBUG", "1")
+    data = _pending()
+    data[(3, 7)][0] = 99.0  # builds the mirror, then writes through it
+    with pytest.raises(AssertionError, match="desynchronised"):
+        view_columns(data, ("a", "b"), 2)
+
+
+def test_reshape_binding_hands_generated_code_a_built_dict():
+    data = _pending()
+    binding = ViewBinding(
+        view="V", num_aggregates=2, key=("a", "b"), key_levels=(0, 1),
+        bind_level=1, carried=(),
+    )
+    assert reshape_binding(binding, ("a", "b"), data) is data
+    assert type(data) is ArrayViewData and data.has_mirror
