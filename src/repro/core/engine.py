@@ -165,8 +165,9 @@ class EngineConfig:
         segment-reduction sums, vectorized probes, CSR entry-list
         expansion for carried views; every plan shape runs natively, no
         fallback class), ``"c"`` (generated C compiled with gcc,
-        per-group fallback to Python when a plan uses carried blocks or
-        non-integer keys; ``compile()`` raises ``PlanError`` if gcc is
+        carried blocks included; per-group fallback to Python when a
+        plan has a non-integer trie level, view key or group-by
+        attribute; ``compile()`` raises ``PlanError`` if gcc is
         missing), or ``"auto"`` (the cost model picks per group at
         execution time: tiny tries stay on interpreted Python, larger
         ones run compiled C when the group has a C implementation, else
@@ -781,19 +782,16 @@ class LMFAO:
         with watch.lap("collect"):
             results: dict[str, QueryResult] = {}
             for query in batch:
-                raw = run.query_raw[query.name]
-                if query.order_by is not None:
-                    # ordered queries finish here — once, over the full
-                    # merged raw groups — and the kernel choice lands in
-                    # the producing group's decision record (queries are
+                results[query.name], strategy = _to_query_result(
+                    query, run.query_raw[query.name]
+                )
+                if strategy is not None:
+                    # an ordered query's kernel choice lands in the
+                    # producing group's decision record (queries are
                     # never seeded, so that group always executed).
-                    groups, strategy = topk.finish_ordered(query, raw)
-                    results[query.name] = QueryResult(query=query, groups=groups)
                     entry = run.decisions.get(_producer_name(compiled, query.name))
                     if entry is not None:
                         entry.setdefault("topk", {})[query.name] = strategy
-                else:
-                    results[query.name] = _to_query_result(query, raw)
         result = RunResult(
             results=results,
             compiled=compiled,
@@ -1215,24 +1213,25 @@ def _topological_order(group_plan: GroupPlan) -> list[int]:
     return order
 
 
-def _to_query_result(query: Query, raw: dict) -> QueryResult:
-    """Finish one query's raw group store into its published result.
+def _to_query_result(query: Query, raw: dict) -> tuple[QueryResult, str | None]:
+    """Finish one query's raw group store into its published result, plus
+    the top-k kernel that ranked it (``None`` for an unordered query).
 
     This is the single seam where ordered queries are ranked and
-    truncated (see :mod:`repro.core.topk`) — both the engine's collect
-    phase and the incremental maintainer's result refresh go through it,
-    so ordered results are bit-identical no matter which path produced
-    the raw store.
+    truncated (see :mod:`repro.core.topk`) — once, over the full merged
+    raw groups. Both the engine's collect phase and the incremental
+    maintainer's result refresh go through it, so ordered results are
+    bit-identical no matter which path produced the raw store.
     """
     if query.order_by is not None:
-        groups, _strategy = topk.finish_ordered(query, raw)
-        return QueryResult(query=query, groups=groups)
+        groups, strategy = topk.finish_ordered(query, raw)
+        return QueryResult(query=query, groups=groups), strategy
     groups: dict[tuple, tuple[float, ...]] = {}
     for key, values in raw.items():
         if not isinstance(key, tuple):
             key = (key,)
         groups[key] = tuple(float(v) for v in values)
-    return QueryResult(query=query, groups=groups)
+    return QueryResult(query=query, groups=groups), None
 
 
 def _producer_name(compiled: CompiledBatch, artifact: str) -> str:

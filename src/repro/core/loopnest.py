@@ -10,10 +10,13 @@ backend that emits source (the produce/consume shape of raco's
 * ``Term`` → expression, hoisted into a ``t<n>`` local at ``term.level``
   (numbered in first-use order over γ nodes then β nodes, plan order);
 * per level: probes → hoisted terms → γ products → β initialisers →
-  the next level's loop → β accumulations → aligned emissions → hash
-  slot groups; level ``-1`` is the code around the outermost loop;
-* emission guards (``b<support> > 0``), entry loops over keyed carried
-  blocks, slot-value products, the scalar epilogue.
+  the next level's loop → β accumulations → the level's slot groups
+  (:attr:`~repro.core.lowering.LevelSchedule.outputs`, aligned first);
+  level ``-1`` is the code around the outermost loop;
+* per slot group (:meth:`LoopNestEmitter.emit_output`): the support
+  guard (``b<support> > 0``), entry loops over keyed carried blocks,
+  slot-value products, then an append or an accumulate; the scalar
+  epilogue.
 
 A backend subclasses it with **syntax leaves only**: declaration
 prefixes and statement terminator, loop headers, probe code, entry-loop
@@ -25,17 +28,19 @@ always had is kept, not normalised: the Python emitter probes scalar
 bindings before carried ones (``scalars_first``), the C emitter probes in
 plan order.
 
-The NumPy backend is *not* an emitter of this walker: it evaluates whole
+The NumPy backend is not an emitter of this walker: it evaluates whole
 levels as arrays, stage by stage (all probes, then all γ, then all β
-deepest-first, then emissions), and has no loop nest to emit — it
-consumes the :class:`LoweredPlan` directly.
+deepest-first, then emissions), and has no loop nest to emit. Its
+emission stage is :meth:`LoopNestEmitter.emit_output` in array form,
+over the same slot groups, with the same slot product
+(:meth:`LoopNestEmitter.slot_value`).
 """
 
 from __future__ import annotations
 
 import io
 
-from repro.core.lowering import lower_plan
+from repro.core.lowering import SlotGroupSchedule
 from repro.core.plan import (
     CountTerm,
     Emission,
@@ -95,7 +100,7 @@ class LoopNestEmitter:
 
     def __init__(self, plan: MultiOutputPlan, share_terms: bool = True) -> None:
         self.plan = plan
-        self.lowered = lower_plan(plan)
+        self.lowered = plan.lowered
         self.share_terms = share_terms
         self.w = SourceWriter(self.indent, self.block_end)
         self.farr_var = {key: f"F{i}" for i, key in enumerate(plan.level_functions)}
@@ -263,19 +268,14 @@ class LoopNestEmitter:
             if node.child is not None:
                 exprs = exprs + [f"b{node.child}"]
             self.w.line(f"b{node.id} += {' * '.join(exprs)}{self.end}")
-        for le in schedule.aligned_emissions:
-            self.emit_output(le.index, le.emission, le.emission.slots, aligned=True)
-        for group in schedule.slot_groups:
-            self.emit_output(
-                group.emission_index, group.emission, group.slots, aligned=False
-            )
+        for group in schedule.outputs:
+            self.emit_output(group)
 
-    def emit_output(
-        self, index: int, emission: Emission, slots, aligned: bool
-    ) -> None:
-        """One emission's slots sharing a host: guard, keyed entry loops,
-        then the backend's append (``aligned``) or accumulate write."""
-        w, first = self.w, slots[0]
+    def emit_output(self, group: SlotGroupSchedule) -> None:
+        """One slot group: guard, keyed entry loops, then the backend's
+        append (aligned) or accumulate write."""
+        w, first = self.w, group.first
+        index, emission = group.emission_index, group.emission
         depth = len(first.key_blocks)
         if first.support is not None:
             depth += 1
@@ -287,8 +287,8 @@ class LoopNestEmitter:
             else self.carried_key(part.level, part.pos)
             for part in first.key_parts
         ]
-        values = [(slot.slot, self.slot_value(slot)) for slot in slots]
-        if aligned:
+        values = [(slot.slot, self.slot_value(slot)) for slot in group.slots]
+        if emission.aligned:
             self.append_row(index, emission, keys, values)
         else:
             self.accumulate_row(

@@ -9,7 +9,11 @@ bucketing. This module defines that schedule **once** (the
 ``CompileState``/produce-consume shape of raco's compiler): a
 :func:`lower_plan` pass groups every plan construct by the trie level
 whose loop body hosts it, and all three backends consume the resulting
-:class:`LoweredPlan`.
+:class:`LoweredPlan` — the Python and C emitters through the loop-nest
+walker (:mod:`repro.core.loopnest`), the NumPy backend stage by stage,
+reading the same per-emission slot groups the walker emits. A plan is
+lowered once, on first use, and keeps its lowering
+(:attr:`~repro.core.plan.MultiOutputPlan.lowered`).
 
 The lowering is **pure structure**: it depends only on the plan, never on
 data. Execution-strategy decisions — hash vs sort grouping for an
@@ -29,8 +33,10 @@ Scheduling invariants preserved from the original per-backend code:
 * hash-emission slots partition by host ``(level, key parts, key blocks,
   support)`` via :meth:`~repro.core.plan.Emission.slot_groups`, in
   emission order then first-slot order;
-* aligned emissions host at their (single) slot level; scalar emissions
-  run in the epilogue, after all loops.
+* an aligned emission is one slot group holding all its slots, guarded
+  by its first slot's support and hosted at that slot's level; a level
+  hosts its aligned groups before its hash groups;
+* scalar emissions run in the epilogue, after all loops.
 """
 
 from __future__ import annotations
@@ -87,11 +93,14 @@ def emission_mode(emission: Emission) -> str:
 
 @dataclass(frozen=True)
 class SlotGroupSchedule:
-    """One hash-emission slot group, hosted in one loop body.
+    """One emission's slots written together in one loop body.
 
     ``emission_index`` is the emission's position in ``plan.emissions``
-    (the C backend addresses output buffers by it); ``slots`` share the
-    host ``(level, key parts, key blocks, support)``.
+    (the C backend addresses output buffers by it). The first slot's
+    ``(level, key parts, key blocks, support)`` is the group's host: the
+    level, guard, keyed entry loops and key every backend writes the
+    group under. A hash group's slots share that host; an aligned
+    emission is a single group of all its slots.
     """
 
     emission_index: int
@@ -110,17 +119,12 @@ class LoweredEmission:
     index: int
     emission: Emission
     mode: str
-    #: host-partitioned slot groups (non-empty only for ``'hash'`` base).
+    #: the groups that write the emission (empty only for ``'scalar'``
+    #: base; one group for ``'aligned'``).
     slot_groups: tuple[SlotGroupSchedule, ...]
     #: the host accumulation mode (= ``mode`` except for ``'topk'``,
     #: whose loop-nest scheduling follows its base).
-    base_mode: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.base_mode:
-            object.__setattr__(
-                self, "base_mode", base_emission_mode(self.emission)
-            )
+    base_mode: str
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,9 @@ class LevelSchedule:
     are the same bindings split by kind (the Python generator probes
     scalars first — semantically equivalent since all probes at a level
     AND into the same alive mask, but each backend keeps its historical
-    statement order).
+    statement order). ``outputs`` are the slot groups written after the
+    inner loops: aligned groups first, then hash groups, each in
+    emission order.
     """
 
     level: int
@@ -143,8 +149,7 @@ class LevelSchedule:
     gammas: tuple[GammaNode, ...]
     beta_inits: tuple[BetaNode, ...]
     beta_accums: tuple[BetaNode, ...]
-    aligned_emissions: tuple[LoweredEmission, ...]
-    slot_groups: tuple[SlotGroupSchedule, ...]
+    outputs: tuple[SlotGroupSchedule, ...]
 
 
 @dataclass(frozen=True)
@@ -157,10 +162,12 @@ class LoweredPlan:
     ``scalar_emissions`` the epilogue writes; ``beta_order`` the global
     deepest-first β evaluation order used by vectorised segment sums;
     ``subsums_by_block`` the Σ-over-entries terms each carried block
-    computes at its bind level.
+    computes at its bind level. The plan owns its lowering
+    (:attr:`~repro.core.plan.MultiOutputPlan.lowered`), so there is no
+    reference back to the plan: that would make every plan a reference
+    cycle, freed only by the cyclic garbage collector.
     """
 
-    plan: MultiOutputPlan
     num_levels: int
     levels: tuple[LevelSchedule, ...]
     emissions: tuple[LoweredEmission, ...]
@@ -198,29 +205,30 @@ def lower_plan(plan: MultiOutputPlan) -> LoweredPlan:
 
     lowered_emissions: list[LoweredEmission] = []
     scalar_emissions: list[LoweredEmission] = []
-    aligned_at: dict[int, list[LoweredEmission]] = {}
-    slot_groups_at: dict[int, list[SlotGroupSchedule]] = {}
+    aligned_at: dict[int, list[SlotGroupSchedule]] = {}
+    hash_at: dict[int, list[SlotGroupSchedule]] = {}
     for index, emission in enumerate(plan.emissions):
-        mode = emission_mode(emission)
+        # scheduling follows the *base* mode: a topk emission's loop-nest
+        # hosting is exactly its base's (the ranked cut runs after all
+        # loops, at result finishing).
         base = base_emission_mode(emission)
         groups: tuple[SlotGroupSchedule, ...] = ()
-        if base == MODE_HASH:
+        if base == MODE_ALIGNED:
+            groups = (SlotGroupSchedule(index, emission, emission.slots),)
+        elif base == MODE_HASH:
             groups = tuple(
                 SlotGroupSchedule(index, emission, slots)
                 for _key, slots in emission.slot_groups()
             )
-        lowered = LoweredEmission(index, emission, mode, groups, base)
+        lowered = LoweredEmission(
+            index, emission, emission_mode(emission), groups, base
+        )
         lowered_emissions.append(lowered)
-        # scheduling buckets follow the *base* mode: a topk emission's
-        # loop-nest hosting is exactly its base's (the ranked cut runs
-        # after all loops, at result finishing).
         if base == MODE_SCALAR:
             scalar_emissions.append(lowered)
-        elif base == MODE_ALIGNED:
-            aligned_at.setdefault(emission.slots[0].level, []).append(lowered)
-        else:
-            for group in groups:
-                slot_groups_at.setdefault(group.first.level, []).append(group)
+        hosts = aligned_at if base == MODE_ALIGNED else hash_at
+        for group in groups:
+            hosts.setdefault(group.first.level, []).append(group)
 
     levels = tuple(
         LevelSchedule(
@@ -235,8 +243,7 @@ def lower_plan(plan: MultiOutputPlan) -> LoweredPlan:
             gammas=tuple(gammas_at.get(k, ())),
             beta_inits=tuple(beta_inits_at.get(k, ())),
             beta_accums=tuple(beta_accums_at.get(k, ())),
-            aligned_emissions=tuple(aligned_at.get(k, ())),
-            slot_groups=tuple(slot_groups_at.get(k, ())),
+            outputs=(*aligned_at.get(k, ()), *hash_at.get(k, ())),
         )
         for k in range(-1, num_rel)
     )
@@ -246,7 +253,6 @@ def lower_plan(plan: MultiOutputPlan) -> LoweredPlan:
         subsums_by_block.setdefault(term.block, []).append(term)
 
     return LoweredPlan(
-        plan=plan,
         num_levels=num_rel,
         levels=levels,
         emissions=tuple(lowered_emissions),

@@ -32,17 +32,19 @@ construct for *all* runs of a level at once:
 * **β running sums** — ``np.add.reduceat`` segment sums over the composed
   subtree spans, bottom-up per level (children of a chain first), with
   dead runs zeroed before reduction;
-* **emissions** — aligned emissions materialise as masked
-  ``(key columns, value matrix)`` pairs; hash emissions group runs by
-  composite key codes and accumulate with ``np.bincount`` (which adds
-  weights in input order — trie order, like the interpreted loop);
-  **carried-keyed** emissions first expand surviving runs by their entry
-  counts per keyed block (``np.repeat`` cross product, the vectorized
-  form of the generated nested entry loops), gather key columns from trie
-  levels and the flattened carried columns, then reuse the same grouping
-  + ``bincount`` machinery. Aligned/hash outputs leave as columnar
-  :class:`~repro.core.runtime.ArrayViewData` — read as arrays by
-  downstream native consumers and the partition merge, with the dict
+* **emissions** — the slot groups of the plan's
+  :class:`~repro.core.lowering.LoweredPlan`, the same ones the loop-nest
+  walker emits, each written the way the walker's ``emit_output`` writes
+  it: select the runs the group's guard lets through, expanded by the
+  entries of its keyed carried blocks (``np.repeat`` cross product, the
+  vectorized form of the generated nested entry loops); gather key
+  columns from trie levels and the flattened carried columns; compute
+  each slot with one slot product (γ × β × carried factors); then keep
+  the rows (aligned) or group them by composite key codes and sum per
+  key (hash — ``np.bincount`` adds weights in input order, trie order,
+  like the interpreted loop). Every non-scalar output leaves as a
+  columnar :class:`~repro.core.runtime.ArrayViewData` — read as arrays
+  by downstream native consumers and the partition merge, with the dict
   mirror built only if a dict consumer reads it.
 
 **Supported plans.** Every plan the decomposition layer can produce is
@@ -78,16 +80,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core import costmodel
-from repro.core.lowering import (
-    MODE_ALIGNED,
-    MODE_SCALAR,
-    LoweredEmission,
-    LoweredPlan,
-    lower_plan,
-)
+from repro.core.lowering import MODE_SCALAR, LoweredEmission
 from repro.core.plan import (
     CountTerm,
-    Emission,
     EmissionSlot,
     FactorTerm,
     MultiOutputPlan,
@@ -503,14 +498,13 @@ class _PlanEvaluation:
         trie: TrieIndex,
         tables: Mapping[str, object],
         functions: Mapping[str, Function],
-        lowered: LoweredPlan | None = None,
-        strategies: Mapping[str, str] | None = None,
+        strategies: Mapping[str, str] | None,
     ) -> None:
         self.plan = plan
         self.trie = trie
         self.tables = tables
         self.functions = functions
-        self.lowered = lowered if lowered is not None else lower_plan(plan)
+        self.lowered = plan.lowered
         #: per-artifact grouping strategy ('hash' | 'sort') from the cost
         #: model; None / missing artifact = hash (the static default).
         self.strategies = strategies or {}
@@ -725,130 +719,6 @@ class _PlanEvaluation:
             mask = positive if mask is None else mask & positive
         return mask
 
-    def _key_columns(self, key_parts, k: int) -> list[np.ndarray]:
-        return [
-            self.full(self.down(self.level_values(part.level), part.level, k), k)
-            for part in key_parts
-        ]
-
-    def _slot_columns(self, slots: Sequence[EmissionSlot], k: int) -> list[np.ndarray]:
-        columns = []
-        for slot in slots:
-            value = None
-            if slot.gamma is not None:
-                value = self.down(
-                    self._gamma[slot.gamma], self._gamma_level[slot.gamma], k
-                )
-            if slot.beta is not None:
-                beta = self._beta[slot.beta]  # per-run at k (reset == k)
-                value = beta if value is None else value * beta
-            if value is None:
-                value = 1.0
-            columns.append(self.full(value, k))
-        return columns
-
-    def _scalar_output(self, emission: Emission) -> dict:
-        values = []
-        for slot in emission.slots:
-            value = None
-            if slot.gamma is not None:
-                value = self._gamma[slot.gamma]
-            if slot.beta is not None:
-                beta = self._beta[slot.beta]
-                value = beta if value is None else value * beta
-            values.append(1.0 if value is None else float(value))
-        return {(): values}
-
-    def _aligned_output(self, emission: Emission) -> ArrayViewData:
-        first = emission.slots[0]
-        k = first.level
-        mask = self._emission_mask(k, first.support)
-        keys = self._key_columns(first.key_parts, k)
-        matrix = np.column_stack(self._slot_columns(emission.slots, k))
-        if mask is not None:
-            keys = [column[mask] for column in keys]
-            matrix = matrix[mask]
-        return ArrayViewData.from_arrays(keys, matrix)
-
-    def _strategy(self, emission: Emission) -> str:
-        return self.strategies.get(emission.artifact, costmodel.STRATEGY_HASH)
-
-    def _key_table(self, k: int, key_parts, strategy: str) -> tuple:
-        """The level-k runs grouped by their emission key (cached on trie).
-
-        Key columns are trie level values broadcast down ancestor maps —
-        a pure function of the index — so the grouping (a strategy-tagged
-        grouper plus representative key values per group) is computed
-        once and shared across executions and plans on the same index.
-        The cache key includes the strategy: hash and sort groupings are
-        distinct derived structures over the same columns.
-        """
-        key = ("groupkeys", strategy, k, tuple(part.level for part in key_parts))
-        got = self.cache.get(key)
-        if got is None:
-            columns = self._key_columns(key_parts, k)
-            grouper = _make_grouper(columns, strategy)
-            representative = [column[grouper.first_index] for column in columns]
-            got = (grouper, representative)
-            self.cache[key] = got
-        return got
-
-    def _hash_output(self, lowered: LoweredEmission) -> dict:
-        if lowered.emission.has_carried_keys:
-            return self._carried_hash_output(lowered)
-        return self._plain_hash_output(lowered.emission)
-
-    def _plain_hash_output(self, emission: Emission) -> ArrayViewData:
-        """Probe-accumulate emissions as a masked group-by over runs.
-
-        Every slot of a non-carried emission shares the host level and
-        key parts (the emit level is the deepest group-by level and the
-        key parts come straight from the group-by); slots differ only in
-        their support guard, so they are grouped per guard like the code
-        generator groups them. Each slot contributes per-run values that
-        the grouper sums per key — in input (trie) order, like the
-        interpreted dict accumulation, whether it scatters
-        (``np.bincount``, hash strategy) or gathers (stable argsort +
-        ``np.add.reduceat``, sort strategy — the cost model's pick for
-        nearly-unique keys); dead runs contribute an exact 0.0. A key
-        exists iff some guarded group had a surviving run under it,
-        matching the generated probe-accumulate exactly.
-        """
-        first = emission.slots[0]
-        k, key_parts = first.level, first.key_parts
-        if any(
-            slot.level != k or slot.key_parts != key_parts
-            for slot in emission.slots
-        ):  # pragma: no cover - decomposition invariant for non-carried slots
-            raise PlanError(
-                f"{emission.artifact}: slots disagree on host level/key parts"
-            )
-        grouper, representative = self._key_table(
-            k, key_parts, self._strategy(emission)
-        )
-        num_keys = grouper.num_keys
-        by_support: dict[int | None, list[EmissionSlot]] = {}
-        for slot in emission.slots:
-            by_support.setdefault(slot.support, []).append(slot)
-        matrix = np.zeros((num_keys, emission.width))
-        partial_fired = np.zeros(num_keys, dtype=bool)
-        all_fired = False
-        for support, slots in by_support.items():
-            mask = self._emission_mask(k, support)
-            columns = self._slot_columns(slots, k)
-            if mask is None:
-                all_fired = True
-            else:
-                partial_fired |= grouper.fired(mask)
-                columns = [np.where(mask, column, 0.0) for column in columns]
-            for slot, column in zip(slots, columns):
-                matrix[:, slot.slot] += grouper.accumulate(column)
-        if not all_fired and num_keys and not partial_fired.all():
-            representative = [column[partial_fired] for column in representative]
-            matrix = matrix[partial_fired]
-        return ArrayViewData.from_arrays(list(representative), matrix)
-
-    # ------------------------------------------------- carried-keyed emissions
     def _entry_geometry(
         self, block: int, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -870,18 +740,21 @@ class _PlanEvaluation:
             self._entry_geo[(block, k)] = got
         return got
 
-    def _expand_entries(
-        self, k: int, key_blocks: tuple[int, ...], support: int | None
-    ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Cross-product expansion of surviving runs by keyed-block entries.
+    def _select_runs(
+        self, k: int, key_blocks: tuple[int, ...], mask: np.ndarray | None
+    ) -> tuple[np.ndarray | None, dict[int, np.ndarray]]:
+        """The level-k runs ``mask`` lets through, expanded by the entries
+        of each keyed block.
 
-        Returns the level-k run index per expanded (run, entry…) pair plus
+        Returns the run index per selected (run, entry…) pair — ``None``
+        when every run is selected and there is nothing to expand — plus
         one flattened-entry index array per keyed block. Each block
         multiplies the pair list by its per-run entry count (``np.repeat``
         over counts), in block-index order — the vectorized form of the
         generated nested entry loops, preserving their enumeration order.
         """
-        mask = self._emission_mask(k, support)
+        if mask is None and not key_blocks:
+            return None, {}
         if mask is None:
             sel = np.arange(self.runs(k), dtype=np.int64)
         else:
@@ -900,124 +773,151 @@ class _PlanEvaluation:
             entry_idx[block] = entries
         return sel, entry_idx
 
-    def _expanded_key_columns(
-        self, key_parts, k: int, sel: np.ndarray, entry_idx: dict[int, np.ndarray]
+    def _key_columns(
+        self,
+        key_parts,
+        k: int,
+        rows: np.ndarray | None = None,
+        entries: Mapping[int, np.ndarray] | None = None,
     ) -> list[np.ndarray]:
+        """Key columns per level-k run, or per selected pair when ``rows``
+        is given: trie level values via ancestor maps (``'rel'`` parts),
+        flattened carried columns at the pairs' entries (``'car'``)."""
         columns = []
         for part in key_parts:
             if part.kind == "rel":
-                level_column = self.full(
-                    self.down(self.level_values(part.level), part.level, k), k
-                )
-                columns.append(level_column[sel])
+                column = self.down(self.level_values(part.level), part.level, k)
+                columns.append(column if rows is None else column[rows])
             else:  # 'car': part.level stores the block index
                 table = self.tables[self.plan.block_binding(part.level).view]
-                columns.append(table.carried_columns[part.pos][entry_idx[part.level]])
+                columns.append(table.carried_columns[part.pos][entries[part.level]])
         return columns
 
-    def _expanded_slot_value(
+    def _slot_value(
         self,
         slot: EmissionSlot,
         k: int,
-        sel: np.ndarray,
-        entry_idx: dict[int, np.ndarray],
-    ) -> np.ndarray:
-        """γ × β × ∏ carried factors per expanded pair, in statement order."""
+        rows: np.ndarray | None = None,
+        entries: Mapping[int, np.ndarray] | None = None,
+    ):
+        """γ × β × ∏ carried factors of one slot hosted at level ``k``, in
+        statement order — the array form of the walker's ``slot_value``.
+
+        One value per level-k run, or per selected (run, entry…) pair
+        when ``rows`` is given; a float at level -1 (scalar emissions).
+        """
         value = None
         if slot.gamma is not None:
-            gamma = self.full(
-                self.down(self._gamma[slot.gamma], self._gamma_level[slot.gamma], k),
-                k,
+            value = self.down(
+                self._gamma[slot.gamma], self._gamma_level[slot.gamma], k
             )
-            value = gamma[sel]
-        if slot.beta is not None:  # defensive: keyed slots decompose γ-only
-            beta = self.full(self._beta[slot.beta], k)
-            value = beta[sel] if value is None else value * beta[sel]
+        if slot.beta is not None:
+            beta = self._beta[slot.beta]  # per-run at k (reset == k)
+            value = beta if value is None else value * beta
+        if k < 0:
+            return 1.0 if value is None else float(value)
+        value = self.full(1.0 if value is None else value, k)
+        if rows is not None:
+            value = value[rows]
         for factor in slot.carried_factors:
             table = self.tables[self.plan.block_binding(factor.block).view]
-            piece = table.agg_matrix[entry_idx[factor.block], factor.agg_index]
-            value = piece if value is None else value * piece
-        if value is None:
-            value = np.ones(len(sel), dtype=np.float64)
+            value = value * table.agg_matrix[entries[factor.block], factor.agg_index]
         return value
 
-    def _carried_hash_output(self, lowered: LoweredEmission) -> dict:
-        """Carried-keyed emissions: expand runs by entries, then group.
+    def _key_table(self, k: int, key_parts, strategy: str) -> tuple:
+        """The level-k runs grouped by their emission key (cached on trie).
 
-        One expansion per slot group — the same ``(level, key parts, key
-        blocks, support)`` partition the code generator nests entry loops
-        for (:attr:`LoweredEmission.slot_groups`). Key columns gather
-        from trie levels (``'rel'`` parts, via ancestor maps) and the
-        flattened carried columns (``'car'`` parts, via the expanded
-        entry indices); each slot's per-pair values accumulate through
-        the strategy's grouper in expansion (= trie × entry-list) order,
-        matching the interpreted nested loops. With a single slot group
-        (every plan the tree planner emits today) the result keeps
-        columnar arrays; heterogeneous groups merge per key into a plain
-        dict — a key exists iff some group's surviving pair emitted under
-        it, exactly like the generated first-touch inserts.
+        Key columns are trie level values broadcast down ancestor maps —
+        a pure function of the index — so the grouping (a strategy-tagged
+        grouper plus representative key values per group) is computed
+        once and shared across executions and plans on the same index.
+        The cache key includes the strategy: hash and sort groupings are
+        distinct derived structures over the same columns.
+        """
+        key = ("groupkeys", strategy, k, tuple(part.level for part in key_parts))
+        got = self.cache.get(key)
+        if got is None:
+            columns = self._key_columns(key_parts, k)
+            grouper = _make_grouper(columns, strategy)
+            representative = [column[grouper.first_index] for column in columns]
+            got = (grouper, representative)
+            self.cache[key] = got
+        return got
+
+    def _output(self, lowered: LoweredEmission):
+        """One emission, written the way the walker's ``emit_output``
+        writes it: once per slot group of :attr:`LoweredEmission.slot_groups`.
+
+        A group selects the runs its guard lets through (alive and
+        supported), expanded by the entries of its keyed carried blocks;
+        gathers their key columns; and computes each slot with
+        :meth:`_slot_value`. An aligned group's rows are its output (each
+        key is new). A hash group's rows are grouped and summed per key in
+        input (trie × entry-list) order, like the interpreted dict
+        accumulation, whether the grouper scatters (``np.bincount``, hash
+        strategy) or gathers (stable argsort + ``np.add.reduceat``, sort
+        strategy — the cost model's pick for nearly-unique keys). A hash
+        group without keyed blocks groups *every* run instead, through
+        the trie-cached :meth:`_key_table`: dead runs add an exact 0.0 and
+        a key is kept iff a surviving run fired under it. Several groups
+        of one emission are stacked and summed per key once more, so a
+        key exists iff some group wrote it — the generated first-touch
+        inserts.
         """
         emission = lowered.emission
-        strategy = self._strategy(emission)
+        if lowered.base_mode == MODE_SCALAR:
+            return {(): [self._slot_value(slot, -1) for slot in emission.slots]}
+        strategy = self.strategies.get(emission.artifact, costmodel.STRATEGY_HASH)
         parts = []
         for group in lowered.slot_groups:
-            first, slots = group.first, group.slots
-            level, key_parts = first.level, first.key_parts
-            sel, entry_idx = self._expand_entries(
-                level, first.key_blocks, first.support
-            )
-            columns = self._expanded_key_columns(key_parts, level, sel, entry_idx)
-            grouper = _make_grouper(columns, strategy)
-            matrix = np.zeros((grouper.num_keys, emission.width))
-            for slot in slots:
-                value = self._expanded_slot_value(slot, level, sel, entry_idx)
-                matrix[:, slot.slot] = grouper.accumulate(value)
-            parts.append(
-                (
-                    [column[grouper.first_index] for column in columns],
-                    slots,
-                    matrix,
-                )
-            )
-        if len(parts) == 1:
-            columns, _, matrix = parts[0]
-            return ArrayViewData.from_arrays(list(columns), matrix)
-        out: dict = {}
-        for columns, slots, matrix in parts:
-            if not len(matrix):
-                continue
-            if len(columns) == 1:
-                keys = columns[0].tolist()
+            first = group.first
+            k = first.level
+            mask = self._emission_mask(k, first.support)
+            if emission.aligned or first.key_blocks:
+                rows, entries = self._select_runs(k, first.key_blocks, mask)
+                keys = self._key_columns(first.key_parts, k, rows, entries)
+                values = [
+                    self._slot_value(slot, k, rows, entries) for slot in group.slots
+                ]
+                if not emission.aligned:
+                    grouper = _make_grouper(keys, strategy)
+                    keys = [column[grouper.first_index] for column in keys]
+                    values = [grouper.accumulate(value) for value in values]
             else:
-                keys = list(zip(*(column.tolist() for column in columns)))
-            slot_values = [
-                (slot.slot, matrix[:, slot.slot].tolist()) for slot in slots
-            ]
-            for i, key in enumerate(keys):
-                row = out.get(key)
-                if row is None:
-                    row = out[key] = [0.0] * emission.width
-                for position, values in slot_values:
-                    row[position] += values[i]
-        return out
+                grouper, keys = self._key_table(k, first.key_parts, strategy)
+                values = [self._slot_value(slot, k) for slot in group.slots]
+                if mask is None:
+                    values = [grouper.accumulate(value) for value in values]
+                else:
+                    fired = grouper.fired(mask)
+                    keys = [column[fired] for column in keys]
+                    values = [
+                        grouper.accumulate(np.where(mask, value, 0.0))[fired]
+                        for value in values
+                    ]
+            matrix = np.zeros((len(keys[0]), emission.width))
+            for slot, value in zip(group.slots, values):
+                matrix[:, slot.slot] = value
+            parts.append((keys, matrix))
+        keys, matrix = parts[0]
+        if len(parts) > 1:
+            keys = [np.concatenate(columns) for columns in zip(*(p[0] for p in parts))]
+            stacked = np.concatenate([p[1] for p in parts])
+            grouper = _make_grouper(keys, strategy)
+            keys = [column[grouper.first_index] for column in keys]
+            matrix = np.column_stack(
+                [grouper.accumulate(column) for column in stacked.T]
+            )
+        return ArrayViewData.from_arrays(keys, matrix)
 
     def outputs(self) -> dict[str, dict]:
         self._run_probes()
         self._run_gammas()
         self._run_betas()
-        out: dict[str, dict] = {}
-        for lowered in self.lowered.emissions:
-            emission = lowered.emission
-            # dispatch on the *base* mode: a 'topk' emission accumulates
-            # its full groups exactly like its base (the ranked cut is
-            # applied once, at result finishing — see repro.core.topk).
-            if lowered.base_mode == MODE_SCALAR:
-                out[emission.artifact] = self._scalar_output(emission)
-            elif lowered.base_mode == MODE_ALIGNED:
-                out[emission.artifact] = self._aligned_output(emission)
-            else:
-                out[emission.artifact] = self._hash_output(lowered)
-        return out
+        return {
+            lowered.emission.artifact: self._output(lowered)
+            for lowered in self.lowered.emissions
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -1039,8 +939,6 @@ class NumpyCompiledGroup:
                 f"plan {plan.group_name} is not supported by the numpy backend"
             )
         self.plan = plan
-        #: the staged schedule (pure structure, shared across executions).
-        self.lowered = lower_plan(plan)
         #: whether the cost model picks hash vs sort per emission at
         #: execution time; False pins the static hash path (the
         #: LMFAO_FORCE_STRATEGY override still applies either way).
@@ -1085,10 +983,5 @@ class NumpyCompiledGroup:
             self.plan, trie, adaptive=self.adaptive
         )
         return _PlanEvaluation(
-            self.plan,
-            trie,
-            bind_entries,
-            functions,
-            lowered=self.lowered,
-            strategies=strategies,
+            self.plan, trie, bind_entries, functions, strategies
         ).outputs()

@@ -32,7 +32,11 @@ must agree exactly; that invariant is tested differentially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Union
+
+if TYPE_CHECKING:
+    from repro.core.lowering import LoweredPlan
 
 # --------------------------------------------------------------------- levels
 
@@ -265,23 +269,18 @@ class Emission:
     def slot_groups(self) -> list[tuple[SlotGroupKey, tuple[EmissionSlot, ...]]]:
         """Slots grouped by host ``(level, key parts, key blocks, support)``.
 
-        The code generator emits one probe-accumulate statement group per
-        entry (with nested entry loops for the keyed carried blocks) and
-        the NumPy backend lowers one run-by-entry expansion per entry;
-        the backends must partition slots identically for their outputs
-        to agree, so the partition is defined once, here. Group order is
-        first-slot order — the order the generated statements execute in.
+        Each group is written together: one probe-accumulate statement
+        group in generated code (inside nested entry loops for the keyed
+        carried blocks), one run-by-entry selection in the NumPy backend.
+        The lowering (:func:`repro.core.lowering.lower_plan`) takes the
+        partition from here for every backend. Group order is first-slot
+        order — the order the generated statements execute in.
         """
         groups: dict[SlotGroupKey, list[EmissionSlot]] = {}
         for slot in self.slots:
             key = (slot.level, slot.key_parts, slot.key_blocks, slot.support)
             groups.setdefault(key, []).append(slot)
         return [(key, tuple(slots)) for key, slots in groups.items()]
-
-    @property
-    def has_carried_keys(self) -> bool:
-        """Whether any slot's key iterates carried-block entries."""
-        return any(slot.key_blocks for slot in self.slots)
 
 
 # ------------------------------------------------------------------- bindings
@@ -379,6 +378,15 @@ class MultiOutputPlan:
     def order(self) -> tuple[str, ...]:
         """The relation attribute order (the paper's trie order)."""
         return tuple(level.attr for level in self.relation_levels)
+
+    @cached_property
+    def lowered(self) -> LoweredPlan:
+        """This plan's staged schedule, lowered on first use and kept for
+        the plan's lifetime — every backend compiling the plan reads this
+        one :class:`~repro.core.lowering.LoweredPlan`."""
+        from repro.core.lowering import lower_plan
+
+        return lower_plan(self)
 
     def binding(self, view: str) -> ViewBinding:
         for b in self.bindings:

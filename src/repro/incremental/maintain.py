@@ -180,7 +180,7 @@ class MaintainedBatch:
         run = self._group_run(engine.snapshot(), {}, {})
         engine.walk_groups(run)
         results = {
-            query.name: _to_query_result(query, run.query_raw[query.name])
+            query.name: _to_query_result(query, run.query_raw[query.name])[0]
             for query in compiled.batch
         }
         self._state = _MaintainedVersion(
@@ -383,7 +383,7 @@ class MaintainedBatch:
             else:
                 results[query.name] = _to_query_result(
                     query, run.query_raw[query.name]
-                )
+                )[0]
         new_state = _MaintainedVersion(
             snapshot, run.view_data, run.query_raw, results
         )

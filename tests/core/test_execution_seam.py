@@ -10,12 +10,14 @@ through :func:`repro.incremental.rules.numeric_delta_run`: it imports no
 execution primitive from :mod:`repro.core.runtime` and touches no engine
 private of the step.
 
-Below the step, the same holds for compilation: the loop nest of a
-lowered plan is walked in one place (:mod:`repro.core.loopnest`; the
-source backends are emitters of it, the NumPy backend a separate
-stage-wise consumer), every backend's compiler is called from one place
-(:func:`repro.core.runtime.compile_executables`), and the runtime drives
-one compiled-group protocol instead of branching on a native/Python pair.
+Below the step, the same holds for compilation: a plan is lowered once
+and keeps its lowering, the loop nest of a lowered plan is walked in one
+place (:mod:`repro.core.loopnest`; the source backends are emitters of
+it), the NumPy backend executes the same slot groups the walker emits
+with one slot product and one emission path, every backend's compiler is
+called from one place (:func:`repro.core.runtime.compile_executables`),
+and the runtime drives one compiled-group protocol instead of branching
+on a native/Python pair.
 """
 
 from __future__ import annotations
@@ -143,11 +145,6 @@ def test_one_loop_nest_walker():
         and node.args[1].id == "FactorTerm"
     )
     assert dispatches == ["core/loopnest.py", "core/npbackend.py"], dispatches
-    lowerings = [
-        site for site in _call_sites("lower_plan")
-        if not site.startswith("core/npbackend.py:")
-    ]
-    assert [site.split(":")[0] for site in lowerings] == ["core/loopnest.py"]
     writers = [
         f"{module}:{node.name}"
         for module, tree in _modules().items()
@@ -155,6 +152,52 @@ def test_one_loop_nest_walker():
         if isinstance(node, ast.ClassDef) and node.name.endswith("Writer")
     ]
     assert writers == ["core/loopnest.py:SourceWriter"], writers
+
+
+def _attribute_reads(module: str, attr: str) -> list[str]:
+    return [
+        f"{module}:{node.lineno}"
+        for node in ast.walk(_modules()[module])
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    ]
+
+
+def test_numpy_executes_the_lowered_slot_groups():
+    # each plan is lowered once, by the plan itself, for every backend
+    lowerings = _call_sites("lower_plan")
+    assert [site.split(":")[0] for site in lowerings] == ["core/plan.py"], lowerings
+    # a level hosts one tuple of slot groups, aligned emissions included
+    assert not [
+        site for module in _modules()
+        for site in _attribute_reads(module, "aligned_emissions")
+    ]
+    # NumPy: one slot product (the only reader of a slot's γ), one
+    # function building the columnar outputs, and no slot partition of
+    # its own — the slot groups come from the lowering
+    numpy = "core/npbackend.py"
+    products = [
+        function.name for function in _functions(numpy)
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "gamma"
+            for node in ast.walk(function)
+        )
+    ]
+    assert products == ["_slot_value"], products
+    builders = [
+        function.name for function in _functions(numpy)
+        if any(
+            isinstance(node, ast.Call) and _called_name(node) == "from_arrays"
+            for node in ast.walk(function)
+        )
+    ]
+    assert builders == ["_output"], builders
+    assert not _attribute_reads(numpy, "has_carried_keys")
+    for node in ast.walk(_modules()[numpy]):
+        if isinstance(node, ast.Call) and _called_name(node) != "_emission_mask":
+            assert not any(
+                isinstance(arg, ast.Attribute) and arg.attr == "support"
+                for arg in node.args
+            ), f"{numpy}:{node.lineno} partitions slots by support"
 
 
 def test_one_compiled_group_protocol():

@@ -13,7 +13,7 @@ from repro.query import Aggregate, Factor, Op, Predicate, Query, QueryBatch
 from repro.query.functions import identity
 from repro.util.errors import CyclicSchemaError, PlanError
 
-from tests.helpers import assert_results_equal
+from tests.helpers import assert_results_equal, numpy_outputs_columnar
 from tests.strategies import instances
 
 _C = Attribute.categorical
@@ -22,7 +22,8 @@ _F = Attribute.continuous
 
 def _compare_backends(db, batch, **config):
     python_run = LMFAO(db, EngineConfig(backend="python", **config)).run(batch)
-    numpy_run = LMFAO(db, EngineConfig(backend="numpy", **config)).run(batch)
+    with numpy_outputs_columnar():
+        numpy_run = LMFAO(db, EngineConfig(backend="numpy", **config)).run(batch)
     for name in python_run.results:
         assert_results_equal(
             numpy_run.results[name], python_run.results[name], rel_tol=1e-9

@@ -45,6 +45,7 @@ from repro.core import EngineConfig, LMFAO, costmodel
 from repro.core.cbackend import gcc_available
 from repro.util.errors import CyclicSchemaError
 
+from tests.helpers import numpy_outputs_columnar
 from tests.strategies import carried_instances, instances
 
 _SETTINGS = dict(
@@ -83,7 +84,8 @@ def _grid_matches_sequential_python(instance, backend: str) -> None:
     grid = _GRID if backend == "python" else [(1, 1), *_GRID]
     for workers, partitions in grid:
         runner.config = replace(config, workers=workers, partitions=partitions)
-        run = runner.execute(compiled)
+        with numpy_outputs_columnar():
+            run = runner.execute(compiled)
         for name, expected in baseline.results.items():
             got = run.results[name]
             assert got.groups == expected.groups, (

@@ -1,0 +1,149 @@
+"""Generated Python and C source is pinned byte for byte.
+
+The walker (:mod:`repro.core.loopnest`) and the lowering it reads
+(:mod:`repro.core.lowering`) are refactored freely; the source they emit
+is not supposed to move unless a change means it to. Each corpus entry
+compiles one batch, then hashes, for every group plan, the generated
+Python with ``share_terms`` on and off and the generated C with its
+argument specs. A mismatch means the emitted statements changed.
+
+When a change is meant to alter the generated source, regenerate the
+digests and paste the printed table over ``DIGESTS``::
+
+    PYTHONPATH=src python tests/core/test_source_identity.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+from functools import cache
+
+import pytest
+
+from repro.core import EngineConfig, LMFAO
+from repro.core.cbackend import generate_c_source
+from repro.core.codegen import generate_group
+from repro.data import favorita, retailer
+from repro.ml import FeatureSpec, cart_node_batch, covariance_batch
+from repro.ml.features import retailer_features
+from repro.paper import EXAMPLE_ROOTS, FAVORITA_TREE, example_queries
+from repro.query import Aggregate, OrderSpec, Query, QueryBatch
+from repro.query.predicates import Op, Predicate
+
+DIGESTS = {
+    'carried_class_city': '14d0212c8e8565059a63b1c07578640cfb39fb4f8eaed7ad824ec8123e2029c5',
+    'cart_groupby': 'aaa3bc85f52c1007dad8592c185e41a41661663581f0c0bdc788881c9fa76451',
+    'cart_indicator': '331aa06d9115844360a835b8860910b4249eb9ff5469699f366f50d81cd757d0',
+    'covariance_retailer': '91dfa85c22c649ea87178941c7cdb85e13fb07d94457918c002103e5988811b1',
+    'ordered_topk': '3c3a309f116a18774d5446ae8a4a1d69d3dc6d76bf4388fa45b52e8b385110df',
+    'paper_example': 'da6129c6c3865d64f2170fd24ffe071c01e52f03a17101dc56c73833d4fb38b6',
+    'paper_example_single_output': '2a89365061b2053abe0955c31ea533062bb38b7bdef1535eb6d03e8fcc23187f',
+    'paper_example_unfactorized': 'dd9800baa210fdbcdf635c4df923ce7e701475fd5268721714bf68fdb9c5e281',
+}
+
+
+@cache
+def _favorita():
+    return favorita(scale=0.05, seed=7)
+
+
+@cache
+def _retailer():
+    return retailer(scale=0.05, seed=7)
+
+
+def _cart_spec() -> FeatureSpec:
+    return FeatureSpec(
+        label="units", continuous=("txns", "price"), categorical=("promo", "stype")
+    )
+
+
+def _corpus():
+    """``name → (database, batch, plan-shaping config)`` of every entry."""
+    paper = {"join_tree_edges": FAVORITA_TREE, "root_override": EXAMPLE_ROOTS}
+    tree = {"join_tree_edges": FAVORITA_TREE}
+    path = (Predicate("promo", Op.EQ, 1.0),)
+    return {
+        "paper_example": (_favorita, example_queries, paper),
+        "paper_example_unfactorized": (
+            _favorita, example_queries, {**paper, "factorize": False}
+        ),
+        "paper_example_single_output": (
+            _favorita, example_queries, {**paper, "multi_output": False}
+        ),
+        "covariance_retailer": (
+            _retailer, lambda: covariance_batch(retailer_features(_retailer())), {}
+        ),
+        "carried_class_city": (
+            _favorita,
+            lambda: QueryBatch([
+                Query("cc", group_by=("class", "city"), aggregates=(
+                    Aggregate.count(), Aggregate.sum("units"),
+                )),
+            ]),
+            tree,
+        ),
+        "ordered_topk": (
+            _favorita,
+            lambda: QueryBatch([
+                Query(
+                    "top_items", group_by=("store", "item"),
+                    aggregates=(Aggregate.sum("units"), Aggregate.count()),
+                    order_by=OrderSpec(
+                        agg_index=0, descending=True, partition_by=("store",)
+                    ),
+                    limit=2,
+                ),
+                Query(
+                    "low_cities", group_by=("city", "family"),
+                    aggregates=(Aggregate.sum("units"),),
+                    order_by=OrderSpec(agg_index=0, descending=False),
+                    limit=3,
+                ),
+            ]),
+            tree,
+        ),
+        "cart_groupby": (
+            _favorita, lambda: cart_node_batch(_cart_spec(), path), tree
+        ),
+        "cart_indicator": (
+            _favorita,
+            lambda: cart_node_batch(
+                _cart_spec(), path, mode="indicator",
+                thresholds={"txns": [1.0, 2.0], "price": [3.0]},
+            ),
+            tree,
+        ),
+    }
+
+
+def source_digest(name: str) -> str:
+    """sha256 over every group's generated Python (terms shared and not)
+    and generated C plus argument specs, in plan order."""
+    database, batch, config = _corpus()[name]
+    engine = LMFAO(
+        database(),
+        EngineConfig(
+            backend="python", executor="thread", workers=1, partitions=1, **config
+        ),
+    )
+    digest = hashlib.sha256()
+    for index, plan in enumerate(engine.compile(batch()).plans):
+        for share_terms in (True, False):
+            digest.update(generate_group(plan, share_terms=share_terms).source.encode())
+        source, args = generate_c_source(plan, f"lmfao_run_g{index}")
+        digest.update(source.encode())
+        digest.update(repr([(a.name, a.ctype, a.role) for a in args]).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_corpus()))
+def test_generated_source_is_unchanged(name):
+    assert source_digest(name) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    print("DIGESTS = {")
+    for entry in sorted(_corpus()):
+        print(f"    {entry!r}: {source_digest(entry)!r},")
+    print("}")

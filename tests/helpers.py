@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 from repro.baselines.common import evaluate_on_join
+from repro.core.npbackend import NumpyCompiledGroup
+from repro.core.runtime import ArrayViewData
 from repro.data.catalog import Database
 from repro.data.relation import Relation
 from repro.query.query import Query, QueryResult
@@ -57,3 +61,23 @@ def drop_zero_groups(result: QueryResult) -> QueryResult:
         if any(v != 0.0 for v in values)
     }
     return QueryResult(query=result.query, groups=groups)
+
+
+@contextmanager
+def numpy_outputs_columnar():
+    """Within the block, every non-scalar output a NumPy group returns
+    must be an ``ArrayViewData`` with live key/value columns (groups run
+    in this process; process-executor workers are not observed)."""
+    execute = NumpyCompiledGroup.execute
+
+    def checked(group, *args, **kwargs):
+        outputs = execute(group, *args, **kwargs)
+        for emission in group.plan.emissions:
+            data = outputs[emission.artifact]
+            assert not emission.group_by or (
+                isinstance(data, ArrayViewData) and data.has_columns
+            ), f"{group.plan.group_name}: {emission.artifact} is not columnar"
+        return outputs
+
+    with mock.patch.object(NumpyCompiledGroup, "execute", checked):
+        yield
