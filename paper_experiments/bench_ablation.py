@@ -15,8 +15,6 @@ from repro.ml import covariance_batch
 from repro.ml.features import favorita_features
 from repro.paper import FAVORITA_TREE
 
-from benchmarks.conftest import report
-
 _BASE: dict[str, float] = {}
 
 _CONFIGS = {
@@ -36,7 +34,7 @@ _CONFIGS = {
 }
 
 
-def _run_config(db, name: str, overrides: dict, benchmark) -> None:
+def _run_config(db, name: str, overrides: dict, benchmark, report) -> None:
     engine = LMFAO(db, EngineConfig(join_tree_edges=FAVORITA_TREE, **overrides))
     spec = favorita_features(db)
     batch = covariance_batch(spec)
@@ -65,51 +63,59 @@ def _run_config(db, name: str, overrides: dict, benchmark) -> None:
         )
 
 
-def test_full_lmfao(benchmark, favorita_bench):
-    _run_config(favorita_bench, "full LMFAO", _CONFIGS["full LMFAO"], benchmark)
+def test_full_lmfao(benchmark, favorita_bench, report):
+    _run_config(
+        favorita_bench, "full LMFAO", _CONFIGS["full LMFAO"], benchmark, report
+    )
 
 
-def test_single_root(benchmark, favorita_bench):
+def test_single_root(benchmark, favorita_bench, report):
     _run_config(
         favorita_bench,
         "single root for all queries",
         _CONFIGS["single root for all queries"],
         benchmark,
+        report,
     )
 
 
-def test_no_view_merging(benchmark, favorita_bench):
+def test_no_view_merging(benchmark, favorita_bench, report):
     _run_config(
-        favorita_bench, "no view merging", _CONFIGS["no view merging"], benchmark
+        favorita_bench, "no view merging", _CONFIGS["no view merging"], benchmark,
+        report,
     )
 
 
-def test_no_multi_output(benchmark, favorita_bench):
+def test_no_multi_output(benchmark, favorita_bench, report):
     _run_config(
         favorita_bench,
         "no multi-output grouping",
         _CONFIGS["no multi-output grouping"],
         benchmark,
+        report,
     )
 
 
-def test_no_factorization(benchmark, favorita_bench):
+def test_no_factorization(benchmark, favorita_bench, report):
     _run_config(
-        favorita_bench, "no factorization", _CONFIGS["no factorization"], benchmark
+        favorita_bench, "no factorization", _CONFIGS["no factorization"], benchmark,
+        report,
     )
 
 
-def test_no_term_sharing(benchmark, favorita_bench):
+def test_no_term_sharing(benchmark, favorita_bench, report):
     _run_config(
         favorita_bench,
         "no term sharing in codegen",
         _CONFIGS["no term sharing in codegen"],
         benchmark,
+        report,
     )
 
 
-def test_all_off(benchmark, favorita_bench):
+def test_all_off(benchmark, favorita_bench, report):
     _run_config(
         favorita_bench, "all optimisations off", _CONFIGS["all optimisations off"],
         benchmark,
+        report,
     )

@@ -11,10 +11,10 @@ from __future__ import annotations
 from repro.ml import cart_node_batch, covariance_batch
 from repro.ml.features import favorita_features, retailer_features
 
-from benchmarks.conftest import report
 
-
-def test_linear_regression_batch_sizes(benchmark, retailer_bench, favorita_bench):
+def test_linear_regression_batch_sizes(
+    benchmark, retailer_bench, favorita_bench, report
+):
     retailer_spec = retailer_features(retailer_bench)
     favorita_spec = favorita_features(favorita_bench)
 
@@ -34,7 +34,7 @@ def test_linear_regression_batch_sizes(benchmark, retailer_bench, favorita_bench
     )
 
 
-def test_decision_tree_batch_sizes(benchmark, retailer_bench):
+def test_decision_tree_batch_sizes(benchmark, retailer_bench, report):
     spec = retailer_features(retailer_bench)
     # the paper's per-node count uses per-threshold indicator aggregates;
     # with the published Retailer feature set and 34 thresholds/feature the
@@ -65,7 +65,7 @@ def test_decision_tree_batch_sizes(benchmark, retailer_bench):
     )
 
 
-def test_rkmeans_query_count(benchmark, retailer_bench):
+def test_rkmeans_query_count(benchmark, retailer_bench, report):
     from repro.query import Aggregate, Query, QueryBatch
 
     dimensions = ("inventoryunits", "maxtemp", "meanwind", "prize")

@@ -14,10 +14,8 @@ from repro.ml import CartConfig, RegressionTree, rk_means, train_linear_regressi
 from repro.ml.features import favorita_features, retailer_features
 from repro.paper import FAVORITA_TREE
 
-from benchmarks.conftest import report
 
-
-def test_linear_regression_end_to_end(benchmark, retailer_bench):
+def test_linear_regression_end_to_end(benchmark, retailer_bench, report):
     spec = retailer_features(retailer_bench)
 
     def train():
@@ -37,7 +35,7 @@ def test_linear_regression_end_to_end(benchmark, retailer_bench):
     )
 
 
-def test_decision_tree_end_to_end(benchmark, favorita_bench):
+def test_decision_tree_end_to_end(benchmark, favorita_bench, report):
     spec = favorita_features(favorita_bench)
 
     def train():
@@ -59,7 +57,7 @@ def test_decision_tree_end_to_end(benchmark, favorita_bench):
     )
 
 
-def test_rkmeans_end_to_end(benchmark, retailer_bench):
+def test_rkmeans_end_to_end(benchmark, retailer_bench, report):
     dimensions = ("inventoryunits", "maxtemp", "meanwind", "prize")
 
     start = time.perf_counter()

@@ -10,10 +10,8 @@ from __future__ import annotations
 from repro.core import EngineConfig, LMFAO
 from repro.paper import EXAMPLE_ROOTS, FAVORITA_TREE, example_queries
 
-from benchmarks.conftest import report
 
-
-def test_figure2_structure(benchmark, favorita_bench):
+def test_figure2_structure(benchmark, favorita_bench, report):
     engine = LMFAO(
         favorita_bench,
         EngineConfig(join_tree_edges=FAVORITA_TREE, root_override=EXAMPLE_ROOTS),

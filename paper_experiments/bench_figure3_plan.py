@@ -15,8 +15,6 @@ from repro.query import Aggregate, Query, QueryBatch
 from repro.query.aggregates import Factor
 from repro.paper import g as g_fn, h as h_fn
 
-from benchmarks.conftest import report
-
 
 def _figure3_batch() -> QueryBatch:
     q1 = Query("Q1", aggregates=(Aggregate.sum("units"),))
@@ -39,7 +37,7 @@ def _engine(db, **overrides):
 
 
 @pytest.mark.parametrize("factorize", [True, False], ids=["factorized", "flat"])
-def test_figure3_group_execution(benchmark, favorita_bench, factorize):
+def test_figure3_group_execution(benchmark, favorita_bench, factorize, report):
     engine = _engine(favorita_bench, factorize=factorize)
     compiled = engine.compile(_figure3_batch())
     run = benchmark.pedantic(

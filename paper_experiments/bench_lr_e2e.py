@@ -5,7 +5,7 @@ and per-query RDBMS execution "by several orders of magnitude" on the
 covariance batches. This bench measures all three systems on the same
 batch and reports the speedup factors; the shape to reproduce is LMFAO
 winning, with the per-query engine slowest and the gap growing with batch
-size (see bench_scaling for the growth).
+size.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from repro.baselines import MaterializedPipeline, SqlEngineBaseline
 from repro.ml import covariance_batch
 from repro.ml.features import favorita_features, retailer_features
 
-from benchmarks.conftest import report
-
 _RESULTS: dict[tuple[str, str], float] = {}
 
 
-def _record(dataset: str, system: str, seconds: float) -> None:
+def _record(report, dataset: str, system: str, seconds: float) -> None:
     _RESULTS[(dataset, system)] = seconds
     lmfao = _RESULTS.get((dataset, "lmfao"))
     if lmfao and system != "lmfao":
@@ -37,7 +35,7 @@ def _record(dataset: str, system: str, seconds: float) -> None:
 
 @pytest.mark.parametrize("dataset", ["favorita", "retailer"])
 def test_lmfao(benchmark, dataset, favorita_engine_bench, retailer_engine_bench,
-               favorita_bench, retailer_bench):
+               favorita_bench, retailer_bench, report):
     engine = favorita_engine_bench if dataset == "favorita" else retailer_engine_bench
     db = favorita_bench if dataset == "favorita" else retailer_bench
     spec = favorita_features(db) if dataset == "favorita" else retailer_features(db)
@@ -49,11 +47,13 @@ def test_lmfao(benchmark, dataset, favorita_engine_bench, retailer_engine_bench,
     result = benchmark.pedantic(
         lambda: engine.execute(compiled), rounds=3, iterations=1
     )
-    _record(dataset, "lmfao", (time.perf_counter() - start) / 3)
+    _record(report, dataset, "lmfao", (time.perf_counter() - start) / 3)
 
 
 @pytest.mark.parametrize("dataset", ["favorita", "retailer"])
-def test_materialized_pipeline(benchmark, dataset, favorita_bench, retailer_bench):
+def test_materialized_pipeline(
+    benchmark, dataset, favorita_bench, retailer_bench, report
+):
     db = favorita_bench if dataset == "favorita" else retailer_bench
     spec = favorita_features(db) if dataset == "favorita" else retailer_features(db)
     batch = covariance_batch(spec)
@@ -64,11 +64,11 @@ def test_materialized_pipeline(benchmark, dataset, favorita_bench, retailer_benc
 
     start = time.perf_counter()
     benchmark.pedantic(run, rounds=3, iterations=1)
-    _record(dataset, "materialize+numpy", (time.perf_counter() - start) / 3)
+    _record(report, dataset, "materialize+numpy", (time.perf_counter() - start) / 3)
 
 
 @pytest.mark.parametrize("dataset", ["favorita", "retailer"])
-def test_sql_per_query(benchmark, dataset, favorita_bench, retailer_bench):
+def test_sql_per_query(benchmark, dataset, favorita_bench, retailer_bench, report):
     db = favorita_bench if dataset == "favorita" else retailer_bench
     spec = favorita_features(db) if dataset == "favorita" else retailer_features(db)
     batch = covariance_batch(spec)
@@ -76,4 +76,4 @@ def test_sql_per_query(benchmark, dataset, favorita_bench, retailer_bench):
 
     start = time.perf_counter()
     benchmark.pedantic(lambda: baseline.run(batch), rounds=1, iterations=1)
-    _record(dataset, "per-query SQL", time.perf_counter() - start)
+    _record(report, dataset, "per-query SQL", time.perf_counter() - start)

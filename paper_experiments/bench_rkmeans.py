@@ -12,13 +12,11 @@ import pytest
 from repro.ml import rk_means
 from repro.ml.rkmeans import evaluate_against_lloyds
 
-from benchmarks.conftest import report
-
 _DIMS = ("inventoryunits", "maxtemp", "meanwind", "prize")
 
 
 @pytest.mark.parametrize("k", [5, 10])
-def test_rkmeans_quality(benchmark, retailer_bench, k):
+def test_rkmeans_quality(benchmark, retailer_bench, k, report):
     result = benchmark.pedantic(
         lambda: rk_means(retailer_bench, dimensions=_DIMS, k=k, seed=3),
         rounds=2,

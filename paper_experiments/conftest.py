@@ -1,10 +1,13 @@
-"""Benchmark fixtures and the paper-vs-measured report collector.
+"""Fixtures and the paper-vs-measured report of the paper experiments.
 
-Every bench registers rows with :func:`report`; the collected table is
-printed in the terminal summary and written to ``benchmarks/report_latest.md``
-so EXPERIMENTS.md can be refreshed from a single run of::
+Every experiment registers rows through the :func:`report` fixture; the
+collected table is printed in the terminal summary and written to
+``report_latest.md`` next to this file (ignored by git). One run of all
+seven experiments::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest paper_experiments -q --benchmark-disable -o python_files='bench_*.py'
+
+Drop ``--benchmark-disable`` for pytest-benchmark timings.
 """
 
 from __future__ import annotations
@@ -17,15 +20,20 @@ from repro.core import EngineConfig, LMFAO
 from repro.data import favorita, retailer
 from repro.paper import FAVORITA_TREE
 
-#: default dataset scale for benches (seconds-scale runtimes)
+#: default dataset scale for the experiments (seconds-scale runtimes)
 BENCH_SCALE = 0.2
 
 _REPORT_ROWS: list[tuple[str, str, str, str]] = []
 
 
-def report(experiment: str, metric: str, paper: str, measured: str) -> None:
-    """Register one paper-vs-measured row for the final report."""
-    _REPORT_ROWS.append((experiment, metric, paper, measured))
+@pytest.fixture(scope="session")
+def report():
+    """``report(experiment, metric, paper, measured)`` registers one row."""
+
+    def register(experiment: str, metric: str, paper: str, measured: str) -> None:
+        _REPORT_ROWS.append((experiment, metric, paper, measured))
+
+    return register
 
 
 @pytest.fixture(scope="session")

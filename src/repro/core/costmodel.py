@@ -3,7 +3,7 @@
 The engine's execution knobs — ``partitions``, ``backend``, and the
 grouping strategy behind every hash emission — used to be applied
 verbatim from :class:`~repro.core.engine.EngineConfig`, which produced
-two recorded performance bugs (BENCH_parallel.json): ``partitions=4``
+two recorded performance bugs: ``partitions=4``
 made the NumPy backend *slower* than sequential on a machine with one
 usable core, and carried-heavy plans lost most of their vectorisation
 win to dense-key grouping over high-cardinality keys. This module is the
@@ -391,9 +391,9 @@ def group_decision(
     ``strategies`` reports the grouping strategy per hash emission: what
     :func:`resolve_strategies` decides on the NumPy backend (the only one
     with both paths), and the structurally fixed ``'hash'`` elsewhere.
-    Recorded on :class:`~repro.core.engine.RunResult` and surfaced as a
-    column of BENCH_parallel.json — never part of compiled artefacts or
-    fingerprints.
+    Recorded on :class:`~repro.core.engine.RunResult` (the ``core.*``
+    decision metrics of ``bench/`` sum it per operation) — never part of
+    compiled artefacts or fingerprints.
     """
     hash_emissions = [
         e.artifact

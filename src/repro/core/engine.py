@@ -85,9 +85,9 @@ class EngineConfig:
     (:func:`repro.serve.fingerprint.batch_fingerprint`): engines with
     different configs never share compiled artefacts.
 
-    **Optimisation switches** (toggled by the ablation benchmarks,
-    ``benchmarks/bench_ablation.py``; the first four are on by default and
-    each ``=False`` disables one layer):
+    **Optimisation switches** (toggled by the layer ablation,
+    ``paper_experiments/bench_ablation.py``; the first four are on by
+    default and each ``=False`` disables one layer):
 
     ``merge_views`` (bool, default True)
         no value validation. ``False`` disables cross-query view merging —

@@ -5,8 +5,8 @@ knobs as advisory upper bounds: partition fan-out is gated on rows *per
 partition* and capped at real concurrency, hash emissions may switch to
 sort-based grouping, and ``backend="auto"`` picks a backend per group.
 These tests pin the decision rules themselves plus the two recorded
-regressions the model exists to fix (BENCH_parallel.json: partitions=4
-slower than sequential; carried plans stuck on dense-key grouping).
+regressions the model exists to fix (partitions=4 slower than
+sequential; carried plans stuck on dense-key grouping).
 """
 
 from __future__ import annotations

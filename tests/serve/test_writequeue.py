@@ -353,6 +353,8 @@ def test_concurrent_writers_serialise_without_version_conflicts(favorita_db):
     with AggregateServer(favorita_db, config) as server:
         handle = server.maintain(batch)
         errors = []
+        writers_done = threading.Event()
+        live_samples = []
 
         def writer(chunk):
             try:
@@ -361,15 +363,32 @@ def test_concurrent_writers_serialise_without_version_conflicts(favorita_db):
             except Exception as exc:  # noqa: BLE001 — recorded for the assert
                 errors.append(exc)
 
+        def reader():
+            try:
+                while True:  # at least one sample, however fast the writers
+                    server.run(batch)
+                    live_samples.append(server.stats().live_snapshots)
+                    if writers_done.is_set():
+                        break
+            except Exception as exc:  # noqa: BLE001 — recorded for the assert
+                errors.append(exc)
+
         threads = [
             threading.Thread(target=writer, args=(rows[k * 5 : (k + 1) * 5],))
             for k in range(4)
         ]
-        for t in threads:
+        reader_thread = threading.Thread(target=reader)
+        for t in [reader_thread, *threads]:
             t.start()
         for t in threads:
             t.join()
+        writers_done.set()
+        reader_thread.join()
         assert not errors  # no writer died on a version conflict
+        # snapshot GC bounds the live versions by the readers (one pin
+        # each) plus the current version and one in flight, not by the
+        # 20 writes
+        assert max(live_samples) <= 1 + 2
         server.flush()
         final = favorita_db.with_relation(
             sales.concat(Relation.from_rows(sales.schema, rows))

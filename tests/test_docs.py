@@ -3,7 +3,10 @@ link integrity (the CI docs leg runs exactly this module)."""
 
 import doctest
 import re
+import subprocess
 from pathlib import Path
+
+import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,11 +71,13 @@ def test_docs_cover_parallel_execution():
 
 
 def test_ci_has_parallel_leg_and_bench_artifact():
+    """The parallel leg re-runs the suite under parallel defaults; the
+    benchmark of record is ``bench/``, so CI uploads no bench artifact."""
     text = (_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    assert "tests-parallel:" in text
     assert "LMFAO_TEST_WORKERS" in text
     assert "LMFAO_TEST_PARTITIONS" in text
-    assert "bench_parallel.py" in text
-    assert "BENCH_parallel.json" in text
+    assert "upload-artifact" not in text
 
 
 # ------------------------------------------------------------- serving docs
@@ -120,10 +125,50 @@ def test_readme_mentions_serving_example():
 
 
 def test_ci_has_docs_leg_and_serving_bench():
+    """The docs leg runs this module; the serving suites run in the
+    view-cache leg, both ways."""
     text = (_ROOT / ".github" / "workflows" / "ci.yml").read_text()
     assert "tests/test_docs.py" in text
-    assert "bench_serving.py" in text
-    assert "BENCH_serving.json" in text
+    assert "test -s docs/serving.md" in text
+    assert "LMFAO_TEST_VIEWCACHE=1" in text
+    assert "LMFAO_TEST_VIEWCACHE=0" in text
+    assert "tests/serve" in text
+
+
+#: the retired second benchmark system: its directory, its JSON records and
+#: its strictness switch (``.benchmarks/``, pytest-benchmark's store, is not it)
+_RETIRED_BENCH = re.compile(
+    r"(?<![\w.])benchmarks/|BENCH_(?:parallel|serving|writes)\.json"
+    r"|LMFAO_BENCH_STRICT"
+)
+
+
+def test_one_performance_record():
+    """``bench/`` is the one performance record and CI runs the paper
+    experiments. No tracked file names the retired benchmark system, except
+    ``bench/``, the top-level notes other than README.md (history, roadmap,
+    reference material) and this module, which names what it forbids."""
+    listed = subprocess.run(
+        ["git", "ls-files"], cwd=_ROOT, capture_output=True, text=True
+    )
+    if listed.returncode != 0:
+        pytest.skip("not a git checkout")
+    offenders = []
+    for name in listed.stdout.splitlines():
+        path = _ROOT / name
+        top_level_note = "/" not in name and name.endswith(".md")
+        if (
+            name.startswith("bench/")
+            or (top_level_note and name != "README.md")
+            or path == Path(__file__).resolve()
+            or not path.is_file()
+        ):
+            continue
+        text = path.read_text()
+        offenders += [f"{name}: {m.group()}" for m in _RETIRED_BENCH.finditer(text)]
+    assert not offenders, offenders
+    ci = (_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    assert "python -m pytest paper_experiments" in ci
 
 
 # ------------------------------------------------- docstring examples (live)
