@@ -8,8 +8,6 @@ on the linear-regression batch quantifies the layer contributions.
 
 from __future__ import annotations
 
-import time
-
 from repro.core import EngineConfig, LMFAO
 from repro.ml import covariance_batch
 from repro.ml.features import favorita_features
@@ -34,16 +32,14 @@ _CONFIGS = {
 }
 
 
-def _run_config(db, name: str, overrides: dict, benchmark, report) -> None:
+def _run_config(db, name: str, overrides: dict, timed, report) -> None:
     engine = LMFAO(db, EngineConfig(join_tree_edges=FAVORITA_TREE, **overrides))
     spec = favorita_features(db)
     batch = covariance_batch(spec)
     compiled = engine.compile(batch)
     engine.execute(compiled)  # warm tries
 
-    start = time.perf_counter()
-    benchmark.pedantic(lambda: engine.execute(compiled), rounds=3, iterations=1)
-    elapsed = (time.perf_counter() - start) / 3
+    _run, elapsed = timed(lambda: engine.execute(compiled), rounds=3)
 
     if name == "full LMFAO":
         _BASE["time"] = elapsed
@@ -63,59 +59,59 @@ def _run_config(db, name: str, overrides: dict, benchmark, report) -> None:
         )
 
 
-def test_full_lmfao(benchmark, favorita_bench, report):
+def test_full_lmfao(timed, favorita_bench, report):
     _run_config(
-        favorita_bench, "full LMFAO", _CONFIGS["full LMFAO"], benchmark, report
+        favorita_bench, "full LMFAO", _CONFIGS["full LMFAO"], timed, report
     )
 
 
-def test_single_root(benchmark, favorita_bench, report):
+def test_single_root(timed, favorita_bench, report):
     _run_config(
         favorita_bench,
         "single root for all queries",
         _CONFIGS["single root for all queries"],
-        benchmark,
+        timed,
         report,
     )
 
 
-def test_no_view_merging(benchmark, favorita_bench, report):
+def test_no_view_merging(timed, favorita_bench, report):
     _run_config(
-        favorita_bench, "no view merging", _CONFIGS["no view merging"], benchmark,
+        favorita_bench, "no view merging", _CONFIGS["no view merging"], timed,
         report,
     )
 
 
-def test_no_multi_output(benchmark, favorita_bench, report):
+def test_no_multi_output(timed, favorita_bench, report):
     _run_config(
         favorita_bench,
         "no multi-output grouping",
         _CONFIGS["no multi-output grouping"],
-        benchmark,
+        timed,
         report,
     )
 
 
-def test_no_factorization(benchmark, favorita_bench, report):
+def test_no_factorization(timed, favorita_bench, report):
     _run_config(
-        favorita_bench, "no factorization", _CONFIGS["no factorization"], benchmark,
+        favorita_bench, "no factorization", _CONFIGS["no factorization"], timed,
         report,
     )
 
 
-def test_no_term_sharing(benchmark, favorita_bench, report):
+def test_no_term_sharing(timed, favorita_bench, report):
     _run_config(
         favorita_bench,
         "no term sharing in codegen",
         _CONFIGS["no term sharing in codegen"],
-        benchmark,
+        timed,
         report,
     )
 
 
-def test_all_off(benchmark, favorita_bench, report):
+def test_all_off(timed, favorita_bench, report):
     _run_config(
         favorita_bench, "all optimisations off", _CONFIGS["all optimisations off"],
-        benchmark,
+        timed,
         report,
     )

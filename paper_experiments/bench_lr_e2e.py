@@ -10,8 +10,6 @@ size.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.baselines import MaterializedPipeline, SqlEngineBaseline
@@ -34,7 +32,7 @@ def _record(report, dataset: str, system: str, seconds: float) -> None:
 
 
 @pytest.mark.parametrize("dataset", ["favorita", "retailer"])
-def test_lmfao(benchmark, dataset, favorita_engine_bench, retailer_engine_bench,
+def test_lmfao(timed, dataset, favorita_engine_bench, retailer_engine_bench,
                favorita_bench, retailer_bench, report):
     engine = favorita_engine_bench if dataset == "favorita" else retailer_engine_bench
     db = favorita_bench if dataset == "favorita" else retailer_bench
@@ -43,16 +41,13 @@ def test_lmfao(benchmark, dataset, favorita_engine_bench, retailer_engine_bench,
     compiled = engine.compile(batch)
     engine.execute(compiled)  # warm the trie cache, as a resident engine would be
 
-    start = time.perf_counter()
-    result = benchmark.pedantic(
-        lambda: engine.execute(compiled), rounds=3, iterations=1
-    )
-    _record(report, dataset, "lmfao", (time.perf_counter() - start) / 3)
+    _run, seconds = timed(lambda: engine.execute(compiled), rounds=3)
+    _record(report, dataset, "lmfao", seconds)
 
 
 @pytest.mark.parametrize("dataset", ["favorita", "retailer"])
 def test_materialized_pipeline(
-    benchmark, dataset, favorita_bench, retailer_bench, report
+    timed, dataset, favorita_bench, retailer_bench, report
 ):
     db = favorita_bench if dataset == "favorita" else retailer_bench
     spec = favorita_features(db) if dataset == "favorita" else retailer_features(db)
@@ -62,18 +57,16 @@ def test_materialized_pipeline(
         pipeline = MaterializedPipeline(db)  # includes the join materialisation
         return pipeline.run(batch)
 
-    start = time.perf_counter()
-    benchmark.pedantic(run, rounds=3, iterations=1)
-    _record(report, dataset, "materialize+numpy", (time.perf_counter() - start) / 3)
+    _result, seconds = timed(run, rounds=3)
+    _record(report, dataset, "materialize+numpy", seconds)
 
 
 @pytest.mark.parametrize("dataset", ["favorita", "retailer"])
-def test_sql_per_query(benchmark, dataset, favorita_bench, retailer_bench, report):
+def test_sql_per_query(timed, dataset, favorita_bench, retailer_bench, report):
     db = favorita_bench if dataset == "favorita" else retailer_bench
     spec = favorita_features(db) if dataset == "favorita" else retailer_features(db)
     batch = covariance_batch(spec)
     baseline = SqlEngineBaseline(db)
 
-    start = time.perf_counter()
-    benchmark.pedantic(lambda: baseline.run(batch), rounds=1, iterations=1)
-    _record(report, dataset, "per-query SQL", time.perf_counter() - start)
+    _result, seconds = timed(lambda: baseline.run(batch), rounds=1)
+    _record(report, dataset, "per-query SQL", seconds)

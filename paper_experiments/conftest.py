@@ -12,6 +12,7 @@ Drop ``--benchmark-disable`` for pytest-benchmark timings.
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,27 @@ def report():
         _REPORT_ROWS.append((experiment, metric, paper, measured))
 
     return register
+
+
+@pytest.fixture()
+def timed(benchmark):
+    """``timed(fn, rounds)`` → ``(result, mean seconds)`` over the calls of
+    ``fn`` that ``benchmark.pedantic`` actually made — one under
+    ``--benchmark-disable``, ``rounds`` otherwise."""
+
+    def run(fn, rounds: int):
+        seconds: list[float] = []
+
+        def call():
+            start = time.perf_counter()
+            result = fn()
+            seconds.append(time.perf_counter() - start)
+            return result
+
+        result = benchmark.pedantic(call, rounds=rounds, iterations=1)
+        return result, sum(seconds) / len(seconds)
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,8 @@
 
 The published LMFAO emits C++ compiled with g++; this module restores that
 fidelity where a toolchain is available: each :class:`MultiOutputPlan` is
-lowered to C99, compiled with ``gcc -O2 -shared`` and invoked through
+lowered to C99, compiled to a shared object of its own with one
+``gcc -O1 -fPIC -shared`` step (:data:`CFLAGS`) and invoked through
 ctypes. The generated C mirrors the Python backend statement for
 statement — both are emitters of the one loop-nest walker
 (:mod:`repro.core.loopnest`): same trie loops, probes, γ/β locals, support
@@ -39,17 +40,60 @@ C side and read-only numpy arrays on the Python side. Calls go through
 ``ctypes.CDLL``, which **releases the GIL** for the duration of the native
 call — so the engine's domain-parallel mode (one call per trie partition,
 see ``repro.core.runtime``) gets real multicore scaling on this backend.
+
+**Artifacts.** Compiled groups outlive the engine that built them, so a
+set-up after the first pays ``dlopen``, not gcc:
+
+* *key* — a group's shared object is ``<key>.so``, ``key`` the sha256 of
+  the gcc version line, :data:`CFLAGS`, the shared prelude and the
+  group's generated source (:func:`artifact_key`). Constants enter the
+  generated code as arguments, so one key serves every binding of a
+  shape; the symbol name carries the group index.
+* *location* — :data:`ARTIFACT_DIR`, by default
+  ``<tempfile.gettempdir()>/lmfao-c-<uid>`` resolved per compile (it
+  follows ``TMPDIR``), created with mode 0700.
+* *ownership* — the directory is used only when it is a real directory
+  (not a symlink) owned by this user and writable by nobody else;
+  otherwise a compile builds in a private temporary directory that is
+  removed once its objects are loaded, exactly as correct, just not
+  kept.
+* *install* — a hit ``dlopen``\\ s the file and refreshes its mtime; a file
+  that does not load (a truncated or foreign ``.so``) counts as a miss.
+  Misses run one gcc each, all at once, into
+  ``<key>.<pid>.<random>.tmp``; the temporary is loaded and then renamed
+  into place with ``os.replace``, so concurrent builders of one key
+  (threads, or ``executor="process"`` workers warming the same batch)
+  each install an identical file. A gcc failure reaps every child and
+  removes every temporary before :class:`PlanError` is raised.
+* *bound* — after each install the least recently used ``.so`` files (by
+  mtime) are evicted until the directory holds at most
+  :data:`ARTIFACT_BYTES`. Evicting a loaded artifact is safe: the mapping
+  outlives the unlink, and content addressing keeps glibc's by-path
+  ``dlopen`` reuse correct.
+
+**Candidates.** :func:`compile_c_groups` compiles every supported plan
+unless given ``candidates``. Under ``backend="auto"`` the engine passes
+only the groups whose node relation, in the compile snapshot, reaches the
+cost model's cut (:func:`repro.core.costmodel.native_worthwhile`, the
+same cut :func:`~repro.core.costmodel.choose_backend` applies at run
+time): the relation's row count bounds its trie's, so every other group
+would run on Python anyway. A group that grows past the cut on a later
+snapshot has no C candidate and runs NumPy instead.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
+import os
+import secrets
+import stat
 import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -82,16 +126,36 @@ static inline uint64_t lmfao_mix(uint64_t x) {
 }
 """
 
+#: the one gcc step per group — C source on stdin, a shared object out;
+#: part of every artifact key
+CFLAGS = ("-O1", "-fPIC", "-shared")
+
+#: byte bound of the artifact directory (least recently used evicted first)
+ARTIFACT_BYTES = 256 << 20
+
+#: the artifact directory; ``None`` = ``<tempfile.gettempdir()>/lmfao-c-<uid>``
+ARTIFACT_DIR: str | os.PathLike | None = None
+
+
+@functools.cache
+def gcc_version() -> str | None:
+    """First line of ``gcc --version``; None without a usable gcc on PATH.
+
+    Probed once per process.
+    """
+    try:
+        done = subprocess.run(
+            ["gcc", "--version"], capture_output=True, text=True, check=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.partition("\n")[0]
+
 
 def gcc_available() -> bool:
     """True when a usable ``gcc`` is on PATH."""
-    try:
-        subprocess.run(
-            ["gcc", "--version"], capture_output=True, check=True, timeout=10
-        )
-        return True
-    except Exception:
-        return False
+    return gcc_version() is not None
 
 
 def supports_plan(plan: MultiOutputPlan, attribute_kinds: Mapping[str, str]) -> bool:
@@ -366,7 +430,7 @@ class CCompiledGroup:
         self.symbol = symbol
         self.args = args
         self.source = source
-        self.fn = None  # bound by CBackendLibrary.load
+        self.fn = None  # bound by _bind; keeps its shared object loaded
 
     # ------------------------------------------------------------- marshaling
     def prepare_bindings(self, view_data, view_group_by) -> dict:
@@ -572,84 +636,159 @@ class CCompiledGroup:
         return outputs
 
 
-class CBackendLibrary:
-    """Compiles a set of plans into one shared object and binds symbols."""
+def artifact_key(source: str) -> str:
+    """The content address of one group's shared object (see the module
+    docstring): sha256 of the gcc version line, :data:`CFLAGS`, the
+    prelude and the group's source."""
+    digest = hashlib.sha256()
+    for part in (gcc_version() or "", " ".join(CFLAGS), _PRELUDE, source):
+        digest.update(part.encode())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
-    def __init__(self) -> None:
-        self._lib = None
-        self._dir: tempfile.TemporaryDirectory | None = None
 
-    def compile(self, groups: list[CCompiledGroup]) -> None:
-        """Compile one object file per group in parallel, then link.
+def _artifact_dir() -> Path | None:
+    """:data:`ARTIFACT_DIR` (created 0700 when missing) if this user owns
+    it and nobody else can write it; None otherwise."""
+    path = Path(
+        ARTIFACT_DIR if ARTIFACT_DIR is not None
+        else Path(tempfile.gettempdir()) / f"lmfao-c-{os.getuid()}"
+    )
+    try:
+        path.mkdir(mode=0o700, exist_ok=True)
+        info = os.lstat(path)
+    except OSError:
+        return None
+    if (
+        not stat.S_ISDIR(info.st_mode)  # a symlink, or not a directory
+        or info.st_uid != os.getuid()
+        or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    ):
+        return None
+    return path
 
-        Task-parallel compilation mirrors how the published system hides
-        its g++ latency; the biggest group's translation unit still
-        dominates, exactly the trade-off the paper reports for compiled
-        batches.
-        """
-        digest = hashlib.sha1(
-            "".join(g.source for g in groups).encode()
-        ).hexdigest()[:12]
-        self._dir = tempfile.TemporaryDirectory(prefix="lmfao_c_")
-        base = Path(self._dir.name)
-        processes = []
-        objects = []
-        for i, group in enumerate(groups):
-            c_path = base / f"g{i}.c"
-            o_path = base / f"g{i}.o"
-            c_path.write_text(_PRELUDE + group.source)
-            objects.append(str(o_path))
-            processes.append(
-                subprocess.Popen(
-                    ["gcc", "-O1", "-fPIC", "-c", "-o", str(o_path), str(c_path)],
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    text=True,
-                )
+
+def _bind(group: CCompiledGroup, path: Path) -> ctypes.CDLL:
+    """Load ``path`` and bind ``group.fn`` to its symbol."""
+    library = ctypes.CDLL(str(path))
+    fn = getattr(library, group.symbol)
+    fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
+    fn.restype = ctypes.c_int32
+    group.fn = fn
+    return library
+
+
+def _load(directory: Path, groups: list[CCompiledGroup]) -> list[ctypes.CDLL]:
+    """Bind every group from ``directory``: hits are loaded, misses built."""
+    libraries, misses = [], []
+    for group in groups:
+        path = directory / f"{artifact_key(group.source)}.so"
+        try:
+            os.utime(path)  # a hit moves to the back of the eviction order
+            libraries.append(_bind(group, path))
+        except (OSError, AttributeError):  # absent, or not a loadable artifact
+            misses.append((group, path))
+    if misses:
+        libraries += _build(misses)
+        _evict(directory)
+    return libraries
+
+
+def _build(misses: list[tuple[CCompiledGroup, Path]]) -> list[ctypes.CDLL]:
+    """One gcc per missing artifact, all running at once.
+
+    Each output is loaded under its private temporary name, then renamed
+    into place. Every child is reaped and every temporary removed before
+    this returns or raises — the first failure raises :class:`PlanError`
+    after the siblings are killed.
+    """
+    builds = []
+    try:
+        for group, path in misses:
+            temporary = path.with_name(
+                f"{path.stem}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
             )
-        for i, process in enumerate(processes):
-            _, stderr = process.communicate()
-            if process.returncode != 0:
-                raise PlanError(f"gcc failed on {groups[i].symbol}:\n{stderr[:4000]}")
-        so_path = base / f"groups_{digest}.so"
-        result = subprocess.run(
-            ["gcc", "-shared", "-o", str(so_path)] + objects,
-            capture_output=True,
-            text=True,
-        )
-        if result.returncode != 0:
-            raise PlanError(f"gcc link failed:\n{result.stderr[:4000]}")
-        self._lib = ctypes.CDLL(str(so_path))
-        for group in groups:
-            fn = getattr(self._lib, group.symbol)
-            fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
-            fn.restype = ctypes.c_int32
-            group.fn = fn
+            process = subprocess.Popen(
+                ["gcc", *CFLAGS, "-x", "c", "-o", str(temporary), "-"],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            builds.append((group, path, temporary, process))
+            try:
+                with process.stdin:
+                    process.stdin.write(_PRELUDE + group.source)
+            except BrokenPipeError:
+                pass  # gcc exited early; its status and stderr are read below
+        for group, _path, _temporary, process in builds:
+            stderr = process.stderr.read()
+            if process.wait() != 0:
+                raise PlanError(f"gcc failed on {group.symbol}:\n{stderr[:4000]}")
+        libraries = []
+        for group, path, temporary, _process in builds:
+            libraries.append(_bind(group, temporary))
+            os.replace(temporary, path)
+        return libraries
+    finally:
+        for _group, _path, temporary, process in builds:
+            if process.poll() is None:
+                process.kill()
+            process.wait()
+            process.stderr.close()
+            temporary.unlink(missing_ok=True)
+
+
+def _evict(directory: Path) -> None:
+    """Unlink the least recently used artifacts until ``directory`` holds at
+    most :data:`ARTIFACT_BYTES`; a loaded one stays mapped."""
+    entries = []
+    for path in directory.glob("*.so"):
+        try:
+            info = path.stat()
+        except FileNotFoundError:  # evicted by a concurrent compile
+            continue
+        entries.append((info.st_mtime, info.st_size, path))
+    total = sum(size for _mtime, size, _path in entries)
+    for _mtime, size, path in sorted(entries):
+        if total <= ARTIFACT_BYTES:
+            break
+        path.unlink(missing_ok=True)
+        total -= size
 
 
 def compile_c_groups(
-    plans: Sequence[MultiOutputPlan], attribute_kinds: Mapping[str, str]
-) -> tuple[list, "CBackendLibrary | None"]:
+    plans: Sequence[MultiOutputPlan],
+    attribute_kinds: Mapping[str, str],
+    candidates: Collection[int] | None = None,
+) -> tuple[list, tuple[ctypes.CDLL, ...] | None]:
     """Lower supported plans to C; unsupported ones stay on Python.
 
-    Returns ``(groups, library)``: one entry per plan (``None`` where
-    :func:`supports_plan` says no) and the shared object keeping the
-    symbols alive. Raises :class:`PlanError` without gcc.
+    ``candidates`` (plan indices) restricts compilation to those plans;
+    None compiles every supported one. Returns ``(groups, library)``: one
+    entry per plan (``None`` where it is not a supported candidate) and
+    the loaded shared objects (``None`` when nothing compiled; each
+    group's bound function also keeps its own loaded). Raises
+    :class:`PlanError` without gcc or when gcc fails.
     """
     if not gcc_available():
         raise PlanError("backend='c' requires gcc on PATH")
     native_groups: list = [None] * len(plans)
-    native = []
     for i, plan in enumerate(plans):
+        if candidates is not None and i not in candidates:
+            continue
         if not supports_plan(plan, attribute_kinds):
             continue
         symbol = f"lmfao_run_g{i}"
         source, args = generate_c_source(plan, symbol)
-        group = CCompiledGroup(plan=plan, symbol=symbol, args=args, source=source)
-        native_groups[i] = group
-        native.append(group)
-    library = None
-    if native:
-        library = CBackendLibrary()
-        library.compile(native)
-    return native_groups, library
+        native_groups[i] = CCompiledGroup(
+            plan=plan, symbol=symbol, args=args, source=source
+        )
+    native = [group for group in native_groups if group is not None]
+    if not native:
+        return native_groups, None
+    directory = _artifact_dir()
+    if directory is not None:
+        return native_groups, tuple(_load(directory, native))
+    with tempfile.TemporaryDirectory(prefix="lmfao-c-") as private:
+        return native_groups, tuple(_load(Path(private), native))

@@ -362,6 +362,15 @@ def resolve_strategies(
 # ------------------------------------------------------------ backend choice
 
 
+def native_worthwhile(rows: int) -> bool:
+    """Whether a trie of ``rows`` rows leaves interpreted Python under
+    ``backend="auto"`` — the one cut: :func:`choose_backend` applies it
+    per execution, and ``LMFAO.compile`` builds a C candidate only for
+    groups whose node relation reaches it (a relation's row count bounds
+    its trie's)."""
+    return rows >= SMALL_TRIE_ROWS
+
+
 def choose_backend(rows: int, has_c: bool) -> str:
     """Per-group backend under ``backend="auto"``.
 
@@ -370,7 +379,7 @@ def choose_backend(rows: int, has_c: bool) -> str:
     past that, compiled C when this group has a compiled implementation,
     else the NumPy array program.
     """
-    if rows < SMALL_TRIE_ROWS:
+    if not native_worthwhile(rows):
         return "python"
     return "c" if has_c else "numpy"
 

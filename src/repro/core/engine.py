@@ -164,15 +164,21 @@ class EngineConfig:
         ``"numpy"`` (whole-level array programs over the same trie —
         segment-reduction sums, vectorized probes, CSR entry-list
         expansion for carried views; every plan shape runs natively, no
-        fallback class), ``"c"`` (generated C compiled with gcc,
-        carried blocks included; per-group fallback to Python when a
-        plan has a non-integer trie level, view key or group-by
-        attribute; ``compile()`` raises ``PlanError`` if gcc is
-        missing), or ``"auto"`` (the cost model picks per group at
+        fallback class), ``"c"`` (generated C compiled with gcc, one
+        shared object per group kept in a byte-bounded per-user artifact
+        directory, so compiling the same group again only loads it — see
+        :mod:`repro.core.cbackend`; carried blocks included; per-group
+        fallback to Python when a plan has a non-integer trie level, view
+        key or group-by attribute; ``compile()`` raises ``PlanError`` if
+        gcc is missing), or ``"auto"`` (the cost model picks per group at
         execution time: tiny tries stay on interpreted Python, larger
         ones run compiled C when the group has a C implementation, else
-        NumPy — see :func:`repro.core.costmodel.choose_backend`; gcc
-        missing is not an error, the C candidates just stay absent).
+        NumPy — see :func:`repro.core.costmodel.choose_backend`. ``compile()``
+        builds C only for groups whose node relation reaches that same
+        cut (:func:`repro.core.costmodel.native_worthwhile`) in the
+        compile snapshot, so a group that grows past it on a later
+        version runs NumPy, not C; gcc missing is not an error, the C
+        candidates just stay absent).
         ``"auto"`` requires ``adaptive=True`` and the thread executor.
         The C backend's ctypes calls release the GIL and the generated
         functions are reentrant, so ``workers > 1`` gives real
@@ -331,7 +337,8 @@ class CompiledBatch:
     ``"python"`` is always present and complete; ``"numpy"`` / ``"c"``
     exist when ``config.backend`` compiles them (``"auto"``: both, ``"c"``
     absent without gcc) and hold ``None`` for a group that backend does
-    not cover; ``c_library`` keeps the C groups' shared object loaded.
+    not cover (under ``"auto"``, C covers only the groups whose node
+    relation reached the cost model's cut at compile time).
     """
 
     batch: QueryBatch
@@ -346,7 +353,6 @@ class CompiledBatch:
     shared_predicates: tuple[Predicate, ...]
     execution_order: list[int]
     executables: dict[str, list]
-    c_library: object | None = None
 
     @property
     def native_group_count(self) -> int:
@@ -629,12 +635,20 @@ class LMFAO:
             order = order_group(group, view_plan, db)
             orders.append(order)
             plans.append(decompose_group(group, order, factorize=config.factorize))
-        executables, c_library = compile_executables(
+        c_candidates = None
+        if config.backend == "auto":
+            # C only where it will run (see repro.core.cbackend, "Candidates")
+            c_candidates = {
+                index for index, plan in enumerate(plans)
+                if costmodel.native_worthwhile(db.cardinality(plan.node))
+            }
+        executables = compile_executables(
             plans,
             config.backend,
             config.share_scan_terms,
             config.adaptive,
             _attribute_kinds(db.schema),
+            c_candidates,
         )
 
         return CompiledBatch(
@@ -650,7 +664,6 @@ class LMFAO:
             shared_predicates=shared,
             execution_order=_topological_order(group_plan),
             executables=executables,
-            c_library=c_library,
         )
 
     # --------------------------------------------------------------------- run

@@ -55,6 +55,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core import cbackend
 from repro.core.plan import MultiOutputPlan
 from repro.core.runtime import (
     compile_executables,
@@ -306,16 +307,17 @@ def _close_quietly(shm: shared_memory.SharedMemory) -> None:
 
 def _warm_batch(payload):
     """Recompile one batch's plans in this process (the warm-up): each
-    group's executable on the pool's backend, plus the C library handle."""
-    plans, backend, share_terms, attribute_kinds, adaptive = payload
-    executables, library = compile_executables(
+    group's executable on the pool's backend, C groups loaded from the
+    parent's artifact directory."""
+    plans, backend, share_terms, attribute_kinds, adaptive, artifact_dir = payload
+    cbackend.ARTIFACT_DIR = artifact_dir
+    executables = compile_executables(
         plans, backend, share_terms, adaptive, attribute_kinds
     )
-    groups = [
+    return [
         select_executable(executables, index, backend)[0]
         for index in range(len(plans))
     ]
-    return groups, library
 
 
 def _worker_main(conn) -> None:
@@ -326,7 +328,7 @@ def _worker_main(conn) -> None:
     is reported as ``("error", traceback)`` — the parent turns it into a
     :class:`PlanError`; a vanished pipe ends the loop.
     """
-    batches: dict = {}  # batch key -> (groups, library)
+    batches: dict = {}  # batch key -> per-group executables
     segments: dict = {}  # segment name -> SharedMemory
     tries: dict = {}  # (segment name, partition index) -> TrieIndex
     while True:
@@ -352,7 +354,7 @@ def _worker_main(conn) -> None:
             elif kind == "exec":
                 (_, key, group_index, export, part_indices,
                  view_data, view_group_by, functions) = message
-                groups, _library = batches[key]
+                groups = batches[key]
                 shm = segments.get(export.segment)
                 if shm is None:
                     shm = _attach_segment(export.segment)
@@ -674,6 +676,7 @@ class ProcessExecutor:
                                 self.share_terms,
                                 self.attribute_kinds,
                                 self.adaptive,
+                                cbackend.ARTIFACT_DIR,
                             )
                         conn.send(("warm", key, payload))
                         self._warmed[worker].add(key)

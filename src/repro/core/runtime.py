@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -413,24 +413,26 @@ def compile_executables(
     share_terms: bool,
     adaptive: bool,
     attribute_kinds: Mapping[str, str],
-) -> tuple[dict[str, list], object | None]:
+    c_candidates: Collection[int] | None = None,
+) -> dict[str, list]:
     """Compile every plan for ``backend``: the per-backend executable table.
 
-    Returns ``(executables, c_library)``. ``executables["python"]`` holds
-    the generated-Python group of every plan (always — it is each other
-    backend's fallback and the inspectable source); ``"numpy"`` / ``"c"``
-    are present when ``backend`` asks for them (``"auto"``: both), with
-    ``None`` where that backend does not cover a plan. ``c_library`` keeps
-    the C groups' shared object loaded. Called by :meth:`LMFAO.compile`
-    and by each worker process's warm-up (:mod:`repro.core.mpexec`) —
-    compiled code cannot cross a process boundary, plans can.
+    ``executables["python"]`` holds the generated-Python group of every
+    plan (always — it is each other backend's fallback and the
+    inspectable source); ``"numpy"`` / ``"c"`` are present when
+    ``backend`` asks for them (``"auto"``: both), with ``None`` where that
+    backend does not cover a plan. ``c_candidates`` limits the C table to
+    those plan indices (``backend="auto"``'s candidate rule, see
+    :mod:`repro.core.cbackend`); a C group's bound function keeps its
+    shared object loaded. Called by :meth:`LMFAO.compile` and by each
+    worker process's warm-up (:mod:`repro.core.mpexec`) — compiled code
+    cannot cross a process boundary, plans can.
     """
     from repro.core.codegen import generate_group
 
     executables: dict[str, list] = {
         "python": [generate_group(plan, share_terms=share_terms) for plan in plans]
     }
-    library = None
     if backend in ("numpy", "auto"):
         from repro.core import npbackend
 
@@ -441,14 +443,14 @@ def compile_executables(
         from repro.core import cbackend
 
         try:
-            executables["c"], library = cbackend.compile_c_groups(
-                plans, attribute_kinds
+            executables["c"], _library = cbackend.compile_c_groups(
+                plans, attribute_kinds, c_candidates
             )
         except PlanError:
             # no gcc on this machine: auto degrades to python/numpy.
             if backend == "c":
                 raise
-    return executables, library
+    return executables
 
 
 def select_executable(

@@ -114,6 +114,33 @@ _override_view_cache_default()
 
 
 @pytest.fixture(scope="session", autouse=True)
+def _hermetic_c_artifacts(tmp_path_factory):
+    """Keep the session's compiled C groups in a directory of its own.
+
+    Points :data:`repro.core.cbackend.ARTIFACT_DIR` (and, through the
+    warm-up payload, every worker process) at a session temporary
+    directory, so no run reads or fills the per-user artifact cache.
+    Repeat compiles of one group within the session are hits. At exit
+    the directory must hold no ``*.tmp`` partial and stay within
+    :data:`~repro.core.cbackend.ARTIFACT_BYTES`.
+    """
+    from repro.core import cbackend
+
+    directory = tmp_path_factory.mktemp("lmfao-c") / "artifacts"
+    saved = cbackend.ARTIFACT_DIR
+    cbackend.ARTIFACT_DIR = directory
+    yield directory
+    cbackend.ARTIFACT_DIR = saved
+    if directory.is_dir():
+        partials = sorted(p.name for p in directory.glob("*.tmp"))
+        assert not partials, f"partial C artifacts left behind: {partials}"
+        size = sum(p.stat().st_size for p in directory.glob("*.so"))
+        assert size <= cbackend.ARTIFACT_BYTES, (
+            f"C artifact directory holds {size} bytes, over its bound"
+        )
+
+
+@pytest.fixture(scope="session", autouse=True)
 def _no_shared_memory_leaks():
     """Fail the session if any shared-memory segment outlives its engine.
 

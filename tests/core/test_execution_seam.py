@@ -16,8 +16,9 @@ place (:mod:`repro.core.loopnest`; the source backends are emitters of
 it), the NumPy backend executes the same slot groups the walker emits
 with one slot product and one emission path, every backend's compiler is
 called from one place (:func:`repro.core.runtime.compile_executables`),
-and the runtime drives one compiled-group protocol instead of branching
-on a native/Python pair.
+gcc is spawned to compile and a shared object loaded in one place each
+(:mod:`repro.core.cbackend`), and the runtime drives one compiled-group
+protocol instead of branching on a native/Python pair.
 """
 
 from __future__ import annotations
@@ -212,6 +213,38 @@ def test_one_compiled_group_protocol():
     for node in ast.walk(runtime):
         if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name):
             assert node.left.id != "native", f"core/runtime.py:{node.lineno}"
+
+
+def _gcc_calls() -> list[tuple[str, str | None, bool]]:
+    """``(file:line, callee, is the version probe)`` of every call whose
+    first argument is a command list starting with ``"gcc"``."""
+    calls = []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call) and node.args
+                and isinstance(node.args[0], ast.List)
+            ):
+                continue
+            words = [e.value for e in node.args[0].elts if isinstance(e, ast.Constant)]
+            if words[:1] == ["gcc"]:
+                calls.append(
+                    (f"{module}:{node.lineno}", _called_name(node), "--version" in words)
+                )
+    return calls
+
+
+def test_one_native_build_and_load_site():
+    # gcc is spawned to compile in one place (one process per group, no
+    # link step) and probed in one other, a shared object is loaded in
+    # one, and the C compiler is entered only through the runtime's table
+    calls = sorted(_gcc_calls(), key=lambda call: call[2])
+    assert [call[1:] for call in calls] == [("Popen", False), ("run", True)], calls
+    assert all(call[0].startswith("core/cbackend.py:") for call in calls), calls
+    loads = _call_sites("CDLL")
+    assert len(loads) == 1 and loads[0].startswith("core/cbackend.py:"), loads
+    builds = _call_sites("compile_c_groups")
+    assert len(builds) == 1 and builds[0].startswith("core/runtime.py:"), builds
 
 
 def _dict_to_array_sites(prefix: str) -> list[str]:

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import retailer_features
 from repro.core import EngineConfig, LMFAO, costmodel
-from repro.core.cbackend import gcc_available
+from repro.core.cbackend import gcc_available, supports_plan
 from repro.core.engine import ViewSeeds
 from repro.core.runtime import ArrayViewData
 from repro.ml.covariance import covariance_batch
@@ -59,6 +59,14 @@ def _deal_backends(monkeypatch, rotation) -> None:
     monkeypatch.setattr(costmodel, "choose_backend", choose)
 
 
+def _compile_every_candidate(engine, batch):
+    """``engine.compile`` with a C candidate for every supported group —
+    the generated instances are far below the cost model's cut."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(costmodel, "native_worthwhile", lambda rows: True)
+        return engine.compile(batch)
+
+
 def _mixed_runs_match_python(instance) -> None:
     try:
         baseline = LMFAO(instance.db, _config(backend="python")).run(instance.batch)
@@ -66,17 +74,40 @@ def _mixed_runs_match_python(instance) -> None:
         pytest.skip("generated schema had a disconnected join graph")
     for partitions in (1, 2):
         engine = LMFAO(instance.db, _config(backend="auto", partitions=partitions))
-        compiled = engine.compile(instance.batch)
+        compiled = _compile_every_candidate(engine, instance.batch)
+        with_c = {
+            compiled.group_plan.groups[index].name
+            for index, group in enumerate(compiled.executables.get("c", ()))
+            if group is not None
+        }
+        ran_c: set[str] = set()
         for phase in range(len(_ROTATION)):
             rotation = _ROTATION[phase:] + _ROTATION[:phase]
             with pytest.MonkeyPatch.context() as patch:
                 _deal_backends(patch, rotation)
                 run = engine.execute(compiled)
+            ran_c.update(
+                name for name, decision in run.decisions.items()
+                if decision["backend"] == "c"
+            )
             for name, expected in baseline.results.items():
                 assert run.results[name].groups == expected.groups, (
                     f"rotation {rotation}, partitions={partitions}: {name} "
                     f"diverged from backend='python'"
                 )
+        if _HAS_C:
+            assert with_c == _supported_groups(instance.db, compiled)
+        # over the phases every group is dealt "c" once: each C candidate ran
+        assert ran_c == with_c, (ran_c, with_c)
+
+
+def _supported_groups(db, compiled) -> set[str]:
+    kinds = {a: db.schema.attribute_kind(a).value for a in db.schema.all_attributes}
+    return {
+        compiled.group_plan.groups[index].name
+        for index, plan in enumerate(compiled.plans)
+        if supports_plan(plan, kinds)
+    }
 
 
 @given(instance=instances())
@@ -100,7 +131,7 @@ def test_native_to_native_view_never_builds_its_mirror(retailer_db):
     batch = covariance_batch(spec)
     python = LMFAO(retailer_db, _config(backend="python")).run(batch)
     engine = LMFAO(retailer_db, _config(backend="auto"))
-    compiled = engine.compile(batch)
+    compiled = _compile_every_candidate(engine, batch)
     consumers: dict[str, list[int]] = {}
     for index, plan in enumerate(compiled.plans):
         for view in plan.consumed_views:
