@@ -105,12 +105,7 @@ from repro.core.lowering import (
     base_emission_mode,
 )
 from repro.core.plan import Emission, MultiOutputPlan, ViewBinding
-from repro.core.runtime import (
-    ArrayViewData,
-    _product_column,
-    _product_signature,
-    view_columns,
-)
+from repro.core.runtime import ArrayViewData, bind_operands, view_columns
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
@@ -510,6 +505,7 @@ class CCompiledGroup:
         def bind_capacity(view: str) -> int:
             return _next_pow2(2 * max(1, len(view_data[view])))
 
+        farrs, psums = bind_operands(plan, trie, functions)
         out_buffers: dict[int, dict] = {}
 
         def out_capacity(index: int) -> int:
@@ -546,23 +542,9 @@ class CCompiledGroup:
                 }[part]
                 put(i, np.ascontiguousarray(array, dtype=np.int64))
             elif kind == "farr":
-                # bound-function cache signature, like the other backends:
-                # PlanBinding may re-bind the slot name's constant per
-                # request while the trie (and its caches) is shared
-                _, (k, attr, func_name) = role
-                func = functions[func_name]
-                put(i, trie.level_function_array(
-                    k, f"{func.name}({attr})", func
-                ))
+                put(i, farrs[role[1]])
             elif kind == "psum":
-                _, product = role
-                put(
-                    i,
-                    trie.prefix_sum(
-                        _product_signature(product, functions),
-                        _product_column(product, functions),
-                    ),
-                )
+                put(i, psums[role[1]])
             elif kind == "bind_count":
                 put(i, np.array([len(view_data[role[1]])], dtype=np.int64))
             elif kind == "bind_keys":

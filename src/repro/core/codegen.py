@@ -34,12 +34,7 @@ from typing import Callable, Mapping
 
 from repro.core.loopnest import LoopNestEmitter
 from repro.core.plan import Emission, MultiOutputPlan, ViewBinding
-from repro.core.runtime import (
-    ViewData,
-    _product_column,
-    _product_signature,
-    reshape_binding,
-)
+from repro.core.runtime import ViewData, bind_operands, reshape_binding
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
@@ -49,8 +44,9 @@ class GroupEnvironment:
     """What the generated function reads: one plan's inputs as Python lists.
 
     Trie level arrays, per-level factor value arrays (``f`` applied to the
-    distinct level values), prefix-sum registers for row-factor products,
-    and the incoming views reshaped to the consumer's key layout by
+    distinct level values) and prefix-sum registers for row-factor
+    products (both from :func:`~repro.core.runtime.bind_operands`), and
+    the incoming views reshaped to the consumer's key layout by
     :meth:`CompiledGroup.prepare_bindings`.
     """
 
@@ -63,22 +59,7 @@ class GroupEnvironment:
     ) -> None:
         self.nrows = trie.num_rows
         self.levels = [trie.level_lists(k) for k in range(len(plan.relation_levels))]
-        self.farrs: dict[tuple[int, str, str], list] = {}
-        for level, attr, func_name in plan.level_functions:
-            func = functions.get(func_name)
-            if func is None:
-                raise PlanError(f"no runtime function registered for {func_name!r}")
-            # cache signature by the *bound* function's name, not the plan
-            # slot name — see _product_signature for why (constant rebinding)
-            self.farrs[(level, attr, func_name)] = trie.level_function_values(
-                level, f"{func.name}({attr})", func
-            )
-        self.psums: dict[tuple, list] = {}
-        for product in plan.row_products:
-            self.psums[product] = trie.prefix_sum_list(
-                _product_signature(product, functions),
-                _product_column(product, functions),
-            )
+        self.farrs, self.psums = bind_operands(plan, trie, functions, lists=True)
         self.bindings = bindings
 
 

@@ -7,16 +7,17 @@ backend that emits source (the produce/consume shape of raco's
 
 * variable tables (``F<i>`` level-function arrays, ``P<i>`` prefix sums,
   ``B<i>`` bindings, ``O<i>`` outputs — positions in the plan's lists);
-* ``Term`` → expression, hoisted into a ``t<n>`` local at ``term.level``
-  (numbered in first-use order over γ nodes then β nodes, plan order);
+* a product is its lowered operands' expressions joined by ``*``, a
+  trie-function operand hoisted into a ``t<n>`` local at its level
+  (numbered in first-use order over γ then β nodes, plan order);
 * per level: probes → hoisted terms → γ products → β initialisers →
   the next level's loop → β accumulations → the level's slot groups
   (:attr:`~repro.core.lowering.LevelSchedule.outputs`, aligned first);
   level ``-1`` is the code around the outermost loop;
 * per slot group (:meth:`LoopNestEmitter.emit_output`): the support
   guard (``b<support> > 0``), entry loops over keyed carried blocks,
-  slot-value products, then an append or an accumulate; the scalar
-  epilogue.
+  slot-value products, then an append, an accumulate or (a scalar
+  emission, at level ``-1``) a scalar write.
 
 A backend subclasses it with **syntax leaves only**: declaration
 prefixes and statement terminator, loop headers, probe code, entry-loop
@@ -30,30 +31,28 @@ plan order.
 
 The NumPy backend is not an emitter of this walker: it evaluates whole
 levels as arrays, stage by stage (all probes, then all γ, then all β
-deepest-first, then emissions), and has no loop nest to emit. Its
-emission stage is :meth:`LoopNestEmitter.emit_output` in array form,
-over the same slot groups, with the same slot product
-(:meth:`LoopNestEmitter.slot_value`).
+deepest-first, then emissions), and has no loop nest to emit. It
+multiplies arrays over the same lowered operand tuples, and its emission
+stage is :meth:`LoopNestEmitter.emit_output` in array form.
 """
 
 from __future__ import annotations
 
 import io
 
-from repro.core.lowering import SlotGroupSchedule
-from repro.core.plan import (
-    CountTerm,
-    Emission,
-    EmissionSlot,
-    FactorTerm,
-    MultiOutputPlan,
-    RowSumTerm,
-    SubSumTerm,
-    Term,
-    ViewBinding,
-    ViewTerm,
+from repro.core.lowering import (
+    OP_BETA,
+    OP_COUNT,
+    OP_ENTRY,
+    OP_FACTOR,
+    OP_GAMMA,
+    OP_SUBSUM,
+    OP_VIEW,
+    Operand,
+    Product,
+    SlotGroupSchedule,
 )
-from repro.util.errors import PlanError
+from repro.core.plan import Emission, MultiOutputPlan, ViewBinding
 
 
 class SourceWriter:
@@ -103,10 +102,8 @@ class LoopNestEmitter:
         self.lowered = plan.lowered
         self.share_terms = share_terms
         self.w = SourceWriter(self.indent, self.block_end)
-        self.farr_var = {key: f"F{i}" for i, key in enumerate(plan.level_functions)}
-        self.psum_var = {p: f"P{i}" for i, p in enumerate(plan.row_products)}
         self.binding_index = {b.view: i for i, b in enumerate(plan.bindings)}
-        self._term_vars: dict[tuple, str] = {}
+        self._term_vars: dict[Operand, str] = {}
         self._hoisted_at: dict[int, list[tuple[str, str]]] = {}
 
     # ----------------------------------------------------------- syntax leaves
@@ -165,60 +162,47 @@ class LoopNestEmitter:
 
     # --------------------------------------------------------------- traversal
     def generate(self) -> str:
-        plan, lowered = self.plan, self.lowered
         self.prologue()
-        # resolve every term first so hoisted locals land on their levels
-        self._gamma_exprs = {
-            n.id: [self.term_expr(t) for t in n.terms] for n in plan.gammas
-        }
-        self._beta_exprs = {
-            n.id: [self.term_expr(t) for t in n.terms] for n in plan.betas
-        }
+        # resolve every node product first so hoisted locals land on their levels
+        self._gamma_exprs = [self.product(p) for p in self.lowered.gamma_products]
+        self._beta_exprs = [self.product(p) for p in self.lowered.beta_products]
         self.emit_body(-1)
         self.emit_loops(0)
         self.emit_tail(-1)
-        for le in lowered.scalar_emissions:
-            self.write_scalar(
-                le.index, le.emission, [self.slot_value(s) for s in le.emission.slots]
-            )
         return self.epilogue()
 
-    def term_expr(self, term: Term) -> str:
-        if isinstance(term, ViewTerm):
-            return self.view_aggregate(self.binding_index[term.view], term.agg_index)
-        if isinstance(term, SubSumTerm):
-            return f"ss_{term.block}_{term.agg_index}"
-        k = term.level
-        if isinstance(term, FactorTerm):
-            base = f"{self.farr_var[(k, term.attr, term.func_name)]}[r{k}]"
-        elif isinstance(term, CountTerm):
+    def operand_expr(self, op: Operand) -> str:
+        kind, k = op.kind, op.level
+        if kind == OP_GAMMA:
+            return f"g{op.index}"
+        if kind == OP_BETA:
+            return f"b{op.index}"
+        if kind == OP_VIEW:
+            return self.view_aggregate(op.index, op.agg)
+        if kind == OP_SUBSUM:
+            return f"ss_{op.index}_{op.agg}"
+        if kind == OP_ENTRY:
+            return self.entry_aggregate(op.index, op.agg, keyed=True)
+        # a pure trie function: hoisted when terms are shared
+        if kind == OP_FACTOR:
+            base = f"F{op.index}[r{k}]"
+        elif kind == OP_COUNT:
             rows = "NROWS" if k < 0 else f"(L{k}_re[r{k}] - L{k}_rs[r{k}])"
             base = self.count_cast + rows
-        elif isinstance(term, RowSumTerm):
-            pv = self.psum_var[term.product]
-            if k < 0:
-                base = f"{pv}[NROWS]"
-            else:
-                base = f"({pv}[L{k}_re[r{k}]] - {pv}[L{k}_rs[r{k}]])"
-        else:  # pragma: no cover - exhaustive over Term union
-            raise PlanError(f"unknown term {term!r}")
+        elif k < 0:  # OP_ROWSUM
+            base = f"P{op.index}[NROWS]"
+        else:
+            base = f"(P{op.index}[L{k}_re[r{k}]] - P{op.index}[L{k}_rs[r{k}]])"
         if not self.share_terms:
             return base
-        var = self._term_vars.get(term.sig)
+        var = self._term_vars.get(op)
         if var is None:
-            var = self._term_vars[term.sig] = f"t{len(self._term_vars)}"
+            var = self._term_vars[op] = f"t{len(self._term_vars)}"
             self._hoisted_at.setdefault(k, []).append((var, base))
         return var
 
-    def slot_value(self, slot: EmissionSlot) -> str:
-        pieces = []
-        if slot.gamma is not None:
-            pieces.append(f"g{slot.gamma}")
-        if slot.beta is not None:
-            pieces.append(f"b{slot.beta}")
-        for cf in slot.carried_factors:
-            pieces.append(self.entry_aggregate(cf.block, cf.agg_index, keyed=True))
-        return " * ".join(pieces) if pieces else "1.0"
+    def product(self, operands: Product) -> str:
+        return " * ".join([self.operand_expr(op) for op in operands]) or "1.0"
 
     def emit_loops(self, level: int) -> None:
         if level >= self.lowered.num_levels:
@@ -234,18 +218,18 @@ class LoopNestEmitter:
     def emit_probes(self, level: int) -> None:
         w, schedule = self.w, self.lowered.level(level)
         probes = schedule.probes
-        if self.scalars_first:
-            probes = schedule.scalar_probes + schedule.carried_probes
+        if self.scalars_first:  # a stable sort: plan order within each kind
+            probes = sorted(probes, key=lambda binding: binding.is_carried)
         for binding in probes:
             self.probe(self.binding_index[binding.view], binding)
             subs = self.lowered.block_subsums(binding.block) if binding.is_carried else ()
             if subs:
-                names = [f"ss_{term.block}_{term.agg_index}" for term in subs]
+                names = [self.operand_expr(op) for op in subs]
                 for name in names:
                     w.line(f"{self.accum_decl}{name} = 0.0{self.end}")
                 self.open_entries(binding.block, keyed=False)
-                for name, term in zip(names, subs):
-                    entry = self.entry_aggregate(term.block, term.agg_index, keyed=False)
+                for name, op in zip(names, subs):
+                    entry = self.entry_aggregate(op.index, op.agg, keyed=False)
                     w.line(f"{name} += {entry}{self.end}")
                 w.close()
 
@@ -254,26 +238,21 @@ class LoopNestEmitter:
         for var, expr in self._hoisted_at.get(level, ()):
             w.line(f"{self.const_decl}{var} = {expr}{self.end}")
         for node in schedule.gammas:
-            exprs = self._gamma_exprs[node.id]
-            if node.parent is not None:
-                exprs = [f"g{node.parent}"] + exprs
-            w.line(f"{self.const_decl}g{node.id} = {' * '.join(exprs)}{self.end}")
+            product = self._gamma_exprs[node.id]
+            w.line(f"{self.const_decl}g{node.id} = {product}{self.end}")
         for node in schedule.beta_inits:
             w.line(f"{self.accum_decl}b{node.id} = 0.0{self.end}")
 
     def emit_tail(self, level: int) -> None:
         schedule = self.lowered.level(level)
         for node in schedule.beta_accums:
-            exprs = self._beta_exprs[node.id]
-            if node.child is not None:
-                exprs = exprs + [f"b{node.child}"]
-            self.w.line(f"b{node.id} += {' * '.join(exprs)}{self.end}")
+            self.w.line(f"b{node.id} += {self._beta_exprs[node.id]}{self.end}")
         for group in schedule.outputs:
             self.emit_output(group)
 
     def emit_output(self, group: SlotGroupSchedule) -> None:
         """One slot group: guard, keyed entry loops, then the backend's
-        append (aligned) or accumulate write."""
+        append (aligned), accumulate (hash) or scalar write."""
         w, first = self.w, group.first
         index, emission = group.emission_index, group.emission
         depth = len(first.key_blocks)
@@ -287,8 +266,13 @@ class LoopNestEmitter:
             else self.carried_key(part.level, part.pos)
             for part in first.key_parts
         ]
-        values = [(slot.slot, self.slot_value(slot)) for slot in group.slots]
-        if emission.aligned:
+        values = [
+            (slot.slot, self.product(product))
+            for slot, product in zip(group.slots, group.products)
+        ]
+        if not emission.group_by:
+            self.write_scalar(index, emission, [value for _slot, value in values])
+        elif emission.aligned:
             self.append_row(index, emission, keys, values)
         else:
             self.accumulate_row(

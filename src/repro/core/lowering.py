@@ -15,6 +15,13 @@ reading the same per-emission slot groups the walker emits. A plan is
 lowered once, on first use, and keeps its lowering
 (:attr:`~repro.core.plan.MultiOutputPlan.lowered`).
 
+It also **resolves operands**, once: every γ node, β node, slot and
+carried sub-sum becomes the tuple of :class:`Operand` records its
+generated statement multiplies, in order. This is the only dispatch on
+the :data:`~repro.core.plan.Term` classes; the walker joins operand
+expressions and NumPy multiplies operand arrays over the same tuples, so
+their operand orders agree by construction.
+
 The lowering is **pure structure**: it depends only on the plan, never on
 data. Execution-strategy decisions — hash vs sort grouping for an
 emission, partition count, backend choice — are *data-dependent* and are
@@ -25,8 +32,7 @@ re-bound predicate constants; they are deliberately absent from this IR
 Scheduling invariants preserved from the original per-backend code:
 
 * probes, γ nodes and β nodes keep **plan order** within a level (the
-  statement order of the generated code, which the NumPy backend's
-  operand order mirrors for bit-exactness);
+  statement order of the generated code);
 * β accumulation across levels is **deepest level first** — a chain's
   child (strictly deeper) is fully reduced before its parent multiplies
   it in (:attr:`LoweredPlan.beta_order`);
@@ -36,21 +42,27 @@ Scheduling invariants preserved from the original per-backend code:
 * an aligned emission is one slot group holding all its slots, guarded
   by its first slot's support and hosted at that slot's level; a level
   hosts its aligned groups before its hash groups;
-* scalar emissions run in the epilogue, after all loops.
+* a scalar emission is one slot group hosted at level ``-1``: the
+  epilogue, after all loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.plan import (
     BetaNode,
+    CountTerm,
     Emission,
     EmissionSlot,
+    FactorTerm,
     GammaNode,
     MultiOutputPlan,
-    SubSumTerm,
+    RowSumTerm,
+    Term,
     ViewBinding,
+    ViewTerm,
 )
 
 #: emission execution modes, decided purely by plan structure.
@@ -91,6 +103,33 @@ def emission_mode(emission: Emission) -> str:
     return base_emission_mode(emission)
 
 
+#: operand kinds; ``Operand.index`` is a position in plan.level_functions
+#: (factor), plan.row_products (rowsum) or plan.bindings (view), a carried
+#: block (subsum, entry: a sum over / the current one of its entries), a
+#: γ or β id; a count operand is the run's row count
+OP_FACTOR, OP_COUNT, OP_ROWSUM, OP_VIEW = "factor", "count", "rowsum", "view"
+OP_SUBSUM, OP_ENTRY, OP_GAMMA, OP_BETA = "subsum", "entry", "gamma", "beta"
+
+
+class Operand(NamedTuple):
+    """One multiplicand of a product, resolved against the plan.
+
+    ``level`` is the trie level whose runs the value varies with (``-1``:
+    one value; a γ at its placement, a β at its reset level); ``agg`` the
+    aggregate position of a view, sub-sum or entry operand. Equal operands
+    are equal values, so an operand is its own hoisting and memo key.
+    """
+
+    kind: str
+    level: int
+    index: int = 0
+    agg: int = 0
+
+
+#: one product's operands, in the generated statement's multiplicand order
+Product = tuple[Operand, ...]
+
+
 @dataclass(frozen=True)
 class SlotGroupSchedule:
     """One emission's slots written together in one loop body.
@@ -99,13 +138,15 @@ class SlotGroupSchedule:
     (the C backend addresses output buffers by it). The first slot's
     ``(level, key parts, key blocks, support)`` is the group's host: the
     level, guard, keyed entry loops and key every backend writes the
-    group under. A hash group's slots share that host; an aligned
-    emission is a single group of all its slots.
+    group under. A hash group's slots share that host; an aligned or a
+    scalar emission is a single group of all its slots. ``products`` are
+    the slots' values (γ × β × carried factors), parallel to ``slots``.
     """
 
     emission_index: int
     emission: Emission
     slots: tuple[EmissionSlot, ...]
+    products: tuple[Product, ...]
 
     @property
     def first(self) -> EmissionSlot:
@@ -119,8 +160,8 @@ class LoweredEmission:
     index: int
     emission: Emission
     mode: str
-    #: the groups that write the emission (empty only for ``'scalar'``
-    #: base; one group for ``'aligned'``).
+    #: the groups that write the emission (one for an ``'aligned'`` or
+    #: ``'scalar'`` base).
     slot_groups: tuple[SlotGroupSchedule, ...]
     #: the host accumulation mode (= ``mode`` except for ``'topk'``,
     #: whose loop-nest scheduling follows its base).
@@ -133,19 +174,14 @@ class LevelSchedule:
     the prologue/epilogue outside all loops).
 
     ``probes`` keeps plan order (scalar and carried bindings interleaved,
-    the C backend's statement order); ``scalar_probes``/``carried_probes``
-    are the same bindings split by kind (the Python generator probes
-    scalars first — semantically equivalent since all probes at a level
-    AND into the same alive mask, but each backend keeps its historical
-    statement order). ``outputs`` are the slot groups written after the
-    inner loops: aligned groups first, then hash groups, each in
-    emission order.
+    the C backend's statement order; the Python generator probes scalars
+    first — equivalent, since all probes at a level AND into the same
+    alive mask). ``outputs`` are the slot groups written after the inner
+    loops: aligned groups first, then hash groups, each in emission order.
     """
 
     level: int
     probes: tuple[ViewBinding, ...]
-    scalar_probes: tuple[ViewBinding, ...]
-    carried_probes: tuple[ViewBinding, ...]
     gammas: tuple[GammaNode, ...]
     beta_inits: tuple[BetaNode, ...]
     beta_accums: tuple[BetaNode, ...]
@@ -158,11 +194,13 @@ class LoweredPlan:
 
     ``levels`` holds one :class:`LevelSchedule` per trie level plus the
     prologue/epilogue pseudo-level ``-1`` (access via :meth:`level`);
-    ``emissions`` is index-ordered with modes resolved;
-    ``scalar_emissions`` the epilogue writes; ``beta_order`` the global
-    deepest-first β evaluation order used by vectorised segment sums;
-    ``subsums_by_block`` the Σ-over-entries terms each carried block
-    computes at its bind level. The plan owns its lowering
+    ``emissions`` is index-ordered with modes resolved; ``beta_order``
+    the global deepest-first β evaluation order used by vectorised segment
+    sums;
+    ``gamma_products`` / ``beta_products`` every node's operands, indexed
+    by node id (its position in ``plan.gammas`` / ``plan.betas``);
+    ``subsums_by_block`` the Σ-over-entries sub-sum operands each carried
+    block computes at its bind level. The plan owns its lowering
     (:attr:`~repro.core.plan.MultiOutputPlan.lowered`), so there is no
     reference back to the plan: that would make every plan a reference
     cycle, freed only by the cyclic garbage collector.
@@ -171,24 +209,56 @@ class LoweredPlan:
     num_levels: int
     levels: tuple[LevelSchedule, ...]
     emissions: tuple[LoweredEmission, ...]
-    scalar_emissions: tuple[LoweredEmission, ...]
     beta_order: tuple[BetaNode, ...]
-    subsums_by_block: tuple[tuple[int, tuple[SubSumTerm, ...]], ...]
+    gamma_products: tuple[Product, ...]
+    beta_products: tuple[Product, ...]
+    subsums_by_block: tuple[tuple[int, Product], ...]
 
     def level(self, k: int) -> LevelSchedule:
         """The schedule hosted by level ``k`` (``-1`` = outside all loops)."""
         return self.levels[k + 1]
 
-    def block_subsums(self, block: int) -> tuple[SubSumTerm, ...]:
-        for index, terms in self.subsums_by_block:
+    def block_subsums(self, block: int) -> Product:
+        for index, operands in self.subsums_by_block:
             if index == block:
-                return terms
+                return operands
         return ()
 
 
 def lower_plan(plan: MultiOutputPlan) -> LoweredPlan:
     """Lower one plan to its staged schedule (pure, deterministic)."""
     num_rel = len(plan.relation_levels)
+    factors = {key: i for i, key in enumerate(plan.level_functions)}
+    products = {product: i for i, product in enumerate(plan.row_products)}
+    views = {binding.view: i for i, binding in enumerate(plan.bindings)}
+
+    def operand(term: Term) -> Operand:
+        if isinstance(term, FactorTerm):
+            key = (term.level, term.attr, term.func_name)
+            return Operand(OP_FACTOR, term.level, factors[key])
+        if isinstance(term, CountTerm):
+            return Operand(OP_COUNT, term.level)
+        if isinstance(term, RowSumTerm):
+            return Operand(OP_ROWSUM, term.level, products[term.product])
+        if isinstance(term, ViewTerm):
+            return Operand(OP_VIEW, term.level, views[term.view], term.agg_index)
+        return Operand(OP_SUBSUM, term.level, term.block, term.agg_index)
+
+    # each node's value as a one-operand product; no node (None) as none
+    gamma: dict = {None: ()}
+    gamma.update((n.id, (Operand(OP_GAMMA, n.level, n.id),)) for n in plan.gammas)
+    beta: dict = {None: ()}
+    beta.update((n.id, (Operand(OP_BETA, n.reset_level, n.id),)) for n in plan.betas)
+
+    def slot_group(index: int, emission: Emission, slots) -> SlotGroupSchedule:
+        products = tuple(
+            gamma[slot.gamma] + beta[slot.beta] + tuple([
+                Operand(OP_ENTRY, slot.level, factor.block, factor.agg_index)
+                for factor in slot.carried_factors
+            ])
+            for slot in slots
+        )
+        return SlotGroupSchedule(index, emission, slots, products)
 
     probes_at: dict[int, list[ViewBinding]] = {}
     for binding in plan.bindings:
@@ -204,7 +274,6 @@ def lower_plan(plan: MultiOutputPlan) -> LoweredPlan:
         beta_accums_at.setdefault(node.level, []).append(node)
 
     lowered_emissions: list[LoweredEmission] = []
-    scalar_emissions: list[LoweredEmission] = []
     aligned_at: dict[int, list[SlotGroupSchedule]] = {}
     hash_at: dict[int, list[SlotGroupSchedule]] = {}
     for index, emission in enumerate(plan.emissions):
@@ -212,20 +281,18 @@ def lower_plan(plan: MultiOutputPlan) -> LoweredPlan:
         # hosting is exactly its base's (the ranked cut runs after all
         # loops, at result finishing).
         base = base_emission_mode(emission)
-        groups: tuple[SlotGroupSchedule, ...] = ()
-        if base == MODE_ALIGNED:
-            groups = (SlotGroupSchedule(index, emission, emission.slots),)
-        elif base == MODE_HASH:
+        if base == MODE_HASH:
             groups = tuple(
-                SlotGroupSchedule(index, emission, slots)
+                slot_group(index, emission, slots)
                 for _key, slots in emission.slot_groups()
             )
+        else:
+            groups = (slot_group(index, emission, emission.slots),)
         lowered = LoweredEmission(
             index, emission, emission_mode(emission), groups, base
         )
         lowered_emissions.append(lowered)
-        if base == MODE_SCALAR:
-            scalar_emissions.append(lowered)
+        # level -1 hosts only scalar groups: they land in emission order
         hosts = aligned_at if base == MODE_ALIGNED else hash_at
         for group in groups:
             hosts.setdefault(group.first.level, []).append(group)
@@ -234,12 +301,6 @@ def lower_plan(plan: MultiOutputPlan) -> LoweredPlan:
         LevelSchedule(
             level=k,
             probes=tuple(probes_at.get(k, ())),
-            scalar_probes=tuple(
-                b for b in probes_at.get(k, ()) if not b.is_carried
-            ),
-            carried_probes=tuple(
-                b for b in probes_at.get(k, ()) if b.is_carried
-            ),
             gammas=tuple(gammas_at.get(k, ())),
             beta_inits=tuple(beta_inits_at.get(k, ())),
             beta_accums=tuple(beta_accums_at.get(k, ())),
@@ -248,19 +309,28 @@ def lower_plan(plan: MultiOutputPlan) -> LoweredPlan:
         for k in range(-1, num_rel)
     )
 
-    subsums_by_block: dict[int, list[SubSumTerm]] = {}
+    subsums_by_block: dict[int, list[Operand]] = {}
     for term in plan.subsums:
-        subsums_by_block.setdefault(term.block, []).append(term)
+        subsums_by_block.setdefault(term.block, []).append(operand(term))
 
     return LoweredPlan(
         num_levels=num_rel,
         levels=levels,
         emissions=tuple(lowered_emissions),
-        scalar_emissions=tuple(scalar_emissions),
         beta_order=tuple(
             sorted(plan.betas, key=lambda n: n.level, reverse=True)
         ),
+        # γ: parent, then the terms; β: the terms, then the child
+        gamma_products=tuple(
+            gamma[node.parent] + tuple([operand(term) for term in node.terms])
+            for node in plan.gammas
+        ),
+        beta_products=tuple(
+            tuple([operand(term) for term in node.terms]) + beta[node.child]
+            for node in plan.betas
+        ),
         subsums_by_block=tuple(
-            (block, tuple(terms)) for block, terms in subsums_by_block.items()
+            (block, tuple(operands))
+            for block, operands in subsums_by_block.items()
         ),
     )

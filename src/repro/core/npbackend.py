@@ -24,11 +24,13 @@ construct for *all* runs of a level at once:
   segment in the flattened carried columns and aggregate matrix. A probe
   at the block's bind level yields a per-run key row (hence an entry
   segment) plus the semi-join found mask;
-* **sub-sums** — ``SubSumTerm`` (Σ over a carried view's entries) is one
-  ``np.add.reduceat`` over the entry segments per table, computed once at
-  marshalling time and indexed per probed run;
-* **γ prefix products** — per-level ``values``-array multiplies, broadcast
-  down via ancestor maps in the same operand order as the generated code;
+* **sub-sums** — a carried sub-sum (Σ over a carried view's entries) is
+  one ``np.add.reduceat`` over the entry segments per table, computed
+  once at marshalling time and indexed per probed run;
+* **γ prefix products** — every γ node, β node and slot multiplies the
+  operand tuple the lowering resolved for it, the one the walker joins
+  into the generated statement, broadcasting per-run arrays down via
+  ancestor maps; γ nodes in plan order (parents first);
 * **β running sums** — ``np.add.reduceat`` segment sums over the composed
   subtree spans, bottom-up per level (children of a chain first), with
   dead runs zeroed before reduction;
@@ -39,7 +41,7 @@ construct for *all* runs of a level at once:
   entries of its keyed carried blocks (``np.repeat`` cross product, the
   vectorized form of the generated nested entry loops); gather key
   columns from trie levels and the flattened carried columns; compute
-  each slot with one slot product (γ × β × carried factors); then keep
+  each slot's product (γ × β × carried factors); then keep
   the rows (aligned) or group them by composite key codes and sum per
   key (hash — ``np.bincount`` adds weights in input order, trie order,
   like the interpreted loop). Every non-scalar output leaves as a
@@ -54,8 +56,9 @@ a defensive structural check, so with ``backend="numpy"`` the engine runs
 whole batches natively with no per-group fallback class left.
 
 **Bit-exactness contract vs the Python backend.** Operand order of every
-product and the per-key accumulation order of every hash emission match
-the generated Python statement for statement — carried expansions
+product (by construction: the same lowered tuples) and the per-key
+accumulation order of every hash emission match the generated Python
+statement for statement — carried expansions
 enumerate (run, entry…) pairs in trie × entry-list order, exactly like
 the generated nested loops — and on integer-valued data (where float64
 arithmetic is exact) results are bit-identical — the property grid in
@@ -80,24 +83,20 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core import costmodel
-from repro.core.lowering import MODE_SCALAR, LoweredEmission
-from repro.core.plan import (
-    CountTerm,
-    EmissionSlot,
-    FactorTerm,
-    MultiOutputPlan,
-    RowSumTerm,
-    SubSumTerm,
-    Term,
-    ViewBinding,
-    ViewTerm,
+from repro.core.lowering import (
+    MODE_SCALAR,
+    OP_BETA,
+    OP_COUNT,
+    OP_ENTRY,
+    OP_FACTOR,
+    OP_GAMMA,
+    OP_SUBSUM,
+    OP_VIEW,
+    LoweredEmission,
+    Operand,
 )
-from repro.core.runtime import (
-    ArrayViewData,
-    _product_column,
-    _product_signature,
-    view_columns,
-)
+from repro.core.plan import MultiOutputPlan, ViewBinding
+from repro.core.runtime import ArrayViewData, bind_operands, view_columns
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
@@ -245,7 +244,7 @@ class _CarriedTable(_ProbeTable):
     interpreted entry lists iterate, so carried accumulations stay
     statement-compatible. ``subsums`` holds Σ over each key's entries of
     every aggregate (one ``np.add.reduceat`` per table), which makes a
-    :class:`~repro.core.plan.SubSumTerm` read a per-run gather.
+    sub-sum operand read a per-run gather.
     """
 
     def __init__(self, binding: ViewBinding, group_by: tuple[str, ...], data: dict):
@@ -503,14 +502,14 @@ class _PlanEvaluation:
         self.plan = plan
         self.trie = trie
         self.tables = tables
-        self.functions = functions
+        self.farrs, self.psums = bind_operands(plan, trie, functions)
         self.lowered = plan.lowered
         #: per-artifact grouping strategy ('hash' | 'sort') from the cost
         #: model; None / missing artifact = hash (the static default).
         self.strategies = strategies or {}
         self.num_rel = len(plan.relation_levels)
         self.cache = trie._np_cache
-        self._terms: dict[tuple, object] = {}
+        self._values: dict[Operand, object] = {}
         self._alive: list[np.ndarray | None] = [None] * self.num_rel
         self._probed: dict[str, np.ndarray] = {}
         #: carried block index -> (key_row, found) at the block's bind level
@@ -519,7 +518,6 @@ class _PlanEvaluation:
         self._entry_geo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._gamma: dict[int, object] = {}
         self._beta: dict[int, object] = {}
-        self._gamma_level = {node.id: node.level for node in plan.gammas}
 
     # ------------------------------------------------------------ run geometry
     def runs(self, k: int) -> int:
@@ -585,64 +583,82 @@ class _PlanEvaluation:
         return np.full(self.runs(k), float(value))
 
     # ----------------------------------------------------------------- stages
-    def term_value(self, term: Term):
-        """The term's per-run array at its own level (scalar at level -1)."""
-        got = self._terms.get(term.sig)
+    def _table(self, block: int):
+        """The marshalled entry table behind carried block ``block``."""
+        return self.tables[self.plan.block_binding(block).view]
+
+    def operand_value(self, op: Operand):
+        """One run-level operand's per-run array at its own level (a
+        scalar at level -1), memoised: the walker's ``operand_expr`` over a
+        whole level. Entry operands vary per (run, entry) pair instead —
+        see :meth:`product`."""
+        got = self._values.get(op)
         if got is not None:
             return got
-        if isinstance(term, FactorTerm):
-            func = self.functions.get(term.func_name)
-            if func is None:
-                raise PlanError(
-                    f"no runtime function registered for {term.func_name!r}"
-                )
-            # trie caches key on the *bound* function's name so re-bound
-            # predicate constants (PlanBinding) never collide on a shared
-            # index — see runtime._product_signature
-            got = self.trie.level_function_array(
-                term.level, f"{func.name}({term.attr})", func
-            )
-        elif isinstance(term, ViewTerm):
-            got = self._probed[term.view][:, term.agg_index]
-        elif isinstance(term, SubSumTerm):
-            # per-run at the block's bind level (== term.level): the
+        kind, k = op.kind, op.level
+        if kind == OP_GAMMA:  # computed by the γ stage, parents first
+            got = self._gamma[op.index]
+        elif kind == OP_BETA:  # computed by the β stage, deepest first
+            got = self._beta[op.index]
+        elif kind == OP_FACTOR:
+            got = self.farrs[self.plan.level_functions[op.index]]
+        elif kind == OP_VIEW:
+            got = self._probed[self.plan.bindings[op.index].view][:, op.agg]
+        elif kind == OP_SUBSUM:
+            # per-run at the block's bind level (== op.level): the
             # carried probe already resolved each run to its key row
-            key_row, found = self._carried[term.block]
-            got = self.tables[term.view].subsum(key_row, found, term.agg_index)
-        elif isinstance(term, (CountTerm, RowSumTerm)):
-            # pure trie functions: cache the materialised run arrays on
-            # the index, like the factor arrays and prefix-sum registers.
-            # RowSumTerm keys resolve plan slot names to the bound
-            # functions' own names (term.sig carries slot names, which a
-            # PlanBinding may re-bind per request on this shared index)
-            if isinstance(term, RowSumTerm):
-                key = ("term", "r", term.level,
-                       _product_signature(term.product, self.functions))
-            else:
-                key = ("term",) + term.sig
-            got = self.cache.get(key)
+            key_row, found = self._carried[op.index]
+            got = self._table(op.index).subsum(key_row, found, op.agg)
+        elif kind == OP_COUNT:
+            # a pure function of the index: cached on it, like run geometry
+            got = self.cache.get(("count", k))
             if got is None:
-                if isinstance(term, CountTerm):
-                    if term.level < 0:
-                        got = float(self.trie.num_rows)
-                    else:
-                        lvl = self.trie.level(term.level)
-                        got = (lvl.row_end - lvl.row_start).astype(np.float64)
+                if k < 0:
+                    got = float(self.trie.num_rows)
                 else:
-                    psum = self.trie.prefix_sum(
-                        _product_signature(term.product, self.functions),
-                        _product_column(term.product, self.functions),
-                    )
-                    if term.level < 0:
-                        got = float(psum[-1])
-                    else:
-                        lvl = self.trie.level(term.level)
-                        got = psum[lvl.row_end] - psum[lvl.row_start]
-                self.cache[key] = got
-        else:  # pragma: no cover - exhaustive over the Term union
-            raise PlanError(f"numpy backend cannot evaluate term {term!r}")
-        self._terms[term.sig] = got
+                    lvl = self.trie.level(k)
+                    got = (lvl.row_end - lvl.row_start).astype(np.float64)
+                self.cache[("count", k)] = got
+        else:  # OP_ROWSUM: cached on the index by register identity — the
+            # entry holds the register, so its id is never reused meanwhile
+            psum = self.psums[self.plan.row_products[op.index]]
+            held, got = self.cache.get(("rowsum", k, id(psum)), (None, None))
+            if held is not psum:
+                if k < 0:
+                    got = float(psum[-1])
+                else:
+                    lvl = self.trie.level(k)
+                    got = psum[lvl.row_end] - psum[lvl.row_start]
+                self.cache[("rowsum", k, id(psum))] = (psum, got)
+        self._values[op] = got
         return got
+
+    def product(
+        self,
+        operands: tuple[Operand, ...],
+        k: int,
+        rows: np.ndarray | None = None,
+        entries: Mapping[int, np.ndarray] | None = None,
+    ):
+        """∏ ``operands`` hosted at level ``k``, in operand order — the
+        walker's ``product`` over a whole level: an array over the level-k
+        runs, or over the selected (run, entry…) pairs when ``rows`` is
+        given; a float at level -1. No operands multiply to 1.0."""
+        value = None
+        for op in operands:
+            if op.kind == OP_ENTRY:
+                piece = self._table(op.index).agg_matrix[entries[op.index], op.agg]
+            else:
+                piece = self.down(self.operand_value(op), op.level, k)
+                if rows is not None and isinstance(piece, np.ndarray):
+                    piece = piece[rows]
+            value = piece if value is None else value * piece
+        if isinstance(value, np.ndarray):
+            return value
+        value = 1.0 if value is None else float(value)
+        if k < 0:
+            return value
+        return np.full(self.runs(k) if rows is None else len(rows), value)
 
     def _run_probes(self) -> None:
         """Alive masks, probed view matrices and carried key rows, per level.
@@ -671,18 +687,9 @@ class _PlanEvaluation:
             self._alive[k] = mask
 
     def _run_gammas(self) -> None:
-        for node in self.plan.gammas:  # ids ascend: parents come first
-            value = None
-            if node.parent is not None:
-                value = self.down(
-                    self._gamma[node.parent],
-                    self._gamma_level[node.parent],
-                    node.level,
-                )
-            for term in node.terms:
-                piece = self.down(self.term_value(term), term.level, node.level)
-                value = piece if value is None else value * piece
-            self._gamma[node.id] = value
+        # plan order: a parent's id is below its children's
+        for node, operands in zip(self.plan.gammas, self.lowered.gamma_products):
+            self._gamma[node.id] = self.product(operands, node.level)
 
     def _run_betas(self) -> None:
         # Deepest levels first (LoweredPlan.beta_order): a chain's child
@@ -691,14 +698,7 @@ class _PlanEvaluation:
         # nested loop tails.
         for node in self.lowered.beta_order:
             k = node.level
-            value = None
-            for term in node.terms:
-                piece = self.down(self.term_value(term), term.level, k)
-                value = piece if value is None else value * piece
-            if node.child is not None:
-                child = self._beta[node.child]  # per-run at k (reset == k)
-                value = child if value is None else value * child
-            value = self.full(value, k)
+            value = self.product(self.lowered.beta_products[node.id], k)
             mask = self._alive[k]
             if mask is not None:
                 value = np.where(mask, value, 0.0)
@@ -730,13 +730,12 @@ class _PlanEvaluation:
         """
         got = self._entry_geo.get((block, k))
         if got is None:
-            binding = self.plan.block_binding(block)
             key_row, found = self._carried[block]
-            j = binding.bind_level
+            j = self.plan.block_binding(block).bind_level
             if j < k:
                 anc = self.ancestors(j, k)
                 key_row, found = key_row[anc], found[anc]
-            got = self.tables[binding.view].entry_ranges(key_row, found)
+            got = self._table(block).entry_ranges(key_row, found)
             self._entry_geo[(block, k)] = got
         return got
 
@@ -789,40 +788,9 @@ class _PlanEvaluation:
                 column = self.down(self.level_values(part.level), part.level, k)
                 columns.append(column if rows is None else column[rows])
             else:  # 'car': part.level stores the block index
-                table = self.tables[self.plan.block_binding(part.level).view]
+                table = self._table(part.level)
                 columns.append(table.carried_columns[part.pos][entries[part.level]])
         return columns
-
-    def _slot_value(
-        self,
-        slot: EmissionSlot,
-        k: int,
-        rows: np.ndarray | None = None,
-        entries: Mapping[int, np.ndarray] | None = None,
-    ):
-        """γ × β × ∏ carried factors of one slot hosted at level ``k``, in
-        statement order — the array form of the walker's ``slot_value``.
-
-        One value per level-k run, or per selected (run, entry…) pair
-        when ``rows`` is given; a float at level -1 (scalar emissions).
-        """
-        value = None
-        if slot.gamma is not None:
-            value = self.down(
-                self._gamma[slot.gamma], self._gamma_level[slot.gamma], k
-            )
-        if slot.beta is not None:
-            beta = self._beta[slot.beta]  # per-run at k (reset == k)
-            value = beta if value is None else value * beta
-        if k < 0:
-            return 1.0 if value is None else float(value)
-        value = self.full(1.0 if value is None else value, k)
-        if rows is not None:
-            value = value[rows]
-        for factor in slot.carried_factors:
-            table = self.tables[self.plan.block_binding(factor.block).view]
-            value = value * table.agg_matrix[entries[factor.block], factor.agg_index]
-        return value
 
     def _key_table(self, k: int, key_parts, strategy: str) -> tuple:
         """The level-k runs grouped by their emission key (cached on trie).
@@ -850,8 +818,8 @@ class _PlanEvaluation:
 
         A group selects the runs its guard lets through (alive and
         supported), expanded by the entries of its keyed carried blocks;
-        gathers their key columns; and computes each slot with
-        :meth:`_slot_value`. An aligned group's rows are its output (each
+        gathers their key columns; and computes each slot's
+        :meth:`product`. An aligned group's rows are its output (each
         key is new). A hash group's rows are grouped and summed per key in
         input (trie × entry-list) order, like the interpreted dict
         accumulation, whether the grouper scatters (``np.bincount``, hash
@@ -866,7 +834,8 @@ class _PlanEvaluation:
         """
         emission = lowered.emission
         if lowered.base_mode == MODE_SCALAR:
-            return {(): [self._slot_value(slot, -1) for slot in emission.slots]}
+            (group,) = lowered.slot_groups
+            return {(): [self.product(p, -1) for p in group.products]}
         strategy = self.strategies.get(emission.artifact, costmodel.STRATEGY_HASH)
         parts = []
         for group in lowered.slot_groups:
@@ -876,16 +845,14 @@ class _PlanEvaluation:
             if emission.aligned or first.key_blocks:
                 rows, entries = self._select_runs(k, first.key_blocks, mask)
                 keys = self._key_columns(first.key_parts, k, rows, entries)
-                values = [
-                    self._slot_value(slot, k, rows, entries) for slot in group.slots
-                ]
+                values = [self.product(p, k, rows, entries) for p in group.products]
                 if not emission.aligned:
                     grouper = _make_grouper(keys, strategy)
                     keys = [column[grouper.first_index] for column in keys]
                     values = [grouper.accumulate(value) for value in values]
             else:
                 grouper, keys = self._key_table(k, first.key_parts, strategy)
-                values = [self._slot_value(slot, k) for slot in group.slots]
+                values = [self.product(p, k) for p in group.products]
                 if mask is None:
                     values = [grouper.accumulate(value) for value in values]
                 else:

@@ -25,8 +25,9 @@ nest over the node's relation and the decomposed aggregate computation:
   the group-by is a prefix of the attribute order, so every key is visited
   exactly once).
 
-Both the code generator and the reference interpreter consume this IR and
-must agree exactly; that invariant is tested differentially.
+The three backends (:mod:`~repro.core.codegen`, :mod:`~repro.core.npbackend`,
+:mod:`~repro.core.cbackend`) consume this IR and must agree exactly; that
+invariant is tested differentially.
 """
 
 from __future__ import annotations
@@ -317,9 +318,8 @@ class MultiOutputPlan:
 
     The contract between the optimiser (:func:`repro.core.decompose.
     decompose_group`) and every executor — the generated-Python code
-    (:mod:`repro.core.codegen`), the reference interpreter, and the NumPy
-    and C backends all consume exactly this IR and must agree
-    bit-for-bit on integer data.
+    (:mod:`repro.core.codegen`), the NumPy and the C backends all consume
+    exactly this IR and must agree bit-for-bit on integer data.
 
     Field by field:
 

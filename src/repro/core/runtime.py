@@ -298,20 +298,53 @@ def view_columns(
 def _product_signature(
     product: tuple[tuple[str, str], ...], functions: Mapping[str, Function]
 ) -> str:
-    """Trie-cache signature of a row-factor product, by *bound* function.
+    """Trie-cache signature of a factor product, by *bound* function name
+    (see :func:`bind_operands`)."""
+    try:
+        return "*".join(f"{functions[func].name}({attr})" for attr, func in product)
+    except KeyError as missing:
+        raise PlanError(
+            f"no runtime function registered for {missing.args[0]!r}"
+        ) from None
 
-    Plans reference functions by slot name; the functions mapping resolves
-    each slot to the runtime :class:`Function` actually executing. The
-    cache signature must use the **resolved** function's name: under a
-    plan-cache hit with re-bound predicate constants (see
-    :class:`repro.core.engine.PlanBinding`), the slot name carries the
-    *compiled* batch's constant while the bound function carries the
-    request's — and trie-attached caches are shared across requests, so
-    keying on the slot name would serve one request's indicator arrays to
-    another. Function names are unique per behaviour (the registry
-    contract), which makes the resolved name a sound cache key.
+
+def bind_operands(
+    plan: MultiOutputPlan,
+    trie: TrieIndex,
+    functions: Mapping[str, Function],
+    lists: bool = False,
+) -> tuple[dict, dict]:
+    """The trie arrays a plan's ``F<i>`` / ``P<j>`` operands read, for
+    every backend: ``(farrs, psums)``, the level-function arrays and
+    prefix-sum registers keyed by ``plan.level_functions`` /
+    ``plan.row_products`` entries (generated Python's ``env.farrs`` /
+    ``env.psums``, the C ``("farr", key)`` / ``("psum", product)`` roles);
+    ``lists`` returns the Python-list views generated Python indexes.
+
+    The trie caches key each array by the **bound** function's name (a
+    level function is the one-factor product ``f(attr)``). Plans name
+    functions by slot; under a plan-cache hit with re-bound predicate
+    constants (:class:`repro.core.engine.PlanBinding`) the slot name
+    carries the compiled batch's constant and the bound function the
+    request's, and tries are shared across requests, so slot-name keys
+    would serve one request's indicator arrays to another. Function names
+    are unique per behaviour (the registry contract): a sound key.
     """
-    return "*".join(f"{functions[func].name}({attr})" for attr, func in product)
+    level_products = [((attr, func),) for _level, attr, func in plan.level_functions]
+    signatures = [
+        _product_signature(product, functions)
+        for product in (*level_products, *plan.row_products)
+    ]
+    farrs: dict = {}
+    for key, signature in zip(plan.level_functions, signatures):
+        level, _attr, func = key
+        array = trie.level_function_array(level, signature, functions[func])
+        farrs[key] = trie.operand_list((level, signature)) if lists else array
+    psums: dict = {}
+    for product, signature in zip(plan.row_products, signatures[len(level_products):]):
+        array = trie.prefix_sum(signature, _product_column(product, functions))
+        psums[product] = trie.operand_list(signature) if lists else array
+    return farrs, psums
 
 
 def _product_column(

@@ -67,15 +67,7 @@ class TrieIndex:
         self.order = order
         self.relation = relation if presorted else relation.sorted_by(order)
         self._levels = self._build_levels()
-        self._prefix_sums: dict[str, np.ndarray] = {}
-        self._level_lists: dict[int, tuple[list, list, list, list, list]] = {}
-        self._level_functions: dict[tuple, object] = {}
-        self._prefix_lists: dict[str, list] = {}
-        self._partition_cache: dict[int, list["TrieIndex"]] = {}
-        #: scratch cache for derived run geometry (parent maps, ancestor
-        #: maps, span starts) computed by the NumPy backend — keyed and
-        #: owned by repro.core.npbackend, invalidated with the index.
-        self._np_cache: dict = {}
+        self._reset_caches()
 
     @classmethod
     def from_sorted(cls, relation: Relation, order: Sequence[str]) -> "TrieIndex":
@@ -101,22 +93,30 @@ class TrieIndex:
         column buffers read-only and reassembles the index without paying
         the sort *or* the run-boundary scan — zero copies, zero pickling
         of relations. The caller owns the buffers' lifetime (the mapped
-        segment must outlive the index). All derived caches (prefix sums,
-        level lists, function arrays) start empty and are recomputed per
-        process, which is exactly the per-process warm-up the executor
-        amortises across runs.
+        segment must outlive the index). All derived caches (operand
+        arrays, level lists) start empty and are recomputed per process,
+        which is exactly the per-process warm-up the executor amortises
+        across runs.
         """
         self = cls.__new__(cls)
         self.order = tuple(order)
         self.relation = relation
         self._levels = list(levels)
-        self._prefix_sums = {}
-        self._level_lists = {}
-        self._level_functions = {}
-        self._prefix_lists = {}
-        self._partition_cache = {}
-        self._np_cache = {}
+        self._reset_caches()
         return self
+
+    def _reset_caches(self) -> None:
+        """Empty every derived cache: the one list of them."""
+        #: operand arrays (level-function values, prefix sums) by signature
+        self._operands: dict[object, np.ndarray] = {}
+        #: their Python-list views, by the same signature
+        self._operand_lists: dict[object, list] = {}
+        self._level_lists: dict[int, tuple[list, list, list, list, list]] = {}
+        self._partition_cache: dict[int, list["TrieIndex"]] = {}
+        #: scratch cache for derived run geometry (parent maps, ancestor
+        #: maps, span starts) computed by the NumPy backend — keyed and
+        #: owned by repro.core.npbackend, invalidated with the index.
+        self._np_cache: dict = {}
 
     def _build_levels(self) -> list[TrieLevel]:
         n = self.relation.num_rows
@@ -185,9 +185,10 @@ class TrieIndex:
         ``compute`` receives the sorted relation and returns one float per
         row (e.g. ``units * price`` or an indicator column). The returned
         array ``P`` has ``len+1`` entries with
-        ``P[hi] - P[lo] == sum(term[lo:hi])``.
+        ``P[hi] - P[lo] == sum(term[lo:hi])``. Cached under ``signature``
+        (see :meth:`operand_list`).
         """
-        cached = self._prefix_sums.get(signature)
+        cached = self._operands.get(signature)
         if cached is not None:
             return cached
         term = np.asarray(compute(self.relation), dtype=np.float64)
@@ -200,25 +201,8 @@ class TrieIndex:
         out[0] = 0.0
         np.cumsum(term, out=out[1:])
         out.setflags(write=False)
-        self._prefix_sums[signature] = out
+        self._operands[signature] = out
         return out
-
-    def run_count(self, k: int) -> int:
-        """Number of distinct prefixes of length ``k+1``."""
-        return self._levels[k].num_runs
-
-    # ------------------------------------------------------------------ rebuild
-    def rebuilt(self, relation: Relation) -> "TrieIndex":
-        """A fresh index over an updated instance, same attribute order.
-
-        This is the *partitioned rebuild* of incremental maintenance: when a
-        base relation changes, only the tries of that one join-tree node are
-        reconstructed (one ``lexsort`` of the updated instance); every other
-        node's index — including its prefix-sum registers and cached level
-        lists — survives untouched in the caches keyed by (node, order,
-        filter).
-        """
-        return TrieIndex(relation, self.order)
 
     # --------------------------------------------------------------- partitions
     def partitions(self, k: int) -> list["TrieIndex"]:
@@ -304,40 +288,28 @@ class TrieIndex:
         """``compute`` applied to the distinct values of level ``k`` (cached array).
 
         This materialises a per-run factor array: plans evaluate
-        ``f(attr)`` once per distinct value, not once per row. The C
-        backend reads the ndarray directly; the Python backend works off
-        :meth:`level_function_values` (the same data as a plain list).
+        ``f(attr)`` once per distinct value, not once per row. The NumPy
+        and C backends read the ndarray directly; the Python backend
+        works off its :meth:`operand_list`. Cached under ``(k, signature)``.
         """
-        key = (k, signature, "array")
-        cached = self._level_functions.get(key)
+        key = (k, signature)
+        cached = self._operands.get(key)
         if cached is None:
             cached = np.ascontiguousarray(
                 compute(self._levels[k].values), dtype=np.float64
             )
             cached.setflags(write=False)
-            self._level_functions[key] = cached
+            self._operands[key] = cached
         return cached
 
-    def level_function_values(
-        self, k: int, signature: str, compute: Callable[[np.ndarray], np.ndarray]
-    ) -> list:
-        """:meth:`level_function_array` as a cached Python list (see
-        :meth:`level_lists`)."""
-        key = (k, signature)
-        cached = self._level_functions.get(key)
+    def operand_list(self, key) -> list:
+        """The operand array cached under ``key`` as a cached Python list
+        (see :meth:`level_lists`): ``(k, signature)`` for a
+        :meth:`level_function_array`, ``signature`` for a
+        :meth:`prefix_sum`."""
+        cached = self._operand_lists.get(key)
         if cached is None:
-            cached = self.level_function_array(k, signature, compute).tolist()
-            self._level_functions[key] = cached
-        return cached
-
-    def prefix_sum_list(
-        self, signature: str, compute: Callable[[Relation], np.ndarray]
-    ) -> list:
-        """:meth:`prefix_sum` as a cached Python list (see :meth:`level_lists`)."""
-        cached = self._prefix_lists.get(signature)
-        if cached is None:
-            cached = self.prefix_sum(signature, compute).tolist()
-            self._prefix_lists[signature] = cached
+            cached = self._operand_lists[key] = self._operands[key].tolist()
         return cached
 
     def __repr__(self) -> str:

@@ -11,10 +11,13 @@ execution primitive from :mod:`repro.core.runtime` and touches no engine
 private of the step.
 
 Below the step, the same holds for compilation: a plan is lowered once
-and keeps its lowering, the loop nest of a lowered plan is walked in one
+and keeps its lowering, every γ/β/slot product's operands are resolved
+once, by that lowering, the loop nest of a lowered plan is walked in one
 place (:mod:`repro.core.loopnest`; the source backends are emitters of
-it), the NumPy backend executes the same slot groups the walker emits
-with one slot product and one emission path, every backend's compiler is
+it), the NumPy backend executes the same slot groups and operand tuples
+the walker emits with one emission path, every backend fetches its
+operand arrays through one binder
+(:func:`repro.core.runtime.bind_operands`), every backend's compiler is
 called from one place (:func:`repro.core.runtime.compile_executables`),
 gcc is spawned to compile and a shared object loaded in one place each
 (:mod:`repro.core.cbackend`), and the runtime drives one compiled-group
@@ -135,17 +138,6 @@ def test_one_loop_nest_walker():
             )
         ]
         assert not recursive, f"{module} recurses in {recursive}"
-    # one Term → expression dispatch for source; NumPy's evaluates arrays
-    dispatches = sorted(
-        module
-        for module, tree in _modules().items()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and _called_name(node) == "isinstance"
-        and isinstance(node.args[1], ast.Name)
-        and node.args[1].id == "FactorTerm"
-    )
-    assert dispatches == ["core/loopnest.py", "core/npbackend.py"], dispatches
     writers = [
         f"{module}:{node.name}"
         for module, tree in _modules().items()
@@ -172,18 +164,9 @@ def test_numpy_executes_the_lowered_slot_groups():
         site for module in _modules()
         for site in _attribute_reads(module, "aligned_emissions")
     ]
-    # NumPy: one slot product (the only reader of a slot's γ), one
-    # function building the columnar outputs, and no slot partition of
-    # its own — the slot groups come from the lowering
+    # NumPy: one function building the columnar outputs, and no slot
+    # partition of its own — the slot groups come from the lowering
     numpy = "core/npbackend.py"
-    products = [
-        function.name for function in _functions(numpy)
-        if any(
-            isinstance(node, ast.Attribute) and node.attr == "gamma"
-            for node in ast.walk(function)
-        )
-    ]
-    assert products == ["_slot_value"], products
     builders = [
         function.name for function in _functions(numpy)
         if any(
@@ -199,6 +182,88 @@ def test_numpy_executes_the_lowered_slot_groups():
                 isinstance(arg, ast.Attribute) and arg.attr == "support"
                 for arg in node.args
             ), f"{numpy}:{node.lineno} partitions slots by support"
+
+
+def _bound_signature_sites() -> list[str]:
+    """``file:line`` of every f-string ``f"{<function>.name}({attr})"``:
+    the trie-cache signature of a bound function applied to an attribute."""
+
+    def named(part, name: str) -> bool:
+        value = getattr(part, "value", None)
+        return isinstance(part, ast.FormattedValue) and (
+            isinstance(value, ast.Attribute) and value.attr == name
+            or isinstance(value, ast.Name) and value.id == name
+        )
+
+    sites = []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.JoinedStr):
+                continue
+            parts = node.values
+            for i in range(len(parts) - 3):
+                func, opening, attr, closing = parts[i:i + 4]
+                if (
+                    named(func, "name") and named(attr, "attr")
+                    and isinstance(opening, ast.Constant) and opening.value == "("
+                    and isinstance(closing, ast.Constant)
+                    and str(closing.value).startswith(")")
+                ):
+                    sites.append(f"{module}:{node.lineno}")
+    return sites
+
+
+def test_one_operand_resolution():
+    # the lowering is the only place a Term becomes an operand; the walker
+    # joins operand expressions and NumPy multiplies operand arrays over
+    # the same lowered tuples, and neither knows a term class
+    dispatches = [
+        f"{module}:{node.lineno}"
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _called_name(node) == "isinstance"
+        and any(
+            isinstance(arg, ast.Name) and arg.id == "FactorTerm"
+            for arg in node.args[1:]
+        )
+    ]
+    assert [site.split(":")[0] for site in dispatches] == ["core/lowering.py"], (
+        dispatches
+    )
+    for module in ("core/loopnest.py", "core/npbackend.py"):
+        imported = {
+            alias.name
+            for node in ast.walk(_modules()[module])
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not {name for name in imported if name.endswith("Term")}, module
+        # no operand order rebuilt: no node's terms / parent / child, no
+        # slot's γ / β / carried factors read (``self.parent`` is NumPy's
+        # run geometry, not a γ node's)
+        rebuilt = [
+            f"{module}:{node.lineno} reads .{node.attr}"
+            for node in ast.walk(_modules()[module])
+            if isinstance(node, ast.Attribute)
+            and node.attr in {
+                "terms", "parent", "child", "gamma", "beta", "carried_factors",
+            }
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        ]
+        assert not rebuilt, rebuilt
+    # the bound-function trie-cache signature has one home, reached only
+    # through the binder every backend fetches its F<i> / P<j> arrays from
+    signatures = _bound_signature_sites()
+    assert len(signatures) == 1 and signatures[0].startswith("core/runtime.py:"), (
+        signatures
+    )
+    products = _call_sites("_product_signature")
+    assert len(products) == 1 and products[0].startswith("core/runtime.py:"), products
+    binders = sorted(site.split(":")[0] for site in _call_sites("bind_operands"))
+    assert binders == [
+        "core/cbackend.py", "core/codegen.py", "core/npbackend.py",
+    ], binders
 
 
 def test_one_compiled_group_protocol():

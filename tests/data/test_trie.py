@@ -90,9 +90,11 @@ def test_level_lists_and_functions(relation):
     vals, rs, re_, cs, ce = trie.level_lists(0)
     assert vals == [1, 2]
     assert isinstance(vals[0], int)
-    farr = trie.level_function_values(0, "sq", lambda v: v.astype(float) ** 2)
-    assert farr == [1.0, 4.0]
-    plist = trie.prefix_sum_list("x", lambda rel: rel.column("x"))
+    trie.level_function_array(0, "sq", lambda v: v.astype(float) ** 2)
+    farr = trie.operand_list((0, "sq"))
+    assert farr == [1.0, 4.0] and trie.operand_list((0, "sq")) is farr
+    trie.prefix_sum("x", lambda rel: rel.column("x"))
+    plist = trie.operand_list("x")
     assert plist[0] == 0.0 and len(plist) == 7
 
 

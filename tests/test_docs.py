@@ -52,6 +52,9 @@ def test_ci_workflow_runs_tier1():
     text = workflow.read_text()
     assert "python -m pytest -x -q" in text
     assert "README.md" in text
+    # the byte-identity digests are checked under more than one hash seed
+    assert "for seed in 0 1" in text and "PYTHONHASHSEED=$seed" in text
+    assert "tests/core/test_source_identity.py" in text
 
 
 def test_docs_cover_parallel_execution():
