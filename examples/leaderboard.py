@@ -5,9 +5,8 @@ query behind dashboards and recommendation panels. With ordered
 emissions (``Query.order_by`` / ``limit``) LMFAO computes such
 leaderboards inside the same shared-scan batch as ordinary aggregates:
 the factorised engine materialises the full grouped result once, and
-the finishing seam ranks + truncates it per partition with the kernel
-(bounded heap vs full sort) the cost model picks from ``k`` and the
-group count. The script also applies a delta that reshuffles one
+the finishing seam ranks + truncates it per partition with a bounded
+selection. The script also applies a delta that reshuffles one
 location's leaderboard and shows the maintained handle tracking it.
 
 Run:  python examples/leaderboard.py [scale]
@@ -65,15 +64,10 @@ def main(scale: float = 0.1) -> None:
     run = engine.run(batch)
     seconds = time.perf_counter() - start
     topk = run["top_items_per_location"]
-    strategies = {
-        name: strategy
-        for entry in run.decisions.values()
-        for name, strategy in entry.get("topk", {}).items()
-    }
     print(
         f"Leaderboard batch over retailer (scale={scale}): "
         f"{db.total_tuples()} tuples, {run.compiled.num_views} views, "
-        f"{seconds:.2f}s; finishing kernels: {strategies}"
+        f"{seconds:.2f}s"
     )
 
     print("\nBusiest locations (top 5 by total inventory):")

@@ -20,11 +20,11 @@ is walked once for every source backend by
 Python syntax leaves (:class:`PythonEmitter`) and the runtime wrapper
 (:class:`CompiledGroup`, :class:`GroupEnvironment`).
 
-Substitution note (DESIGN.md): the paper generates C++; generating
-specialised Python over the trie/prefix-sum runtime keeps the identical
-plan structure while staying in-process. The generated source is kept on
-the :class:`CompiledGroup` for inspection — the demo UI's "Code
-Generation" tab.
+Substitution note (docs/architecture.md, "Code generation"): the paper
+generates C++; generating specialised Python over the trie/prefix-sum
+runtime keeps the identical plan structure while staying in-process. The
+generated source is kept on the :class:`CompiledGroup` for inspection —
+the demo UI's "Code Generation" tab.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from __future__ import annotations
 import heapq
 import threading
 import time
+import weakref
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -189,16 +190,15 @@ class EngineConfig:
     ``adaptive`` (bool, default True)
         no value validation (any truthy value works, but
         ``backend="auto"`` demands it on). ``True`` lets the cost model
-        (:mod:`repro.core.costmodel`) treat ``partitions``, ``workers``
-        and the NumPy grouping strategy as **advisory upper bounds**:
-        partition fan-out is capped at the threads that can actually run
-        concurrently, hash emissions switch to sort-based grouping when
-        their keys are nearly unique, and ``backend="auto"`` picks a
-        backend per group. ``False`` restores the literal static knobs
-        (the ablation baseline). Adaptive decisions are data-dependent
-        and re-decided per execution — they never enter compiled
-        artefacts or the serving layer's structural fingerprints
-        (:class:`EngineConfig` itself, including this flag, does);
+        (:mod:`repro.core.costmodel`) treat ``partitions`` and
+        ``workers`` as **advisory upper bounds**: partition fan-out is
+        capped at the threads that can actually run concurrently, and
+        ``backend="auto"`` picks a backend per group. ``False`` restores
+        the literal static knobs (the ablation baseline). Adaptive
+        decisions are data-dependent and re-decided per execution — they
+        never enter compiled artefacts or the serving layer's structural
+        fingerprints (:class:`EngineConfig` itself, including this flag,
+        does);
     ``executor`` (str, default "thread")
         must be ``"thread"`` or ``"process"`` — how the group step
         (:meth:`LMFAO.execute_group`) turns a group's trie partitions
@@ -474,7 +474,7 @@ class RunResult:
     group_times: dict[str, float] = field(default_factory=dict)
     snapshot_version: int = 0
     #: per-group execution decisions the cost model made for this run
-    #: (backend, partition count, grouping strategy per hash emission) —
+    #: (backend, partition count, rows scanned) —
     #: see :func:`repro.core.costmodel.group_decision`. Data-dependent
     #: observability only; never part of compiled artefacts.
     decisions: dict[str, dict] = field(default_factory=dict)
@@ -520,7 +520,17 @@ class LMFAO:
         self._mpexec_lock = threading.Lock()
         # when a superseded version loses its last reader pin, drop its
         # shared-memory trie segments too (no-op for the thread executor).
-        self._snapshots.add_reclaim_hook(self._reclaim_snapshot_version)
+        # The hook holds the engine weakly, so a dropped engine — and its
+        # snapshots and tries — is freed without waiting for the cyclic
+        # collector.
+        reclaim = weakref.WeakMethod(self._reclaim_snapshot_version)
+
+        def hook(version: int) -> None:
+            method = reclaim()
+            if method is not None:
+                method(version)
+
+        self._snapshots.add_reclaim_hook(hook)
 
     # ----------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -551,7 +561,6 @@ class LMFAO:
                 self._mpexec = mpexec.ProcessExecutor(
                     workers=self.config.workers,
                     backend=self.config.backend,
-                    adaptive=self.config.adaptive,
                     share_terms=self.config.share_scan_terms,
                     attribute_kinds=_attribute_kinds(self.db.schema),
                 )
@@ -646,7 +655,6 @@ class LMFAO:
             plans,
             config.backend,
             config.share_scan_terms,
-            config.adaptive,
             _attribute_kinds(db.schema),
             c_candidates,
         )
@@ -795,16 +803,9 @@ class LMFAO:
         with watch.lap("collect"):
             results: dict[str, QueryResult] = {}
             for query in batch:
-                results[query.name], strategy = _to_query_result(
+                results[query.name] = _to_query_result(
                     query, run.query_raw[query.name]
                 )
-                if strategy is not None:
-                    # an ordered query's kernel choice lands in the
-                    # producing group's decision record (queries are
-                    # never seeded, so that group always executed).
-                    entry = run.decisions.get(_producer_name(compiled, query.name))
-                    if entry is not None:
-                        entry.setdefault("topk", {})[query.name] = strategy
         result = RunResult(
             results=results,
             compiled=compiled,
@@ -817,7 +818,7 @@ class LMFAO:
             ),
         )
         if debug_checks_enabled():
-            _debug_check_run_consistency(batch, result)
+            _debug_check_run_consistency(result)
         return result
 
     # ------------------------------------------------------------------ helpers
@@ -929,8 +930,7 @@ class LMFAO:
         # scheduler pool's threads.
         run.decisions[compiled.group_plan.groups[index].name] = (
             costmodel.group_decision(
-                plan, trie, backend=backend, partitions=len(tries),
-                adaptive=config.adaptive,
+                plan, trie, backend=backend, partitions=len(tries)
             )
         )
         if len(tries) > 1 and shippable:
@@ -1226,9 +1226,8 @@ def _topological_order(group_plan: GroupPlan) -> list[int]:
     return order
 
 
-def _to_query_result(query: Query, raw: dict) -> tuple[QueryResult, str | None]:
-    """Finish one query's raw group store into its published result, plus
-    the top-k kernel that ranked it (``None`` for an unordered query).
+def _to_query_result(query: Query, raw: dict) -> QueryResult:
+    """Finish one query's raw group store into its published result.
 
     This is the single seam where ordered queries are ranked and
     truncated (see :mod:`repro.core.topk`) — once, over the full merged
@@ -1237,28 +1236,20 @@ def _to_query_result(query: Query, raw: dict) -> tuple[QueryResult, str | None]:
     bit-identical no matter which path produced the raw store.
     """
     if query.order_by is not None:
-        groups, strategy = topk.finish_ordered(query, raw)
-        return QueryResult(query=query, groups=groups), strategy
+        return QueryResult(query=query, groups=topk.finish_ordered(query, raw))
     groups: dict[tuple, tuple[float, ...]] = {}
     for key, values in raw.items():
         if not isinstance(key, tuple):
             key = (key,)
         groups[key] = tuple(float(v) for v in values)
-    return QueryResult(query=query, groups=groups), None
+    return QueryResult(query=query, groups=groups)
 
 
-def _producer_name(compiled: CompiledBatch, artifact: str) -> str:
-    """Name of the group whose plan emits one view or query."""
-    return compiled.group_plan.groups[compiled.producers[artifact]].name
-
-
-def _debug_check_run_consistency(batch: QueryBatch, run: RunResult) -> None:
+def _debug_check_run_consistency(run: RunResult) -> None:
     """LMFAO_DEBUG invariants tying decisions/timings/skips together.
 
     Every executed group must have exactly one decision record and one
-    wall-clock entry; skipped groups must have neither; and every ordered
-    query must have its top-k kernel choice recorded under its producing
-    group (queries are never view-cache seeded, so the producer ran).
+    wall-clock entry; skipped groups must have neither.
     """
     all_groups = {g.name for g in run.compiled.group_plan.groups}
     skipped = set(run.skipped_groups)
@@ -1274,15 +1265,3 @@ def _debug_check_run_consistency(batch: QueryBatch, run: RunResult) -> None:
         f"group_times diverge from executed groups: "
         f"{sorted(set(run.group_times) ^ executed)}"
     )
-    for query in batch:
-        if query.order_by is None:
-            continue
-        producer = _producer_name(run.compiled, query.name)
-        assert producer in executed, (
-            f"ordered query {query.name} has no executed producer group"
-        )
-        recorded = run.decisions[producer].get("topk", {}).get(query.name)
-        assert recorded in (costmodel.STRATEGY_HEAP, costmodel.STRATEGY_SORT), (
-            f"ordered query {query.name} missing top-k strategy in "
-            f"decisions[{producer!r}]: {recorded!r}"
-        )

@@ -23,8 +23,8 @@ expressions and NumPy multiplies operand arrays over the same tuples, so
 their operand orders agree by construction.
 
 The lowering is **pure structure**: it depends only on the plan, never on
-data. Execution-strategy decisions — hash vs sort grouping for an
-emission, partition count, backend choice — are *data-dependent* and are
+data. Execution decisions — partition count, backend choice — are
+*data-dependent* and are
 re-decided per execution by :mod:`repro.core.costmodel`, exactly like
 re-bound predicate constants; they are deliberately absent from this IR
 (and therefore from the serving layer's structural fingerprints).

@@ -309,11 +309,9 @@ def _warm_batch(payload):
     """Recompile one batch's plans in this process (the warm-up): each
     group's executable on the pool's backend, C groups loaded from the
     parent's artifact directory."""
-    plans, backend, share_terms, attribute_kinds, adaptive, artifact_dir = payload
+    plans, backend, share_terms, attribute_kinds, artifact_dir = payload
     cbackend.ARTIFACT_DIR = artifact_dir
-    executables = compile_executables(
-        plans, backend, share_terms, adaptive, attribute_kinds
-    )
+    executables = compile_executables(plans, backend, share_terms, attribute_kinds)
     return [
         select_executable(executables, index, backend)[0]
         for index in range(len(plans))
@@ -447,11 +445,9 @@ class ProcessExecutor:
         share_terms: bool,
         attribute_kinds: dict[str, str],
         start_method: str | None = None,
-        adaptive: bool = True,
     ) -> None:
         self.workers = max(1, int(workers))
         self.backend = backend
-        self.adaptive = bool(adaptive)
         self.share_terms = share_terms
         self.attribute_kinds = dict(attribute_kinds)
         method = (
@@ -675,7 +671,6 @@ class ProcessExecutor:
                                 self.backend,
                                 self.share_terms,
                                 self.attribute_kinds,
-                                self.adaptive,
                                 cbackend.ARTIFACT_DIR,
                             )
                         conn.send(("warm", key, payload))

@@ -82,7 +82,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core import costmodel
 from repro.core.lowering import (
     MODE_SCALAR,
     OP_BETA,
@@ -121,11 +120,13 @@ def supports_plan(plan: MultiOutputPlan) -> bool:
 def compile_numpy_groups(
     plans: Sequence[MultiOutputPlan], adaptive: bool = True
 ) -> list:
-    """Per-plan NumPy implementations (None = fall back to Python)."""
-    return [
-        NumpyCompiledGroup(plan, adaptive=adaptive) if supports_plan(plan) else None
-        for plan in plans
-    ]
+    """Per-plan NumPy implementations (None = fall back to Python).
+
+    ``adaptive`` is accepted and ignored: nothing in this backend depends
+    on it. The benchmark's compile replay
+    (``bench/benchkit/layers.py::_compile_native``) still passes it.
+    """
+    return [NumpyCompiledGroup(plan) if supports_plan(plan) else None for plan in plans]
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +337,8 @@ def _composite_codes(
     composite is **order-preserving**: both per-column code paths in
     :func:`_dense_codes` map larger values to larger codes, so rows
     ordered by composite are ordered lexicographically by key tuple —
-    which is why the hash and sort groupers below enumerate groups in
-    the same order.
+    which is why every branch of :func:`_group_codes` enumerates groups
+    in the same order.
     """
     n = len(columns[0]) if columns else 0
     comp: np.ndarray | None = None
@@ -360,10 +361,17 @@ def _composite_codes(
 def _group_codes(columns: list[np.ndarray]) -> tuple[np.ndarray, int, np.ndarray]:
     """Group rows by their key tuple: ``(ids, num_keys, first_index)``.
 
-    ``ids`` is a dense group id per row; ``first_index`` the first row of
-    each group (so representative key values are ``column[first_index]``).
-    When the combined code space stays modest the distinct codes are
-    found with an O(n) bincount presence scan instead of a sort.
+    ``ids`` is a dense group id per row, ascending with the composite
+    code (so groups enumerate in key order); ``first_index`` the first
+    row of each group (so representative key values are
+    ``column[first_index]``). The algorithm follows the code space the
+    composite just measured: while it stays modest the distinct codes
+    are found with an O(n) bincount presence scan; beyond it the ids come
+    from a **packed value sort** — ``sort(comp * n + row_index)``
+    recovers a stable order via divmod, and NumPy sorts raw int64 values
+    several times faster than it argsorts them — or, when that packing
+    would overflow int64, a stable argsort. Every branch assigns the same
+    ids and first rows (``np.unique``'s inverse and first occurrences).
     """
     comp, space, n = _composite_codes(columns)
     if comp is None or n == 0:
@@ -372,41 +380,12 @@ def _group_codes(columns: list[np.ndarray]) -> tuple[np.ndarray, int, np.ndarray
         present = np.bincount(comp, minlength=space) > 0
         num_keys = int(present.sum())
         ids = (np.cumsum(present) - 1)[comp]
-    else:
-        _, ids = np.unique(comp, return_inverse=True)
-        ids = ids.astype(np.int64)
-        num_keys = int(ids.max()) + 1
-    # reversed scatter: for duplicate ids the *last* write wins, which in
-    # reversed row order is each group's first occurrence.
-    first_index = np.empty(num_keys, dtype=np.int64)
-    first_index[ids[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ids, num_keys, first_index
-
-
-def _sorted_group_codes(
-    columns: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Sort-based grouping: ``(order, starts, first_index, num_keys)``.
-
-    ``order`` is the stable argsort of the composite codes, ``starts``
-    the group boundaries within the sorted permutation. Stability keeps
-    rows in original (trie) order within each group, so ``order[starts]``
-    is each group's first occurrence and segment sums add in the same
-    per-key order as the hash grouper's bincount — on integer-valued
-    data the two paths are bit-identical, group order included (both
-    enumerate groups by ascending composite code).
-
-    The permutation comes from a **packed value sort** when it fits:
-    ``sort(comp * n + row_index)`` recovers a stable order via divmod,
-    and NumPy sorts raw int64 values several times faster than it
-    argsorts them — this is what makes the sort path competitive with
-    the hash grouper's ``np.unique`` fallback on nearly-unique keys.
-    """
-    comp, space, n = _composite_codes(columns)
-    if comp is None or n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, 0
-    if space < _CODE_LIMIT // max(n, 1):
+        # reversed scatter: for duplicate ids the *last* write wins, which
+        # in reversed row order is each group's first occurrence.
+        first_index = np.empty(num_keys, dtype=np.int64)
+        first_index[ids[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
+        return ids, num_keys, first_index
+    if space < _CODE_LIMIT // n:
         packed = np.sort(comp * n + np.arange(n, dtype=np.int64))
         order = packed % n
         sorted_comp = packed // n
@@ -415,69 +394,26 @@ def _sorted_group_codes(
         sorted_comp = comp[order]
     is_start = np.ones(n, dtype=bool)
     is_start[1:] = sorted_comp[1:] != sorted_comp[:-1]
-    starts = np.flatnonzero(is_start)
-    return order, starts, order[starts], len(starts)
+    ids = np.empty(n, dtype=np.int64)
+    ids[order] = np.cumsum(is_start) - 1
+    # stability keeps each group's rows in input order: its first sorted
+    # row is its first occurrence
+    first_index = order[is_start]
+    return ids, len(first_index), first_index
 
 
-class _HashGrouper:
-    """Dense-code grouping: per-key sums scatter via ``np.bincount``."""
+class _Grouper:
+    """Rows grouped by key (:func:`_group_codes`); per-key sums scatter
+    via ``np.bincount``, adding each key's rows in input order."""
 
-    strategy = costmodel.STRATEGY_HASH
-
-    def __init__(self, ids: np.ndarray, num_keys: int, first_index: np.ndarray):
-        self.ids = ids
-        self.num_keys = num_keys
-        self.first_index = first_index
-
-    @classmethod
-    def build(cls, columns: list[np.ndarray]) -> "_HashGrouper":
-        return cls(*_group_codes(columns))
+    def __init__(self, columns: list[np.ndarray]):
+        self.ids, self.num_keys, self.first_index = _group_codes(columns)
 
     def accumulate(self, values: np.ndarray) -> np.ndarray:
         return np.bincount(self.ids, weights=values, minlength=self.num_keys)
 
     def fired(self, mask: np.ndarray) -> np.ndarray:
         return np.bincount(self.ids[mask], minlength=self.num_keys) > 0
-
-
-class _SortGrouper:
-    """Sort-based grouping: per-key sums gather via ``np.add.reduceat``
-    over the argsorted permutation — the cost model picks this when keys
-    are nearly unique and dense-code scatter degenerates."""
-
-    strategy = costmodel.STRATEGY_SORT
-
-    def __init__(self, order: np.ndarray, starts: np.ndarray,
-                 first_index: np.ndarray, num_keys: int):
-        self.order = order
-        self.starts = starts
-        self.num_keys = num_keys
-        self.first_index = first_index
-
-    @classmethod
-    def build(cls, columns: list[np.ndarray]) -> "_SortGrouper":
-        return cls(*_sorted_group_codes(columns))
-
-    def accumulate(self, values: np.ndarray) -> np.ndarray:
-        if self.num_keys == 0:
-            return np.zeros(0, dtype=np.float64)
-        return np.add.reduceat(values[self.order], self.starts)
-
-    def fired(self, mask: np.ndarray) -> np.ndarray:
-        if self.num_keys == 0:
-            return np.zeros(0, dtype=bool)
-        return (
-            np.add.reduceat(
-                mask[self.order].astype(np.float64), self.starts
-            )
-            > 0
-        )
-
-
-def _make_grouper(columns: list[np.ndarray], strategy: str):
-    if strategy == costmodel.STRATEGY_SORT:
-        return _SortGrouper.build(columns)
-    return _HashGrouper.build(columns)
 
 
 class _PlanEvaluation:
@@ -497,16 +433,12 @@ class _PlanEvaluation:
         trie: TrieIndex,
         tables: Mapping[str, object],
         functions: Mapping[str, Function],
-        strategies: Mapping[str, str] | None,
     ) -> None:
         self.plan = plan
         self.trie = trie
         self.tables = tables
         self.farrs, self.psums = bind_operands(plan, trie, functions)
         self.lowered = plan.lowered
-        #: per-artifact grouping strategy ('hash' | 'sort') from the cost
-        #: model; None / missing artifact = hash (the static default).
-        self.strategies = strategies or {}
         self.num_rel = len(plan.relation_levels)
         self.cache = trie._np_cache
         self._values: dict[Operand, object] = {}
@@ -792,21 +724,19 @@ class _PlanEvaluation:
                 columns.append(table.carried_columns[part.pos][entries[part.level]])
         return columns
 
-    def _key_table(self, k: int, key_parts, strategy: str) -> tuple:
+    def _key_table(self, k: int, key_parts) -> tuple:
         """The level-k runs grouped by their emission key (cached on trie).
 
         Key columns are trie level values broadcast down ancestor maps —
-        a pure function of the index — so the grouping (a strategy-tagged
-        grouper plus representative key values per group) is computed
-        once and shared across executions and plans on the same index.
-        The cache key includes the strategy: hash and sort groupings are
-        distinct derived structures over the same columns.
+        a pure function of the index — so the grouping (a grouper plus
+        representative key values per group) is computed once and shared
+        across executions and plans on the same index.
         """
-        key = ("groupkeys", strategy, k, tuple(part.level for part in key_parts))
+        key = ("groupkeys", k, tuple(part.level for part in key_parts))
         got = self.cache.get(key)
         if got is None:
             columns = self._key_columns(key_parts, k)
-            grouper = _make_grouper(columns, strategy)
+            grouper = _Grouper(columns)
             representative = [column[grouper.first_index] for column in columns]
             got = (grouper, representative)
             self.cache[key] = got
@@ -822,10 +752,7 @@ class _PlanEvaluation:
         :meth:`product`. An aligned group's rows are its output (each
         key is new). A hash group's rows are grouped and summed per key in
         input (trie × entry-list) order, like the interpreted dict
-        accumulation, whether the grouper scatters (``np.bincount``, hash
-        strategy) or gathers (stable argsort + ``np.add.reduceat``, sort
-        strategy — the cost model's pick for nearly-unique keys). A hash
-        group without keyed blocks groups *every* run instead, through
+        accumulation (:class:`_Grouper`). A hash group without keyed blocks groups *every* run instead, through
         the trie-cached :meth:`_key_table`: dead runs add an exact 0.0 and
         a key is kept iff a surviving run fired under it. Several groups
         of one emission are stacked and summed per key once more, so a
@@ -836,7 +763,6 @@ class _PlanEvaluation:
         if lowered.base_mode == MODE_SCALAR:
             (group,) = lowered.slot_groups
             return {(): [self.product(p, -1) for p in group.products]}
-        strategy = self.strategies.get(emission.artifact, costmodel.STRATEGY_HASH)
         parts = []
         for group in lowered.slot_groups:
             first = group.first
@@ -847,11 +773,11 @@ class _PlanEvaluation:
                 keys = self._key_columns(first.key_parts, k, rows, entries)
                 values = [self.product(p, k, rows, entries) for p in group.products]
                 if not emission.aligned:
-                    grouper = _make_grouper(keys, strategy)
+                    grouper = _Grouper(keys)
                     keys = [column[grouper.first_index] for column in keys]
                     values = [grouper.accumulate(value) for value in values]
             else:
-                grouper, keys = self._key_table(k, first.key_parts, strategy)
+                grouper, keys = self._key_table(k, first.key_parts)
                 values = [self.product(p, k) for p in group.products]
                 if mask is None:
                     values = [grouper.accumulate(value) for value in values]
@@ -870,7 +796,7 @@ class _PlanEvaluation:
         if len(parts) > 1:
             keys = [np.concatenate(columns) for columns in zip(*(p[0] for p in parts))]
             stacked = np.concatenate([p[1] for p in parts])
-            grouper = _make_grouper(keys, strategy)
+            grouper = _Grouper(keys)
             keys = [column[grouper.first_index] for column in keys]
             matrix = np.column_stack(
                 [grouper.accumulate(column) for column in stacked.T]
@@ -900,16 +826,12 @@ class NumpyCompiledGroup:
     and the incremental maintainer drive it like any other backend.
     """
 
-    def __init__(self, plan: MultiOutputPlan, adaptive: bool = True) -> None:
+    def __init__(self, plan: MultiOutputPlan) -> None:
         if not supports_plan(plan):
             raise PlanError(
                 f"plan {plan.group_name} is not supported by the numpy backend"
             )
         self.plan = plan
-        #: whether the cost model picks hash vs sort per emission at
-        #: execution time; False pins the static hash path (the
-        #: LMFAO_FORCE_STRATEGY override still applies either way).
-        self.adaptive = adaptive
 
     def prepare_bindings(
         self,
@@ -946,9 +868,4 @@ class NumpyCompiledGroup:
     ) -> dict[str, dict]:
         if bind_entries is None:
             bind_entries = self.prepare_bindings(view_data, view_group_by)
-        strategies = costmodel.resolve_strategies(
-            self.plan, trie, adaptive=self.adaptive
-        )
-        return _PlanEvaluation(
-            self.plan, trie, bind_entries, functions, strategies
-        ).outputs()
+        return _PlanEvaluation(self.plan, trie, bind_entries, functions).outputs()

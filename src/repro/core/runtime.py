@@ -444,7 +444,6 @@ def compile_executables(
     plans: Sequence[MultiOutputPlan],
     backend: str,
     share_terms: bool,
-    adaptive: bool,
     attribute_kinds: Mapping[str, str],
     c_candidates: Collection[int] | None = None,
 ) -> dict[str, list]:
@@ -469,9 +468,7 @@ def compile_executables(
     if backend in ("numpy", "auto"):
         from repro.core import npbackend
 
-        executables["numpy"] = npbackend.compile_numpy_groups(
-            plans, adaptive=adaptive
-        )
+        executables["numpy"] = npbackend.compile_numpy_groups(plans)
     if backend in ("c", "auto"):
         from repro.core import cbackend
 

@@ -14,26 +14,21 @@ store. That is also what makes incremental maintenance exact: deleted or
 decreased keys can be *replaced* in the top-k by keys the truncated
 result would have forgotten (see :func:`repro.incremental.rules.refresh_ordered`).
 
-Two strategy kernels implement the same deterministic total order (the
-tie-break contract of :class:`~repro.query.aggregates.OrderSpec`), picked
-per finish by :func:`repro.core.costmodel.topk_strategy` from ``k`` and
-the grouped-item count:
+One finisher per raw container realises the deterministic total order
+(the tie-break contract of :class:`~repro.query.aggregates.OrderSpec`),
+a bounded selection per partition in both cases:
 
-* ``'heap'`` — bounded selection: per-partition ``heapq.nsmallest`` over
-  plain dict outputs (the generated-Python backend), and a
-  per-partition ``np.argpartition`` with exact boundary-tie resolution
-  over :class:`~repro.core.runtime.ArrayViewData` columnar outputs (the
-  NumPy and C backends). ``O(n + p·k log k)`` — wins when ``k`` is far below
-  the partition sizes;
-* ``'sort'`` — one full sort by ``(partition, ±value, residual key)``
-  (Python :func:`sorted` / ``np.lexsort``) then a per-partition cut.
-  Wins when ``k`` is a large fraction of the items or ``limit`` is None.
+* plain dict outputs (the generated-Python backend) — ``heapq.nsmallest``
+  over each partition's items (:func:`rank_partition_items`, which sorts
+  outright when there is no limit);
+* :class:`~repro.core.runtime.ArrayViewData` columnar outputs (the NumPy
+  and C backends) — ``np.partition`` on the signed order value with exact
+  boundary-tie resolution, then an ``np.lexsort`` of the survivors.
 
-Both kernels realise the identical total order — the composite
-``(±value, residual group-by key)`` is unique per row because group keys
-are unique — so forcing either path (``LMFAO_FORCE_TOPK``, or
-``LMFAO_FORCE_STRATEGY=heap|sort``) must be bit-exact, which the ordered
-differential grids assert.
+Both are ``O(n + p·k log k)`` and realise the identical total order — the
+composite ``(±value, residual group-by key)`` is unique per row because
+group keys are unique — which the ordered differential grids assert
+against an independent ranking oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ import heapq
 
 import numpy as np
 
-from repro.core import costmodel
 from repro.core.runtime import ArrayViewData
 from repro.query.query import Query
 
@@ -78,7 +72,7 @@ def rank_partition_items(
 
     ``items`` are ``(full key tuple, float values)`` pairs of a single
     partition; keys must already be normalised tuples and values floats.
-    Shared by the engine's heap finisher and the incremental maintainer's
+    Shared by the engine's dict finisher and the incremental maintainer's
     targeted partition refresh, so both produce the identical order.
     """
     spec = query.order_by
@@ -93,40 +87,7 @@ def rank_partition_items(
     return heapq.nsmallest(query.limit, items, key=sort_key)
 
 
-# ------------------------------------------------------------ dict kernels
-
-
-def _finish_dict_sort(query: Query, raw: dict) -> dict:
-    spec = query.order_by
-    partition, residual = order_positions(query)
-    sign = -1.0 if spec.descending else 1.0
-    rows = [
-        (_as_key(key), tuple(float(v) for v in values))
-        for key, values in raw.items()
-    ]
-
-    def sort_key(row):
-        key, values = row
-        return (
-            tuple(key[i] for i in partition),
-            sign * values[spec.agg_index],
-            tuple(key[i] for i in residual),
-        )
-
-    rows.sort(key=sort_key)
-    limit = query.limit
-    out: dict[tuple, tuple[float, ...]] = {}
-    current = None
-    taken = 0
-    for key, values in rows:
-        part = tuple(key[i] for i in partition)
-        if part != current:
-            current, taken = part, 0
-        if limit is not None and taken >= limit:
-            continue
-        out[key] = values
-        taken += 1
-    return out
+# --------------------------------------------------------------- finishers
 
 
 def _finish_dict_heap(query: Query, raw: dict) -> dict:
@@ -143,9 +104,6 @@ def _finish_dict_heap(query: Query, raw: dict) -> dict:
         for key, values in rank_partition_items(buckets[part], query, residual):
             out[key] = values
     return out
-
-
-# -------------------------------------------------------- columnar kernels
 
 
 def _columnar_inputs(query: Query, raw: ArrayViewData):
@@ -182,33 +140,6 @@ def _partition_slices(part_cols: list[np.ndarray], n: int):
     starts = np.flatnonzero(change)
     ends = np.append(starts[1:], n)
     return [order[s:e] for s, e in zip(starts, ends)]
-
-
-def _finish_columnar_sort(query: Query, raw: ArrayViewData) -> dict:
-    n = len(raw)
-    if n == 0:
-        return {}
-    vkey, part_cols, res_cols = _columnar_inputs(query, raw)
-    # lexsort: last key is most significant — partitions first, then the
-    # (signed) order value, then the residual key columns ascending.
-    operands = tuple(reversed(res_cols)) + (vkey,) + tuple(reversed(part_cols))
-    order = np.lexsort(operands)
-    limit = query.limit
-    if limit is not None:
-        if part_cols:
-            change = np.zeros(n, dtype=bool)
-            change[0] = True
-            for col in part_cols:
-                sorted_col = col[order]
-                change[1:] |= sorted_col[1:] != sorted_col[:-1]
-            starts = np.flatnonzero(change)
-            ranks = np.arange(n) - np.repeat(
-                starts, np.append(starts[1:], n) - starts
-            )
-        else:
-            ranks = np.arange(n)
-        order = order[ranks < limit]
-    return _emit_rows(raw, order)
 
 
 def _finish_columnar_heap(query: Query, raw: ArrayViewData) -> dict:
@@ -253,31 +184,16 @@ def _finish_columnar_heap(query: Query, raw: ArrayViewData) -> dict:
 # ---------------------------------------------------------------- dispatch
 
 
-def finish_ordered(query: Query, raw: dict) -> tuple[dict, str]:
+def finish_ordered(query: Query, raw: dict) -> dict:
     """Rank and truncate one ordered query's full raw groups.
 
-    Returns ``(finished groups, strategy)`` — the insertion-ordered dict
-    realising the query's deterministic total order, and the ``'heap'``
-    or ``'sort'`` kernel the cost model picked (recorded on
-    ``RunResult.decisions`` by the engine). The kernel pair is chosen by
-    the raw container: columnar ``np.argpartition``/``np.lexsort`` when
-    a native backend's :class:`ArrayViewData` columns are live, bounded
-    ``heapq``/:func:`sorted` over plain dict outputs otherwise.
+    Returns the insertion-ordered dict realising the query's
+    deterministic total order. The raw container picks the finisher:
+    columnar when a native backend's :class:`ArrayViewData` columns are
+    live, the dict heap over plain dict outputs otherwise.
     """
     if query.limit == 0:
-        return {}, costmodel.STRATEGY_SORT
-    strategy = costmodel.topk_strategy(query.limit, len(raw))
-    columnar = isinstance(raw, ArrayViewData) and raw.has_columns
-    if strategy == costmodel.STRATEGY_HEAP:
-        finished = (
-            _finish_columnar_heap(query, raw)
-            if columnar
-            else _finish_dict_heap(query, raw)
-        )
-    else:
-        finished = (
-            _finish_columnar_sort(query, raw)
-            if columnar
-            else _finish_dict_sort(query, raw)
-        )
-    return finished, strategy
+        return {}
+    if isinstance(raw, ArrayViewData) and raw.has_columns:
+        return _finish_columnar_heap(query, raw)
+    return _finish_dict_heap(query, raw)

@@ -12,8 +12,9 @@ attribute order:
   level ``k+1``;
 * **prefix-sum registers** over payload columns make any
   ``SUM(f(payload))`` over a run an O(1) subtraction — this is the
-  substitution for the paper's compiled C++ row loops (see DESIGN.md): the
-  generated Python only ever iterates *distinct* prefixes, never rows.
+  substitution for the paper's compiled C++ row loops (docs/architecture.md,
+  "Code generation"): the generated Python only ever iterates *distinct*
+  prefixes, never rows.
 
 Building the index costs one ``lexsort`` of the relation; the engine caches
 one index per (node, attribute order, filter) combination.

@@ -6,8 +6,8 @@ alive across data changes instead of recomputing it:
 
 * :mod:`repro.incremental.delta` — delta relations (insert/delete bags per
   base relation, with append/tombstone application);
-* :mod:`repro.incremental.rules` — per-view delta rules and the static
-  dirty-path structure (which views an update can reach);
+* :mod:`repro.incremental.rules` — the per-group delta rules (numeric
+  O(|Δ|) step, delta merge, targeted top-k re-rank);
 * :mod:`repro.incremental.maintain` — the :class:`MaintainedBatch` handle
   returned by :meth:`repro.core.engine.LMFAO.maintain`, scheduling numeric
   O(|Δ|) delta steps and full-trie rescans over the dirty path only.
@@ -32,11 +32,9 @@ from repro.incremental.delta import (
     normalize_deltas,
 )
 from repro.incremental.maintain import ApplyResult, MaintainedBatch
-from repro.incremental.rules import DeltaRules
 
 __all__ = [
     "ApplyResult",
-    "DeltaRules",
     "MaintainedBatch",
     "RelationDelta",
     "coalesce_deltas",

@@ -6,8 +6,9 @@ indexes of every join-tree node — and refreshes exactly the affected slice
 of it per update round:
 
 1. **base update** — each delta is applied to its relation (append /
-   tombstone), and only that node's tries are invalidated (partitioned
-   rebuild; see :meth:`repro.data.trie.TrieIndex.rebuilt`);
+   tombstone), and only that node's tries are dropped
+   (:meth:`repro.core.snapshot.Snapshot.with_relations`; the next reader
+   rebuilds them in :func:`repro.core.runtime.node_trie`);
 2. **dirty-path walk** — groups run in the compiled execution order, but a
    group runs at all only when its node's relation changed or one of its
    incoming views changed this round; everything off the path keeps its
@@ -83,7 +84,6 @@ from repro.core.snapshot import Snapshot
 from repro.data.catalog import Database
 from repro.incremental.delta import RelationDelta, stage_deltas
 from repro.incremental.rules import (
-    DeltaRules,
     merge_delta_outputs,
     numeric_delta_run,
     refresh_ordered,
@@ -164,7 +164,6 @@ class MaintainedBatch:
             )
         self.compiled = compiled
         self.config = engine.config
-        self.rules = DeltaRules.from_compiled(compiled)
         self.applies = 0
         self._engine = engine
         self._router = None  # set by AggregateServer.maintain (write queue)
@@ -180,7 +179,7 @@ class MaintainedBatch:
         run = self._group_run(engine.snapshot(), {}, {})
         engine.walk_groups(run)
         results = {
-            query.name: _to_query_result(query, run.query_raw[query.name])[0]
+            query.name: _to_query_result(query, run.query_raw[query.name])
             for query in compiled.batch
         }
         self._state = _MaintainedVersion(
@@ -383,7 +382,7 @@ class MaintainedBatch:
             else:
                 results[query.name] = _to_query_result(
                     query, run.query_raw[query.name]
-                )[0]
+                )
         new_state = _MaintainedVersion(
             snapshot, run.view_data, run.query_raw, results
         )

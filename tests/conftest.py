@@ -33,16 +33,9 @@ which rewrites the ``view_cache_bytes`` keyword-only default of
 ``view_cache_bytes`` are unaffected. Unset leaves the shipped default
 (cache on).
 
-Two more knobs thread the cost-based adaptive layer through the suite:
+One more knob threads the cost-based adaptive layer through the suite:
 ``LMFAO_TEST_ADAPTIVE=0`` rewrites the ``adaptive`` default (the static
-ablation baseline), and ``LMFAO_FORCE_STRATEGY=hash|sort|heap|auto`` —
-read directly by :mod:`repro.core.costmodel` at execution time, not a
-default rewrite — pins the grouping strategy of every hash emission for
-the whole run (the ``tests-costmodel`` CI leg runs the suite once per
-forced strategy); ``heap``/``sort`` also pin the ordered top-k finishing
-kernel, and ``LMFAO_FORCE_TOPK=heap|sort|auto`` pins it alone (the
-``tests-ordered`` leg forces both kernels). An invalid value fails the
-session at collection rather than surfacing as per-test noise.
+ablation baseline).
 """
 
 from __future__ import annotations
@@ -52,16 +45,9 @@ import os
 
 import pytest
 
-from repro.core import EngineConfig, LMFAO, costmodel
+from repro.core import EngineConfig, LMFAO
 from repro.data import favorita, retailer
 from repro.paper import FAVORITA_TREE
-
-# fail fast on a typo'd LMFAO_FORCE_STRATEGY / LMFAO_FORCE_TOPK before
-# any test runs (the latter pins the ordered-emission finishing kernel;
-# the tests-ordered CI leg sets both)
-costmodel.forced_strategy()
-costmodel.forced_topk()
-
 
 def _override_engine_defaults() -> None:
     int_overrides = {

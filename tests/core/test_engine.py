@@ -1,5 +1,8 @@
 """Engine behaviours: caching, parallelism, config knobs, results."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import EngineConfig, LMFAO
@@ -20,6 +23,27 @@ def test_trie_cache_reused_across_runs(favorita_engine):
     cached = len(favorita_engine._trie_cache)
     favorita_engine.run(example_queries())
     assert len(favorita_engine._trie_cache) == cached
+
+
+def test_dropped_engine_is_freed_without_the_cyclic_collector(favorita_db):
+    """The snapshot store's reclaim hook holds its engine weakly: dropping
+    the last reference frees the engine, its snapshot and its tries by
+    reference counting alone."""
+    gc.disable()
+    try:
+        engine = LMFAO(favorita_db, EngineConfig(join_tree_edges=FAVORITA_TREE))
+        engine.run(example_queries())
+        snapshot = engine.snapshot()
+        trie = next(iter(snapshot.tries.values()))
+        refs = {
+            "engine": weakref.ref(engine),
+            "snapshot": weakref.ref(snapshot),
+            "trie": weakref.ref(trie),
+        }
+        del engine, snapshot, trie
+        assert [name for name, ref in refs.items() if ref() is not None] == []
+    finally:
+        gc.enable()
 
 
 def test_compile_once_execute_many(favorita_db, favorita_engine):

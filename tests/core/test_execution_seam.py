@@ -22,6 +22,10 @@ called from one place (:func:`repro.core.runtime.compile_executables`),
 gcc is spawned to compile and a shared object loaded in one place each
 (:mod:`repro.core.cbackend`), and the runtime drives one compiled-group
 protocol instead of branching on a native/Python pair.
+
+Kernels choose their algorithm from the data they hold: NumPy has one
+grouper and the top-k layer one finisher per container, and neither the
+cost model nor a forcing environment variable picks between variants.
 """
 
 from __future__ import annotations
@@ -278,6 +282,45 @@ def test_one_compiled_group_protocol():
     for node in ast.walk(runtime):
         if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name):
             assert node.left.id != "native", f"core/runtime.py:{node.lineno}"
+
+
+def _parameters(function: ast.FunctionDef) -> set[str]:
+    args = function.args
+    return {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+
+
+def test_kernels_choose_for_themselves():
+    # no kernel variant is forced from outside: the cost model, the
+    # finishers and the NumPy backend read no environment variable
+    for module in ("core/costmodel.py", "core/topk.py", "core/npbackend.py"):
+        reads = [
+            f"{module}:{node.lineno}"
+            for node in ast.walk(_modules()[module])
+            if isinstance(node, ast.Attribute) and node.attr in {"environ", "getenv"}
+            or isinstance(node, ast.Name) and node.id in {"environ", "getenv"}
+        ]
+        assert not reads, reads
+    # one NumPy grouper, and no strategy to hand it
+    numpy = "core/npbackend.py"
+    groupers = [
+        node.name for node in ast.walk(_modules()[numpy])
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Grouper")
+    ]
+    assert len(groupers) == 1, groupers
+    taking = [f.name for f in _functions(numpy) if "strategy" in _parameters(f)]
+    assert not taking, taking
+    # one top-k finisher per container, returning the finished groups alone
+    finishers = [f.name for f in _functions("core/topk.py")]
+    assert not [name for name in finishers if name.endswith("_sort")], finishers
+    finish = next(f for f in _functions("core/topk.py") if f.name == "finish_ordered")
+    assert not [
+        node.lineno for node in ast.walk(finish)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)
+    ]
+    decision = next(
+        f for f in _functions("core/costmodel.py") if f.name == "group_decision"
+    )
+    assert "adaptive" not in _parameters(decision)
 
 
 def _gcc_calls() -> list[tuple[str, str | None, bool]]:

@@ -202,6 +202,99 @@ def test_empty_relation():
         assert run.results[name].groups == base.results[name].groups, name
 
 
+# ------------------------------------------------------------------ grouper
+
+
+def _sampled_rows(rng, columns: list[np.ndarray], n: int) -> list[np.ndarray]:
+    """``n`` rows drawn with replacement from the distinct tuples of
+    ``columns``, so groups repeat and first occurrences matter."""
+    picks = rng.integers(0, len(columns[0]), n)
+    return [column[picks] for column in columns]
+
+
+def _grouper_columns(branch: str) -> list[np.ndarray]:
+    rng = np.random.default_rng(5)
+    n, pool = 5000, 3000
+    if branch == "dense":  # small categorical codes
+        columns = [rng.integers(0, 40, pool), rng.integers(-3, 20, pool)]
+    elif branch == "packed":  # a wide int and a float key
+        columns = [rng.integers(0, 10**9, pool), rng.normal(size=pool)]
+    else:  # five wide ints: comp * n would overflow int64
+        columns = [rng.integers(0, 10**9, pool) for _ in range(5)]
+    return _sampled_rows(rng, columns, n)
+
+
+@pytest.mark.parametrize("branch", ["dense", "packed", "argsort"])
+def test_group_codes_match_np_unique(branch):
+    """Every branch of the one grouper assigns ``np.unique``'s ids (key
+    order), group count and first occurrences."""
+    from repro.core.npbackend import _CODE_LIMIT, _composite_codes, _group_codes
+
+    columns = _grouper_columns(branch)
+    _comp, space, n = _composite_codes(columns)
+    dense_cut, packed_cut = max(4 * n, 1024), _CODE_LIMIT // n
+    taken = (
+        "dense" if space <= dense_cut
+        else "packed" if space < packed_cut
+        else "argsort"
+    )
+    assert taken == branch, (space, dense_cut, packed_cut)
+    rows = np.column_stack([column.astype(np.float64) for column in columns])
+    _keys, first, inverse = np.unique(
+        rows, axis=0, return_index=True, return_inverse=True
+    )
+    ids, num_keys, first_index = _group_codes(columns)
+    assert num_keys == len(first) < n
+    assert np.array_equal(ids, inverse.reshape(-1))
+    assert np.array_equal(first_index, first)
+
+
+def test_wide_key_spaces_bit_exact_vs_python():
+    """Group-bys whose key code space is far beyond the dense presence
+    scan — two int keys spanning ~1e9 and a float key — group through the
+    sort branch and stay bit-exact against the Python backend."""
+    rng = np.random.default_rng(17)
+    pool, n = 2500, 6000
+    g, h, f, x = _sampled_rows(
+        rng,
+        [
+            rng.integers(0, 10**9, pool),
+            rng.integers(-(10**9), 0, pool),
+            rng.normal(size=pool),
+            rng.integers(-4, 9, pool).astype(float),
+        ],
+        n,
+    )
+    db = Database([
+        Relation(
+            RelationSchema("Wide", (_C("g"), _C("h"), _F("f"), _F("x"))),
+            {"g": g, "h": h, "f": f, "x": x},
+        )
+    ])
+    sums = (Aggregate((Factor("x", identity),)), Aggregate.count())
+    batch = QueryBatch([
+        Query("by_g", group_by=("g",), aggregates=sums),
+        Query("by_gh", group_by=("g", "h"), aggregates=sums),
+        Query("by_hf", group_by=("h", "f"), aggregates=sums),
+        Query("by_ghf", group_by=("g", "h", "f"), aggregates=sums),
+    ])
+    base = LMFAO(db, EngineConfig(backend="python", workers=1, partitions=1)).run(
+        batch
+    )
+    for partitions in (1, 3):
+        run = LMFAO(
+            db,
+            EngineConfig(
+                backend="numpy", workers=1, partitions=partitions,
+                parallel_threshold=0,
+            ),
+        ).run(batch)
+        for name in base.results:
+            assert run.results[name].groups == base.results[name].groups, (
+                name, partitions,
+            )
+
+
 # ------------------------------------------------- carried-block edge cases
 
 

@@ -6,21 +6,21 @@ empty partitions — see :func:`tests.strategies.ordered_instances`), the
 engine's finished results must match :func:`tests.oracle.ordered_oracle`
 **as a sequence** — same rows, same rank order, same tie order — and
 every point of the execution grid ``{python, numpy, c} × {thread,
-process} × partitions × {heap, sort}`` must be bit-identical to the
-sequential Python baseline. Integer-valued data makes float64 exact, so
+process} × partitions`` must be bit-identical to the sequential Python
+baseline — dict outputs reach the dict finisher, native columnar outputs
+the columnar one. Integer-valued data makes float64 exact, so
 any divergence is a real kernel or merge bug, never numeric noise.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core import EngineConfig, LMFAO, costmodel
+from repro.core import EngineConfig, LMFAO
 from repro.core.cbackend import gcc_available
 from repro.data import Attribute, Database, Relation, RelationSchema
 from repro.query import Aggregate, Factor, OrderSpec, Query, QueryBatch
@@ -105,31 +105,6 @@ def test_ordered_numpy_grid_vs_oracle(instance):
 @settings(max_examples=6, **_SETTINGS)
 def test_ordered_c_grid_vs_oracle(instance):
     _grid_matches_baseline(instance, "c")
-
-
-@given(instance=ordered_instances(max_queries=2))
-@settings(max_examples=8, **_SETTINGS)
-def test_forced_topk_kernels_bit_exact(instance):
-    """LMFAO_FORCE_TOPK=heap and =sort agree with auto, bit for bit."""
-    baseline = _oracle_checked_baseline(instance)
-    previous = os.environ.get(costmodel.FORCE_TOPK_ENV)
-    try:
-        for force in ("heap", "sort"):
-            os.environ[costmodel.FORCE_TOPK_ENV] = force
-            engine = LMFAO(
-                instance.db,
-                EngineConfig(workers=1, partitions=1, parallel_threshold=0),
-            )
-            run = engine.run(instance.batch)
-            for name, expected in baseline.results.items():
-                assert _ranked_or_bag(run.results[name]) == _ranked_or_bag(
-                    expected
-                ), f"forced {force}: {name} diverged"
-    finally:
-        if previous is None:
-            os.environ.pop(costmodel.FORCE_TOPK_ENV, None)
-        else:
-            os.environ[costmodel.FORCE_TOPK_ENV] = previous
 
 
 # ------------------------------------------------------- fixed process grid
@@ -217,25 +192,3 @@ def test_ordered_process_executor_bit_exact(backend):
             assert _ranked_or_bag(run.results[name]) == _ranked_or_bag(expected)
     finally:
         engine.close()
-
-
-def test_ordered_decisions_consistent_under_debug(monkeypatch):
-    """Satellite contract: under LMFAO_DEBUG=1 every ordered run records
-    its top-k kernel per query inside the producing group's decision
-    entry, and decisions/group_times/skipped_groups stay consistent (the
-    engine's extended debug asserts run on every execution)."""
-    monkeypatch.setenv("LMFAO_DEBUG", "1")
-    db, batch = _star_instance(n=800)
-    run = LMFAO(db, EngineConfig()).run(batch)
-    recorded = {
-        name: strategy
-        for entry in run.decisions.values()
-        for name, strategy in entry.get("topk", {}).items()
-    }
-    assert set(recorded) == {"topk_gh", "topk_gw"}
-    assert set(recorded.values()) <= {
-        costmodel.STRATEGY_HEAP,
-        costmodel.STRATEGY_SORT,
-    }
-    assert set(run.decisions) == set(run.group_times)
-    assert not set(run.skipped_groups) & set(run.decisions)

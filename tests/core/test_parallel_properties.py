@@ -35,13 +35,12 @@ closed so the session-wide shared-memory leak fixture stays green.
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core import EngineConfig, LMFAO, costmodel
+from repro.core import EngineConfig, LMFAO
 from repro.core.cbackend import gcc_available
 from repro.util.errors import CyclicSchemaError
 
@@ -137,82 +136,13 @@ def test_c_grid_bit_exact_carried(instance):
     _grid_matches_sequential_python(instance, "c")
 
 
-# ----------------------------------------------------- forced grouping strategy
-
-
-class _force_strategy:
-    """Temporarily pin ``LMFAO_FORCE_STRATEGY`` (restoring any prior value)."""
-
-    def __init__(self, value: str) -> None:
-        self.value = value
-
-    def __enter__(self) -> None:
-        self.prior = os.environ.get(costmodel.FORCE_STRATEGY_ENV)
-        os.environ[costmodel.FORCE_STRATEGY_ENV] = self.value
-
-    def __exit__(self, *exc_info) -> None:
-        if self.prior is None:
-            os.environ.pop(costmodel.FORCE_STRATEGY_ENV, None)
-        else:
-            os.environ[costmodel.FORCE_STRATEGY_ENV] = self.prior
-
-
-def _forced_strategy_grid_bit_exact(instance) -> None:
-    """Hash- and sort-based grouping must be interchangeable per emission:
-    forcing either one globally, on every backend, partitioned or not,
-    yields bit-for-bit the sequential Python baseline. The structural
-    argument (order-preserving composite codes + stable sort give both
-    paths identical group enumeration) is pinned here empirically."""
-    try:
-        engine = LMFAO(
-            instance.db,
-            EngineConfig(workers=1, partitions=1, parallel_threshold=0),
-        )
-    except CyclicSchemaError:
-        pytest.skip("generated schema had a disconnected join graph")
-    with _force_strategy("auto"):
-        baseline = engine.execute(engine.compile(instance.batch))
-
-    backends = ["python", "numpy"] + (["c"] if gcc_available() else [])
-    for strategy in ("hash", "sort"):
-        with _force_strategy(strategy):
-            for backend in backends:
-                config = EngineConfig(
-                    backend=backend, workers=1, partitions=1,
-                    parallel_threshold=0, executor="thread",
-                )
-                runner = LMFAO(instance.db, config)
-                compiled = runner.compile(instance.batch)
-                for partitions in (1, 4):
-                    runner.config = replace(config, partitions=partitions)
-                    run = runner.execute(compiled)
-                    for name, expected in baseline.results.items():
-                        got = run.results[name]
-                        assert got.groups == expected.groups, (
-                            f"forced {strategy} grouping, {backend} backend, "
-                            f"partitions={partitions}: {name} diverged from "
-                            f"the sequential baseline"
-                        )
-
-
-@given(instance=instances())
-@settings(max_examples=10, **_SETTINGS)
-def test_forced_strategy_grid_bit_exact(instance):
-    _forced_strategy_grid_bit_exact(instance)
-
-
-@given(instance=carried_instances())
-@settings(max_examples=6, **_SETTINGS)
-def test_forced_strategy_grid_bit_exact_carried(instance):
-    """Carried-keyed slot groups build their groupers per entry column —
-    both strategies must agree there too."""
-    _forced_strategy_grid_bit_exact(instance)
+# --------------------------------------------------------------- edge corners
 
 
 def test_forced_strategy_edge_geometries():
-    """Deterministic corners through both forced strategies on the NumPy
-    backend: an empty relation (zero grouped items), a single-key
-    group-by (one group), and a partition count beyond the run count."""
+    """Deterministic corners through the NumPy grouper at forced fan-out:
+    an empty relation (zero grouped items), a single-key group-by (one
+    group), and a partition count beyond the run count."""
     from repro.data import Attribute, Database, Relation, RelationSchema
     from repro.query import Aggregate, Query, QueryBatch
 
@@ -232,18 +162,16 @@ def test_forced_strategy_edge_geometries():
         )
         db = Database([fact, dim])
         base = LMFAO(db, EngineConfig(workers=1, partitions=1)).run(batch)
-        for strategy in ("hash", "sort"):
-            with _force_strategy(strategy):
-                run = LMFAO(
-                    db,
-                    EngineConfig(
-                        backend="numpy", workers=1, partitions=4,
-                        parallel_threshold=0, executor="thread",
-                    ),
-                ).run(batch)
-            assert run.results["q"].groups == base.results["q"].groups, (
-                f"forced {strategy}: k={k!r} g={g!r}"
-            )
+        run = LMFAO(
+            db,
+            EngineConfig(
+                backend="numpy", workers=1, partitions=4,
+                parallel_threshold=0, executor="thread",
+            ),
+        ).run(batch)
+        assert run.results["q"].groups == base.results["q"].groups, (
+            f"k={k!r} g={g!r}"
+        )
 
 
 # ---------------------------------------------------------- process executor

@@ -6,11 +6,11 @@ The walker (:mod:`repro.core.loopnest`), the NumPy evaluation
 and the arrays NumPy computes are not supposed to move unless a change
 means them to. Each corpus entry compiles one batch, then hashes, for
 every group plan, the generated Python with ``share_terms`` on and off
-and the generated C with its argument specs (``DIGESTS``); and, under a
-forced hash and a forced sort grouping strategy at one partition, every
-group's NumPy outputs — artifact name, key-column dtypes and bytes,
-value-matrix bytes, so row order counts too (``NUMPY_DIGESTS``). A
-mismatch means the emitted statements or the computed floats changed.
+and the generated C with its argument specs (``DIGESTS``); and, at one
+partition, every group's NumPy outputs — artifact name, key-column
+dtypes and bytes, value-matrix bytes, so row order counts too
+(``NUMPY_DIGESTS``). A mismatch means the emitted statements or the
+computed floats changed.
 
 When a change is meant to alter them, regenerate the digests and paste
 the printed tables over ``DIGESTS`` and ``NUMPY_DIGESTS``::
@@ -21,13 +21,12 @@ the printed tables over ``DIGESTS`` and ``NUMPY_DIGESTS``::
 from __future__ import annotations
 
 import hashlib
-import os
 from functools import cache
 
 import numpy as np
 import pytest
 
-from repro.core import EngineConfig, LMFAO, costmodel
+from repro.core import EngineConfig, LMFAO
 from repro.core.cbackend import generate_c_source
 from repro.core.codegen import generate_group
 from repro.core.engine import GroupRun
@@ -51,22 +50,14 @@ DIGESTS = {
 }
 
 NUMPY_DIGESTS = {
-    ('carried_class_city', 'hash'): '7a3262e8c0bf6000cfdcabe58a55123ff0993d805fa65e26f885a679d7589fd5',
-    ('carried_class_city', 'sort'): '7a3262e8c0bf6000cfdcabe58a55123ff0993d805fa65e26f885a679d7589fd5',
-    ('cart_groupby', 'hash'): '140627021fe2f1779838c54af03cc5bcae63e81b1a2b9a09d3e1d06bcaa0c405',
-    ('cart_groupby', 'sort'): '140627021fe2f1779838c54af03cc5bcae63e81b1a2b9a09d3e1d06bcaa0c405',
-    ('cart_indicator', 'hash'): '4ab5ea828cc371c2fe73ef6d1c861122077ac1fa5eaf0733d819a4d9ac34b7ff',
-    ('cart_indicator', 'sort'): '4ab5ea828cc371c2fe73ef6d1c861122077ac1fa5eaf0733d819a4d9ac34b7ff',
-    ('covariance_retailer', 'hash'): 'd64712b6b07cff2a6c52b7d97f15bf2cb2c99cafa526c59a21e3a4ad322b552b',
-    ('covariance_retailer', 'sort'): '425ba5b437d161e71cd50053d67109b482019096c5157d58354867f89331ad8f',
-    ('ordered_topk', 'hash'): '6821324d979687d519f773a2fa5870ded0f5fa5faa0ff8fdb526e2afcfe6a12b',
-    ('ordered_topk', 'sort'): '6821324d979687d519f773a2fa5870ded0f5fa5faa0ff8fdb526e2afcfe6a12b',
-    ('paper_example', 'hash'): 'cf9234b1f997b57084079ad649c57adc13f0a6e1e7049249e7cb1b957ea630a6',
-    ('paper_example', 'sort'): '767167dbe5859a923020404559715e37f4bec6a48ca6a108e2963313dc7850dc',
-    ('paper_example_single_output', 'hash'): '5af3b6ea3e3e94e0cc1e34bebbd7808b7d940cd3b7bb1cffd072cdb7a369131a',
-    ('paper_example_single_output', 'sort'): '17ab85d125be1d86fbadbd44f120531002f02f27f7c8889333005e6c77a00e47',
-    ('paper_example_unfactorized', 'hash'): '93c4177e8507b24651aa0119aac49e5a592cf4033caa75865e99f9308fea249f',
-    ('paper_example_unfactorized', 'sort'): 'e3976b3a527023570c1af9043a2d429b2fb78700e2a4241aae0d9e393ec566c2',
+    'carried_class_city': '7a3262e8c0bf6000cfdcabe58a55123ff0993d805fa65e26f885a679d7589fd5',
+    'cart_groupby': '140627021fe2f1779838c54af03cc5bcae63e81b1a2b9a09d3e1d06bcaa0c405',
+    'cart_indicator': '4ab5ea828cc371c2fe73ef6d1c861122077ac1fa5eaf0733d819a4d9ac34b7ff',
+    'covariance_retailer': 'd64712b6b07cff2a6c52b7d97f15bf2cb2c99cafa526c59a21e3a4ad322b552b',
+    'ordered_topk': '6821324d979687d519f773a2fa5870ded0f5fa5faa0ff8fdb526e2afcfe6a12b',
+    'paper_example': 'cf9234b1f997b57084079ad649c57adc13f0a6e1e7049249e7cb1b957ea630a6',
+    'paper_example_single_output': '5af3b6ea3e3e94e0cc1e34bebbd7808b7d940cd3b7bb1cffd072cdb7a369131a',
+    'paper_example_unfactorized': '93c4177e8507b24651aa0119aac49e5a592cf4033caa75865e99f9308fea249f',
 }
 
 
@@ -165,19 +156,15 @@ def source_digest(name: str) -> str:
     return digest.hexdigest()
 
 
-#: the forced grouping strategies NumPy outputs are pinned under
-STRATEGIES = (costmodel.STRATEGY_HASH, costmodel.STRATEGY_SORT)
-
-
 def numpy_digest(name: str) -> str:
     """sha256 over every group's NumPy outputs at one partition, in plan
-    order, under the grouping strategy ``LMFAO_FORCE_STRATEGY`` forces."""
+    order."""
     database, batch, config = _corpus()[name]
     engine = LMFAO(
         database(),
         EngineConfig(
             backend="numpy", executor="thread", workers=1, partitions=1,
-            adaptive=True, **config,
+            **config,
         ),
     )
     compiled = engine.compile(batch())
@@ -211,11 +198,9 @@ def test_generated_source_is_unchanged(name):
     assert source_digest(name) == DIGESTS[name]
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("name", sorted(_corpus()))
-def test_numpy_outputs_are_unchanged(name, strategy, monkeypatch):
-    monkeypatch.setenv(costmodel.FORCE_STRATEGY_ENV, strategy)
-    assert numpy_digest(name) == NUMPY_DIGESTS[(name, strategy)]
+def test_numpy_outputs_are_unchanged(name):
+    assert numpy_digest(name) == NUMPY_DIGESTS[name]
 
 
 if __name__ == "__main__":
@@ -225,7 +210,5 @@ if __name__ == "__main__":
     print("}")
     print("NUMPY_DIGESTS = {")
     for entry in sorted(_corpus()):
-        for strategy in STRATEGIES:
-            os.environ[costmodel.FORCE_STRATEGY_ENV] = strategy
-            print(f"    ({entry!r}, {strategy!r}): {numpy_digest(entry)!r},")
+        print(f"    {entry!r}: {numpy_digest(entry)!r},")
     print("}")

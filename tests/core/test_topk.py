@@ -1,10 +1,10 @@
-"""Unit tests of the ordered-emission finishing kernels and their knobs.
+"""Unit tests of the ordered-emission finishers.
 
 The differential grids (``test_ordered_grid.py``) anchor end-to-end
-correctness; this file pins the pieces in isolation: the four kernels'
-pairwise bit-equality on adversarial raw stores, the cost model's
-heap-vs-sort choice and its forcing envs, the query-layer validation,
-and the ordered accessors on :class:`QueryResult`.
+correctness; this file pins the pieces in isolation: both finishers —
+dict and columnar — against the independent ranking oracle on
+adversarial raw stores, the query-layer validation, and the ordered
+accessors on :class:`QueryResult`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import costmodel, topk
+from repro.core import topk
 from repro.core.runtime import ArrayViewData
 from repro.query import Aggregate, Factor, OrderSpec, Query
 from repro.query.functions import identity
@@ -79,8 +79,8 @@ def raw_stores(draw):
     agg_index=st.integers(0, 1),
 )
 @settings(max_examples=120, deadline=None)
-def test_all_four_kernels_agree(raw, limit, descending, parts, agg_index):
-    """dict-heap ≡ dict-sort ≡ columnar-heap ≡ columnar-sort ≡ oracle."""
+def test_both_finishers_match_the_oracle(raw, limit, descending, parts, agg_index):
+    """dict finisher ≡ oracle and columnar finisher ≡ oracle, as sequences."""
     group_by = ("a", "b", "c")
     query = _query(
         group_by,
@@ -89,65 +89,11 @@ def test_all_four_kernels_agree(raw, limit, descending, parts, agg_index):
         partition_by=group_by[:parts],
         limit=limit,
     )
-    outcomes = []
-    if limit == 0:
-        for raw_variant in (raw, _columnar(raw, 2)):
-            assert topk.finish_ordered(query, raw_variant)[0] == {}
-        return
-    for strategy in ("heap", "sort"):
-        finished_dict = (
-            topk._finish_dict_heap(query, raw)
-            if strategy == "heap"
-            else topk._finish_dict_sort(query, raw)
-        )
-        finished_col = (
-            topk._finish_columnar_heap(query, _columnar(raw, 2))
-            if strategy == "heap"
-            else topk._finish_columnar_sort(query, _columnar(raw, 2))
-        )
-        outcomes.append(list(finished_dict.items()))
-        outcomes.append(list(finished_col.items()))
-    assert all(o == outcomes[0] for o in outcomes[1:]), outcomes
-    full = QueryResult(query=query, groups={k: v for k, v in raw.items()})
-    assert outcomes[0] == list(rank_reference(query, full).groups.items())
-
-
-def test_finish_ordered_records_cost_model_choice(monkeypatch):
-    raw = {(i, j): (float(i * j % 5), 1.0) for i in range(10) for j in range(20)}
-    query = _query(("a", "b"), partition_by=("a",), limit=2)
-    monkeypatch.delenv(costmodel.FORCE_TOPK_ENV, raising=False)
-    monkeypatch.delenv(costmodel.FORCE_STRATEGY_ENV, raising=False)
-    _, strategy = topk.finish_ordered(query, raw)
-    assert strategy == costmodel.STRATEGY_HEAP  # k=2 of 200 items
-    _, strategy = topk.finish_ordered(_query(("a", "b"), limit=None), raw)
-    assert strategy == costmodel.STRATEGY_SORT  # unlimited = full sort
-    monkeypatch.setenv(costmodel.FORCE_TOPK_ENV, "sort")
-    _, strategy = topk.finish_ordered(query, raw)
-    assert strategy == costmodel.STRATEGY_SORT
-
-
-def test_force_strategy_heap_pins_topk_but_not_grouping(monkeypatch):
-    """LMFAO_FORCE_STRATEGY=heap: grouping stays auto, top-k forced."""
-    monkeypatch.setenv(costmodel.FORCE_STRATEGY_ENV, "heap")
-    monkeypatch.delenv(costmodel.FORCE_TOPK_ENV, raising=False)
-    assert costmodel.forced_strategy() is None
-    assert costmodel.forced_topk() == costmodel.STRATEGY_HEAP
-    # the dedicated env takes precedence
-    monkeypatch.setenv(costmodel.FORCE_TOPK_ENV, "sort")
-    assert costmodel.forced_topk() == costmodel.STRATEGY_SORT
-    monkeypatch.setenv(costmodel.FORCE_TOPK_ENV, "bogus")
-    with pytest.raises(Exception):
-        costmodel.forced_topk()
-
-
-def test_topk_strategy_thresholds(monkeypatch):
-    monkeypatch.delenv(costmodel.FORCE_TOPK_ENV, raising=False)
-    monkeypatch.delenv(costmodel.FORCE_STRATEGY_ENV, raising=False)
-    assert costmodel.topk_strategy(None, 10_000) == costmodel.STRATEGY_SORT
-    assert costmodel.topk_strategy(5, 10_000) == costmodel.STRATEGY_HEAP
-    assert costmodel.topk_strategy(9_000, 10_000) == costmodel.STRATEGY_SORT
-    # tiny stores never bother with selection
-    assert costmodel.topk_strategy(1, 4) == costmodel.STRATEGY_SORT
+    full = QueryResult(query=query, groups=dict(raw))
+    want = list(rank_reference(query, full).groups.items())
+    for raw_variant in (raw, _columnar(raw, 2)):
+        got = list(topk.finish_ordered(query, raw_variant).items())
+        assert got == want, type(raw_variant).__name__
 
 
 # --------------------------------------------------------------- query layer

@@ -56,6 +56,28 @@ def _random_delta(rng, db, relation_names):
     return {"deletes": {name: rows}}
 
 
+def _reachable(handle, relations):
+    """``(groups, views)`` an update to ``relations`` can reach: the groups
+    at a changed node, then every group consuming a view a reached group
+    produces, transitively — the static upper bound on what an apply
+    round runs and refreshes."""
+    plans = handle.compiled.plans
+    groups = {i for i, plan in enumerate(plans) if plan.node in relations}
+    while True:
+        views = {view for i in groups for view in plans[i].produced_views}
+        more = {
+            i for i, plan in enumerate(plans)
+            if views.intersection(plan.consumed_views)
+        }
+        if more <= groups:
+            return groups, views
+        groups |= more
+
+
+def _node_groups(handle, relation):
+    return [plan for plan in handle.compiled.plans if plan.node == relation]
+
+
 def _assert_exact(handle):
     fresh = handle.recompute()
     for name, result in handle.results.items():
@@ -230,21 +252,19 @@ def test_delete_to_empty_group(favorita_engine):
 
 def test_leaf_vs_root_touch_different_slices(favorita_engine):
     handle = favorita_engine.maintain(example_queries())
-    rules = handle.rules
     oil = handle.database.relation("Oil")
     sales = handle.database.relation("Sales")
 
     oil_out = handle.apply(inserts={"Oil": [oil.row(0)]})
     sales_out = handle.apply(inserts={"Sales": [sales.row(0)]})
-    total = rules.num_groups
+    total = len(handle.compiled.plans)
     for outcome, relation in ((oil_out, "Oil"), (sales_out, "Sales")):
         ran = outcome.groups_numeric + outcome.groups_rescanned
         assert ran + outcome.groups_skipped == total
-        assert ran <= len(rules.dirty_groups({relation}))
+        groups, views = _reachable(handle, {relation})
+        assert ran <= len(groups)
+        assert set(outcome.refreshed_views) <= views
         assert outcome.groups_skipped > 0  # something was off the dirty path
-    # the affected-view rule: a leaf relation reaches strictly fewer views
-    # than the tree allows, and never more than its path closure
-    assert set(handle.rules.affected_views("Oil")) <= set(rules.view_source)
     _assert_close(handle)
 
 
@@ -256,7 +276,7 @@ def test_delta_cutoff_stops_propagation(favorita_engine):
     assert outcome.refreshed_views == ()
     assert outcome.refreshed_queries == ()
     # only the groups at the Sales node ran; consumers were cut off
-    assert outcome.groups_rescanned == len(handle.rules.groups_by_node["Sales"])
+    assert outcome.groups_rescanned == len(_node_groups(handle, "Sales"))
     _assert_exact(handle)
 
 
@@ -267,8 +287,8 @@ def test_cutoff_disabled_reruns_the_static_closure(favorita_db):
     outcome = handle.apply(inserts={"Sales": rows}, deletes={"Sales": rows})
     assert (
         outcome.groups_rescanned
-        == len(handle.rules.dirty_groups({"Sales"}))
-        > len(handle.rules.groups_by_node["Sales"])
+        == len(_reachable(handle, {"Sales"})[0])
+        > len(_node_groups(handle, "Sales"))
     )
     _assert_exact(handle)
 
@@ -297,7 +317,7 @@ def test_strict_numeric_mode_accepts_inserts(favorita_db):
     outcome = handle.apply(inserts={"Sales": [sales.row(0)]})
     # every changed-node group took the O(|Δ|) path; only downstream
     # propagation (consumers of the refreshed views) rescanned
-    assert outcome.groups_numeric == len(handle.rules.groups_by_node["Sales"])
+    assert outcome.groups_numeric == len(_node_groups(handle, "Sales"))
     _assert_close(handle)
 
 
@@ -410,10 +430,10 @@ def test_with_pushed_shared_predicates(favorita_db):
         _assert_close(handle)
 
 
-# ------------------------------------------------------------------ delta rules
+# ------------------------------------------------------------ dirty-path bound
 def test_affected_views_cover_changed_view_names(favorita_db):
-    # rescan mode keeps the state bit-exact, so a view outside the static
-    # delta rule can never spuriously report as refreshed
+    # rescan mode keeps the state bit-exact, so a view off the static
+    # dirty path can never spuriously report as refreshed
     engine = LMFAO(
         favorita_db,
         EngineConfig(join_tree_edges=FAVORITA_TREE, incremental_mode="rescan"),
@@ -421,7 +441,7 @@ def test_affected_views_cover_changed_view_names(favorita_db):
     handle = engine.maintain(example_queries())
     rng = np.random.default_rng(29)
     for relation in ("Sales", "Items", "Oil", "Holidays"):
-        allowed = set(handle.rules.affected_views(relation))
+        allowed = _reachable(handle, {relation})[1]
         delta = {
             "inserts": {
                 relation: _sample_rows(rng, handle.database.relation(relation), 3)
@@ -430,10 +450,3 @@ def test_affected_views_cover_changed_view_names(favorita_db):
         outcome = handle.apply(**delta)
         assert set(outcome.refreshed_views) <= allowed, relation
 
-
-def test_dirty_groups_respect_execution_order(favorita_engine):
-    handle = favorita_engine.maintain(example_queries())
-    order = handle.rules.execution_order
-    dirty = handle.rules.dirty_groups({"Items"})
-    positions = [order.index(g) for g in dirty]
-    assert positions == sorted(positions)

@@ -127,14 +127,12 @@ def test_cache_seeded_ordered_runs_bit_exact(favorita_db, monkeypatch):
         want = _groups_ordered(oracle.run(batch))
         assert _groups_ordered(cold) == want
         assert _groups_ordered(warm) == want
-        # ordered queries are never themselves seeded: their producer has
-        # a decision entry recording the finishing kernel even when warm
-        recorded = {
-            name
-            for entry in warm.decisions.values()
-            for name in entry.get("topk", {})
-        }
-        assert recorded == {"q_stores"}
+        # ordered queries are never themselves seeded: their producer
+        # executes (and records a decision) even when warm
+        compiled = warm.compiled
+        producer = compiled.group_plan.groups[compiled.producers["q_stores"]]
+        assert producer.name in warm.decisions
+        assert producer.name not in warm.skipped_groups
 
 
 def test_ordered_and_unordered_requests_never_share_views(favorita_db):
