@@ -40,7 +40,9 @@ import weakref
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from repro.core import costmodel, topk
 from repro.core.decompose import decompose_group
@@ -49,6 +51,7 @@ from repro.core.orders import GroupOrder, order_group
 from repro.core.plan import MultiOutputPlan
 from repro.core.snapshot import Snapshot, SnapshotStore
 from repro.core.runtime import (
+    ArrayViewData,
     compile_executables,
     debug_checks_enabled,
     execute_plan,
@@ -334,11 +337,13 @@ class CompiledBatch:
     ``executables`` the per-backend table of compiled groups
     (:func:`repro.core.runtime.compile_executables`): backend name →
     one entry per group, each implementing the compiled-group protocol.
-    ``"python"`` is always present and complete; ``"numpy"`` / ``"c"``
-    exist when ``config.backend`` compiles them (``"auto"``: both, ``"c"``
-    absent without gcc) and hold ``None`` for a group that backend does
-    not cover (under ``"auto"``, C covers only the groups whose node
-    relation reached the cost model's cut at compile time).
+    ``"python"`` is always present and covers every group, each generated
+    on first use (:class:`~repro.core.runtime.GeneratedPython`);
+    ``"numpy"`` / ``"c"`` exist when ``config.backend`` compiles them
+    (``"auto"``: both, ``"c"`` absent without gcc) and hold ``None`` for a
+    group that backend does not cover (under ``"auto"``, C covers only the
+    groups whose node relation reached the cost model's cut at compile
+    time).
     """
 
     batch: QueryBatch
@@ -352,7 +357,7 @@ class CompiledBatch:
     functions: dict[str, Function]
     shared_predicates: tuple[Predicate, ...]
     execution_order: list[int]
-    executables: dict[str, list]
+    executables: dict[str, Sequence]
 
     @property
     def native_group_count(self) -> int:
@@ -1237,6 +1242,17 @@ def _to_query_result(query: Query, raw: dict) -> QueryResult:
     """
     if query.order_by is not None:
         return QueryResult(query=query, groups=topk.finish_ordered(query, raw))
+    if (
+        isinstance(raw, ArrayViewData)
+        and raw.has_columns
+        and raw.key_columns
+        and raw.value_matrix.dtype == np.float64
+    ):
+        # columnar: the same keys, values and row order as the dict path
+        # below, read straight off the arrays without building the mirror
+        keys = zip(*(column.tolist() for column in raw.key_columns))
+        values = map(tuple, raw.value_matrix.tolist())
+        return QueryResult(query=query, groups=dict(zip(keys, values)))
     groups: dict[tuple, tuple[float, ...]] = {}
     for key, values in raw.items():
         if not isinstance(key, tuple):

@@ -832,6 +832,7 @@ class NumpyCompiledGroup:
                 f"plan {plan.group_name} is not supported by the numpy backend"
             )
         self.plan = plan
+        plan.lowered  # lowering is compile work: here, not in the first execute
 
     def prepare_bindings(
         self,

@@ -440,30 +440,64 @@ def node_trie(db, node: str, order: tuple[str, ...], shared, cache: dict) -> Tri
     return trie
 
 
+class GeneratedPython(Sequence):
+    """The generated-Python table: one group per plan, built on first use.
+
+    Indexing group ``i`` runs :func:`~repro.core.codegen.generate_group`
+    for plan ``i`` the first time and keeps the result, so a batch pays
+    for the Python source of the groups that run it (or whose source is
+    read) and no other. Builds are serialised: pool threads and server
+    requests share one compiled batch, and each group is generated at
+    most once.
+    """
+
+    def __init__(self, plans: Sequence[MultiOutputPlan], share_terms: bool) -> None:
+        self._plans = plans
+        self._share_terms = share_terms
+        self._groups: list = [None] * len(plans)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    def __getitem__(self, index: int):
+        group = self._groups[index]
+        if group is None:
+            from repro.core.codegen import generate_group
+
+            with self._lock:
+                group = self._groups[index]
+                if group is None:
+                    group = generate_group(
+                        self._plans[index], share_terms=self._share_terms
+                    )
+                    self._groups[index] = group
+        return group
+
+
 def compile_executables(
     plans: Sequence[MultiOutputPlan],
     backend: str,
     share_terms: bool,
     attribute_kinds: Mapping[str, str],
     c_candidates: Collection[int] | None = None,
-) -> dict[str, list]:
+) -> dict[str, Sequence]:
     """Compile every plan for ``backend``: the per-backend executable table.
 
-    ``executables["python"]`` holds the generated-Python group of every
-    plan (always — it is each other backend's fallback and the
-    inspectable source); ``"numpy"`` / ``"c"`` are present when
-    ``backend`` asks for them (``"auto"``: both), with ``None`` where that
-    backend does not cover a plan. ``c_candidates`` limits the C table to
-    those plan indices (``backend="auto"``'s candidate rule, see
-    :mod:`repro.core.cbackend`); a C group's bound function keeps its
-    shared object loaded. Called by :meth:`LMFAO.compile` and by each
-    worker process's warm-up (:mod:`repro.core.mpexec`) — compiled code
-    cannot cross a process boundary, plans can.
+    ``executables["python"]`` covers every plan (always — it is each
+    other backend's fallback and the inspectable source), as a
+    :class:`GeneratedPython` table that builds a group on first use;
+    ``"numpy"`` / ``"c"`` are present when ``backend`` asks for them
+    (``"auto"``: both), with ``None`` where that backend does not cover a
+    plan. ``c_candidates`` limits the C table to those plan indices
+    (``backend="auto"``'s candidate rule, see :mod:`repro.core.cbackend`);
+    a C group's bound function keeps its shared object loaded. Called by
+    :meth:`LMFAO.compile` and by each worker process's warm-up
+    (:mod:`repro.core.mpexec`) — compiled code cannot cross a process
+    boundary, plans can.
     """
-    from repro.core.codegen import generate_group
-
-    executables: dict[str, list] = {
-        "python": [generate_group(plan, share_terms=share_terms) for plan in plans]
+    executables: dict[str, Sequence] = {
+        "python": GeneratedPython(plans, share_terms)
     }
     if backend in ("numpy", "auto"):
         from repro.core import npbackend
@@ -484,7 +518,7 @@ def compile_executables(
 
 
 def select_executable(
-    executables: Mapping[str, list], index: int, backend: str
+    executables: Mapping[str, Sequence], index: int, backend: str
 ) -> tuple[object, str]:
     """Group ``index``'s implementation on ``backend`` and the backend name
     it runs as — generated Python where ``backend`` does not cover it."""

@@ -9,6 +9,7 @@ all relations that carry it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from repro.data.types import AttributeKind
@@ -67,10 +68,14 @@ class RelationSchema:
         """Build a schema from any attribute iterable."""
         return RelationSchema(name, tuple(attributes))
 
-    @property
+    @cached_property
     def attribute_names(self) -> tuple[str, ...]:
         """Attribute names in declaration order."""
         return tuple(attr.name for attr in self.attributes)
+
+    @cached_property
+    def _name_set(self) -> frozenset[str]:
+        return frozenset(self.attribute_names)
 
     def attribute(self, name: str) -> Attribute:
         """Look up an attribute by name; raises :class:`SchemaError` if absent."""
@@ -80,7 +85,7 @@ class RelationSchema:
         raise SchemaError(f"relation {self.name} has no attribute {name!r}")
 
     def __contains__(self, attr_name: str) -> bool:
-        return any(attr.name == attr_name for attr in self.attributes)
+        return attr_name in self._name_set
 
     def __iter__(self) -> Iterator[Attribute]:
         return iter(self.attributes)
@@ -93,11 +98,13 @@ class DatabaseSchema:
         self.name = name
         self._relations: dict[str, RelationSchema] = {}
         kinds: dict[str, tuple[str, AttributeKind]] = {}
+        holders: dict[str, list[str]] = {}
         for rel in relations:
             if rel.name in self._relations:
                 raise SchemaError(f"duplicate relation name {rel.name!r}")
             self._relations[rel.name] = rel
             for attr in rel.attributes:
+                holders.setdefault(attr.name, []).append(rel.name)
                 seen = kinds.get(attr.name)
                 if seen is not None and seen[1] is not attr.kind:
                     raise SchemaError(
@@ -108,6 +115,7 @@ class DatabaseSchema:
         if not self._relations:
             raise SchemaError("database schema needs at least one relation")
         self._kinds = {name: kind for name, (_, kind) in kinds.items()}
+        self._holders = {name: tuple(rels) for name, rels in holders.items()}
 
     @property
     def relations(self) -> tuple[RelationSchema, ...]:
@@ -141,8 +149,8 @@ class DatabaseSchema:
             raise SchemaError(f"no attribute named {attr_name!r}") from None
 
     def relations_with(self, attr_name: str) -> tuple[str, ...]:
-        """Names of the relations that carry ``attr_name``."""
-        return tuple(rel.name for rel in self._relations.values() if attr_name in rel)
+        """Names of the relations that carry ``attr_name``, in declaration order."""
+        return self._holders.get(attr_name, ())
 
     def shared_attributes(self, left: str, right: str) -> tuple[str, ...]:
         """Attributes shared by two relations — their natural-join key."""

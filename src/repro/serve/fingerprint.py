@@ -293,10 +293,12 @@ def view_identities(
         own = (
             plan.order,
             plan.partition_safe,
+            # "python" covers every group; indexing its table would
+            # generate the group's source
             tuple(
                 backend
                 for backend, table in compiled.executables.items()
-                if table[index] is not None
+                if backend == "python" or table[index] is not None
             ),
         )
         children = tuple(

@@ -6,10 +6,14 @@ import weakref
 import pytest
 
 from repro.core import EngineConfig, LMFAO
+from repro.core.cbackend import gcc_available
+from repro.core.engine import _to_query_result
+from repro.core.runtime import ArrayViewData
+from repro.data import AttributeKind
 from repro.paper import FAVORITA_TREE, example_queries
-from repro.query import Aggregate, Op, Predicate, Query, QueryBatch
+from repro.query import Aggregate, Op, OrderSpec, Predicate, Query, QueryBatch
 
-from tests.helpers import assert_results_equal, oracle
+from tests.helpers import assert_results_equal, oracle, walk_all
 
 
 def test_run_results_match_oracle(favorita_db, favorita_engine, favorita_join):
@@ -278,3 +282,90 @@ def test_scalar_query_on_empty_join_returns_zero():
     db = Database([r1, r2])
     run = LMFAO(db).run(QueryBatch([Query("q", aggregates=(Aggregate.count(),))]))
     assert run.results["q"].scalar() == 0.0
+
+
+def _raw_stores(db, batch, backend, **config) -> dict:
+    """Every query's raw (unfinished) store after one walk of ``batch``."""
+    engine = LMFAO(db, EngineConfig(
+        backend=backend, executor="thread", workers=1, partitions=1, **config
+    ))
+    return walk_all(engine, engine.compile(batch)).query_raw
+
+
+def _empty_fact_db():
+    from repro.data import Attribute, Database, Relation, RelationSchema
+
+    C = Attribute.categorical
+    return Database([
+        Relation(RelationSchema("A", (C("k"), C("v"))), {"k": [], "v": []}),
+        Relation(RelationSchema("B", (C("k"), C("w"))), {"k": [1], "w": [2]}),
+    ])
+
+
+_COLLECTED = QueryBatch([
+    Query("store_family", group_by=("store", "family"), aggregates=(
+        Aggregate.count(), Aggregate.sum("units"),
+    )),
+    Query("store_txns", group_by=("store", "txns"), aggregates=(
+        Aggregate.sum("units"),
+    )),
+    Query("price", group_by=("price",), aggregates=(Aggregate.count(),)),
+    Query("total", aggregates=(Aggregate.sum("units"), Aggregate.count())),
+    Query(
+        "top_items", group_by=("store", "item"), aggregates=(Aggregate.sum("units"),),
+        order_by=OrderSpec(agg_index=0, descending=True, partition_by=("store",)),
+        limit=2,
+    ),
+])
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "numpy",
+        pytest.param(
+            "c", marks=pytest.mark.skipif(not gcc_available(), reason="needs gcc")
+        ),
+    ],
+)
+def test_columnar_collect_equals_the_dict_path(favorita_db, backend):
+    """A columnar raw store is collected off its arrays — the mirror stays
+    unbuilt — into the keys, key types, row order and values the dict
+    path gives; scalar, empty and ordered results keep their paths."""
+    raw = _raw_stores(favorita_db, _COLLECTED, backend, join_tree_edges=FAVORITA_TREE)
+    raw.update(_raw_stores(
+        _empty_fact_db(),
+        QueryBatch([Query("empty", group_by=("w",), aggregates=(Aggregate.count(),))]),
+        backend,
+    ))
+    queries = [*_COLLECTED, Query("empty", group_by=("w",))]
+    python = LMFAO(
+        favorita_db, EngineConfig(backend="python", join_tree_edges=FAVORITA_TREE)
+    ).run(_COLLECTED).results
+    columnar = []
+    for query in queries:
+        store = raw[query.name]
+        pending = isinstance(store, ArrayViewData) and not store.has_mirror
+        got = _to_query_result(query, store)
+        if pending and query.order_by is None:
+            assert not store.has_mirror, query.name
+            columnar.append(query.name)
+        want = _to_query_result(query, dict(store.items()))
+        assert list(got.groups.items()) == list(want.groups.items()), query.name
+        key_types = [tuple(map(type, key)) for key in got.groups]
+        assert key_types == [tuple(map(type, key)) for key in want.groups]
+        if query.name == "empty":
+            assert got.groups == {}
+            continue
+        kinds = tuple(
+            float
+            if favorita_db.schema.attribute_kind(a) is AttributeKind.CONTINUOUS
+            else int
+            for a in query.group_by
+        )
+        assert set(key_types) <= {kinds}, query.name
+        # whole-unit sums and counts: exact on every backend
+        assert got.groups == python[query.name].groups, query.name
+    assert "store_family" in columnar and "empty" in columnar
+    if backend == "numpy":
+        assert {"store_txns", "price"} <= set(columnar)

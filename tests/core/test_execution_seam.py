@@ -26,15 +26,29 @@ protocol instead of branching on a native/Python pair.
 Kernels choose their algorithm from the data they hold: NumPy has one
 grouper and the top-k layer one finisher per container, and neither the
 cost model nor a forcing environment variable picks between variants.
+
+One behavioural check rides along: compilation pays only for the code a
+run uses — a group's Python is generated when it first runs on Python or
+its source is read, once, whichever thread gets there first.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
+import threading
+import time
 from functools import cache
 from pathlib import Path
 
 import repro
+from repro.core import EngineConfig, LMFAO
+from repro.core.engine import ViewSeeds
+from repro.paper import FAVORITA_TREE, example_queries
+from repro.serve import view_identities
+
+from tests.core.test_source_identity import DIGESTS, source_digest
+from tests.helpers import walk_all
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -282,6 +296,103 @@ def test_one_compiled_group_protocol():
     for node in ast.walk(runtime):
         if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name):
             assert node.left.id != "native", f"core/runtime.py:{node.lineno}"
+
+
+def test_python_generated_only_when_run(favorita_db, monkeypatch):
+    # the generated-Python table builds a group when it first runs on
+    # Python or its source is read — once, however many threads ask
+    from repro.core import codegen
+
+    made: list = []
+    generate = codegen.generate_group
+
+    def counted(plan, share_terms=True):
+        made.append(plan)
+        time.sleep(0.002)  # hold the build open for racing first uses
+        return generate(plan, share_terms=share_terms)
+
+    monkeypatch.setattr(codegen, "generate_group", counted)
+
+    def engine(backend: str) -> LMFAO:
+        return LMFAO(favorita_db, EngineConfig(
+            join_tree_edges=FAVORITA_TREE, backend=backend,
+            executor="thread", workers=1, partitions=1,
+        ))
+
+    def built(compiled) -> list[int]:
+        return sorted(
+            index for index, plan in enumerate(compiled.plans)
+            for made_plan in made if made_plan is plan
+        )
+
+    # NumPy runs every group: compile + execute generate no Python
+    numpy = engine("numpy")
+    compiled = numpy.compile(example_queries())
+    numpy.execute(compiled)
+    assert made == []
+    # reading one group's source builds that group, and keeps it
+    source = compiled.generated_source(1)
+    assert compiled.generated_source(1) == source
+    assert built(compiled) == [1]
+    # the source read through the table is the pinned corpus's
+    made.clear()
+    assert source_digest("paper_example") == DIGESTS["paper_example"]
+    assert len(made) == len(compiled.plans)
+
+    # a group skipped for view-cache seeds is never generated, and
+    # keying the views for the cache generates nothing
+    python = engine("python")
+    reference = python.compile(example_queries())
+    seeding = walk_all(python, reference)
+    seeded = next(
+        index for index, plan in enumerate(reference.plans)
+        if not plan.produced_queries
+    )
+    seeds = {
+        name: seeding.view_data[name]
+        for name in reference.plans[seeded].produced_views
+    }
+    made.clear()
+    compiled = python.compile(example_queries())
+    view_identities(compiled)
+    assert made == []
+    result = python.execute(compiled, view_seeds=ViewSeeds(seeds=seeds))
+    assert compiled.group_plan.groups[seeded].name in result.skipped_groups
+    assert seeded not in built(compiled)
+    assert len(built(compiled)) == compiled.num_groups - len(result.skipped_groups)
+
+    # eight threads on the first execute of one shared batch: one build
+    # per group, and every result bit-exact against a sequential run
+    expected = engine("python").run(example_queries()).results
+    made.clear()
+    shared = python.compile(example_queries())
+    results: list = [None] * 8
+    barrier = threading.Barrier(len(results))
+
+    def first_execute(slot: int) -> None:
+        barrier.wait(timeout=30)
+        results[slot] = python.execute(shared).results
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=first_execute, args=(slot,))
+            for slot in range(len(results))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert built(shared) == list(range(shared.num_groups))
+    assert len(made) == shared.num_groups
+    for got in results:
+        assert got is not None
+        for name, want in expected.items():
+            assert list(got[name].groups.items()) == list(want.groups.items())
 
 
 def _parameters(function: ast.FunctionDef) -> set[str]:

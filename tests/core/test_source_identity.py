@@ -137,8 +137,9 @@ def _corpus():
 
 
 def source_digest(name: str) -> str:
-    """sha256 over every group's generated Python (terms shared and not)
-    and generated C plus argument specs, in plan order."""
+    """sha256 over every group's generated Python (terms shared — read
+    from the compiled batch's own table — and not) and generated C plus
+    argument specs, in plan order."""
     database, batch, config = _corpus()[name]
     engine = LMFAO(
         database(),
@@ -146,10 +147,11 @@ def source_digest(name: str) -> str:
             backend="python", executor="thread", workers=1, partitions=1, **config
         ),
     )
+    compiled = engine.compile(batch())
     digest = hashlib.sha256()
-    for index, plan in enumerate(engine.compile(batch()).plans):
-        for share_terms in (True, False):
-            digest.update(generate_group(plan, share_terms=share_terms).source.encode())
+    for index, plan in enumerate(compiled.plans):
+        digest.update(compiled.generated_source(index).encode())
+        digest.update(generate_group(plan, share_terms=False).source.encode())
         source, args = generate_c_source(plan, f"lmfao_run_g{index}")
         digest.update(source.encode())
         digest.update(repr([(a.name, a.ctype, a.role) for a in args]).encode())

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.data import Attribute, AttributeKind, DatabaseSchema, RelationSchema
+from repro.data import (
+    Attribute,
+    AttributeKind,
+    DatabaseSchema,
+    RelationSchema,
+    favorita,
+    retailer,
+)
 from repro.util.errors import SchemaError
 
 
@@ -68,3 +75,34 @@ def test_database_schema_all_attributes_order():
     r2 = RelationSchema("R2", (Attribute.categorical("a"), Attribute.categorical("c")))
     schema = DatabaseSchema([r1, r2])
     assert schema.all_attributes == ("b", "a", "c")
+
+
+def _chain_schema() -> DatabaseSchema:
+    return DatabaseSchema([
+        RelationSchema("A", (Attribute.categorical("x"),)),
+        RelationSchema("B", (Attribute.categorical("x"), Attribute.continuous("y"))),
+        RelationSchema("C", (Attribute.continuous("y"), Attribute.categorical("z"))),
+    ])
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        pytest.param(lambda: favorita(scale=0.01, seed=1).schema, id="favorita"),
+        pytest.param(lambda: retailer(scale=0.01, seed=1).schema, id="retailer"),
+        pytest.param(_chain_schema, id="chain"),
+    ],
+)
+def test_precomputed_lookups_match_the_scans(schema):
+    # the holder map and the cached names answer what a scan over the
+    # declared relations and attributes would, in the same order
+    schema = schema()
+    for rel in schema.relations:
+        assert rel.attribute_names == tuple(a.name for a in rel.attributes)
+    for name in schema.all_attributes + ("no_such_attribute",):
+        assert schema.relations_with(name) == tuple(
+            rel.name for rel in schema.relations
+            if any(a.name == name for a in rel.attributes)
+        )
+        for rel in schema.relations:
+            assert (name in rel) == any(a.name == name for a in rel.attributes)

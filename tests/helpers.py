@@ -7,6 +7,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 from repro.baselines.common import evaluate_on_join
+from repro.core.engine import GroupRun
 from repro.core.npbackend import NumpyCompiledGroup
 from repro.core.runtime import ArrayViewData
 from repro.data.catalog import Database
@@ -47,6 +48,20 @@ def assert_results_equal(
             assert math.isclose(g, w, rel_tol=rel_tol, abs_tol=abs_tol), (
                 f"{actual.query.name}[{key}]: {g} != {w}"
             )
+
+
+def walk_all(engine, compiled) -> GroupRun:
+    """Every group of ``compiled`` through the engine's DAG walk, pinned to
+    the current snapshot; the run holds each view's and query's raw store."""
+    snapshot = engine.pin_snapshot()
+    try:
+        run = GroupRun(
+            compiled, compiled.functions, compiled.shared_predicates, snapshot
+        )
+        engine.walk_groups(run)
+    finally:
+        engine.release_snapshot(snapshot.version)
+    return run
 
 
 def drop_zero_groups(result: QueryResult) -> QueryResult:
