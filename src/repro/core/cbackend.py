@@ -3,9 +3,13 @@
 The published LMFAO emits C++ compiled with g++; this module restores that
 fidelity where a toolchain is available: each :class:`MultiOutputPlan` is
 lowered to C99, compiled to a shared object of its own with one
-``gcc -O1 -fPIC -shared`` step (:data:`CFLAGS`) and invoked through
-ctypes. The generated C mirrors the Python backend statement for
-statement — both are emitters of the one loop-nest walker
+``gcc -O1 -fira-region=one -fPIC -shared`` step (:data:`CFLAGS`) and
+invoked through ctypes. A group is one long function, and gcc's
+register allocator builds a region per loop by default; one region cuts
+gcc's time and memory several-fold on the largest groups, and the
+kernels run as fast.
+
+The generated C mirrors the Python backend statement for statement — both are emitters of the one loop-nest walker
 (:mod:`repro.core.loopnest`): same trie loops, probes, γ/β locals, support
 guards and output updates — so the two backends are differentially testable.
 
@@ -22,11 +26,15 @@ passed as a single ``void**`` argument vector):
   emissions iterate ranges);
 * outputs — aligned emissions append into arrays sized by the emission
   level's run count; accumulating emissions use a preallocated
-  open-addressing table. Table overflow makes the function return 1 and
-  the wrapper retries with doubled capacities (results are a pure function
-  of the inputs, so the retry is safe). The filled key/value arrays leave
-  as a columnar :class:`~repro.core.runtime.ArrayViewData`; no Python
-  dict is built unless a dict consumer reads the view.
+  open-addressing table whose slots hold the key and a row index: a new
+  key takes the next dense row of the value array, so a call touches
+  only ``n × width`` doubles, not one row per slot. The table may fill
+  half its slots; overflow makes the function return 1 and the wrapper
+  retries with quadrupled capacities (results are a pure function of the
+  inputs, so the retry is safe). Collect gathers the rows in slot order.
+  The filled key/value arrays leave as a columnar
+  :class:`~repro.core.runtime.ArrayViewData`; no Python dict is built
+  unless a dict consumer reads the view.
 
 Supported plans: integer (categorical) trie levels, view keys and group-by
 attributes. :func:`supports_plan` reports this; the engine falls back to
@@ -123,7 +131,7 @@ static inline uint64_t lmfao_mix(uint64_t x) {
 
 #: the one gcc step per group — C source on stdin, a shared object out;
 #: part of every artifact key
-CFLAGS = ("-O1", "-fPIC", "-shared")
+CFLAGS = ("-O1", "-fira-region=one", "-fPIC", "-shared")
 
 #: byte bound of the artifact directory (least recently used evicted first)
 ARTIFACT_BYTES = 256 << 20
@@ -276,6 +284,7 @@ class CEmitter(LoopNestEmitter):
             if mode == MODE_HASH:
                 arg(f"O{i}_mask_p", "const int64_t*", ("out_mask", i))
                 arg(f"O{i}_occ", "int8_t*", ("out_occ", i))
+                arg(f"O{i}_row", "int64_t*", ("out_row", i))
             for p in range(len(emission.group_by)):
                 arg(f"O{i}_k{p}", "int64_t*", ("out_keys", i, p))
             arg(f"O{i}_v", "double*", ("out_vals", i))
@@ -380,20 +389,23 @@ class CEmitter(LoopNestEmitter):
         w.line(f"uint64_t h = ({_mix([f'({key})' for key in keys])}) & (uint64_t)mask;")
         w.open("while (1) {")
         w.open(f"if (!O{index}_occ[h]) {{")
-        w.line(f"if (2 * (O{index}_n[0] + 1) > mask + 1) return 1;")
+        w.line(f"const int64_t n = O{index}_n[0];")
+        w.line("if (2 * (n + 1) > mask + 1) return 1;")
         w.line(f"O{index}_occ[h] = 1;")
         for p, key in enumerate(keys):
             w.line(f"O{index}_k{p}[h] = {key};")
-        w.line(f"for (int j = 0; j < {width}; j++) O{index}_v[h * {width} + j] = 0.0;")
-        w.line(f"O{index}_n[0]++;")
+        w.line(f"O{index}_row[h] = n;")
+        w.line(f"for (int j = 0; j < {width}; j++) O{index}_v[n * {width} + j] = 0.0;")
+        w.line(f"O{index}_n[0] = n + 1;")
         w.line("break;")
         w.close()
         match = " && ".join(f"O{index}_k{p}[h] == ({key})" for p, key in enumerate(keys))
         w.line(f"if ({match}) break;")
         w.line("h = (h + 1) & (uint64_t)mask;")
         w.close()
+        w.line(f"const int64_t row = O{index}_row[h];")
         for slot, value in values:
-            w.line(f"O{index}_v[h * {width} + {slot}] += {value};")
+            w.line(f"O{index}_v[row * {width} + {slot}] += {value};")
         w.close()
 
     def write_scalar(self, index: int, emission: Emission, values) -> None:
@@ -561,14 +573,15 @@ class CCompiledGroup:
                 # written by the prologue before any read (occ gates reads)
                 put(i, np.empty(bind_capacity(role[1]), dtype=np.int64))
             elif kind in {"out_scalar", "out_keys", "out_vals", "out_count",
-                          "out_mask", "out_occ"}:
+                          "out_mask", "out_occ", "out_row"}:
                 index = role[1]
                 buffers = out_buffers.setdefault(index, {})
                 emission = plan.emissions[index]
                 width = emission.width
                 capacity = out_capacity(index)
-                # keys/vals need no zeroing: the generated code writes every
-                # slot it later reads (occupancy and counts gate the reads)
+                # keys/rows/vals need no zeroing: the generated code writes
+                # every slot it later reads (occupancy and counts gate the
+                # reads), and np.empty leaves untouched pages unmapped
                 if kind == "out_scalar":
                     array = buffers.setdefault(
                         "vals", np.empty(width, dtype=np.float64)
@@ -577,7 +590,13 @@ class CCompiledGroup:
                     array = buffers.setdefault(
                         ("keys", role[2]), np.empty(capacity, dtype=np.int64)
                     )
+                elif kind == "out_row":
+                    array = buffers.setdefault(
+                        "row", np.empty(capacity, dtype=np.int64)
+                    )
                 elif kind == "out_vals":
+                    if base_emission_mode(emission) == MODE_HASH:
+                        capacity //= 2  # dense rows: the overflow check's limit
                     array = buffers.setdefault(
                         "vals", np.empty(capacity * width, dtype=np.float64)
                     )
@@ -611,8 +630,9 @@ class CCompiledGroup:
                 vals = buffers["vals"][: n * width].reshape(n, width)
                 keys = [buffers[("keys", p)][:n] for p in range(kparts)]
             else:
+                # gathered in slot order, one dense row per occupied slot
                 occ = buffers["occ"].view(bool)
-                vals = buffers["vals"].reshape(-1, width)[occ]
+                vals = buffers["vals"].reshape(-1, width)[buffers["row"][occ]]
                 keys = [buffers[("keys", p)][occ] for p in range(kparts)]
             outputs[emission.artifact] = ArrayViewData.from_arrays(keys, vals)
         return outputs

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import os
 import subprocess
+import sys
+import textwrap
 import threading
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro import retailer, retailer_features
 from repro.core import EngineConfig, LMFAO, cbackend, costmodel
 from repro.core.cbackend import artifact_key, generate_c_source, supports_plan
@@ -215,6 +218,36 @@ def test_gcc_failure_reaps_every_child(db, artifacts, spawned, monkeypatch):
     assert len(spawned) > 1
     assert all(process.returncode is not None for process in spawned)
     assert _files(artifacts, "*") == []  # no partial, and nothing installed
+
+
+def test_gcc_children_stay_small(tmp_path):
+    """gcc's peak RSS on a cold covariance batch, in a process of its own
+    so ``RUSAGE_CHILDREN`` sees only these compiles: one register
+    allocation region keeps ``cc1`` well under what per-loop regions
+    reach on the large Inventory group (~700 MB)."""
+    script = textwrap.dedent(
+        """
+        import resource, sys
+        from repro import retailer, retailer_features
+        from repro.core import EngineConfig, LMFAO, cbackend
+        from repro.ml.covariance import covariance_batch
+
+        cbackend.ARTIFACT_DIR = sys.argv[1]
+        db = retailer(scale=0.05, seed=7)
+        config = EngineConfig(backend="c", workers=1, partitions=1, executor="thread")
+        LMFAO(db, config).compile(covariance_batch(retailer_features(db)))
+        print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+        """
+    )
+    source_root = Path(repro.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "artifacts")],
+        env={**os.environ, "PYTHONPATH": str(source_root)},
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    peak_mb = int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+    assert len(list((tmp_path / "artifacts").glob("*.so"))) == 8
+    assert peak_mb < 200, f"gcc peaked at {peak_mb:.0f} MB"
 
 
 # ------------------------------------------------------------ candidate rule

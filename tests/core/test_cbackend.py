@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core import EngineConfig, LMFAO
+from repro.core import EngineConfig, LMFAO, cbackend
 from repro.core.cbackend import gcc_available, supports_plan
+from repro.core.lowering import MODE_HASH, base_emission_mode
+from repro.ml import covariance_batch
+from repro.ml.features import favorita_features
 from repro.paper import EXAMPLE_ROOTS, FAVORITA_TREE, example_queries
 from repro.util.errors import CyclicSchemaError, PlanError
 
@@ -35,9 +38,6 @@ def test_paper_example_fully_native(favorita_db):
 
 
 def test_covariance_batch_native(favorita_db):
-    from repro.ml import covariance_batch
-    from repro.ml.features import favorita_features
-
     batch = covariance_batch(favorita_features(favorita_db))
     run = _compare_backends(favorita_db, batch, join_tree_edges=FAVORITA_TREE)
     # carried-block plans (two-categorical queries) must also be native
@@ -92,6 +92,43 @@ def test_c_sources_kept_for_inspection(favorita_db):
     native = [g for g in compiled.executables["c"] if g is not None]
     assert native
     assert all("int32_t lmfao_run_g" in g.source for g in native)
+
+
+def test_hash_overflow_retry_keeps_dense_rows(favorita_db, monkeypatch):
+    """Every group's first attempt gets the smallest output tables (4 rows),
+    so a hash emission with more keys overflows and is retried larger."""
+    real = cbackend.CCompiledGroup._attempt
+    overflows, collected = [], []
+
+    def spy(self, *args):
+        *rest, boost = args
+        outputs = real(self, *rest, boost / 2**30 if boost == 1 else boost)
+        if outputs is None:
+            overflows.append(self.plan.group_name)
+        else:
+            collected.append((self.plan, outputs))
+        return outputs
+
+    monkeypatch.setattr(cbackend.CCompiledGroup, "_attempt", spy)
+    batch = covariance_batch(favorita_features(favorita_db))
+    config = dict(
+        join_tree_edges=FAVORITA_TREE, workers=1, partitions=1, executor="thread"
+    )
+    run = _compare_backends(favorita_db, batch, **config)
+    assert run.compiled.native_group_count == run.compiled.num_groups
+    assert overflows
+    hashed = 0
+    for plan, outputs in collected:
+        for emission in plan.emissions:
+            if base_emission_mode(emission) != MODE_HASH:
+                continue
+            hashed += 1
+            data = outputs[emission.artifact]
+            n = len(data.key_columns[0])
+            matrix = data.value_matrix
+            assert matrix.shape == (n, emission.width)
+            assert matrix.base is None or matrix.base.nbytes == matrix.nbytes
+    assert hashed
 
 
 @given(instance=instances())

@@ -16,6 +16,8 @@ When a change is meant to alter them, regenerate the digests and paste
 the printed tables over ``DIGESTS`` and ``NUMPY_DIGESTS``::
 
     PYTHONPATH=src python tests/core/test_source_identity.py
+
+and give each changed entry a one-line comment saying why it moved.
 """
 
 from __future__ import annotations
@@ -39,14 +41,22 @@ from repro.query import Aggregate, OrderSpec, Query, QueryBatch
 from repro.query.predicates import Op, Predicate
 
 DIGESTS = {
-    'carried_class_city': '14d0212c8e8565059a63b1c07578640cfb39fb4f8eaed7ad824ec8123e2029c5',
-    'cart_groupby': 'aaa3bc85f52c1007dad8592c185e41a41661663581f0c0bdc788881c9fa76451',
-    'cart_indicator': '331aa06d9115844360a835b8860910b4249eb9ff5469699f366f50d81cd757d0',
-    'covariance_retailer': '91dfa85c22c649ea87178941c7cdb85e13fb07d94457918c002103e5988811b1',
-    'ordered_topk': '3c3a309f116a18774d5446ae8a4a1d69d3dc6d76bf4388fa45b52e8b385110df',
-    'paper_example': 'da6129c6c3865d64f2170fd24ffe071c01e52f03a17101dc56c73833d4fb38b6',
-    'paper_example_single_output': '2a89365061b2053abe0955c31ea533062bb38b7bdef1535eb6d03e8fcc23187f',
-    'paper_example_unfactorized': 'dd9800baa210fdbcdf635c4df923ce7e701475fd5268721714bf68fdb9c5e281',
+    # 3 C hash emissions (3 of 6 groups) gain an O<i>_row slot -> row array
+    'carried_class_city': '78926b47e8af2460fe69aae97ba4d41155fd0438b7491366af25833d61c0e3fb',
+    # 6 C hash emissions (5 of 9 groups) gain an O<i>_row slot -> row array
+    'cart_groupby': '496394aa8a308dd7e519d6019fd30433e80011132f2ac1800bc18f8b2ad8bafb',
+    # 3 C hash emissions (3 of 8 groups) gain an O<i>_row slot -> row array
+    'cart_indicator': 'ae9cc3aff790900b96f021cc8ef346b3870b869993fbe75ebc6ec54f129bdb1a',
+    # 198 C hash emissions (6 of 8 groups) gain an O<i>_row slot -> row array
+    'covariance_retailer': 'bfe13e13e02d799ee0d5fdb7630bc79a451d012f92a7f381d4080f6938362816',
+    # 4 C hash emissions (3 of 7 groups) gain an O<i>_row slot -> row array
+    'ordered_topk': '50eea59a8aade5e1580c6515220145d00c89f41f109798bda5ca8033ad192a45',
+    # 2 C hash emissions (2 of 7 groups) gain an O<i>_row slot -> row array
+    'paper_example': '5d9a5be81572d1170d01428083c43d34fd3b3fac0f7ba94d0ebd8452c19f3289',
+    # 3 C hash emissions (3 of 9 groups) gain an O<i>_row slot -> row array
+    'paper_example_single_output': '3b530b6caf9621542871b4b15ce2d5473dc5e65ac2a70fc2185981a18167b2e3',
+    # 2 C hash emissions (2 of 7 groups) gain an O<i>_row slot -> row array
+    'paper_example_unfactorized': '5ff151e371df8d5891711cd9ff1706cbf347b12399e8325e81d672a038331e55',
 }
 
 NUMPY_DIGESTS = {
