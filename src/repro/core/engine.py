@@ -12,9 +12,9 @@
 
 Per-query ``WHERE`` conjunctions are folded into the sum-product as
 indicator factors — the trick that lets a batch of differently-filtered
-decision-tree aggregates share a single scan. Predicates shared by *every*
-query in a batch can optionally be pushed into physical filters on the base
-relations instead (``push_shared_predicates``).
+decision-tree aggregates share a single scan. It is the only way a predicate
+reaches execution: tries index whole base relations, and a plan-cache hit
+re-binds the indicator functions (:class:`PlanBinding`).
 
 Every optimisation is individually switchable through
 :class:`EngineConfig`, which is what the ablation benchmarks exercise.
@@ -71,7 +71,6 @@ from repro.jointree.roots import assign_roots
 from repro.query.aggregates import Aggregate, Factor
 from repro.query.batch import QueryBatch
 from repro.query.functions import Function
-from repro.query.predicates import Predicate
 from repro.query.query import Query, QueryResult
 from repro.util.errors import PlanError
 from repro.util.timer import Stopwatch
@@ -109,11 +108,6 @@ class EngineConfig:
         no value validation. ``False`` disables hoisting of repeated term
         reads in the generated code — every γ/β update re-evaluates its
         trie/prefix-sum expressions (paper §2.3: code specialisation);
-    ``push_shared_predicates`` (bool, default False)
-        no value validation. ``True`` turns predicates common to *every*
-        query of the batch into physical filters on the base relations
-        instead of indicator factors (paper §3.2: decision-tree path
-        conditions);
     ``single_root`` (str | None, default None)
         validated at ``compile()``: must be ``"auto"`` (pick the largest
         relation) or the name of a join-tree node, else
@@ -224,16 +218,11 @@ class EngineConfig:
 
     ``incremental_mode`` (str, default "auto")
         validated at ``maintain()`` (not at engine construction): must be
-        one of ``"numeric"`` (O(|Δ|) view deltas computed over a trie of
-        just the changed tuples — insert-only changes at the group's own
-        node — and a ``PlanError`` on deletes rather than a silent
-        fallback), ``"rescan"`` (re-execute dirty groups over their
-        cached full tries; bit-for-bit equal to recomputation), or
-        ``"auto"`` (numeric where exact, rescan otherwise);
-    ``incremental_cutoff`` (bool, default True)
-        no value validation. ``False`` disables delta cutoff: downstream
-        groups re-run even when a refreshed view turned out identical
-        (ablation of the dirty-path scheduler).
+        ``"auto"`` (O(|Δ|) view deltas computed over a trie of just the
+        changed tuples where exact — insert-only changes at the group's
+        own node — rescan otherwise) or ``"rescan"`` (re-execute dirty
+        groups over their cached full tries; bit-for-bit equal to
+        recomputation).
 
     Examples
     --------
@@ -255,7 +244,6 @@ class EngineConfig:
     multi_output: bool = True
     factorize: bool = True
     share_scan_terms: bool = True
-    push_shared_predicates: bool = False
     single_root: str | None = None
     root_override: dict[str, str] | None = None
     join_tree_edges: tuple[tuple[str, str], ...] | None = None
@@ -266,7 +254,6 @@ class EngineConfig:
     executor: str = "thread"
     adaptive: bool = True
     incremental_mode: str = "auto"
-    incremental_cutoff: bool = True
 
     def validate(self) -> "EngineConfig":
         """Reject nonsensical execution knobs, with actionable messages.
@@ -303,17 +290,11 @@ class PlanBinding:
         with ``x <= 7`` binds the ``ind[<=7]`` function under the
         ``ind[<=5]`` key. Trie-side caches key on the *bound* function's
         own name, so re-bound constants never collide in shared caches
-        (see :func:`repro.core.runtime._product_signature`);
-    ``shared_predicates``
-        the request's pushed-down predicate constants (only non-empty
-        under ``push_shared_predicates=True``); the trie cache key
-        includes their true values, so differently-filtered requests get
-        distinct physical tries.
+        (see :func:`repro.core.runtime._product_signature`).
     """
 
     batch: QueryBatch
     functions: dict[str, Function]
-    shared_predicates: tuple[Predicate, ...]
 
 
 @dataclass
@@ -330,12 +311,10 @@ class CompiledBatch:
     requests, re-binding predicate constants via :class:`PlanBinding`.
 
     Field notes: ``batch`` is the original request; ``folded`` the same
-    batch with non-shared predicates folded into indicator factors;
+    batch with every ``WHERE`` predicate folded into indicator factors;
     ``execution_order`` a topological order of ``group_plan``'s
-    dependency DAG; ``shared_predicates`` the predicates pushed into
-    physical filters (empty unless ``push_shared_predicates``);
-    ``executables`` the per-backend table of compiled groups
-    (:func:`repro.core.runtime.compile_executables`): backend name →
+    dependency DAG; ``executables`` the per-backend table of compiled
+    groups (:func:`repro.core.runtime.compile_executables`): backend name →
     one entry per group, each implementing the compiled-group protocol.
     ``"python"`` is always present and covers every group, each generated
     on first use (:class:`~repro.core.runtime.GeneratedPython`);
@@ -355,7 +334,6 @@ class CompiledBatch:
     orders: list[GroupOrder]
     plans: list[MultiOutputPlan]
     functions: dict[str, Function]
-    shared_predicates: tuple[Predicate, ...]
     execution_order: list[int]
     executables: dict[str, Sequence]
 
@@ -429,9 +407,8 @@ class GroupRun:
     """The per-run state one pass over a compiled batch's groups shares.
 
     What the group step (:meth:`LMFAO.execute_group`) reads — the
-    compilation, the runtime functions and pushed-down predicates bound
-    for this request, the pinned snapshot, the views computed (or seeded)
-    so far — and what the DAG walk (:meth:`LMFAO.walk_groups`) writes
+    compilation, the runtime functions bound for this request, the
+    pinned snapshot, the views computed (or seeded) so far — and what the DAG walk (:meth:`LMFAO.walk_groups`) writes
     back. The engine's own runs, the incremental maintainer's rounds and
     the view-cache refresh each build one; ``snapshot`` may stay None
     when every group is stepped over an explicit (delta) trie.
@@ -439,7 +416,6 @@ class GroupRun:
 
     compiled: CompiledBatch
     functions: Mapping[str, Function]
-    shared: tuple[Predicate, ...]
     snapshot: Snapshot | None = None
     #: view name → contents: inputs of downstream groups, seeded or computed.
     view_data: dict[str, dict] = field(default_factory=dict)
@@ -499,7 +475,7 @@ class RunResult:
 class LMFAO:
     """The engine. Construct once per database; run many batches.
 
-    Caches trie indexes (per node, attribute order and filter) and carries
+    Caches trie indexes (per node and attribute order) and carries
     them across runs — the decision-tree workload recompiles aggregates per
     tree node but reuses every trie.
 
@@ -608,11 +584,6 @@ class LMFAO:
         if executor is not None:
             executor.drop_version(version)
 
-    @property
-    def _trie_cache(self) -> dict:
-        """The current snapshot's trie memo (back-compat accessor)."""
-        return self._snapshots.current().tries
-
     # ------------------------------------------------------------------ compile
     def compile(
         self, batch: QueryBatch, snapshot: Snapshot | None = None
@@ -630,11 +601,7 @@ class LMFAO:
         config = self.config
         config.validate()
         functions = _collect_functions(batch)
-
-        shared: tuple[Predicate, ...] = ()
-        if config.push_shared_predicates:
-            shared = batch.shared_predicates()
-        folded = _fold_predicates(batch, shared, functions)
+        folded = _fold_predicates(batch, functions)
 
         roots = self._assign_roots(folded, db)
         generator = ViewGenerator(
@@ -674,7 +641,6 @@ class LMFAO:
             orders=orders,
             plans=plans,
             functions=functions,
-            shared_predicates=shared,
             execution_order=_topological_order(group_plan),
             executables=executables,
         )
@@ -706,8 +672,8 @@ class LMFAO:
         deletes=...)`` updates base relations and propagates deltas only
         through the affected views of the compiled DAG — no re-planning, no
         recompilation, no full rescans of untouched join-tree nodes. See
-        ``incremental_mode`` / ``incremental_cutoff`` on
-        :class:`EngineConfig` for the maintenance strategy switches.
+        ``incremental_mode`` on :class:`EngineConfig` for the maintenance
+        strategy switch.
         """
         from repro.incremental.maintain import MaintainedBatch
 
@@ -784,11 +750,11 @@ class LMFAO:
         binding: PlanBinding | None,
         view_seeds: ViewSeeds | None,
     ) -> RunResult:
-        # a binding carries the request's batch, functions and pushed-down
-        # predicates under the compiled batch's own field names
+        # a binding carries the request's batch and functions under the
+        # compiled batch's own field names
         bound = compiled if binding is None else binding
         batch = bound.batch
-        run = GroupRun(compiled, bound.functions, bound.shared_predicates, snapshot)
+        run = GroupRun(compiled, bound.functions, snapshot)
         seeds: dict[str, dict] = view_seeds.seeds if view_seeds is not None else {}
         skipped: set[int] = set()
         if seeds:
@@ -840,15 +806,6 @@ class LMFAO:
             return {query.name: root for query in batch}
         return assign_roots(db, self.tree, batch, override=config.root_override)
 
-    def _trie(
-        self,
-        node: str,
-        order: tuple[str, ...],
-        shared: tuple[Predicate, ...],
-        snapshot: Snapshot,
-    ) -> TrieIndex:
-        return node_trie(snapshot.db, node, order, shared, snapshot.tries)
-
     def _select_native(self, compiled: CompiledBatch, index: int, rows: int):
         """One group's executable and the backend name it runs as.
 
@@ -877,10 +834,10 @@ class LMFAO:
         the DAG walk (:meth:`walk_groups`), the incremental maintainer's
         dirty-path rescans and the numeric delta run
         (:func:`repro.incremental.rules.numeric_delta_run`). ``trie=None``
-        scans the group's node under ``run.snapshot`` (cached trie, shared
-        predicates pushed down); an explicit ``trie`` is ad hoc — a delta
-        trie over just the inserted tuples — and always runs in-process,
-        since no snapshot trie key addresses it. Records the cost model's
+        scans the group's node under ``run.snapshot`` (its cached trie);
+        an explicit ``trie`` is ad hoc — a delta trie over just the
+        inserted tuples — and always runs in-process, since no snapshot
+        trie key addresses it. Records the cost model's
         decision in ``run.decisions`` and returns the merged outputs
         without storing them: adoption (plain store, or the maintainer's
         diff-tracking merge) belongs to the caller.
@@ -924,7 +881,8 @@ class LMFAO:
         plan = compiled.plans[index]
         shippable = trie is None and config.executor == "process"
         if trie is None:
-            trie = self._trie(plan.node, plan.order, run.shared, run.snapshot)
+            snapshot = run.snapshot
+            trie = node_trie(snapshot.db, plan.node, plan.order, snapshot.tries)
         group, backend = self._select_native(compiled, index, trie.num_rows)
         tries = partition_tries(
             plan, trie, config.partitions, config.parallel_threshold,
@@ -974,7 +932,7 @@ class LMFAO:
         try:
             export = executor.export(
                 snapshot.version,
-                trie_cache_key(snapshot.db, plan.node, plan.order, run.shared),
+                trie_cache_key(plan.node, plan.order),
                 tries,
             )
             needed_views = {b.view for b in plan.bindings}
@@ -1173,22 +1131,16 @@ def _collect_functions(batch: QueryBatch) -> dict[str, Function]:
 
 
 def _fold_predicates(
-    batch: QueryBatch,
-    shared: tuple[Predicate, ...],
-    functions: dict[str, Function],
+    batch: QueryBatch, functions: dict[str, Function]
 ) -> QueryBatch:
-    """Fold non-shared WHERE predicates into indicator factors."""
-    shared_sigs = {p.signature for p in shared}
+    """Fold every WHERE predicate into indicator factors."""
     queries: list[Query] = []
     for query in batch:
-        remaining = [p for p in query.where if p.signature not in shared_sigs]
-        if not remaining:
-            queries.append(
-                query if not query.where else replace(query, where=tuple())
-            )
+        if not query.where:
+            queries.append(query)
             continue
         indicator_factors = []
-        for predicate in remaining:
+        for predicate in query.where:
             fn = predicate.as_indicator()
             fn = functions.setdefault(fn.name, fn)
             indicator_factors.append(Factor(predicate.attribute, fn))

@@ -397,23 +397,8 @@ def reshape_binding(binding: ViewBinding, view_group_by: tuple[str, ...], data: 
     return grouped
 
 
-def local_predicates(relation_attrs, predicates) -> tuple:
-    """The pushed-down predicates applicable to one relation."""
-    return tuple(p for p in predicates if p.attribute in relation_attrs)
-
-
-def apply_predicates(relation: Relation, predicates) -> Relation:
-    """Physically filter a relation by a predicate conjunction."""
-    if not predicates:
-        return relation
-    mask = np.ones(relation.num_rows, dtype=bool)
-    for pred in predicates:
-        mask &= pred.evaluate(relation.column(pred.attribute))
-    return relation.filter(mask)
-
-
-def trie_cache_key(db, node: str, order: tuple[str, ...], shared) -> tuple:
-    """The canonical trie-cache key: ``(node, order, local pred signatures)``.
+def trie_cache_key(node: str, order: tuple[str, ...]) -> tuple:
+    """The canonical trie-cache key: ``(node, order)``.
 
     Defined once and shared by every consumer — the engine's cross-run
     cache, the incremental maintainer's per-handle cache (which seeds from
@@ -421,21 +406,19 @@ def trie_cache_key(db, node: str, order: tuple[str, ...], shared) -> tuple:
     (which keys exported tries by ``(snapshot version, this key,
     partitions)``).
     """
-    local = local_predicates(db.schema.relation(node).attribute_names, shared)
-    return (node, order, tuple(p.signature for p in local))
+    return (node, order)
 
 
-def node_trie(db, node: str, order: tuple[str, ...], shared, cache: dict) -> TrieIndex:
-    """The cached trie index for one node under pushed-down predicates.
+def node_trie(db, node: str, order: tuple[str, ...], cache: dict) -> TrieIndex:
+    """The cached trie index for one node's relation in one attribute order.
 
     The cache key is :func:`trie_cache_key` — defined there, once, for
     every consumer.
     """
-    local = local_predicates(db.schema.relation(node).attribute_names, shared)
-    key = trie_cache_key(db, node, order, shared)
+    key = trie_cache_key(node, order)
     trie = cache.get(key)
     if trie is None:
-        trie = TrieIndex(apply_predicates(db.relation(node), local), order)
+        trie = TrieIndex(db.relation(node), order)
         cache[key] = trie
     return trie
 

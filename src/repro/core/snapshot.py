@@ -68,8 +68,10 @@ class Snapshot:
         mutated — updates produce a new database via
         :meth:`~repro.data.catalog.Database.with_relation`.
     tries:
-        Memo table ``(node, order, filter signatures) → TrieIndex`` (the
-        key is defined once, in :func:`repro.core.runtime.node_trie`).
+        Memo table ``(node, order) → TrieIndex`` (the key is defined
+        once, in :func:`repro.core.runtime.trie_cache_key`). Keys carry no
+        predicate constants, so the memo is bounded by the schema: one
+        entry per node and attribute order in use.
         Insert-only; entries are immutable indexes over ``db``, so
         concurrent readers may populate it racily without locking.
     """

@@ -25,16 +25,12 @@ of it per update round:
    through the engine's one group step
    (:meth:`~repro.core.engine.LMFAO.execute_group`);
 4. **delta cutoff** — a refreshed view that compares equal to its previous
-   contents stops dirtying its consumers.
+   contents stops dirtying its consumers (always on).
 
 No re-planning, no code generation, and no scans of untouched nodes happen
 after construction. ``EngineConfig.incremental_mode`` selects the strategy:
-``"auto"`` (numeric where exact, rescan otherwise), ``"rescan"`` (always
-rescan; the maintained state stays bit-for-bit equal to recomputation), or
-``"numeric"`` (strict: like auto, but a delta containing deletes raises
-*before any state is touched* rather than silently falling back — for
-tests and benchmarks that must not lose the O(|Δ|) path; downstream
-propagation rescans are part of the numeric design and remain allowed).
+``"auto"`` (numeric where exact, rescan otherwise) or ``"rescan"`` (always
+rescan; the maintained state stays bit-for-bit equal to recomputation).
 
 **Snapshot isolation.** Every apply round builds a complete *successor
 version* off to the side — a new :class:`~repro.core.snapshot.Snapshot`
@@ -91,24 +87,7 @@ from repro.incremental.rules import (
 from repro.query.query import QueryResult
 from repro.util.errors import PlanError
 
-_MODES = ("auto", "numeric", "rescan")
-
-
-def check_numeric_deletes(mode: str, deltas: Mapping[str, RelationDelta]) -> None:
-    """Enforce ``incremental_mode='numeric'``'s no-deletes contract, pre-commit.
-
-    Shared by the direct handle path and the server's write path so a
-    delete is refused with the same error *before* it is staged or
-    enqueued, wherever it enters.
-    """
-    if mode != "numeric":
-        return
-    for name, delta in deltas.items():
-        if not delta.insert_only:
-            raise PlanError(
-                f"incremental_mode='numeric' cannot maintain deletes "
-                f"(delta for {name}); use 'auto' or 'rescan'"
-            )
+_MODES = ("auto", "rescan")
 
 
 @dataclass
@@ -268,10 +247,8 @@ class MaintainedBatch:
         # stage_deltas normalises and stages every relation update before
         # this method commits anything: a delta that fails to apply (e.g.
         # deleting an absent tuple) must leave the handle's state —
-        # database, tries, views — completely untouched. The numeric-mode
-        # check runs on the normalised deltas, likewise pre-commit.
+        # database, tries, views — completely untouched.
         deltas, staged = stage_deltas(state.snapshot.db, inserts, deletes)
-        check_numeric_deletes(self.config.incremental_mode, deltas)
         if not deltas:
             return self._empty_apply_result(start=start)
 
@@ -337,14 +314,13 @@ class MaintainedBatch:
         )
 
         numeric = rescanned = skipped = 0
-        changed_views: set[str] = set()
         refreshed_views: set[str] = set()
         dirty_queries: set[str] = set()
         dirty_keys: dict[str, set] = {}
         for index in self.compiled.execution_order:
             plan = self.compiled.plans[index]
             node_delta = changed.get(plan.node)
-            upstream_dirty = any(v in changed_views for v in plan.consumed_views)
+            upstream_dirty = any(v in refreshed_views for v in plan.consumed_views)
             if node_delta is None and not upstream_dirty:
                 skipped += 1
                 continue
@@ -363,7 +339,7 @@ class MaintainedBatch:
                 rescanned += 1
             self._adopt_outputs(
                 index, outputs, run, merge,
-                changed_views, refreshed_views, dirty_queries, dirty_keys,
+                refreshed_views, dirty_queries, dirty_keys,
             )
         results = dict(state.results)
         for query in self.compiled.batch:
@@ -423,8 +399,7 @@ class MaintainedBatch:
         """Per-round state for stepping this handle's groups over ``snapshot``."""
         compiled = self.compiled
         return GroupRun(
-            compiled, compiled.functions, compiled.shared_predicates,
-            snapshot, view_data, query_raw,
+            compiled, compiled.functions, snapshot, view_data, query_raw
         )
 
     def _adopt_outputs(
@@ -433,7 +408,6 @@ class MaintainedBatch:
         outputs: dict[str, dict],
         run: GroupRun,
         merge,
-        changed_views: set[str],
         refreshed_views: set[str],
         dirty_queries: set[str],
         dirty_keys: dict[str, set],
@@ -452,7 +426,6 @@ class MaintainedBatch:
         :func:`repro.incremental.rules.refresh_ordered`'s targeted
         partition re-rank.
         """
-        cutoff = self.config.incremental_cutoff
         for emission in self.compiled.plans[index].emissions:
             is_view = emission.kind == "view"
             store = run.view_data if is_view else run.query_raw
@@ -470,13 +443,8 @@ class MaintainedBatch:
                     for key in old.keys() | new.keys():
                         if old.get(key) != new.get(key):
                             track.add(key)
-            if is_view:
-                if artifact_changed:
-                    refreshed_views.add(name)
-                if artifact_changed or not cutoff:
-                    changed_views.add(name)
-            elif artifact_changed:
-                dirty_queries.add(name)
+            if artifact_changed:
+                (refreshed_views if is_view else dirty_queries).add(name)
 
     def _debug_check_stores(self) -> None:
         """Under ``LMFAO_DEBUG``: no maintained dict may carry stale arrays.

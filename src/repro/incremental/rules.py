@@ -19,12 +19,7 @@ view-cache refresh) and :func:`refresh_ordered` (targeted top-k re-rank).
 from __future__ import annotations
 
 from repro.core import topk
-from repro.core.runtime import (
-    ArrayViewData,
-    apply_predicates,
-    debug_checks_enabled,
-    local_predicates,
-)
+from repro.core.runtime import ArrayViewData, debug_checks_enabled
 from repro.data.trie import TrieIndex
 
 
@@ -39,19 +34,14 @@ def numeric_delta_run(engine, run, index: int, inserts) -> dict[str, dict]:
     before or some inserted tuple supports it — exactly the keys the
     delta run emits.
 
-    ``inserts`` is the inserted-tuples relation of the group's own node;
-    it is filtered by the node-local pushed-down predicates of ``run``
-    (the full trie it stands in for is), indexed in the plan's order and
-    stepped through :meth:`~repro.core.engine.LMFAO.execute_group` as an
-    ad hoc trie — in-process, reading incoming views from
-    ``run.view_data``. The maintained handle and the server's view-cache
-    refresh both apply deltas through this one function, so the two stay
-    bit-identical.
+    ``inserts`` is the inserted-tuples relation of the group's own node,
+    indexed in the plan's order and stepped through
+    :meth:`~repro.core.engine.LMFAO.execute_group` as an ad hoc trie —
+    in-process, reading incoming views from ``run.view_data``. The
+    maintained handle and the server's view-cache refresh both apply
+    deltas through this one function, so the two stay bit-identical.
     """
-    relation = apply_predicates(
-        inserts, local_predicates(inserts.attribute_names, run.shared)
-    )
-    trie = TrieIndex(relation, run.compiled.plans[index].order)
+    trie = TrieIndex(inserts, run.compiled.plans[index].order)
     return engine.execute_group(run, index, trie)
 
 

@@ -53,22 +53,6 @@ class QueryBatch:
             seen.update(dict.fromkeys(query.attributes))
         return tuple(seen)
 
-    def shared_predicates(self) -> tuple:
-        """Predicates present (structurally) in *every* query of the batch.
-
-        The engine pushes these into physical filters on the base relations
-        — the decision-tree path conditions are the canonical case.
-        """
-        queries = list(self._queries.values())
-        common = {p.signature for p in queries[0].where}
-        for query in queries[1:]:
-            common &= {p.signature for p in query.where}
-        result = []
-        for pred in queries[0].where:
-            if pred.signature in common:
-                result.append(pred)
-        return tuple(result)
-
     def validate_against(self, schema: DatabaseSchema) -> None:
         for query in self._queries.values():
             query.validate_against(schema)

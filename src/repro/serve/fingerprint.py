@@ -52,7 +52,6 @@ from repro.core.engine import CompiledBatch, EngineConfig, PlanBinding
 from repro.jointree.jointree import JoinTree
 from repro.query.batch import QueryBatch
 from repro.query.functions import Function
-from repro.query.predicates import Predicate
 from repro.util.errors import PlanError
 
 #: one abstracted predicate constant: the ``(op, value)`` pair behind a
@@ -136,14 +135,10 @@ def bind_batch(compiled: CompiledBatch, batch: QueryBatch) -> PlanBinding:
     Precondition (the caller's cache guarantees it): ``batch`` and
     ``compiled.batch`` have equal :func:`batch_fingerprint`\\ s. The two
     batches are walked in lockstep — query by query, predicate by
-    predicate — producing:
-
-    * the **function rebinding**: for every folded (non-shared) predicate,
-      the cached indicator's slot name maps to the request predicate's
-      indicator function (identity when the constants happen to be equal);
-    * the request's **shared predicates**, positionally mirroring
-      ``compiled.shared_predicates`` so pushed-down physical filters use
-      the request's constants (the trie cache keys on their true values).
+    predicate — producing the **function rebinding**: for every folded
+    predicate, the cached indicator's slot name maps to the request
+    predicate's indicator function (identity when the constants happen
+    to be equal).
 
     The walk is validated as it goes; a shape mismatch — which a correct
     fingerprint makes impossible — raises
@@ -157,7 +152,6 @@ def bind_batch(compiled: CompiledBatch, batch: QueryBatch) -> PlanBinding:
             "compilation (query count); fingerprints should have differed"
         )
 
-    shared_sigs = {p.signature for p in compiled.shared_predicates}
     mapping: dict[str, Function] = {}
     for cached_q, request_q in zip(cached_queries, request_queries):
         if (
@@ -179,8 +173,6 @@ def bind_batch(compiled: CompiledBatch, batch: QueryBatch) -> PlanBinding:
                     f"bind_batch: predicate shape diverged in query "
                     f"{request_q.name!r}; fingerprints should have differed"
                 )
-            if cached_p.signature in shared_sigs:
-                continue  # pushed to a physical filter, not folded
             slot = cached_p.as_indicator().name
             bound = mapping.setdefault(slot, request_p.as_indicator())
             if bound.name != request_p.as_indicator().name:
@@ -189,29 +181,11 @@ def bind_batch(compiled: CompiledBatch, batch: QueryBatch) -> PlanBinding:
                     f"fingerprints should have differed"
                 )
 
-    # Shared predicates mirror QueryBatch.shared_predicates: the pushed
-    # list is query 0's WHERE filtered to the batch-wide common signatures,
-    # so pair query 0's predicates positionally.
-    shared: list[Predicate] = []
-    if compiled.shared_predicates:
-        for cached_p, request_p in zip(
-            cached_queries[0].where, request_queries[0].where
-        ):
-            if cached_p.signature in shared_sigs:
-                shared.append(request_p)
-        if len(shared) != len(compiled.shared_predicates):
-            raise PlanError(
-                "bind_batch: shared-predicate set diverged from the cached "
-                "compilation; fingerprints should have differed"
-            )
-
     functions = dict(compiled.functions)
     for slot, bound in mapping.items():
         if slot in functions:
             functions[slot] = bound
-    return PlanBinding(
-        batch=batch, functions=functions, shared_predicates=tuple(shared)
-    )
+    return PlanBinding(batch=batch, functions=functions)
 
 
 # ------------------------------------------------------------------ view keys
@@ -225,8 +199,7 @@ class ViewIdentity:
     database version: the canonical subtree structure
     (:class:`~repro.core.views.ViewSignature`), the concrete functions
     bound to its placeholder slots (request constants, via
-    :class:`~repro.core.engine.PlanBinding` on cache hits), the pushed
-    shared predicates that filter any relation of its subtree, and the
+    :class:`~repro.core.engine.PlanBinding` on cache hits), and the
     *execution profile* — attribute orders, partition safety and
     native/C availability of the producing groups over the subtree.
 
@@ -275,12 +248,6 @@ def view_identities(
     """
     signatures = compiled.view_plan.view_signatures()
     functions = binding.functions if binding is not None else compiled.functions
-    shared = (
-        binding.shared_predicates
-        if binding is not None
-        else compiled.shared_predicates
-    )
-    tree = compiled.tree
 
     profiles: dict[str, tuple] = {}
 
@@ -314,13 +281,7 @@ def view_identities(
             functions[slot].name if slot in functions else slot
             for slot in signature.slots
         )
-        subtree_attrs = frozenset(
-            attr for node in signature.subtree for attr in tree.attributes(node)
-        )
-        applicable_shared = tuple(
-            sorted(p.signature for p in shared if p.attribute in subtree_attrs)
-        )
         identities[name] = ViewIdentity(
-            key=(signature.structure, constants, applicable_shared, profile(name))
+            key=(signature.structure, constants, profile(name))
         )
     return identities

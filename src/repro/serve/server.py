@@ -101,11 +101,7 @@ from repro.incremental.delta import (
     delta_footprint,
     normalize_deltas,
 )
-from repro.incremental.maintain import (
-    ApplyResult,
-    MaintainedBatch,
-    check_numeric_deletes,
-)
+from repro.incremental.maintain import ApplyResult, MaintainedBatch
 from repro.incremental.rules import merge_delta_outputs, numeric_delta_run
 from repro.query.batch import QueryBatch
 from repro.serve.fingerprint import (
@@ -373,10 +369,7 @@ class AggregateServer:
         def publish(name: str, data: dict) -> None:
             cache.put(
                 ViewKey(identities[name], version),
-                CachedView.of(
-                    compiled, name, data, identities,
-                    bound.functions, bound.shared_predicates,
-                ),
+                CachedView.of(compiled, name, data, identities, bound.functions),
             )
 
         return ViewSeeds(seeds=seeds, publish=publish)
@@ -408,7 +401,7 @@ class AggregateServer:
         follows the server's ``write_policy``; plan-cache entries stay
         valid across commits (they are pure structure).
         """
-        deltas = self._stage_writes(inserts, deletes)
+        deltas = normalize_deltas(self.engine.snapshot().db, inserts, deletes)
         if not deltas:
             version = self.engine.snapshot().version
             if sync:
@@ -434,23 +427,11 @@ class AggregateServer:
         self._writes.flush(timeout)
         return self.engine.snapshot().version
 
-    def _stage_writes(
-        self, inserts, deletes
-    ) -> dict[str, RelationDelta]:
-        """Normalise apply() arguments; enforce pre-enqueue contracts."""
-        deltas = normalize_deltas(self.engine.snapshot().db, inserts, deletes)
-        if deltas and self._handles:
-            # fail fast on the caller's thread, exactly like a direct
-            # handle apply would, instead of poisoning a whole group
-            check_numeric_deletes(self.engine.config.incremental_mode, deltas)
-        return deltas
-
     def _route_handle_apply(
         self, handle: MaintainedBatch, inserts, deletes
     ) -> ApplyResult:
         """A bound maintained handle's apply: enqueue, block for the result."""
         deltas = normalize_deltas(handle.db, inserts, deletes)
-        check_numeric_deletes(self.engine.config.incremental_mode, deltas)
         if not deltas:
             return handle._empty_apply_result()
         return self._writes.submit(deltas, handle=handle).result()
@@ -570,8 +551,7 @@ class AggregateServer:
                 return None
             consumed_data[name] = centry.data
         run = GroupRun(
-            updater.compiled, updater.functions, updater.shared,
-            view_data=consumed_data,
+            updater.compiled, updater.functions, view_data=consumed_data
         )
         try:
             outputs = numeric_delta_run(
@@ -609,8 +589,7 @@ class AggregateServer:
             cache.put(
                 ViewKey(identities[name], version),
                 CachedView.of(
-                    compiled, name, data, identities,
-                    compiled.functions, compiled.shared_predicates,
+                    compiled, name, data, identities, compiled.functions
                 ),
             )
 

@@ -37,7 +37,6 @@ from typing import Callable, Mapping
 
 from repro.core.runtime import estimate_view_bytes
 from repro.query.functions import Function
-from repro.query.predicates import Predicate
 from repro.serve.fingerprint import ViewIdentity, ViewKey
 from repro.serve.lru import CacheStats, LRUCache
 
@@ -57,8 +56,8 @@ class ViewUpdater:
 
     Captured at publish time from the producing execution: the compiled
     batch and group index whose code recomputes the view, the *bound*
-    functions and shared predicates of the request that materialized it
-    (rebinding means these may differ from ``compiled.functions``), and
+    functions of the request that materialized it (rebinding means these
+    may differ from ``compiled.functions``), and
     the identities of the views the group consumes — the refresh is only
     exact if those exact child contents are still cached at the old
     version (see ``AggregateServer._refresh_view_cache``).
@@ -69,7 +68,6 @@ class ViewUpdater:
     view_name: str
     group_index: int
     functions: Mapping[str, Function]
-    shared: tuple[Predicate, ...]
     #: every view the producing group's plan binds, with identities —
     #: all must still be cached at the pre-commit version for the
     #: refresh to run (names are compilation-local, identities are not).
@@ -98,15 +96,14 @@ class CachedView:
         data: Mapping,
         identities: Mapping[str, ViewIdentity],
         functions: Mapping[str, Function],
-        shared: tuple[Predicate, ...],
     ) -> "CachedView":
         """The cache entry for view ``name`` of one compilation.
 
         ``identities`` are the compilation's per-view identities under
         the constants ``data`` was materialized with
         (:func:`~repro.serve.fingerprint.view_identities`); ``functions``
-        and ``shared`` are those same bound constants, kept on the
-        :class:`ViewUpdater` for the group-commit refresh.
+        are those same bound constants, kept on the :class:`ViewUpdater`
+        for the group-commit refresh.
         """
         index = compiled.producers[name]
         return cls(
@@ -120,7 +117,6 @@ class CachedView:
                 view_name=name,
                 group_index=index,
                 functions=functions,
-                shared=shared,
                 consumed=tuple(
                     (consumed, identities[consumed])
                     for consumed in compiled.plans[index].consumed_views

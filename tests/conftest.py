@@ -32,10 +32,6 @@ which rewrites the ``view_cache_bytes`` keyword-only default of
 :class:`AggregateServer`; servers constructed with an explicit
 ``view_cache_bytes`` are unaffected. Unset leaves the shipped default
 (cache on).
-
-One more knob threads the cost-based adaptive layer through the suite:
-``LMFAO_TEST_ADAPTIVE=0`` rewrites the ``adaptive`` default (the static
-ablation baseline).
 """
 
 from __future__ import annotations
@@ -64,9 +60,6 @@ def _override_engine_defaults() -> None:
     executor = os.environ.get("LMFAO_TEST_EXECUTOR")
     if executor:
         overrides["executor"] = executor
-    adaptive = os.environ.get("LMFAO_TEST_ADAPTIVE")
-    if adaptive is not None:
-        overrides["adaptive"] = adaptive not in {"0", "false", ""}
     if not overrides:
         return
     names = [f.name for f in dataclasses.fields(EngineConfig)]

@@ -22,11 +22,26 @@ def test_run_results_match_oracle(favorita_db, favorita_engine, favorita_join):
         assert_results_equal(run.results[query.name], oracle(favorita_join, query))
 
 
+def _filtered_batch(threshold: float) -> QueryBatch:
+    where = (Predicate("units", Op.GT, threshold),)
+    return QueryBatch([
+        Query("total", aggregates=(Aggregate.sum("units"),), where=where),
+        Query("per_store", group_by=("store",),
+              aggregates=(Aggregate.count(),), where=where),
+    ])
+
+
 def test_trie_cache_reused_across_runs(favorita_engine):
     favorita_engine.run(example_queries())
-    cached = len(favorita_engine._trie_cache)
+    cached = len(favorita_engine.snapshot().tries)
     favorita_engine.run(example_queries())
-    assert len(favorita_engine._trie_cache) == cached
+    assert len(favorita_engine.snapshot().tries) == cached
+    # WHERE constants are indicator factors, never trie filters: a batch
+    # differing only in them reuses every trie
+    favorita_engine.run(_filtered_batch(2.0))
+    cached = len(favorita_engine.snapshot().tries)
+    favorita_engine.run(_filtered_batch(5.0))
+    assert len(favorita_engine.snapshot().tries) == cached
 
 
 def test_dropped_engine_is_freed_without_the_cyclic_collector(favorita_db):
@@ -153,10 +168,12 @@ def test_failing_prepare_propagates_from_parallel_scheduler(favorita_db, monkeyp
     def boom(*args, **kwargs):
         raise ValueError("injected prepare failure")
 
+    import repro.core.engine as engine_module
+
     engine = LMFAO(
         favorita_db, EngineConfig(join_tree_edges=FAVORITA_TREE, workers=2)
     )
-    monkeypatch.setattr(engine, "_trie", boom)
+    monkeypatch.setattr(engine_module, "node_trie", boom)
     with pytest.raises(ValueError, match="injected prepare failure"):
         engine.run(example_queries())
 
@@ -228,33 +245,6 @@ def test_generated_source_accessible(favorita_engine):
         source = compiled.generated_source(i)
         assert source.startswith("# generated multi-output plan")
         assert "def _run_group" in source
-
-
-def test_pushed_predicates_filter_relations(favorita_db, favorita_join):
-    shared = Predicate("promo", Op.EQ, 1.0)
-    batch = QueryBatch(
-        [
-            Query("a", aggregates=(Aggregate.sum("units"),), where=(shared,)),
-            Query(
-                "b",
-                group_by=("store",),
-                aggregates=(Aggregate.count(),),
-                where=(shared,),
-            ),
-        ]
-    )
-    run = LMFAO(
-        favorita_db,
-        EngineConfig(join_tree_edges=FAVORITA_TREE, push_shared_predicates=True),
-    ).run(batch)
-    assert run.compiled.shared_predicates == (shared,)
-    # compare against indicator-mode run: scalar totals must agree
-    indicator_run = LMFAO(
-        favorita_db, EngineConfig(join_tree_edges=FAVORITA_TREE)
-    ).run(batch)
-    assert run.results["a"].scalar() == pytest.approx(
-        indicator_run.results["a"].scalar()
-    )
 
 
 def test_empty_batch_query_on_empty_relation():

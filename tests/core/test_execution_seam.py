@@ -27,6 +27,10 @@ Kernels choose their algorithm from the data they hold: NumPy has one
 grouper and the top-k layer one finisher per container, and neither the
 cost model nor a forcing environment variable picks between variants.
 
+A ``WHERE`` predicate reaches execution one way: folded into an indicator
+factor at compile time, re-bound on a plan-cache hit. Nothing below the
+query layer evaluates a predicate against a column.
+
 One behavioural check rides along: compilation pays only for the code a
 run uses — a group's Python is generated when it first runs on Python or
 its source is read, once, whichever thread gets there first.
@@ -84,6 +88,48 @@ def test_group_step_owns_every_execution_decision():
         sites = _call_sites(name)
         assert len(sites) == 1, f"{name} called from {sites}"
         assert sites[0].startswith("core/engine.py:"), sites
+
+
+def _enclosing_functions(name: str) -> list[str]:
+    """``file:function`` of the innermost function around every call whose
+    callee is (an attribute) ``name``."""
+    sites = []
+
+    def visit(node, module: str, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and _called_name(node) == name:
+            sites.append(f"{module}:{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for module, tree in _modules().items():
+        visit(tree, module, None)
+    return sites
+
+
+def test_one_predicate_path():
+    # a predicate becomes an indicator at compile time and on a plan-cache
+    # rebind, nowhere else
+    assert sorted(set(_enclosing_functions("as_indicator"))) == [
+        "core/engine.py:_fold_predicates", "serve/fingerprint.py:bind_batch",
+    ]
+    # and no execution layer filters rows by one
+    for module, tree in _modules().items():
+        if not module.startswith(("core/", "incremental/", "serve/")):
+            continue
+        for node in ast.walk(tree):
+            assert not (
+                isinstance(node, ast.Call) and _called_name(node) == "evaluate"
+            ), f"{module}:{node.lineno} evaluates a predicate"
+            named = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.arg if isinstance(node, (ast.arg, ast.keyword))
+                else node.name if isinstance(node, ast.FunctionDef)
+                else None
+            )
+            assert named != "shared_predicates", f"{module}:{node.lineno}"
 
 
 def test_partitioned_execute_has_two_homes():

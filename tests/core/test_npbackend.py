@@ -479,7 +479,7 @@ def test_outputs_keep_columnar_arrays():
         and not plan.bindings
     )
     plan = compiled.plans[index]
-    trie = node_trie(db, plan.node, plan.order, (), {})
+    trie = node_trie(db, plan.node, plan.order, {})
     outputs = compiled.executables["numpy"][index].execute(
         trie, {}, {}, compiled.functions
     )

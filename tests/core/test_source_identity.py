@@ -182,9 +182,7 @@ def numpy_digest(name: str) -> str:
     compiled = engine.compile(batch())
     snapshot = engine.pin_snapshot()
     try:
-        run = GroupRun(
-            compiled, compiled.functions, compiled.shared_predicates, snapshot
-        )
+        run = GroupRun(compiled, compiled.functions, snapshot)
         engine.walk_groups(run)
     finally:
         engine.release_snapshot(snapshot.version)

@@ -14,7 +14,7 @@ import pytest
 from repro.core import EngineConfig, LMFAO
 from repro.incremental.rules import merge_delta_outputs
 from repro.paper import FAVORITA_TREE, example_queries
-from repro.query import Aggregate, Factor, Op, Predicate, Query, QueryBatch
+from repro.query import Aggregate, Factor, Query, QueryBatch
 from repro.util.errors import PlanError
 
 from tests.helpers import assert_results_equal
@@ -280,39 +280,10 @@ def test_delta_cutoff_stops_propagation(favorita_engine):
     _assert_exact(handle)
 
 
-def test_cutoff_disabled_reruns_the_static_closure(favorita_db):
-    config = EngineConfig(join_tree_edges=FAVORITA_TREE, incremental_cutoff=False)
-    handle = LMFAO(favorita_db, config).maintain(example_queries())
-    rows = _sample_rows(np.random.default_rng(3), handle.database.relation("Sales"), 4)
-    outcome = handle.apply(inserts={"Sales": rows}, deletes={"Sales": rows})
-    assert (
-        outcome.groups_rescanned
-        == len(_reachable(handle, {"Sales"})[0])
-        > len(_node_groups(handle, "Sales"))
-    )
-    _assert_exact(handle)
-
-
-def test_strict_numeric_mode_raises_on_deletes(favorita_db):
-    engine = LMFAO(
-        favorita_db,
-        EngineConfig(join_tree_edges=FAVORITA_TREE, incremental_mode="numeric"),
-    )
-    handle = engine.maintain(example_queries())
-    sales = handle.database.relation("Sales")
-    with pytest.raises(PlanError):
-        handle.apply(deletes={"Sales": [sales.row(0)]})
-    # the raise happens before any state is touched
-    assert handle.database.relation("Sales").num_rows == sales.num_rows
-    _assert_exact(handle)
-
-
-def test_strict_numeric_mode_accepts_inserts(favorita_db):
-    engine = LMFAO(
-        favorita_db,
-        EngineConfig(join_tree_edges=FAVORITA_TREE, incremental_mode="numeric"),
-    )
-    handle = engine.maintain(example_queries())
+def test_strict_numeric_mode_accepts_inserts(favorita_engine):
+    """The default ``"auto"`` mode takes the numeric step on every
+    insert-only delta."""
+    handle = favorita_engine.maintain(example_queries())
     sales = handle.database.relation("Sales")
     outcome = handle.apply(inserts={"Sales": [sales.row(0)]})
     # every changed-node group took the O(|Δ|) path; only downstream
@@ -404,30 +375,6 @@ def test_numeric_merge_never_leaks_desynced_arrays(favorita_db, monkeypatch):
     recomputed = handle.recompute()
     for name in recomputed.results:
         assert_results_equal(handle[name], recomputed.results[name])
-
-
-def test_with_pushed_shared_predicates(favorita_db):
-    """Physical filters on base relations compose with maintenance."""
-    shared = (Predicate("units", Op.GT, 2.0),)
-    batch = QueryBatch(
-        [
-            Query("filtered_total", aggregates=(Aggregate.sum("units"),), where=shared),
-            Query(
-                "filtered_by_store",
-                group_by=("store",),
-                aggregates=(Aggregate.count(),),
-                where=shared,
-            ),
-        ]
-    )
-    config = EngineConfig(
-        join_tree_edges=FAVORITA_TREE, push_shared_predicates=True
-    )
-    handle = LMFAO(favorita_db, config).maintain(batch)
-    rng = np.random.default_rng(11)
-    for _ in range(3):
-        handle.apply(**_random_delta(rng, handle.database, ("Sales",)))
-        _assert_close(handle)
 
 
 # ------------------------------------------------------------ dirty-path bound

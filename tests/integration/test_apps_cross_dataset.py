@@ -73,6 +73,6 @@ def test_cart_engine_trie_cache_shared_across_nodes(favorita_db):
     engine = LMFAO(favorita_db, EngineConfig(join_tree_edges=FAVORITA_TREE))
     spec = favorita_features(favorita_db)
     RegressionTree(spec, CartConfig(max_depth=1, min_samples=10)).fit(engine)
-    after_root = len(engine._trie_cache)
+    after_root = len(engine.snapshot().tries)
     RegressionTree(spec, CartConfig(max_depth=3, min_samples=10)).fit(engine)
-    assert len(engine._trie_cache) == after_root
+    assert len(engine.snapshot().tries) == after_root

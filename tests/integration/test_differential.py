@@ -65,39 +65,6 @@ def test_engine_single_root(instance):
 
 
 @given(instance=instances())
-@settings(**_SETTINGS)
-def test_engine_with_pushed_shared_predicates(instance):
-    """Pushed shared predicates use SQL filter semantics: groups with no
-    qualifying join rows disappear instead of appearing zeroed. The oracle
-    therefore filters the join by the shared predicates first and folds
-    only the per-query remainder as indicators."""
-    import dataclasses
-
-    import numpy as np
-
-    try:
-        engine = LMFAO(instance.db, EngineConfig(push_shared_predicates=True))
-    except CyclicSchemaError:
-        pytest.skip("generated schema had a disconnected join graph")
-    run = engine.run(instance.batch)
-    join = instance.db.materialize_join()
-    shared = instance.batch.shared_predicates()
-    shared_sigs = {p.signature for p in shared}
-    if shared:
-        mask = np.ones(join.num_rows, dtype=bool)
-        for predicate in shared:
-            mask &= predicate.evaluate(join.column(predicate.attribute))
-        join = join.filter(mask)
-    for query in instance.batch:
-        remainder = tuple(
-            p for p in query.where if p.signature not in shared_sigs
-        )
-        reduced = dataclasses.replace(query, where=remainder)
-        expected = oracle(join, reduced)
-        assert_results_equal(run.results[query.name], expected)
-
-
-@given(instance=instances())
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 def test_engine_all_optimisations_off(instance):

@@ -69,17 +69,6 @@ def test_batch_aggregate_count():
         batch.query("c")
 
 
-def test_shared_predicates():
-    shared = Predicate("x", Op.LE, 3)
-    batch = QueryBatch(
-        [
-            Query("a", where=(shared, Predicate("y", Op.GT, 0))),
-            Query("b", where=(Predicate("x", Op.LE, 3),)),
-        ]
-    )
-    assert [p.signature for p in batch.shared_predicates()] == [shared.signature]
-
-
 def test_predicate_evaluate_and_parse():
     import numpy as np
 

@@ -154,7 +154,6 @@ def test_bind_batch_maps_indicator_slots_to_request_functions(favorita_db):
     assert binding.functions["ind[>=10]"].name == "ind[>=25]"
     # non-indicator functions pass through untouched
     assert binding.functions["id"] is cached.functions["id"]
-    assert binding.shared_predicates == ()
 
 
 def test_bind_batch_is_identity_on_equal_constants(favorita_db):
@@ -162,35 +161,6 @@ def test_bind_batch_is_identity_on_equal_constants(favorita_db):
     cached = engine.compile(_batch())
     binding = bind_batch(cached, _batch())
     assert binding.functions == cached.functions
-
-
-def test_bind_batch_rebinds_pushed_shared_predicates(favorita_db):
-    engine = _engine(favorita_db, push_shared_predicates=True)
-    shared3 = (Predicate("units", Op.GT, 2.0),)
-    shared5 = (Predicate("units", Op.GT, 5.0),)
-
-    def shared_batch(shared):
-        return QueryBatch(
-            [
-                Query("T", aggregates=(Aggregate.sum("units"),), where=shared),
-                Query(
-                    "S",
-                    group_by=("store",),
-                    aggregates=(Aggregate.count(),),
-                    where=shared,
-                ),
-            ]
-        )
-
-    fp1, _ = _fp(engine, shared_batch(shared3))
-    fp2, _ = _fp(engine, shared_batch(shared5))
-    assert fp1 == fp2
-    cached = engine.compile(shared_batch(shared3))
-    assert cached.shared_predicates  # the push actually engaged
-    binding = bind_batch(cached, shared_batch(shared5))
-    assert tuple(p.signature for p in binding.shared_predicates) == (
-        ("units", ">", 5.0),
-    )
 
 
 def test_bind_batch_rejects_shape_divergence(favorita_db):

@@ -81,33 +81,6 @@ def test_rebound_constants_match_cold_compile_oracle(favorita_db, backend):
         assert _groups(served_again) == _groups(oracle_first)
 
 
-def test_pushed_shared_predicate_constants_rebind(favorita_db):
-    shared = lambda t: (Predicate("units", Op.GT, t),)  # noqa: E731
-
-    def batch(t):
-        return QueryBatch(
-            [
-                Query("total", aggregates=(Aggregate.sum("units"),), where=shared(t)),
-                Query(
-                    "per_store",
-                    group_by=("store",),
-                    aggregates=(Aggregate.count(),),
-                    where=shared(t),
-                ),
-            ]
-        )
-
-    config = EngineConfig(
-        join_tree_edges=FAVORITA_TREE, push_shared_predicates=True
-    )
-    with AggregateServer(favorita_db, config) as server:
-        server.run(batch(2.0))
-        served = server.run(batch(5.0))
-        assert server.stats().plan_cache.hits == 1
-        oracle = LMFAO(favorita_db, config).run(batch(5.0))
-        assert _groups(served) == _groups(oracle)
-
-
 def test_lru_eviction_forces_recompile(favorita_db):
     def shaped(name):
         return QueryBatch(

@@ -216,10 +216,9 @@ def test_delete_delta_invalidates_exactly_the_dirty_views(
     assert _groups(warm) == _groups(oracle_server.run(_batch(("u2a", "u2b"))))
 
 
-def _pushed_batch(names, t):
-    """Both queries filter on the *leaf* relation Items, so under
-    ``push_shared_predicates`` the predicate becomes a physical filter on
-    the Items trie — and on any Items delta."""
+def _leaf_filtered_batch(names, t):
+    """Both queries filter on the *leaf* relation Items: the indicator
+    lands in the Items views, so their contents depend on ``t``."""
     where = (Predicate("class", Op.LE, t),)
     return QueryBatch(
         [
@@ -231,20 +230,16 @@ def _pushed_batch(names, t):
     )
 
 
-def test_numeric_refresh_filters_inserts_by_rebound_shared_predicates(
+def test_numeric_refresh_uses_rebound_indicator_constants(
     favorita_db, monkeypatch
 ):
-    """An insert-only delta under pushed-down shared predicates with
-    re-bound constants: the refreshed entry must have filtered the
-    inserted tuples by the constants it was *materialized* with (the
-    request's, not the cached compilation's), serve results equal to a
-    cache-off oracle, and hold exactly the data a maintained handle
-    computes for the same delta — both go through
+    """An insert-only delta to a view's home relation after a plan-cache
+    rebind: the refreshed entry must apply the indicator constants it was
+    *materialized* with (the request's, not the cached compilation's),
+    serve results equal to a cache-off oracle, and hold exactly the data
+    a maintained handle computes for the same delta — both go through
     :func:`repro.incremental.rules.numeric_delta_run`."""
     monkeypatch.setenv("LMFAO_DEBUG", "1")
-    config = EngineConfig(
-        join_tree_edges=FAVORITA_TREE, push_shared_predicates=True
-    )
     items = favorita_db.relation("Items")
     classes = items.column("class")
 
@@ -252,19 +247,18 @@ def test_numeric_refresh_filters_inserts_by_rebound_shared_predicates(
         return items.row(int(np.flatnonzero(classes == value)[0]))
 
     # class 2 passes both constants, class 3 only the re-bound one (a
-    # refresh filtering by the compiled constant would drop it), class 4
-    # neither (an unfiltered refresh would count it)
+    # refresh under the compiled constant would zero it), class 4 neither
     delta = {"Items": [row_of_class(2), row_of_class(3), row_of_class(4)]}
     names = ("qa", "qb")
     with AggregateServer(
-        favorita_db, config, view_cache_bytes=32 * 1024 * 1024
+        favorita_db, _config(), view_cache_bytes=32 * 1024 * 1024
     ) as cached, AggregateServer(
-        favorita_db, config, view_cache_bytes=0
-    ) as oracle, LMFAO(favorita_db, config) as engine:
-        cached.run(_pushed_batch(names, 2.0))  # compiles with class <= 2
-        rebound = cached.run(_pushed_batch(names, 3.0))  # plan hit, re-bound
+        favorita_db, _config(), view_cache_bytes=0
+    ) as oracle, LMFAO(favorita_db, _config()) as engine:
+        cached.run(_leaf_filtered_batch(names, 2.0))  # compiles class <= 2
+        rebound = cached.run(_leaf_filtered_batch(names, 3.0))  # re-bound
         assert "compile" not in rebound.timings
-        handle = engine.maintain(_pushed_batch(names, 3.0))
+        handle = engine.maintain(_leaf_filtered_batch(names, 3.0))
 
         version = cached.apply(inserts=delta)
         oracle.apply(inserts=delta)
@@ -287,9 +281,11 @@ def test_numeric_refresh_filters_inserts_by_rebound_shared_predicates(
         for identity in shared:
             assert refreshed[identity] == maintained[identity]
 
-        warm = cached.run(_pushed_batch(names, 3.0))
+        warm = cached.run(_leaf_filtered_batch(names, 3.0))
         assert warm.skipped_groups != ()
-        assert _groups(warm) == _groups(oracle.run(_pushed_batch(names, 3.0)))
+        assert _groups(warm) == _groups(
+            oracle.run(_leaf_filtered_batch(names, 3.0))
+        )
 
 
 # ------------------------------------------------------------------ lifetime
