@@ -22,9 +22,9 @@ Every optimisation is individually switchable through
 Execution is **snapshot-isolated**: all trie/relation state lives in
 immutable versioned :class:`~repro.core.snapshot.Snapshot` objects held by
 a :class:`~repro.core.snapshot.SnapshotStore`; :meth:`LMFAO.run` pins the
-version it started on, and incremental maintenance installs successor
-versions atomically (:mod:`repro.incremental.maintain`), so queries never
-observe a half-applied delta. The compile pipeline sits behind a
+version it started on, and every write installs its successor version
+atomically through one commit path (:meth:`LMFAO.commit`), so queries
+never observe a half-applied delta. The compile pipeline sits behind a
 fingerprintable boundary: :class:`CompiledBatch` is pure structure, and a
 :class:`PlanBinding` (built by :mod:`repro.serve.fingerprint`) re-binds
 per-request predicate constants at execution time — the compile-once
@@ -482,11 +482,11 @@ class LMFAO:
     All data state lives in an immutable versioned
     :class:`~repro.core.snapshot.Snapshot` behind a
     :class:`~repro.core.snapshot.SnapshotStore`: :meth:`run` pins the
-    current version on entry and reads only from it, while incremental
-    maintenance (:meth:`maintain`) installs successor versions atomically
-    — concurrent queries never block behind maintenance and never observe
-    a half-applied delta. ``engine.db`` always denotes the *current*
-    version's database.
+    current version on entry and reads only from it, while :meth:`commit`
+    installs successor versions atomically and advances every maintained
+    handle (:meth:`maintain`) with them — concurrent queries never block
+    behind maintenance and never observe a half-applied delta.
+    ``engine.db`` always denotes the *current* version's database.
     """
 
     def __init__(self, db: Database, config: EngineConfig | None = None) -> None:
@@ -497,6 +497,10 @@ class LMFAO:
         else:
             self.tree = build_join_tree(db.schema)
         self._snapshots = SnapshotStore(Snapshot(version=0, db=db, tries={}))
+        # every live maintained handle follows every commit; both are
+        # guarded by the commit lock (see commit())
+        self._commit_lock = threading.RLock()
+        self._handles: weakref.WeakSet = weakref.WeakSet()
         self._mpexec = None
         self._mpexec_lock = threading.Lock()
         # when a superseded version loses its last reader pin, drop its
@@ -674,10 +678,56 @@ class LMFAO:
         recompilation, no full rescans of untouched join-tree nodes. See
         ``incremental_mode`` on :class:`EngineConfig` for the maintenance
         strategy switch.
+
+        The handle is built and registered under the commit lock, so it
+        starts at the current version and follows every later
+        :meth:`commit`, whichever writer calls it.
         """
         from repro.incremental.maintain import MaintainedBatch
 
-        return MaintainedBatch(self, self.compile(batch))
+        with self._commit_lock:
+            handle = MaintainedBatch(self, self.compile(batch))
+            self._handles.add(handle)
+        return handle
+
+    def commit(self, deltas: Mapping) -> tuple[int, dict]:
+        """Install one normalised delta map as a single snapshot transition.
+
+        The one commit path: a direct ``handle.apply`` and the serving
+        layer's group commit both end here. Under the commit lock it
+        stages every updated relation (a delta that cannot apply, such as
+        the delete of an absent tuple, raises before anything changes),
+        builds the successor snapshot, advances every registered
+        maintained handle against it off to the side, installs the
+        successor and then flips the handles. A failure at any point
+        leaves the store and every handle on the last good version.
+
+        ``deltas`` maps relation names to
+        :class:`~repro.incremental.delta.RelationDelta` (see
+        :func:`~repro.incremental.delta.normalize_deltas`). Returns
+        ``(version, by_handle)``: the installed version and each handle's
+        :class:`~repro.incremental.maintain.ApplyResult`. Empty ``deltas``
+        install nothing.
+        """
+        with self._commit_lock:
+            snapshot = self._snapshots.current()
+            if not deltas:
+                return snapshot.version, {}
+            staged = {
+                name: delta.apply_to(snapshot.db.relation(name))
+                for name, delta in deltas.items()
+            }
+            successor = snapshot.with_relations(staged)
+            advanced = [
+                (handle, *handle._advance_state(deltas, successor))
+                for handle in list(self._handles)
+            ]
+            self._snapshots.install(successor)
+            by_handle = {}
+            for handle, state, result in advanced:
+                handle._commit_state(state)
+                by_handle[handle] = result
+            return successor.version, by_handle
 
     def execute(
         self,

@@ -400,11 +400,11 @@ def reshape_binding(binding: ViewBinding, view_group_by: tuple[str, ...], data: 
 def trie_cache_key(node: str, order: tuple[str, ...]) -> tuple:
     """The canonical trie-cache key: ``(node, order)``.
 
-    Defined once and shared by every consumer — the engine's cross-run
-    cache, the incremental maintainer's per-handle cache (which seeds from
-    the engine's), and the process executor's shared-memory segment store
-    (which keys exported tries by ``(snapshot version, this key,
-    partitions)``).
+    Defined once and shared by every consumer — the snapshot's trie memo
+    (:attr:`~repro.core.snapshot.Snapshot.tries`, which maintained
+    handles share with the engine's runs) and the process executor's
+    shared-memory segment store (which keys exported tries by
+    ``(snapshot version, this key)``).
     """
     return (node, order)
 

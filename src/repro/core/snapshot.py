@@ -14,21 +14,24 @@ at the start of the run.
   and every entry is itself immutable once inserted (the benign-race memo
   pattern: two threads may build the same index concurrently; either
   result is correct and one wins the dict slot).
-* Writers (:meth:`repro.incremental.MaintainedBatch.apply`, or
-  :meth:`repro.serve.AggregateServer.apply`) build the **next** snapshot
+* Every write (a direct :meth:`repro.incremental.MaintainedBatch.apply`
+  or a group commit of :class:`repro.serve.AggregateServer`) goes
+  through the engine's one commit path,
+  :meth:`repro.core.engine.LMFAO.commit`. It builds the **next** snapshot
   off to the side with :meth:`Snapshot.with_relations` — structurally
   sharing every unchanged relation and every unchanged node's tries — and
-  publish it through :meth:`SnapshotStore.install`, a single atomic
+  publishes it through :meth:`SnapshotStore.install`, a single atomic
   reference swap.
 * Readers pin :meth:`SnapshotStore.current` once and never look again;
   a concurrently installed version is simply invisible to them.
 
 Versions are dense integers starting at 0 (the construction-time
 database). :meth:`SnapshotStore.install` only accepts the direct successor
-of the current version, so lost updates from two concurrent writer
-lineages surface as a hard :class:`~repro.util.errors.PlanError` instead
-of silently dropping one writer's delta. See ``docs/serving.md`` for the
-full concurrency contract.
+of the current version: the engine's commit serialises its writers, so
+this check is the safety net for raw installs outside it, which surface
+as a hard :class:`~repro.util.errors.PlanError` instead of silently
+dropping a delta. See ``docs/serving.md`` for the full concurrency
+contract.
 
 **Garbage collection.** The store retains every installed snapshot until
 it is both *superseded* (a newer version was installed) and *unpinned*
@@ -107,12 +110,11 @@ class SnapshotStore:
 
     Reads (:meth:`current`) are lock-free — a single attribute load, atomic
     under the GIL. Writes (:meth:`install`) serialise on an internal lock
-    and enforce the single-lineage rule: the incoming snapshot must be the
-    direct successor of the current one. A conflict means two writers
-    built successors of the same base concurrently (e.g. two maintained
-    handles on one engine, or a handle racing
-    :meth:`repro.serve.AggregateServer.apply`); the second install raises
-    rather than silently discarding the first writer's delta.
+    and require the incoming snapshot to be the direct successor of the
+    current one. The engine's commit (:meth:`repro.core.engine.LMFAO.commit`)
+    is the one caller and holds its commit lock across build and install,
+    so a conflict means a raw install built its successor outside that
+    lock; it raises rather than silently discarding the other delta.
 
     Reader pins (:meth:`pin` / :meth:`unpin`) refcount versions so the
     garbage collector (see the module docstring) only reclaims versions
@@ -231,7 +233,7 @@ class SnapshotStore:
                     f"snapshot version conflict: cannot install version "
                     f"{snapshot.version} over current version "
                     f"{self._current.version}; another writer advanced this "
-                    f"engine first (one maintenance lineage per engine — "
+                    f"engine first (writes commit through LMFAO.commit — "
                     f"see docs/serving.md)"
                 )
             self._current = snapshot

@@ -260,29 +260,6 @@ def coalesce_deltas(
     return merged
 
 
-def stage_deltas(
-    db: Database,
-    inserts: Mapping[str, object] | None,
-    deletes: Mapping[str, object] | None,
-) -> tuple[dict[str, RelationDelta], dict[str, Relation]]:
-    """Normalise apply() arguments and stage every updated relation.
-
-    Returns ``(deltas, staged)`` where ``staged`` maps each changed
-    relation name to its fully updated instance. Staging *everything*
-    before any caller commits anything is the writers' atomicity
-    contract: a delta that fails to apply (e.g. deleting an absent tuple)
-    raises here, before any snapshot state has been touched. Both writer
-    paths — :meth:`repro.incremental.MaintainedBatch.apply` and
-    :meth:`repro.serve.AggregateServer.apply` — stage through this one
-    helper so their semantics cannot diverge.
-    """
-    deltas = normalize_deltas(db, inserts, deletes)
-    staged = {
-        name: delta.apply_to(db.relation(name)) for name, delta in deltas.items()
-    }
-    return deltas, staged
-
-
 def delta_footprint(
     deltas: Mapping[str, RelationDelta],
 ) -> dict[str, bool]:

@@ -32,34 +32,29 @@ after construction. ``EngineConfig.incremental_mode`` selects the strategy:
 ``"auto"`` (numeric where exact, rescan otherwise) or ``"rescan"`` (always
 rescan; the maintained state stays bit-for-bit equal to recomputation).
 
-**Snapshot isolation.** Every apply round builds a complete *successor
-version* off to the side — a new :class:`~repro.core.snapshot.Snapshot`
-(structurally sharing unchanged relations and tries) plus copy-on-write
-view/query stores (untouched artifacts are carried by reference, numeric
-merges copy only the dicts and value lists they update) — and publishes it
-in two atomic reference swaps: the snapshot is installed into the owning
-engine's :class:`~repro.core.snapshot.SnapshotStore` (so subsequent
-:meth:`~repro.core.engine.LMFAO.run` calls see the new data, while
-in-flight runs keep the version they pinned), then the handle's own state
-pointer flips. Readers of :attr:`results` / :meth:`view_contents` therefore
-always observe one complete version — never a half-applied delta — and an
-apply that fails anywhere leaves both the handle and the engine exactly as
-they were. One maintenance lineage per engine: a second concurrent writer
-(another handle, or a direct
-:meth:`~repro.core.snapshot.SnapshotStore.install`) surfaces as a
-version-conflict :class:`~repro.util.errors.PlanError` instead of a lost
-update. The full contract is in ``docs/serving.md``.
+**One commit path.** Every write to an engine — a direct :meth:`apply`,
+or a group commit of :class:`repro.serve.AggregateServer`'s write queue —
+goes through :meth:`repro.core.engine.LMFAO.commit`, and **every** live
+handle of that engine follows every commit. Under the engine's commit
+lock the commit builds a complete *successor version* off to the side —
+a new :class:`~repro.core.snapshot.Snapshot` (structurally sharing
+unchanged relations and tries) plus, per handle, copy-on-write view/query
+stores (untouched artifacts are carried by reference, numeric merges copy
+only the dicts and value lists they update) — then installs the snapshot
+into the engine's :class:`~repro.core.snapshot.SnapshotStore` (so
+subsequent :meth:`~repro.core.engine.LMFAO.run` calls see the new data,
+while in-flight runs keep the version they pinned) and flips each
+handle's state pointer. Readers of :attr:`results` /
+:meth:`view_contents` therefore always observe one complete version —
+never a half-applied delta — and a commit that fails anywhere leaves the
+engine and every handle exactly as they were.
 
-**Server-routed handles.** A handle built by
-:meth:`repro.serve.AggregateServer.maintain` is *bound* to the server's
-group-committed write queue: its ``apply`` does not install directly but
-enqueues the delta and blocks for the :class:`ApplyResult` of the group
-commit that covered it (several queued writes may land in one snapshot
-transition — the handle is refreshed once, over the composed delta). The
-refresh machinery is shared either way: the direct path and the server's
-committer both advance handle state through :meth:`_advance_state` /
-:meth:`_commit_state`, so routed results stay bit-exact vs applying each
-delta sequentially.
+A handle built by :meth:`repro.serve.AggregateServer.maintain` enqueues
+its delta on the server's write queue and blocks for the
+:class:`ApplyResult` of the group commit that covered it (several queued
+writes may land in one snapshot transition — the handle is refreshed
+once, over the composed delta, bit-exact vs applying each delta
+sequentially). The full contract is in ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -78,7 +73,7 @@ from repro.core.engine import (
 from repro.core.runtime import ArrayViewData, debug_checks_enabled
 from repro.core.snapshot import Snapshot
 from repro.data.catalog import Database
-from repro.incremental.delta import RelationDelta, stage_deltas
+from repro.incremental.delta import RelationDelta, normalize_deltas
 from repro.incremental.rules import (
     merge_delta_outputs,
     numeric_delta_run,
@@ -145,7 +140,8 @@ class MaintainedBatch:
         self.config = engine.config
         self.applies = 0
         self._engine = engine
-        self._router = None  # set by AggregateServer.maintain (write queue)
+        # the server's write queue, set by AggregateServer.maintain
+        self._router = None
         # ordered queries get targeted partition re-ranks on apply; their
         # raw changed-key sets are tracked per round for exactly this.
         self._ordered_queries = frozenset(
@@ -232,73 +228,45 @@ class MaintainedBatch:
         ``inserts`` / ``deletes`` map relation names to tuples to add /
         remove — each value a :class:`Relation`, a row sequence, a column
         mapping, or (deletes only) a boolean mask over the current
-        instance. A server-bound handle routes the delta through its
-        server's group-committed write queue and blocks for the result
-        (see the module docstring); a direct handle builds the successor
-        version off to the side and installs it atomically (into the
-        owning engine first, then the handle). Either way the returned
-        :class:`ApplyResult` carries the new version's results plus
-        per-round stats.
+        instance. A server-bound handle enqueues the delta on its server's
+        group-committed write queue and blocks for the commit that covers
+        it; a direct handle commits at once. Both end in the engine's one
+        commit path (:meth:`~repro.core.engine.LMFAO.commit`), which every
+        handle of the engine follows. The returned :class:`ApplyResult`
+        carries this handle's new results plus per-round stats.
         """
+        deltas = normalize_deltas(self.db, inserts, deletes)
+        if not deltas:  # the no-op round: nothing staged, version kept
+            self.applies += 1
+            return ApplyResult(
+                results=self.results,
+                refreshed_queries=(),
+                refreshed_views=(),
+                relations_changed=(),
+                groups_numeric=0,
+                groups_rescanned=0,
+                groups_skipped=0,
+                seconds=0.0,
+                version=self.version,
+            )
         if self._router is not None:
-            return self._router._route_handle_apply(self, inserts, deletes)
-        start = time.perf_counter()
-        state = self._state
-        # stage_deltas normalises and stages every relation update before
-        # this method commits anything: a delta that fails to apply (e.g.
-        # deleting an absent tuple) must leave the handle's state —
-        # database, tries, views — completely untouched.
-        deltas, staged = stage_deltas(state.snapshot.db, inserts, deletes)
-        if not deltas:
-            return self._empty_apply_result(start=start)
-
-        snapshot = state.snapshot.with_relations(staged)
-        new_state, result = self._advance_state(deltas, snapshot, start=start)
-
-        # ---- publish: engine first (version conflicts abort the whole
-        # apply with the handle untouched), then the handle's own pointer
-        self._engine._snapshots.install(snapshot)
-        self._commit_state(new_state)
-        return result
-
-    def _bind_router(self, router) -> None:
-        """Route future ``apply`` calls through a server's write queue."""
-        self._router = router
-
-    def _empty_apply_result(self, start: float | None = None) -> ApplyResult:
-        """The no-op round: nothing staged, nothing enqueued, version kept."""
-        state = self._state
-        self.applies += 1
-        return ApplyResult(
-            results=state.results,
-            refreshed_queries=(),
-            refreshed_views=(),
-            relations_changed=(),
-            groups_numeric=0,
-            groups_rescanned=0,
-            groups_skipped=0,
-            seconds=0.0 if start is None else time.perf_counter() - start,
-            version=state.snapshot.version,
-        )
+            return self._router.submit(deltas, handle=self).result()
+        return self._engine.commit(deltas)[1][self]
 
     def _advance_state(
-        self,
-        deltas: Mapping[str, RelationDelta],
-        snapshot: Snapshot,
-        start: float | None = None,
+        self, deltas: Mapping[str, RelationDelta], snapshot: Snapshot
     ) -> tuple[_MaintainedVersion, ApplyResult]:
         """Compute the successor maintained state, entirely off to the side.
 
         ``snapshot`` is the (not yet installed) direct successor carrying
-        ``deltas``'s staged relations. Nothing is published: the caller
-        installs the snapshot and then flips the handle via
+        ``deltas``'s staged relations. Nothing is published: the engine's
+        commit installs the snapshot and then flips the handle via
         :meth:`_commit_state`, so a failure anywhere in here leaves both
-        the handle and the engine exactly as they were — the committer's
-        crash-containment contract. The dirty-path walk, numeric/rescan
-        choice and copy-on-write merge discipline are identical for
-        single deltas and for group-composed ones.
+        the handle and the engine exactly as they were. The dirty-path
+        walk, numeric/rescan choice and copy-on-write merge discipline are
+        identical for single deltas and for group-composed ones.
         """
-        start = time.perf_counter() if start is None else start
+        start = time.perf_counter()
         state = self._state
         if snapshot.version != state.snapshot.version + 1:
             raise PlanError(

@@ -26,11 +26,12 @@ engine for serving heavy concurrent traffic:
   enqueue normalised deltas on a bounded write-ahead queue
   (:class:`~repro.serve.writequeue.WriteQueue`); a single committer
   thread composes consecutive deltas (insert/delete cancellation) and
-  installs them as **one** snapshot transition, refreshing every
-  registered :meth:`maintain` handle against the same successor. Any
-  number of writer threads may apply concurrently — writers serialise
-  through the queue instead of dying on version conflicts — with
-  configurable backpressure and ``flush()``/``sync=True`` durability;
+  commits them as **one** snapshot transition through the engine's one
+  commit path (:meth:`~repro.core.engine.LMFAO.commit`), which refreshes
+  every maintained handle against the same successor. Any number of
+  writer threads may apply concurrently — they serialise through the
+  queue — with configurable backpressure and ``flush()``/``sync=True``
+  durability;
 * **async submission** — :meth:`submit` returns a
   :class:`concurrent.futures.Future` over a shared worker pool, and
   identical in-flight requests (same fingerprint, same constants, same
@@ -80,7 +81,6 @@ onto one future; see :meth:`AggregateServer.submit`)::
 from __future__ import annotations
 
 import threading
-import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -156,10 +156,10 @@ class AggregateServer:
 
     Construct once per database; call from any number of threads —
     including any number of *writer* threads: writes serialise through
-    the server's group-commit queue rather than conflicting. The full
-    concurrency contract (what a ``run`` observes while writes are in
-    flight, group composition, backpressure, flush semantics and the
-    snapshot-GC lifecycle) is documented in ``docs/serving.md``.
+    the server's group-commit queue. The full concurrency contract (what
+    a ``run`` observes while writes are in flight, group composition,
+    backpressure, flush semantics and the snapshot-GC lifecycle) is
+    documented in ``docs/serving.md``.
 
     Parameters
     ----------
@@ -227,11 +227,6 @@ class AggregateServer:
         )
         self._inflight: dict[tuple, Future] = {}
         self._lock = threading.Lock()
-        # held by every group commit, by maintain-handle registration and
-        # by stats() — the one mutual exclusion between "a snapshot
-        # transition is being installed" and "a coherent reading is taken".
-        self._commit_mutex = threading.Lock()
-        self._handles: "weakref.WeakSet[MaintainedBatch]" = weakref.WeakSet()
         self._writes = WriteQueue(
             self._commit_group, capacity=write_capacity, policy=write_policy
         )
@@ -427,58 +422,30 @@ class AggregateServer:
         self._writes.flush(timeout)
         return self.engine.snapshot().version
 
-    def _route_handle_apply(
-        self, handle: MaintainedBatch, inserts, deletes
-    ) -> ApplyResult:
-        """A bound maintained handle's apply: enqueue, block for the result."""
-        deltas = normalize_deltas(handle.db, inserts, deletes)
-        if not deltas:
-            return handle._empty_apply_result()
-        return self._writes.submit(deltas, handle=handle).result()
-
     def _commit_group(self, deltas: dict[str, RelationDelta]):
         """Install one composed delta map as a single snapshot transition.
 
-        Runs only on the committer thread. Stages every relation first
-        (a failing delta raises *before* anything is touched), advances
-        every registered maintained handle off to the side against the
-        same successor, installs the snapshot, then flips the handles —
-        so a failure at any point leaves the store on the last good
-        version and every handle coherent, and the exception fails only
-        this group's tickets (the queue's crash containment).
+        Runs only on the committer thread. The engine's commit
+        (:meth:`~repro.core.engine.LMFAO.commit`) stages, advances every
+        maintained handle and installs; a failure leaves the store on the
+        last good version and fails only this group's tickets (the
+        queue's crash containment). Around it, under the same commit
+        lock, the server adds what the view cache needs: the refresh reads
+        the entries at the old version before the install reclaims them,
+        and the results are published after it.
         """
-        with self._commit_mutex:
-            snapshot = self.engine.snapshot()
-            if not deltas:
-                return snapshot.version, {}
-            staged = {
-                name: delta.apply_to(snapshot.db.relation(name))
-                for name, delta in deltas.items()
-            }
-            successor = snapshot.with_relations(staged)
-            refreshed = self._refresh_view_cache(snapshot, deltas)
-            advanced = [
-                (handle, *handle._advance_state(deltas, successor))
-                for handle in list(self._handles)
-            ]
-            self.engine._snapshots.install(successor)
-            by_handle = {}
-            for handle, new_state, result in advanced:
-                handle._commit_state(new_state)
-                by_handle[handle] = result
+        with self.engine._commit_lock:
+            refreshed = self._refresh_view_cache(self.engine.snapshot(), deltas)
+            version, by_handle = self.engine.commit(deltas)
             if self.view_cache is not None:
                 # published only now, after the install: the successor is a
                 # retained version, so the no-orphans invariant never has a
                 # window where cached keys point at an uninstalled version.
                 for entry in refreshed:
-                    self.view_cache.put(
-                        ViewKey(entry.identity, successor.version), entry
-                    )
+                    self.view_cache.put(ViewKey(entry.identity, version), entry)
                 for handle, result in by_handle.items():
-                    self._republish_handle_views(
-                        handle, result, successor.version
-                    )
-            return successor.version, by_handle
+                    self._republish_handle_views(handle, result, version)
+            return version, by_handle
 
     def _refresh_view_cache(
         self, snapshot: Snapshot, deltas: dict[str, RelationDelta]
@@ -501,10 +468,11 @@ class AggregateServer:
           pinned to the old version and dies with it).
 
         Returns the entries to publish at the successor version after
-        install. Runs under the commit mutex on the committer thread.
+        install. Runs under the engine's commit lock on the committer
+        thread.
         """
         cache = self.view_cache
-        if cache is None:
+        if cache is None or not deltas:
             return []
         footprint = delta_footprint(deltas)
         changed = set(footprint)
@@ -598,19 +566,14 @@ class AggregateServer:
 
         The handle is *bound to this server*: its ``apply(inserts=...,
         deletes=...)`` routes through the group-commit queue (blocking
-        for the covering commit's :class:`ApplyResult`), and **every**
-        server write — :meth:`apply` or any other handle — refreshes its
-        materialised results as part of the commit, so the handle always
-        serves the server's current version. Any number of handles may
-        coexist with any number of writers; the one-lineage restriction
-        applies only to handles built directly on an engine.
+        for the covering commit's :class:`ApplyResult`). Like every handle
+        of the engine, it follows every commit — :meth:`apply` or any
+        other handle — so it always serves the server's current version.
         """
-        with self._commit_mutex:
-            if self._closed:
-                raise PlanError("AggregateServer is closed")
-            handle = self.engine.maintain(batch)
-            handle._bind_router(self)
-            self._handles.add(handle)
+        if self._closed:
+            raise PlanError("AggregateServer is closed")
+        handle = self.engine.maintain(batch)
+        handle._router = self._writes
         return handle
 
     # ------------------------------------------------------------------- admin
@@ -623,14 +586,14 @@ class AggregateServer:
         """Point-in-time serving counters (see :class:`ServerStats`).
 
         The snapshot version, write counters and live-snapshot count are
-        read together under the commit lock — one coherent reading that
-        cannot tear against a concurrent group commit.
+        read together under the engine's commit lock — one coherent
+        reading that cannot tear against a concurrent commit.
         """
         with self._lock:
             inflight = len(self._inflight)
             submitted = self._submitted
             coalesced = self._coalesced
-        with self._commit_mutex:
+        with self.engine._commit_lock:
             snapshot_version = self.engine.snapshot().version
             writes = self._writes.stats()
             live_snapshots = len(self.engine._snapshots.retained_versions())

@@ -129,8 +129,8 @@ class ViewCache:
     """Byte-bounded LRU of materialized views keyed by :class:`ViewKey`.
 
     Thread-safe (delegates to :class:`~repro.serve.lru.LRUCache`); the
-    group-commit refresh additionally serialises through the server's
-    commit mutex, so carry-forward/invalidate decisions are made against
+    group-commit refresh additionally serialises through the engine's
+    commit lock, so carry-forward/invalidate decisions are made against
     a stable version frontier.
     """
 

@@ -1,16 +1,14 @@
 """The group-committed write path: a bounded delta queue + one committer.
 
-Production write rates break the serving layer's original
-one-copy-on-write-snapshot-per-``apply`` discipline twice over: every
-small delta pays a full successor-snapshot build, and two concurrent
-writers race :meth:`~repro.core.snapshot.SnapshotStore.install` (the
-loser dies with a version-conflict ``PlanError``). This module replaces
-the race with a **write-ahead delta queue**:
+Production write rates make one snapshot transition per ``apply`` too
+dear: every small delta would pay a full successor-snapshot build and a
+maintenance round of every handle. This module amortises them with a
+**write-ahead delta queue**:
 
 * :meth:`WriteQueue.submit` enqueues a normalised per-relation delta map
   (:class:`~repro.incremental.delta.RelationDelta`) and returns a
-  :class:`WriteTicket` immediately — writers never touch the snapshot
-  store themselves, so any number of threads may write concurrently;
+  :class:`WriteTicket` immediately — writers never commit themselves,
+  so any number of threads may write concurrently;
 * a single **committer thread** drains the queue and *group-commits*:
   consecutive queued deltas are composed into one delta map
   (:func:`~repro.incremental.delta.coalesce_deltas` — insert/delete
@@ -37,10 +35,10 @@ the race with a **write-ahead delta queue**:
 
 The queue is policy-free about *what* a commit does: the owner passes a
 ``commit(deltas) -> (version, results_by_handle)`` callback
-(:meth:`repro.serve.AggregateServer._commit_group` routes it through
-``stage_deltas``-equivalent staging, ``Snapshot.with_relations`` and the
-incremental maintenance rules). See ``docs/serving.md`` for the full
-contract.
+(:meth:`repro.serve.AggregateServer._commit_group`, which wraps the
+engine's one commit path, :meth:`repro.core.engine.LMFAO.commit`, with
+the view cache's refresh and publish). See ``docs/serving.md`` for the
+full contract.
 """
 
 from __future__ import annotations

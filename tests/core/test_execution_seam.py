@@ -31,6 +31,11 @@ A ``WHERE`` predicate reaches execution one way: folded into an indicator
 factor at compile time, re-bound on a plan-cache hit. Nothing below the
 query layer evaluates a predicate against a column.
 
+A write reaches the store one way: the engine's commit
+(:meth:`repro.core.engine.LMFAO.commit`) builds the successor snapshot,
+advances every maintained handle, installs and flips them; a direct
+handle apply and the server's group commit both call it.
+
 One behavioural check rides along: compilation pays only for the code a
 run uses — a group's Python is generated when it first runs on Python or
 its source is read, once, whichever thread gets there first.
@@ -130,6 +135,20 @@ def test_one_predicate_path():
                 else None
             )
             assert named != "shared_predicates", f"{module}:{node.lineno}"
+
+
+def test_one_commit_path():
+    for name in ("with_relations", "install", "_advance_state", "_commit_state"):
+        assert _enclosing_functions(name) == ["core/engine.py:commit"], name
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            named = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.FunctionDef)
+                else None
+            )
+            assert named != "stage_deltas", f"{module}:{node.lineno}"
 
 
 def test_partitioned_execute_has_two_homes():

@@ -1,6 +1,7 @@
 """AggregateServer behaviour: cache reuse, rebinding oracles, futures,
 coalescing, and the snapshot-isolation concurrency contract."""
 
+import sys
 import threading
 
 import pytest
@@ -10,7 +11,9 @@ from repro.incremental.delta import normalize_deltas
 from repro.paper import FAVORITA_TREE
 from repro.query import Aggregate, Op, Predicate, Query, QueryBatch
 from repro.serve import AggregateServer
-from repro.util.errors import PlanError
+from repro.util.errors import PlanError, SchemaError
+
+from tests.incremental.test_maintain import _assert_exact
 
 
 def _batch(t_units=3.0, t_item=10.0):
@@ -248,18 +251,102 @@ def test_concurrent_runs_during_apply_never_see_torn_state(favorita_db, executor
         assert _groups(final) == oracles[len(rounds)]
 
 
-def test_second_writer_lineage_conflicts_cleanly(favorita_db):
+def _maintained(handle):
+    return handle.version, {n: r.groups for n, r in handle.results.items()}
+
+
+def test_every_direct_handle_follows_every_commit(favorita_db):
     engine = LMFAO(favorita_db, EngineConfig(join_tree_edges=FAVORITA_TREE))
-    batch = _batch()
     sales = favorita_db.relation("Sales")
-    first = engine.maintain(batch)
-    second = engine.maintain(batch)
+    first = engine.maintain(_batch())
+    second = engine.maintain(_batch(t_units=6.0, t_item=4.0))
+    outcome = first.apply(inserts={"Sales": [sales.row(0), sales.row(1)]})
+    assert outcome.version == 1
+    assert first.version == second.version == engine.snapshot().version == 1
+    second.apply(deletes={"Sales": [sales.row(2)]})
+    assert first.version == second.version == engine.snapshot().version == 2
+    assert first.applies == second.applies == 2
+    for handle in (first, second):
+        assert handle.database is engine.db
+        _assert_exact(handle)
+
+
+def test_failed_commit_leaves_engine_and_every_handle_untouched(favorita_db):
+    engine = LMFAO(favorita_db, EngineConfig(join_tree_edges=FAVORITA_TREE))
+    sales = favorita_db.relation("Sales")
+    items = favorita_db.relation("Items")
+    handles = [engine.maintain(_batch()), engine.maintain(_batch(t_units=6.0))]
+    handles[0].apply(inserts={"Sales": [sales.row(0)]})
+    before = [_maintained(handle) for handle in handles]
+    db = engine.db
+    with pytest.raises(SchemaError):
+        handles[1].apply(
+            inserts={"Items": [items.row(0)]},
+            deletes={"Sales": [(999, 999, 999, 1.0, 0)]},  # not present
+        )
+    assert engine.db is db and engine.snapshot().version == 1
+    assert [_maintained(handle) for handle in handles] == before
+    for handle in handles:
+        _assert_exact(handle)
+
+
+def test_handle_built_between_commits_follows_the_next(favorita_db):
+    engine = LMFAO(favorita_db, EngineConfig(join_tree_edges=FAVORITA_TREE))
+    sales = favorita_db.relation("Sales")
+    first = engine.maintain(_batch())
     first.apply(inserts={"Sales": [sales.row(0)]})
-    before = {name: r.groups for name, r in second.results.items()}
-    with pytest.raises(PlanError, match="snapshot version conflict"):
-        second.apply(inserts={"Sales": [sales.row(1)]})
-    # the losing writer's own state is untouched by the failed apply
-    assert {name: r.groups for name, r in second.results.items()} == before
-    assert second.version == 0
-    # and the engine still serves the first writer's lineage
-    assert engine.snapshot().version == 1
+    late = engine.maintain(_batch(t_units=6.0))
+    assert late.version == 1
+    first.apply(deletes={"Sales": [sales.row(0), sales.row(3)]})
+    assert late.version == first.version == 2
+    late.apply(inserts={"Sales": [sales.row(4)]})
+    assert late.version == first.version == 3
+    for handle in (first, late):
+        _assert_exact(handle)
+
+def test_concurrent_direct_writers_serialise(favorita_db):
+    """More writer threads than cores, each applying through its own direct
+    handle while another thread builds handles: no commit is lost, and
+    every handle ends on the last version, exact against recomputation."""
+    engine = LMFAO(favorita_db, EngineConfig(join_tree_edges=FAVORITA_TREE))
+    sales = favorita_db.relation("Sales")
+    writers, rounds = 4, 5
+    handles = [engine.maintain(_batch(t_units=3.0 + i)) for i in range(writers)]
+    late, failures = [], []
+
+    def write(handle, offset):
+        try:
+            for step in range(rounds):
+                row = sales.row(offset * rounds + step)
+                handle.apply(inserts={"Sales": [row]})
+        except Exception as exc:  # reported below
+            failures.append(exc)
+
+    def build():
+        try:
+            for i in range(3):
+                late.append(engine.maintain(_batch(t_units=9.0, t_item=i)))
+        except Exception as exc:
+            failures.append(exc)
+
+    threads = [
+        threading.Thread(target=write, args=(handle, i))
+        for i, handle in enumerate(handles)
+    ] + [threading.Thread(target=build)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures
+    final = writers * rounds
+    assert engine.snapshot().version == final
+    assert engine.db.relation("Sales").num_rows == sales.num_rows + final
+    for handle in handles + late:
+        assert handle.version == final
+        _assert_exact(handle)

@@ -309,7 +309,7 @@ def test_grouped_commits_bit_exact_vs_sequential_oracle(favorita_db, executor):
     _, oracle = _final_oracle(favorita_db, batch, rounds, config)
     with AggregateServer(favorita_db, config) as server:
         handle = server.maintain(batch)
-        with server._commit_mutex:  # stall the committer mid-first-group
+        with server.engine._commit_lock:  # stall the committer mid-first-group
             tickets = [
                 server.apply(inserts=inserts, deletes=deletes, sync=False)
                 for inserts, deletes in rounds
@@ -467,7 +467,7 @@ def test_server_write_policy_and_capacity_plumbing(favorita_db):
     with AggregateServer(
         favorita_db, config, write_capacity=1, write_policy="reject"
     ) as server:
-        with server._commit_mutex:
+        with server.engine._commit_lock:
             held = server.apply(inserts={"Sales": [sales.row(0)]}, sync=False)
             deadline = time.monotonic() + 10
             while server._writes.stats().queued and time.monotonic() < deadline:
@@ -498,7 +498,7 @@ def test_close_flushes_queued_writes_and_is_idempotent(favorita_db):
     config = EngineConfig(join_tree_edges=FAVORITA_TREE)
     sales = favorita_db.relation("Sales")
     server = AggregateServer(favorita_db, config)
-    with server._commit_mutex:  # stall commits so the queue fills up
+    with server.engine._commit_lock:  # stall commits so the queue fills up
         tickets = [
             server.apply(inserts={"Sales": [sales.row(i)]}, sync=False)
             for i in range(4)

@@ -138,6 +138,22 @@ def test_ci_has_docs_leg_and_serving_bench():
     assert "tests/serve" in text
 
 
+def test_ci_writes_leg_covers_both_writers():
+    """Queued and direct writes share one commit path, so the debug write
+    leg runs the queue's suites and the direct handle's suite, plus the
+    guard that keeps the path single."""
+    text = (_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    leg = text[text.index("  tests-writes:"):]
+    leg = leg[:leg.index("\n  tests-", 1)]
+    assert 'LMFAO_DEBUG: "1"' in leg
+    for suite in (
+        "tests/serve/test_writequeue.py",
+        "tests/incremental/test_maintain.py",
+        "tests/core/test_execution_seam.py",
+    ):
+        assert suite in leg, suite
+
+
 #: the retired second benchmark system: its directory, its JSON records and
 #: its strictness switch (``.benchmarks/``, pytest-benchmark's store, is not it)
 _RETIRED_BENCH = re.compile(
