@@ -33,7 +33,11 @@ _CONFIGS = {
 
 
 def _run_config(db, name: str, overrides: dict, timed, report) -> None:
-    engine = LMFAO(db, EngineConfig(join_tree_edges=FAVORITA_TREE, **overrides))
+    # pinned to generated Python: F1 ablates its code layers, and term
+    # sharing reaches no other backend
+    engine = LMFAO(db, EngineConfig(
+        join_tree_edges=FAVORITA_TREE, backend="python", **overrides
+    ))
     spec = favorita_features(db)
     batch = covariance_batch(spec)
     compiled = engine.compile(batch)

@@ -82,11 +82,10 @@ set-up after the first pays ``dlopen``, not gcc:
 **Candidates.** :func:`compile_c_groups` compiles every supported plan
 unless given ``candidates``. Under ``backend="auto"`` the engine passes
 only the groups whose node relation, in the compile snapshot, reaches the
-cost model's cut (:func:`repro.core.costmodel.native_worthwhile`, the
-same cut :func:`~repro.core.costmodel.choose_backend` applies at run
-time): the relation's row count bounds its trie's, so every other group
-would run on Python anyway. A group that grows past the cut on a later
-snapshot has no C candidate and runs NumPy instead.
+cost model's cut (:func:`repro.core.costmodel.native_worthwhile`): below
+it gcc and the ctypes marshalling cost more than the scan saves, so
+those groups run NumPy (:func:`~repro.core.costmodel.choose_backend`
+picks C exactly where a candidate was built).
 """
 
 from __future__ import annotations

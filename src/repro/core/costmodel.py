@@ -23,9 +23,10 @@ partition count       ``min(config.partitions, rows // threshold,
 concurrency           1 when the backend is GIL-bound under the thread
                       executor (pure Python), else
                       ``min(workers, usable cores)``;
-backend (``"auto"``)  per group: tiny tries stay on interpreted Python
-                      (staging overhead dominates), otherwise C when a
-                      compiled group exists, else NumPy.
+backend (``"auto"``)  per group: C when a compiled group exists, else
+                      NumPy. ``LMFAO.compile`` builds a C candidate only
+                      for groups whose relation reaches
+                      ``SMALL_TRIE_ROWS``.
 ====================  ====================================================
 
 Kernels below that level choose their algorithm from the data they hold
@@ -48,8 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.core.engine import EngineConfig
     from repro.data.trie import TrieIndex
 
-#: below this many trie rows a group stays on interpreted Python under
-#: ``backend="auto"`` — array-program staging costs more than the loop.
+#: below this many relation rows ``LMFAO.compile`` builds no C candidate
+#: under ``backend="auto"`` — gcc and the ctypes marshalling cost more
+#: than the scan they would speed up.
 SMALL_TRIE_ROWS = 2048
 
 
@@ -109,24 +111,15 @@ def effective_concurrency(config: "EngineConfig") -> int:
 
 
 def native_worthwhile(rows: int) -> bool:
-    """Whether a trie of ``rows`` rows leaves interpreted Python under
-    ``backend="auto"`` — the one cut: :func:`choose_backend` applies it
-    per execution, and ``LMFAO.compile`` builds a C candidate only for
-    groups whose node relation reaches it (a relation's row count bounds
-    its trie's)."""
+    """Whether a relation of ``rows`` rows earns a C candidate under
+    ``backend="auto"``: ``LMFAO.compile`` builds C only for groups whose
+    node relation reaches this cut in the compile snapshot."""
     return rows >= SMALL_TRIE_ROWS
 
 
-def choose_backend(rows: int, has_c: bool) -> str:
-    """Per-group backend under ``backend="auto"``.
-
-    Tiny tries stay on the interpreted Python loop (per-call staging of
-    the array program or the ctypes marshalling dominates actual work);
-    past that, compiled C when this group has a compiled implementation,
-    else the NumPy array program.
-    """
-    if not native_worthwhile(rows):
-        return "python"
+def choose_backend(has_c: bool) -> str:
+    """Per-group backend under ``backend="auto"``: compiled C when this
+    group has a C candidate, else the NumPy array program."""
     return "c" if has_c else "numpy"
 
 

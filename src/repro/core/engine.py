@@ -156,27 +156,30 @@ class EngineConfig:
         must be an integer ≥ 0 (rows). Minimum number of trie rows before
         a group's scan fans out across partitions — small groups run
         unpartitioned to avoid per-partition overhead;
-    ``backend`` (str, default "python")
-        must be one of ``"python"`` (specialised Python over the trie
-        runtime — the paper's generated C++ transposed to Python, §2.3),
-        ``"numpy"`` (whole-level array programs over the same trie —
-        segment-reduction sums, vectorized probes, CSR entry-list
+    ``backend`` (str, default "numpy")
+        must be one of ``"numpy"`` (whole-level array programs over the
+        trie — segment-reduction sums, vectorized probes, CSR entry-list
         expansion for carried views; every plan shape runs natively, no
-        fallback class), ``"c"`` (generated C compiled with gcc, one
-        shared object per group kept in a byte-bounded per-user artifact
-        directory, so compiling the same group again only loads it — see
+        fallback class), ``"python"`` (specialised Python over the same
+        trie runtime — the paper's generated C++ transposed to Python,
+        §2.3; the ablation's and the C fallback's backend), ``"c"``
+        (generated C compiled with gcc, one shared object per group kept
+        in a byte-bounded per-user artifact directory, so compiling the
+        same group again only loads it — see
         :mod:`repro.core.cbackend`; carried blocks included; per-group
         fallback to Python when a plan has a non-integer trie level, view
         key or group-by attribute; ``compile()`` raises ``PlanError`` if
-        gcc is missing), or ``"auto"`` (the cost model picks per group at
-        execution time: tiny tries stay on interpreted Python, larger
-        ones run compiled C when the group has a C implementation, else
-        NumPy — see :func:`repro.core.costmodel.choose_backend`. ``compile()``
-        builds C only for groups whose node relation reaches that same
-        cut (:func:`repro.core.costmodel.native_worthwhile`) in the
-        compile snapshot, so a group that grows past it on a later
-        version runs NumPy, not C; gcc missing is not an error, the C
-        candidates just stay absent).
+        gcc is missing), or ``"auto"`` (a group runs compiled C when it
+        has a C candidate, else NumPy — see
+        :func:`repro.core.costmodel.choose_backend`. ``compile()`` builds
+        C candidates only for groups whose node relation reaches
+        :func:`repro.core.costmodel.native_worthwhile`'s row cut in the
+        compile snapshot, so gcc runs only where the scan is large;
+        gcc missing is not an error, the C candidates just stay absent).
+        Unordered results are bags whose row order is the backend's;
+        ordered results rank identically on every backend, and float
+        sums may differ from generated Python in the last ulp
+        (integer-valued data is bit-exact).
         ``"auto"`` requires ``adaptive=True`` and the thread executor.
         The C backend's ctypes calls release the GIL and the generated
         functions are reentrant, so ``workers > 1`` gives real
@@ -250,7 +253,7 @@ class EngineConfig:
     workers: int = 1
     partitions: int = 1
     parallel_threshold: int = 8192
-    backend: str = "python"
+    backend: str = "numpy"
     executor: str = "thread"
     adaptive: bool = True
     incremental_mode: str = "auto"
@@ -856,13 +859,12 @@ class LMFAO:
             return {query.name: root for query in batch}
         return assign_roots(db, self.tree, batch, override=config.root_override)
 
-    def _select_native(self, compiled: CompiledBatch, index: int, rows: int):
+    def _select_native(self, compiled: CompiledBatch, index: int):
         """One group's executable and the backend name it runs as.
 
         Static backends take the configured backend's entry of
-        ``compiled.executables``; ``backend="auto"`` asks the cost model to
-        pick per group from the trie's row count — interpreted Python for
-        tiny tries, compiled C when this group has a C candidate, else
+        ``compiled.executables``; ``backend="auto"`` asks the cost model,
+        which runs compiled C when this group has a C candidate, else
         NumPy. Either way a group the chosen backend does not cover runs
         (and is recorded) as generated Python.
         """
@@ -870,7 +872,7 @@ class LMFAO:
         if backend == "auto":
             c_table = compiled.executables.get("c")
             backend = costmodel.choose_backend(
-                rows, bool(c_table) and c_table[index] is not None
+                bool(c_table) and c_table[index] is not None
             )
         return select_executable(compiled.executables, index, backend)
 
@@ -933,7 +935,7 @@ class LMFAO:
         if trie is None:
             snapshot = run.snapshot
             trie = node_trie(snapshot.db, plan.node, plan.order, snapshot.tries)
-        group, backend = self._select_native(compiled, index, trie.num_rows)
+        group, backend = self._select_native(compiled, index)
         tries = partition_tries(
             plan, trie, config.partitions, config.parallel_threshold,
             # adaptive=False keeps the literal static fan-out

@@ -494,7 +494,7 @@ def compile_executables(
                 plans, attribute_kinds, c_candidates
             )
         except PlanError:
-            # no gcc on this machine: auto degrades to python/numpy.
+            # no gcc on this machine: auto degrades to numpy.
             if backend == "c":
                 raise
     return executables

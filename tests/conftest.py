@@ -5,9 +5,12 @@ as the *default* engine configuration by exporting::
 
     LMFAO_TEST_WORKERS=4 LMFAO_TEST_PARTITIONS=4 LMFAO_TEST_PARALLEL_THRESHOLD=0
 
-the NumPy-backend leg makes the vectorized backend the default with::
+the backend legs pick the default backend (NumPy unless rewritten) with
+one of::
 
-    LMFAO_TEST_BACKEND=numpy
+    LMFAO_TEST_BACKEND=numpy   # the shipped default, under forced partitions
+    LMFAO_TEST_BACKEND=python  # generated Python over every base trie
+    LMFAO_TEST_BACKEND=c       # generated C (float keys fall back to Python)
 
 and the multiprocess leg routes domain parallelism to worker processes
 with::

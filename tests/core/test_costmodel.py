@@ -19,6 +19,7 @@ from repro.core.costmodel import (
     choose_backend,
     effective_concurrency,
     effective_partitions,
+    native_worthwhile,
 )
 from repro.core.runtime import partition_tries
 from repro.data import Attribute, Database, Relation, RelationSchema
@@ -135,9 +136,12 @@ def test_effective_concurrency_gil_and_cores():
 
 
 def test_choose_backend_thresholds():
-    assert choose_backend(SMALL_TRIE_ROWS - 1, has_c=True) == "python"
-    assert choose_backend(SMALL_TRIE_ROWS, has_c=True) == "c"
-    assert choose_backend(SMALL_TRIE_ROWS, has_c=False) == "numpy"
+    # the row cut gates only which groups get a C candidate at compile;
+    # at run time a group runs C where one was built, else NumPy
+    assert not native_worthwhile(SMALL_TRIE_ROWS - 1)
+    assert native_worthwhile(SMALL_TRIE_ROWS)
+    assert choose_backend(has_c=True) == "c"
+    assert choose_backend(has_c=False) == "numpy"
 
 
 def test_auto_backend_runs_and_records_choice():

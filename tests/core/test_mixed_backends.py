@@ -1,10 +1,11 @@
 """Views handed between groups that run on different backends.
 
 Under ``backend="auto"`` the cost model picks a backend per group, so one
-batch hands views from C groups to NumPy groups to generated-Python
-groups and back. These tests force that mix by making
-:func:`repro.core.costmodel.choose_backend` deal backends out
-round-robin, then check two things:
+batch hands views from C groups to NumPy groups and back; generated
+Python joins the mix wherever a group has no native implementation (C's
+fallback for float keys, or ``backend="python"`` itself). These tests
+force that mix by making :func:`repro.core.costmodel.choose_backend` deal
+all three backends out round-robin, then check two things:
 
 * results stay **bit-exact** against ``backend="python"`` on the
   integer-valued generated instances, for every rotation phase (so each
@@ -52,7 +53,7 @@ def _deal_backends(monkeypatch, rotation) -> None:
     (NumPy instead of C where the group has no C implementation)."""
     picks = itertools.cycle(rotation)
 
-    def choose(rows: int, has_c: bool) -> str:
+    def choose(has_c: bool) -> str:
         pick = next(picks)
         return "numpy" if pick == "c" and not has_c else pick
 

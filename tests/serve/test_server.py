@@ -1,6 +1,7 @@
 """AggregateServer behaviour: cache reuse, rebinding oracles, futures,
 coalescing, and the snapshot-isolation concurrency contract."""
 
+import dataclasses
 import sys
 import threading
 
@@ -99,6 +100,18 @@ def test_lru_eviction_forces_recompile(favorita_db):
         assert stats.plan_cache.evictions == 1
         assert "compile" in server.run(shaped("a")).timings  # evicted → miss
         assert "compile" not in server.run(shaped("c")).timings  # still hot
+
+
+def test_default_server_runs_every_group_on_numpy(favorita_db, monkeypatch):
+    # the CI legs rewrite EngineConfig defaults (tests/conftest.py); this
+    # test is about the shipped ones
+    shipped = tuple(field.default for field in dataclasses.fields(EngineConfig))
+    monkeypatch.setattr(EngineConfig.__init__, "__defaults__", shipped)
+    assert EngineConfig().backend == "numpy"
+    with AggregateServer(favorita_db) as server:
+        decisions = server.run(_batch()).decisions
+    assert decisions
+    assert {decision["backend"] for decision in decisions.values()} == {"numpy"}
 
 
 # ------------------------------------------------------------------- futures

@@ -83,6 +83,17 @@ def test_ci_has_parallel_leg_and_bench_artifact():
     assert "upload-artifact" not in text
 
 
+def test_ci_runs_every_static_backend_as_the_default():
+    """Tier-1 runs the default NumPy backend; a leg per other static
+    backend re-runs the whole suite with it as the default."""
+    text = (_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    for backend in ("numpy", "python", "c"):
+        leg = text[text.index(f"\n  tests-{backend}:\n") + 1:]
+        leg = leg[:re.search(r"\n  [\w-]+:\n", leg).start()]
+        assert f'LMFAO_TEST_BACKEND: "{backend}"' in leg, backend
+        assert 'LMFAO_DEBUG: "1"' in leg, backend
+
+
 # ------------------------------------------------------------- serving docs
 def test_serving_doc_specifies_the_three_contracts():
     doc = _ROOT / "docs" / "serving.md"
