@@ -24,7 +24,7 @@ regression, CART regression trees, and Rk-means clustering.
 from repro.baselines import MaterializedPipeline, SqlEngineBaseline
 from repro.core import CompiledBatch, EngineConfig, LMFAO, RunResult, Snapshot
 from repro.incremental import ApplyResult, MaintainedBatch, RelationDelta
-from repro.serve import AggregateServer, PlanCache, ServerStats
+from repro.serve import AggregateServer, ServerStats
 from repro.util.errors import WriteOverloadError
 from repro.data import (
     Attribute,
@@ -84,7 +84,6 @@ __all__ = [
     "MaintainedBatch",
     "MaterializedPipeline",
     "Op",
-    "PlanCache",
     "Predicate",
     "Query",
     "QueryBatch",

@@ -412,8 +412,8 @@ class GroupRun:
     What the group step (:meth:`LMFAO.execute_group`) reads — the
     compilation, the runtime functions bound for this request, the
     pinned snapshot, the views computed (or seeded) so far — and what the DAG walk (:meth:`LMFAO.walk_groups`) writes
-    back. The engine's own runs, the incremental maintainer's rounds and
-    the view-cache refresh each build one; ``snapshot`` may stay None
+    back. The engine's own runs and the incremental maintainer's rounds
+    each build one; ``snapshot`` may stay None
     when every group is stepped over an explicit (delta) trie.
     """
 

@@ -119,7 +119,7 @@ class SnapshotStore:
     Reader pins (:meth:`pin` / :meth:`unpin`) refcount versions so the
     garbage collector (see the module docstring) only reclaims versions
     that are both superseded and unreferenced. :meth:`current` remains
-    the unpinned peek for callers that only need a consistent read and
+    the unpinned lookup for callers that only need a consistent read and
     hold the returned object themselves.
     """
 

@@ -258,22 +258,3 @@ def coalesce_deltas(
         else:
             merged[name] = combined
     return merged
-
-
-def delta_footprint(
-    deltas: Mapping[str, RelationDelta],
-) -> dict[str, bool]:
-    """Changed relation → whether its change is insert-only (empty ones omitted).
-
-    The one-line routing summary the serving layer's view-cache refresh
-    works from at group commit: a cached view whose subtree misses every
-    key here is carried forward unchanged; a view touched by exactly one
-    insert-only relation at its own node is refreshed numerically via the
-    O(|Δ|) rules; anything else is invalidated for the successor version
-    (see ``AggregateServer._refresh_view_cache``).
-    """
-    return {
-        name: delta.insert_only
-        for name, delta in deltas.items()
-        if not delta.is_empty
-    }

@@ -198,18 +198,6 @@ class MaintainedBatch:
         """Maintained contents of one internal view (inspection/testing)."""
         return self._state.view_data[view_name]
 
-    def view_store(self) -> dict[str, dict]:
-        """The handle's maintained view store, ``name → ViewData``.
-
-        **Read-only contract**: the returned mapping and its contents are
-        the handle's live state for its current version — callers must
-        never mutate either. The serving layer republishes refreshed
-        views from here into the cross-request view cache after each
-        group commit (see ``AggregateServer._commit_group``), which is
-        safe precisely because every maintainer merge is copy-on-write.
-        """
-        return self._state.view_data
-
     def recompute(self) -> "RunResult":
         """From-scratch run over the current database — the oracle baseline.
 

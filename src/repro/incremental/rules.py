@@ -12,8 +12,8 @@ unchanged (delta cutoff).
 
 The per-group rules applied along that path live here:
 :func:`numeric_delta_run` + :func:`merge_delta_outputs` (the O(|Δ|)
-insert rule — shared by maintained handles and the serving layer's
-view-cache refresh) and :func:`refresh_ordered` (targeted top-k re-rank).
+insert rule of maintained handles) and :func:`refresh_ordered` (targeted
+top-k re-rank).
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ def numeric_delta_run(engine, run, index: int, inserts) -> dict[str, dict]:
     ``inserts`` is the inserted-tuples relation of the group's own node,
     indexed in the plan's order and stepped through
     :meth:`~repro.core.engine.LMFAO.execute_group` as an ad hoc trie —
-    in-process, reading incoming views from ``run.view_data``. The
-    maintained handle and the server's view-cache refresh both apply
-    deltas through this one function, so the two stay bit-identical.
+    in-process, reading incoming views from ``run.view_data``. Maintained
+    handles are its only caller: the serving layer's view cache carries
+    clean entries across a commit or drops them, and never runs delta
+    code.
     """
     trie = TrieIndex(inserts, run.compiled.plans[index].order)
     return engine.execute_group(run, index, trie)

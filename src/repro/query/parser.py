@@ -65,7 +65,7 @@ class _Parser:
         self._functions = functions
 
     # ------------------------------------------------------------- primitives
-    def _peek(self) -> _Token:
+    def _lookahead(self) -> _Token:
         return self._tokens[self._pos]
 
     def _next(self) -> _Token:
@@ -81,7 +81,7 @@ class _Parser:
         return token
 
     def _accept(self, kind: str, text: str | None = None) -> bool:
-        token = self._peek()
+        token = self._lookahead()
         if token.kind == kind and (text is None or token.text == text):
             self._pos += 1
             return True
@@ -93,7 +93,7 @@ class _Parser:
         select_attrs: list[str] = []
         aggregates: list[Aggregate] = []
         while True:
-            if self._peek() == _Token("kw", "sum"):
+            if self._lookahead() == _Token("kw", "sum"):
                 aggregates.append(self._aggregate())
             else:
                 select_attrs.append(self._expect("id").text)

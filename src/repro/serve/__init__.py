@@ -20,10 +20,9 @@ from repro.serve.fingerprint import (
     bind_batch,
     view_identities,
 )
-from repro.serve.lru import LRUCache
-from repro.serve.plancache import CacheStats, PlanCache
+from repro.serve.lru import CacheStats, LRUCache
 from repro.serve.server import AggregateServer, ServerStats
-from repro.serve.viewcache import CachedView, ViewCache, ViewUpdater, live_caches
+from repro.serve.viewcache import CachedView, ViewCache, live_caches
 from repro.serve.writequeue import WriteQueue, WriteStats, WriteTicket
 from repro.util.errors import WriteOverloadError
 
@@ -33,14 +32,12 @@ __all__ = [
     "CacheStats",
     "CachedView",
     "LRUCache",
-    "PlanCache",
     "ServerStats",
     "Snapshot",
     "SnapshotStore",
     "ViewCache",
     "ViewIdentity",
     "ViewKey",
-    "ViewUpdater",
     "WriteOverloadError",
     "WriteQueue",
     "WriteStats",

@@ -1,7 +1,9 @@
 """Generic thread-safe LRU machinery shared by the serving caches.
 
-Both serving caches — the structural :class:`~repro.serve.plancache.PlanCache`
-(entry-count bounded) and the materialized
+Both serving caches — the structural plan cache
+(``AggregateServer.plan_cache``, ``BatchFingerprint → CompiledBatch``,
+entry-count bounded; compiled batches are pure structure, so its entries
+never go stale and eviction only bounds memory) and the materialized
 :class:`~repro.serve.viewcache.ViewCache` (byte bounded) — are the same
 data structure: an ``OrderedDict`` in LRU discipline under one lock, with
 hit/miss/eviction counters. :class:`LRUCache` is that structure, bounded
@@ -116,11 +118,6 @@ class LRUCache:
             self._entries.move_to_end(key)
             self._hits += 1
             return value
-
-    def peek(self, key):
-        """The cached value without touching recency or hit/miss counters."""
-        with self._lock:
-            return self._entries.get(key)
 
     def put(self, key, value, weight: int = 0) -> None:
         """Insert (or refresh) an entry, evicting from the cold end if full.

@@ -8,15 +8,15 @@ engine for serving heavy concurrent traffic:
   identical batches reuse one :class:`~repro.core.engine.CompiledBatch`
   with predicate constants re-bound at execution
   (:func:`~repro.serve.fingerprint.bind_batch`), LRU-bounded with hit/miss
-  stats (:class:`~repro.serve.plancache.PlanCache`);
+  stats (an entry-bounded :class:`~repro.serve.lru.LRUCache`);
 * **materialized-view cache** — above the plan cache, computed views are
   published to a byte-bounded cross-request cache keyed by
   ``(canonical view identity, snapshot version)``
   (:mod:`repro.serve.viewcache`); later requests — same *or different*
   batch fingerprints — seed execution from hits, skipping the seeded
-  subtrees' scans entirely, and group commits carry clean entries across
-  versions, refresh insert-only-dirty ones via the O(|Δ|) numeric rules
-  and invalidate exactly the rest;
+  subtrees' scans entirely; a group commit carries every entry whose
+  subtree it left untouched to the successor version, and every other
+  entry dies with its version;
 * **snapshot-isolated reads** — :meth:`run` / :meth:`submit` pin the
   engine's current :class:`~repro.core.snapshot.Snapshot` at entry and
   release it on completion; the pin refcount both isolates the read from
@@ -82,27 +82,20 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.engine import (
     CompiledBatch,
     EngineConfig,
-    GroupRun,
     LMFAO,
     PlanBinding,
     RunResult,
     ViewSeeds,
 )
-from repro.core.runtime import estimate_view_bytes
 from repro.core.snapshot import Snapshot
 from repro.data.catalog import Database
-from repro.incremental.delta import (
-    RelationDelta,
-    delta_footprint,
-    normalize_deltas,
-)
-from repro.incremental.maintain import ApplyResult, MaintainedBatch
-from repro.incremental.rules import merge_delta_outputs, numeric_delta_run
+from repro.incremental.delta import RelationDelta, normalize_deltas
+from repro.incremental.maintain import MaintainedBatch
 from repro.query.batch import QueryBatch
 from repro.serve.fingerprint import (
     BatchFingerprint,
@@ -112,7 +105,7 @@ from repro.serve.fingerprint import (
     bind_batch,
     view_identities,
 )
-from repro.serve.plancache import CacheStats, PlanCache
+from repro.serve.lru import CacheStats, LRUCache
 from repro.serve.viewcache import CachedView, ViewCache
 from repro.serve.writequeue import WriteQueue, WriteStats, WriteTicket
 from repro.util.errors import PlanError
@@ -184,10 +177,9 @@ class AggregateServer:
         32 MiB; 0 disables it). Executions seed from cached views of the
         same identity and snapshot version — a request whose view subtree
         was computed by *any* earlier request skips that subtree's scans
-        — and publish what they computed; group commits carry clean
-        entries across versions, refresh insert-only-dirty ones via the
-        O(|Δ|) numeric rules and invalidate the rest
-        (``docs/serving.md`` §View cache).
+        — and publish what they computed; a group commit carries the
+        entries its delta left clean to the successor version and drops
+        the rest (``docs/serving.md`` §View cache).
     """
 
     def __init__(
@@ -212,7 +204,7 @@ class AggregateServer:
                 f"(0 disables the view cache), got {view_cache_bytes!r}"
             )
         self.engine = LMFAO(db, config)
-        self.plan_cache = PlanCache(plan_cache_capacity)
+        self.plan_cache = LRUCache(capacity=plan_cache_capacity)
         self.view_cache: ViewCache | None = None
         self._view_reclaim_hook = None
         if view_cache_bytes:
@@ -311,7 +303,7 @@ class AggregateServer:
         compiled = self.plan_cache.get(fingerprint)
         if compiled is None:
             # Two racing first requests may both compile; both results are
-            # correct and the cache keeps the last one (see PlanCache.put).
+            # correct and the cache keeps the last one (see LRUCache.put).
             watch = Stopwatch()
             with watch.lap("compile"):
                 compiled = self.engine.compile(batch, snapshot=snapshot)
@@ -341,9 +333,9 @@ class AggregateServer:
         Looks every view of the compilation up by ``(identity, version)``
         — hits become engine seeds (their producing subtrees are skipped,
         see :meth:`LMFAO._skippable_groups`) — and returns a publish
-        callback that installs each view the run actually computes,
-        together with the :class:`~repro.serve.viewcache.ViewUpdater`
-        the group-commit refresh needs. The callback fires while the
+        callback that installs each view the run actually computes under
+        its identity and the subtree a group commit checks it against
+        (see :meth:`_commit_group`). The callback fires while the
         run still holds its snapshot pin, so the version cannot be
         reclaimed mid-publish; a publish against a version superseded
         meanwhile is still keyed correctly and dies with the version's
@@ -359,12 +351,12 @@ class AggregateServer:
             entry = cache.get(ViewKey(identity, version))
             if entry is not None:
                 seeds[name] = entry.data
-        bound = compiled if binding is None else binding
 
         def publish(name: str, data: dict) -> None:
+            identity = identities[name]
             cache.put(
-                ViewKey(identities[name], version),
-                CachedView.of(compiled, name, data, identities, bound.functions),
+                ViewKey(identity, version),
+                CachedView.of(compiled, name, data, identity),
             )
 
         return ViewSeeds(seeds=seeds, publish=publish)
@@ -430,136 +422,27 @@ class AggregateServer:
         maintained handle and installs; a failure leaves the store on the
         last good version and fails only this group's tickets (the
         queue's crash containment). Around it, under the same commit
-        lock, the server adds what the view cache needs: the refresh reads
-        the entries at the old version before the install reclaims them,
-        and the results are published after it.
+        lock, the view cache is carried or dropped: entries at the old
+        version whose subtree holds none of the changed relations are
+        collected before the install (whose reclaim hook drops the old
+        version's entries) and re-put at the successor after it, so a
+        cached key never references an uninstalled version. Every other
+        entry dies with its version.
         """
         with self.engine._commit_lock:
-            refreshed = self._refresh_view_cache(self.engine.snapshot(), deltas)
-            version, by_handle = self.engine.commit(deltas)
+            carried = []
             if self.view_cache is not None:
-                # published only now, after the install: the successor is a
-                # retained version, so the no-orphans invariant never has a
-                # window where cached keys point at an uninstalled version.
-                for entry in refreshed:
-                    self.view_cache.put(ViewKey(entry.identity, version), entry)
-                for handle, result in by_handle.items():
-                    self._republish_handle_views(handle, result, version)
+                carried = [
+                    entry
+                    for _key, entry in self.view_cache.entries_at(
+                        self.engine.snapshot().version
+                    )
+                    if entry.subtree.isdisjoint(deltas)
+                ]
+            version, by_handle = self.engine.commit(deltas)
+            for entry in carried:
+                self.view_cache.put(ViewKey(entry.identity, version), entry)
             return version, by_handle
-
-    def _refresh_view_cache(
-        self, snapshot: Snapshot, deltas: dict[str, RelationDelta]
-    ) -> list[CachedView]:
-        """Route one commit's deltas through the view cache (pre-install).
-
-        For every entry at the pre-commit version, against the delta
-        footprint (:func:`~repro.incremental.delta.delta_footprint`):
-
-        * subtree untouched → **carry forward**: the same entry (same
-          data object) is republished at the successor version;
-        * dirty at exactly its own node, insert-only, updater intact and
-          the engine not pinned to ``incremental_mode="rescan"`` →
-          **numeric in-place refresh**: the producing group re-runs over
-          a trie of just the inserted tuples and merges O(|Δ|)-style
-          (:func:`~repro.incremental.rules.numeric_delta_run`, the
-          maintained handles' own delta step);
-        * anything else → **invalidate**: the key simply never exists at
-          the successor (the old entry stays valid for readers still
-          pinned to the old version and dies with it).
-
-        Returns the entries to publish at the successor version after
-        install. Runs under the engine's commit lock on the committer
-        thread.
-        """
-        cache = self.view_cache
-        if cache is None or not deltas:
-            return []
-        footprint = delta_footprint(deltas)
-        changed = set(footprint)
-        rescan_only = self.engine.config.incremental_mode == "rescan"
-        refreshed: list[CachedView] = []
-        for _key, entry in cache.entries_at(snapshot.version):
-            dirty = entry.subtree & changed
-            if not dirty:
-                refreshed.append(entry)
-                continue
-            if (
-                dirty == {entry.node}
-                and footprint[entry.node]
-                and entry.updater is not None
-                and not rescan_only
-            ):
-                fresh = self._numeric_refresh(
-                    entry, deltas[entry.node], snapshot.version
-                )
-                if fresh is not None:
-                    refreshed.append(fresh)
-        return refreshed
-
-    def _numeric_refresh(
-        self, entry: CachedView, delta: RelationDelta, version: int
-    ) -> CachedView | None:
-        """One cached view updated in place by an insert-only delta.
-
-        The exact numeric rule of the incremental maintainer
-        (:func:`~repro.incremental.rules.numeric_delta_run`), driven from
-        the cache: the producing group's compiled code over just the
-        inserted tuples, binding the *cached* child views at the
-        pre-commit version and the constants the entry was materialized
-        with, merged copy-on-write into the cached data. Returns None —
-        falling back to plain invalidation — when a consumed view was
-        evicted meanwhile or the refresh fails for any reason; a cache
-        refresh must never fail the commit.
-        """
-        updater = entry.updater
-        consumed_data: dict[str, dict] = {}
-        for name, identity in updater.consumed:
-            centry = self.view_cache.peek(ViewKey(identity, version))
-            if centry is None:
-                return None
-            consumed_data[name] = centry.data
-        run = GroupRun(
-            updater.compiled, updater.functions, view_data=consumed_data
-        )
-        try:
-            outputs = numeric_delta_run(
-                self.engine, run, updater.group_index, delta.inserts
-            )
-            merged, _changed = merge_delta_outputs(
-                entry.data, outputs[updater.view_name]
-            )
-        except Exception:
-            return None
-        return replace(entry, data=merged, nbytes=estimate_view_bytes(merged))
-
-    def _republish_handle_views(
-        self, handle: MaintainedBatch, result: ApplyResult, version: int
-    ) -> None:
-        """Publish a maintained handle's just-refreshed views at ``version``.
-
-        The maintainer already computed exact successor contents for
-        every view the commit touched (``result.refreshed_views``);
-        publishing them keeps hot views warm for plain :meth:`run`
-        requests sharing the structure, instead of cold-starting every
-        reader after a write. Handle view stores are copy-on-write, so
-        sharing the data by reference is safe.
-        """
-        cache = self.view_cache
-        if cache is None or not result.refreshed_views:
-            return
-        compiled = handle.compiled
-        identities = view_identities(compiled)
-        store = handle.view_store()
-        for name in result.refreshed_views:
-            data = store.get(name)
-            if data is None or name not in compiled.producers:
-                continue
-            cache.put(
-                ViewKey(identities[name], version),
-                CachedView.of(
-                    compiled, name, data, identities, compiled.functions
-                ),
-            )
 
     def maintain(self, batch: QueryBatch) -> MaintainedBatch:
         """Compile a batch once and keep its results incrementally maintained.

@@ -18,10 +18,12 @@ Lifecycle contract (see ``docs/serving.md`` §View cache):
 * **version death** — the cache registers
   :meth:`drop_version` as a snapshot-store reclaim hook: when a
   superseded version loses its last pin, every entry at that version
-  dies with it, unless the group-commit path carried it forward to the
-  successor first. :meth:`check_no_orphans` (run by the test suite's
-  leak fixture over :func:`live_caches`) asserts the invariant: no
-  cached view outlives its snapshot version.
+  dies with it, unless the group commit carried it forward to the
+  successor first: an entry is carried exactly when the commit's delta
+  touches no relation of its subtree, and dropped otherwise.
+  :meth:`check_no_orphans` (run by the test suite's leak fixture over
+  :func:`live_caches`) asserts the invariant: no cached view outlives
+  its snapshot version.
 * **read-only data** — cached view contents are shared by reference
   with any number of concurrent executions; every consumer path in the
   engine and the maintainer builds fresh containers instead of writing
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.core.runtime import estimate_view_bytes
-from repro.query.functions import Function
 from repro.serve.fingerprint import ViewIdentity, ViewKey
 from repro.serve.lru import CacheStats, LRUCache
 
@@ -51,77 +52,31 @@ def live_caches() -> list["ViewCache"]:
 
 
 @dataclass(frozen=True)
-class ViewUpdater:
-    """Everything needed to refresh one cached view through a delta.
-
-    Captured at publish time from the producing execution: the compiled
-    batch and group index whose code recomputes the view, the *bound*
-    functions of the request that materialized it (rebinding means these
-    may differ from ``compiled.functions``), and
-    the identities of the views the group consumes — the refresh is only
-    exact if those exact child contents are still cached at the old
-    version (see ``AggregateServer._refresh_view_cache``).
-    """
-
-    compiled: object
-    #: the view's name and producing group index *in its compilation*.
-    view_name: str
-    group_index: int
-    functions: Mapping[str, Function]
-    #: every view the producing group's plan binds, with identities —
-    #: all must still be cached at the pre-commit version for the
-    #: refresh to run (names are compilation-local, identities are not).
-    consumed: tuple[tuple[str, ViewIdentity], ...]
-
-
-@dataclass(frozen=True)
 class CachedView:
     """One materialized view held by the cache (data treated read-only)."""
 
     data: Mapping
     nbytes: int
-    #: the view's home relation — the node whose trie its group scans.
-    node: str
-    #: all join-tree relations feeding the view (delta routing intersects
-    #: this with the changed-relation set).
+    #: all join-tree relations feeding the view: a group commit carries
+    #: the entry forward only when no changed relation is among them.
     subtree: frozenset[str]
     identity: ViewIdentity
-    updater: ViewUpdater | None = None
 
     @classmethod
     def of(
-        cls,
-        compiled,
-        name: str,
-        data: Mapping,
-        identities: Mapping[str, ViewIdentity],
-        functions: Mapping[str, Function],
+        cls, compiled, name: str, data: Mapping, identity: ViewIdentity
     ) -> "CachedView":
         """The cache entry for view ``name`` of one compilation.
 
-        ``identities`` are the compilation's per-view identities under
-        the constants ``data`` was materialized with
-        (:func:`~repro.serve.fingerprint.view_identities`); ``functions``
-        are those same bound constants, kept on the :class:`ViewUpdater`
-        for the group-commit refresh.
+        ``identity`` is the view's identity under the constants ``data``
+        was materialized with
+        (:func:`~repro.serve.fingerprint.view_identities`).
         """
-        index = compiled.producers[name]
         return cls(
             data=data,
             nbytes=estimate_view_bytes(data),
-            node=compiled.view_plan.views[name].source,
             subtree=compiled.view_plan.view_signatures()[name].subtree,
-            identity=identities[name],
-            updater=ViewUpdater(
-                compiled=compiled,
-                view_name=name,
-                group_index=index,
-                functions=functions,
-                consumed=tuple(
-                    (consumed, identities[consumed])
-                    for consumed in compiled.plans[index].consumed_views
-                ),
-            ),
+            identity=identity,
         )
 
 
@@ -129,9 +84,9 @@ class ViewCache:
     """Byte-bounded LRU of materialized views keyed by :class:`ViewKey`.
 
     Thread-safe (delegates to :class:`~repro.serve.lru.LRUCache`); the
-    group-commit refresh additionally serialises through the engine's
-    commit lock, so carry-forward/invalidate decisions are made against
-    a stable version frontier.
+    group commit additionally serialises through the engine's commit
+    lock, so carry-or-drop decisions are made against a stable version
+    frontier.
     """
 
     def __init__(self, max_bytes: int) -> None:
@@ -154,10 +109,6 @@ class ViewCache:
     def get(self, key: ViewKey) -> CachedView | None:
         """The cached view, refreshed to most-recently-used; None on miss."""
         return self._lru.get(key)
-
-    def peek(self, key: ViewKey) -> CachedView | None:
-        """Lookup without touching recency or the hit/miss counters."""
-        return self._lru.peek(key)
 
     def put(self, key: ViewKey, entry: CachedView) -> None:
         """Insert one materialized view; may evict cold entries (byte bound)."""

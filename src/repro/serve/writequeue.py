@@ -37,7 +37,7 @@ The queue is policy-free about *what* a commit does: the owner passes a
 ``commit(deltas) -> (version, results_by_handle)`` callback
 (:meth:`repro.serve.AggregateServer._commit_group`, which wraps the
 engine's one commit path, :meth:`repro.core.engine.LMFAO.commit`, with
-the view cache's refresh and publish). See ``docs/serving.md`` for the
+the view cache's carry-or-drop). See ``docs/serving.md`` for the
 full contract.
 """
 

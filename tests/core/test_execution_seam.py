@@ -5,10 +5,11 @@ decisions that make up "run one group over one trie" — native selection,
 partition fan-out, the recorded cost-model decision, the partitioned
 execute — each have exactly one call site, inside the engine's group step
 (:meth:`repro.core.engine.LMFAO.execute_group`), plus the process
-executor's worker-local combine. The serving layer reaches the step only
-through :func:`repro.incremental.rules.numeric_delta_run`: it imports no
-execution primitive from :mod:`repro.core.runtime` and touches no engine
-private of the step.
+executor's worker-local combine. Only maintained handles run delta code
+(:func:`repro.incremental.rules.numeric_delta_run`). The serving layer
+never reaches the step: it imports no execution primitive from
+:mod:`repro.core.runtime`, nothing from :mod:`repro.incremental.rules`,
+and touches no engine private of the step.
 
 Below the step, the same holds for compilation: a plan is lowered once
 and keeps its lowering, every γ/β/slot product's operands are resolved
@@ -160,8 +161,13 @@ def test_partitioned_execute_has_two_homes():
 
 
 def test_one_cache_entry_constructor():
-    assert len(_call_sites("ViewUpdater")) == 1
-    assert len(_call_sites("numeric_delta_run")) == 2  # handle + view cache
+    # delta code runs in maintained handles only; the view cache carries
+    # or drops its entries and has no updater to build
+    sites = _call_sites("numeric_delta_run")
+    assert [site.split(":")[0] for site in sites] == [
+        "incremental/maintain.py"
+    ], sites
+    assert _call_sites("ViewUpdater") == []
 
 
 def test_serving_layer_stays_above_the_seam():
@@ -176,6 +182,7 @@ def test_serving_layer_stays_above_the_seam():
                         f"{module} imports {sorted(imported)} from the runtime"
                     )
                 assert node.module != "repro.data.trie", module
+                assert node.module != "repro.incremental.rules", module
             if isinstance(node, ast.Attribute):
                 assert not node.attr.startswith(
                     ("_execute_", "_partition_", "_group_tasks", "_ship_group")

@@ -1,8 +1,13 @@
-"""PlanCache semantics: LRU discipline, eviction, and stats counters."""
+"""The plan cache's semantics: an entry-bounded ``LRUCache``.
+
+``AggregateServer.plan_cache`` is ``LRUCache(capacity=...)``; these are the
+count-bound cases the weight-bound LRU tests in ``test_viewcache.py`` do
+not cover: hit/miss counters, count eviction, overwrites, ``clear`` and
+capacity validation."""
 
 import pytest
 
-from repro.serve import PlanCache
+from repro.serve import LRUCache
 from repro.serve.fingerprint import BatchFingerprint
 from repro.util.errors import PlanError
 
@@ -12,7 +17,7 @@ def _fp(tag):
 
 
 def test_get_put_and_counters():
-    cache = PlanCache(capacity=4)
+    cache = LRUCache(capacity=4)
     assert cache.get(_fp(1)) is None  # miss
     cache.put(_fp(1), "compiled-1")
     assert cache.get(_fp(1)) == "compiled-1"  # hit
@@ -23,7 +28,7 @@ def test_get_put_and_counters():
 
 
 def test_lru_eviction_drops_the_coldest_entry():
-    cache = PlanCache(capacity=2)
+    cache = LRUCache(capacity=2)
     cache.put(_fp("a"), "A")
     cache.put(_fp("b"), "B")
     assert cache.get(_fp("a")) == "A"  # refresh a → b is now coldest
@@ -38,7 +43,7 @@ def test_lru_eviction_drops_the_coldest_entry():
 
 
 def test_put_refreshes_recency_and_overwrites():
-    cache = PlanCache(capacity=2)
+    cache = LRUCache(capacity=2)
     cache.put(_fp("a"), "A")
     cache.put(_fp("b"), "B")
     cache.put(_fp("a"), "A2")  # overwrite refreshes a → b coldest
@@ -49,11 +54,11 @@ def test_put_refreshes_recency_and_overwrites():
 
 
 def test_hit_rate_zero_before_any_lookup():
-    assert PlanCache().stats().hit_rate == 0.0
+    assert LRUCache(capacity=32).stats().hit_rate == 0.0
 
 
 def test_clear_keeps_counters():
-    cache = PlanCache(capacity=2)
+    cache = LRUCache(capacity=2)
     cache.put(_fp("a"), "A")
     cache.get(_fp("a"))
     cache.clear()
@@ -65,4 +70,4 @@ def test_clear_keeps_counters():
 
 def test_capacity_validated():
     with pytest.raises(PlanError, match="capacity"):
-        PlanCache(capacity=0)
+        LRUCache(capacity=0)

@@ -5,18 +5,16 @@ bit-exact against a cache-off oracle server receiving the same requests
 and deltas, with ``LMFAO_DEBUG=1`` arming the maintainer's internal
 consistency checks. Lifecycle contract: entries respect the byte bound,
 die with their snapshot version (no orphans — also asserted session-wide
-by the conftest leak fixture), survive insert-only deltas in place, and
-are invalidated exactly when their subtree is dirtied by anything else.
+by the conftest leak fixture), and a commit carries an entry to the
+successor exactly when its delta leaves the entry's subtree untouched.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import EngineConfig, LMFAO
+from repro.core import EngineConfig
 from repro.paper import FAVORITA_TREE
 from repro.query import Aggregate, Op, Predicate, Query, QueryBatch
 from repro.serve import AggregateServer, LRUCache
-from repro.serve.fingerprint import view_identities
 from repro.util.errors import PlanError
 
 
@@ -139,37 +137,6 @@ def test_byte_bound_holds_and_evicts_cold_entries(favorita_db):
 
 
 # ------------------------------------------------------------- delta routing
-def test_insert_only_delta_keeps_cache_warm_in_place(
-    cached_server, oracle_server, monkeypatch
-):
-    """Insert-only deltas must not cold-start the cache: clean-subtree
-    entries are carried to the successor version, the dirtied leaf view is
-    refreshed through the O(|delta|) numeric path, and a renamed request
-    still skips every leaf group — bit-exact against the oracle server
-    that replayed the same delta."""
-    monkeypatch.setenv("LMFAO_DEBUG", "1")
-    cached_server.run(_batch(("u1a", "u1b")))
-    before = len(cached_server.view_cache)
-    assert before > 0
-    items = cached_server.engine.db.relation("Items")
-    delta = {"Items": [items.row(0)]}
-    version = cached_server.apply(inserts=delta)
-    oracle_server.apply(inserts=delta)
-    # every entry survived to the successor: carried (clean subtree) or
-    # numerically refreshed (the Items view), none invalidated
-    assert len(cached_server.view_cache.entries_at(version)) == before
-    refreshed = [
-        entry
-        for _, entry in cached_server.view_cache.entries_at(version)
-        if "Items" in entry.subtree
-    ]
-    assert refreshed, "the dirtied Items view must be refreshed, not dropped"
-    warm = cached_server.run(_batch(("u2a", "u2b")))
-    assert warm.snapshot_version == version
-    assert warm.skipped_groups != ()
-    assert _groups(warm) == _groups(oracle_server.run(_batch(("u2a", "u2b"))))
-
-
 def test_root_relation_delta_dirties_no_leaf_views(
     cached_server, oracle_server, monkeypatch
 ):
@@ -188,12 +155,14 @@ def test_root_relation_delta_dirties_no_leaf_views(
     assert _groups(warm) == _groups(oracle_server.run(_batch(("u2a", "u2b"))))
 
 
+@pytest.mark.parametrize("kind", ["deletes", "inserts"])
 def test_delete_delta_invalidates_exactly_the_dirty_views(
-    cached_server, oracle_server, monkeypatch
+    kind, cached_server, oracle_server, monkeypatch
 ):
-    """Deletes cannot be folded in place: entries whose subtree contains
-    the deleted relation die, every other entry is carried — and the next
-    request recomputes only the dirty subtree, bit-exactly."""
+    """A commit carries or drops, whatever the delta: entries whose subtree
+    contains the changed relation die (an insert-only delta is no
+    exception), every other entry is carried as the same data object —
+    and the next request recomputes only the dirty subtree, bit-exactly."""
     monkeypatch.setenv("LMFAO_DEBUG", "1")
     cached_server.run(_batch(("u1a", "u1b")))
     old = cached_server.view_cache.entries_at(
@@ -203,89 +172,20 @@ def test_delete_delta_invalidates_exactly_the_dirty_views(
     clean_before = [e for _, e in old if "Items" not in e.subtree]
     assert dirty_before and clean_before
     items = cached_server.engine.db.relation("Items")
-    delta = {"Items": [items.row(0)]}
-    version = cached_server.apply(deletes=delta)
-    oracle_server.apply(deletes=delta)
-    after = cached_server.view_cache.entries_at(version)
-    assert not any("Items" in e.subtree for _, e in after)
-    assert len(after) == len(clean_before)
+    delta = {kind: {"Items": [items.row(0)]}}
+    version = cached_server.apply(**delta)
+    oracle_server.apply(**delta)
+    after = [e for _, e in cached_server.view_cache.entries_at(version)]
+    assert not any("Items" in e.subtree for e in after)
+    carried = {e.identity: e.data for e in after}
+    assert len(carried) == len(clean_before)
+    for entry in clean_before:
+        assert carried[entry.identity] is entry.data
     warm = cached_server.run(_batch(("u2a", "u2b")))
     # the clean leaf groups still skip; the Items group re-runs
     assert warm.skipped_groups != ()
     assert not any("Items" in name for name in warm.skipped_groups)
     assert _groups(warm) == _groups(oracle_server.run(_batch(("u2a", "u2b"))))
-
-
-def _leaf_filtered_batch(names, t):
-    """Both queries filter on the *leaf* relation Items: the indicator
-    lands in the Items views, so their contents depend on ``t``."""
-    where = (Predicate("class", Op.LE, t),)
-    return QueryBatch(
-        [
-            Query(names[0], group_by=("store",),
-                  aggregates=(Aggregate.count(),), where=where),
-            Query(names[1], group_by=("item",),
-                  aggregates=(Aggregate.sum("units"),), where=where),
-        ]
-    )
-
-
-def test_numeric_refresh_uses_rebound_indicator_constants(
-    favorita_db, monkeypatch
-):
-    """An insert-only delta to a view's home relation after a plan-cache
-    rebind: the refreshed entry must apply the indicator constants it was
-    *materialized* with (the request's, not the cached compilation's),
-    serve results equal to a cache-off oracle, and hold exactly the data
-    a maintained handle computes for the same delta — both go through
-    :func:`repro.incremental.rules.numeric_delta_run`."""
-    monkeypatch.setenv("LMFAO_DEBUG", "1")
-    items = favorita_db.relation("Items")
-    classes = items.column("class")
-
-    def row_of_class(value):
-        return items.row(int(np.flatnonzero(classes == value)[0]))
-
-    # class 2 passes both constants, class 3 only the re-bound one (a
-    # refresh under the compiled constant would zero it), class 4 neither
-    delta = {"Items": [row_of_class(2), row_of_class(3), row_of_class(4)]}
-    names = ("qa", "qb")
-    with AggregateServer(
-        favorita_db, _config(), view_cache_bytes=32 * 1024 * 1024
-    ) as cached, AggregateServer(
-        favorita_db, _config(), view_cache_bytes=0
-    ) as oracle, LMFAO(favorita_db, _config()) as engine:
-        cached.run(_leaf_filtered_batch(names, 2.0))  # compiles class <= 2
-        rebound = cached.run(_leaf_filtered_batch(names, 3.0))  # re-bound
-        assert "compile" not in rebound.timings
-        handle = engine.maintain(_leaf_filtered_batch(names, 3.0))
-
-        version = cached.apply(inserts=delta)
-        oracle.apply(inserts=delta)
-        outcome = handle.apply(inserts=delta)
-        assert outcome.groups_numeric > 0
-
-        identities = view_identities(handle.compiled)
-        refreshed = {
-            entry.identity: entry.data
-            for _, entry in cached.view_cache.entries_at(version)
-            if entry.node == "Items"
-        }
-        maintained = {
-            identities[name]: data
-            for name, data in handle.view_store().items()
-            if handle.compiled.view_plan.views[name].source == "Items"
-        }
-        shared = refreshed.keys() & maintained.keys()
-        assert shared, "the re-bound Items view must be refreshed in place"
-        for identity in shared:
-            assert refreshed[identity] == maintained[identity]
-
-        warm = cached.run(_leaf_filtered_batch(names, 3.0))
-        assert warm.skipped_groups != ()
-        assert _groups(warm) == _groups(
-            oracle.run(_leaf_filtered_batch(names, 3.0))
-        )
 
 
 # ------------------------------------------------------------------ lifetime
@@ -343,13 +243,3 @@ def test_lru_remove_where_is_not_an_eviction():
     assert removed == 1
     assert lru.stats().evictions == 0
     assert lru.stats().weight == 10
-
-
-def test_lru_peek_does_not_touch_counters_or_recency():
-    lru = LRUCache(max_weight=100)
-    lru.put("a", 1, weight=10)
-    lru.put("b", 2, weight=10)
-    assert lru.peek("a") == 1
-    assert lru.peek("missing") is None
-    stats = lru.stats()
-    assert stats.hits == 0 and stats.misses == 0

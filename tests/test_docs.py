@@ -165,6 +165,26 @@ def test_ci_writes_leg_covers_both_writers():
         assert suite in leg, suite
 
 
+#: names of the view cache's retired delta maintainer and of the retired
+#: plan-cache wrapper: a commit carries cached views or drops them, and the
+#: plan cache is a plain ``LRUCache``
+_RETIRED_CACHE_NAMES = (
+    "ViewUpdater",
+    "delta_footprint",
+    "view_store",
+    "_numeric_refresh",
+    "_republish_handle_views",
+    "PlanCache",
+)
+
+
+def test_docs_name_no_retired_cache_machinery():
+    for doc in _doc_files():
+        text = doc.read_text()
+        for name in _RETIRED_CACHE_NAMES:
+            assert name not in text, f"{doc.name} names {name}"
+
+
 #: the retired second benchmark system: its directory, its JSON records and
 #: its strictness switch (``.benchmarks/``, pytest-benchmark's store, is not it)
 _RETIRED_BENCH = re.compile(
