@@ -7,7 +7,6 @@ from repro.core.engine import (
     CompiledBatch,
     EngineConfig,
     LMFAO,
-    PlanBinding,
     RunResult,
 )
 from repro.core.groups import Group, GroupPlan, build_groups
@@ -28,7 +27,6 @@ __all__ = [
     "LMFAO",
     "MultiOutputPlan",
     "Output",
-    "PlanBinding",
     "RunResult",
     "Snapshot",
     "SnapshotStore",

@@ -14,7 +14,8 @@ Per-query ``WHERE`` conjunctions are folded into the sum-product as
 indicator factors — the trick that lets a batch of differently-filtered
 decision-tree aggregates share a single scan. It is the only way a predicate
 reaches execution: tries index whole base relations, and a plan-cache hit
-re-binds the indicator functions (:class:`PlanBinding`).
+re-binds the indicator functions in a copy of the cached
+:class:`CompiledBatch` (:func:`repro.serve.fingerprint.bind_batch`).
 
 Every optimisation is individually switchable through
 :class:`EngineConfig`, which is what the ablation benchmarks exercise.
@@ -25,10 +26,11 @@ a :class:`~repro.core.snapshot.SnapshotStore`; :meth:`LMFAO.run` pins the
 version it started on, and every write installs its successor version
 atomically through one commit path (:meth:`LMFAO.commit`), so queries
 never observe a half-applied delta. The compile pipeline sits behind a
-fingerprintable boundary: :class:`CompiledBatch` is pure structure, and a
-:class:`PlanBinding` (built by :mod:`repro.serve.fingerprint`) re-binds
-per-request predicate constants at execution time — the compile-once
-serving layer (:mod:`repro.serve`) is built on exactly these two seams.
+fingerprintable boundary: a :class:`CompiledBatch`'s plans are pure
+structure, and only its ``batch`` and ``functions`` carry a request's
+predicate constants — the compile-once serving layer (:mod:`repro.serve`)
+rebinds those two fields and executes the copy like any other compiled
+batch.
 """
 
 from __future__ import annotations
@@ -221,9 +223,10 @@ class EngineConfig:
 
     ``incremental_mode`` (str, default "auto")
         validated at ``maintain()`` (not at engine construction): must be
-        ``"auto"`` (O(|Δ|) view deltas computed over a trie of just the
-        changed tuples where exact — insert-only changes at the group's
-        own node — rescan otherwise) or ``"rescan"`` (re-execute dirty
+        ``"auto"`` (view deltas computed over a trie of just the changed
+        tuples where exact — insert-only changes at the group's own node
+        — then merged into a copy of the view, so O(|view|) per round;
+        rescan otherwise) or ``"rescan"`` (re-execute dirty
         groups over their cached full tries; bit-for-bit equal to
         recomputation).
 
@@ -268,38 +271,6 @@ class EngineConfig:
         return self
 
 
-@dataclass(frozen=True)
-class PlanBinding:
-    """Per-request constants bound to a structurally cached :class:`CompiledBatch`.
-
-    Produced by :func:`repro.serve.fingerprint.bind_batch` when a
-    plan-cache hit serves a batch that is structurally identical to the
-    compiled one but differs in ``WHERE``-predicate constants. The
-    compiled artefacts — view plan, groups, orders, every backend's
-    executables — are reused verbatim; everything constant-dependent is
-    swapped at execution time through this object:
-
-    ``batch``
-        the *request* batch. Results are collected against its
-        :class:`~repro.query.query.Query` objects (same names and
-        group-bys as the compiled batch, by fingerprint equality), so the
-        returned :class:`~repro.query.query.QueryResult`\\ s carry the
-        request's predicates, not the cached batch's;
-    ``functions``
-        plan slot name → runtime :class:`~repro.query.functions.Function`.
-        Keys are the *compiled* batch's function names (what the plan IR
-        references); values are the request's functions — for an
-        indicator slot ``ind[<=5]`` compiled from ``x <= 5``, a request
-        with ``x <= 7`` binds the ``ind[<=7]`` function under the
-        ``ind[<=5]`` key. Trie-side caches key on the *bound* function's
-        own name, so re-bound constants never collide in shared caches
-        (see :func:`repro.core.runtime._product_signature`).
-    """
-
-    batch: QueryBatch
-    functions: dict[str, Function]
-
-
 @dataclass
 class CompiledBatch:
     """All artefacts of compiling one batch (inspectable, reusable).
@@ -311,10 +282,26 @@ class CompiledBatch:
     what lets the incremental maintainer re-drive groups over updated
     data, and what the serving layer's structural plan cache
     (:mod:`repro.serve`) exploits to reuse one compilation across
-    requests, re-binding predicate constants via :class:`PlanBinding`.
+    requests.
 
-    Field notes: ``batch`` is the original request; ``folded`` the same
-    batch with every ``WHERE`` predicate folded into indicator factors;
+    Two fields belong to the request, the rest is compile-time
+    structure. ``batch`` is the request (results are collected against
+    its queries) and ``functions`` maps every plan slot name to the
+    runtime :class:`~repro.query.functions.Function` it runs. A plan-cache
+    hit gets a copy of the cached batch with just these two replaced
+    (:func:`repro.serve.fingerprint.bind_batch`): for an indicator slot
+    ``ind[<=5]`` compiled from ``x <= 5``, a request with ``x <= 7`` binds
+    the ``ind[<=7]`` function under the ``ind[<=5]`` key. Trie-side caches
+    key on the bound function's own name, so rebound constants never
+    collide in shared caches (see
+    :func:`repro.core.runtime._product_signature`). Everything else —
+    ``folded``, ``view_plan``, ``group_plan``, ``orders``, ``plans``,
+    ``executables``, ``execution_order`` — is shared with the cached
+    batch, so a rebound copy's ``folded`` still holds the constants it
+    was compiled with.
+
+    Field notes: ``folded`` is ``batch`` with every ``WHERE`` predicate
+    folded into indicator factors;
     ``execution_order`` a topological order of ``group_plan``'s
     dependency DAG; ``executables`` the per-backend table of compiled
     groups (:func:`repro.core.runtime.compile_executables`): backend name →
@@ -410,15 +397,15 @@ class GroupRun:
     """The per-run state one pass over a compiled batch's groups shares.
 
     What the group step (:meth:`LMFAO.execute_group`) reads — the
-    compilation, the runtime functions bound for this request, the
-    pinned snapshot, the views computed (or seeded) so far — and what the DAG walk (:meth:`LMFAO.walk_groups`) writes
-    back. The engine's own runs and the incremental maintainer's rounds
-    each build one; ``snapshot`` may stay None
-    when every group is stepped over an explicit (delta) trie.
+    compilation (with the runtime functions bound for this request), the
+    pinned snapshot, the views computed (or seeded) so far — and what the
+    DAG walk (:meth:`LMFAO.walk_groups`) writes back. The engine's own
+    runs and the incremental maintainer's rounds each build one;
+    ``snapshot`` may stay None when every group is stepped over an
+    explicit (delta) trie.
     """
 
     compiled: CompiledBatch
-    functions: Mapping[str, Function]
     snapshot: Snapshot | None = None
     #: view name → contents: inputs of downstream groups, seeded or computed.
     view_data: dict[str, dict] = field(default_factory=dict)
@@ -737,7 +724,6 @@ class LMFAO:
         compiled: CompiledBatch,
         watch: Stopwatch | None = None,
         snapshot: Snapshot | None = None,
-        binding: PlanBinding | None = None,
         view_seeds: ViewSeeds | None = None,
     ) -> RunResult:
         """Execute an already compiled batch.
@@ -745,9 +731,6 @@ class LMFAO:
         ``snapshot`` pins the database version all reads come from
         (default: the current one — pinned here, once, so the run is
         isolated from concurrently installed versions either way).
-        ``binding`` re-binds per-request predicate constants onto a
-        structurally cached compilation (see :class:`PlanBinding`); when
-        None the compiled batch executes with its own constants.
         ``view_seeds`` pre-materializes views from the serving layer's
         view cache (see :class:`ViewSeeds`): groups whose produced views
         are all seeded are skipped outright, and computed views are
@@ -763,9 +746,7 @@ class LMFAO:
         else:
             self._snapshots.repin(snapshot)
         try:
-            return self._execute_pinned(
-                compiled, watch, snapshot, binding, view_seeds
-            )
+            return self._execute_pinned(compiled, watch, snapshot, view_seeds)
         finally:
             self._snapshots.unpin(snapshot.version)
 
@@ -800,14 +781,9 @@ class LMFAO:
         compiled: CompiledBatch,
         watch: Stopwatch,
         snapshot: Snapshot,
-        binding: PlanBinding | None,
         view_seeds: ViewSeeds | None,
     ) -> RunResult:
-        # a binding carries the request's batch and functions under the
-        # compiled batch's own field names
-        bound = compiled if binding is None else binding
-        batch = bound.batch
-        run = GroupRun(compiled, bound.functions, snapshot)
+        run = GroupRun(compiled, snapshot)
         seeds: dict[str, dict] = view_seeds.seeds if view_seeds is not None else {}
         skipped: set[int] = set()
         if seeds:
@@ -826,7 +802,7 @@ class LMFAO:
 
         with watch.lap("collect"):
             results: dict[str, QueryResult] = {}
-            for query in batch:
+            for query in compiled.batch:
                 results[query.name] = _to_query_result(
                     query, run.query_raw[query.name]
                 )
@@ -951,20 +927,20 @@ class LMFAO:
         if len(tries) > 1 and shippable:
             from repro.core import mpexec
 
-            if mpexec.plan_transportable(plan, run.functions):
+            if mpexec.plan_transportable(plan, compiled.functions):
                 return [lambda: self._ship_group(run, index, tries)]
-        group_by = compiled.view_group_by
+        group_by, functions = compiled.view_group_by, compiled.functions
         if len(tries) > 1 and pooled:
             prepared = group.prepare_bindings(run.view_data, group_by)
             return [
                 lambda part=part: execute_plan(
-                    group, part, run.view_data, group_by, run.functions, prepared
+                    group, part, run.view_data, group_by, functions, prepared
                 )
                 for part in tries
             ]
         return [
             lambda: execute_plan_partitioned(
-                group, tries, run.view_data, group_by, run.functions
+                group, tries, run.view_data, group_by, functions
             )
         ]
 
@@ -995,7 +971,7 @@ class LMFAO:
                 {v: run.view_data[v] for v in needed_views if v in run.view_data},
                 {v: run.compiled.view_group_by[v] for v in needed_views},
                 {
-                    name: run.functions[name]
+                    name: run.compiled.functions[name]
                     for name in mpexec.plan_function_names(plan)
                 },
             )

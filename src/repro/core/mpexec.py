@@ -612,13 +612,16 @@ class ProcessExecutor:
 
     # --------------------------------------------------------------- execution
     def _batch_key(self, compiled) -> int:
-        key = self._batch_keys.get(id(compiled))
+        # keyed on the group plan, which every rebound copy of a cached
+        # batch shares (bind_batch): a worker warms each compilation once
+        structure = compiled.group_plan
+        key = self._batch_keys.get(id(structure))
         if key is None:
             key = self._batch_counter
             self._batch_counter += 1
-            self._batch_keys[id(compiled)] = key
+            self._batch_keys[id(structure)] = key
             # evict on GC so a recycled id() can never alias a stale key
-            weakref.finalize(compiled, self._batch_keys.pop, id(compiled), None)
+            weakref.finalize(structure, self._batch_keys.pop, id(structure), None)
         return key
 
     def execute_group(

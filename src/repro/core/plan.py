@@ -349,10 +349,10 @@ class MultiOutputPlan:
         the distinct row-factor products and per-level factor
         evaluations the runtime materialises as prefix-sum registers and
         value arrays (``function names`` here are *plan slot names*: a
-        :class:`~repro.core.engine.PlanBinding` may re-bind them to
-        different constants per request; executors resolve slots through
-        the functions mapping they are given and key trie caches by the
-        bound function's own name).
+        plan-cache hit executes a copy of the compiled batch whose
+        ``functions`` re-bind them to the request's constants; executors
+        resolve slots through the functions mapping they are given and
+        key trie caches by the bound function's own name).
 
     A plan is **pure structure** — it never references data contents —
     so one plan executes against any snapshot and any re-bound constants;

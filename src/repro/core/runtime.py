@@ -323,11 +323,11 @@ def bind_operands(
 
     The trie caches key each array by the **bound** function's name (a
     level function is the one-factor product ``f(attr)``). Plans name
-    functions by slot; under a plan-cache hit with re-bound predicate
-    constants (:class:`repro.core.engine.PlanBinding`) the slot name
-    carries the compiled batch's constant and the bound function the
-    request's, and tries are shared across requests, so slot-name keys
-    would serve one request's indicator arrays to another. Function names
+    functions by slot. On a plan-cache hit the rebound copy of the cached
+    batch (:func:`repro.serve.fingerprint.bind_batch`) binds a slot name,
+    which carries the cached batch's constant, to the request's function.
+    Tries are shared across requests, so slot-name keys would serve one
+    request's indicator arrays to another. Function names
     are unique per behaviour (the registry contract): a sound key.
     """
     level_products = [((attr, func),) for _level, attr, func in plan.level_functions]

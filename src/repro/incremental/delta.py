@@ -9,9 +9,11 @@ against the database schema.
 
 The distinction that matters downstream is :attr:`RelationDelta.insert_only`:
 sum-product aggregates are *linear* in each relation's row multiset, so an
-insert-only delta admits an exact O(|Δ|) numeric maintenance step (run the
+insert-only delta admits an exact numeric maintenance step (run the
 compiled group code over a trie of just the new tuples and add the emitted
-values in). Deletes can silently empty a group — deciding whether a group-by
+values in). The run scans O(|Δ|) tuples; adding its output in copies the
+maintained view (:func:`repro.incremental.rules.merge_delta_outputs`), so
+the step as a whole is O(|view|). Deletes can silently empty a group — deciding whether a group-by
 key survives needs join support, which the numeric path cannot see — so they
 route to the rescan path instead.
 
@@ -23,8 +25,8 @@ inserted then deleted inside one group never touches the base relation,
 which matters because :meth:`repro.data.relation.Relation.remove_rows`
 treats deleting an absent tuple as a hard error), and it preserves
 :attr:`RelationDelta.insert_only`: a queue of small insert-only writes
-merges into one insert-only delta, so the O(|Δ|) numeric path amortises
-over the whole group.
+merges into one insert-only delta, so one numeric step (and one view
+copy) serves the whole group.
 """
 
 from __future__ import annotations

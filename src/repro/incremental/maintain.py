@@ -96,7 +96,8 @@ class ApplyResult:
     #: views whose contents actually changed this round.
     refreshed_views: tuple[str, ...]
     relations_changed: tuple[str, ...]
-    #: groups maintained by the O(|Δ|) numeric step.
+    #: groups maintained by the numeric step (a delta run over the
+    #: inserted tuples, then an O(|view|) copy-on-write merge).
     groups_numeric: int
     #: groups re-executed over their full (cached) trie.
     groups_rescanned: int
@@ -151,7 +152,7 @@ class MaintainedBatch:
         # memo only gains immutable entries, so warming it here warms the
         # engine's runs too); successor versions built by apply() share
         # every unchanged node's tries structurally.
-        run = self._group_run(engine.snapshot(), {}, {})
+        run = GroupRun(compiled, engine.snapshot())
         engine.walk_groups(run)
         results = {
             query.name: _to_query_result(query, run.query_raw[query.name])
@@ -265,8 +266,8 @@ class MaintainedBatch:
 
         # ---- build the successor version off to the side (copy-on-write);
         # a downstream group reads its upstream views refreshed-this-round
-        run = self._group_run(
-            snapshot, dict(state.view_data), dict(state.query_raw)
+        run = GroupRun(
+            self.compiled, snapshot, dict(state.view_data), dict(state.query_raw)
         )
 
         numeric = rescanned = skipped = 0
@@ -347,15 +348,6 @@ class MaintainedBatch:
             node_delta is not None
             and node_delta.insert_only
             and not upstream_dirty
-        )
-
-    def _group_run(
-        self, snapshot: Snapshot, view_data: dict, query_raw: dict
-    ) -> GroupRun:
-        """Per-round state for stepping this handle's groups over ``snapshot``."""
-        compiled = self.compiled
-        return GroupRun(
-            compiled, compiled.functions, snapshot, view_data, query_raw
         )
 
     def _adopt_outputs(

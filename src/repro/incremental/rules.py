@@ -11,9 +11,11 @@ this round, *cutting off* propagation when a refreshed view turns out
 unchanged (delta cutoff).
 
 The per-group rules applied along that path live here:
-:func:`numeric_delta_run` + :func:`merge_delta_outputs` (the O(|Δ|)
-insert rule of maintained handles) and :func:`refresh_ordered` (targeted
-top-k re-rank).
+:func:`numeric_delta_run` + :func:`merge_delta_outputs` (the insert rule
+of maintained handles: the run scans only the inserted tuples, but the
+merge starts from a copy of the target view, so each round costs
+O(|view|), not O(|Δ|)) and :func:`refresh_ordered` (targeted top-k
+re-rank).
 """
 
 from __future__ import annotations

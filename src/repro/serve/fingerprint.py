@@ -18,8 +18,9 @@ Two functions define the whole contract:
   Two batches get the same fingerprint iff the compiled artefacts of one
   execute the other correctly after constant rebinding.
 * :func:`bind_batch` — given a cache hit, aligns the request's constants
-  with the cached compilation and returns the
-  :class:`~repro.core.engine.PlanBinding` the engine executes with.
+  with the cached compilation and returns a copy of it that carries the
+  request's batch and functions and shares every other artefact; the
+  engine executes it like any freshly compiled batch.
 
 **Why placeholders are assigned per distinct (op, value) pair.** Predicate
 folding deduplicates indicator functions by ``(op, value)``: ``x <= 5``
@@ -48,7 +49,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.core.engine import CompiledBatch, EngineConfig, PlanBinding
+from repro.core.engine import CompiledBatch, EngineConfig
 from repro.jointree.jointree import JoinTree
 from repro.query.batch import QueryBatch
 from repro.query.functions import Function
@@ -129,7 +130,7 @@ def batch_fingerprint(
     return BatchFingerprint(key=key), tuple(constants)
 
 
-def bind_batch(compiled: CompiledBatch, batch: QueryBatch) -> PlanBinding:
+def bind_batch(compiled: CompiledBatch, batch: QueryBatch) -> CompiledBatch:
     """Bind a request's constants onto a structurally identical compilation.
 
     Precondition (the caller's cache guarantees it): ``batch`` and
@@ -139,6 +140,12 @@ def bind_batch(compiled: CompiledBatch, batch: QueryBatch) -> PlanBinding:
     predicate, the cached indicator's slot name maps to the request
     predicate's indicator function (identity when the constants happen
     to be equal).
+
+    Returns a :class:`~repro.core.engine.CompiledBatch` whose ``batch`` is
+    the request and whose ``functions`` hold the rebinding; ``folded``,
+    the view and group plans, orders, plans, executables and execution
+    order are the cached batch's own objects, so ``folded`` keeps the
+    constants the cache entry was compiled with.
 
     The walk is validated as it goes; a shape mismatch — which a correct
     fingerprint makes impossible — raises
@@ -185,7 +192,7 @@ def bind_batch(compiled: CompiledBatch, batch: QueryBatch) -> PlanBinding:
     for slot, bound in mapping.items():
         if slot in functions:
             functions[slot] = bound
-    return PlanBinding(batch=batch, functions=functions)
+    return dataclasses.replace(compiled, batch=batch, functions=functions)
 
 
 # ------------------------------------------------------------------ view keys
@@ -198,8 +205,8 @@ class ViewIdentity:
     Wraps everything a view's ``ViewData`` depends on besides the
     database version: the canonical subtree structure
     (:class:`~repro.core.views.ViewSignature`), the concrete functions
-    bound to its placeholder slots (request constants, via
-    :class:`~repro.core.engine.PlanBinding` on cache hits), and the
+    bound to its placeholder slots (the request's constants, which
+    :func:`bind_batch` puts in ``functions`` on cache hits), and the
     *execution profile* — attribute orders, partition safety and
     native/C availability of the producing groups over the subtree.
 
@@ -233,21 +240,19 @@ class ViewKey:
     version: int
 
 
-def view_identities(
-    compiled: CompiledBatch, binding: PlanBinding | None = None
-) -> dict[str, ViewIdentity]:
-    """Per-view cache identities for one request against a compilation.
+def view_identities(compiled: CompiledBatch) -> dict[str, ViewIdentity]:
+    """Per-view cache identities for one request's compilation.
 
     Derives, for every view of ``compiled.view_plan``, the
-    :class:`ViewIdentity` of the ``ViewData`` this request's execution
-    would materialize for it — the canonical signature with this
-    request's constants bound in (``binding`` when the request rides a
-    plan-cache hit, the compiled batch's own functions otherwise). Pair
+    :class:`ViewIdentity` of the ``ViewData`` executing ``compiled``
+    would materialize for it — the canonical signature with the
+    request's constants (``compiled.functions``, rebound by
+    :func:`bind_batch` on a plan-cache hit) bound in. Pair
     with the snapshot version via :class:`ViewKey` to address the
     :class:`~repro.serve.viewcache.ViewCache`.
     """
     signatures = compiled.view_plan.view_signatures()
-    functions = binding.functions if binding is not None else compiled.functions
+    functions = compiled.functions
 
     profiles: dict[str, tuple] = {}
 

@@ -54,6 +54,8 @@ Structurally identical batches compile once; changed constants re-bind::
     (1, 1)
     >>> "compile" in cold.timings, "compile" in warm.timings
     (True, False)
+    >>> warm.compiled.batch.query("Q").where, warm.compiled.plans is cold.compiled.plans
+    ((units<=7,), True)
 
 Writes go through the group-commit queue; ``sync=True`` (the default)
 blocks until the write's snapshot transition is installed, and empty
@@ -88,7 +90,6 @@ from repro.core.engine import (
     CompiledBatch,
     EngineConfig,
     LMFAO,
-    PlanBinding,
     RunResult,
     ViewSeeds,
 )
@@ -299,34 +300,27 @@ class AggregateServer:
     def _execute_pinned(
         self, batch: QueryBatch, fingerprint: BatchFingerprint, snapshot
     ) -> RunResult:
-        """Resolve the plan (cache or compile) and execute on ``snapshot``."""
+        """Resolve the plan (compile on a miss, rebind on a hit) and
+        execute it on ``snapshot``."""
+        watch = Stopwatch()
         compiled = self.plan_cache.get(fingerprint)
         if compiled is None:
             # Two racing first requests may both compile; both results are
             # correct and the cache keeps the last one (see LRUCache.put).
-            watch = Stopwatch()
             with watch.lap("compile"):
                 compiled = self.engine.compile(batch, snapshot=snapshot)
             self.plan_cache.put(fingerprint, compiled)
-            return self.engine.execute(
-                compiled,
-                watch=watch,
-                snapshot=snapshot,
-                view_seeds=self._view_seeds(compiled, None, snapshot),
-            )
-        binding = bind_batch(compiled, batch)
+        else:
+            compiled = bind_batch(compiled, batch)
         return self.engine.execute(
             compiled,
+            watch=watch,
             snapshot=snapshot,
-            binding=binding,
-            view_seeds=self._view_seeds(compiled, binding, snapshot),
+            view_seeds=self._view_seeds(compiled, snapshot),
         )
 
     def _view_seeds(
-        self,
-        compiled: CompiledBatch,
-        binding: PlanBinding | None,
-        snapshot: Snapshot,
+        self, compiled: CompiledBatch, snapshot: Snapshot
     ) -> ViewSeeds | None:
         """Seed one execution from the view cache; wire its publish sink.
 
@@ -344,7 +338,7 @@ class AggregateServer:
         cache = self.view_cache
         if cache is None:
             return None
-        identities = view_identities(compiled, binding)
+        identities = view_identities(compiled)
         version = snapshot.version
         seeds: dict[str, dict] = {}
         for name, identity in identities.items():

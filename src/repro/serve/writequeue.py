@@ -14,8 +14,10 @@ maintenance round of every handle. This module amortises them with a
   (:func:`~repro.incremental.delta.coalesce_deltas` — insert/delete
   cancellation, ``delete_mask`` entries act as group boundaries) and
   applied as **one** snapshot transition. Many small insert-only writes
-  thus cost one successor build and one O(|Δ|) maintenance round over
-  their union — the accumulate-then-commit shape of the ROADMAP's
+  thus cost one successor build and one maintenance round over their
+  union (its numeric delta run scans only the inserted tuples, but the
+  merge copies each maintained view it touches, so the round is
+  O(|view|)) — the accumulate-then-commit shape of the ROADMAP's
   write-path item;
 * the queue is **bounded** (``capacity`` pending delta groups) with a
   configurable backpressure ``policy``: ``"block"`` makes ``submit``

@@ -30,7 +30,10 @@ cost model nor a forcing environment variable picks between variants.
 
 A ``WHERE`` predicate reaches execution one way: folded into an indicator
 factor at compile time, re-bound on a plan-cache hit. Nothing below the
-query layer evaluates a predicate against a column.
+query layer evaluates a predicate against a column. A request's constants
+reach the engine one way too: in the ``CompiledBatch`` it executes, which
+on a plan-cache hit is the cached one copied with the request's batch and
+functions; nothing rides beside it.
 
 A write reaches the store one way: the engine's commit
 (:meth:`repro.core.engine.LMFAO.commit`) builds the successor snapshot,
@@ -136,6 +139,80 @@ def test_one_predicate_path():
                 else None
             )
             assert named != "shared_predicates", f"{module}:{node.lineno}"
+
+
+def _node_names(node: ast.AST) -> tuple[str, ...]:
+    """The identifiers one ``ast`` node introduces or refers to."""
+    if isinstance(node, ast.Name):
+        return (node.id,)
+    if isinstance(node, ast.Attribute):
+        return (node.attr,)
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        return (node.name,)
+    if isinstance(node, ast.alias):
+        return (node.name, node.asname or node.name)
+    if isinstance(node, ast.arg):
+        return (node.arg,)
+    return ()
+
+
+def _definition(
+    module: str, name: str, kind=ast.FunctionDef, inside: str | None = None
+):
+    scope = _modules()[module]
+    if inside is not None:
+        scope = next(
+            node for node in ast.walk(scope)
+            if isinstance(node, ast.ClassDef) and node.name == inside
+        )
+    return next(
+        node for node in ast.walk(scope)
+        if isinstance(node, kind) and node.name == name
+    )
+
+
+def test_one_compiled_batch_per_request():
+    # no side object carries a request's constants beside its compilation
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            assert "PlanBinding" not in _node_names(node), f"{module}:{node.lineno}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert "PlanBinding" not in node.value, f"{module}:{node.lineno}"
+    for module, name, inside in (
+        ("core/engine.py", "execute", "LMFAO"),
+        ("core/engine.py", "_execute_pinned", "LMFAO"),
+        ("serve/fingerprint.py", "view_identities", None),
+        ("serve/server.py", "_view_seeds", "AggregateServer"),
+    ):
+        args = _definition(module, name, inside=inside).args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        assert "binding" not in params, f"{module}:{name} takes a binding"
+    group_run = _definition("core/engine.py", "GroupRun", ast.ClassDef)
+    fields = {
+        node.target.id for node in group_run.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+    assert "functions" not in fields and "compiled" in fields, fields
+    # a CompiledBatch is built by compile() and copied by bind_batch alone
+    assert _enclosing_functions("CompiledBatch") == ["core/engine.py:compile"]
+    copies = []
+
+    def visit(node, module: str, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and _called_name(node) in {"replace", "copy", "deepcopy"}
+            and node.args
+            and "compiled" in _node_names(node.args[0])
+        ):
+            copies.append(f"{module}:{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for module, tree in _modules().items():
+        visit(tree, module, None)
+    assert copies == ["serve/fingerprint.py:bind_batch"], copies
 
 
 def test_one_commit_path():

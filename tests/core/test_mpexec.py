@@ -23,7 +23,8 @@ import pytest
 
 from repro.core import EngineConfig, LMFAO, mpexec
 from repro.data import Attribute, Database, Relation, RelationSchema
-from repro.query import Aggregate, Query, QueryBatch
+from repro.query import Aggregate, Op, Predicate, Query, QueryBatch
+from repro.serve import AggregateServer
 from repro.util.errors import PlanError
 
 C = Attribute.categorical
@@ -189,6 +190,38 @@ def test_results_do_not_depend_on_worker_count():
         ) as engine:
             runs.append(engine.run(_batch()).results["q"].groups)
     assert runs[0] == runs[1] == runs[2]
+
+
+# ------------------------------------------------------------ batch warm-up
+def test_rebound_plan_cache_hits_warm_each_worker_once():
+    """Every plan-cache hit executes its own rebound copy of the cached
+    batch; the copies share the compiled plans, so a worker recompiles
+    them once, not once per request."""
+
+    def request(threshold: float) -> QueryBatch:
+        return QueryBatch(
+            [
+                Query(
+                    "q",
+                    group_by=("store",),
+                    aggregates=(Aggregate.count(), Aggregate.sum("units")),
+                    where=(Predicate("units", Op.LE, threshold),),
+                )
+            ]
+        )
+
+    thresholds = (2.0, 3.0, 4.0, 5.0, 6.0)
+    with AggregateServer(_db(), _PROCESS_CONFIG) as server:
+        served = [server.run(request(t)) for t in thresholds]
+        assert server.stats().plan_cache.hits == len(thresholds) - 1
+        executor = server.engine._process_executor()
+        assert executor._batch_counter == 1
+        assert [len(keys) for keys in executor._warmed] == [1, 1]
+    thread_config = EngineConfig(partitions=2, parallel_threshold=0)
+    with AggregateServer(_db(), thread_config) as server:
+        for threshold, run in zip(thresholds, served):
+            oracle = server.run(request(threshold))
+            assert run.results["q"].groups == oracle.results["q"].groups
 
 
 # ------------------------------------------------------------- worker crashes

@@ -182,7 +182,7 @@ def numpy_digest(name: str) -> str:
     compiled = engine.compile(batch())
     snapshot = engine.pin_snapshot()
     try:
-        run = GroupRun(compiled, compiled.functions, snapshot)
+        run = GroupRun(compiled, snapshot)
         engine.walk_groups(run)
     finally:
         engine.release_snapshot(snapshot.version)

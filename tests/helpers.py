@@ -55,7 +55,7 @@ def walk_all(engine, compiled) -> GroupRun:
     the current snapshot; the run holds each view's and query's raw store."""
     snapshot = engine.pin_snapshot()
     try:
-        run = GroupRun(compiled, compiled.functions, snapshot)
+        run = GroupRun(compiled, snapshot)
         engine.walk_groups(run)
     finally:
         engine.release_snapshot(snapshot.version)

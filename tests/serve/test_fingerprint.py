@@ -148,19 +148,19 @@ def test_config_and_tree_enter_the_fingerprint(favorita_db):
 def test_bind_batch_maps_indicator_slots_to_request_functions(favorita_db):
     engine = _engine(favorita_db)
     cached = engine.compile(_batch(t_units=3.0, t_item=10.0))
-    binding = bind_batch(cached, _batch(t_units=7.0, t_item=25.0))
+    rebound = bind_batch(cached, _batch(t_units=7.0, t_item=25.0))
     # the cached slot names key the request's functions
-    assert binding.functions["ind[<=3]"].name == "ind[<=7]"
-    assert binding.functions["ind[>=10]"].name == "ind[>=25]"
+    assert rebound.functions["ind[<=3]"].name == "ind[<=7]"
+    assert rebound.functions["ind[>=10]"].name == "ind[>=25]"
     # non-indicator functions pass through untouched
-    assert binding.functions["id"] is cached.functions["id"]
+    assert rebound.functions["id"] is cached.functions["id"]
 
 
 def test_bind_batch_is_identity_on_equal_constants(favorita_db):
     engine = _engine(favorita_db)
     cached = engine.compile(_batch())
-    binding = bind_batch(cached, _batch())
-    assert binding.functions == cached.functions
+    rebound = bind_batch(cached, _batch())
+    assert rebound.functions == cached.functions
 
 
 def test_bind_batch_rejects_shape_divergence(favorita_db):

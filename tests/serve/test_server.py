@@ -60,7 +60,15 @@ def test_repeated_batch_hits_the_cache_and_skips_compile(favorita_db):
         stats = server.stats()
         assert stats.plan_cache.misses == 1
         assert stats.plan_cache.hits == 1
-        assert warm.compiled is cold.compiled  # the very same artefacts
+        # a hit shares the compiled artefacts but reports its own request
+        request = _batch(7.0, 25.0)
+        rebound = server.run(request)
+        assert rebound.compiled.plans is cold.compiled.plans
+        assert rebound.compiled.batch is request
+        slot = request.query("scalar").where[0]
+        assert rebound.compiled.functions["ind[<=3]"].name == (
+            slot.as_indicator().name
+        ) == "ind[<=7]"
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])

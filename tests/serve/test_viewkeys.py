@@ -114,8 +114,7 @@ def test_root_local_rebinding_shares_every_subtree_identity(favorita_db):
     engine = LMFAO(favorita_db, EngineConfig(join_tree_edges=FAVORITA_TREE))
     cached = engine.compile(_favorita_batch(5.0))
     cold = view_identities(cached)
-    binding = bind_batch(cached, _favorita_batch(9.0))
-    warm = view_identities(cached, binding)
+    warm = view_identities(bind_batch(cached, _favorita_batch(9.0)))
     assert cold == warm
     assert len(cold) >= 2
 
@@ -151,7 +150,7 @@ def test_subtree_predicate_rebinding_partitions_exactly_its_views(favorita_db):
         if "Items" in signatures[name].subtree
     }
     cold = view_identities(cached)
-    warm = view_identities(cached, bind_batch(cached, batch(3.0)))
+    warm = view_identities(bind_batch(cached, batch(3.0)))
     changed = {name for name in cold if cold[name] != warm[name]}
     assert changed, "rebinding a pushed-down constant must move some keys"
     assert changed <= home, (

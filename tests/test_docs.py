@@ -175,6 +175,7 @@ _RETIRED_CACHE_NAMES = (
     "_numeric_refresh",
     "_republish_handle_views",
     "PlanCache",
+    "PlanBinding",
 )
 
 
