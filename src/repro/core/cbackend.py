@@ -37,8 +37,9 @@ passed as a single ``void**`` argument vector):
   unless a dict consumer reads the view.
 
 Supported plans: integer (categorical) trie levels, view keys and group-by
-attributes. :func:`supports_plan` reports this; the engine falls back to
-the Python backend per group otherwise (e.g. Rk-means' float dimensions).
+attributes. :func:`supports_plan` reports this; at compile,
+:func:`repro.core.runtime.compile_executables` gives every other plan a
+NumPy group (e.g. Rk-means' float dimensions).
 
 **Concurrency.** Generated functions are reentrant: they touch only their
 argument vector, every mutable buffer (view hash tables, output tables) is
@@ -84,8 +85,8 @@ unless given ``candidates``. Under ``backend="auto"`` the engine passes
 only the groups whose node relation, in the compile snapshot, reaches the
 cost model's cut (:func:`repro.core.costmodel.native_worthwhile`): below
 it gcc and the ctypes marshalling cost more than the scan saves, so
-those groups run NumPy (:func:`~repro.core.costmodel.choose_backend`
-picks C exactly where a candidate was built).
+those groups compile to NumPy instead, and a group runs C exactly where
+a candidate was built.
 """
 
 from __future__ import annotations
@@ -430,6 +431,8 @@ class CCompiledGroup:
     Implements the compiled-group protocol (``prepare_bindings`` /
     ``execute`` — see :mod:`repro.core.runtime`)."""
 
+    backend = "c"
+
     def __init__(self, plan: MultiOutputPlan, symbol: str, args: list[_ArgSpec],
                  source: str) -> None:
         self.plan = plan
@@ -763,7 +766,7 @@ def compile_c_groups(
     attribute_kinds: Mapping[str, str],
     candidates: Collection[int] | None = None,
 ) -> tuple[list, tuple[ctypes.CDLL, ...] | None]:
-    """Lower supported plans to C; unsupported ones stay on Python.
+    """Lower supported plans to C; the runtime gives the others NumPy.
 
     ``candidates`` (plan indices) restricts compilation to those plans;
     None compiles every supported one. Returns ``(groups, library)``: one

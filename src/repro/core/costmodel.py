@@ -6,8 +6,8 @@ The engine's execution knobs — ``partitions``, ``workers`` and
 performance bug: ``partitions=4`` made the NumPy backend *slower* than
 sequential on a machine with one usable core. Under ``adaptive=True``
 the knobs are **advisory upper bounds**, and this small model — fed only
-by the trie's row count and the machine's usable cores — makes the final
-call per group.
+by row counts and the machine's usable cores — makes the final call per
+group: the backend at compile, the partition count per run.
 
 Decision table (see docs/architecture.md §Lowering IR & cost model):
 
@@ -23,18 +23,18 @@ partition count       ``min(config.partitions, rows // threshold,
 concurrency           1 when the backend is GIL-bound under the thread
                       executor (pure Python), else
                       ``min(workers, usable cores)``;
-backend (``"auto"``)  per group: C when a compiled group exists, else
-                      NumPy. ``LMFAO.compile`` builds a C candidate only
-                      for groups whose relation reaches
-                      ``SMALL_TRIE_ROWS``.
+backend (``"auto"``)  per group, **at compile**: C when the group's
+                      relation reaches ``SMALL_TRIE_ROWS`` in the compile
+                      snapshot (:func:`native_worthwhile`), else NumPy.
 ====================  ====================================================
 
 Kernels below that level choose their algorithm from the data they hold
 (the NumPy grouper from its key code space, the top-k finisher from its
-container), so the model has no kernel variant to pick. All decisions
-are **data-dependent and re-decided at execution time**, like re-bound
-predicate constants — they never enter compiled artefacts or the serving
-layer's structural fingerprints.
+container), so the model has no kernel variant to pick. The backend is
+fixed in the compiled batch (each group's ``backend``); only the
+partition count is **data-dependent and re-decided at execution time**,
+like re-bound predicate constants — it never enters compiled artefacts
+or the serving layer's structural fingerprints.
 """
 
 from __future__ import annotations
@@ -115,12 +115,6 @@ def native_worthwhile(rows: int) -> bool:
     ``backend="auto"``: ``LMFAO.compile`` builds C only for groups whose
     node relation reaches this cut in the compile snapshot."""
     return rows >= SMALL_TRIE_ROWS
-
-
-def choose_backend(has_c: bool) -> str:
-    """Per-group backend under ``backend="auto"``: compiled C when this
-    group has a C candidate, else the NumPy array program."""
-    return "c" if has_c else "numpy"
 
 
 # ----------------------------------------------------------- run reporting

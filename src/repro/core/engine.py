@@ -42,7 +42,7 @@ import weakref
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from repro.core.plan import MultiOutputPlan
 from repro.core.snapshot import Snapshot, SnapshotStore
 from repro.core.runtime import (
     ArrayViewData,
+    LazyPythonGroup,
     compile_executables,
     debug_checks_enabled,
     execute_plan,
@@ -61,7 +62,6 @@ from repro.core.runtime import (
     merge_partial_outputs,
     node_trie,
     partition_tries,
-    select_executable,
     trie_cache_key,
 )
 from repro.core.viewgen import ViewGenerator, ViewPlan
@@ -164,20 +164,20 @@ class EngineConfig:
         expansion for carried views; every plan shape runs natively, no
         fallback class), ``"python"`` (specialised Python over the same
         trie runtime — the paper's generated C++ transposed to Python,
-        §2.3; the ablation's and the C fallback's backend), ``"c"``
-        (generated C compiled with gcc, one shared object per group kept
-        in a byte-bounded per-user artifact directory, so compiling the
-        same group again only loads it — see
-        :mod:`repro.core.cbackend`; carried blocks included; per-group
-        fallback to Python when a plan has a non-integer trie level, view
-        key or group-by attribute; ``compile()`` raises ``PlanError`` if
-        gcc is missing), or ``"auto"`` (a group runs compiled C when it
-        has a C candidate, else NumPy — see
-        :func:`repro.core.costmodel.choose_backend`. ``compile()`` builds
-        C candidates only for groups whose node relation reaches
+        §2.3; the ablation's backend), ``"c"`` (generated C compiled with
+        gcc, one shared object per group kept in a byte-bounded per-user
+        artifact directory, so compiling the same group again only loads
+        it — see :mod:`repro.core.cbackend`; carried blocks included; a
+        plan with a non-integer trie level, view key or group-by
+        attribute compiles to NumPy instead; ``compile()`` raises
+        ``PlanError`` if gcc is missing), or ``"auto"`` (C for the groups
+        whose node relation reaches
         :func:`repro.core.costmodel.native_worthwhile`'s row cut in the
-        compile snapshot, so gcc runs only where the scan is large;
-        gcc missing is not an error, the C candidates just stay absent).
+        compile snapshot, so gcc runs only where the scan is large, and
+        NumPy for the rest; gcc missing is not an error, every group
+        just compiles to NumPy). ``compile()`` decides each group's
+        backend once (:func:`repro.core.runtime.compile_executables`);
+        runs never revisit it.
         Unordered results are bags whose row order is the backend's;
         ordered results rank identically on every backend, and float
         sums may differ from generated Python in the last ulp
@@ -194,13 +194,12 @@ class EngineConfig:
         ``backend="auto"`` demands it on). ``True`` lets the cost model
         (:mod:`repro.core.costmodel`) treat ``partitions`` and
         ``workers`` as **advisory upper bounds**: partition fan-out is
-        capped at the threads that can actually run concurrently, and
-        ``backend="auto"`` picks a backend per group. ``False`` restores
-        the literal static knobs (the ablation baseline). Adaptive
-        decisions are data-dependent and re-decided per execution — they
-        never enter compiled artefacts or the serving layer's structural
-        fingerprints (:class:`EngineConfig` itself, including this flag,
-        does);
+        capped at the threads that can actually run concurrently.
+        ``False`` restores the literal static knobs (the ablation
+        baseline). Adaptive decisions are data-dependent and re-decided
+        per execution — they never enter compiled artefacts or the
+        serving layer's structural fingerprints (:class:`EngineConfig`
+        itself, including this flag, does);
     ``executor`` (str, default "thread")
         must be ``"thread"`` or ``"process"`` — how the group step
         (:meth:`LMFAO.execute_group`) turns a group's trie partitions
@@ -296,23 +295,21 @@ class CompiledBatch:
     collide in shared caches (see
     :func:`repro.core.runtime._product_signature`). Everything else —
     ``folded``, ``view_plan``, ``group_plan``, ``orders``, ``plans``,
-    ``executables``, ``execution_order`` — is shared with the cached
-    batch, so a rebound copy's ``folded`` still holds the constants it
-    was compiled with.
+    ``executables``, ``python``, ``execution_order`` — is shared with the
+    cached batch, so a rebound copy's ``folded`` still holds the
+    constants it was compiled with.
 
     Field notes: ``folded`` is ``batch`` with every ``WHERE`` predicate
     folded into indicator factors;
     ``execution_order`` a topological order of ``group_plan``'s
-    dependency DAG; ``executables`` the per-backend table of compiled
-    groups (:func:`repro.core.runtime.compile_executables`): backend name →
-    one entry per group, each implementing the compiled-group protocol.
-    ``"python"`` is always present and covers every group, each generated
-    on first use (:class:`~repro.core.runtime.GeneratedPython`);
-    ``"numpy"`` / ``"c"`` exist when ``config.backend`` compiles them
-    (``"auto"``: both, ``"c"`` absent without gcc) and hold ``None`` for a
-    group that backend does not cover (under ``"auto"``, C covers only the
-    groups whose node relation reached the cost model's cut at compile
-    time).
+    dependency DAG; ``executables`` one compiled group per plan
+    (:func:`repro.core.runtime.compile_executables`), each implementing
+    the compiled-group protocol, its ``backend`` (``"python"``,
+    ``"numpy"`` or ``"c"``) decided here at compile and never per run;
+    ``python`` one :class:`~repro.core.runtime.LazyPythonGroup` per plan,
+    whose Python is generated on first use — the inspectable source
+    (:meth:`generated_source`), and under ``backend="python"`` the same
+    list as ``executables``.
     """
 
     batch: QueryBatch
@@ -325,19 +322,8 @@ class CompiledBatch:
     plans: list[MultiOutputPlan]
     functions: dict[str, Function]
     execution_order: list[int]
-    executables: dict[str, Sequence]
-
-    @property
-    def native_group_count(self) -> int:
-        """How many groups have a non-Python (C or NumPy) implementation."""
-        return sum(
-            any(
-                table[index] is not None
-                for backend, table in self.executables.items()
-                if backend != "python"
-            )
-            for index in range(len(self.plans))
-        )
+    executables: list
+    python: list[LazyPythonGroup]
 
     @property
     def num_views(self) -> int:
@@ -363,7 +349,7 @@ class CompiledBatch:
 
     def generated_source(self, group_index: int) -> str:
         """The generated Python for one group — the demo's code tab."""
-        return self.executables["python"][group_index].source
+        return self.python[group_index].source
 
 
 @dataclass
@@ -444,8 +430,8 @@ class RunResult:
     timings: dict[str, float]
     group_times: dict[str, float] = field(default_factory=dict)
     snapshot_version: int = 0
-    #: per-group execution decisions the cost model made for this run
-    #: (backend, partition count, rows scanned) —
+    #: per-group execution record of this run (the backend fixed at
+    #: compile, the partition count the cost model chose, rows scanned) —
     #: see :func:`repro.core.costmodel.group_decision`. Data-dependent
     #: observability only; never part of compiled artefacts.
     decisions: dict[str, dict] = field(default_factory=dict)
@@ -624,6 +610,10 @@ class LMFAO:
             _attribute_kinds(db.schema),
             c_candidates,
         )
+        python = (
+            executables if config.backend == "python"
+            else [LazyPythonGroup(plan, config.share_scan_terms) for plan in plans]
+        )
 
         return CompiledBatch(
             batch=batch,
@@ -637,6 +627,7 @@ class LMFAO:
             functions=functions,
             execution_order=_topological_order(group_plan),
             executables=executables,
+            python=python,
         )
 
     # --------------------------------------------------------------------- run
@@ -835,23 +826,6 @@ class LMFAO:
             return {query.name: root for query in batch}
         return assign_roots(db, self.tree, batch, override=config.root_override)
 
-    def _select_native(self, compiled: CompiledBatch, index: int):
-        """One group's executable and the backend name it runs as.
-
-        Static backends take the configured backend's entry of
-        ``compiled.executables``; ``backend="auto"`` asks the cost model,
-        which runs compiled C when this group has a C candidate, else
-        NumPy. Either way a group the chosen backend does not cover runs
-        (and is recorded) as generated Python.
-        """
-        backend = self.config.backend
-        if backend == "auto":
-            c_table = compiled.executables.get("c")
-            backend = costmodel.choose_backend(
-                bool(c_table) and c_table[index] is not None
-            )
-        return select_executable(compiled.executables, index, backend)
-
     # ------------------------------------------------------ group execution seam
     def execute_group(
         self, run: GroupRun, index: int, trie: TrieIndex | None = None
@@ -885,9 +859,9 @@ class LMFAO:
         """Plan one group's execution: the calls that produce its partials.
 
         Everything data-dependent about running a group is decided here
-        and nowhere else — the trie, the executable (per group under
-        ``backend="auto"``), the partition fan-out, the recorded
-        :func:`~repro.core.costmodel.group_decision` — and the partitions
+        and nowhere else — the trie, the partition fan-out, the recorded
+        :func:`~repro.core.costmodel.group_decision` (its backend is the
+        compiled group's, fixed at compile) — and the partitions
         become partial-producing calls the executor-specific way:
 
         * ``executor="process"`` and the snapshot's trie actually split
@@ -911,7 +885,7 @@ class LMFAO:
         if trie is None:
             snapshot = run.snapshot
             trie = node_trie(snapshot.db, plan.node, plan.order, snapshot.tries)
-        group, backend = self._select_native(compiled, index)
+        group = compiled.executables[index]
         tries = partition_tries(
             plan, trie, config.partitions, config.parallel_threshold,
             # adaptive=False keeps the literal static fan-out
@@ -921,7 +895,7 @@ class LMFAO:
         # scheduler pool's threads.
         run.decisions[compiled.group_plan.groups[index].name] = (
             costmodel.group_decision(
-                plan, trie, backend=backend, partitions=len(tries)
+                plan, trie, backend=group.backend, partitions=len(tries)
             )
         )
         if len(tries) > 1 and shippable:

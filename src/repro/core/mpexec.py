@@ -61,7 +61,6 @@ from repro.core.runtime import (
     compile_executables,
     execute_plan_partitioned,
     merge_partial_outputs,
-    select_executable,
 )
 from repro.data.relation import Relation
 from repro.data.schema import RelationSchema
@@ -306,16 +305,12 @@ def _close_quietly(shm: shared_memory.SharedMemory) -> None:
 
 
 def _warm_batch(payload):
-    """Recompile one batch's plans in this process (the warm-up): each
-    group's executable on the pool's backend, C groups loaded from the
-    parent's artifact directory."""
+    """Recompile one batch's plans in this process (the warm-up): the
+    pool's backend decides each group exactly as the parent's compile
+    did, C groups loaded from the parent's artifact directory."""
     plans, backend, share_terms, attribute_kinds, artifact_dir = payload
     cbackend.ARTIFACT_DIR = artifact_dir
-    executables = compile_executables(plans, backend, share_terms, attribute_kinds)
-    return [
-        select_executable(executables, index, backend)[0]
-        for index in range(len(plans))
-    ]
+    return compile_executables(plans, backend, share_terms, attribute_kinds)
 
 
 def _worker_main(conn) -> None:

@@ -120,13 +120,14 @@ def supports_plan(plan: MultiOutputPlan) -> bool:
 def compile_numpy_groups(
     plans: Sequence[MultiOutputPlan], adaptive: bool = True
 ) -> list:
-    """Per-plan NumPy implementations (None = fall back to Python).
+    """One NumPy group per plan; an unsupported plan raises
+    :class:`PlanError`.
 
     ``adaptive`` is accepted and ignored: nothing in this backend depends
     on it. The benchmark's compile replay
     (``bench/benchkit/layers.py::_compile_native``) still passes it.
     """
-    return [NumpyCompiledGroup(plan) if supports_plan(plan) else None for plan in plans]
+    return [NumpyCompiledGroup(plan) for plan in plans]
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +826,8 @@ class NumpyCompiledGroup:
     ``execute`` — see :mod:`repro.core.runtime`), so the partitioned path
     and the incremental maintainer drive it like any other backend.
     """
+
+    backend = "numpy"
 
     def __init__(self, plan: MultiOutputPlan) -> None:
         if not supports_plan(plan):

@@ -1,8 +1,8 @@
 """The compiled-group protocol: compile, execute, partition, merge.
 
 Every backend compiles a :class:`MultiOutputPlan` to an object with the
-same two methods — the generated-Python
-:class:`~repro.core.codegen.CompiledGroup`, the staged-array
+same two methods and a ``backend`` name — the generated-Python
+:class:`LazyPythonGroup`, the staged-array
 :class:`~repro.core.npbackend.NumpyCompiledGroup` and the native
 :class:`~repro.core.cbackend.CCompiledGroup`:
 
@@ -12,9 +12,9 @@ same two methods — the generated-Python
 * ``execute(trie, view_data, view_group_by, functions, bind_entries=None)``
   runs the plan over one trie and returns ``artifact → ViewData``.
 
-:func:`compile_executables` builds the per-backend table of such groups
-for a list of plans, :func:`select_executable` picks one group's entry,
-and :func:`execute_plan` is the one place a compiled group meets a trie.
+:func:`compile_executables` decides each plan's backend once, at compile
+time, and returns one such group per plan; :func:`execute_plan` is the
+one place a compiled group meets a trie.
 
 View contents cross the group boundary in one of two forms. The
 generated-Python group emits dictionaries ``group_by_key →
@@ -423,39 +423,39 @@ def node_trie(db, node: str, order: tuple[str, ...], cache: dict) -> TrieIndex:
     return trie
 
 
-class GeneratedPython(Sequence):
-    """The generated-Python table: one group per plan, built on first use.
+class LazyPythonGroup:
+    """One plan's generated Python, built on first use.
 
-    Indexing group ``i`` runs :func:`~repro.core.codegen.generate_group`
-    for plan ``i`` the first time and keeps the result, so a batch pays
-    for the Python source of the groups that run it (or whose source is
-    read) and no other. Builds are serialised: pool threads and server
-    requests share one compiled batch, and each group is generated at
-    most once.
+    ``plan`` and ``backend`` are its own; every other attribute —
+    ``source`` and the protocol's ``prepare_bindings`` / ``execute`` — is
+    the :class:`~repro.core.codegen.CompiledGroup` that
+    :func:`~repro.core.codegen.generate_group` builds on the first such
+    read. A batch thus pays for the Python of the groups that run it (or
+    whose source is read) and no other. The build is serialised: pool
+    threads and server requests share one compiled batch, and a group is
+    generated at most once.
     """
 
-    def __init__(self, plans: Sequence[MultiOutputPlan], share_terms: bool) -> None:
-        self._plans = plans
+    backend = "python"
+
+    def __init__(self, plan: MultiOutputPlan, share_terms: bool) -> None:
+        self.plan = plan
         self._share_terms = share_terms
-        self._groups: list = [None] * len(plans)
+        self._group = None
         self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return len(self._groups)
-
-    def __getitem__(self, index: int):
-        group = self._groups[index]
-        if group is None:
+    def __getattr__(self, name: str):
+        if name.startswith("_"):  # not built state: a copy before __init__
+            raise AttributeError(name)
+        if self._group is None:
             from repro.core.codegen import generate_group
 
             with self._lock:
-                group = self._groups[index]
-                if group is None:
-                    group = generate_group(
-                        self._plans[index], share_terms=self._share_terms
+                if self._group is None:
+                    self._group = generate_group(
+                        self.plan, share_terms=self._share_terms
                     )
-                    self._groups[index] = group
-        return group
+        return getattr(self._group, name)
 
 
 def compile_executables(
@@ -464,52 +464,40 @@ def compile_executables(
     share_terms: bool,
     attribute_kinds: Mapping[str, str],
     c_candidates: Collection[int] | None = None,
-) -> dict[str, Sequence]:
-    """Compile every plan for ``backend``: the per-backend executable table.
+) -> list:
+    """Compile every plan for ``backend``: one compiled group per plan.
 
-    ``executables["python"]`` covers every plan (always — it is each
-    other backend's fallback and the inspectable source), as a
-    :class:`GeneratedPython` table that builds a group on first use;
-    ``"numpy"`` / ``"c"`` are present when ``backend`` asks for them
-    (``"auto"``: both), with ``None`` where that backend does not cover a
-    plan. ``c_candidates`` limits the C table to those plan indices
-    (``backend="auto"``'s candidate rule, see :mod:`repro.core.cbackend`);
-    a C group's bound function keeps its shared object loaded. Called by
+    This is where a group's backend is decided, once, and each group's
+    ``backend`` attribute records it. ``"python"``: a
+    :class:`LazyPythonGroup` per plan. ``"numpy"``: a NumPy group per
+    plan. ``"c"``: a C group where :func:`repro.core.cbackend.supports_plan`
+    accepts the plan (integer keys), NumPy elsewhere. ``"auto"``: C for
+    the plans in ``c_candidates`` (see :mod:`repro.core.cbackend`,
+    "Candidates"), NumPy for the rest, and NumPy throughout without gcc.
+    A C group's bound function keeps its shared object loaded. Called by
     :meth:`LMFAO.compile` and by each worker process's warm-up
     (:mod:`repro.core.mpexec`) — compiled code cannot cross a process
     boundary, plans can.
     """
-    executables: dict[str, Sequence] = {
-        "python": GeneratedPython(plans, share_terms)
-    }
-    if backend in ("numpy", "auto"):
-        from repro.core import npbackend
+    if backend == "python":
+        return [LazyPythonGroup(plan, share_terms) for plan in plans]
+    from repro.core import npbackend
 
-        executables["numpy"] = npbackend.compile_numpy_groups(plans)
-    if backend in ("c", "auto"):
-        from repro.core import cbackend
+    groups = npbackend.compile_numpy_groups(plans)
+    if backend == "numpy":
+        return groups
+    from repro.core import cbackend
 
-        try:
-            executables["c"], _library = cbackend.compile_c_groups(
-                plans, attribute_kinds, c_candidates
-            )
-        except PlanError:
-            # no gcc on this machine: auto degrades to numpy.
-            if backend == "c":
-                raise
-    return executables
-
-
-def select_executable(
-    executables: Mapping[str, Sequence], index: int, backend: str
-) -> tuple[object, str]:
-    """Group ``index``'s implementation on ``backend`` and the backend name
-    it runs as — generated Python where ``backend`` does not cover it."""
-    table = executables.get(backend)
-    group = table[index] if table else None
-    if group is None:
-        return executables["python"][index], "python"
-    return group, backend
+    try:
+        native, _library = cbackend.compile_c_groups(
+            plans, attribute_kinds, c_candidates
+        )
+    except PlanError:
+        # no gcc on this machine: auto degrades to numpy.
+        if backend == "c":
+            raise
+        return groups
+    return [c or numpy for c, numpy in zip(native, groups)]
 
 
 def execute_plan(

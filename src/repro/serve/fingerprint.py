@@ -207,8 +207,8 @@ class ViewIdentity:
     (:class:`~repro.core.views.ViewSignature`), the concrete functions
     bound to its placeholder slots (the request's constants, which
     :func:`bind_batch` puts in ``functions`` on cache hits), and the
-    *execution profile* — attribute orders, partition safety and
-    native/C availability of the producing groups over the subtree.
+    *execution profile* — attribute orders, partition safety and the
+    compiled backend of the producing groups over the subtree.
 
     The profile is in the key for bit-exactness, not correctness of the
     aggregates: group composition is batch-dependent, so a structurally
@@ -262,17 +262,7 @@ def view_identities(compiled: CompiledBatch) -> dict[str, ViewIdentity]:
             return cached
         index = compiled.producers[name]
         plan = compiled.plans[index]
-        own = (
-            plan.order,
-            plan.partition_safe,
-            # "python" covers every group; indexing its table would
-            # generate the group's source
-            tuple(
-                backend
-                for backend, table in compiled.executables.items()
-                if backend == "python" or table[index] is not None
-            ),
-        )
+        own = (plan.order, plan.partition_safe, compiled.executables[index].backend)
         children = tuple(
             profile(child)
             for child in compiled.view_plan.views[name].referenced_views

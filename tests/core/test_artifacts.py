@@ -261,7 +261,7 @@ def test_auto_builds_c_only_for_groups_that_reach_the_cut(artifacts):
     engine = LMFAO(db, EngineConfig(backend="auto", workers=1, partitions=1,
                                     executor="thread"))
     compiled = engine.compile(batch)
-    candidates = [i for i, g in enumerate(compiled.executables["c"]) if g is not None]
+    candidates = [i for i, g in enumerate(compiled.executables) if g.backend == "c"]
     assert len(candidates) == 3
     assert len(_files(artifacts, "*.so")) == 3
     run = engine.execute(compiled)
@@ -280,7 +280,7 @@ def test_group_grown_past_the_cut_runs_numpy(db, expected, monkeypatch):
     engine = LMFAO(db, _config(backend="auto"))
     monkeypatch.setattr(costmodel, "SMALL_TRIE_ROWS", 10**9)
     compiled = engine.compile(example_queries())
-    assert not any(compiled.executables["c"])
+    assert not any(g.backend == "c" for g in compiled.executables)
     monkeypatch.setattr(costmodel, "SMALL_TRIE_ROWS", 0)
     run = engine.execute(compiled)
     assert {d["backend"] for d in run.decisions.values()} == {"numpy"}

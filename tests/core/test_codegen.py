@@ -17,7 +17,7 @@ def _compile(db, batch, **config):
 def test_codegen_is_deterministic(favorita_db):
     _, first = _compile(favorita_db, example_queries())
     _, second = _compile(favorita_db, example_queries())
-    for a, b in zip(first.executables["python"], second.executables["python"]):
+    for a, b in zip(first.python, second.python):
         assert a.source == b.source
 
 
@@ -31,7 +31,7 @@ def test_share_terms_off_still_correct(favorita_db, favorita_join):
     # without sharing, no hoisted term variables are emitted
     sales_source = next(
         c.source
-        for c in compiled.executables["python"]
+        for c in compiled.python
         if "G" in c.plan.group_name and c.plan.node == "Sales"
     )
     assert "t0 =" not in sales_source
@@ -64,7 +64,7 @@ def test_generated_function_has_no_free_variables(favorita_db):
     """The generated source compiles in an empty namespace and only needs
     the env argument."""
     _, compiled = _compile(favorita_db, example_queries())
-    for code in compiled.executables["python"]:
+    for code in compiled.python:
         namespace = {}
         exec(compile(code.source, "<test>", "exec"), namespace)
         assert callable(namespace["_run_group"])

@@ -2,8 +2,8 @@
 
 The model (:mod:`repro.core.costmodel`) treats the config's execution
 knobs as advisory upper bounds: partition fan-out is gated on rows *per
-partition* and capped at real concurrency, and ``backend="auto"`` picks a
-backend per group. These tests pin the decision rules themselves plus the
+partition* and capped at real concurrency, and ``backend="auto"`` fixes a
+backend per group at compile. These tests pin the decision rules themselves plus the
 recorded regression the model exists to fix (partitions=4 slower than
 sequential).
 """
@@ -16,14 +16,15 @@ from repro.core import EngineConfig, LMFAO
 from repro.core import costmodel
 from repro.core.costmodel import (
     SMALL_TRIE_ROWS,
-    choose_backend,
     effective_concurrency,
     effective_partitions,
     native_worthwhile,
 )
+from repro.core.cbackend import gcc_available
 from repro.core.runtime import partition_tries
 from repro.data import Attribute, Database, Relation, RelationSchema
 from repro.data.trie import TrieIndex
+from repro.paper import FAVORITA_TREE, example_queries
 from repro.query import Aggregate, Query, QueryBatch
 from repro.serve.fingerprint import batch_fingerprint
 from repro.util.errors import PlanError
@@ -136,12 +137,10 @@ def test_effective_concurrency_gil_and_cores():
 
 
 def test_choose_backend_thresholds():
-    # the row cut gates only which groups get a C candidate at compile;
-    # at run time a group runs C where one was built, else NumPy
+    # the row cut gates which groups get a C candidate at compile; the
+    # others compile to NumPy
     assert not native_worthwhile(SMALL_TRIE_ROWS - 1)
     assert native_worthwhile(SMALL_TRIE_ROWS)
-    assert choose_backend(has_c=True) == "c"
-    assert choose_backend(has_c=False) == "numpy"
 
 
 def test_auto_backend_runs_and_records_choice():
@@ -162,6 +161,30 @@ def test_auto_backend_runs_and_records_choice():
         assert decision["backend"] in {"numpy", "c"}
 
 
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "python",
+        "numpy",
+        pytest.param(
+            "c", marks=pytest.mark.skipif(not gcc_available(), reason="needs gcc")
+        ),
+        "auto",
+    ],
+)
+def test_runs_record_the_backend_fixed_at_compile(favorita_db, backend):
+    engine = LMFAO(favorita_db, EngineConfig(
+        join_tree_edges=FAVORITA_TREE, backend=backend, executor="thread",
+    ))
+    compiled = engine.compile(example_queries())
+    run = engine.execute(compiled)
+    assert len(run.decisions) == compiled.num_groups
+    for index, group in enumerate(compiled.group_plan.groups):
+        assert run.decisions[group.name]["backend"] == (
+            compiled.executables[index].backend
+        ), group.name
+
+
 def test_auto_backend_validation():
     with pytest.raises(PlanError, match="adaptive"):
         EngineConfig(backend="auto", adaptive=False).validate()
@@ -173,9 +196,10 @@ def test_auto_backend_validation():
 
 
 def test_strategy_never_enters_structural_fingerprints():
-    """Execution decisions are re-decided per run from the data; they must
-    not shift the serving layer's plan-cache key (the config itself,
-    including ``adaptive``, does enter it)."""
+    """Execution decisions come from the data (the backend from the
+    compile snapshot, the partition count per run); they must not shift
+    the serving layer's plan-cache key (the config itself, including
+    ``adaptive``, does enter it)."""
     config = EngineConfig(backend="auto", executor="thread")
     fingerprints, backends = set(), set()
     for rows in (64, 10_000):
@@ -184,7 +208,7 @@ def test_strategy_never_enters_structural_fingerprints():
         run = engine.run(batch)
         backends.update(d["backend"] for d in run.decisions.values())
         fingerprints.add(batch_fingerprint(batch, engine.tree, engine.config)[0])
-    assert len(backends) == 2  # tiny trie on Python, the large one native
+    assert len(backends) == 2  # tiny trie on NumPy, the large one on C
     assert len(fingerprints) == 1
     adaptive_off = LMFAO(
         db,

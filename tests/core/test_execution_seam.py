@@ -1,9 +1,9 @@
 """The group-execution seam stays a seam: one step, one walk, one delta run.
 
 Structural guard (an ``ast`` walk over ``src/repro``, no execution): the
-decisions that make up "run one group over one trie" — native selection,
-partition fan-out, the recorded cost-model decision, the partitioned
-execute — each have exactly one call site, inside the engine's group step
+decisions that make up "run one group over one trie" — partition
+fan-out, the recorded cost-model decision, the partitioned execute —
+each have exactly one call site, inside the engine's group step
 (:meth:`repro.core.engine.LMFAO.execute_group`), plus the process
 executor's worker-local combine. Only maintained handles run delta code
 (:func:`repro.incremental.rules.numeric_delta_run`). The serving layer
@@ -27,6 +27,10 @@ protocol instead of branching on a native/Python pair.
 Kernels choose their algorithm from the data they hold: NumPy has one
 grouper and the top-k layer one finisher per container, and neither the
 cost model nor a forcing environment variable picks between variants.
+
+A group's backend is decided one way: at compile, by
+:func:`repro.core.runtime.compile_executables`, which returns one
+compiled group per plan; a run reads it and never re-selects.
 
 A ``WHERE`` predicate reaches execution one way: folded into an indicator
 factor at compile time, re-bound on a plan-cache hit. Nothing below the
@@ -93,7 +97,7 @@ def _call_sites(name: str) -> list[str]:
 
 
 def test_group_step_owns_every_execution_decision():
-    for name in ("partition_tries", "group_decision", "_select_native"):
+    for name in ("partition_tries", "group_decision"):
         sites = _call_sites(name)
         assert len(sites) == 1, f"{name} called from {sites}"
         assert sites[0].startswith("core/engine.py:"), sites
@@ -213,6 +217,35 @@ def test_one_compiled_batch_per_request():
     for module, tree in _modules().items():
         visit(tree, module, None)
     assert copies == ["serve/fingerprint.py:bind_batch"], copies
+
+
+_RETIRED_SELECTION = (
+    "select_executable", "choose_backend", "_select_native",
+    "native_group_count", "GeneratedPython",
+)
+
+
+def test_backend_decided_at_compile():
+    # a group's backend is fixed when the batch compiles: no run-time
+    # selector, no per-backend table keyed by a backend name
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            texts = list(_node_names(node))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                texts.append(node.value)
+            for name in _RETIRED_SELECTION:
+                assert not any(name in text for text in texts), (
+                    f"{module}:{getattr(node, 'lineno', '?')} names {name}"
+                )
+            if (
+                isinstance(node, ast.Subscript)
+                and "executables" in _node_names(node.value)
+                and isinstance(node.slice, ast.Constant)
+                and isinstance(node.slice.value, str)
+            ):
+                raise AssertionError(
+                    f"{module}:{node.lineno} indexes executables by backend name"
+                )
 
 
 def test_one_commit_path():

@@ -1,11 +1,12 @@
 """Views handed between groups that run on different backends.
 
-Under ``backend="auto"`` the cost model picks a backend per group, so one
-batch hands views from C groups to NumPy groups and back; generated
-Python joins the mix wherever a group has no native implementation (C's
-fallback for float keys, or ``backend="python"`` itself). These tests
-force that mix by making :func:`repro.core.costmodel.choose_backend` deal
-all three backends out round-robin, then check two things:
+A compiled batch fixes one executable per group at compile, and under
+``backend="auto"`` (or ``"c"`` with plans C does not cover) one batch
+hands views from C groups to NumPy groups and back; ``backend="python"``
+runs generated Python throughout. These tests force every mix by
+compiling the same batch once per backend and dealing the executables
+out round-robin into one batch (``dataclasses.replace(compiled,
+executables=[...])``), then check two things:
 
 * results stay **bit-exact** against ``backend="python"`` on the
   integer-valued generated instances, for every rotation phase (so each
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import retailer_features
-from repro.core import EngineConfig, LMFAO, costmodel
+from repro.core import EngineConfig, LMFAO
 from repro.core.cbackend import gcc_available, supports_plan
 from repro.core.engine import ViewSeeds
 from repro.core.runtime import ArrayViewData
@@ -42,30 +43,41 @@ _SETTINGS = dict(
 
 
 def _config(**overrides) -> EngineConfig:
-    # pinned: the CI legs rewrite EngineConfig defaults, and backend="auto"
-    # needs the thread executor
+    # pinned: the CI legs rewrite EngineConfig defaults
     base = dict(workers=1, partitions=1, parallel_threshold=0, executor="thread")
     return EngineConfig(**{**base, **overrides})
 
 
-def _deal_backends(monkeypatch, rotation) -> None:
-    """``backend="auto"`` picks the next backend of ``rotation`` per group
-    (NumPy instead of C where the group has no C implementation)."""
+def _compile_each(db, batch, backends) -> dict:
+    """``batch`` compiled once per backend: the same plans, one executable
+    list each (``"c"``: C for every supported group, NumPy for the rest)."""
+    return {
+        backend: LMFAO(db, _config(backend=backend)).compile(batch)
+        for backend in backends
+    }
+
+
+def _deal(compiles: dict, rotation):
+    """One batch whose group ``i`` runs the executable that the next
+    backend of ``rotation`` compiled for it (NumPy where that is ``"c"``
+    and C does not cover the group)."""
+    base = compiles[rotation[0]]
     picks = itertools.cycle(rotation)
+    return replace(
+        base,
+        executables=[
+            compiles[next(picks)].executables[index]
+            for index in range(len(base.plans))
+        ],
+    )
 
-    def choose(has_c: bool) -> str:
-        pick = next(picks)
-        return "numpy" if pick == "c" and not has_c else pick
 
-    monkeypatch.setattr(costmodel, "choose_backend", choose)
-
-
-def _compile_every_candidate(engine, batch):
-    """``engine.compile`` with a C candidate for every supported group —
-    the generated instances are far below the cost model's cut."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(costmodel, "native_worthwhile", lambda rows: True)
-        return engine.compile(batch)
+def _groups_on(compiled, backend: str) -> set[str]:
+    return {
+        compiled.group_plan.groups[index].name
+        for index, group in enumerate(compiled.executables)
+        if group.backend == backend
+    }
 
 
 def _mixed_runs_match_python(instance) -> None:
@@ -73,20 +85,16 @@ def _mixed_runs_match_python(instance) -> None:
         baseline = LMFAO(instance.db, _config(backend="python")).run(instance.batch)
     except CyclicSchemaError:
         pytest.skip("generated schema had a disconnected join graph")
+    compiles = _compile_each(instance.db, instance.batch, _ROTATION)
+    with_c = _groups_on(compiles["c"], "c") if _HAS_C else set()
+    if _HAS_C:
+        assert with_c == _supported_groups(instance.db, compiles["c"])
     for partitions in (1, 2):
-        engine = LMFAO(instance.db, _config(backend="auto", partitions=partitions))
-        compiled = _compile_every_candidate(engine, instance.batch)
-        with_c = {
-            compiled.group_plan.groups[index].name
-            for index, group in enumerate(compiled.executables.get("c", ()))
-            if group is not None
-        }
+        engine = LMFAO(instance.db, _config(backend="numpy", partitions=partitions))
         ran_c: set[str] = set()
         for phase in range(len(_ROTATION)):
             rotation = _ROTATION[phase:] + _ROTATION[:phase]
-            with pytest.MonkeyPatch.context() as patch:
-                _deal_backends(patch, rotation)
-                run = engine.execute(compiled)
+            run = engine.execute(_deal(compiles, rotation))
             ran_c.update(
                 name for name, decision in run.decisions.items()
                 if decision["backend"] == "c"
@@ -96,9 +104,7 @@ def _mixed_runs_match_python(instance) -> None:
                     f"rotation {rotation}, partitions={partitions}: {name} "
                     f"diverged from backend='python'"
                 )
-        if _HAS_C:
-            assert with_c == _supported_groups(instance.db, compiled)
-        # over the phases every group is dealt "c" once: each C candidate ran
+        # over the phases every group is dealt "c" once: each C group ran
         assert ran_c == with_c, (ran_c, with_c)
 
 
@@ -131,8 +137,11 @@ def test_native_to_native_view_never_builds_its_mirror(retailer_db):
     )
     batch = covariance_batch(spec)
     python = LMFAO(retailer_db, _config(backend="python")).run(batch)
-    engine = LMFAO(retailer_db, _config(backend="auto"))
-    compiled = _compile_every_candidate(engine, batch)
+    engine = LMFAO(retailer_db, _config(backend="numpy"))
+    compiles = _compile_each(
+        retailer_db, batch, ("numpy", "c") if _HAS_C else ("numpy",)
+    )
+    compiled = compiles["numpy"]
     consumers: dict[str, list[int]] = {}
     for index, plan in enumerate(compiled.plans):
         for view in plan.consumed_views:
@@ -140,11 +149,10 @@ def test_native_to_native_view_never_builds_its_mirror(retailer_db):
     rotations = [("numpy",), ("c",), ("c", "numpy"), ("numpy", "c")]
     for rotation in rotations if _HAS_C else rotations[:1]:
         published: dict = {}
-        with pytest.MonkeyPatch.context() as patch:
-            _deal_backends(patch, rotation)
-            run = engine.execute(
-                compiled, view_seeds=ViewSeeds(publish=published.__setitem__)
-            )
+        run = engine.execute(
+            _deal(compiles, rotation),
+            view_seeds=ViewSeeds(publish=published.__setitem__),
+        )
         backend_of = [
             run.decisions[group.name]["backend"]
             for group in compiled.group_plan.groups

@@ -92,7 +92,7 @@ def test_paper_example_fully_vectorized(favorita_db):
         join_tree_edges=FAVORITA_TREE,
         root_override=EXAMPLE_ROOTS,
     )
-    assert run.compiled.native_group_count == run.compiled.num_groups
+    assert all(g.backend != "python" for g in run.compiled.executables)
 
 
 def test_carried_blocks_run_natively(favorita_db):
@@ -107,7 +107,7 @@ def test_carried_blocks_run_natively(favorita_db):
 
     batch = covariance_batch(favorita_features(favorita_db))
     run = _compare_backends(favorita_db, batch, join_tree_edges=FAVORITA_TREE)
-    assert run.compiled.native_group_count == run.compiled.num_groups
+    assert all(g.backend != "python" for g in run.compiled.executables)
     carried = [p for p in run.compiled.plans if p.carried_blocks]
     assert carried and all(supports_plan(p) for p in carried)
     NumpyCompiledGroup(carried[0])  # constructs without PlanError
@@ -129,7 +129,7 @@ def test_supports_plan_accepts_figure3_style_carried_plans(favorita_db):
     compiled = engine.compile(batch)
     assert any(plan.carried_blocks for plan in compiled.plans)
     assert all(supports_plan(plan) for plan in compiled.plans)
-    assert compiled.native_group_count == compiled.num_groups
+    assert all(g.backend != "python" for g in compiled.executables)
 
 
 def test_float_keys_run_natively(retailer_db):
@@ -138,7 +138,7 @@ def test_float_keys_run_natively(retailer_db):
         [Query("hist", group_by=("prize",), aggregates=(Aggregate.count(),))]
     )
     run = _compare_backends(retailer_db, batch)
-    assert run.compiled.native_group_count == run.compiled.num_groups
+    assert all(g.backend != "python" for g in run.compiled.executables)
 
 
 def test_bit_exact_on_integer_data():
@@ -343,7 +343,7 @@ def _carried_batch():
 def _assert_carried_native(db, batch, **config):
     run = _compare_backends(db, batch, **config)
     assert any(p.carried_blocks for p in run.compiled.plans)
-    assert run.compiled.native_group_count == run.compiled.num_groups
+    assert all(g.backend != "python" for g in run.compiled.executables)
     return run
 
 
@@ -434,7 +434,7 @@ def test_carried_two_blocks_nested_expansion():
     )
     run = _compare_backends(db, batch)
     assert any(len(p.carried_blocks) > 1 for p in run.compiled.plans)
-    assert run.compiled.native_group_count == run.compiled.num_groups
+    assert all(g.backend != "python" for g in run.compiled.executables)
     base = LMFAO(db, EngineConfig(backend="python")).run(batch)
     for name in base.results:
         assert run.results[name].groups == base.results[name].groups, name
@@ -459,7 +459,7 @@ def test_carried_bit_exact_partitioned(workers, partitions):
             parallel_threshold=0,
         ),
     ).run(batch)
-    assert run.compiled.native_group_count == run.compiled.num_groups
+    assert all(g.backend != "python" for g in run.compiled.executables)
     for name in base.results:
         assert run.results[name].groups == base.results[name].groups, name
 
@@ -474,13 +474,13 @@ def test_outputs_keep_columnar_arrays():
     index = next(
         i
         for i, plan in enumerate(compiled.plans)
-        if compiled.executables["numpy"][i] is not None
+        if compiled.executables[i].backend == "numpy"
         and any(e.group_by for e in plan.emissions)
         and not plan.bindings
     )
     plan = compiled.plans[index]
     trie = node_trie(db, plan.node, plan.order, {})
-    outputs = compiled.executables["numpy"][index].execute(
+    outputs = compiled.executables[index].execute(
         trie, {}, {}, compiled.functions
     )
     keyed = [e.artifact for e in plan.emissions if e.group_by]

@@ -300,8 +300,8 @@ def test_execute_plan_rejects_a_trie_in_another_order(favorita_db, backend):
     compiled = engine.compile(example_queries())
     index = next(i for i, p in enumerate(compiled.plans) if len(p.order) > 1)
     plan = compiled.plans[index]
-    group = compiled.executables[backend][index]
-    assert group is not None
+    group = compiled.executables[index]
+    assert group.backend == backend
     wrong_trie = TrieIndex(
         favorita_db.relation(plan.node), tuple(reversed(plan.order))
     )
@@ -318,7 +318,7 @@ def test_environment_requires_view_data(favorita_db, favorita_engine):
     plan = compiled.plans[index]
     trie = TrieIndex(favorita_db.relation(plan.node), plan.order)
     with pytest.raises(PlanError):
-        compiled.executables["python"][index].execute(
+        compiled.python[index].execute(
             trie,
             {},  # missing inputs
             {},

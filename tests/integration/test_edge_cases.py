@@ -105,7 +105,7 @@ def test_missing_view_data_raises(favorita_db, favorita_engine):
     trie = TrieIndex(favorita_db.relation(plan.node), plan.order)
     with pytest.raises(PlanError):
         execute_plan(
-            compiled.executables["python"][index],
+            compiled.python[index],
             trie,
             view_data={},
             view_group_by={},

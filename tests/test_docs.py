@@ -186,6 +186,23 @@ def test_docs_name_no_retired_cache_machinery():
             assert name not in text, f"{doc.name} names {name}"
 
 
+#: the run-time backend selection that compile-time executables replaced
+_RETIRED_BACKEND_NAMES = (
+    "select_executable",
+    "choose_backend",
+    "_select_native",
+    "native_group_count",
+    "GeneratedPython",
+)
+
+
+def test_docs_name_no_retired_backend_selection():
+    for doc in _doc_files():
+        text = doc.read_text()
+        for name in _RETIRED_BACKEND_NAMES:
+            assert name not in text, f"{doc.name} names {name}"
+
+
 #: the retired second benchmark system: its directory, its JSON records and
 #: its strictness switch (``.benchmarks/``, pytest-benchmark's store, is not it)
 _RETIRED_BENCH = re.compile(
