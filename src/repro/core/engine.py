@@ -558,7 +558,8 @@ class LMFAO:
         self._snapshots.unpin(version)
 
     def _reclaim_snapshot_version(self, version: int) -> None:
-        """Snapshot-GC hook: unlink the dead version's shm segments."""
+        """Unlink a dead version's shm segments: the snapshot-GC hook, and
+        :meth:`commit`'s cleanup of a successor it failed to install."""
         with self._mpexec_lock:
             executor = self._mpexec
         if executor is not None:
@@ -681,7 +682,11 @@ class LMFAO:
         builds the successor snapshot, advances every registered
         maintained handle against it off to the side, installs the
         successor and then flips the handles. A failure at any point
-        leaves the store and every handle on the last good version.
+        leaves the store and every handle on the last good version; one
+        before the install also reclaims the successor's version, so
+        nothing the handles exported for it (shared-memory trie segments
+        under ``executor="process"``) outlives the commit or is served to
+        the next commit, which reuses the version number.
 
         ``deltas`` maps relation names to
         :class:`~repro.incremental.delta.RelationDelta` (see
@@ -694,16 +699,21 @@ class LMFAO:
             snapshot = self._snapshots.current()
             if not deltas:
                 return snapshot.version, {}
-            staged = {
-                name: delta.apply_to(snapshot.db.relation(name))
-                for name, delta in deltas.items()
-            }
-            successor = snapshot.with_relations(staged)
-            advanced = [
-                (handle, *handle._advance_state(deltas, successor))
-                for handle in list(self._handles)
-            ]
-            self._snapshots.install(successor)
+            try:
+                staged = {
+                    name: delta.apply_to(snapshot.db.relation(name))
+                    for name, delta in deltas.items()
+                }
+                successor = snapshot.with_relations(staged)
+                advanced = [
+                    (handle, *handle._advance_state(deltas, successor))
+                    for handle in list(self._handles)
+                ]
+                self._snapshots.install(successor)
+            except BaseException:
+                if self._snapshots.version == snapshot.version:
+                    self._reclaim_snapshot_version(snapshot.version + 1)
+                raise
             by_handle = {}
             for handle, state, result in advanced:
                 handle._commit_state(state)
@@ -921,36 +931,35 @@ class LMFAO:
     def _ship_group(self, run: GroupRun, index: int, tries) -> dict[str, dict]:
         """Run one group's partitions in the worker pool (``executor="process"``).
 
-        The partitions travel as one snapshot-pinned shared-memory segment
-        keyed by ``(version, trie cache key)``; only the views the plan
-        binds and the functions it resolves are sent along.
+        The partitions travel as one shared-memory segment keyed by
+        ``(version, trie cache key)``; only the views the plan binds and
+        the functions it resolves are sent along. The segment lives as
+        long as its version: every caller runs on a version the snapshot
+        store cannot reclaim meanwhile — pinned by :meth:`execute`, current
+        under the commit lock for :meth:`maintain`, or the not yet
+        installed successor :meth:`commit` advances handles over.
         """
         from repro.core import mpexec
 
         plan = run.compiled.plans[index]
-        snapshot = run.snapshot
         executor = self._process_executor()
-        executor.retain(snapshot.version)
-        try:
-            export = executor.export(
-                snapshot.version,
-                trie_cache_key(plan.node, plan.order),
-                tries,
-            )
-            needed_views = {b.view for b in plan.bindings}
-            return executor.execute_group(
-                run.compiled,
-                index,
-                export,
-                {v: run.view_data[v] for v in needed_views if v in run.view_data},
-                {v: run.compiled.view_group_by[v] for v in needed_views},
-                {
-                    name: run.compiled.functions[name]
-                    for name in mpexec.plan_function_names(plan)
-                },
-            )
-        finally:
-            executor.release(snapshot.version)
+        export = executor.export(
+            run.snapshot.version,
+            trie_cache_key(plan.node, plan.order),
+            tries,
+        )
+        needed_views = {b.view for b in plan.bindings}
+        return executor.execute_group(
+            run.compiled,
+            index,
+            export,
+            {v: run.view_data[v] for v in needed_views if v in run.view_data},
+            {v: run.compiled.view_group_by[v] for v in needed_views},
+            {
+                name: run.compiled.functions[name]
+                for name in mpexec.plan_function_names(plan)
+            },
+        )
 
     def walk_groups(self, run: GroupRun, skipped: set[int] = frozenset()) -> None:
         """The DAG walk: every non-skipped group through the group step.
@@ -974,29 +983,18 @@ class LMFAO:
           propagates out of the run immediately, cancelling work that has
           not started;
         * otherwise groups run one at a time, in ``execution_order``, on
-          the caller's thread — no pool, no futures. Under
-          ``executor="process"`` each step ships its own partitions to
-          the worker pool, and the snapshot version stays retained for
-          the whole walk: concurrent maintenance installing successors
-          can never unlink a segment a worker still maps, nor make a
-          later group of this run re-export one.
+          the caller's thread — no pool, no futures (under
+          ``executor="process"`` the group step itself ships partitions
+          to the worker pool).
         """
         config = self.config
         if config.executor == "thread" and config.workers > 1:
             self._walk_pooled(run, skipped)
             return
-        executor = None
-        if config.executor == "process":
-            executor = self._process_executor()
-            executor.retain(run.snapshot.version)
-        try:
-            for index in run.compiled.execution_order:
-                if index not in skipped:
-                    started = time.perf_counter()
-                    run.adopt(index, self.execute_group(run, index), started)
-        finally:
-            if executor is not None:
-                executor.release(run.snapshot.version)
+        for index in run.compiled.execution_order:
+            if index not in skipped:
+                started = time.perf_counter()
+                run.adopt(index, self.execute_group(run, index), started)
 
     def _walk_pooled(self, run: GroupRun, skipped: set[int]) -> None:
         """:meth:`walk_groups` under the thread scheduler (see there)."""

@@ -14,7 +14,8 @@ processes** instead — without ever pickling a trie or a relation:
   NumPy groups) hold unpicklable state, so workers receive the *plans* once
   per batch and recompile locally. The warmed batch is cached per process,
   amortised across every subsequent run of the same compilation (the
-  decision-tree workload), exactly like the parent's plan cache.
+  decision-tree workload), exactly like the parent's plan cache, and
+  forgotten once the parent's group plan is garbage-collected.
 * **Merge topology** — following the distributed-aggregation literature
   (PAPERS.md), each worker first **locally combines** the partials of its
   contiguous partition chunks with :func:`merge_partial_outputs`, then the
@@ -24,12 +25,13 @@ processes** instead — without ever pickling a trie or a relation:
   the worker count — chunks are dealt to workers round-robin — so the
   floating-point association of every per-key sum is fixed and results
   are deterministic across worker counts, exactly like the thread path.
-* **Snapshot-pinned lifecycle** — segments are keyed by
-  ``(snapshot version, trie cache key)``. :meth:`ProcessExecutor.retain`
-  pins a version for the duration of a run; incremental maintenance
-  installing a successor never unlinks a segment a running worker still
-  maps — garbage collection only reclaims unpinned, superseded versions
-  (workers are told to drop their mappings first).
+* **Snapshot-owned lifecycle** — segments are keyed by
+  ``(snapshot version, trie cache key)`` and die with their version: the
+  engine's :class:`~repro.core.snapshot.SnapshotStore` decides when a
+  version is dead (superseded and unpinned, or the successor of a failed
+  commit) and :meth:`ProcessExecutor.drop_version` unlinks its segments
+  (workers are told to drop their mappings first). The executor holds no
+  pins of its own.
 
 Views travel as arrays: a columnar
 :class:`~repro.core.runtime.ArrayViewData` pickles as its key columns and
@@ -176,8 +178,8 @@ def export_tries(
     All partitions share one segment (one shm file descriptor per trie,
     not per array); arrays are 64-byte aligned. The caller owns the
     returned :class:`~multiprocessing.shared_memory.SharedMemory` and must
-    eventually unlink it (:class:`ProcessExecutor` does this through its
-    snapshot-pinned segment store).
+    eventually unlink it (:class:`ProcessExecutor` does this when the
+    segment's snapshot version dies).
     """
     first = tries[0]
     schema = first.relation.schema
@@ -314,7 +316,8 @@ def _warm_batch(payload):
 
 
 def _worker_main(conn) -> None:
-    """Worker loop: warm batches, execute partition chunks, drop segments.
+    """Worker loop: warm and forget batches, execute partition chunks,
+    drop segments.
 
     Messages arrive in pipe order, so a ``warm`` preceding the first
     ``exec`` of a batch needs no acknowledgement round-trip. Any failure
@@ -336,6 +339,8 @@ def _worker_main(conn) -> None:
             if kind == "warm":
                 _, key, payload = message
                 batches[key] = _warm_batch(payload)
+            elif kind == "forget":
+                batches.pop(message[1], None)
             elif kind == "drop":
                 _, names = message
                 for name in names:
@@ -395,6 +400,13 @@ class _Segment:
     export: TrieExport
     shm: shared_memory.SharedMemory
     version: int
+
+
+def _forget_batch(batch_keys: dict, forgotten: list, structure_id: int, key: int):
+    """A group plan died: unmap its id and queue its key for the workers
+    (holds neither the plan nor the executor)."""
+    batch_keys.pop(structure_id, None)
+    forgotten.append(key)
 
 
 def _release_resources(procs: list, conns: list, segments: dict) -> None:
@@ -459,9 +471,8 @@ class ProcessExecutor:
         self._conns: list = []
         self._warmed: list[set] = []  # per worker: batch keys warmed
         self._segments: dict[tuple, _Segment] = {}
-        self._pins: dict[int, int] = {}  # snapshot version -> active runs
-        self._latest_version = -1
         self._batch_keys: dict[int, int] = {}
+        self._forgotten: list[int] = []  # keys of garbage-collected batches
         self._batch_counter = 0
         self._finalizer = weakref.finalize(
             self, _release_resources, self._procs, self._conns, self._segments
@@ -512,45 +523,6 @@ class ProcessExecutor:
         raise PlanError(f"process executor: {reason}")
 
     # -------------------------------------------------------- segment lifecycle
-    def retain(self, version: int) -> None:
-        """Pin a snapshot version for the duration of one run.
-
-        While pinned, no segment of that version is unlinked — ``apply``
-        installing a successor mid-run can never tear a mapped trie out
-        from under a worker.
-        """
-        with self._lock:
-            self._latest_version = max(self._latest_version, version)
-            self._pins[version] = self._pins.get(version, 0) + 1
-
-    def release(self, version: int) -> None:
-        """Unpin a version and reclaim unpinned, superseded segments."""
-        with self._lock:
-            count = self._pins.get(version, 0) - 1
-            if count > 0:
-                self._pins[version] = count
-            else:
-                self._pins.pop(version, None)
-            self._collect_locked()
-
-    def _collect_locked(self) -> None:
-        stale = [
-            key
-            for key, segment in self._segments.items()
-            if segment.version < self._latest_version
-            and segment.version not in self._pins
-        ]
-        if not stale:
-            return
-        names = [self._segments[key].export.segment for key in stale]
-        for conn in self._conns:
-            try:
-                conn.send(("drop", names))
-            except Exception:
-                pass
-        for key in stale:
-            _unlink_segment(self._segments.pop(key).shm)
-
     def export(
         self, version: int, trie_key: tuple, tries: Sequence[TrieIndex]
     ) -> TrieExport:
@@ -559,10 +531,12 @@ class ProcessExecutor:
         Keyed by ``(snapshot version, trie cache key)`` — re-running the
         same compilation over the same snapshot (the decision-tree
         workload, the serving layer's plan-cache hits) pays the segment
-        copy exactly once per version.
+        copy exactly once per version. A closed executor exports nothing:
+        no later :meth:`drop_version` would unlink the segment.
         """
         with self._lock:
-            self._latest_version = max(self._latest_version, version)
+            if self._closed:
+                raise PlanError("process executor is closed")
             segment = self._segments.get((version, trie_key))
             if segment is None:
                 export, shm = export_tries(tries)
@@ -571,16 +545,16 @@ class ProcessExecutor:
             return segment.export
 
     def drop_version(self, version: int) -> None:
-        """Unlink every segment of one garbage-collected snapshot version.
+        """Unlink every segment of one dead snapshot version.
 
-        Called by the engine's snapshot-GC reclaim hook once no reader
-        pin can reach ``version``. A version still pinned *here* (a run
-        in flight between ``retain``/``release``) is left alone — the
-        executor's own :meth:`release` collects it once the run ends —
-        as is a closed executor (teardown already unlinks everything).
+        The engine calls this for a version its snapshot store reclaimed
+        (superseded, and no reader pin can reach it) and for the successor
+        of a failed commit, which was never installed. No run can still
+        map such a version; a closed executor has already unlinked
+        everything.
         """
         with self._lock:
-            if self._closed or version in self._pins:
+            if self._closed:
                 return
             stale = [
                 key
@@ -615,9 +589,25 @@ class ProcessExecutor:
             key = self._batch_counter
             self._batch_counter += 1
             self._batch_keys[id(structure)] = key
-            # evict on GC so a recycled id() can never alias a stale key
-            weakref.finalize(structure, self._batch_keys.pop, id(structure), None)
+            # evict on GC so a recycled id() can never alias a stale key,
+            # and so the next execute_group tells the workers to forget it
+            weakref.finalize(
+                structure, _forget_batch, self._batch_keys, self._forgotten,
+                id(structure), key,
+            )
         return key
+
+    def _forget_dead_batches_locked(self) -> None:
+        """Tell each worker that warmed a garbage-collected batch to drop it."""
+        while self._forgotten:
+            key = self._forgotten.pop()
+            for conn, warmed in zip(self._conns, self._warmed):
+                if key in warmed:
+                    warmed.discard(key)
+                    try:
+                        conn.send(("forget", key))
+                    except Exception:
+                        pass  # a dead worker surfaces on the exec send
 
     def execute_group(
         self,
@@ -645,6 +635,7 @@ class ProcessExecutor:
         plan = compiled.plans[group_index]
         with self._lock:
             self._ensure_pool_locked()
+            self._forget_dead_batches_locked()
             key = self._batch_key(compiled)
             num_parts = export.num_partitions
             num_chunks = min(LOCAL_COMBINE_FANOUT, num_parts)
@@ -713,7 +704,6 @@ class ProcessExecutor:
                 return
             self._closed = True
             self._warmed.clear()
-            self._pins.clear()
         self._finalizer()
 
 

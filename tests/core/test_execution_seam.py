@@ -44,6 +44,13 @@ A write reaches the store one way: the engine's commit
 advances every maintained handle, installs and flips them; a direct
 handle apply and the server's group commit both call it.
 
+A snapshot version has one lifetime, owned by the engine's snapshot
+store: reader pins live there and nowhere else, the process executor
+keeps no pin table of its own, and a version's shared-memory segments
+are dropped from one place (the engine's reclaim of a dead version —
+the store's GC hook, or a commit that failed before its install). The
+DAG walk knows no executor; only the group step ships work to one.
+
 One behavioural check rides along: compilation pays only for the code a
 run uses — a group's Python is generated when it first runs on Python or
 its source is read, once, whichever thread gets there first.
@@ -260,6 +267,29 @@ def test_one_commit_path():
                 else None
             )
             assert named != "stage_deltas", f"{module}:{node.lineno}"
+
+
+def test_one_version_lifetime():
+    executor = {f.name for f in _functions("core/mpexec.py")}
+    assert not executor & {"retain", "release", "_collect_locked"}, executor
+    pins = [
+        f"{module}:{node.lineno}"
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_pins"
+    ]
+    assert pins and {site.split(":")[0] for site in pins} == {
+        "core/snapshot.py"
+    }, pins
+    assert _enclosing_functions("drop_version") == [
+        "core/engine.py:_reclaim_snapshot_version"
+    ]
+    (walk,) = [f for f in _functions("core/engine.py") if f.name == "walk_groups"]
+    # (it reads config.executor only to pick its scheduler)
+    names = {n.id for n in ast.walk(walk) if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in ast.walk(walk) if isinstance(n, ast.Attribute)}
+    assert "executor" not in names, names
+    assert not attrs & {"_process_executor", "_mpexec", "retain", "release"}
 
 
 def test_partitioned_execute_has_two_homes():

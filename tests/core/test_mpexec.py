@@ -7,8 +7,13 @@ The contract under test (see :mod:`repro.core.mpexec`):
   exactly once;
 * closing the engine (or letting it be garbage-collected) unlinks every
   segment and leaves nothing in the process-wide registry or ``/dev/shm``;
-* superseded snapshot versions are reclaimed once unpinned, while a pinned
-  version survives concurrent ``apply`` — the run-during-apply guarantee;
+* a segment lives exactly as long as its snapshot version: the engine's
+  snapshot store is the one owner of that lifetime (the executor keeps no
+  pins), so superseded versions are reclaimed once unpinned, while a
+  version pinned through ``engine.pin_snapshot()`` survives concurrent
+  ``apply`` — the run-during-apply guarantee;
+* a closed executor exports nothing, and workers forget the warmed
+  batches of garbage-collected compilations;
 * a dying worker surfaces a clean :class:`PlanError` (never a hang) and
   the pool respawns transparently on next use.
 """
@@ -22,6 +27,7 @@ import os
 import pytest
 
 from repro.core import EngineConfig, LMFAO, mpexec
+from repro.core.runtime import node_trie, trie_cache_key
 from repro.data import Attribute, Database, Relation, RelationSchema
 from repro.query import Aggregate, Op, Predicate, Query, QueryBatch
 from repro.serve import AggregateServer
@@ -129,17 +135,32 @@ def test_pinned_version_survives_apply():
         handle = engine.maintain(_batch())
         engine.run(_batch())  # export the current version's segments
         executor = engine._process_executor()
-        version = engine.snapshot().version
         old = set(executor.segment_names())
         assert old
-        executor.retain(version)  # what execute() does for the run's duration
+        pinned = engine.pin_snapshot()  # what execute() does for the run
         try:
             handle.apply(inserts={"Sales": [(1, 2, 3.0)]})
             engine.run(_batch())  # new version exports; old one is pinned
             assert old <= set(executor.segment_names())
         finally:
-            executor.release(version)
+            engine.release_snapshot(pinned.version)
         assert not old & set(executor.segment_names())
+
+
+def test_closed_executor_exports_nothing():
+    engine = LMFAO(_db(), _PROCESS_CONFIG)
+    engine.run(_batch())
+    executor = engine._process_executor()
+    snapshot = engine.snapshot()
+    plan = engine.compile(_batch()).plans[0]
+    trie = node_trie(snapshot.db, plan.node, plan.order, snapshot.tries)
+    engine.close()
+    segments = mpexec.active_segment_names()
+    with pytest.raises(PlanError, match="closed"):
+        executor.export(
+            snapshot.version + 1, trie_cache_key(plan.node, plan.order), [trie]
+        )
+    assert mpexec.active_segment_names() == segments
 
 
 def test_recompute_closes_its_engine_without_waiting_for_gc():
@@ -222,6 +243,32 @@ def test_rebound_plan_cache_hits_warm_each_worker_once():
         for threshold, run in zip(thresholds, served):
             oracle = server.run(request(threshold))
             assert run.results["q"].groups == oracle.results["q"].groups
+
+
+def test_workers_forget_garbage_collected_batches():
+    """A worker's warm cache is bounded by the live compilations: once a
+    batch's group plan is collected, the next run tells every worker that
+    warmed it to drop it."""
+    with LMFAO(_db(), _PROCESS_CONFIG) as engine:
+        executor = engine._process_executor()
+        for threshold in range(20):
+            batch = QueryBatch([
+                Query(
+                    "q",
+                    group_by=("store",),
+                    aggregates=(Aggregate.sum("units"),),
+                    where=(Predicate("units", Op.LE, float(threshold)),),
+                )
+            ])
+            engine.run(batch)
+        assert executor._batch_counter == 20
+        gc.collect()
+        assert not executor._batch_keys  # every batch above is dead
+        compiled = engine.compile(_batch())
+        engine.execute(compiled)
+        live = {executor._batch_key(compiled)}
+        assert all(warmed <= live for warmed in executor._warmed)
+        assert any(executor._warmed)
 
 
 # ------------------------------------------------------------- worker crashes

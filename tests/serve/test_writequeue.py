@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import EngineConfig, LMFAO
+from repro.core import EngineConfig, LMFAO, mpexec
 from repro.data import Attribute, Relation, RelationSchema
 from repro.incremental.delta import RelationDelta, normalize_deltas
 from repro.paper import FAVORITA_TREE
@@ -400,11 +400,13 @@ def test_concurrent_writers_serialise_without_version_conflicts(favorita_db):
         assert server.stats().writes.committed_writes == len(rows)
 
 
-def test_commit_fault_leaves_server_on_last_good_version(favorita_db):
-    config = EngineConfig(join_tree_edges=FAVORITA_TREE)
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_commit_fault_leaves_server_on_last_good_version(favorita_db, executor):
+    config = _configs()[executor]
     batch = _batch()
-    sales = favorita_db.relation("Sales")
+    sales, items = favorita_db.relation("Sales"), favorita_db.relation("Items")
     with AggregateServer(favorita_db, config) as server:
+        handle = server.maintain(batch)
         baseline = _groups(server.run(batch))
         assert server.apply(inserts={"Sales": [sales.row(0)]}) == 1
         good = _groups(server.run(batch))
@@ -435,9 +437,39 @@ def test_commit_fault_leaves_server_on_last_good_version(favorita_db):
         assert server.version == 1
         assert _groups(server.run(batch)) == good
 
-        # the committer survived both faults: later writes commit normally
+        # fault 3: inside LMFAO.commit, after the handle advanced over a
+        # delete — its dirty Items group rescans the successor's trie, which
+        # executor="process" ships as a segment keyed by version 2 — the
+        # install fails
+        store = server.engine._snapshots
+        segments = set(mpexec.active_segment_names())
+
+        def failing_install(snapshot):
+            raise RuntimeError("injected install fault")
+
+        store.install = failing_install
+        try:
+            with pytest.raises(RuntimeError, match="injected install"):
+                server.apply(deletes={"Items": [items.row(0)]})
+        finally:
+            del store.install
+        assert server.version == 1
+        assert {n: r.groups for n, r in handle.results.items()} == good
+        # nothing the failed successor (version 2) exported survives it
+        assert set(mpexec.active_segment_names()) <= segments
+
+        # the committer survived every fault: the next write commits as
+        # version 2, and both it and the handle's rescan of the Items group
+        # read version 2's own tries (one-write-at-a-time oracle)
         assert server.apply(inserts={"Sales": [sales.row(2)]}) == 2
-        assert server.stats().writes.failed_writes == 2
+        rounds = [
+            ({"Sales": [sales.row(0)]}, None),
+            ({"Sales": [sales.row(2)]}, None),
+        ]
+        _, oracle = _final_oracle(favorita_db, batch, rounds, config)
+        assert _groups(server.run(batch)) == oracle
+        assert {n: r.groups for n, r in handle.results.items()} == oracle
+        assert server.stats().writes.failed_writes == 3
 
 
 def test_reader_pin_keeps_version_and_segments_until_release(favorita_db):
