@@ -29,12 +29,13 @@ backend (``"auto"``)  per group, **at compile**: C when the group's
 ====================  ====================================================
 
 Kernels below that level choose their algorithm from the data they hold
-(the NumPy grouper from its key code space, the top-k finisher from its
-container), so the model has no kernel variant to pick. The backend is
-fixed in the compiled batch (each group's ``backend``); only the
-partition count is **data-dependent and re-decided at execution time**,
-like re-bound predicate constants — it never enters compiled artefacts
-or the serving layer's structural fingerprints.
+(the NumPy grouper from its key code space, the top-k finisher from each
+partition's size against ``k``), so the model has no kernel variant to
+pick. The backend is fixed in the compiled batch (each group's
+``backend``); only the partition count is **data-dependent and
+re-decided at execution time**, like re-bound predicate constants — it
+never enters compiled artefacts or the serving layer's structural
+fingerprints.
 """
 
 from __future__ import annotations

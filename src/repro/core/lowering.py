@@ -95,8 +95,7 @@ def emission_mode(emission: Emission) -> str:
     base — per-partition top-k is not mergeable from truncated partials,
     so truncating inside a backend would break the partitioned and
     incremental paths — and the ranked cut happens once, at result
-    finishing (:mod:`repro.core.topk`), with the kernel (bounded heap vs
-    full sort) picked per execution by the cost model.
+    finishing (:mod:`repro.core.topk`).
     """
     if emission.order is not None and emission.group_by:
         return MODE_TOPK

@@ -267,13 +267,15 @@ def view_columns(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """One view as key columns (``group_by`` order) + a float64 value matrix.
 
-    The single dict → columns conversion site for native consumers (the
-    NumPy and C binding preparation). A columnar :class:`ArrayViewData`
-    hands over its arrays without building its mirror; a dict is
-    converted in its key order — which is the mirror's row order, so both
-    paths yield the same rows in the same order. ``key_dtype`` (``None``:
-    inferred) is the key columns' dtype; every array comes back
-    C-contiguous. Under ``LMFAO_DEBUG`` an ``ArrayViewData`` is checked
+    The single dict → columns conversion site, for native consumers (the
+    NumPy and C binding preparation) and the ordered finisher
+    (:func:`repro.core.topk.finish_ordered`). A columnar
+    :class:`ArrayViewData` hands over its arrays without building its
+    mirror; a dict is converted in its key order — which is the mirror's
+    row order, so both paths yield the same rows in the same order.
+    ``key_dtype`` (``None``: inferred per column, so an ``int`` column
+    beside a ``float`` one stays integral) is the key columns' dtype;
+    every array comes back C-contiguous. Under ``LMFAO_DEBUG`` an ``ArrayViewData`` is checked
     with :meth:`~ArrayViewData.check_consistent` first.
     """
     if isinstance(data, ArrayViewData):
@@ -290,9 +292,10 @@ def view_columns(
             [np.empty(0, dtype=key_dtype or np.int64) for _ in group_by],
             np.zeros((0, width), dtype=np.float64),
         )
-    keys = np.asarray(list(data.keys()), dtype=key_dtype).reshape(m, len(group_by))
+    keys = list(data.keys())
+    columns = [keys] if len(group_by) == 1 else zip(*keys)
     values = np.asarray(list(data.values()), dtype=np.float64).reshape(m, width)
-    return [np.ascontiguousarray(keys[:, p]) for p in range(len(group_by))], values
+    return [np.asarray(c, dtype=key_dtype).reshape(m) for c in columns], values
 
 
 def _product_signature(

@@ -12,38 +12,33 @@ seam every path already funnels results through
 (:func:`repro.core.engine._to_query_result`), over the complete raw
 store. That is also what makes incremental maintenance exact: deleted or
 decreased keys can be *replaced* in the top-k by keys the truncated
-result would have forgotten (see :func:`repro.incremental.rules.refresh_ordered`).
+result would have forgotten, and a maintained handle finishes its full
+raw store through the same seam.
 
-One finisher per raw container realises the deterministic total order
-(the tie-break contract of :class:`~repro.query.aggregates.OrderSpec`),
-a bounded selection per partition in both cases:
-
-* plain dict outputs (the generated-Python backend) — ``heapq.nsmallest``
-  over each partition's items (:func:`rank_partition_items`, which sorts
-  outright when there is no limit);
-* :class:`~repro.core.runtime.ArrayViewData` columnar outputs (the NumPy
-  and C backends) — ``np.partition`` on the signed order value with exact
-  boundary-tie resolution, then an ``np.lexsort`` of the survivors.
-
-Both are ``O(n + p·k log k)`` and realise the identical total order — the
-composite ``(±value, residual group-by key)`` is unique per row because
-group keys are unique — which the ordered differential grids assert
-against an independent ranking oracle.
+One finisher realises the deterministic total order (the tie-break
+contract of :class:`~repro.query.aggregates.OrderSpec`) over any raw
+container: it reads key columns and a value matrix through
+:func:`repro.core.runtime.view_columns` — the arrays of a NumPy or C
+:class:`~repro.core.runtime.ArrayViewData`, or the one dict → columns
+conversion for generated-Python and merged dict stores — then, per
+partition, runs ``np.partition`` on the signed order value with exact
+boundary-tie resolution and one ``np.lexsort`` of the survivors. That
+is ``O(n + p·k log k)``, and the composite ``(±value, residual group-by
+key)`` is unique per row because group keys are unique, which the
+ordered differential grids assert against an independent ranking oracle.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from repro.core.runtime import ArrayViewData
+from repro.core.runtime import view_columns
 from repro.query.query import Query
 
-__all__ = ["finish_ordered", "order_positions", "rank_partition_items"]
+__all__ = ["finish_ordered"]
 
 
-def order_positions(query: Query) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _order_positions(query: Query) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(partition, residual)`` group-key positions of an ordered query.
 
     Partition positions follow ``order_by.partition_by`` order; residual
@@ -57,74 +52,6 @@ def order_positions(query: Query) -> tuple[tuple[int, ...], tuple[int, ...]]:
         i for i in range(len(query.group_by)) if i not in in_partition
     )
     return partition, residual
-
-
-def _as_key(key) -> tuple:
-    return key if isinstance(key, tuple) else (key,)
-
-
-def rank_partition_items(
-    items: list[tuple[tuple, tuple[float, ...]]],
-    query: Query,
-    residual: tuple[int, ...],
-) -> list[tuple[tuple, tuple[float, ...]]]:
-    """One partition's items ranked and truncated (the bounded-heap kernel).
-
-    ``items`` are ``(full key tuple, float values)`` pairs of a single
-    partition; keys must already be normalised tuples and values floats.
-    Shared by the engine's dict finisher and the incremental maintainer's
-    targeted partition refresh, so both produce the identical order.
-    """
-    spec = query.order_by
-    sign = -1.0 if spec.descending else 1.0
-
-    def sort_key(item):
-        key, values = item
-        return (sign * values[spec.agg_index], tuple(key[i] for i in residual))
-
-    if query.limit is None:
-        return sorted(items, key=sort_key)
-    return heapq.nsmallest(query.limit, items, key=sort_key)
-
-
-# --------------------------------------------------------------- finishers
-
-
-def _finish_dict_heap(query: Query, raw: dict) -> dict:
-    partition, residual = order_positions(query)
-    buckets: dict[tuple, list] = {}
-    for key, values in raw.items():
-        key = _as_key(key)
-        part = tuple(key[i] for i in partition)
-        buckets.setdefault(part, []).append(
-            (key, tuple(float(v) for v in values))
-        )
-    out: dict[tuple, tuple[float, ...]] = {}
-    for part in sorted(buckets):
-        for key, values in rank_partition_items(buckets[part], query, residual):
-            out[key] = values
-    return out
-
-
-def _columnar_inputs(query: Query, raw: ArrayViewData):
-    """Sort operands off the columnar mirror: value key + key columns."""
-    spec = query.order_by
-    partition, residual = order_positions(query)
-    values = raw.value_matrix[:, spec.agg_index].astype(np.float64, copy=False)
-    vkey = -values if spec.descending else values
-    part_cols = [raw.key_columns[i] for i in partition]
-    res_cols = [raw.key_columns[i] for i in residual]
-    return vkey, part_cols, res_cols
-
-
-def _emit_rows(raw: ArrayViewData, order: np.ndarray) -> dict:
-    """Materialise the finished dict for ``order``'s row sequence."""
-    keys = list(zip(*(col[order].tolist() for col in raw.key_columns)))
-    matrix = raw.value_matrix[order]
-    return {
-        key: tuple(float(v) for v in row)
-        for key, row in zip(keys, matrix.tolist())
-    }
 
 
 def _partition_slices(part_cols: list[np.ndarray], n: int):
@@ -142,14 +69,27 @@ def _partition_slices(part_cols: list[np.ndarray], n: int):
     return [order[s:e] for s, e in zip(starts, ends)]
 
 
-def _finish_columnar_heap(query: Query, raw: ArrayViewData) -> dict:
+def finish_ordered(query: Query, raw: dict) -> dict:
+    """Rank and truncate one ordered query's full raw groups.
+
+    Returns the insertion-ordered dict realising the query's
+    deterministic total order, keys as tuples of Python scalars and
+    values as tuples of floats, whatever container ``raw`` is.
+    """
     n = len(raw)
-    if n == 0:
+    if query.limit == 0 or n == 0:
         return {}
-    vkey, part_cols, res_cols = _columnar_inputs(query, raw)
+    spec = query.order_by
+    key_columns, matrix = view_columns(
+        raw, query.group_by, len(query.aggregates)
+    )
+    partition, residual = _order_positions(query)
+    values = matrix[:, spec.agg_index]
+    vkey = -values if spec.descending else values
+    res_cols = [key_columns[i] for i in residual]
     limit = query.limit
     pieces: list[np.ndarray] = []
-    for idx in _partition_slices(part_cols, n):
+    for idx in _partition_slices([key_columns[i] for i in partition], n):
         m = len(idx)
         if limit is not None and limit < m:
             # argpartition on the signed value alone, then resolve the
@@ -175,25 +115,8 @@ def _finish_columnar_heap(query: Query, raw: ArrayViewData) -> dict:
             + (vkey[candidates],)
         )
         pieces.append(candidates[final])
-    order = (
-        np.concatenate(pieces) if pieces else np.arange(0)
-    ).astype(np.intp, copy=False)
-    return _emit_rows(raw, order)
-
-
-# ---------------------------------------------------------------- dispatch
-
-
-def finish_ordered(query: Query, raw: dict) -> dict:
-    """Rank and truncate one ordered query's full raw groups.
-
-    Returns the insertion-ordered dict realising the query's
-    deterministic total order. The raw container picks the finisher:
-    columnar when a native backend's :class:`ArrayViewData` columns are
-    live, the dict heap over plain dict outputs otherwise.
-    """
-    if query.limit == 0:
-        return {}
-    if isinstance(raw, ArrayViewData) and raw.has_columns:
-        return _finish_columnar_heap(query, raw)
-    return _finish_dict_heap(query, raw)
+    order = np.concatenate(pieces).astype(np.intp, copy=False)
+    keys = zip(*(col[order].tolist() for col in key_columns))
+    return {
+        key: tuple(row) for key, row in zip(keys, matrix[order].tolist())
+    }

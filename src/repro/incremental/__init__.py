@@ -6,12 +6,14 @@ alive across data changes instead of recomputing it:
 
 * :mod:`repro.incremental.delta` — delta relations (insert/delete bags per
   base relation, with append/tombstone application);
-* :mod:`repro.incremental.rules` — the per-group delta rules (numeric
-  step over just the inserted tuples, copy-on-write delta merge — which
-  copies the whole maintained view, O(|view|) — targeted top-k re-rank);
+* :mod:`repro.incremental.rules` — the per-group delta rule (numeric
+  step over just the inserted tuples, then a copy-on-write delta merge,
+  which copies the whole maintained view: O(|view|));
 * :mod:`repro.incremental.maintain` — the :class:`MaintainedBatch` handle
   returned by :meth:`repro.core.engine.LMFAO.maintain`, scheduling numeric
-  delta steps and full-trie rescans over the dirty path only.
+  delta steps and full-trie rescans over the dirty path only, then
+  finishing each changed query — ordered ones included — through the
+  engine's one result seam.
 
 Every apply round builds an immutable successor version (a new
 :class:`~repro.core.snapshot.Snapshot` plus copy-on-write stores) and

@@ -25,7 +25,12 @@ of it per update round:
    through the engine's one group step
    (:meth:`~repro.core.engine.LMFAO.execute_group`);
 4. **delta cutoff** — a refreshed view that compares equal to its previous
-   contents stops dirtying its consumers (always on).
+   contents stops dirtying its consumers (always on);
+5. **finish** — every query whose raw groups changed is finished afresh
+   by :func:`~repro.core.engine._to_query_result`, the seam a run's
+   collect phase uses. An ordered query's raw store is kept **full**, so
+   a delete can bring back a row an earlier round had cut at ``k``, and
+   the result is ranked exactly as a from-scratch run ranks it.
 
 No re-planning, no code generation, and no scans of untouched nodes happen
 after construction. ``EngineConfig.incremental_mode`` selects the strategy:
@@ -74,11 +79,7 @@ from repro.core.runtime import ArrayViewData, debug_checks_enabled
 from repro.core.snapshot import Snapshot
 from repro.data.catalog import Database
 from repro.incremental.delta import RelationDelta, normalize_deltas
-from repro.incremental.rules import (
-    merge_delta_outputs,
-    numeric_delta_run,
-    refresh_ordered,
-)
+from repro.incremental.rules import merge_delta_outputs, numeric_delta_run
 from repro.query.query import QueryResult
 from repro.util.errors import PlanError
 
@@ -143,11 +144,6 @@ class MaintainedBatch:
         self._engine = engine
         # the server's write queue, set by AggregateServer.maintain
         self._router = None
-        # ordered queries get targeted partition re-ranks on apply; their
-        # raw changed-key sets are tracked per round for exactly this.
-        self._ordered_queries = frozenset(
-            query.name for query in compiled.batch if query.order_by is not None
-        )
         # Pin the engine's current snapshot. Its trie memo is *shared* (the
         # memo only gains immutable entries, so warming it here warms the
         # engine's runs too); successor versions built by apply() share
@@ -273,7 +269,6 @@ class MaintainedBatch:
         numeric = rescanned = skipped = 0
         refreshed_views: set[str] = set()
         dirty_queries: set[str] = set()
-        dirty_keys: dict[str, set] = {}
         for index in self.compiled.execution_order:
             plan = self.compiled.plans[index]
             node_delta = changed.get(plan.node)
@@ -295,24 +290,11 @@ class MaintainedBatch:
                 merge = None
                 rescanned += 1
             self._adopt_outputs(
-                index, outputs, run, merge,
-                refreshed_views, dirty_queries, dirty_keys,
+                index, outputs, run, merge, refreshed_views, dirty_queries
             )
         results = dict(state.results)
         for query in self.compiled.batch:
-            if query.name not in dirty_queries:
-                continue
-            if query.order_by is not None:
-                results[query.name] = QueryResult(
-                    query=query,
-                    groups=refresh_ordered(
-                        query,
-                        state.results.get(query.name),
-                        run.query_raw[query.name],
-                        dirty_keys.get(query.name),
-                    ),
-                )
-            else:
+            if query.name in dirty_queries:
                 results[query.name] = _to_query_result(
                     query, run.query_raw[query.name]
                 )
@@ -358,39 +340,29 @@ class MaintainedBatch:
         merge,
         refreshed_views: set[str],
         dirty_queries: set[str],
-        dirty_keys: dict[str, set],
     ) -> None:
-        """Adopt (rescan) or add (numeric) one group's outputs; track diffs.
+        """Adopt (rescan) or add (numeric) one group's outputs; note changes.
 
         Writes only into the successor version's stores (``run.view_data``
         / ``run.query_raw``); the previous version's dicts and value lists
         are never touched — numeric merges (``merge`` given) go through
         the copy-on-write
-        :func:`~repro.incremental.rules.merge_delta_outputs`.
-
-        For ordered queries the per-key change set is collected into
-        ``dirty_keys`` (numeric merges report the keys they touched; a
-        rescan diffs old vs new raw), feeding
-        :func:`repro.incremental.rules.refresh_ordered`'s targeted
-        partition re-rank.
+        :func:`~repro.incremental.rules.merge_delta_outputs`. An artifact
+        that changed is recorded by name only: a refreshed view dirties
+        its consumers, and a dirty query — ordered or not — is finished
+        afresh from its full raw store by
+        :func:`~repro.core.engine._to_query_result`.
         """
         for emission in self.compiled.plans[index].emissions:
             is_view = emission.kind == "view"
             store = run.view_data if is_view else run.query_raw
             name = emission.artifact
-            track: set | None = None
-            if not is_view and name in self._ordered_queries:
-                track = dirty_keys.setdefault(name, set())
             old = store[name]
             if merge is not None:
-                store[name], artifact_changed = merge(old, outputs[name], track)
+                store[name], artifact_changed = merge(old, outputs[name])
             else:
                 new = store[name] = outputs[name]
                 artifact_changed = old != new
-                if track is not None and artifact_changed:
-                    for key in old.keys() | new.keys():
-                        if old.get(key) != new.get(key):
-                            track.add(key)
             if artifact_changed:
                 (refreshed_views if is_view else dirty_queries).add(name)
 

@@ -25,8 +25,17 @@ gcc is spawned to compile and a shared object loaded in one place each
 protocol instead of branching on a native/Python pair.
 
 Kernels choose their algorithm from the data they hold: NumPy has one
-grouper and the top-k layer one finisher per container, and neither the
-cost model nor a forcing environment variable picks between variants.
+grouper and the top-k layer one columnar finisher, and neither the cost
+model nor a forcing environment variable picks between variants.
+
+An ordered result is finished in one place: the engine's result seam
+(:func:`repro.core.engine._to_query_result`) is the only caller of
+:func:`repro.core.topk.finish_ordered`, which reads any raw container
+through the one dict → columns conversion and keeps no heap kernel
+beside its columnar one. Maintained handles finish their dirty queries
+through the same seam: nothing under ``incremental/`` imports the top-k
+layer or builds a ``QueryResult`` of its own, and the delta merge
+reports no per-key change set.
 
 A group's backend is decided one way: at compile, by
 :func:`repro.core.runtime.compile_executables`, which returns one
@@ -632,7 +641,7 @@ def test_kernels_choose_for_themselves():
     assert len(groupers) == 1, groupers
     taking = [f.name for f in _functions(numpy) if "strategy" in _parameters(f)]
     assert not taking, taking
-    # one top-k finisher per container, returning the finished groups alone
+    # one columnar top-k finisher, returning the finished groups alone
     finishers = [f.name for f in _functions("core/topk.py")]
     assert not [name for name in finishers if name.endswith("_sort")], finishers
     finish = next(f for f in _functions("core/topk.py") if f.name == "finish_ordered")
@@ -644,6 +653,41 @@ def test_kernels_choose_for_themselves():
         f for f in _functions("core/costmodel.py") if f.name == "group_decision"
     )
     assert "adaptive" not in _parameters(decision)
+
+
+def _imports(module: str) -> set[str]:
+    """Every module, and every ``module.name``, one source file imports."""
+    names = set()
+    for node in ast.walk(_modules()[module]):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    return names
+
+
+def test_one_ordered_finisher():
+    assert _enclosing_functions("finish_ordered") == [
+        "core/engine.py:_to_query_result"
+    ]
+    for module, tree in _modules().items():
+        if not module.startswith("incremental/"):
+            continue
+        assert "repro.core.topk" not in _imports(module), module
+        builds = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called_name(node) == "QueryResult"
+        ]
+        assert not builds, f"{module}:{builds} builds a QueryResult"
+    assert not {
+        name for name in _imports("core/topk.py") if name.split(".")[0] == "heapq"
+    }
+    args = _definition("incremental/rules.py", "merge_delta_outputs").args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == [
+        "target", "delta"
+    ]
+    assert args.vararg is None and args.kwarg is None
 
 
 def _gcc_calls() -> list[tuple[str, str | None, bool]]:

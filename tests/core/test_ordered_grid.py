@@ -7,8 +7,9 @@ engine's finished results must match :func:`tests.oracle.ordered_oracle`
 **as a sequence** — same rows, same rank order, same tie order — and
 every point of the execution grid ``{python, numpy, c} × {thread,
 process} × partitions`` must be bit-identical to the sequential Python
-baseline — dict outputs reach the dict finisher, native columnar outputs
-the columnar one. Integer-valued data makes float64 exact, so
+baseline — dict outputs reach the finisher through the one dict →
+columns conversion, native columnar outputs with their own arrays.
+Integer-valued data makes float64 exact, so
 any divergence is a real kernel or merge bug, never numeric noise.
 """
 

@@ -1,10 +1,11 @@
-"""Unit tests of the ordered-emission finishers.
+"""Unit tests of the ordered-emission finisher.
 
 The differential grids (``test_ordered_grid.py``) anchor end-to-end
-correctness; this file pins the pieces in isolation: both finishers —
-dict and columnar — against the independent ranking oracle on
-adversarial raw stores, the query-layer validation, and the ordered
-accessors on :class:`QueryResult`.
+correctness; this file pins the pieces in isolation: the one finisher,
+fed both raw containers — a dict and a columnar ``ArrayViewData`` —
+against the independent ranking oracle on adversarial raw stores, with
+each key's per-position types kept, the query-layer validation, and the
+ordered accessors on :class:`QueryResult`.
 """
 
 from __future__ import annotations
@@ -37,25 +38,28 @@ def _query(group_by, *, agg_index=0, descending=True, partition_by=(), limit=Non
 
 
 def _columnar(raw: dict, width: int) -> ArrayViewData:
-    """An ArrayViewData mirroring ``raw``, as the NumPy backend emits it."""
-    data = ArrayViewData(raw)
+    """``raw`` as columns, as the NumPy backend emits it (mirror pending)."""
     keys = list(raw)
-    data.key_columns = [
-        np.array([k[i] for k in keys]) for i in range(len(keys[0]) if keys else 0)
-    ]
-    data.value_matrix = np.array(
-        [list(raw[k]) for k in keys], dtype=np.float64
-    ).reshape(len(keys), width)
-    return data
+    return ArrayViewData.from_arrays(
+        [np.array([k[i] for k in keys]) for i in range(len(keys[0]) if keys else 0)],
+        np.array([list(raw[k]) for k in keys], dtype=np.float64).reshape(
+            len(keys), width
+        ),
+    )
 
 
 @st.composite
 def raw_stores(draw):
-    """Random raw group stores with dense keys and heavy value collisions."""
+    """Random raw group stores with dense keys and heavy value collisions;
+    the middle key column holds floats (one of them integral)."""
     n = draw(st.integers(0, 40))
     keys = draw(
         st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 3)),
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from([0.5, 1.25, 2.0, 3.75, 4.5]),
+                st.integers(0, 3),
+            ),
             min_size=n,
             max_size=n,
             unique=True,
@@ -80,7 +84,8 @@ def raw_stores(draw):
 )
 @settings(max_examples=120, deadline=None)
 def test_both_finishers_match_the_oracle(raw, limit, descending, parts, agg_index):
-    """dict finisher ≡ oracle and columnar finisher ≡ oracle, as sequences."""
+    """The finisher ≡ oracle as a sequence from a dict and from columns,
+    and a finished key's per-position types do not depend on which."""
     group_by = ("a", "b", "c")
     query = _query(
         group_by,
@@ -91,9 +96,13 @@ def test_both_finishers_match_the_oracle(raw, limit, descending, parts, agg_inde
     )
     full = QueryResult(query=query, groups=dict(raw))
     want = list(rank_reference(query, full).groups.items())
+    key_types = []
     for raw_variant in (raw, _columnar(raw, 2)):
         got = list(topk.finish_ordered(query, raw_variant).items())
         assert got == want, type(raw_variant).__name__
+        key_types.append([tuple(map(type, key)) for key, _ in got])
+    assert key_types[0] == key_types[1]
+    assert set(key_types[0]) <= {(int, float, int)}
 
 
 # --------------------------------------------------------------- query layer

@@ -4,13 +4,14 @@ Deletes are the hard case for truncated results: a row evicted from the
 top-k by an earlier round must *reappear* when the rows above it are
 deleted — information a result-only maintainer would have forgotten.
 The maintainer keeps the full raw store per ordered query precisely for
-this, and :func:`repro.incremental.rules.refresh_ordered` re-ranks only
-the dirtied partitions. Every test here is differential: after each
-apply the handle's finished results must equal a from-scratch engine
-over the current database **as a sequence** (rank and tie order
-included), under insert-only, delete-only and mixed delta rounds, and
-through the server's group-committed write path where several queued
-deltas coalesce into one refresh.
+this, and finishes a changed one afresh through the engine's one result
+seam (:func:`repro.core.engine._to_query_result`). Every test here is
+differential: after each apply the handle's finished results must equal
+a from-scratch engine over the current database **as a sequence** (rank
+and tie order included), under insert-only, delete-only and mixed delta
+rounds, and through the server's group-committed write path where
+several queued deltas coalesce into one refresh. The CI write leg runs
+this module under ``LMFAO_DEBUG=1``.
 """
 
 from __future__ import annotations

@@ -151,8 +151,9 @@ def test_ci_has_docs_leg_and_serving_bench():
 
 def test_ci_writes_leg_covers_both_writers():
     """Queued and direct writes share one commit path, so the debug write
-    leg runs the queue's suites and the direct handle's suite, plus the
-    guard that keeps the path single."""
+    leg runs the queue's suites and the direct handles' suites — ordered
+    handles refresh only on that path — plus the guard that keeps the
+    path single."""
     text = (_ROOT / ".github" / "workflows" / "ci.yml").read_text()
     leg = text[text.index("  tests-writes:"):]
     leg = leg[:leg.index("\n  tests-", 1)]
@@ -160,6 +161,7 @@ def test_ci_writes_leg_covers_both_writers():
     for suite in (
         "tests/serve/test_writequeue.py",
         "tests/incremental/test_maintain.py",
+        "tests/incremental/test_ordered_maintain.py",
         "tests/core/test_execution_seam.py",
     ):
         assert suite in leg, suite
@@ -200,6 +202,23 @@ def test_docs_name_no_retired_backend_selection():
     for doc in _doc_files():
         text = doc.read_text()
         for name in _RETIRED_BACKEND_NAMES:
+            assert name not in text, f"{doc.name} names {name}"
+
+
+#: the ordered-result paths that ``engine._to_query_result`` →
+#: ``topk.finish_ordered`` replaced: the maintainer's targeted re-rank
+#: and the dict-heap finisher
+_RETIRED_ORDERED_NAMES = (
+    "refresh_ordered",
+    "rank_partition_items",
+    "_finish_dict_heap",
+)
+
+
+def test_docs_name_no_retired_ordered_finisher():
+    for doc in _doc_files():
+        text = doc.read_text()
+        for name in _RETIRED_ORDERED_NAMES:
             assert name not in text, f"{doc.name} names {name}"
 
 
