@@ -33,8 +33,8 @@ passed as a single ``void**`` argument vector):
   retries with quadrupled capacities (results are a pure function of the
   inputs, so the retry is safe). Collect gathers the rows in slot order.
   The filled key/value arrays leave as a columnar
-  :class:`~repro.core.runtime.ArrayViewData`; no Python dict is built
-  unless a dict consumer reads the view.
+  :class:`~repro.core.runtime.ArrayViewData`; a Python dict of it is
+  built only by :func:`~repro.core.runtime.as_mapping`.
 
 Supported plans: integer (categorical) trie levels, view keys and group-by
 attributes. :func:`supports_plan` reports this; at compile,
@@ -96,6 +96,7 @@ import functools
 import hashlib
 import os
 import secrets
+import signal
 import stat
 import subprocess
 import tempfile
@@ -704,7 +705,8 @@ def _build(misses: list[tuple[CCompiledGroup, Path]]) -> list[ctypes.CDLL]:
     Each output is loaded under its private temporary name, then renamed
     into place. Every child is reaped and every temporary removed before
     this returns or raises — the first failure raises :class:`PlanError`
-    after the siblings are killed.
+    after the siblings are killed. Each gcc leads a process group of its
+    own, so a kill reaches the ``cc1`` / ``as`` / ``ld`` it has started.
     """
     builds = []
     try:
@@ -718,6 +720,7 @@ def _build(misses: list[tuple[CCompiledGroup, Path]]) -> list[ctypes.CDLL]:
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.PIPE,
                 text=True,
+                start_new_session=True,
             )
             builds.append((group, path, temporary, process))
             try:
@@ -737,7 +740,7 @@ def _build(misses: list[tuple[CCompiledGroup, Path]]) -> list[ctypes.CDLL]:
     finally:
         for _group, _path, temporary, process in builds:
             if process.poll() is None:
-                process.kill()
+                os.killpg(process.pid, signal.SIGKILL)
             process.wait()
             process.stderr.close()
             temporary.unlink(missing_ok=True)

@@ -55,6 +55,7 @@ from repro.core.snapshot import Snapshot, SnapshotStore
 from repro.core.runtime import (
     ArrayViewData,
     LazyPythonGroup,
+    as_mapping,
     compile_executables,
     debug_checks_enabled,
     execute_plan,
@@ -1196,17 +1197,16 @@ def _to_query_result(query: Query, raw: dict) -> QueryResult:
         return QueryResult(query=query, groups=topk.finish_ordered(query, raw))
     if (
         isinstance(raw, ArrayViewData)
-        and raw.has_columns
         and raw.key_columns
         and raw.value_matrix.dtype == np.float64
     ):
         # columnar: the same keys, values and row order as the dict path
-        # below, read straight off the arrays without building the mirror
+        # below, read straight off the arrays without building a dict
         keys = zip(*(column.tolist() for column in raw.key_columns))
         values = map(tuple, raw.value_matrix.tolist())
         return QueryResult(query=query, groups=dict(zip(keys, values)))
     groups: dict[tuple, tuple[float, ...]] = {}
-    for key, values in raw.items():
+    for key, values in as_mapping(raw).items():
         if not isinstance(key, tuple):
             key = (key,)
         groups[key] = tuple(float(v) for v in values)

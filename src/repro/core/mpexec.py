@@ -36,7 +36,7 @@ processes** instead — without ever pickling a trie or a relation:
 Views travel as arrays: a columnar
 :class:`~repro.core.runtime.ArrayViewData` pickles as its key columns and
 value matrix alone, so the bindings sent to a worker and the NumPy/C
-partials it returns carry no dict mirror either way.
+partials it returns carry no dict either way.
 Functions travel by name (:meth:`repro.query.functions.Function.__reduce__`);
 :func:`plan_transportable` gates offloading so plans referencing custom
 lambdas fall back to in-process execution rather than failing in a worker.

@@ -46,8 +46,8 @@ construct for *all* runs of a level at once:
   key (hash — ``np.bincount`` adds weights in input order, trie order,
   like the interpreted loop). Every non-scalar output leaves as a
   columnar :class:`~repro.core.runtime.ArrayViewData` — read as arrays
-  by downstream native consumers and the partition merge, with the dict
-  mirror built only if a dict consumer reads it.
+  by downstream native consumers and the partition merge, and as a dict
+  only through :func:`~repro.core.runtime.as_mapping`.
 
 **Supported plans.** Every plan the decomposition layer can produce is
 lowered — including carried blocks, float trie levels and float view keys

@@ -21,10 +21,10 @@ generated-Python group emits dictionaries ``group_by_key →
 list_of_aggregate_values`` where the key is a scalar for
 single-attribute group-bys and a tuple (in the view's canonical group-by
 order) otherwise. The NumPy and C groups emit :class:`ArrayViewData`:
-parallel key columns and a value matrix, with that same dictionary as a
-mirror built only when a dict consumer first reads it. Native consumers
+parallel key columns and a value matrix, nothing else. Native consumers
 read the columns through :func:`view_columns`, so a view one native
-group produces and another consumes never becomes Python objects.
+group produces and another consumes never becomes Python objects; dict
+consumers read the same dictionary through :func:`as_mapping`.
 
 This module also hosts the **domain-parallel** execution mode: a group may
 run once per level-0 trie partition (:func:`partition_tries`) with its
@@ -47,17 +47,10 @@ from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
 
-ViewData = dict
-
 
 def debug_checks_enabled() -> bool:
-    """Whether ``LMFAO_DEBUG`` asks for (expensive) invariant assertions.
-
-    Consumers of columnar view state call
-    :meth:`ArrayViewData.check_consistent` under this flag before trusting
-    the arrays, so a dict/array desync fails loudly at the point of use
-    instead of silently corrupting downstream aggregates.
-    """
+    """Whether ``LMFAO_DEBUG`` asks for (expensive) invariant assertions —
+    the engine's run-consistency checks after every run."""
     return bool(os.environ.get("LMFAO_DEBUG"))
 
 
@@ -68,224 +61,92 @@ def _row_keys(key_columns: Sequence[np.ndarray]) -> list:
     return list(zip(*(column.tolist() for column in key_columns)))
 
 
-#: serialises mirror builds, so a view shared across threads builds once
-_MIRROR_LOCK = threading.Lock()
-
-
-class ArrayViewData(dict):
-    """View contents as columns — ``key_columns`` + ``value_matrix`` — and
-    the ``key → [aggregates]`` dict mirror of them.
+class ArrayViewData:
+    """View contents as columns: ``key_columns`` + ``value_matrix``.
 
     The NumPy and C backends both emit these through :meth:`from_arrays`.
     ``key_columns`` are in the producer's canonical group-by order, one
-    row per key, and the row order is the mirror's key order. Columnar
-    consumers — native binding preparation (:func:`view_columns`), the
-    aligned partition merge, the columnar top-k kernels — read the arrays.
-    Dict consumers see a dict like the Python backend's.
-
-    **The mirror is built lazily.** :meth:`from_arrays` returns a view
-    whose dict storage is still empty. The first dict-API read — ``[]``,
-    ``get``, ``in``, iteration, ``keys`` / ``values`` / ``items``,
-    ``==``, ``copy``, ``dict(x)`` — builds the mirror once and turns the
-    object into a plain ``ArrayViewData``, which has no read overrides:
-    from then on lookups run at ``dict.get`` speed. ``len()``,
-    :attr:`has_columns`, :func:`estimate_view_bytes` and pickling never
-    build it (:attr:`has_mirror` says whether it exists). A columnar view
-    pickles as its arrays alone and unpickles unbuilt.
-
-    Every mutating dict operation (``__setitem__``, ``update``, ``pop``,
-    …) builds the mirror, then **auto-drops** the columnar arrays, so
-    merge paths that grow or rewrite entries can never serve stale arrays
-    to a columnar consumer. The one mutation the class cannot see is
-    writing *through* a stored aggregate list (``data[key][slot] += x``);
-    paths that do that must call :meth:`drop_columnar` themselves, and
-    :meth:`check_consistent` (run by consumers under ``LMFAO_DEBUG``)
-    catches any path that forgot.
+    row per key (keys distinct row to row, as every emission's are), and
+    ``value_matrix`` holds one row of aggregates per key. The view is a
+    value: nothing mutates it after construction, so there is no second
+    copy of its contents to keep in step. Columnar consumers — native
+    binding preparation (:func:`view_columns`), the aligned partition
+    merge, the columnar top-k kernels — read the arrays; dict consumers
+    read :func:`as_mapping`. ``len()`` is the row count, and a view
+    pickles as its arrays alone.
     """
 
-    __slots__ = ("key_columns", "value_matrix")
+    __slots__ = ("key_columns", "value_matrix", "_mapping")
 
-    #: whether the dict mirror exists (False only before the first read)
-    has_mirror = True
+    def __init__(
+        self, key_columns: Sequence[np.ndarray], value_matrix: np.ndarray
+    ) -> None:
+        key_columns = list(key_columns)
+        rows = len(value_matrix)
+        if value_matrix.ndim != 2 or any(len(c) != rows for c in key_columns):
+            raise PlanError("ArrayViewData: ragged key/value columns")
+        self.key_columns = key_columns
+        self.value_matrix = value_matrix
+        self._mapping: dict | None = None  # as_mapping's dict, once built
 
-    def __init__(self, *args, **kwargs) -> None:
-        # dict.__init__ bulk-inserts without dispatching to __setitem__,
-        # so construction does not count as a (drop-triggering) mutation.
-        super().__init__(*args, **kwargs)
-        self.key_columns: list[np.ndarray] | None = None
-        self.value_matrix: np.ndarray | None = None
-
-    @property
-    def has_columns(self) -> bool:
-        return self.value_matrix is not None
-
-    def build_mirror(self) -> None:
-        """Build the dict mirror if it is still pending (here: it is not)."""
-
-    def drop_columnar(self) -> None:
-        """Forget the columnar arrays (keep the dict contents)."""
-        self.key_columns = None
-        self.value_matrix = None
-
-    def __reduce__(self):
-        if self.has_columns:
-            return ArrayViewData.from_arrays, (self.key_columns, self.value_matrix)
-        return ArrayViewData, (dict(self),)
-
-    # -- mutating dict operations invalidate the columnar mirror ------------
-    def __setitem__(self, key, value) -> None:
-        self.drop_columnar()
-        super().__setitem__(key, value)
-
-    def __delitem__(self, key) -> None:
-        self.drop_columnar()
-        super().__delitem__(key)
-
-    def update(self, *args, **kwargs) -> None:
-        self.drop_columnar()
-        super().update(*args, **kwargs)
-
-    def __ior__(self, other):
-        # dict.__ior__ bulk-inserts at the C level without dispatching to
-        # update/__setitem__, so it needs its own interception.
-        self.drop_columnar()
-        return super().__ior__(other)
-
-    def setdefault(self, key, default=None):
-        if key not in self:
-            self.drop_columnar()
-        return super().setdefault(key, default)
-
-    def pop(self, *args):
-        self.drop_columnar()
-        return super().pop(*args)
-
-    def popitem(self):
-        self.drop_columnar()
-        return super().popitem()
-
-    def clear(self) -> None:
-        self.drop_columnar()
-        super().clear()
-
-    def check_consistent(self) -> None:
-        """Assert the columns are well-formed and the mirror matches them.
-
-        No-op without columns; the mirror comparison is skipped (and the
-        mirror not built) while it is pending. O(n) — called by columnar
-        consumers under ``LMFAO_DEBUG`` (see :func:`debug_checks_enabled`)
-        and by tests.
-        """
-        if not self.has_columns:
-            return
-        rows = len(self.value_matrix)
-        assert self.value_matrix.ndim == 2 and all(
-            len(column) == rows for column in self.key_columns
-        ), "ArrayViewData columns desynchronised: ragged key/value arrays"
-        if not self.has_mirror:
-            return
-        mirror = dict(zip(_row_keys(self.key_columns), self.value_matrix.tolist()))
-        assert len(mirror) == rows and mirror == dict(self), (
-            "ArrayViewData columnar state desynchronised from dict contents "
-            "(a mutation bypassed drop_columnar)"
-        )
-
-    @staticmethod
+    @classmethod
     def from_arrays(
-        key_columns: Sequence[np.ndarray], value_matrix: np.ndarray
+        cls, key_columns: Sequence[np.ndarray], value_matrix: np.ndarray
     ) -> "ArrayViewData":
-        """A view over parallel key/value arrays, its dict mirror pending.
-
-        Keys must be distinct row to row (every emission's are).
-        """
-        data = _PendingMirror()
-        data.key_columns = list(key_columns)
-        data.value_matrix = value_matrix
-        return data
-
-
-class _PendingMirror(ArrayViewData):
-    """An :class:`ArrayViewData` whose dict mirror is not built yet.
-
-    Its dict storage is empty: every read override below builds the
-    mirror, reassigns ``__class__`` to :class:`ArrayViewData` (same
-    layout, no read overrides) and answers from the built dict. Mutations
-    reach :meth:`drop_columnar`, which builds before dropping.
-    """
-
-    __slots__ = ()
-    has_mirror = False
-
-    def build_mirror(self) -> None:
-        with _MIRROR_LOCK:
-            if type(self) is _PendingMirror:  # another thread may have built it
-                dict.update(
-                    self,
-                    zip(_row_keys(self.key_columns), self.value_matrix.tolist()),
-                )
-                self.__class__ = ArrayViewData
-
-    def drop_columnar(self) -> None:
-        self.build_mirror()
-        ArrayViewData.drop_columnar(self)
+        """The view over parallel key/value arrays: the backends' spelling."""
+        return cls(key_columns, value_matrix)
 
     def __len__(self) -> int:
         return len(self.value_matrix)
 
-    # comparisons re-dispatch once built, so a pending right operand is
-    # built by its own (reflected) __eq__ / __ne__
-    def __eq__(self, other):
-        self.build_mirror()
-        return self == other
-
-    def __ne__(self, other):
-        self.build_mirror()
-        return self != other
+    def __reduce__(self):
+        return ArrayViewData, (self.key_columns, self.value_matrix)
 
 
-def _read_after_build(name: str):
-    method = getattr(dict, name)
-
-    def read(self, *args):
-        self.build_mirror()
-        return method(self, *args)
-
-    read.__name__ = name
-    return read
+#: one view's contents: a ``key → [aggregates]`` dict or its columns
+ViewData = dict | ArrayViewData
 
 
-for _name in (
-    "__getitem__", "__contains__", "__iter__", "__reversed__", "__repr__",
-    "__or__", "get", "keys", "values", "items", "copy",
-):
-    setattr(_PendingMirror, _name, _read_after_build(_name))
-del _name
+def as_mapping(view: ViewData) -> dict:
+    """One view as the ``key → [aggregates]`` dict the Python backend emits.
+
+    The single columns → dict conversion site (:func:`view_columns` is
+    the reverse one). A dict passes through unchanged. A columnar view's
+    dict is built on the first call, in row order, and kept on the view:
+    later calls return the same dict. Two threads racing on the first call
+    may each build one; the dicts are equal, so either serves. Callers
+    read the dict and never mutate it — a view is a value.
+    """
+    if not isinstance(view, ArrayViewData):
+        return view
+    mapping = view._mapping
+    if mapping is None:
+        mapping = view._mapping = dict(
+            zip(_row_keys(view.key_columns), view.value_matrix.tolist())
+        )
+    return mapping
 
 
 def view_columns(
-    data: Mapping, group_by: tuple[str, ...], width: int, key_dtype=None
+    data: ViewData, group_by: tuple[str, ...], width: int, key_dtype=None
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """One view as key columns (``group_by`` order) + a float64 value matrix.
 
     The single dict → columns conversion site, for native consumers (the
     NumPy and C binding preparation) and the ordered finisher
     (:func:`repro.core.topk.finish_ordered`). A columnar
-    :class:`ArrayViewData` hands over its arrays without building its
-    mirror; a dict is converted in its key order — which is the mirror's
-    row order, so both paths yield the same rows in the same order.
-    ``key_dtype`` (``None``: inferred per column, so an ``int`` column
-    beside a ``float`` one stays integral) is the key columns' dtype;
-    every array comes back C-contiguous. Under ``LMFAO_DEBUG`` an ``ArrayViewData`` is checked
-    with :meth:`~ArrayViewData.check_consistent` first.
+    :class:`ArrayViewData` hands over its arrays; a dict is converted in
+    its key order — which is :func:`as_mapping`'s row order, so both
+    paths yield the same rows in the same order. ``key_dtype``
+    (``None``: inferred per column, so an ``int`` column beside a
+    ``float`` one stays integral) is the key columns' dtype; every array
+    comes back C-contiguous.
     """
     if isinstance(data, ArrayViewData):
-        if debug_checks_enabled():
-            data.check_consistent()
-        if data.has_columns:
-            return (
-                [np.ascontiguousarray(c, dtype=key_dtype) for c in data.key_columns],
-                np.ascontiguousarray(data.value_matrix, dtype=np.float64),
-            )
+        return (
+            [np.ascontiguousarray(c, dtype=key_dtype) for c in data.key_columns],
+            np.ascontiguousarray(data.value_matrix, dtype=np.float64),
+        )
     m = len(data)
     if m == 0:
         return (
@@ -364,19 +225,20 @@ def _product_column(
     return compute
 
 
-def reshape_binding(binding: ViewBinding, view_group_by: tuple[str, ...], data: ViewData) -> dict:
+def reshape_binding(
+    binding: ViewBinding, view_group_by: tuple[str, ...], data: ViewData
+) -> dict:
     """Re-key view contents for one consumer binding.
 
-    ``data`` is keyed by the producer's canonical group-by. Scalar bindings
-    whose key order equals the producer's group-by are returned as-is —
-    an :class:`ArrayViewData` with its mirror built here, so generated
-    code probes a plain dict; carried bindings are grouped into entry
-    lists per local key.
+    ``data`` is keyed by the producer's canonical group-by and read
+    through :func:`as_mapping`, so generated code probes a plain dict.
+    Scalar bindings whose key order equals the producer's group-by get
+    that dict as-is; carried bindings are grouped into entry lists per
+    local key.
     """
+    data = as_mapping(data)
     if not binding.is_carried:
         if binding.key == view_group_by:
-            if isinstance(data, ArrayViewData):
-                data.build_mirror()
             return data
         # Same attribute set, different order (cannot happen while both are
         # name-sorted, but stay correct if conventions diverge).
@@ -571,8 +433,8 @@ def partition_tries(
 
 
 def merge_partial_outputs(
-    plan: MultiOutputPlan, partial: Sequence[dict[str, dict]]
-) -> dict[str, dict]:
+    plan: MultiOutputPlan, partial: Sequence[dict[str, ViewData]]
+) -> dict[str, ViewData]:
     """Merge per-partition outputs of one group into the full outputs.
 
     Merge semantics per emission (see docs/architecture.md §Parallel):
@@ -582,7 +444,7 @@ def merge_partial_outputs(
       partitions — so the partial dicts concatenate (disjoint union). When
       every partial is a columnar :class:`ArrayViewData` (the NumPy and C
       backends), the key columns and value matrices concatenate instead,
-      and the merged view stays columnar with its mirror pending;
+      and the merged view stays columnar;
     * **accumulating** emissions (hash / scalar) sum per key and slot, in
       partition order. A key exists in the full output iff some partition
       emitted it: key support is itself a sum over rows, so it is positive
@@ -593,27 +455,19 @@ def merge_partial_outputs(
 
     The merge never mutates its inputs: accumulating emissions copy the
     first-seen value list per key before summing into it, and aligned
-    merges build a fresh container. If a partial is an
-    :class:`ArrayViewData`, any future mutating path through dict methods
-    would auto-drop its columnar state; under ``LMFAO_DEBUG`` the
-    columnar partials are additionally asserted consistent before use.
+    merges build a fresh container. Dict branches read columnar partials
+    through :func:`as_mapping`.
     """
     if len(partial) == 1:
         return partial[0]
-    debug = debug_checks_enabled()
-    merged: dict[str, dict] = {}
+    merged: dict[str, ViewData] = {}
     for emission in plan.emissions:
         name = emission.artifact
         if emission.aligned and emission.group_by:
             pieces = [outputs[name] for outputs in partial]
-            if all(
-                isinstance(p, ArrayViewData) and p.has_columns for p in pieces
-            ):
-                if debug:
-                    for piece in pieces:
-                        piece.check_consistent()
+            if all(isinstance(p, ArrayViewData) for p in pieces):
                 num_parts = len(pieces[0].key_columns)
-                out: dict = ArrayViewData.from_arrays(
+                out: ViewData = ArrayViewData.from_arrays(
                     [
                         np.concatenate([p.key_columns[i] for p in pieces])
                         for i in range(num_parts)
@@ -622,15 +476,12 @@ def merge_partial_outputs(
                 )
             else:
                 out = {}
-                for outputs in partial:
-                    out.update(outputs[name])
+                for piece in pieces:
+                    out.update(as_mapping(piece))
         else:
             out = {}
             for outputs in partial:
-                source = outputs[name]
-                if debug and isinstance(source, ArrayViewData):
-                    source.check_consistent()
-                for key, values in source.items():
+                for key, values in as_mapping(outputs[name]).items():
                     current = out.get(key)
                     if current is None:
                         out[key] = list(values)
@@ -666,15 +517,15 @@ def execute_plan_partitioned(
     return merge_partial_outputs(group.plan, partial)
 
 
-def estimate_view_bytes(data: Mapping) -> int:
+def estimate_view_bytes(data: ViewData) -> int:
     """A cheap, deterministic size estimate of one materialized view.
 
     The view cache's byte accounting (:mod:`repro.serve.viewcache`) needs
     a weight per entry without walking every key of a large view. Columnar
     :class:`ArrayViewData` reports its arrays' true ``nbytes`` plus a
-    per-entry charge for the dict mirror — counted whether or not the
-    mirror is built yet (this function never builds it), so a cache
-    entry's weight does not change when a reader first touches its dict.
+    per-entry charge for the :func:`as_mapping` dict — counted whether or
+    not that dict is built yet (this function never builds it), so a
+    cache entry's weight does not change when a reader first reads it.
     Plain dict views are estimated as ``entries × (per-key + per-aggregate
     cost)`` from one sampled entry. Estimates are stable for a given view,
     which is all LRU weight accounting needs (the bound is approximate by
@@ -683,11 +534,11 @@ def estimate_view_bytes(data: Mapping) -> int:
     entries = len(data)
     if entries == 0:
         return 64
-    if isinstance(data, ArrayViewData) and data.has_columns:
+    if isinstance(data, ArrayViewData):
         return int(
             sum(column.nbytes for column in data.key_columns)
-            + np.asarray(data.value_matrix).nbytes
-            + 64 * entries  # dict-mirror overhead per entry, built or not
+            + data.value_matrix.nbytes
+            + 64 * entries  # as_mapping's dict per entry, built or not
         )
     key, values = next(iter(data.items()))
     key_width = len(key) if isinstance(key, tuple) else 1

@@ -17,7 +17,8 @@ attribute order:
   prefixes, never rows.
 
 Building the index costs one ``lexsort`` of the relation; the engine caches
-one index per (node, attribute order, filter) combination.
+one index per (node, attribute order) pair
+(:func:`repro.core.runtime.trie_cache_key`).
 """
 
 from __future__ import annotations

@@ -24,8 +24,10 @@ of it per update round:
    refreshed inputs — bit-identical to a from-scratch run). Both go
    through the engine's one group step
    (:meth:`~repro.core.engine.LMFAO.execute_group`);
-4. **delta cutoff** — a refreshed view that compares equal to its previous
-   contents stops dirtying its consumers (always on);
+4. **delta cutoff** — a refreshed view whose contents compare equal to
+   its previous ones (as dicts, through
+   :func:`~repro.core.runtime.as_mapping`) stops dirtying its consumers
+   (always on);
 5. **finish** — every query whose raw groups changed is finished afresh
    by :func:`~repro.core.engine._to_query_result`, the seam a run's
    collect phase uses. An ordered query's raw store is kept **full**, so
@@ -75,7 +77,7 @@ from repro.core.engine import (
     RunResult,
     _to_query_result,
 )
-from repro.core.runtime import ArrayViewData, debug_checks_enabled
+from repro.core.runtime import as_mapping
 from repro.core.snapshot import Snapshot
 from repro.data.catalog import Database
 from repro.incremental.delta import RelationDelta, normalize_deltas
@@ -157,7 +159,6 @@ class MaintainedBatch:
         self._state = _MaintainedVersion(
             run.snapshot, run.view_data, run.query_raw, results
         )
-        self._debug_check_stores()
 
     # ---------------------------------------------------------------- accessors
     @property
@@ -192,8 +193,9 @@ class MaintainedBatch:
         return self._state.snapshot.version
 
     def view_contents(self, view_name: str) -> dict:
-        """Maintained contents of one internal view (inspection/testing)."""
-        return self._state.view_data[view_name]
+        """Maintained contents of one internal view (inspection/testing),
+        as a ``key → [aggregates]`` dict."""
+        return as_mapping(self._state.view_data[view_name])
 
     def recompute(self) -> "RunResult":
         """From-scratch run over the current database — the oracle baseline.
@@ -318,7 +320,6 @@ class MaintainedBatch:
         """Flip the handle to an already-installed successor state."""
         self._state = new_state
         self.applies += 1
-        self._debug_check_stores()
 
     # ----------------------------------------------------------- group execution
     def _numeric_applicable(
@@ -362,26 +363,9 @@ class MaintainedBatch:
                 store[name], artifact_changed = merge(old, outputs[name])
             else:
                 new = store[name] = outputs[name]
-                artifact_changed = old != new
+                artifact_changed = as_mapping(old) != as_mapping(new)
             if artifact_changed:
                 (refreshed_views if is_view else dirty_queries).add(name)
-
-    def _debug_check_stores(self) -> None:
-        """Under ``LMFAO_DEBUG``: no maintained dict may carry stale arrays.
-
-        Walks every stored view and raw query output after a round and
-        asserts columnar state (if any) still mirrors the dict contents —
-        the incremental path's end-to-end guard against a mutation that
-        slipped past the copy-on-write discipline of
-        :func:`~repro.incremental.rules.merge_delta_outputs`.
-        """
-        if not debug_checks_enabled():
-            return
-        state = self._state
-        for store in (state.view_data, state.query_raw):
-            for data in store.values():
-                if isinstance(data, ArrayViewData):
-                    data.check_consistent()
 
     def __repr__(self) -> str:
         return (

@@ -21,7 +21,7 @@ the engine's one seam, :func:`repro.core.engine._to_query_result`.
 
 from __future__ import annotations
 
-from repro.core.runtime import ArrayViewData, debug_checks_enabled
+from repro.core.runtime import ViewData, as_mapping
 from repro.data.trie import TrieIndex
 
 
@@ -48,26 +48,24 @@ def numeric_delta_run(engine, run, index: int, inserts) -> dict[str, dict]:
     return engine.execute_group(run, index, trie)
 
 
-def merge_delta_outputs(target: dict, delta: dict) -> tuple[dict, bool]:
+def merge_delta_outputs(target: ViewData, delta: ViewData) -> tuple[dict, bool]:
     """A merged copy ``target + delta`` per key and slot (copy-on-write).
 
-    Returns ``(merged, changed)``. ``target`` — the *previous* version's
-    artifact — is never mutated, and neither are its stored value lists:
-    the merge shallow-copies the key table and copies a value list the
-    first time a slot of it changes, so readers holding the previous
-    version keep a coherent artifact (including any columnar
-    :class:`ArrayViewData` state, which stays valid precisely because
-    nothing writes through it). The merged result is a plain dict —
-    whatever columnar mirror the old version carried does not describe
-    the new contents; an ordered query's merged raw store reaches the
-    finisher through the one dict → columns conversion.
+    Returns ``(merged, changed)``. Both sides are read through
+    :func:`~repro.core.runtime.as_mapping`. ``target`` — the *previous*
+    version's artifact — is never mutated, and neither are its stored
+    value lists: the merge shallow-copies the key table and copies a
+    value list the first time a slot of it changes, so readers holding
+    the previous version keep a coherent artifact. The merged result is a
+    plain dict; an ordered query's merged raw store reaches the finisher
+    through the one dict → columns conversion.
 
     A new key is a change even with all-zero values: the inserted rows
     give it join support, so a from-scratch run would emit it too.
     """
-    merged: dict = dict(target)
+    merged: dict = dict(as_mapping(target))
     changed = False
-    for key, values in delta.items():
+    for key, values in as_mapping(delta).items():
         current = merged.get(key)
         if current is None:
             merged[key] = list(values)
@@ -82,9 +80,4 @@ def merge_delta_outputs(target: dict, delta: dict) -> tuple[dict, bool]:
                 changed = True
         if updated is not None:
             merged[key] = updated
-    if debug_checks_enabled():
-        # the merge must leave both sources unscathed
-        for source in (target, delta):
-            if isinstance(source, ArrayViewData):
-                source.check_consistent()
     return merged, changed

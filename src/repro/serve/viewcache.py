@@ -3,11 +3,11 @@
 The plan cache reuses *compiled code* across requests; this layer reuses
 *computed views*. One entry per :class:`~repro.serve.fingerprint.ViewKey`
 — ``(view identity, snapshot version)`` — holding the materialized
-``ViewData``/``ArrayViewData`` a past execution produced for that exact
-identity over that exact database version. Different batch fingerprints
-frequently share identical view subtrees (LMFAO's intra-batch view
-sharing, lifted across requests), so a request that misses the plan
-cache entirely can still skip most of its scan work.
+``ViewData`` (a dict or an ``ArrayViewData``) a past execution produced
+for that exact identity over that exact database version. Different
+batch fingerprints frequently share identical view subtrees (LMFAO's
+intra-batch view sharing, lifted across requests), so a request that
+misses the plan cache entirely can still skip most of its scan work.
 
 Lifecycle contract (see ``docs/serving.md`` §View cache):
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.core.runtime import estimate_view_bytes
 from repro.serve.fingerprint import ViewIdentity, ViewKey
@@ -53,9 +53,12 @@ def live_caches() -> list["ViewCache"]:
 
 @dataclass(frozen=True)
 class CachedView:
-    """One materialized view held by the cache (data treated read-only)."""
+    """One materialized view held by the cache."""
 
-    data: Mapping
+    #: the view's contents as its group emitted them — a dict or a
+    #: columnar ``ArrayViewData``, shared with every run it seeds and
+    #: never mutated (dict readers go through ``as_mapping``)
+    data: object
     nbytes: int
     #: all join-tree relations feeding the view: a group commit carries
     #: the entry forward only when no changed relation is among them.
@@ -64,7 +67,7 @@ class CachedView:
 
     @classmethod
     def of(
-        cls, compiled, name: str, data: Mapping, identity: ViewIdentity
+        cls, compiled, name: str, data: object, identity: ViewIdentity
     ) -> "CachedView":
         """The cache entry for view ``name`` of one compilation.
 

@@ -7,11 +7,14 @@ session's.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -218,6 +221,59 @@ def test_gcc_failure_reaps_every_child(db, artifacts, spawned, monkeypatch):
     assert len(spawned) > 1
     assert all(process.returncode is not None for process in spawned)
     assert _files(artifacts, "*") == []  # no partial, and nothing installed
+
+
+_FAKE_GCC = """#!/bin/sh
+# a gcc driver stand-in: answers --version; fails on group 0 once a
+# sibling is up; every other build starts a sleeping child (the cc1 of
+# a real driver), records its pid and waits on it
+[ "$1" = --version ] && {{ echo "gcc (fake) 0"; exit 0; }}
+source=$(cat)
+case "$source" in
+*lmfao_run_g0*)
+    for _ in $(seq 100); do [ -s {pids} ] && break; sleep 0.05; done
+    echo "deliberately broken" >&2
+    exit 1;;
+esac
+sleep 30 </dev/null >/dev/null 2>&1 &
+echo $! >> {pids}
+wait
+"""
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as stat_file:
+            return stat_file.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_gcc_failure_kills_the_drivers_children(db, artifacts, tmp_path, monkeypatch):
+    """A failed build kills each sibling gcc's whole process group, not
+    only the driver: the compiler processes a driver started die too."""
+    pids = tmp_path / "children"
+    fake = tmp_path / "bin" / "gcc"
+    fake.parent.mkdir()
+    fake.write_text(_FAKE_GCC.format(pids=pids))
+    fake.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{fake.parent}{os.pathsep}{os.environ['PATH']}")
+    cbackend.gcc_version.cache_clear()
+    children: list[int] = []
+    try:
+        with pytest.raises(PlanError, match="deliberately broken"):
+            LMFAO(db, _config(backend="c")).compile(example_queries())
+        children = [int(pid) for pid in pids.read_text().split()]
+        assert children
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline and not all(map(_gone_or_zombie, children)):
+            time.sleep(0.02)
+        assert all(map(_gone_or_zombie, children)), children
+    finally:
+        for pid in children:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        cbackend.gcc_version.cache_clear()
 
 
 def test_gcc_children_stay_small(tmp_path):

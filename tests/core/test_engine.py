@@ -8,12 +8,12 @@ import pytest
 from repro.core import EngineConfig, LMFAO
 from repro.core.cbackend import gcc_available
 from repro.core.engine import _to_query_result
-from repro.core.runtime import ArrayViewData
+from repro.core.runtime import ArrayViewData, as_mapping
 from repro.data import AttributeKind
 from repro.paper import FAVORITA_TREE, example_queries
 from repro.query import Aggregate, Op, OrderSpec, Predicate, Query, QueryBatch
 
-from tests.helpers import assert_results_equal, oracle, walk_all
+from tests.helpers import assert_results_equal, mapping_built, oracle, walk_all
 
 
 def test_run_results_match_oracle(favorita_db, favorita_engine, favorita_join):
@@ -335,12 +335,11 @@ def test_columnar_collect_equals_the_dict_path(favorita_db, backend):
     columnar = []
     for query in queries:
         store = raw[query.name]
-        pending = isinstance(store, ArrayViewData) and not store.has_mirror
         got = _to_query_result(query, store)
-        if pending and query.order_by is None:
-            assert not store.has_mirror, query.name
+        if isinstance(store, ArrayViewData) and query.order_by is None:
+            assert not mapping_built(store), query.name
             columnar.append(query.name)
-        want = _to_query_result(query, dict(store.items()))
+        want = _to_query_result(query, dict(as_mapping(store)))
         assert list(got.groups.items()) == list(want.groups.items()), query.name
         key_types = [tuple(map(type, key)) for key in got.groups]
         assert key_types == [tuple(map(type, key)) for key in want.groups]

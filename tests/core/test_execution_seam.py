@@ -37,6 +37,10 @@ through the same seam: nothing under ``incremental/`` imports the top-k
 layer or builds a ``QueryResult`` of its own, and the delta merge
 reports no per-key change set.
 
+A view is its columns: :class:`~repro.core.runtime.ArrayViewData` has no
+base class and keeps no second copy of its contents, and one function
+(:func:`repro.core.runtime.as_mapping`) turns its columns into a dict.
+
 A group's backend is decided one way: at compile, by
 :func:`repro.core.runtime.compile_executables`, which returns one
 compiled group per plan; a run reads it and never re-selects.
@@ -763,3 +767,28 @@ def test_one_dict_to_columns_conversion():
     assert "from_arrays" in {
         _called_name(node) for node in ast.walk(wrapper) if isinstance(node, ast.Call)
     }
+
+
+_RETIRED_MIRROR = (
+    "_PendingMirror", "build_mirror", "drop_columnar", "check_consistent",
+    "has_mirror", "has_columns", "_MIRROR_LOCK",
+)
+
+
+def test_a_view_is_its_columns():
+    from repro.core.runtime import ArrayViewData
+
+    assert ArrayViewData.__mro__ == (ArrayViewData, object)
+    view = _definition("core/runtime.py", "ArrayViewData", kind=ast.ClassDef)
+    assert view.bases == [] and view.keywords == []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            texts = list(_node_names(node))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                texts.append(node.value)
+            for name in _RETIRED_MIRROR:
+                assert not any(name in text for text in texts), (
+                    f"{module}:{getattr(node, 'lineno', '?')} names {name}"
+                )
+    # the one columns -> dict conversion
+    assert _enclosing_functions("_row_keys") == ["core/runtime.py:as_mapping"]

@@ -31,7 +31,7 @@ from repro.core.runtime import ArrayViewData
 from repro.ml.covariance import covariance_batch
 from repro.util.errors import CyclicSchemaError
 
-from tests.helpers import assert_results_equal
+from tests.helpers import assert_results_equal, mapping_built
 from tests.strategies import carried_instances, instances
 
 _HAS_C = gcc_available()
@@ -160,9 +160,9 @@ def test_native_to_native_view_never_builds_its_mirror(retailer_db):
         assert "python" not in backend_of, backend_of
         assert len(published) == len(consumers)
         for view, data in published.items():
-            assert isinstance(data, ArrayViewData) and data.has_columns, view
-            assert not data.has_mirror, (
-                f"{view}: mirror built between native groups {backend_of}"
+            assert isinstance(data, ArrayViewData), view
+            assert not mapping_built(data), (
+                f"{view}: dict built between native groups {backend_of}"
             )
         for name, expected in python.results.items():
             assert_results_equal(run.results[name], expected)

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core import EngineConfig, LMFAO
 from repro.core.npbackend import NumpyCompiledGroup, supports_plan
-from repro.core.runtime import ArrayViewData
+from repro.core.runtime import ArrayViewData, as_mapping, view_columns
 from repro.data import Attribute, Database, Relation, RelationSchema
 from repro.paper import EXAMPLE_ROOTS, FAVORITA_TREE, example_queries
 from repro.query import Aggregate, Factor, Op, Predicate, Query, QueryBatch
@@ -487,9 +487,9 @@ def test_outputs_keep_columnar_arrays():
     assert keyed
     for name in keyed:
         data = outputs[name]
-        assert isinstance(data, ArrayViewData) and data.has_columns
+        assert isinstance(data, ArrayViewData)
         rebuilt = ArrayViewData.from_arrays(data.key_columns, data.value_matrix)
-        assert dict(rebuilt) == dict(data)
+        assert as_mapping(rebuilt) == as_mapping(data)
 
 
 def test_missing_view_data_raises(favorita_db, favorita_engine):
@@ -501,18 +501,21 @@ def test_missing_view_data_raises(favorita_db, favorita_engine):
 
 
 def test_array_view_data_roundtrip():
+    """Columns → dict (:func:`as_mapping`) → columns (:func:`view_columns`)
+    gives back the same rows in the same order."""
     data = ArrayViewData.from_arrays(
         [np.array([3, 1, 2])], np.array([[1.0], [2.0], [3.0]])
     )
-    assert data == {3: [1.0], 1: [2.0], 2: [3.0]}
-    assert data.has_columns
-    data.drop_columnar()
-    assert not data.has_columns
-    assert data == {3: [1.0], 1: [2.0], 2: [3.0]}
+    assert as_mapping(data) == {3: [1.0], 1: [2.0], 2: [3.0]}
+    keys, values = view_columns(as_mapping(data), ("a",), 1)
+    assert keys[0].tolist() == [3, 1, 2] and values.tolist() == [[1.0], [2.0], [3.0]]
     multi = ArrayViewData.from_arrays(
         [np.array([1, 1]), np.array([4, 5])], np.array([[1.0, 0.0], [0.5, 2.0]])
     )
-    assert multi == {(1, 4): [1.0, 0.0], (1, 5): [0.5, 2.0]}
+    assert as_mapping(multi) == {(1, 4): [1.0, 0.0], (1, 5): [0.5, 2.0]}
+    keys, values = view_columns(as_mapping(multi), ("a", "b"), 2)
+    assert [k.tolist() for k in keys] == [[1, 1], [4, 5]]
+    assert values.tolist() == [[1.0, 0.0], [0.5, 2.0]]
 
 
 @given(instance=instances())

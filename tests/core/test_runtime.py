@@ -13,6 +13,7 @@ from repro.core.cbackend import gcc_available
 from repro.core.plan import ViewBinding
 from repro.core.runtime import (
     ArrayViewData,
+    as_mapping,
     estimate_view_bytes,
     execute_plan,
     reshape_binding,
@@ -20,6 +21,8 @@ from repro.core.runtime import (
 )
 from repro.paper import FAVORITA_TREE
 from repro.util.errors import PlanError
+
+from tests.helpers import mapping_built
 
 
 def _binding(key, carried=(), block=None, width=1):
@@ -139,8 +142,8 @@ def test_merge_partial_outputs_aligned_columnar_fast_path():
         ArrayViewData.from_arrays([np.array([3])], np.array([[4.0]])),
     ]
     merged = merge_partial_outputs(plan, [{"V": p} for p in parts])
-    assert merged["V"] == {1: [1.0], 2: [2.0], 3: [4.0]}
-    assert isinstance(merged["V"], ArrayViewData) and merged["V"].has_columns
+    assert isinstance(merged["V"], ArrayViewData)
+    assert as_mapping(merged["V"]) == {1: [1.0], 2: [2.0], 3: [4.0]}
     assert merged["V"].key_columns[0].tolist() == [1, 2, 3]
     # a plain-dict partial disables the columnar fast path but not the merge
     merged = merge_partial_outputs(plan, [{"V": parts[0]}, {"V": {9: [5.0]}}])
@@ -168,35 +171,23 @@ def _columnar(keys, rows):
     ],
 )
 def test_array_view_data_mutations_auto_drop_columnar(mutate):
-    """Any mutating dict operation invalidates the columnar mirror, so a
-    merge path that grows or rewrites entries can never serve stale
-    arrays to a columnar consumer (regression: merge paths used to rely
-    on callers remembering to call drop_columnar)."""
+    """A view is a value: no dict mutation reaches it, so its columns can
+    never go stale under a columnar consumer."""
     data = _columnar([1, 2], [[1.0], [2.0]])
-    assert data.has_columns
-    mutate(data)
-    assert not data.has_columns
-    data.check_consistent()  # vacuously true without columns
+    with pytest.raises((AttributeError, TypeError)):
+        mutate(data)
+    assert data.key_columns[0].tolist() == [1, 2]
+    assert data.value_matrix.tolist() == [[1.0], [2.0]]
+    assert as_mapping(data) == {1: [1.0], 2: [2.0]}
 
 
 def test_array_view_data_read_only_ops_keep_columnar():
     data = _columnar([1, 2], [[1.0], [2.0]])
-    assert data[1] == [1.0] and data.get(7) is None and len(data) == 2
-    assert list(data) == [1, 2] and 2 in data
-    data.setdefault(1, [9.0])  # existing key: a read, not a mutation
-    assert data.has_columns
-    data.check_consistent()
-
-
-def test_array_view_data_check_consistent_catches_desync():
-    """The LMFAO_DEBUG invariant check fails loudly on the one mutation
-    interception cannot see: writing through a stored aggregate list."""
-    data = _columnar([1, 2], [[1.0], [2.0]])
-    data.check_consistent()
-    data[1][0] += 5.0  # in-place list write, dict methods never called
-    assert data.has_columns  # ...so the arrays are now stale
-    with pytest.raises(AssertionError, match="desynchronised"):
-        data.check_consistent()
+    keys, matrix = data.key_columns, data.value_matrix
+    mapping = as_mapping(data)
+    assert mapping[1] == [1.0] and mapping.get(7) is None and len(data) == 2
+    assert list(mapping) == [1, 2] and 2 in mapping
+    assert data.key_columns is keys and data.value_matrix is matrix
 
 
 def test_merge_partial_outputs_accumulating_keeps_columnar_sources_intact():
@@ -222,35 +213,12 @@ def test_merge_partial_outputs_accumulating_keeps_columnar_sources_intact():
     merged = merge_partial_outputs(plan, [{"Q": p} for p in parts])
     assert merged["Q"] == {1: [1.0], 2: [7.0], 3: [7.0]}
     assert not isinstance(merged["Q"], ArrayViewData)
-    for part in parts:
-        assert part.has_columns
-        part.check_consistent()
-
-
-def test_merge_partial_outputs_debug_flags_desynced_partial(monkeypatch):
-    """Under LMFAO_DEBUG the merge asserts partials are coherent before
-    trusting them."""
-    from repro.core.plan import Emission, MultiOutputPlan, RelationLevel
-    from repro.core.runtime import merge_partial_outputs
-
-    monkeypatch.setenv("LMFAO_DEBUG", "1")
-    plan = MultiOutputPlan(
-        group_name="g",
-        node="R",
-        relation_levels=(RelationLevel(0, "a"),),
-        carried_blocks=(),
-        bindings=(),
-        subsums=(),
-        gammas=(),
-        betas=(),
-        emissions=(Emission("Q", "query", 1, ("a",), (), aligned=False),),
-        row_products=(),
-        level_functions=(),
-    )
-    bad = _columnar([1], [[1.0]])
-    bad[1][0] = 99.0  # desync through the stored list
-    with pytest.raises(AssertionError, match="desynchronised"):
-        merge_partial_outputs(plan, [{"Q": bad}, {"Q": {2: [1.0]}}])
+    assert [as_mapping(part) for part in parts] == [
+        {1: [1.0], 2: [2.0]}, {2: [5.0], 3: [7.0]}
+    ]
+    assert [part.value_matrix.tolist() for part in parts] == [
+        [[1.0], [2.0]], [[5.0], [7.0]]
+    ]
 
 
 def test_carried_binding_groups_entries():
@@ -326,7 +294,7 @@ def test_environment_requires_view_data(favorita_db, favorita_engine):
         )
 
 
-# ------------------------------------------------- lazy dict-mirror contract
+# ------------------------------------------------ a view and its as_mapping dict
 
 _KEYS = [[3, 3, 1], [7, 8, 7]]
 _ROWS = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
@@ -334,11 +302,12 @@ _EAGER = {(3, 7): [1.0, 2.0], (3, 8): [3.0, 4.0], (1, 7): [5.0, 6.0]}
 
 
 def _pending():
+    """A fresh two-column view whose dict is not built yet."""
     data = ArrayViewData.from_arrays(
         [np.asarray(column, dtype=np.int64) for column in _KEYS],
         np.asarray(_ROWS),
     )
-    assert not data.has_mirror and data.has_columns
+    assert not mapping_built(data)
     return data
 
 
@@ -347,7 +316,7 @@ def _unpickled(data):
 
 
 #: every dict read ``src/`` applies to view data → the same read on a
-#: plain dict; each must build the mirror and answer like the eager dict
+#: plain dict; each must answer on ``as_mapping`` like the eager dict
 _READS = {
     "eq": lambda d: d == dict(_EAGER),
     "eq-reflected": lambda d: dict(_EAGER) == d,
@@ -377,24 +346,33 @@ _READS = {
 
 @pytest.mark.parametrize("read", sorted(_READS))
 def test_pending_mirror_reads_like_the_eager_dict(read):
-    """A ``from_arrays`` view answers every dict read exactly as the
-    eager dict would, building its mirror once on the way."""
+    """``as_mapping`` of a ``from_arrays`` view answers every dict read
+    exactly as the eager dict would, and the view keeps that one dict."""
     data = _pending()
-    assert _READS[read](data) == _READS[read](dict(_EAGER))
-    assert data.has_mirror and type(data) is ArrayViewData
-    assert data.has_columns  # a read keeps the columns
-    data.check_consistent()
-    assert dict.__eq__(data, _EAGER)  # the storage itself is the mirror
+    mapping = as_mapping(data)
+    assert _READS[read](mapping) == _READS[read](dict(_EAGER))
+    assert type(mapping) is dict and as_mapping(data) is mapping
+    assert mapping == _EAGER and list(mapping) == list(_EAGER)  # row order
+
+
+def test_as_mapping_keys_one_column_by_scalar():
+    data = ArrayViewData.from_arrays([np.array([3, 1])], np.array([[1.0], [2.0]]))
+    assert as_mapping(data) == {3: [1.0], 1: [2.0]}
+    assert list(as_mapping(data)) == [3, 1]
+    plain = {5: [1.0]}
+    assert as_mapping(plain) is plain  # a dict passes through
 
 
 def test_pending_mirror_compares_pending_to_pending():
+    """The maintainer's change test compares two views by contents through
+    ``as_mapping``: an equal refresh reads as unchanged (delta cutoff)."""
     left, right = _pending(), _pending()
-    assert left == right and not (left != right)
-    assert left.has_mirror and right.has_mirror
-    left, right = _pending(), _pending()
-    right.drop_columnar()
-    right[(0, 0)] = [0.0, 0.0]
-    assert left != right and right != left
+    assert as_mapping(left) == as_mapping(right)
+    assert not (as_mapping(left) != as_mapping(right))
+    assert as_mapping(left) == as_mapping(dict(_EAGER))  # a view equals its dict
+    moved = ArrayViewData.from_arrays(left.key_columns, left.value_matrix + 1.0)
+    assert as_mapping(left) != as_mapping(moved)
+    assert as_mapping(moved) != as_mapping(right)
 
 
 @pytest.mark.parametrize(
@@ -402,41 +380,39 @@ def test_pending_mirror_compares_pending_to_pending():
     [
         len,
         bool,
-        lambda d: d.has_columns,
-        lambda d: d.check_consistent(),
+        lambda d: view_columns(d, ("a", "b"), 2),
         estimate_view_bytes,
         _unpickled,
         copy.copy,
     ],
-    ids=["len", "bool", "has_columns", "check_consistent",
-         "estimate_view_bytes", "pickle", "copy.copy"],
+    ids=["len", "bool", "view_columns", "estimate_view_bytes", "pickle",
+         "copy.copy"],
 )
 def test_pending_mirror_metadata_does_not_build(probe):
     data = _pending()
     probe(data)
-    assert not data.has_mirror
+    assert not mapping_built(data)
     assert len(data) == 3 and bool(data)
 
 
 def test_pending_mirror_pickles_as_arrays_and_stays_pending():
+    """A view pickles as its arrays alone: it unpickles with no dict built
+    and the same rows in the same order, and a built dict does not travel."""
     data = _pending()
     restored = _unpickled(data)
-    assert isinstance(restored, ArrayViewData) and not restored.has_mirror
-    assert restored == _EAGER and list(restored) == list(_EAGER)  # row order
-    # a built mirror is not shipped either: still the arrays alone
-    data.build_mirror()
+    assert isinstance(restored, ArrayViewData) and not mapping_built(restored)
+    assert [column.tolist() for column in restored.key_columns] == _KEYS
+    assert restored.value_matrix.tolist() == _ROWS
+    size = len(pickle.dumps(data))
+    as_mapping(data)
     again = _unpickled(data)
-    assert not again.has_mirror and again == _EAGER
-    assert len(pickle.dumps(data)) == len(pickle.dumps(_pending()))
-    # without columns the dict contents travel, and keep the type
-    data.drop_columnar()
-    plain = _unpickled(data)
-    assert type(plain) is ArrayViewData and not plain.has_columns
-    assert plain == _EAGER
+    assert not mapping_built(again)
+    assert as_mapping(again) == _EAGER and list(as_mapping(again)) == list(_EAGER)
+    assert len(pickle.dumps(data)) == size
 
 
 def test_columnar_view_pickles_near_its_array_bytes():
-    """What crosses the process boundary is the arrays, not the mirror."""
+    """What crosses the process boundary is the arrays, not the dict."""
     from multiprocessing.reduction import ForkingPickler
 
     rng = np.random.default_rng(0)
@@ -446,7 +422,7 @@ def test_columnar_view_pickles_near_its_array_bytes():
     nbytes = sum(k.nbytes for k in keys) + data.value_matrix.nbytes
     for state in ("pending", "built"):
         if state == "built":
-            data.build_mirror()
+            as_mapping(data)
         size = len(ForkingPickler.dumps(data))
         assert size <= 1.2 * nbytes, (state, size, nbytes)
 
@@ -465,23 +441,32 @@ def test_columnar_view_pickles_near_its_array_bytes():
     ],
 )
 def test_pending_mirror_mutation_builds_then_drops(mutate):
-    """Mutations keep the eager contract: mirror built, columns dropped,
-    and the result is what the same mutation does to the eager dict."""
+    """A consumer that changes a view's contents mutates a copy of its
+    ``as_mapping`` dict, as the delta merge does: the copy changes as the
+    eager dict would, and the view and its kept dict stay as they were."""
     data, expected = _pending(), dict(_EAGER)
-    assert mutate(data) == mutate(expected)
-    assert data.has_mirror and not data.has_columns
-    assert dict(data) == expected
-    data.check_consistent()
+    changed = dict(as_mapping(data))
+    assert mutate(changed) == mutate(expected)
+    assert changed == expected
+    assert as_mapping(data) == _EAGER
+    assert [column.tolist() for column in data.key_columns] == _KEYS
+    assert data.value_matrix.tolist() == _ROWS
 
 
 def test_pending_mirror_drop_columnar_keeps_contents():
+    """Building the dict keeps the columns: native consumers read the same
+    arrays after a dict consumer has read the view."""
     data = _pending()
-    data.drop_columnar()
-    assert data.has_mirror and not data.has_columns and data == _EAGER
+    keys, matrix = data.key_columns, data.value_matrix
+    as_mapping(data)
+    assert data.key_columns is keys and data.value_matrix is matrix
+    columns, values = view_columns(data, ("a", "b"), 2)
+    assert [c.tolist() for c in columns] == _KEYS and values.tolist() == _ROWS
 
 
 def test_pending_mirror_builds_once_across_threads():
-    """Readers racing on one pending view all see one complete mirror."""
+    """Readers racing on one view's first ``as_mapping`` each get a
+    complete dict equal to the eager one; afterwards the view keeps one."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -492,7 +477,8 @@ def test_pending_mirror_builds_once_across_threads():
 
             def reader():
                 barrier.wait(timeout=10)
-                seen.append((data.get((3, 8)), len(list(data.items()))))
+                mapping = as_mapping(data)
+                seen.append((mapping.get((3, 8)), len(list(mapping.items()))))
 
             threads = [threading.Thread(target=reader) for _ in range(6)]
             for thread in threads:
@@ -500,49 +486,43 @@ def test_pending_mirror_builds_once_across_threads():
             for thread in threads:
                 thread.join(timeout=10)
                 assert not thread.is_alive()
-            assert [entries for _, entries in seen] == [3] * 6
-            # one build: every reader got the very same stored list
-            assert all(value is seen[0][0] for value, _ in seen)
-            assert seen[0][0] == [3.0, 4.0] and dict.__len__(data) == 3
+            assert seen == [([3.0, 4.0], 3)] * 6
+            assert as_mapping(data) is as_mapping(data) and as_mapping(data) == _EAGER
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_check_consistent_flags_ragged_columns():
-    data = _pending()
-    data.key_columns[0] = data.key_columns[0][:2]
-    with pytest.raises(AssertionError, match="ragged"):
-        data.check_consistent()
+    """A ragged view cannot be built: every key column and the value
+    matrix have one row per key, checked at construction."""
+    with pytest.raises(PlanError, match="ragged"):
+        ArrayViewData.from_arrays(
+            [np.array([3, 3, 1]), np.array([7, 8])], np.asarray(_ROWS)
+        )
+    with pytest.raises(PlanError, match="ragged"):
+        ArrayViewData.from_arrays([np.array([1, 2])], np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("source", ["pending", "built", "dict", "no-columns"])
 @pytest.mark.parametrize("key_dtype", [None, np.int64])
-def test_view_columns_reads_every_form_alike(source, key_dtype, monkeypatch):
-    """The one dict → columns helper: columns when live, the dict
-    otherwise, same rows in the same order either way."""
-    monkeypatch.setenv("LMFAO_DEBUG", "1")
+def test_view_columns_reads_every_form_alike(source, key_dtype):
+    """The one dict → columns helper reads a view (dict built or not) and
+    a dict (eager, or a view's ``as_mapping`` dict handed on alone) alike:
+    the same rows in the same order."""
     data = dict(_EAGER) if source == "dict" else _pending()
     if source == "built":
-        data.build_mirror()
+        as_mapping(data)
     if source == "no-columns":
-        data.drop_columnar()
+        data = as_mapping(data)
     columns, values = view_columns(data, ("a", "b"), 2, key_dtype)
     assert [c.tolist() for c in columns] == _KEYS
     assert values.tolist() == _ROWS and values.dtype == np.float64
     assert all(c.flags.c_contiguous for c in columns) and values.flags.c_contiguous
     if source == "pending":
-        assert not data.has_mirror
+        assert not mapping_built(data)
     empty_columns, empty_values = view_columns({}, ("a", "b"), 2, key_dtype)
     assert [len(c) for c in empty_columns] == [0, 0]
     assert empty_values.shape == (0, 2)
-
-
-def test_view_columns_debug_check_catches_desync(monkeypatch):
-    monkeypatch.setenv("LMFAO_DEBUG", "1")
-    data = _pending()
-    data[(3, 7)][0] = 99.0  # builds the mirror, then writes through it
-    with pytest.raises(AssertionError, match="desynchronised"):
-        view_columns(data, ("a", "b"), 2)
 
 
 def test_reshape_binding_hands_generated_code_a_built_dict():
@@ -551,5 +531,6 @@ def test_reshape_binding_hands_generated_code_a_built_dict():
         view="V", num_aggregates=2, key=("a", "b"), key_levels=(0, 1),
         bind_level=1, carried=(),
     )
-    assert reshape_binding(binding, ("a", "b"), data) is data
-    assert type(data) is ArrayViewData and data.has_mirror
+    reshaped = reshape_binding(binding, ("a", "b"), data)
+    assert type(reshaped) is dict and reshaped is as_mapping(data)
+    assert reshaped == _EAGER

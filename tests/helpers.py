@@ -76,10 +76,16 @@ def drop_zero_groups(result: QueryResult) -> QueryResult:
     return QueryResult(query=result.query, groups=groups)
 
 
+def mapping_built(view) -> bool:
+    """Whether :func:`repro.core.runtime.as_mapping` has built ``view``'s
+    dict (it is kept on the view once built)."""
+    return view._mapping is not None
+
+
 @contextmanager
 def numpy_outputs_columnar():
     """Within the block, every non-scalar output a NumPy group returns
-    must be an ``ArrayViewData`` with live key/value columns (groups run
+    must be a columnar ``ArrayViewData`` (groups run
     in this process; process-executor workers are not observed)."""
     execute = NumpyCompiledGroup.execute
 
@@ -87,9 +93,9 @@ def numpy_outputs_columnar():
         outputs = execute(group, *args, **kwargs)
         for emission in group.plan.emissions:
             data = outputs[emission.artifact]
-            assert not emission.group_by or (
-                isinstance(data, ArrayViewData) and data.has_columns
-            ), f"{group.plan.group_name}: {emission.artifact} is not columnar"
+            assert not emission.group_by or isinstance(data, ArrayViewData), (
+                f"{group.plan.group_name}: {emission.artifact} is not columnar"
+            )
         return outputs
 
     with mock.patch.object(NumpyCompiledGroup, "execute", checked):

@@ -321,39 +321,40 @@ def test_unknown_incremental_mode_rejected(favorita_db):
 
 def test_merge_delta_outputs_is_copy_on_write():
     """The numeric merge builds the successor version's artifact without
-    touching the previous one: neither the target dict, nor its stored
-    value lists, nor its columnar ArrayViewData mirror may change —
-    readers pinned to the old version keep a coherent artifact while the
-    new version is being built (snapshot isolation). The merged result is
-    a plain dict (the old columnar mirror does not describe it)."""
-    from repro.core.runtime import ArrayViewData
+    touching the previous one: neither the target's dict, nor its stored
+    value lists, nor its columns may change — readers pinned to the old
+    version keep a coherent artifact while the new version is being built
+    (snapshot isolation). The merged result is a plain dict."""
+    from repro.core.runtime import ArrayViewData, as_mapping
 
     target = ArrayViewData.from_arrays(
         [np.array([1, 2])], np.array([[1.0], [2.0]])
     )
-    old_list = target[2]
+    old_list = as_mapping(target)[2]
     delta = ArrayViewData.from_arrays(
         [np.array([2, 3])], np.array([[5.0], [7.0]])
     )
     merged, changed = merge_delta_outputs(target, delta)
     assert changed
     assert merged == {1: [1.0], 2: [7.0], 3: [7.0]}
-    assert not isinstance(merged, ArrayViewData)
+    assert type(merged) is dict
     # the previous version is untouched — dict, lists and arrays alike
-    assert target == {1: [1.0], 2: [2.0]} and target.has_columns
-    assert target[2] is old_list and old_list == [2.0]
-    target.check_consistent()
-    # the delta *source* is never mutated either: its arrays stay valid
-    assert delta == {2: [5.0], 3: [7.0]} and delta.has_columns
-    delta.check_consistent()
+    assert as_mapping(target) == {1: [1.0], 2: [2.0]}
+    assert as_mapping(target)[2] is old_list and old_list == [2.0]
+    assert target.key_columns[0].tolist() == [1, 2]
+    assert target.value_matrix.tolist() == [[1.0], [2.0]]
+    # the delta *source* is never mutated either
+    assert as_mapping(delta) == {2: [5.0], 3: [7.0]}
+    assert delta.value_matrix.tolist() == [[5.0], [7.0]]
     # shared untouched entries are carried by reference (structural sharing)
-    assert merged[1] is target[1]
+    assert merged[1] is as_mapping(target)[1]
 
 
 def test_numeric_merge_never_leaks_desynced_arrays(favorita_db, monkeypatch):
     """End-to-end incremental guard under LMFAO_DEBUG with the NumPy
-    backend: carried plans included, every maintained store must keep its
-    columnar state coherent (or dropped) after init and every apply."""
+    backend: carried plans included, columnar views merged through the
+    copy-on-write delta merge must give the recompute's results after
+    init and every apply."""
     monkeypatch.setenv("LMFAO_DEBUG", "1")
     batch = QueryBatch(
         [

@@ -2,8 +2,8 @@
 
 Differential contract (ISSUE acceptance): every cache-seeded run must be
 bit-exact against a cache-off oracle server receiving the same requests
-and deltas, with ``LMFAO_DEBUG=1`` arming the maintainer's internal
-consistency checks. Lifecycle contract: entries respect the byte bound,
+and deltas, with ``LMFAO_DEBUG=1`` arming the engine's run-consistency
+checks. Lifecycle contract: entries respect the byte bound,
 die with their snapshot version (no orphans — also asserted session-wide
 by the conftest leak fixture), and a commit carries an entry to the
 successor exactly when its delta leaves the entry's subtree untouched.

@@ -222,6 +222,23 @@ def test_docs_name_no_retired_ordered_finisher():
             assert name not in text, f"{doc.name} names {name}"
 
 
+#: the dict mirror a columnar view kept beside its columns, now gone
+_RETIRED_MIRROR_NAMES = (
+    "_PendingMirror",
+    "build_mirror",
+    "drop_columnar",
+    "check_consistent",
+    "has_mirror",
+)
+
+
+def test_docs_name_no_retired_view_mirror():
+    for doc in _doc_files():
+        text = doc.read_text()
+        for name in _RETIRED_MIRROR_NAMES:
+            assert name not in text, f"{doc.name} names {name}"
+
+
 #: the retired second benchmark system: its directory, its JSON records and
 #: its strictness switch (``.benchmarks/``, pytest-benchmark's store, is not it)
 _RETIRED_BENCH = re.compile(
