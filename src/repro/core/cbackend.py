@@ -32,9 +32,10 @@ passed as a single ``void**`` argument vector):
   half its slots; overflow makes the function return 1 and the wrapper
   retries with quadrupled capacities (results are a pure function of the
   inputs, so the retry is safe). Collect gathers the rows in slot order.
-  The filled key/value arrays leave as a columnar
-  :class:`~repro.core.runtime.ArrayViewData`; a Python dict of it is
-  built only by :func:`~repro.core.runtime.as_mapping`.
+  The filled key/value arrays — a scalar emission's one row included —
+  leave as a columnar :class:`~repro.core.runtime.ArrayViewData`; a
+  Python dict of it is built only by
+  :func:`~repro.core.runtime.as_mapping`.
 
 Supported plans: integer (categorical) trie levels, view keys and group-by
 attributes. :func:`supports_plan` reports this; at compile,
@@ -480,11 +481,11 @@ class CCompiledGroup:
     def execute(
         self,
         trie: TrieIndex,
-        view_data: Mapping[str, dict],
+        view_data: Mapping[str, ArrayViewData],
         view_group_by: Mapping[str, tuple[str, ...]],
         functions: Mapping[str, Function],
         bind_entries: dict | None = None,
-    ) -> dict[str, dict]:
+    ) -> dict[str, ArrayViewData]:
         if self.fn is None:
             raise PlanError("C group not loaded")
         plan = self.plan
@@ -619,16 +620,16 @@ class CCompiledGroup:
         if status != 0:
             return None
 
-        outputs: dict[str, dict] = {}
+        outputs: dict[str, ArrayViewData] = {}
         for index, emission in enumerate(plan.emissions):
             mode = base_emission_mode(emission)
             buffers = out_buffers[index]
             width = emission.width
-            if mode == MODE_SCALAR:
-                outputs[emission.artifact] = {(): list(buffers["vals"])}
-                continue
             kparts = len(emission.group_by)
-            if mode == MODE_ALIGNED:
+            if mode == MODE_SCALAR:
+                vals = buffers["vals"].reshape(1, width)
+                keys = []
+            elif mode == MODE_ALIGNED:
                 n = int(buffers["count"][0])
                 vals = buffers["vals"][: n * width].reshape(n, width)
                 keys = [buffers[("keys", p)][:n] for p in range(kparts)]

@@ -34,7 +34,12 @@ from typing import Callable, Mapping
 
 from repro.core.loopnest import LoopNestEmitter
 from repro.core.plan import Emission, MultiOutputPlan, ViewBinding
-from repro.core.runtime import ViewData, bind_operands, reshape_binding
+from repro.core.runtime import (
+    ArrayViewData,
+    bind_operands,
+    reshape_binding,
+    view_columns,
+)
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
@@ -78,7 +83,7 @@ class CompiledGroup:
 
     def prepare_bindings(
         self,
-        view_data: Mapping[str, ViewData],
+        view_data: Mapping[str, ArrayViewData],
         view_group_by: Mapping[str, tuple[str, ...]],
     ) -> dict[str, dict]:
         """Reshape every incoming view to its consumer keying, once per group.
@@ -101,14 +106,22 @@ class CompiledGroup:
     def execute(
         self,
         trie: TrieIndex,
-        view_data: Mapping[str, ViewData],
+        view_data: Mapping[str, ArrayViewData],
         view_group_by: Mapping[str, tuple[str, ...]],
         functions: Mapping[str, Function],
         bind_entries: dict | None = None,
-    ) -> dict[str, dict]:
+    ) -> dict[str, ArrayViewData]:
+        """Run the generated function; its output dicts leave as views
+        (:func:`~repro.core.runtime.view_columns`), like every backend's."""
         if bind_entries is None:
             bind_entries = self.prepare_bindings(view_data, view_group_by)
-        return self.fn(GroupEnvironment(self.plan, trie, functions, bind_entries))
+        outputs = self.fn(GroupEnvironment(self.plan, trie, functions, bind_entries))
+        return {
+            e.artifact: ArrayViewData.from_arrays(
+                *view_columns(outputs[e.artifact], e.group_by, e.width)
+            )
+            for e in self.plan.emissions
+        }
 
 
 def generate_group(plan: MultiOutputPlan, share_terms: bool = True) -> CompiledGroup:

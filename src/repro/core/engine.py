@@ -44,8 +44,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping
 
-import numpy as np
-
 from repro.core import costmodel, topk
 from repro.core.decompose import decompose_group
 from repro.core.groups import GroupPlan, build_groups
@@ -55,7 +53,6 @@ from repro.core.snapshot import Snapshot, SnapshotStore
 from repro.core.runtime import (
     ArrayViewData,
     LazyPythonGroup,
-    as_mapping,
     compile_executables,
     debug_checks_enabled,
     execute_plan,
@@ -359,7 +356,7 @@ class ViewSeeds:
 
     Built by the serving layer from view-cache hits
     (:mod:`repro.serve.viewcache`): ``seeds`` maps view name → already
-    computed ``ViewData`` for *this* compilation at *this* snapshot
+    computed ``ArrayViewData`` for *this* compilation at *this* snapshot
     version. The engine skips every group whose produced views are all
     seeded (or otherwise unneeded) — a fully seeded subtree never
     touches a trie — and feeds seeded data to the groups that do run.
@@ -375,7 +372,7 @@ class ViewSeeds:
     serving layer uses it to install fresh entries in the view cache.
     """
 
-    seeds: dict[str, dict] = field(default_factory=dict)
+    seeds: dict[str, ArrayViewData] = field(default_factory=dict)
     publish: object | None = None
 
 
@@ -395,14 +392,16 @@ class GroupRun:
     compiled: CompiledBatch
     snapshot: Snapshot | None = None
     #: view name → contents: inputs of downstream groups, seeded or computed.
-    view_data: dict[str, dict] = field(default_factory=dict)
+    view_data: dict[str, ArrayViewData] = field(default_factory=dict)
     #: query name → raw (unfinished) groups.
-    query_raw: dict[str, dict] = field(default_factory=dict)
+    query_raw: dict[str, ArrayViewData] = field(default_factory=dict)
     #: group name → wall-clock seconds / cost-model decision record.
     group_times: dict[str, float] = field(default_factory=dict)
     decisions: dict[str, dict] = field(default_factory=dict)
 
-    def adopt(self, index: int, outputs: dict[str, dict], started: float) -> None:
+    def adopt(
+        self, index: int, outputs: dict[str, ArrayViewData], started: float
+    ) -> None:
         """Store one finished group's outputs and its wall-clock."""
         for emission in self.compiled.plans[index].emissions:
             store = self.view_data if emission.kind == "view" else self.query_raw
@@ -754,7 +753,7 @@ class LMFAO:
 
     @staticmethod
     def _skippable_groups(
-        compiled: CompiledBatch, seeds: dict[str, dict]
+        compiled: CompiledBatch, seeds: dict[str, ArrayViewData]
     ) -> set[int]:
         """Group indices a seeded execution can skip entirely.
 
@@ -786,7 +785,7 @@ class LMFAO:
         view_seeds: ViewSeeds | None,
     ) -> RunResult:
         run = GroupRun(compiled, snapshot)
-        seeds: dict[str, dict] = view_seeds.seeds if view_seeds is not None else {}
+        seeds = view_seeds.seeds if view_seeds is not None else {}
         skipped: set[int] = set()
         if seeds:
             run.view_data.update(seeds)
@@ -840,7 +839,7 @@ class LMFAO:
     # ------------------------------------------------------ group execution seam
     def execute_group(
         self, run: GroupRun, index: int, trie: TrieIndex | None = None
-    ) -> dict[str, dict]:
+    ) -> dict[str, ArrayViewData]:
         """The group step: one compiled group over one trie → its outputs.
 
         The single place a group turns into execution, for every caller —
@@ -929,7 +928,7 @@ class LMFAO:
             )
         ]
 
-    def _ship_group(self, run: GroupRun, index: int, tries) -> dict[str, dict]:
+    def _ship_group(self, run: GroupRun, index: int, tries) -> dict[str, ArrayViewData]:
         """Run one group's partitions in the worker pool (``executor="process"``).
 
         The partitions travel as one shared-memory segment keyed by
@@ -1184,33 +1183,23 @@ def _topological_order(group_plan: GroupPlan) -> list[int]:
     return order
 
 
-def _to_query_result(query: Query, raw: dict) -> QueryResult:
+def _to_query_result(query: Query, raw: ArrayViewData) -> QueryResult:
     """Finish one query's raw group store into its published result.
 
     This is the single seam where ordered queries are ranked and
     truncated (see :mod:`repro.core.topk`) — once, over the full merged
     raw groups. Both the engine's collect phase and the incremental
     maintainer's result refresh go through it, so ordered results are
-    bit-identical no matter which path produced the raw store.
+    bit-identical no matter which path produced the raw store. Unordered
+    results keep the store's row order, keys as tuples of Python scalars
+    and values as tuples of floats.
     """
     if query.order_by is not None:
         return QueryResult(query=query, groups=topk.finish_ordered(query, raw))
-    if (
-        isinstance(raw, ArrayViewData)
-        and raw.key_columns
-        and raw.value_matrix.dtype == np.float64
-    ):
-        # columnar: the same keys, values and row order as the dict path
-        # below, read straight off the arrays without building a dict
-        keys = zip(*(column.tolist() for column in raw.key_columns))
-        values = map(tuple, raw.value_matrix.tolist())
-        return QueryResult(query=query, groups=dict(zip(keys, values)))
-    groups: dict[tuple, tuple[float, ...]] = {}
-    for key, values in as_mapping(raw).items():
-        if not isinstance(key, tuple):
-            key = (key,)
-        groups[key] = tuple(float(v) for v in values)
-    return QueryResult(query=query, groups=groups)
+    columns = raw.key_columns
+    keys = zip(*(c.tolist() for c in columns)) if columns else [()] * len(raw)
+    values = map(tuple, raw.value_matrix.tolist())
+    return QueryResult(query=query, groups=dict(zip(keys, values)))
 
 
 def _debug_check_run_consistency(run: RunResult) -> None:

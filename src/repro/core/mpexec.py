@@ -35,8 +35,8 @@ processes** instead — without ever pickling a trie or a relation:
 
 Views travel as arrays: a columnar
 :class:`~repro.core.runtime.ArrayViewData` pickles as its key columns and
-value matrix alone, so the bindings sent to a worker and the NumPy/C
-partials it returns carry no dict either way.
+value matrix alone, and every backend's partials are views, so what
+crosses to a worker and back carries no dict.
 Functions travel by name (:meth:`repro.query.functions.Function.__reduce__`);
 :func:`plan_transportable` gates offloading so plans referencing custom
 lambdas fall back to in-process execution rather than failing in a worker.
@@ -60,6 +60,7 @@ import numpy as np
 from repro.core import cbackend
 from repro.core.plan import MultiOutputPlan
 from repro.core.runtime import (
+    ArrayViewData,
     compile_executables,
     execute_plan_partitioned,
     merge_partial_outputs,
@@ -708,8 +709,8 @@ class ProcessExecutor:
 
 
 def _tree_reduce(
-    plan: MultiOutputPlan, partials: Sequence[dict]
-) -> dict[str, dict]:
+    plan: MultiOutputPlan, partials: Sequence[dict[str, ArrayViewData]]
+) -> dict[str, ArrayViewData]:
     """Pairwise merge of per-chunk partials, in partition order."""
     level = list(partials)
     while len(level) > 1:

@@ -44,10 +44,11 @@ construct for *all* runs of a level at once:
   each slot's product (γ × β × carried factors); then keep
   the rows (aligned) or group them by composite key codes and sum per
   key (hash — ``np.bincount`` adds weights in input order, trie order,
-  like the interpreted loop). Every non-scalar output leaves as a
-  columnar :class:`~repro.core.runtime.ArrayViewData` — read as arrays
-  by downstream native consumers and the partition merge, and as a dict
-  only through :func:`~repro.core.runtime.as_mapping`.
+  like the interpreted loop). Every output, a scalar one included (one
+  row, no key columns), leaves as a columnar
+  :class:`~repro.core.runtime.ArrayViewData` — read as arrays by
+  downstream native consumers and the merges, and as a dict only through
+  :func:`~repro.core.runtime.as_mapping`.
 
 **Supported plans.** Every plan the decomposition layer can produce is
 lowered — including carried blocks, float trie levels and float view keys
@@ -95,14 +96,17 @@ from repro.core.lowering import (
     Operand,
 )
 from repro.core.plan import MultiOutputPlan, ViewBinding
-from repro.core.runtime import ArrayViewData, bind_operands, view_columns
+from repro.core.runtime import (
+    _CODE_LIMIT,
+    ArrayViewData,
+    _group_codes,
+    bind_operands,
+    sum_by_key,
+    view_columns,
+)
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
-
-#: composite key codes stay below this in int64; beyond it the (rare) huge
-#: multi-column key spaces switch to exact Python-int (object) codes.
-_CODE_LIMIT = 2**62
 
 
 def supports_plan(plan: MultiOutputPlan) -> bool:
@@ -205,7 +209,9 @@ class _BindingTable(_ProbeTable):
     partitions.
     """
 
-    def __init__(self, binding: ViewBinding, group_by: tuple[str, ...], data: dict):
+    def __init__(
+        self, binding: ViewBinding, group_by: tuple[str, ...], data: ArrayViewData
+    ):
         self.width = binding.num_aggregates
         columns, values = view_columns(data, group_by, self.width)
         positions = [group_by.index(attr) for attr in binding.key]
@@ -249,7 +255,9 @@ class _CarriedTable(_ProbeTable):
     sub-sum operand read a per-run gather.
     """
 
-    def __init__(self, binding: ViewBinding, group_by: tuple[str, ...], data: dict):
+    def __init__(
+        self, binding: ViewBinding, group_by: tuple[str, ...], data: ArrayViewData
+    ):
         self.width = binding.num_aggregates
         columns, values = view_columns(data, group_by, self.width)
         key_positions = [group_by.index(attr) for attr in binding.key]
@@ -310,97 +318,6 @@ class _CarriedTable(_ProbeTable):
 # ---------------------------------------------------------------------------
 # plan evaluation
 # ---------------------------------------------------------------------------
-
-
-def _dense_codes(column: np.ndarray) -> tuple[np.ndarray, int]:
-    """Non-negative int codes for one key column, plus the code space size.
-
-    Integer columns whose value range is modest relative to their length
-    (the common case: categorical keys) take the sort-free offset path;
-    floats and wild integer ranges fall back to ``np.unique``'s sort.
-    """
-    if column.dtype.kind in "iu" and len(column):
-        lo = int(column.min())
-        span = int(column.max()) - lo + 1
-        if span <= max(4 * len(column), 1024):
-            return column.astype(np.int64) - lo, span
-    uniques, inverse = np.unique(column, return_inverse=True)
-    return inverse.astype(np.int64), max(len(uniques), 1)
-
-
-def _composite_codes(
-    columns: list[np.ndarray],
-) -> tuple[np.ndarray | None, int, int]:
-    """Mixed-radix composite code per row: ``(comp, space, n)``.
-
-    Per-column codes combine in mixed radix; when a radix step would
-    overflow int64 the running composite is re-densified first. The
-    composite is **order-preserving**: both per-column code paths in
-    :func:`_dense_codes` map larger values to larger codes, so rows
-    ordered by composite are ordered lexicographically by key tuple —
-    which is why every branch of :func:`_group_codes` enumerates groups
-    in the same order.
-    """
-    n = len(columns[0]) if columns else 0
-    comp: np.ndarray | None = None
-    space = 1
-    for column in columns:
-        codes, card = _dense_codes(column)
-        if comp is None:
-            comp, space = codes, card
-            continue
-        if space * card >= _CODE_LIMIT:
-            # re-densify so the next radix step cannot overflow int64
-            uniques, comp = np.unique(comp, return_inverse=True)
-            comp = comp.astype(np.int64)
-            space = max(len(uniques), 1)
-        comp = comp * card + codes
-        space *= card
-    return comp, space, n
-
-
-def _group_codes(columns: list[np.ndarray]) -> tuple[np.ndarray, int, np.ndarray]:
-    """Group rows by their key tuple: ``(ids, num_keys, first_index)``.
-
-    ``ids`` is a dense group id per row, ascending with the composite
-    code (so groups enumerate in key order); ``first_index`` the first
-    row of each group (so representative key values are
-    ``column[first_index]``). The algorithm follows the code space the
-    composite just measured: while it stays modest the distinct codes
-    are found with an O(n) bincount presence scan; beyond it the ids come
-    from a **packed value sort** — ``sort(comp * n + row_index)``
-    recovers a stable order via divmod, and NumPy sorts raw int64 values
-    several times faster than it argsorts them — or, when that packing
-    would overflow int64, a stable argsort. Every branch assigns the same
-    ids and first rows (``np.unique``'s inverse and first occurrences).
-    """
-    comp, space, n = _composite_codes(columns)
-    if comp is None or n == 0:
-        return np.zeros(0, dtype=np.int64), 0, np.zeros(0, dtype=np.int64)
-    if space <= max(4 * n, 1024):
-        present = np.bincount(comp, minlength=space) > 0
-        num_keys = int(present.sum())
-        ids = (np.cumsum(present) - 1)[comp]
-        # reversed scatter: for duplicate ids the *last* write wins, which
-        # in reversed row order is each group's first occurrence.
-        first_index = np.empty(num_keys, dtype=np.int64)
-        first_index[ids[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
-        return ids, num_keys, first_index
-    if space < _CODE_LIMIT // n:
-        packed = np.sort(comp * n + np.arange(n, dtype=np.int64))
-        order = packed % n
-        sorted_comp = packed // n
-    else:
-        order = np.argsort(comp, kind="stable")
-        sorted_comp = comp[order]
-    is_start = np.ones(n, dtype=bool)
-    is_start[1:] = sorted_comp[1:] != sorted_comp[:-1]
-    ids = np.empty(n, dtype=np.int64)
-    ids[order] = np.cumsum(is_start) - 1
-    # stability keeps each group's rows in input order: its first sorted
-    # row is its first occurrence
-    first_index = order[is_start]
-    return ids, len(first_index), first_index
 
 
 class _Grouper:
@@ -756,14 +673,16 @@ class _PlanEvaluation:
         accumulation (:class:`_Grouper`). A hash group without keyed blocks groups *every* run instead, through
         the trie-cached :meth:`_key_table`: dead runs add an exact 0.0 and
         a key is kept iff a surviving run fired under it. Several groups
-        of one emission are stacked and summed per key once more, so a
-        key exists iff some group wrote it — the generated first-touch
-        inserts.
+        of one emission are summed per key once more
+        (:func:`~repro.core.runtime.sum_by_key`), so a key exists iff some
+        group wrote it — the generated first-touch inserts. A scalar
+        emission is one row with no key columns.
         """
         emission = lowered.emission
         if lowered.base_mode == MODE_SCALAR:
             (group,) = lowered.slot_groups
-            return {(): [self.product(p, -1) for p in group.products]}
+            row = [[self.product(p, -1) for p in group.products]]
+            return ArrayViewData.from_arrays([], np.array(row, dtype=np.float64))
         parts = []
         for group in lowered.slot_groups:
             first = group.first
@@ -792,19 +711,10 @@ class _PlanEvaluation:
             matrix = np.zeros((len(keys[0]), emission.width))
             for slot, value in zip(group.slots, values):
                 matrix[:, slot.slot] = value
-            parts.append((keys, matrix))
-        keys, matrix = parts[0]
-        if len(parts) > 1:
-            keys = [np.concatenate(columns) for columns in zip(*(p[0] for p in parts))]
-            stacked = np.concatenate([p[1] for p in parts])
-            grouper = _Grouper(keys)
-            keys = [column[grouper.first_index] for column in keys]
-            matrix = np.column_stack(
-                [grouper.accumulate(column) for column in stacked.T]
-            )
-        return ArrayViewData.from_arrays(keys, matrix)
+            parts.append(ArrayViewData.from_arrays(keys, matrix))
+        return parts[0] if len(parts) == 1 else sum_by_key(parts)
 
-    def outputs(self) -> dict[str, dict]:
+    def outputs(self) -> dict[str, ArrayViewData]:
         self._run_probes()
         self._run_gammas()
         self._run_betas()
@@ -839,16 +749,15 @@ class NumpyCompiledGroup:
 
     def prepare_bindings(
         self,
-        view_data: Mapping[str, dict],
+        view_data: Mapping[str, ArrayViewData],
         view_group_by: Mapping[str, tuple[str, ...]],
     ) -> dict[str, object]:
         """Marshal every incoming view into a probe table, once per group.
 
         Scalar views become sorted key-code tables, carried views CSR
         entry-list tables. Tables are read-only and shared across
-        concurrent per-partition executions. Columnar ``ArrayViewData``
-        inputs (produced by upstream NumPy or C groups) skip the
-        dict-to-array conversion entirely
+        concurrent per-partition executions. Every input is a columnar
+        ``ArrayViewData``, read as arrays
         (:func:`~repro.core.runtime.view_columns`).
         """
         tables: dict[str, object] = {}
@@ -865,11 +774,11 @@ class NumpyCompiledGroup:
     def execute(
         self,
         trie: TrieIndex,
-        view_data: Mapping[str, dict],
+        view_data: Mapping[str, ArrayViewData],
         view_group_by: Mapping[str, tuple[str, ...]],
         functions: Mapping[str, Function],
         bind_entries: dict | None = None,
-    ) -> dict[str, dict]:
+    ) -> dict[str, ArrayViewData]:
         if bind_entries is None:
             bind_entries = self.prepare_bindings(view_data, view_group_by)
         return _PlanEvaluation(self.plan, trie, bind_entries, functions).outputs()

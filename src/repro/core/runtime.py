@@ -10,26 +10,24 @@ same two methods and a ``backend`` name — the generated-Python
   views into the backend's probe layout, once per group (reshaped dicts,
   sorted key-code tables, flattened entry arrays), read-only afterwards;
 * ``execute(trie, view_data, view_group_by, functions, bind_entries=None)``
-  runs the plan over one trie and returns ``artifact → ViewData``.
+  runs the plan over one trie and returns ``artifact → ArrayViewData``.
 
 :func:`compile_executables` decides each plan's backend once, at compile
 time, and returns one such group per plan; :func:`execute_plan` is the
 one place a compiled group meets a trie.
 
-View contents cross the group boundary in one of two forms. The
-generated-Python group emits dictionaries ``group_by_key →
-list_of_aggregate_values`` where the key is a scalar for
-single-attribute group-bys and a tuple (in the view's canonical group-by
-order) otherwise. The NumPy and C groups emit :class:`ArrayViewData`:
-parallel key columns and a value matrix, nothing else. Native consumers
-read the columns through :func:`view_columns`, so a view one native
-group produces and another consumes never becomes Python objects; dict
-consumers read the same dictionary through :func:`as_mapping`.
+View contents cross the group boundary in one form, :class:`ArrayViewData`:
+key columns and a value matrix (a scalar emission is one row with no key
+columns). Generated Python's output dicts become one through
+:func:`view_columns`. Native consumers read the columns, so a view one
+native group produces and another consumes never becomes Python objects;
+dict consumers read :func:`as_mapping`.
 
 This module also hosts the **domain-parallel** execution mode: a group may
 run once per level-0 trie partition (:func:`partition_tries`) with its
-partial outputs merged by :func:`merge_partial_outputs` — per-key summation
-for accumulating emissions, disjoint concatenation for aligned ones.
+partial outputs merged by :func:`merge_partial_outputs` — disjoint
+concatenation for aligned emissions, the one per-key sum
+(:func:`sum_by_key`) for accumulating ones.
 """
 
 from __future__ import annotations
@@ -54,26 +52,28 @@ def debug_checks_enabled() -> bool:
     return bool(os.environ.get("LMFAO_DEBUG"))
 
 
-def _row_keys(key_columns: Sequence[np.ndarray]) -> list:
-    """Dict keys of parallel key columns: scalars for one column, else tuples."""
+def _row_keys(key_columns: Sequence[np.ndarray], rows: int) -> list:
+    """Dict keys of parallel key columns: scalars for one column, else
+    tuples (``()`` for each of a scalar view's rows)."""
     if len(key_columns) == 1:
         return key_columns[0].tolist()
+    if not key_columns:
+        return [()] * rows
     return list(zip(*(column.tolist() for column in key_columns)))
 
 
 class ArrayViewData:
     """View contents as columns: ``key_columns`` + ``value_matrix``.
 
-    The NumPy and C backends both emit these through :meth:`from_arrays`.
-    ``key_columns`` are in the producer's canonical group-by order, one
-    row per key (keys distinct row to row, as every emission's are), and
-    ``value_matrix`` holds one row of aggregates per key. The view is a
-    value: nothing mutates it after construction, so there is no second
-    copy of its contents to keep in step. Columnar consumers — native
-    binding preparation (:func:`view_columns`), the aligned partition
-    merge, the columnar top-k kernels — read the arrays; dict consumers
-    read :func:`as_mapping`. ``len()`` is the row count, and a view
-    pickles as its arrays alone.
+    Every backend's outputs take this form. ``key_columns`` are in the
+    producer's canonical group-by order, one row per key (keys distinct
+    row to row, as every emission's are; a scalar view has no key columns
+    and one row), and ``value_matrix`` holds one row of aggregates per
+    key. The view is a value: nothing mutates it after construction.
+    Columnar consumers — native binding preparation (:func:`view_columns`),
+    the merges (:func:`sum_by_key`), the columnar top-k kernels — read the
+    arrays; dict consumers read :func:`as_mapping`. ``len()`` is the row
+    count, and a view pickles as its arrays alone.
     """
 
     __slots__ = ("key_columns", "value_matrix", "_mapping")
@@ -103,41 +103,36 @@ class ArrayViewData:
         return ArrayViewData, (self.key_columns, self.value_matrix)
 
 
-#: one view's contents: a ``key → [aggregates]`` dict or its columns
-ViewData = dict | ArrayViewData
-
-
-def as_mapping(view: ViewData) -> dict:
+def as_mapping(view: ArrayViewData) -> dict:
     """One view as the ``key → [aggregates]`` dict the Python backend emits.
 
     The single columns → dict conversion site (:func:`view_columns` is
-    the reverse one). A dict passes through unchanged. A columnar view's
-    dict is built on the first call, in row order, and kept on the view:
-    later calls return the same dict. Two threads racing on the first call
-    may each build one; the dicts are equal, so either serves. Callers
-    read the dict and never mutate it — a view is a value.
+    the reverse one). Keys are scalars for one key column, tuples
+    otherwise, and ``()`` for a scalar view's row. The dict is built on
+    the first call, in row order, and kept on the view: later calls
+    return the same dict. Two threads racing on the first call may each
+    build one; the dicts are equal, so either serves. Callers read the
+    dict and never mutate it — a view is a value.
     """
-    if not isinstance(view, ArrayViewData):
-        return view
     mapping = view._mapping
     if mapping is None:
         mapping = view._mapping = dict(
-            zip(_row_keys(view.key_columns), view.value_matrix.tolist())
+            zip(_row_keys(view.key_columns, len(view)), view.value_matrix.tolist())
         )
     return mapping
 
 
 def view_columns(
-    data: ViewData, group_by: tuple[str, ...], width: int, key_dtype=None
+    data: ArrayViewData | dict, group_by: tuple[str, ...], width: int, key_dtype=None
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """One view as key columns (``group_by`` order) + a float64 value matrix.
 
-    The single dict → columns conversion site, for native consumers (the
-    NumPy and C binding preparation) and the ordered finisher
-    (:func:`repro.core.topk.finish_ordered`). A columnar
+    The single dict → columns conversion site, for generated Python's
+    output dicts, native consumers (the NumPy and C binding preparation)
+    and the ordered finisher (:func:`repro.core.topk.finish_ordered`). An
     :class:`ArrayViewData` hands over its arrays; a dict is converted in
-    its key order — which is :func:`as_mapping`'s row order, so both
-    paths yield the same rows in the same order. ``key_dtype``
+    its key order — which is :func:`as_mapping`'s row order, so the round
+    trip keeps rows and their order. ``key_dtype``
     (``None``: inferred per column, so an ``int`` column beside a
     ``float`` one stays integral) is the key columns' dtype; every array
     comes back C-contiguous.
@@ -157,6 +152,137 @@ def view_columns(
     columns = [keys] if len(group_by) == 1 else zip(*keys)
     values = np.asarray(list(data.values()), dtype=np.float64).reshape(m, width)
     return [np.asarray(c, dtype=key_dtype).reshape(m) for c in columns], values
+
+
+# ------------------------------------------------------------- sum by key
+
+#: composite key codes stay below this in int64; beyond it the (rare) huge
+#: multi-column key spaces switch to exact Python-int (object) codes.
+_CODE_LIMIT = 2**62
+
+
+def _dense_codes(column: np.ndarray) -> tuple[np.ndarray, int]:
+    """Non-negative int codes for one key column, plus the code space size.
+
+    Integer columns whose value range is modest relative to their length
+    (the common case: categorical keys) take the sort-free offset path;
+    floats and wild integer ranges fall back to ``np.unique``'s sort.
+    """
+    if column.dtype.kind in "iu" and len(column):
+        lo = int(column.min())
+        span = int(column.max()) - lo + 1
+        if span <= max(4 * len(column), 1024):
+            return column.astype(np.int64) - lo, span
+    uniques, inverse = np.unique(column, return_inverse=True)
+    return inverse.astype(np.int64), max(len(uniques), 1)
+
+
+def _composite_codes(
+    columns: list[np.ndarray],
+) -> tuple[np.ndarray | None, int, int]:
+    """Mixed-radix composite code per row: ``(comp, space, n)``.
+
+    Per-column codes combine in mixed radix; when a radix step would
+    overflow int64 the running composite is re-densified first. The
+    composite is **order-preserving**: both per-column code paths in
+    :func:`_dense_codes` map larger values to larger codes, so rows
+    ordered by composite are ordered lexicographically by key tuple —
+    which is why every branch of :func:`_group_codes` enumerates groups
+    in the same order.
+    """
+    n = len(columns[0]) if columns else 0
+    comp: np.ndarray | None = None
+    space = 1
+    for column in columns:
+        codes, card = _dense_codes(column)
+        if comp is None:
+            comp, space = codes, card
+            continue
+        if space * card >= _CODE_LIMIT:
+            # re-densify so the next radix step cannot overflow int64
+            uniques, comp = np.unique(comp, return_inverse=True)
+            comp = comp.astype(np.int64)
+            space = max(len(uniques), 1)
+        comp = comp * card + codes
+        space *= card
+    return comp, space, n
+
+
+def _group_codes(columns: list[np.ndarray]) -> tuple[np.ndarray, int, np.ndarray]:
+    """Group rows by their key tuple: ``(ids, num_keys, first_index)``.
+
+    ``ids`` is a dense group id per row, ascending with the composite
+    code (so groups enumerate in key order); ``first_index`` the first
+    row of each group (so representative key values are
+    ``column[first_index]``). The algorithm follows the code space the
+    composite just measured: while it stays modest the distinct codes
+    are found with an O(n) bincount presence scan; beyond it the ids come
+    from a **packed value sort** — ``sort(comp * n + row_index)``
+    recovers a stable order via divmod, and NumPy sorts raw int64 values
+    several times faster than it argsorts them — or, when that packing
+    would overflow int64, a stable argsort. Every branch assigns the same
+    ids and first rows (``np.unique``'s inverse and first occurrences).
+    """
+    comp, space, n = _composite_codes(columns)
+    if comp is None or n == 0:
+        return np.zeros(0, dtype=np.int64), 0, np.zeros(0, dtype=np.int64)
+    if space <= max(4 * n, 1024):
+        present = np.bincount(comp, minlength=space) > 0
+        num_keys = int(present.sum())
+        ids = (np.cumsum(present) - 1)[comp]
+        # reversed scatter: for duplicate ids the *last* write wins, which
+        # in reversed row order is each group's first occurrence.
+        first_index = np.empty(num_keys, dtype=np.int64)
+        first_index[ids[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
+        return ids, num_keys, first_index
+    if space < _CODE_LIMIT // n:
+        packed = np.sort(comp * n + np.arange(n, dtype=np.int64))
+        order = packed % n
+        sorted_comp = packed // n
+    else:
+        order = np.argsort(comp, kind="stable")
+        sorted_comp = comp[order]
+    is_start = np.ones(n, dtype=bool)
+    is_start[1:] = sorted_comp[1:] != sorted_comp[:-1]
+    ids = np.empty(n, dtype=np.int64)
+    ids[order] = np.cumsum(is_start) - 1
+    # stability keeps each group's rows in input order: its first sorted
+    # row is its first occurrence
+    first_index = order[is_start]
+    return ids, len(first_index), first_index
+
+
+def _stacked(
+    pieces: Sequence[ArrayViewData],
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The pieces' rows one after another: key columns and value matrix."""
+    return (
+        [np.concatenate(column) for column in zip(*(p.key_columns for p in pieces))],
+        np.concatenate([piece.value_matrix for piece in pieces]),
+    )
+
+
+def sum_by_key(pieces: Sequence[ArrayViewData]) -> ArrayViewData:
+    """The per-key, per-slot sum of views with the same key columns.
+
+    The one per-key summation: the partition merge, the incremental delta
+    merge and the NumPy backend's stacked slot groups call it. A key is in
+    the result iff some piece has it, and each of its slots is a left fold
+    from ``0.0`` over the pieces in order (``np.bincount`` adds in input
+    order). Rows come out in ascending key order (:func:`_group_codes`).
+    Scalar pieces (no key columns) sum into one row. Inputs are not
+    mutated.
+    """
+    keys, stacked = _stacked(pieces)
+    if keys:
+        ids, num_keys, first_index = _group_codes(keys)
+        keys = [column[first_index] for column in keys]
+    else:  # scalar pieces: every row is the one key's
+        ids, num_keys = np.zeros(len(stacked), dtype=np.int64), min(len(stacked), 1)
+    matrix = np.empty((num_keys, stacked.shape[1]))
+    for slot, column in enumerate(stacked.T):
+        matrix[:, slot] = np.bincount(ids, weights=column, minlength=num_keys)
+    return ArrayViewData.from_arrays(keys, matrix)
 
 
 def _product_signature(
@@ -226,7 +352,7 @@ def _product_column(
 
 
 def reshape_binding(
-    binding: ViewBinding, view_group_by: tuple[str, ...], data: ViewData
+    binding: ViewBinding, view_group_by: tuple[str, ...], data: ArrayViewData
 ) -> dict:
     """Re-key view contents for one consumer binding.
 
@@ -368,11 +494,11 @@ def compile_executables(
 def execute_plan(
     group,
     trie: TrieIndex,
-    view_data: Mapping[str, ViewData],
+    view_data: Mapping[str, ArrayViewData],
     view_group_by: Mapping[str, tuple[str, ...]],
     functions: Mapping[str, Function],
     prepared_bindings: dict | None = None,
-) -> dict[str, dict]:
+) -> dict[str, ArrayViewData]:
     """Run one compiled group over a trie and incoming view contents.
 
     ``group`` is any backend's compiled group (see the module docstring).
@@ -433,72 +559,45 @@ def partition_tries(
 
 
 def merge_partial_outputs(
-    plan: MultiOutputPlan, partial: Sequence[dict[str, ViewData]]
-) -> dict[str, ViewData]:
+    plan: MultiOutputPlan, partial: Sequence[dict[str, ArrayViewData]]
+) -> dict[str, ArrayViewData]:
     """Merge per-partition outputs of one group into the full outputs.
 
     Merge semantics per emission (see docs/architecture.md §Parallel):
 
     * **aligned** emissions (group-by = attribute-order prefix) are keyed by
       the level-0 attribute first, and level-0 values are disjoint across
-      partitions — so the partial dicts concatenate (disjoint union). When
-      every partial is a columnar :class:`ArrayViewData` (the NumPy and C
-      backends), the key columns and value matrices concatenate instead,
-      and the merged view stays columnar;
-    * **accumulating** emissions (hash / scalar) sum per key and slot, in
-      partition order. A key exists in the full output iff some partition
-      emitted it: key support is itself a sum over rows, so it is positive
-      on the whole relation iff positive on some partition.
+      partitions — so the key columns and value matrices concatenate
+      (disjoint union), in partition order;
+    * **accumulating** emissions (hash / scalar) sum per key and slot
+      (:func:`sum_by_key`), in partition order. A key exists in the full
+      output iff some partition emitted it: key support is itself a sum
+      over rows, so it is positive on the whole relation iff positive on
+      some partition.
 
     Partition order is fixed (level-0 run order), which makes the merged
     result deterministic — independent of worker count and scheduling.
-
-    The merge never mutates its inputs: accumulating emissions copy the
-    first-seen value list per key before summing into it, and aligned
-    merges build a fresh container. Dict branches read columnar partials
-    through :func:`as_mapping`.
+    The merge builds fresh arrays and never mutates its inputs.
     """
     if len(partial) == 1:
         return partial[0]
-    merged: dict[str, ViewData] = {}
+    merged: dict[str, ArrayViewData] = {}
     for emission in plan.emissions:
-        name = emission.artifact
+        pieces = [outputs[emission.artifact] for outputs in partial]
         if emission.aligned and emission.group_by:
-            pieces = [outputs[name] for outputs in partial]
-            if all(isinstance(p, ArrayViewData) for p in pieces):
-                num_parts = len(pieces[0].key_columns)
-                out: ViewData = ArrayViewData.from_arrays(
-                    [
-                        np.concatenate([p.key_columns[i] for p in pieces])
-                        for i in range(num_parts)
-                    ],
-                    np.concatenate([p.value_matrix for p in pieces]),
-                )
-            else:
-                out = {}
-                for piece in pieces:
-                    out.update(as_mapping(piece))
+            merged[emission.artifact] = ArrayViewData.from_arrays(*_stacked(pieces))
         else:
-            out = {}
-            for outputs in partial:
-                for key, values in as_mapping(outputs[name]).items():
-                    current = out.get(key)
-                    if current is None:
-                        out[key] = list(values)
-                    else:
-                        for slot, value in enumerate(values):
-                            current[slot] += value
-        merged[name] = out
+            merged[emission.artifact] = sum_by_key(pieces)
     return merged
 
 
 def execute_plan_partitioned(
     group,
     tries: Sequence[TrieIndex],
-    view_data: Mapping[str, ViewData],
+    view_data: Mapping[str, ArrayViewData],
     view_group_by: Mapping[str, tuple[str, ...]],
     functions: Mapping[str, Function],
-) -> dict[str, dict]:
+) -> dict[str, ArrayViewData]:
     """Run one compiled group over trie partitions (serially) and merge.
 
     The sequential executor and the incremental maintainer both refresh
@@ -517,30 +616,23 @@ def execute_plan_partitioned(
     return merge_partial_outputs(group.plan, partial)
 
 
-def estimate_view_bytes(data: ViewData) -> int:
+def estimate_view_bytes(data: ArrayViewData) -> int:
     """A cheap, deterministic size estimate of one materialized view.
 
     The view cache's byte accounting (:mod:`repro.serve.viewcache`) needs
-    a weight per entry without walking every key of a large view. Columnar
-    :class:`ArrayViewData` reports its arrays' true ``nbytes`` plus a
-    per-entry charge for the :func:`as_mapping` dict — counted whether or
-    not that dict is built yet (this function never builds it), so a
-    cache entry's weight does not change when a reader first reads it.
-    Plain dict views are estimated as ``entries × (per-key + per-aggregate
-    cost)`` from one sampled entry. Estimates are stable for a given view,
-    which is all LRU weight accounting needs (the bound is approximate by
-    design — see ``docs/serving.md`` §View cache).
+    a weight per entry without walking every key of a large view: the
+    arrays' true ``nbytes`` plus a per-entry charge for the
+    :func:`as_mapping` dict — counted whether or not that dict is built
+    yet (this function never builds it), so a cache entry's weight does
+    not change when a reader first reads it. Estimates are stable for a
+    given view, which is all LRU weight accounting needs (the bound is
+    approximate by design — see ``docs/serving.md`` §View cache).
     """
     entries = len(data)
     if entries == 0:
         return 64
-    if isinstance(data, ArrayViewData):
-        return int(
-            sum(column.nbytes for column in data.key_columns)
-            + data.value_matrix.nbytes
-            + 64 * entries  # as_mapping's dict per entry, built or not
-        )
-    key, values = next(iter(data.items()))
-    key_width = len(key) if isinstance(key, tuple) else 1
-    per_entry = 64 + 28 * key_width + 32 * len(values)
-    return 64 + entries * per_entry
+    return int(
+        sum(column.nbytes for column in data.key_columns)
+        + data.value_matrix.nbytes
+        + 64 * entries  # as_mapping's dict per entry, built or not
+    )

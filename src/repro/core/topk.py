@@ -17,10 +17,10 @@ raw store through the same seam.
 
 One finisher realises the deterministic total order (the tie-break
 contract of :class:`~repro.query.aggregates.OrderSpec`) over any raw
-container: it reads key columns and a value matrix through
-:func:`repro.core.runtime.view_columns` — the arrays of a NumPy or C
-:class:`~repro.core.runtime.ArrayViewData`, or the one dict → columns
-conversion for generated-Python and merged dict stores — then, per
+view: it reads key columns and a value matrix through
+:func:`repro.core.runtime.view_columns` — the arrays of the
+:class:`~repro.core.runtime.ArrayViewData` every backend and every merge
+produces — then, per
 partition, runs ``np.partition`` on the signed order value with exact
 boundary-tie resolution and one ``np.lexsort`` of the survivors. That
 is ``O(n + p·k log k)``, and the composite ``(±value, residual group-by
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.runtime import view_columns
+from repro.core.runtime import ArrayViewData, view_columns
 from repro.query.query import Query
 
 __all__ = ["finish_ordered"]
@@ -69,12 +69,12 @@ def _partition_slices(part_cols: list[np.ndarray], n: int):
     return [order[s:e] for s, e in zip(starts, ends)]
 
 
-def finish_ordered(query: Query, raw: dict) -> dict:
+def finish_ordered(query: Query, raw: ArrayViewData) -> dict:
     """Rank and truncate one ordered query's full raw groups.
 
     Returns the insertion-ordered dict realising the query's
     deterministic total order, keys as tuples of Python scalars and
-    values as tuples of floats, whatever container ``raw`` is.
+    values as tuples of floats.
     """
     n = len(raw)
     if query.limit == 0 or n == 0:

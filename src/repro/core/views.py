@@ -167,7 +167,7 @@ def view_signature(
     ``child_signatures`` must be ordered like ``view.referenced_views``
     (the order :meth:`repro.core.viewgen.ViewPlan.view_signatures`
     guarantees). Aggregate slot order is preserved — it is the value
-    layout of the view's materialized ``ViewData``.
+    layout of the view's materialized ``ArrayViewData``.
     """
     child_pos = {name: i for i, name in enumerate(view.referenced_views)}
     placeholder: dict[str, int] = {}

@@ -46,8 +46,8 @@ handle of that engine follows every commit. Under the engine's commit
 lock the commit builds a complete *successor version* off to the side —
 a new :class:`~repro.core.snapshot.Snapshot` (structurally sharing
 unchanged relations and tries) plus, per handle, copy-on-write view/query
-stores (untouched artifacts are carried by reference, numeric merges copy
-only the dicts and value lists they update) — then installs the snapshot
+stores (untouched artifacts are carried by reference, numeric merges build
+new views for the artifacts they update) — then installs the snapshot
 into the engine's :class:`~repro.core.snapshot.SnapshotStore` (so
 subsequent :meth:`~repro.core.engine.LMFAO.run` calls see the new data,
 while in-flight runs keep the version they pinned) and flips each
@@ -77,7 +77,7 @@ from repro.core.engine import (
     RunResult,
     _to_query_result,
 )
-from repro.core.runtime import as_mapping
+from repro.core.runtime import ArrayViewData, as_mapping
 from repro.core.snapshot import Snapshot
 from repro.data.catalog import Database
 from repro.incremental.delta import RelationDelta, normalize_deltas
@@ -125,8 +125,8 @@ class _MaintainedVersion:
     """
 
     snapshot: Snapshot
-    view_data: dict[str, dict] = field(repr=False)
-    query_raw: dict[str, dict] = field(repr=False)
+    view_data: dict[str, ArrayViewData] = field(repr=False)
+    query_raw: dict[str, ArrayViewData] = field(repr=False)
     results: dict[str, QueryResult] = field(repr=False)
 
 
@@ -336,7 +336,7 @@ class MaintainedBatch:
     def _adopt_outputs(
         self,
         index: int,
-        outputs: dict[str, dict],
+        outputs: dict[str, ArrayViewData],
         run: GroupRun,
         merge,
         refreshed_views: set[str],
@@ -345,8 +345,8 @@ class MaintainedBatch:
         """Adopt (rescan) or add (numeric) one group's outputs; note changes.
 
         Writes only into the successor version's stores (``run.view_data``
-        / ``run.query_raw``); the previous version's dicts and value lists
-        are never touched — numeric merges (``merge`` given) go through
+        / ``run.query_raw``); the previous version's views are never
+        touched — numeric merges (``merge`` given) go through
         the copy-on-write
         :func:`~repro.incremental.rules.merge_delta_outputs`. An artifact
         that changed is recorded by name only: a refreshed view dirties

@@ -13,19 +13,19 @@ unchanged (delta cutoff).
 The per-group rule applied along that path lives here:
 :func:`numeric_delta_run` + :func:`merge_delta_outputs` (the insert rule
 of maintained handles: the run scans only the inserted tuples, but the
-merge starts from a copy of the target view, so each round costs
-O(|view|), not O(|Δ|)). Ordered queries need no rule of their own: the
+merge builds a new view from the target and the delta, so each round
+costs O(|view|), not O(|Δ|)). Ordered queries need no rule of their own: the
 maintainer keeps their full raw stores and finishes a dirty one through
 the engine's one seam, :func:`repro.core.engine._to_query_result`.
 """
 
 from __future__ import annotations
 
-from repro.core.runtime import ViewData, as_mapping
+from repro.core.runtime import ArrayViewData, sum_by_key
 from repro.data.trie import TrieIndex
 
 
-def numeric_delta_run(engine, run, index: int, inserts) -> dict[str, dict]:
+def numeric_delta_run(engine, run, index: int, inserts) -> dict[str, ArrayViewData]:
     """The numeric delta rule: one group's compiled code over ``ΔR`` alone.
 
     Every emitted slot is ``Σ over node rows`` of a product that does not
@@ -48,36 +48,19 @@ def numeric_delta_run(engine, run, index: int, inserts) -> dict[str, dict]:
     return engine.execute_group(run, index, trie)
 
 
-def merge_delta_outputs(target: ViewData, delta: ViewData) -> tuple[dict, bool]:
-    """A merged copy ``target + delta`` per key and slot (copy-on-write).
+def merge_delta_outputs(
+    target: ArrayViewData, delta: ArrayViewData
+) -> tuple[ArrayViewData, bool]:
+    """The merged view ``target + delta`` per key and slot (copy-on-write).
 
-    Returns ``(merged, changed)``. Both sides are read through
-    :func:`~repro.core.runtime.as_mapping`. ``target`` — the *previous*
-    version's artifact — is never mutated, and neither are its stored
-    value lists: the merge shallow-copies the key table and copies a
-    value list the first time a slot of it changes, so readers holding
-    the previous version keep a coherent artifact. The merged result is a
-    plain dict; an ordered query's merged raw store reaches the finisher
-    through the one dict → columns conversion.
-
-    A new key is a change even with all-zero values: the inserted rows
-    give it join support, so a from-scratch run would emit it too.
+    Returns ``(merged, changed)``. The sum is the one per-key summation,
+    :func:`~repro.core.runtime.sum_by_key`, which builds a new view:
+    ``target`` — the *previous* version's artifact — is never mutated, so
+    readers holding the previous version keep a coherent artifact.
+    ``changed`` says the delta brought a new key or a non-zero slot. A new
+    key is a change even with all-zero values: the inserted rows give it
+    join support, so a from-scratch run would emit it too.
     """
-    merged: dict = dict(as_mapping(target))
-    changed = False
-    for key, values in as_mapping(delta).items():
-        current = merged.get(key)
-        if current is None:
-            merged[key] = list(values)
-            changed = True
-            continue
-        updated = None
-        for slot, value in enumerate(values):
-            if value != 0.0:
-                if updated is None:
-                    updated = list(current)
-                updated[slot] += value
-                changed = True
-        if updated is not None:
-            merged[key] = updated
+    merged = sum_by_key([target, delta])
+    changed = len(merged) > len(target) or bool(delta.value_matrix.any())
     return merged, changed

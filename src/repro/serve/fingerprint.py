@@ -202,7 +202,7 @@ def bind_batch(compiled: CompiledBatch, batch: QueryBatch) -> CompiledBatch:
 class ViewIdentity:
     """Version-independent identity of one materialized view's *contents*.
 
-    Wraps everything a view's ``ViewData`` depends on besides the
+    Wraps everything a view's ``ArrayViewData`` depends on besides the
     database version: the canonical subtree structure
     (:class:`~repro.core.views.ViewSignature`), the concrete functions
     bound to its placeholder slots (the request's constants, which
@@ -244,7 +244,7 @@ def view_identities(compiled: CompiledBatch) -> dict[str, ViewIdentity]:
     """Per-view cache identities for one request's compilation.
 
     Derives, for every view of ``compiled.view_plan``, the
-    :class:`ViewIdentity` of the ``ViewData`` executing ``compiled``
+    :class:`ViewIdentity` of the ``ArrayViewData`` executing ``compiled``
     would materialize for it — the canonical signature with the
     request's constants (``compiled.functions``, rebound by
     :func:`bind_batch` on a plan-cache hit) bound in. Pair

@@ -3,8 +3,8 @@
 The plan cache reuses *compiled code* across requests; this layer reuses
 *computed views*. One entry per :class:`~repro.serve.fingerprint.ViewKey`
 — ``(view identity, snapshot version)`` — holding the materialized
-``ViewData`` (a dict or an ``ArrayViewData``) a past execution produced
-for that exact identity over that exact database version. Different
+``ArrayViewData`` a past execution produced for that exact identity
+over that exact database version. Different
 batch fingerprints frequently share identical view subtrees (LMFAO's
 intra-batch view sharing, lifted across requests), so a request that
 misses the plan cache entirely can still skip most of its scan work.
@@ -55,9 +55,9 @@ def live_caches() -> list["ViewCache"]:
 class CachedView:
     """One materialized view held by the cache."""
 
-    #: the view's contents as its group emitted them — a dict or a
-    #: columnar ``ArrayViewData``, shared with every run it seeds and
-    #: never mutated (dict readers go through ``as_mapping``)
+    #: the view's contents as its group emitted them — a columnar
+    #: ``ArrayViewData``, shared with every run it seeds and never
+    #: mutated (dict readers go through ``as_mapping``)
     data: object
     nbytes: int
     #: all join-tree relations feeding the view: a group commit carries

@@ -40,6 +40,10 @@ reports no per-key change set.
 A view is its columns: :class:`~repro.core.runtime.ArrayViewData` has no
 base class and keeps no second copy of its contents, and one function
 (:func:`repro.core.runtime.as_mapping`) turns its columns into a dict.
+Views are summed per key by one kernel,
+:func:`repro.core.runtime.sum_by_key`, which the partition merge, the
+delta merge and NumPy's stacked slot groups call, and no code but the
+one dict → columns conversion asks whether a view is a dict.
 
 A group's backend is decided one way: at compile, by
 :func:`repro.core.runtime.compile_executables`, which returns one
@@ -792,3 +796,50 @@ def test_a_view_is_its_columns():
                 )
     # the one columns -> dict conversion
     assert _enclosing_functions("_row_keys") == ["core/runtime.py:as_mapping"]
+
+
+def _isinstance_sites(*classes: str) -> list[str]:
+    """``file:function`` of every ``isinstance`` test against one of
+    ``classes`` (named alone or in a tuple)."""
+    sites = []
+    for module in _modules():
+        for function in _functions(module):
+            for node in ast.walk(function):
+                if not (
+                    isinstance(node, ast.Call)
+                    and _called_name(node) == "isinstance"
+                    and len(node.args) == 2
+                ):
+                    continue
+                named = {
+                    name for part in ast.walk(node.args[1])
+                    for name in _node_names(part)
+                }
+                if named & set(classes):
+                    sites.append(f"{module}:{function.name}")
+    return sorted(sites)
+
+
+def test_one_sum_by_key():
+    # the partition merge, the delta merge and NumPy's stacked slot groups
+    # sum per key through the one kernel
+    assert sorted(_enclosing_functions("sum_by_key")) == [
+        "core/npbackend.py:_output",
+        "core/runtime.py:merge_partial_outputs",
+        "incremental/rules.py:merge_delta_outputs",
+    ]
+    # and neither merge reads a view as a dict
+    for module, name in (
+        ("core/runtime.py", "merge_partial_outputs"),
+        ("incremental/rules.py", "merge_delta_outputs"),
+    ):
+        calls = {
+            _called_name(node) for node in ast.walk(_definition(module, name))
+            if isinstance(node, ast.Call)
+        }
+        assert not calls & {"as_mapping", "items", "update"}, (name, calls)
+    # a view is never a dict: only the dict -> columns conversion asks;
+    # the fingerprint's test is of an EngineConfig field, not a view
+    assert _isinstance_sites("dict", "ArrayViewData") == [
+        "core/runtime.py:view_columns", "serve/fingerprint.py:_config_key",
+    ]

@@ -228,7 +228,7 @@ def _grouper_columns(branch: str) -> list[np.ndarray]:
 def test_group_codes_match_np_unique(branch):
     """Every branch of the one grouper assigns ``np.unique``'s ids (key
     order), group count and first occurrences."""
-    from repro.core.npbackend import _CODE_LIMIT, _composite_codes, _group_codes
+    from repro.core.runtime import _CODE_LIMIT, _composite_codes, _group_codes
 
     columns = _grouper_columns(branch)
     _comp, space, n = _composite_codes(columns)

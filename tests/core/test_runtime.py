@@ -1,12 +1,16 @@
-"""Runtime preparation: binding reshapes and the compiled-group entry checks."""
+"""Runtime preparation: binding reshapes, the merges' one per-key sum, and
+the compiled-group entry checks."""
 
 import copy
+import math
 import pickle
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import EngineConfig, LMFAO
 from repro.core.cbackend import gcc_available
@@ -17,6 +21,7 @@ from repro.core.runtime import (
     estimate_view_bytes,
     execute_plan,
     reshape_binding,
+    sum_by_key,
     view_columns,
 )
 from repro.paper import FAVORITA_TREE
@@ -37,14 +42,19 @@ def _binding(key, carried=(), block=None, width=1):
     )
 
 
+def _view(data: dict, group_by: tuple[str, ...], width: int) -> ArrayViewData:
+    """The view a generated-Python group emits for ``data``."""
+    return ArrayViewData.from_arrays(*view_columns(data, group_by, width))
+
+
 def test_scalar_binding_identity():
-    data = {1: [2.0], 2: [3.0]}
+    data = _view({1: [2.0], 2: [3.0]}, ("a",), 1)
     binding = _binding(("a",))
-    assert reshape_binding(binding, ("a",), data) is data
+    assert reshape_binding(binding, ("a",), data) is as_mapping(data)
 
 
 def test_scalar_binding_reorders_keys():
-    data = {(1, 2): [5.0]}
+    data = _view({(1, 2): [5.0]}, ("a", "b"), 1)
     binding = ViewBinding(
         view="V",
         num_aggregates=1,
@@ -64,7 +74,9 @@ def test_scalar_binding_reorders_three_part_keys():
     must stay correct if conventions ever diverge — every entry is
     re-keyed by position, values untouched and aliased (no copies).
     """
-    data = {(1, 2, 3): [5.0, 6.0], (4, 5, 6): [7.0, 8.0]}
+    data = _view(
+        {(1, 2, 3): [5.0, 6.0], (4, 5, 6): [7.0, 8.0]}, ("a", "b", "c"), 2
+    )
     binding = ViewBinding(
         view="V",
         num_aggregates=2,
@@ -75,14 +87,14 @@ def test_scalar_binding_reorders_three_part_keys():
     )
     reshaped = reshape_binding(binding, ("a", "b", "c"), data)
     assert reshaped == {(3, 1, 2): [5.0, 6.0], (6, 4, 5): [7.0, 8.0]}
-    assert reshaped[(3, 1, 2)] is data[(1, 2, 3)]
+    assert reshaped[(3, 1, 2)] is as_mapping(data)[(1, 2, 3)]
 
 
 def test_merge_partial_outputs_with_empty_partition():
     """A partition that emitted nothing for an artifact merges as identity.
 
     Empty *tries* cannot reach the merge (partitions are never empty),
-    but a partition can legitimately emit an empty dict — every run under
+    but a partition can legitimately emit an empty view — every run under
     it failed a semi-join probe or support guard.
     """
     from repro.core.plan import Emission, MultiOutputPlan, RelationLevel
@@ -109,11 +121,16 @@ def test_merge_partial_outputs_with_empty_partition():
         {"Q": {}, "V": {}},
         {"Q": {1: [0.5, 0.0], 2: [3.0, 1.0]}, "V": {6: [2.0]}},
     ]
+    partial = [
+        {"Q": _view(p["Q"], ("a",), 2), "V": _view(p["V"], ("a",), 1)}
+        for p in partial
+    ]
     merged = merge_partial_outputs(plan, partial)
-    assert merged["Q"] == {1: [1.5, 2.0], 2: [3.0, 1.0]}
-    assert merged["V"] == {5: [1.0], 6: [2.0]}
-    # inputs untouched (merge builds fresh containers)
-    assert partial[0]["Q"] == {1: [1.0, 2.0]}
+    assert as_mapping(merged["Q"]) == {1: [1.5, 2.0], 2: [3.0, 1.0]}
+    assert as_mapping(merged["V"]) == {5: [1.0], 6: [2.0]}
+    # inputs untouched (merge builds fresh arrays)
+    assert as_mapping(partial[0]["Q"]) == {1: [1.0, 2.0]}
+    assert partial[0]["Q"].value_matrix.tolist() == [[1.0, 2.0]]
 
 
 def test_merge_partial_outputs_aligned_columnar_fast_path():
@@ -145,10 +162,6 @@ def test_merge_partial_outputs_aligned_columnar_fast_path():
     assert isinstance(merged["V"], ArrayViewData)
     assert as_mapping(merged["V"]) == {1: [1.0], 2: [2.0], 3: [4.0]}
     assert merged["V"].key_columns[0].tolist() == [1, 2, 3]
-    # a plain-dict partial disables the columnar fast path but not the merge
-    merged = merge_partial_outputs(plan, [{"V": parts[0]}, {"V": {9: [5.0]}}])
-    assert merged["V"] == {1: [1.0], 2: [2.0], 9: [5.0]}
-    assert not isinstance(merged["V"], ArrayViewData)
 
 
 def _columnar(keys, rows):
@@ -191,8 +204,8 @@ def test_array_view_data_read_only_ops_keep_columnar():
 
 
 def test_merge_partial_outputs_accumulating_keeps_columnar_sources_intact():
-    """The per-key summation path copies first-seen value lists; columnar
-    partials come out of the merge unmutated and still consistent."""
+    """The per-key summation builds a new view; the partials come out of
+    the merge unmutated and still consistent."""
     from repro.core.plan import Emission, MultiOutputPlan, RelationLevel
     from repro.core.runtime import ArrayViewData, merge_partial_outputs
 
@@ -211,8 +224,7 @@ def test_merge_partial_outputs_accumulating_keeps_columnar_sources_intact():
     )
     parts = [_columnar([1, 2], [[1.0], [2.0]]), _columnar([2, 3], [[5.0], [7.0]])]
     merged = merge_partial_outputs(plan, [{"Q": p} for p in parts])
-    assert merged["Q"] == {1: [1.0], 2: [7.0], 3: [7.0]}
-    assert not isinstance(merged["Q"], ArrayViewData)
+    assert as_mapping(merged["Q"]) == {1: [1.0], 2: [7.0], 3: [7.0]}
     assert [as_mapping(part) for part in parts] == [
         {1: [1.0], 2: [2.0]}, {2: [5.0], 3: [7.0]}
     ]
@@ -222,7 +234,7 @@ def test_merge_partial_outputs_accumulating_keeps_columnar_sources_intact():
 
 
 def test_carried_binding_groups_entries():
-    data = {(1, 7): [2.0], (1, 8): [3.0], (2, 7): [4.0]}
+    data = _view({(1, 7): [2.0], (1, 8): [3.0], (2, 7): [4.0]}, ("a", "c"), 1)
     binding = _binding(("a",), carried=("c",), block=0)
     reshaped = reshape_binding(binding, ("a", "c"), data)
     assert set(reshaped) == {1, 2}
@@ -231,7 +243,7 @@ def test_carried_binding_groups_entries():
 
 
 def test_carried_binding_multi_key():
-    data = {(1, 2, 7): [1.0]}
+    data = _view({(1, 2, 7): [1.0]}, ("a", "b", "c"), 1)
     binding = ViewBinding(
         view="V",
         num_aggregates=1,
@@ -359,8 +371,15 @@ def test_as_mapping_keys_one_column_by_scalar():
     data = ArrayViewData.from_arrays([np.array([3, 1])], np.array([[1.0], [2.0]]))
     assert as_mapping(data) == {3: [1.0], 1: [2.0]}
     assert list(as_mapping(data)) == [3, 1]
-    plain = {5: [1.0]}
-    assert as_mapping(plain) is plain  # a dict passes through
+    # no key columns: a scalar view's one row is keyed by ()
+    scalar = ArrayViewData.from_arrays([], np.array([[1.5, 2.5]]))
+    assert len(scalar) == 1 and as_mapping(scalar) == {(): [1.5, 2.5]}
+    assert as_mapping(ArrayViewData.from_arrays([], np.zeros((0, 2)))) == {}
+    # two key columns: tuples, in row order
+    pairs = ArrayViewData.from_arrays(
+        [np.array([2, 1]), np.array([0.5, 7.0])], np.array([[1.0], [2.0]])
+    )
+    assert list(as_mapping(pairs).items()) == [((2, 0.5), [1.0]), ((1, 7.0), [2.0])]
 
 
 def test_pending_mirror_compares_pending_to_pending():
@@ -369,7 +388,7 @@ def test_pending_mirror_compares_pending_to_pending():
     left, right = _pending(), _pending()
     assert as_mapping(left) == as_mapping(right)
     assert not (as_mapping(left) != as_mapping(right))
-    assert as_mapping(left) == as_mapping(dict(_EAGER))  # a view equals its dict
+    assert as_mapping(left) == _EAGER  # a view equals its dict
     moved = ArrayViewData.from_arrays(left.key_columns, left.value_matrix + 1.0)
     assert as_mapping(left) != as_mapping(moved)
     assert as_mapping(moved) != as_mapping(right)
@@ -534,3 +553,147 @@ def test_reshape_binding_hands_generated_code_a_built_dict():
     reshaped = reshape_binding(binding, ("a", "b"), data)
     assert type(reshaped) is dict and reshaped is as_mapping(data)
     assert reshaped == _EAGER
+
+
+# ------------------------------------------------------- the one per-key sum
+
+#: key-column kinds of the sum_by_key property: the code path each takes
+_KEY_KINDS = {
+    # no key columns: every piece is one scalar row (or none)
+    "scalar": 0,
+    # small integer spans: _dense_codes' sort-free offsets
+    "int-offsets": 2,
+    # spans far past max(4n, 1024): _dense_codes' np.unique sort
+    "int-sort": 2,
+    # float keys: np.unique
+    "float": 1,
+    # seven ~1024-wide columns: the composite code space passes _CODE_LIMIT
+    # (two columns cannot: each one's space is capped at max(4n, 1024) or
+    # its distinct count), so the composite is re-densified on the way
+    "wide": 7,
+}
+
+
+def _key_pool(rng, kind: str, size: int) -> list[np.ndarray]:
+    """``size`` distinct key tuples as columns, for one key kind."""
+    columns = _KEY_KINDS[kind]
+    if kind == "int-offsets":
+        rows = rng.integers(-5, 40, (4 * size, columns))
+    elif kind == "int-sort":
+        rows = rng.integers(-10**12, 10**12, (4 * size, columns))
+    elif kind == "float":
+        rows = rng.normal(size=(4 * size, columns)) * 1e3
+    else:
+        rows = rng.integers(1, 1023, (4 * size, columns))
+    _, first = np.unique(rows, axis=0, return_index=True)
+    rows = rows[np.sort(first)][:size]
+    if kind == "wide":  # the last two rows span every column's 1024 codes
+        rows = np.vstack([rows, np.zeros(columns, int), np.full(columns, 1023)])
+    return [np.ascontiguousarray(rows[:, c]) for c in range(columns)]
+
+
+@st.composite
+def _sum_pieces(draw):
+    """Pieces with one key layout: shared keys, disjoint keys, empty
+    pieces; values random floats over many magnitudes, zeros included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    kind = draw(st.sampled_from(sorted(_KEY_KINDS)))
+    layout = draw(st.sampled_from(["shared", "disjoint"]))
+    num_pieces = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 3))
+    pieces = []
+    if kind == "scalar":
+        for _ in range(num_pieces):
+            rows = draw(st.integers(0, 1))
+            pieces.append(ArrayViewData.from_arrays([], _values(rng, rows, width)))
+        return kind, pieces
+    pool = _key_pool(rng, kind, draw(st.integers(1, 60)))
+    size = len(pool[0])
+    if layout == "disjoint":
+        owner = rng.integers(0, num_pieces, size)
+        chosen = [np.flatnonzero(owner == p) for p in range(num_pieces)]
+    else:
+        chosen = [
+            rng.permutation(size)[: rng.integers(0, size + 1)]
+            for _ in range(num_pieces)
+        ]
+    emptied = rng.integers(0, num_pieces) if draw(st.booleans()) else None
+    if emptied is not None:
+        chosen[emptied] = np.zeros(0, dtype=np.int64)
+    if kind == "wide":  # the span ends, which make the code space
+        target = 0 if emptied != 0 else num_pieces - 1
+        chosen[target] = np.union1d(chosen[target], [size - 2, size - 1])
+    for rows in chosen:
+        keys = [column[rows] for column in pool]
+        pieces.append(ArrayViewData.from_arrays(keys, _values(rng, len(rows), width)))
+    return kind, pieces
+
+
+def _values(rng, rows: int, width: int) -> np.ndarray:
+    scale = 10.0 ** rng.integers(-8, 9, (rows, width))
+    values = rng.normal(size=(rows, width)) * scale
+    values[rng.random((rows, width)) < 0.1] = 0.0
+    return values
+
+
+def _fold_by_key(pieces: list[ArrayViewData]) -> dict:
+    """The reference: per key, each slot a left fold from 0.0 in piece
+    order, written without NumPy's grouping."""
+    sums: dict = {}
+    for piece in pieces:
+        keys = zip(*(column.tolist() for column in piece.key_columns))
+        if not piece.key_columns:
+            keys = [()] * len(piece)
+        for key, row in zip(keys, piece.value_matrix.tolist()):
+            acc = sums.setdefault(key, [0.0] * len(row))
+            for slot, value in enumerate(row):
+                acc[slot] = acc[slot] + value
+    return sums
+
+
+@given(case=_sum_pieces())
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_sum_by_key_is_a_left_fold_from_zero(case):
+    """``sum_by_key`` is bit-identical to a left fold from 0.0 per key and
+    slot in piece order, its rows are the distinct keys in ascending
+    order, and it mutates no input array — for scalar pieces, integer
+    keys on both sides of the offsets/sort cut, float keys, and keys
+    whose code space passes ``_CODE_LIMIT``."""
+    from repro.core.runtime import _CODE_LIMIT, _dense_codes
+
+    kind, pieces = case
+    before = [
+        [column.copy() for column in (*piece.key_columns, piece.value_matrix)]
+        for piece in pieces
+    ]
+    got = sum_by_key(pieces)
+    want = _fold_by_key(pieces)
+    keys = sorted(want)
+    assert len(got) == len(keys)
+    assert len(got.key_columns) == _KEY_KINDS[kind]
+    assert list(zip(*(c.tolist() for c in got.key_columns))) == (
+        keys if got.key_columns else []
+    )
+    width = pieces[0].value_matrix.shape[1]
+    expected = np.array([want[key] for key in keys], dtype=np.float64)
+    assert got.value_matrix.shape == (len(keys), width)
+    assert np.array_equal(
+        got.value_matrix.view(np.int64), expected.reshape(-1, width).view(np.int64)
+    )
+    for piece, arrays in zip(pieces, before):
+        now = (*piece.key_columns, piece.value_matrix)
+        assert all(
+            a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(now, arrays)
+        )
+    # each kind takes the code path it is named for
+    stacked = [np.concatenate(c) for c in zip(*(p.key_columns for p in pieces))]
+    if kind.startswith("int") and len(np.unique(stacked[0])) > 1:
+        span = int(stacked[0].max()) - int(stacked[0].min()) + 1
+        assert (span <= max(4 * len(stacked[0]), 1024)) == (kind == "int-offsets")
+    if kind == "wide" and len(stacked[0]):
+        space = math.prod(_dense_codes(column)[1] for column in stacked)
+        assert space >= _CODE_LIMIT

@@ -32,7 +32,7 @@ from repro.core import EngineConfig, LMFAO
 from repro.core.cbackend import generate_c_source
 from repro.core.codegen import generate_group
 from repro.core.engine import GroupRun
-from repro.core.runtime import ArrayViewData
+from repro.core.runtime import ArrayViewData, as_mapping
 from repro.data import favorita, retailer
 from repro.ml import FeatureSpec, cart_node_batch, covariance_batch
 from repro.ml.features import retailer_features
@@ -193,7 +193,8 @@ def numpy_digest(name: str) -> str:
             data = store[emission.artifact]
             digest.update(emission.artifact.encode())
             if not emission.group_by:
-                digest.update(np.asarray(data[()], dtype=np.float64).tobytes())
+                scalar = as_mapping(data)[()]
+                digest.update(np.asarray(scalar, dtype=np.float64).tobytes())
                 continue
             assert isinstance(data, ArrayViewData)
             for column in data.key_columns:

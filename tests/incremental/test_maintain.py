@@ -324,7 +324,7 @@ def test_merge_delta_outputs_is_copy_on_write():
     touching the previous one: neither the target's dict, nor its stored
     value lists, nor its columns may change — readers pinned to the old
     version keep a coherent artifact while the new version is being built
-    (snapshot isolation). The merged result is a plain dict."""
+    (snapshot isolation). The merged result is a new view."""
     from repro.core.runtime import ArrayViewData, as_mapping
 
     target = ArrayViewData.from_arrays(
@@ -336,8 +336,8 @@ def test_merge_delta_outputs_is_copy_on_write():
     )
     merged, changed = merge_delta_outputs(target, delta)
     assert changed
-    assert merged == {1: [1.0], 2: [7.0], 3: [7.0]}
-    assert type(merged) is dict
+    assert as_mapping(merged) == {1: [1.0], 2: [7.0], 3: [7.0]}
+    assert merged is not target
     # the previous version is untouched — dict, lists and arrays alike
     assert as_mapping(target) == {1: [1.0], 2: [2.0]}
     assert as_mapping(target)[2] is old_list and old_list == [2.0]
@@ -346,8 +346,11 @@ def test_merge_delta_outputs_is_copy_on_write():
     # the delta *source* is never mutated either
     assert as_mapping(delta) == {2: [5.0], 3: [7.0]}
     assert delta.value_matrix.tolist() == [[5.0], [7.0]]
-    # shared untouched entries are carried by reference (structural sharing)
-    assert merged[1] is as_mapping(target)[1]
+    # a change is a new key (even all-zero) or a non-zero slot
+    zero_old = ArrayViewData.from_arrays([np.array([2])], np.array([[0.0]]))
+    zero_new = ArrayViewData.from_arrays([np.array([9])], np.array([[0.0]]))
+    assert merge_delta_outputs(target, zero_old)[1] is False
+    assert merge_delta_outputs(target, zero_new)[1] is True
 
 
 def test_numeric_merge_never_leaks_desynced_arrays(favorita_db, monkeypatch):
