@@ -25,17 +25,23 @@ passed as a single ``void**`` argument vector):
   each distinct key to its contiguous entry range (sub-sums and keyed
   emissions iterate ranges);
 * outputs — aligned emissions append into arrays sized by the emission
-  level's run count; accumulating emissions use a preallocated
-  open-addressing table whose slots hold the key and a row index: a new
-  key takes the next dense row of the value array, so a call touches
-  only ``n × width`` doubles, not one row per slot. The table may fill
-  half its slots; overflow makes the function return 1 and the wrapper
-  retries with quadrupled capacities (results are a pure function of the
-  inputs, so the retry is safe). Collect gathers the rows in slot order.
-  The filled key/value arrays — a scalar emission's one row included —
-  leave as a columnar :class:`~repro.core.runtime.ArrayViewData`; a
-  Python dict of it is built only by
-  :func:`~repro.core.runtime.as_mapping`.
+  level's run count; accumulating (hash) emissions use a preallocated
+  open-addressing table whose slots hold a row index (``-1`` when free):
+  a new key takes the next dense row of the key and value arrays, and a
+  probe matches through the row, so a call touches only ``n`` keys and
+  ``n × width`` doubles, not one of each per slot. A table is sized from
+  its emission's key bound (:meth:`CCompiledGroup.key_bounds`: the
+  product of the key attributes' distinct counts, and, for keys of trie
+  levels only, at most the emitting level's runs), capped at
+  :data:`_KEY_CAP` keys, so its footprint follows the number of groups,
+  not of rows. The table may fill half its slots; overflow makes the
+  function return 1 and the wrapper retries with quadrupled capacities
+  (results are a pure function of the inputs, so the retry is safe).
+  Collect copies the first ``n`` rows, so a hash output's rows come in
+  first-seen trie-scan order whatever the table size. The key/value
+  arrays — a scalar emission's one row included — leave as a columnar
+  :class:`~repro.core.runtime.ArrayViewData`; a Python dict of it is
+  built only by :func:`~repro.core.runtime.as_mapping`.
 
 Supported plans: integer (categorical) trie levels, view keys and group-by
 attributes. :func:`supports_plan` reports this; at compile,
@@ -115,8 +121,13 @@ from repro.core.lowering import (
     base_emission_mode,
 )
 from repro.core.plan import Emission, MultiOutputPlan, ViewBinding
-from repro.core.runtime import ArrayViewData, bind_operands, view_columns
-from repro.data.trie import TrieIndex
+from repro.core.runtime import (
+    ArrayViewData,
+    bind_operands,
+    debug_checks_enabled,
+    view_columns,
+)
+from repro.data.trie import TrieIndex, distinct_count
 from repro.query.functions import Function
 from repro.util.errors import PlanError
 
@@ -285,7 +296,6 @@ class CEmitter(LoopNestEmitter):
                 continue
             if mode == MODE_HASH:
                 arg(f"O{i}_mask_p", "const int64_t*", ("out_mask", i))
-                arg(f"O{i}_occ", "int8_t*", ("out_occ", i))
                 arg(f"O{i}_row", "int64_t*", ("out_row", i))
             for p in range(len(emission.group_by)):
                 arg(f"O{i}_k{p}", "int64_t*", ("out_keys", i, p))
@@ -386,26 +396,26 @@ class CEmitter(LoopNestEmitter):
         self, index: int, emission: Emission, keys, values, keyed: bool
     ) -> None:
         w, width = self.w, emission.width
+        match = " && ".join(
+            f"O{index}_k{p}[row] == ({key})" for p, key in enumerate(keys)
+        )
         w.open("{")
         w.line(f"const int64_t mask = O{index}_mask_p[0];")
         w.line(f"uint64_t h = ({_mix([f'({key})' for key in keys])}) & (uint64_t)mask;")
-        w.open("while (1) {")
-        w.open(f"if (!O{index}_occ[h]) {{")
-        w.line(f"const int64_t n = O{index}_n[0];")
-        w.line("if (2 * (n + 1) > mask + 1) return 1;")
-        w.line(f"O{index}_occ[h] = 1;")
-        for p, key in enumerate(keys):
-            w.line(f"O{index}_k{p}[h] = {key};")
-        w.line(f"O{index}_row[h] = n;")
-        w.line(f"for (int j = 0; j < {width}; j++) O{index}_v[n * {width} + j] = 0.0;")
-        w.line(f"O{index}_n[0] = n + 1;")
-        w.line("break;")
-        w.close()
-        match = " && ".join(f"O{index}_k{p}[h] == ({key})" for p, key in enumerate(keys))
-        w.line(f"if ({match}) break;")
+        w.line(f"int64_t row = O{index}_row[h];")
+        w.open(f"while (row >= 0 && !({match})) {{")
         w.line("h = (h + 1) & (uint64_t)mask;")
+        w.line(f"row = O{index}_row[h];")
         w.close()
-        w.line(f"const int64_t row = O{index}_row[h];")
+        w.open("if (row < 0) {")
+        w.line(f"row = O{index}_n[0];")
+        w.line("if (2 * (row + 1) > mask + 1) return 1;")
+        w.line(f"O{index}_row[h] = row;")
+        for p, key in enumerate(keys):
+            w.line(f"O{index}_k{p}[row] = {key};")
+        w.line(f"for (int j = 0; j < {width}; j++) O{index}_v[row * {width} + j] = 0.0;")
+        w.line(f"O{index}_n[0] = row + 1;")
+        w.close()
         for slot, value in values:
             w.line(f"O{index}_v[row * {width} + {slot}] += {value};")
         w.close()
@@ -420,11 +430,40 @@ class CEmitter(LoopNestEmitter):
 # ---------------------------------------------------------------------------
 
 
-def _next_pow2(n: int) -> int:
+#: distinct keys a hash output table is first sized for; an emission whose
+#: key bound is larger overflows its first table and is retried larger
+_KEY_CAP = 65536
+
+
+def _table_capacity(keys: float) -> int:
+    """Slots of an open-addressing table for ``keys`` keys: the least power
+    of two, at least 8, that holds them at most half full.
+
+    The one sizing rule: a view table takes its entry count, a hash output
+    table its key bound (capped at :data:`_KEY_CAP`) times the overflow
+    retry's growth.
+    """
     size = 8
-    while size < n:
+    while size < 2 * (keys + 1):
         size <<= 1
     return size
+
+
+def _lex_sorted(columns: list[np.ndarray]) -> bool:
+    """Whether the rows ascend lexicographically by ``columns``: one pass
+    over adjacent row pairs, a column at a time while they tie."""
+    tied = None
+    for column in columns:
+        later, earlier = column[1:], column[:-1]
+        descends = later < earlier
+        if tied is not None:
+            descends &= tied
+        if descends.any():
+            return False
+        tied = later == earlier if tied is None else tied & (later == earlier)
+        if not tied.any():
+            break
+    return True
 
 
 class CCompiledGroup:
@@ -442,6 +481,15 @@ class CCompiledGroup:
         self.args = args
         self.source = source
         self.fn = None  # bound by _bind; keeps its shared object loaded
+        #: hash emission index → its slots' key-part tuples, each with the
+        #: deepest level that emits it (read by :meth:`key_bounds`)
+        self._hash_keys: dict[int, dict[tuple, int]] = {}
+        for index, emission in enumerate(plan.emissions):
+            if base_emission_mode(emission) != MODE_HASH:
+                continue
+            shapes = self._hash_keys[index] = {}
+            for slot in emission.slots:
+                shapes[slot.key_parts] = max(slot.level, shapes.get(slot.key_parts, -1))
 
     # ------------------------------------------------------------- marshaling
     def prepare_bindings(self, view_data, view_group_by) -> dict:
@@ -458,12 +506,15 @@ class CCompiledGroup:
         }
 
     def _binding_entries(self, binding, view_data, view_group_by):
-        """Entry arrays for one binding: key part cols, carried cols, aggs.
+        """Entry arrays for one binding: key part cols, carried cols, aggs,
+        and the distinct count of each carried column.
 
         Read through :func:`~repro.core.runtime.view_columns` — a columnar
         view from a native producer is used as is, never turned into
         Python objects. Carried bindings are sorted by their local key so
-        the generated prologue can hash distinct keys to contiguous ranges.
+        the generated prologue can hash distinct keys to contiguous ranges;
+        entries that arrive sorted (a view emitted in trie order) are kept
+        as they are.
         """
         group_by = view_group_by[binding.view]
         columns, vals = view_columns(
@@ -471,12 +522,42 @@ class CCompiledGroup:
         )
         key_cols = [columns[group_by.index(a)] for a in binding.key]
         carried_cols = [columns[group_by.index(a)] for a in binding.carried]
-        if binding.is_carried and len(vals) > 1:
+        if binding.is_carried and len(vals) > 1 and not _lex_sorted(key_cols):
             order = np.lexsort(tuple(reversed(key_cols)))
             key_cols = [c[order] for c in key_cols]
             carried_cols = [c[order] for c in carried_cols]
             vals = vals[order]
-        return key_cols, carried_cols, vals
+        counts = tuple(distinct_count(c) for c in carried_cols)
+        return key_cols, carried_cols, vals, counts
+
+    def key_bounds(self, trie: TrieIndex, bind_entries: dict) -> dict[int, int]:
+        """An upper bound on the distinct keys of every hash emission.
+
+        A key part takes at most its attribute's distinct count: a trie
+        level's (:meth:`TrieIndex.distinct_values`) or its carried
+        column's (counted by :meth:`prepare_bindings`); a key, at most the
+        product. A key of trie levels only is also at most one per run of
+        the level that emits it. Slots keyed differently add their bounds.
+        Under ``LMFAO_DEBUG`` (:func:`~repro.core.runtime.debug_checks_enabled`)
+        :meth:`execute` checks every hash output's row count against its
+        bound.
+        """
+        bounds = {}
+        for index, shapes in self._hash_keys.items():
+            total = 0
+            for parts, host in shapes.items():
+                bound = 1
+                for part in parts:
+                    if part.kind == "rel":
+                        bound *= trie.distinct_values(part.level)
+                    else:
+                        view = self.plan.block_binding(part.level).view
+                        bound *= bind_entries[view][3][part.pos]
+                if all(part.kind == "rel" for part in parts):
+                    bound = min(bound, trie.level(host).num_runs)
+                total += bound
+            bounds[index] = total
+        return bounds
 
     def execute(
         self,
@@ -497,20 +578,30 @@ class CCompiledGroup:
             or [0],
             dtype=np.int64,
         )
+        bounds = self.key_bounds(trie, bind_entries)
 
         capacity_boost = 1
         for _attempt in range(24):
             outputs = self._attempt(
                 trie, plan, bind_entries, view_data, functions, run_counts,
-                capacity_boost,
+                bounds, capacity_boost,
             )
-            if outputs is not None:
-                return outputs
-            capacity_boost *= 4
+            if outputs is None:
+                capacity_boost *= 4
+                continue
+            if debug_checks_enabled():
+                for index, bound in bounds.items():
+                    artifact = plan.emissions[index].artifact
+                    if len(outputs[artifact]) > bound:
+                        raise PlanError(
+                            f"{plan.group_name}: {len(outputs[artifact])} keys "
+                            f"in {artifact}, above its bound {bound}"
+                        )
+            return outputs
         raise PlanError(f"{plan.group_name}: C output tables kept overflowing")
 
     def _attempt(self, trie, plan, bind_entries, view_data, functions, run_counts,
-                 capacity_boost):
+                 bounds, capacity_boost):
         holders: list[np.ndarray] = []
         argv = (ctypes.c_void_p * len(self.args))()
 
@@ -518,26 +609,40 @@ class CCompiledGroup:
             holders.append(array)
             argv[i] = array.ctypes.data
 
-        def bind_capacity(view: str) -> int:
-            return _next_pow2(2 * max(1, len(view_data[view])))
-
         farrs, psums = bind_operands(plan, trie, functions)
         out_buffers: dict[int, dict] = {}
 
-        def out_capacity(index: int) -> int:
+        def buffers_of(index: int) -> dict:
+            """One emission's output arrays. Keys and values need no
+            zeroing: the generated code writes every row it later reads
+            (the count gates the reads), and np.empty leaves untouched pages
+            unmapped. A hash table's slots start free (-1)."""
+            buffers = out_buffers.get(index)
+            if buffers is not None:
+                return buffers
             emission = plan.emissions[index]
             mode = base_emission_mode(emission)
+            width = emission.width
+            buffers = out_buffers[index] = {}
             if mode == MODE_SCALAR:
-                return 1
-            host = max(s.level for s in emission.slots)
-            runs = trie.level(host).num_runs if host >= 0 else 1
+                buffers["vals"] = np.empty(width, dtype=np.float64)
+                return buffers
             if mode == MODE_ALIGNED:
-                return max(1, runs)
-            # The host level's run count bounds the distinct keys but wildly
-            # overshoots when the group-by domain is small (e.g. 256 keys
-            # under millions of runs); cap the initial table and let the
-            # overflow-retry loop grow it for genuinely large outputs.
-            return _next_pow2(4 * max(1, min(runs, 65536)) * capacity_boost)
+                host = max(s.level for s in emission.slots)
+                rows = max(1, trie.level(host).num_runs)
+            else:
+                capacity = _table_capacity(
+                    min(bounds[index], _KEY_CAP) * capacity_boost
+                )
+                rows = capacity // 2  # dense rows: the overflow check's limit
+                buffers["mask"] = np.array([capacity - 1], dtype=np.int64)
+                buffers["row"] = np.full(capacity, -1, dtype=np.int64)
+            buffers["keys"] = [
+                np.empty(rows, dtype=np.int64) for _ in emission.group_by
+            ]
+            buffers["vals"] = np.empty(rows * width, dtype=np.float64)
+            buffers["count"] = np.zeros(1, dtype=np.int64)
+            return buffers
 
         for i, spec in enumerate(self.args):
             role = spec.role
@@ -569,50 +674,20 @@ class CCompiledGroup:
                 put(i, bind_entries[role[1]][1][role[2]])
             elif kind == "bind_vals":
                 put(i, bind_entries[role[1]][2])
-            elif kind == "bind_mask":
-                put(i, np.array([bind_capacity(role[1]) - 1], dtype=np.int64))
-            elif kind == "bind_occ":
-                put(i, np.zeros(bind_capacity(role[1]), dtype=np.int8))
-            elif kind in {"bind_tk", "bind_lo", "bind_hi"}:
-                # written by the prologue before any read (occ gates reads)
-                put(i, np.empty(bind_capacity(role[1]), dtype=np.int64))
-            elif kind in {"out_scalar", "out_keys", "out_vals", "out_count",
-                          "out_mask", "out_occ", "out_row"}:
-                index = role[1]
-                buffers = out_buffers.setdefault(index, {})
-                emission = plan.emissions[index]
-                width = emission.width
-                capacity = out_capacity(index)
-                # keys/rows/vals need no zeroing: the generated code writes
-                # every slot it later reads (occupancy and counts gate the
-                # reads), and np.empty leaves untouched pages unmapped
-                if kind == "out_scalar":
-                    array = buffers.setdefault(
-                        "vals", np.empty(width, dtype=np.float64)
-                    )
-                elif kind == "out_keys":
-                    array = buffers.setdefault(
-                        ("keys", role[2]), np.empty(capacity, dtype=np.int64)
-                    )
-                elif kind == "out_row":
-                    array = buffers.setdefault(
-                        "row", np.empty(capacity, dtype=np.int64)
-                    )
-                elif kind == "out_vals":
-                    if base_emission_mode(emission) == MODE_HASH:
-                        capacity //= 2  # dense rows: the overflow check's limit
-                    array = buffers.setdefault(
-                        "vals", np.empty(capacity * width, dtype=np.float64)
-                    )
-                elif kind == "out_count":
-                    array = buffers.setdefault("count", np.zeros(1, dtype=np.int64))
-                elif kind == "out_mask":
-                    array = buffers.setdefault(
-                        "mask", np.array([capacity - 1], dtype=np.int64)
-                    )
-                else:  # out_occ
-                    array = buffers.setdefault("occ", np.zeros(capacity, dtype=np.int8))
-                put(i, array)
+            elif kind in {"bind_mask", "bind_occ", "bind_tk", "bind_lo", "bind_hi"}:
+                slots = _table_capacity(len(view_data[role[1]]))
+                if kind == "bind_mask":
+                    put(i, np.array([slots - 1], dtype=np.int64))
+                elif kind == "bind_occ":
+                    put(i, np.zeros(slots, dtype=np.int8))
+                else:  # written by the prologue before any read (occ gates reads)
+                    put(i, np.empty(slots, dtype=np.int64))
+            elif kind == "out_keys":
+                put(i, buffers_of(role[1])["keys"][role[2]])
+            elif kind in {"out_scalar", "out_vals"}:
+                put(i, buffers_of(role[1])["vals"])
+            elif kind in {"out_count", "out_mask", "out_row"}:
+                put(i, buffers_of(role[1])[kind.removeprefix("out_")])
             else:  # pragma: no cover
                 raise PlanError(f"unknown argument role {role!r}")
 
@@ -625,19 +700,18 @@ class CCompiledGroup:
             mode = base_emission_mode(emission)
             buffers = out_buffers[index]
             width = emission.width
-            kparts = len(emission.group_by)
             if mode == MODE_SCALAR:
                 vals = buffers["vals"].reshape(1, width)
                 keys = []
-            elif mode == MODE_ALIGNED:
+            else:
                 n = int(buffers["count"][0])
                 vals = buffers["vals"][: n * width].reshape(n, width)
-                keys = [buffers[("keys", p)][:n] for p in range(kparts)]
-            else:
-                # gathered in slot order, one dense row per occupied slot
-                occ = buffers["occ"].view(bool)
-                vals = buffers["vals"].reshape(-1, width)[buffers["row"][occ]]
-                keys = [buffers[("keys", p)][occ] for p in range(kparts)]
+                keys = [column[:n] for column in buffers["keys"]]
+                if mode == MODE_HASH:
+                    # dense rows in first-seen order; copied, so a kept view
+                    # holds its n rows and not the table's spare room
+                    vals = vals.copy()
+                    keys = [column.copy() for column in keys]
             outputs[emission.artifact] = ArrayViewData.from_arrays(keys, vals)
         return outputs
 

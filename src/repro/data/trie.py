@@ -32,6 +32,24 @@ from repro.data.relation import Relation
 from repro.util.errors import PlanError
 
 
+def distinct_count(values: np.ndarray) -> int:
+    """Number of distinct entries of ``values``.
+
+    Integer columns whose value range is modest relative to their length
+    (categorical codes) take a presence scan over the range; floats and
+    wide ranges fall back to ``np.unique``'s sort.
+    """
+    if not len(values):
+        return 0
+    if values.dtype.kind in "iu":
+        lo = int(values.min())
+        span = int(values.max()) - lo + 1
+        if span <= max(4 * len(values), 1024):
+            offsets = values.astype(np.int64) - lo
+            return int(np.count_nonzero(np.bincount(offsets, minlength=span)))
+    return len(np.unique(values))
+
+
 @dataclass(frozen=True)
 class TrieLevel:
     """One trie level: runs of equal ``(a_0..a_k)`` prefixes.
@@ -115,6 +133,8 @@ class TrieIndex:
         self._operand_lists: dict[object, list] = {}
         self._level_lists: dict[int, tuple[list, list, list, list, list]] = {}
         self._partition_cache: dict[int, list["TrieIndex"]] = {}
+        #: distinct attribute values per level (:meth:`distinct_values`)
+        self._distinct: dict[int, int] = {}
         #: scratch cache for derived run geometry (parent maps, ancestor
         #: maps, span starts) computed by the NumPy backend — keyed and
         #: owned by repro.core.npbackend, invalidated with the index.
@@ -167,6 +187,18 @@ class TrieIndex:
 
     def level(self, k: int) -> TrieLevel:
         return self._levels[k]
+
+    def distinct_values(self, k: int) -> int:
+        """Number of distinct values of level ``k``'s attribute (cached).
+
+        At level 0 every run is a distinct value; deeper, a value recurs
+        under several prefixes. The C backend sizes its hash output tables
+        from these counts.
+        """
+        count = self._distinct.get(k)
+        if count is None:
+            count = self._distinct[k] = distinct_count(self._levels[k].values)
+        return count
 
     @property
     def num_rows(self) -> int:

@@ -1,17 +1,19 @@
 """C backend: differential equality with the Python backend."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core import EngineConfig, LMFAO, cbackend
 from repro.core.cbackend import gcc_available, supports_plan
 from repro.core.lowering import MODE_HASH, base_emission_mode
+from repro.core.runtime import ArrayViewData
 from repro.ml import covariance_batch
-from repro.ml.features import favorita_features
+from repro.ml.features import favorita_features, retailer_features
 from repro.paper import EXAMPLE_ROOTS, FAVORITA_TREE, example_queries
 from repro.util.errors import CyclicSchemaError, PlanError
 
-from tests.helpers import assert_results_equal
+from tests.helpers import assert_results_equal, walk_all
 from tests.strategies import instances
 
 pytestmark = pytest.mark.skipif(not gcc_available(), reason="gcc not on PATH")
@@ -96,9 +98,11 @@ def test_c_sources_kept_for_inspection(favorita_db):
     assert all("int32_t lmfao_run_g" in g.source for g in native)
 
 
-def test_hash_overflow_retry_keeps_dense_rows(favorita_db, monkeypatch):
-    """Every group's first attempt gets the smallest output tables (4 rows),
-    so a hash emission with more keys overflows and is retried larger."""
+def _tiny_first_tables(monkeypatch) -> tuple[list, list]:
+    """Give every group's first attempt the smallest output tables (4 rows),
+    so a hash emission with more keys overflows and is retried larger.
+    Returns the overflowing groups' names and the ``(plan, outputs)`` of
+    every attempt that succeeded."""
     real = cbackend.CCompiledGroup._attempt
     overflows, collected = [], []
 
@@ -112,6 +116,11 @@ def test_hash_overflow_retry_keeps_dense_rows(favorita_db, monkeypatch):
         return outputs
 
     monkeypatch.setattr(cbackend.CCompiledGroup, "_attempt", spy)
+    return overflows, collected
+
+
+def test_hash_overflow_retry_keeps_dense_rows(favorita_db, monkeypatch):
+    overflows, collected = _tiny_first_tables(monkeypatch)
     batch = covariance_batch(favorita_features(favorita_db))
     config = dict(
         join_tree_edges=FAVORITA_TREE, workers=1, partitions=1, executor="thread"
@@ -131,6 +140,83 @@ def test_hash_overflow_retry_keeps_dense_rows(favorita_db, monkeypatch):
             assert matrix.shape == (n, emission.width)
             assert matrix.base is None or matrix.base.nbytes == matrix.nbytes
     assert hashed
+
+
+def _hash_outputs(db, batch, backend: str, **config) -> dict[str, ArrayViewData]:
+    """Every hash emission's output of one sequential, unpartitioned walk."""
+    engine = LMFAO(db, EngineConfig(
+        backend=backend, executor="thread", workers=1, partitions=1, **config
+    ))
+    compiled = engine.compile(batch)
+    run = walk_all(engine, compiled)
+    stores = {**run.view_data, **run.query_raw}
+    return {
+        emission.artifact: stores[emission.artifact]
+        for plan in compiled.plans
+        for emission in plan.emissions
+        if base_emission_mode(emission) == MODE_HASH
+    }
+
+
+def test_hash_rows_come_out_in_scan_order(favorita_db, monkeypatch):
+    """A C hash emission's rows are its keys in first-seen trie-scan order
+    (the order generated Python's dicts keep), byte for byte the same
+    whatever size its first table had."""
+    batch = covariance_batch(favorita_features(favorita_db))
+    normal = _hash_outputs(favorita_db, batch, "c", join_tree_edges=FAVORITA_TREE)
+    scanned = _hash_outputs(
+        favorita_db, batch, "python", join_tree_edges=FAVORITA_TREE
+    )
+    overflows, _collected = _tiny_first_tables(monkeypatch)
+    retried = _hash_outputs(favorita_db, batch, "c", join_tree_edges=FAVORITA_TREE)
+    assert overflows
+    assert normal and normal.keys() == retried.keys() == scanned.keys()
+    for artifact, view in normal.items():
+        again, python = retried[artifact], scanned[artifact]
+        assert len(view.key_columns) == len(again.key_columns)
+        for column, same, first_seen in zip(
+            view.key_columns, again.key_columns, python.key_columns
+        ):
+            assert column.dtype == same.dtype
+            assert column.tobytes() == same.tobytes()
+            assert np.array_equal(column, first_seen), artifact
+        assert view.value_matrix.tobytes() == again.value_matrix.tobytes()
+        np.testing.assert_allclose(
+            view.value_matrix, python.value_matrix, rtol=1e-9, atol=0.0
+        )
+
+
+@pytest.mark.parametrize("database", ["favorita_db", "retailer_db"])
+def test_hash_tables_fit_their_keys_first_time(database, request, monkeypatch):
+    """A hash emission's first table holds its key bound, so a group whose
+    bounds are all under the cap never overflows; and every bound holds."""
+    db = request.getfixturevalue(database)
+    if database == "favorita_db":
+        batch = covariance_batch(favorita_features(db))
+        config = dict(join_tree_edges=FAVORITA_TREE)
+    else:
+        batch = covariance_batch(retailer_features(db))
+        config = {}
+    real = cbackend.CCompiledGroup._attempt
+    attempts = []
+
+    def spy(self, *args):
+        outputs = real(self, *args)
+        *_rest, bounds, boost = args
+        attempts.append((self.plan, bounds, boost, outputs))
+        return outputs
+
+    monkeypatch.setattr(cbackend.CCompiledGroup, "_attempt", spy)
+    LMFAO(db, EngineConfig(backend="c", executor="thread", **config)).run(batch)
+    hashed = [attempt for attempt in attempts if attempt[1]]
+    assert hashed
+    for plan, bounds, boost, outputs in hashed:
+        if max(bounds.values()) <= cbackend._KEY_CAP:
+            assert boost == 1 and outputs is not None, plan.group_name
+        if outputs is None:
+            continue
+        for index, bound in bounds.items():
+            assert len(outputs[plan.emissions[index].artifact]) <= bound
 
 
 @given(instance=instances())

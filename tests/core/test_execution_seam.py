@@ -45,6 +45,11 @@ Views are summed per key by one kernel,
 delta merge and NumPy's stacked slot groups call, and no code but the
 one dict → columns conversion asks whether a view is a dict.
 
+C sizes its open-addressing tables by one rule
+(:func:`repro.core.cbackend._table_capacity`), a hash output's from its
+key bound, and collects a hash output as its dense rows, never by
+gathering the occupied slots.
+
 A group's backend is decided one way: at compile, by
 :func:`repro.core.runtime.compile_executables`, which returns one
 compiled group per plan; a run reads it and never re-selects.
@@ -843,3 +848,31 @@ def test_one_sum_by_key():
     assert _isinstance_sites("dict", "ArrayViewData") == [
         "core/runtime.py:view_columns", "serve/fingerprint.py:_config_key",
     ]
+
+
+def test_c_tables_sized_by_one_rule():
+    # one capacity function sizes every C table: the view tables and the
+    # output tables, which _attempt's buffers_of allocates
+    functions = {function.name for function in _functions("core/cbackend.py")}
+    assert {name for name in functions if "capacity" in name} == {"_table_capacity"}
+    assert "_next_pow2" not in functions
+    assert sorted(set(_enclosing_functions("_table_capacity"))) == [
+        "core/cbackend.py:_attempt", "core/cbackend.py:buffers_of",
+    ]
+    # collect takes a hash output's first n dense rows: nothing in the
+    # attempt indexes by occupancy or reinterprets a buffer as booleans
+    attempt = _definition("core/cbackend.py", "_attempt", inside="CCompiledGroup")
+    for node in ast.walk(attempt):
+        if isinstance(node, ast.Subscript):
+            used = {
+                text for part in ast.walk(node.slice)
+                for text in (
+                    *_node_names(part),
+                    *([part.value] if isinstance(part, ast.Constant) else []),
+                )
+            }
+            assert not {"occ", "out_occ"} & used, f"core/cbackend.py:{node.lineno}"
+        if isinstance(node, ast.Call) and _called_name(node) == "view":
+            assert not any(
+                isinstance(arg, ast.Name) and arg.id == "bool" for arg in node.args
+            ), f"core/cbackend.py:{node.lineno}"

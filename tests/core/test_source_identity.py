@@ -41,22 +41,22 @@ from repro.query import Aggregate, OrderSpec, Query, QueryBatch
 from repro.query.predicates import Op, Predicate
 
 DIGESTS = {
-    # 3 C hash emissions (3 of 6 groups) gain an O<i>_row slot -> row array
-    'carried_class_city': '78926b47e8af2460fe69aae97ba4d41155fd0438b7491366af25833d61c0e3fb',
-    # 6 C hash emissions (5 of 9 groups) gain an O<i>_row slot -> row array
-    'cart_groupby': '496394aa8a308dd7e519d6019fd30433e80011132f2ac1800bc18f8b2ad8bafb',
-    # 3 C hash emissions (3 of 8 groups) gain an O<i>_row slot -> row array
-    'cart_indicator': 'ae9cc3aff790900b96f021cc8ef346b3870b869993fbe75ebc6ec54f129bdb1a',
-    # 198 C hash emissions (6 of 8 groups) gain an O<i>_row slot -> row array
-    'covariance_retailer': 'bfe13e13e02d799ee0d5fdb7630bc79a451d012f92a7f381d4080f6938362816',
-    # 4 C hash emissions (3 of 7 groups) gain an O<i>_row slot -> row array
-    'ordered_topk': '50eea59a8aade5e1580c6515220145d00c89f41f109798bda5ca8033ad192a45',
-    # 2 C hash emissions (2 of 7 groups) gain an O<i>_row slot -> row array
-    'paper_example': '5d9a5be81572d1170d01428083c43d34fd3b3fac0f7ba94d0ebd8452c19f3289',
-    # 3 C hash emissions (3 of 9 groups) gain an O<i>_row slot -> row array
-    'paper_example_single_output': '3b530b6caf9621542871b4b15ce2d5473dc5e65ac2a70fc2185981a18167b2e3',
-    # 2 C hash emissions (2 of 7 groups) gain an O<i>_row slot -> row array
-    'paper_example_unfactorized': '5ff151e371df8d5891711cd9ff1706cbf347b12399e8325e81d672a038331e55',
+    # 3 C hash emissions (3 of 6 groups) keep keys by dense row, drop O<i>_occ
+    'carried_class_city': 'eb21661179cc6ea090b2de51cf1f8ae0d6829b7dfce44a900c3fd340132f96e9',
+    # 6 C hash emissions (5 of 9 groups) keep keys by dense row, drop O<i>_occ
+    'cart_groupby': 'e05437cafd65555d1ab04f053ca1dbca7e1b2da4096458b76ae27ed2175e14cf',
+    # 3 C hash emissions (3 of 8 groups) keep keys by dense row, drop O<i>_occ
+    'cart_indicator': '8183fc6e611f5140b1950da1e37cd3a4d73e60f12e4051a1f8f332a142700c8e',
+    # 198 C hash emissions (6 of 8 groups) keep keys by dense row, drop O<i>_occ
+    'covariance_retailer': '2a411b61ca6e84e8147470e85c0509798e6ac6b50400bb17492e2dba5f165885',
+    # 4 C hash emissions (3 of 7 groups) keep keys by dense row, drop O<i>_occ
+    'ordered_topk': '0f9971b2a5ec972f06d1ed6e3f2dd0de78d7277040178084e7bc1a950be2b6e6',
+    # 2 C hash emissions (2 of 7 groups) keep keys by dense row, drop O<i>_occ
+    'paper_example': '99838f9adeff789a3b7f4514f920774305941f51b0c59e3b0324e1ea729496a2',
+    # 3 C hash emissions (3 of 9 groups) keep keys by dense row, drop O<i>_occ
+    'paper_example_single_output': 'e8fd83f7a68a4e4f50119fc5deeec8f02a8d79c65ed3f3c6bfa052fcb4de1d5b',
+    # 2 C hash emissions (2 of 7 groups) keep keys by dense row, drop O<i>_occ
+    'paper_example_unfactorized': '7b7689687665f66329588fa49f7f711c17454b9c3bf08854a9516fdb258f87c3',
 }
 
 NUMPY_DIGESTS = {
