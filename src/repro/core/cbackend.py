@@ -21,8 +21,9 @@ passed as a single ``void**`` argument vector):
   row-major aggregate matrix); the generated prologue builds an
   open-addressing hash table (linear probing, splitmix64 mixing) in
   preallocated buffers;
-* carried incoming views — entries sorted by local key; a hash table maps
-  each distinct key to its contiguous entry range (sub-sums and keyed
+* carried incoming views — entries stably ordered by local key through
+  the key coder (:mod:`repro.data.keycodes`); a hash table maps each
+  distinct key to its contiguous entry range (sub-sums and keyed
   emissions iterate ranges);
 * outputs — aligned emissions append into arrays sized by the emission
   level's run count; accumulating (hash) emissions use a preallocated
@@ -127,7 +128,8 @@ from repro.core.runtime import (
     debug_checks_enabled,
     view_columns,
 )
-from repro.data.trie import TrieIndex, distinct_count
+from repro.data.keycodes import _composite_codes, _group_codes, _key_order
+from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
 
@@ -449,23 +451,6 @@ def _table_capacity(keys: float) -> int:
     return size
 
 
-def _lex_sorted(columns: list[np.ndarray]) -> bool:
-    """Whether the rows ascend lexicographically by ``columns``: one pass
-    over adjacent row pairs, a column at a time while they tie."""
-    tied = None
-    for column in columns:
-        later, earlier = column[1:], column[:-1]
-        descends = later < earlier
-        if tied is not None:
-            descends &= tied
-        if descends.any():
-            return False
-        tied = later == earlier if tied is None else tied & (later == earlier)
-        if not tied.any():
-            break
-    return True
-
-
 class CCompiledGroup:
     """One plan compiled to native code, with its marshaling logic.
 
@@ -505,16 +490,18 @@ class CCompiledGroup:
             for binding in self.plan.bindings
         }
 
-    def _binding_entries(self, binding, view_data, view_group_by):
+    @staticmethod
+    def _binding_entries(binding, view_data, view_group_by):
         """Entry arrays for one binding: key part cols, carried cols, aggs,
         and the distinct count of each carried column.
 
         Read through :func:`~repro.core.runtime.view_columns` — a columnar
         view from a native producer is used as is, never turned into
-        Python objects. Carried bindings are sorted by their local key so
-        the generated prologue can hash distinct keys to contiguous ranges;
-        entries that arrive sorted (a view emitted in trie order) are kept
-        as they are.
+        Python objects. Carried entries are stably ordered by their
+        order-preserving local-key composite (the key coder's) so the
+        generated prologue can hash distinct keys to contiguous ranges;
+        entries already in key order (a view emitted in trie order) stay
+        put. Carried columns are counted by the same coder.
         """
         group_by = view_group_by[binding.view]
         columns, vals = view_columns(
@@ -522,12 +509,14 @@ class CCompiledGroup:
         )
         key_cols = [columns[group_by.index(a)] for a in binding.key]
         carried_cols = [columns[group_by.index(a)] for a in binding.carried]
-        if binding.is_carried and len(vals) > 1 and not _lex_sorted(key_cols):
-            order = np.lexsort(tuple(reversed(key_cols)))
+        order = None
+        if binding.is_carried:
+            order = _key_order(_composite_codes(key_cols)[0])
+        if order is not None:
             key_cols = [c[order] for c in key_cols]
             carried_cols = [c[order] for c in carried_cols]
             vals = vals[order]
-        counts = tuple(distinct_count(c) for c in carried_cols)
+        counts = tuple(_group_codes([c])[1] for c in carried_cols)
         return key_cols, carried_cols, vals, counts
 
     def key_bounds(self, trie: TrieIndex, bind_entries: dict) -> dict[int, int]:

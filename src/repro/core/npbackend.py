@@ -10,20 +10,19 @@ construct for *all* runs of a level at once:
 * **run geometry** — per-level parent maps (``np.repeat`` over child-span
   widths), ancestor maps (parent composition) and subtree span starts
   (child-span composition) are derived once per index and cached on it;
-* **probes** — incoming-view lookups become vectorized binary searches:
-  each view's entries are key-coded per column (``np.searchsorted``
-  against the per-column sorted uniques), combined into mixed-radix
-  composite codes, and sorted once in ``prepare_bindings``; a probe then
-  codes the bound level's key columns the same way and searches the sorted
-  composites. Semi-join misses become a per-level **alive mask**, composed
-  down the trie exactly like the generated ``continue`` cascades;
+* **probes** — each view's key columns are indexed once in
+  ``prepare_bindings`` by the key coder the emissions group with
+  (:mod:`repro.data.keycodes`); a probe codes the bound level's key
+  columns into the view's key space and reads a direct-address table
+  (a binary search when the space is too wide). Semi-join misses become
+  a per-level **alive mask**, composed down the trie exactly like the
+  generated ``continue`` cascades;
 * **carried views** — incoming views whose group-by includes non-local
   attributes are flattened to **CSR entry lists** per local key
-  (:class:`_CarriedTable`): entries stably sorted by their local-key
-  composite code, ``entry_offsets`` bounding each key's contiguous
-  segment in the flattened carried columns and aggregate matrix. A probe
-  at the block's bind level yields a per-run key row (hence an entry
-  segment) plus the semi-join found mask;
+  (:class:`_CarriedTable`), ``entry_offsets`` bounding each key's
+  contiguous segment in the flattened carried columns and aggregate
+  matrix. A probe at the block's bind level yields a per-run key row
+  (hence an entry segment) plus the semi-join found mask;
 * **sub-sums** — a carried sub-sum (Σ over a carried view's entries) is
   one ``np.add.reduceat`` over the entry segments per table, computed
   once at marshalling time and indexed per probed run;
@@ -97,13 +96,12 @@ from repro.core.lowering import (
 )
 from repro.core.plan import MultiOutputPlan, ViewBinding
 from repro.core.runtime import (
-    _CODE_LIMIT,
     ArrayViewData,
-    _group_codes,
     bind_operands,
     sum_by_key,
     view_columns,
 )
+from repro.data.keycodes import KeyIndex, _group_codes, _key_order
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
@@ -139,74 +137,13 @@ def compile_numpy_groups(
 # ---------------------------------------------------------------------------
 
 
-def _composite(codes: list[np.ndarray], bases: list[int], as_object: bool) -> np.ndarray:
-    """Mixed-radix combination of per-column codes (``code[p] < bases[p]``)."""
-    comp: np.ndarray | None = None
-    for code, base in zip(codes, bases):
-        piece = code.astype(object) if as_object else code.astype(np.int64)
-        comp = piece if comp is None else comp * base + piece
-    assert comp is not None
-    return comp
-
-
-class _ProbeTable:
-    """Key coding shared by the scalar and carried binding tables.
-
-    Entry key columns are coded per column against their sorted uniques
-    and combined into mixed-radix composite codes; a probe codes the
-    bound trie level's columns the same way (values absent from the
-    producer take the reserved top code, keeping composites
-    collision-free) so a lookup is two ``np.searchsorted`` passes.
-    """
-
-    part_uniques: list[np.ndarray]
-    bases: list[int]
-    as_object: bool
-
-    def _build_codes(self, columns: list[np.ndarray]) -> np.ndarray:
-        self.part_uniques = [np.unique(column) for column in columns]
-        # base = len(uniques) + 1 reserves the top code for "not a producer
-        # value" on the probe side.
-        self.bases = [len(uniques) + 1 for uniques in self.part_uniques]
-        span = 1
-        for base in self.bases:
-            span *= base
-        self.as_object = span >= _CODE_LIMIT
-        codes = [
-            np.searchsorted(uniques, column)
-            for uniques, column in zip(self.part_uniques, columns)
-        ]
-        if not codes:  # cannot happen: bindings always have ≥ 1 key attr
-            return np.zeros(0, dtype=np.int64)
-        return _composite(codes, self.bases, self.as_object)
-
-    def _probe_codes(
-        self, probe_columns: list[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Composite code + per-run validity for the probing level columns.
-
-        Only called with ≥ 1 producer entry, so every ``uniques`` array is
-        non-empty.
-        """
-        n = len(probe_columns[0])
-        found = np.ones(n, dtype=bool)
-        codes = []
-        for uniques, column in zip(self.part_uniques, probe_columns):
-            pos = np.searchsorted(uniques, column)
-            clipped = np.minimum(pos, len(uniques) - 1)
-            valid = uniques[clipped] == column
-            found &= valid
-            codes.append(np.where(valid, clipped, len(uniques)))
-        return _composite(codes, self.bases, self.as_object), found
-
-
-class _BindingTable(_ProbeTable):
+class _BindingTable:
     """One scalar (non-carried) incoming view marshalled for probing.
 
-    Key columns are selected in the consumer binding's key order, coded,
-    combined and sorted once; a probe is then two ``np.searchsorted``
-    passes. The table is read-only after construction and shared across
-    partitions.
+    Key columns, in the consumer binding's key order, are indexed once by
+    the key coder (:class:`KeyIndex`) and value rows kept in key-id
+    order, so a probe is a key lookup and one gather. Read-only after
+    construction and shared across partitions.
     """
 
     def __init__(
@@ -214,12 +151,9 @@ class _BindingTable(_ProbeTable):
     ):
         self.width = binding.num_aggregates
         columns, values = view_columns(data, group_by, self.width)
-        positions = [group_by.index(attr) for attr in binding.key]
-        self.m = len(values)
-        self.values = values
-        comp = self._build_codes([columns[p] for p in positions])
-        self.order = np.argsort(comp, kind="stable")
-        self.sorted_comp = comp[self.order]
+        self.keys = KeyIndex([columns[group_by.index(attr)] for attr in binding.key])
+        # a view's keys are distinct: key id i is producer row first_index[i]
+        self.values = values[self.keys.first_index]
 
     def probe(self, probe_columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized lookup: ``(values matrix, found mask)`` per run.
@@ -227,32 +161,23 @@ class _BindingTable(_ProbeTable):
         Missing keys yield ``found=False`` with an arbitrary (but
         in-bounds) values row — callers mask dead runs out of every sum.
         """
-        n = len(probe_columns[0])
-        if self.m == 0:
-            return (
-                np.zeros((n, self.width), dtype=np.float64),
-                np.zeros(n, dtype=bool),
-            )
-        comp, found = self._probe_codes(probe_columns)
-        idx = np.minimum(np.searchsorted(self.sorted_comp, comp), self.m - 1)
-        found &= self.sorted_comp[idx] == comp
-        rows = self.order[np.where(found, idx, 0)]
-        return self.values[rows], found
+        key, found = self.keys.lookup(probe_columns)
+        if self.keys.num_keys == 0:
+            return np.zeros((len(key), self.width), dtype=np.float64), found
+        return self.values[key], found
 
 
-class _CarriedTable(_ProbeTable):
+class _CarriedTable:
     """One carried incoming view flattened to CSR entry lists.
 
-    Entries (producer rows) are stably sorted by their local-key
-    composite code, giving one contiguous segment per distinct local key:
-    ``entry_offsets[i] : entry_offsets[i + 1]`` bounds key row ``i``'s
-    entries in the flattened ``carried_columns`` (one array per carried
-    attribute, in entry-tuple order) and ``agg_matrix``. Stability keeps
-    entries in producer-dict order within each key — the order the
-    interpreted entry lists iterate, so carried accumulations stay
-    statement-compatible. ``subsums`` holds Σ over each key's entries of
-    every aggregate (one ``np.add.reduceat`` per table), which makes a
-    sub-sum operand read a per-run gather.
+    Entries (producer rows) are grouped by local key (:class:`KeyIndex`)
+    and stably ordered by key id, i.e. by key: ``entry_offsets[i] :
+    entry_offsets[i + 1]`` bounds key row ``i``'s entries in the flattened
+    ``carried_columns`` (one array per carried attribute) and
+    ``agg_matrix``. Stability keeps producer order within each key — the
+    order the interpreted entry lists iterate. ``subsums`` holds Σ over
+    each key's entries of every aggregate (one ``np.add.reduceat``), so a
+    sub-sum operand reads a per-run gather.
     """
 
     def __init__(
@@ -260,42 +185,27 @@ class _CarriedTable(_ProbeTable):
     ):
         self.width = binding.num_aggregates
         columns, values = view_columns(data, group_by, self.width)
-        key_positions = [group_by.index(attr) for attr in binding.key]
-        carried_positions = [group_by.index(attr) for attr in binding.carried]
-        self.m = len(values)
-        comp = self._build_codes([columns[p] for p in key_positions])
-        order = np.argsort(comp, kind="stable")
-        sorted_comp = comp[order]
-        if self.m:
-            is_start = np.ones(self.m, dtype=bool)
-            is_start[1:] = sorted_comp[1:] != sorted_comp[:-1]
-            starts = np.flatnonzero(is_start)
-        else:
-            starts = np.zeros(0, dtype=np.int64)
-        self.num_keys = len(starts)
-        self.key_comp = sorted_comp[starts] if self.m else sorted_comp
-        self.entry_offsets = np.append(starts, self.m).astype(np.int64)
-        self.carried_columns = [columns[p][order] for p in carried_positions]
-        self.agg_matrix = values[order]
+        self.keys = KeyIndex([columns[group_by.index(attr)] for attr in binding.key])
+        self.num_keys = self.keys.num_keys
+        counts = np.bincount(self.keys.ids, minlength=self.num_keys)
+        self.entry_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        carried = [columns[group_by.index(attr)] for attr in binding.carried]
+        order = _key_order(self.keys.ids)
+        if order is not None:
+            carried = [column[order] for column in carried]
+            values = values[order]
+        self.carried_columns = carried
+        self.agg_matrix = values
         if self.num_keys:
-            self.subsums = np.add.reduceat(self.agg_matrix, starts, axis=0)
+            self.subsums = np.add.reduceat(values, self.entry_offsets[:-1], axis=0)
         else:
             self.subsums = np.zeros((0, self.width), dtype=np.float64)
 
     def probe(self, probe_columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized fetch: ``(key row, found mask)`` per run.
-
-        ``key row`` indexes the per-key arrays (``entry_offsets`` /
-        ``subsums``); misses yield ``found=False`` with an arbitrary
-        in-bounds row, masked out downstream like scalar probe misses.
-        """
-        n = len(probe_columns[0])
-        if self.num_keys == 0:
-            return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
-        comp, found = self._probe_codes(probe_columns)
-        idx = np.minimum(np.searchsorted(self.key_comp, comp), self.num_keys - 1)
-        found &= self.key_comp[idx] == comp
-        return np.where(found, idx, 0), found
+        """Vectorized fetch: ``(key row, found mask)`` per run; ``key
+        row`` indexes ``entry_offsets`` / ``subsums``, and is 0 for a miss
+        (masked out downstream like scalar probe misses)."""
+        return self.keys.lookup(probe_columns)
 
     def subsum(self, key_row: np.ndarray, found: np.ndarray, agg_index: int):
         """Σ over the probed key's entries of one aggregate, per run."""

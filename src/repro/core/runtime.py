@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.core import costmodel
 from repro.core.plan import MultiOutputPlan, ViewBinding
+from repro.data.keycodes import _group_codes
 from repro.data.relation import Relation
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
@@ -156,101 +157,6 @@ def view_columns(
 
 # ------------------------------------------------------------- sum by key
 
-#: composite key codes stay below this in int64; beyond it the (rare) huge
-#: multi-column key spaces switch to exact Python-int (object) codes.
-_CODE_LIMIT = 2**62
-
-
-def _dense_codes(column: np.ndarray) -> tuple[np.ndarray, int]:
-    """Non-negative int codes for one key column, plus the code space size.
-
-    Integer columns whose value range is modest relative to their length
-    (the common case: categorical keys) take the sort-free offset path;
-    floats and wild integer ranges fall back to ``np.unique``'s sort.
-    """
-    if column.dtype.kind in "iu" and len(column):
-        lo = int(column.min())
-        span = int(column.max()) - lo + 1
-        if span <= max(4 * len(column), 1024):
-            return column.astype(np.int64) - lo, span
-    uniques, inverse = np.unique(column, return_inverse=True)
-    return inverse.astype(np.int64), max(len(uniques), 1)
-
-
-def _composite_codes(
-    columns: list[np.ndarray],
-) -> tuple[np.ndarray | None, int, int]:
-    """Mixed-radix composite code per row: ``(comp, space, n)``.
-
-    Per-column codes combine in mixed radix; when a radix step would
-    overflow int64 the running composite is re-densified first. The
-    composite is **order-preserving**: both per-column code paths in
-    :func:`_dense_codes` map larger values to larger codes, so rows
-    ordered by composite are ordered lexicographically by key tuple —
-    which is why every branch of :func:`_group_codes` enumerates groups
-    in the same order.
-    """
-    n = len(columns[0]) if columns else 0
-    comp: np.ndarray | None = None
-    space = 1
-    for column in columns:
-        codes, card = _dense_codes(column)
-        if comp is None:
-            comp, space = codes, card
-            continue
-        if space * card >= _CODE_LIMIT:
-            # re-densify so the next radix step cannot overflow int64
-            uniques, comp = np.unique(comp, return_inverse=True)
-            comp = comp.astype(np.int64)
-            space = max(len(uniques), 1)
-        comp = comp * card + codes
-        space *= card
-    return comp, space, n
-
-
-def _group_codes(columns: list[np.ndarray]) -> tuple[np.ndarray, int, np.ndarray]:
-    """Group rows by their key tuple: ``(ids, num_keys, first_index)``.
-
-    ``ids`` is a dense group id per row, ascending with the composite
-    code (so groups enumerate in key order); ``first_index`` the first
-    row of each group (so representative key values are
-    ``column[first_index]``). The algorithm follows the code space the
-    composite just measured: while it stays modest the distinct codes
-    are found with an O(n) bincount presence scan; beyond it the ids come
-    from a **packed value sort** — ``sort(comp * n + row_index)``
-    recovers a stable order via divmod, and NumPy sorts raw int64 values
-    several times faster than it argsorts them — or, when that packing
-    would overflow int64, a stable argsort. Every branch assigns the same
-    ids and first rows (``np.unique``'s inverse and first occurrences).
-    """
-    comp, space, n = _composite_codes(columns)
-    if comp is None or n == 0:
-        return np.zeros(0, dtype=np.int64), 0, np.zeros(0, dtype=np.int64)
-    if space <= max(4 * n, 1024):
-        present = np.bincount(comp, minlength=space) > 0
-        num_keys = int(present.sum())
-        ids = (np.cumsum(present) - 1)[comp]
-        # reversed scatter: for duplicate ids the *last* write wins, which
-        # in reversed row order is each group's first occurrence.
-        first_index = np.empty(num_keys, dtype=np.int64)
-        first_index[ids[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
-        return ids, num_keys, first_index
-    if space < _CODE_LIMIT // n:
-        packed = np.sort(comp * n + np.arange(n, dtype=np.int64))
-        order = packed % n
-        sorted_comp = packed // n
-    else:
-        order = np.argsort(comp, kind="stable")
-        sorted_comp = comp[order]
-    is_start = np.ones(n, dtype=bool)
-    is_start[1:] = sorted_comp[1:] != sorted_comp[:-1]
-    ids = np.empty(n, dtype=np.int64)
-    ids[order] = np.cumsum(is_start) - 1
-    # stability keeps each group's rows in input order: its first sorted
-    # row is its first occurrence
-    first_index = order[is_start]
-    return ids, len(first_index), first_index
-
 
 def _stacked(
     pieces: Sequence[ArrayViewData],
@@ -269,7 +175,8 @@ def sum_by_key(pieces: Sequence[ArrayViewData]) -> ArrayViewData:
     merge and the NumPy backend's stacked slot groups call it. A key is in
     the result iff some piece has it, and each of its slots is a left fold
     from ``0.0`` over the pieces in order (``np.bincount`` adds in input
-    order). Rows come out in ascending key order (:func:`_group_codes`).
+    order). Rows come out in ascending key order
+    (:func:`~repro.data.keycodes._group_codes`).
     Scalar pieces (no key columns) sum into one row. Inputs are not
     mutated.
     """

@@ -11,6 +11,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.data.keycodes import _group_codes
 from repro.data.schema import RelationSchema
 from repro.data.types import coerce_column
 from repro.util.errors import SchemaError
@@ -241,8 +242,8 @@ class Relation:
         return tuple(self._columns[n][i].item() for n in self.attribute_names)
 
     def distinct_count(self, name: str) -> int:
-        """Number of distinct values in a column."""
-        return int(np.unique(self._columns[name]).size)
+        """Number of distinct values in a column, counted by the key coder."""
+        return _group_codes([self._columns[name]])[1]
 
     def __eq__(self, other: object) -> bool:
         """Bag equality: same schema and same multiset of tuples."""

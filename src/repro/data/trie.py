@@ -28,26 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.data.keycodes import _group_codes
 from repro.data.relation import Relation
 from repro.util.errors import PlanError
-
-
-def distinct_count(values: np.ndarray) -> int:
-    """Number of distinct entries of ``values``.
-
-    Integer columns whose value range is modest relative to their length
-    (categorical codes) take a presence scan over the range; floats and
-    wide ranges fall back to ``np.unique``'s sort.
-    """
-    if not len(values):
-        return 0
-    if values.dtype.kind in "iu":
-        lo = int(values.min())
-        span = int(values.max()) - lo + 1
-        if span <= max(4 * len(values), 1024):
-            offsets = values.astype(np.int64) - lo
-            return int(np.count_nonzero(np.bincount(offsets, minlength=span)))
-    return len(np.unique(values))
 
 
 @dataclass(frozen=True)
@@ -192,12 +175,12 @@ class TrieIndex:
         """Number of distinct values of level ``k``'s attribute (cached).
 
         At level 0 every run is a distinct value; deeper, a value recurs
-        under several prefixes. The C backend sizes its hash output tables
-        from these counts.
+        under several prefixes. Counted by the key coder; the C backend
+        sizes its hash output tables from these counts.
         """
         count = self._distinct.get(k)
         if count is None:
-            count = self._distinct[k] = distinct_count(self._levels[k].values)
+            count = self._distinct[k] = _group_codes([self._levels[k].values])[1]
         return count
 
     @property

@@ -45,6 +45,11 @@ Views are summed per key by one kernel,
 delta merge and NumPy's stacked slot groups call, and no code but the
 one dict → columns conversion asks whether a view is a dict.
 
+Keys are coded one way (:mod:`repro.data.keycodes`): the NumPy probes,
+the carried entry lists on both backends and every distinct count go
+through the coder the emissions group with, and neither backend sorts,
+searches or uniques keys itself.
+
 C sizes its open-addressing tables by one rule
 (:func:`repro.core.cbackend._table_capacity`), a hash output's from its
 key bound, and collects a hash output as its dense rows, never by
@@ -876,3 +881,53 @@ def test_c_tables_sized_by_one_rule():
             assert not any(
                 isinstance(arg, ast.Name) and arg.id == "bool" for arg in node.args
             ), f"core/cbackend.py:{node.lineno}"
+
+
+def test_one_key_coder():
+    # neither backend codes, searches or sorts keys of its own: probes,
+    # carried entry lists and counts go through the key coder
+    for module in ("core/npbackend.py", "core/cbackend.py"):
+        own = [
+            f"{module}:{node.lineno}"
+            for node in ast.walk(_modules()[module])
+            if isinstance(node, ast.Call)
+            and (
+                _called_name(node) in {"searchsorted", "unique", "lexsort"}
+                or _called_name(node) == "astype"
+                and any(isinstance(a, ast.Name) and a.id == "object" for a in node.args)
+            )
+        ]
+        assert not own, own
+    # the second scheme and the copied counter are gone, and the coder's
+    # helpers have one home
+    homes: dict[str, list[str]] = {}
+    for module, tree in _modules().items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                homes.setdefault(node.name, []).append(module)
+    for retired in ("_ProbeTable", "_composite", "_lex_sorted", "distinct_count"):
+        assert retired not in homes, (retired, homes[retired])
+    for helper in ("_dense_codes", "_composite_codes", "_group_codes", "KeyIndex"):
+        assert homes[helper] == ["data/keycodes.py"], (helper, homes[helper])
+    # one presence-scan bound, max(4 * n, 1024), in one function
+    bounds = set()
+
+    def visit(node, module: str, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call) and _called_name(node) == "max"
+            and any(
+                isinstance(a, ast.BinOp) and isinstance(a.op, ast.Mult)
+                and 4 in {getattr(side, "value", None) for side in (a.left, a.right)}
+                for a in node.args
+            )
+            and any(getattr(a, "value", None) == 1024 for a in node.args)
+        ):
+            bounds.add(f"{module}:{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for module, tree in _modules().items():
+        visit(tree, module, None)
+    assert bounds == {"data/keycodes.py:_dense_enough"}, bounds

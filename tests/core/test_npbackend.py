@@ -1,13 +1,24 @@
 """NumPy backend: differential equality with the Python backend."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import EngineConfig, LMFAO
-from repro.core.npbackend import NumpyCompiledGroup, supports_plan
+from repro.core.cbackend import CCompiledGroup
+from repro.core.npbackend import (
+    NumpyCompiledGroup,
+    _BindingTable,
+    _CarriedTable,
+    supports_plan,
+)
+from repro.core.plan import ViewBinding
 from repro.core.runtime import ArrayViewData, as_mapping, view_columns
 from repro.data import Attribute, Database, Relation, RelationSchema
+from repro.data.keycodes import _CODE_LIMIT, _dense_codes
 from repro.paper import EXAMPLE_ROOTS, FAVORITA_TREE, example_queries
 from repro.query import Aggregate, Factor, Op, Predicate, Query, QueryBatch
 from repro.query.functions import identity
@@ -228,10 +239,11 @@ def _grouper_columns(branch: str) -> list[np.ndarray]:
 def test_group_codes_match_np_unique(branch):
     """Every branch of the one grouper assigns ``np.unique``'s ids (key
     order), group count and first occurrences."""
-    from repro.core.runtime import _CODE_LIMIT, _composite_codes, _group_codes
+    from repro.data.keycodes import _composite_codes, _group_codes
 
     columns = _grouper_columns(branch)
-    _comp, space, n = _composite_codes(columns)
+    _comp, coder = _composite_codes(columns)
+    space, n = coder.space, len(columns[0])
     dense_cut, packed_cut = max(4 * n, 1024), _CODE_LIMIT // n
     taken = (
         "dense" if space <= dense_cut
@@ -529,3 +541,170 @@ def test_numpy_backend_matches_python_on_random_instances(instance):
         _compare_backends(instance.db, instance.batch)
     except CyclicSchemaError:
         pytest.skip("generated schema had a disconnected join graph")
+
+
+# ------------------------------------------------------------------- probes
+
+#: producer key kinds of the probe property, by the coding they take:
+#: offsets (narrow, negative), sorted uniques (wide, float), and seven
+#: ~1024-wide offset columns whose code space passes ``_CODE_LIMIT``
+_PROBE_KINDS = ("narrow", "negative", "wide", "float", "code-limit")
+
+
+def _probe_rows(rng, kind: str, width: int, size: int) -> np.ndarray:
+    """At least ``size`` rows of ``width`` key values of one kind."""
+    shape = (4 * size, width)
+    if kind == "narrow":
+        return rng.integers(0, 50, shape)
+    if kind == "negative":
+        return rng.integers(-60, -5, shape)
+    if kind == "wide":
+        return rng.integers(-10**12, 10**12, shape)
+    if kind == "float":
+        return rng.normal(size=shape) * 1e3
+    return rng.integers(1, 1023, shape)
+
+
+def _distinct_rows(rows: np.ndarray, size: int) -> np.ndarray:
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return rows[np.sort(first)][:size]
+
+
+def _probe_columns(rng, keys: list[np.ndarray], n: int) -> list[np.ndarray]:
+    """``n`` probe rows over the producer's key columns: whole producer
+    keys (hits) and, per column, producer values (so tuples the producer
+    lacks), absent values inside the range, and values below ``lo`` and
+    above ``lo + span``."""
+    m = len(keys[0])
+    whole = rng.integers(0, m, n)
+    columns = []
+    for column in keys:
+        lo, hi = column.min(), column.max()
+        if column.dtype.kind == "f":
+            inside = rng.normal(size=n) * 1e3
+            below, above = lo - 1.5 - rng.random(n), hi + 0.5 + rng.random(n)
+        else:
+            inside = rng.integers(lo, hi + 1, n)
+            below = lo - rng.integers(1, 10**6, n)
+            above = hi + rng.integers(1, 10**6, n)
+        pick = rng.integers(0, 5, n)
+        probe = np.where(
+            pick == 0, column[rng.integers(0, m, n)],
+            np.where(pick == 1, inside, np.where(pick == 2, below, above)),
+        )
+        hit = rng.random(n) < 0.5
+        columns.append(np.where(hit, column[whole], probe).astype(column.dtype))
+    return columns
+
+
+def _probe_case(rng, kind: str, carried: bool):
+    """A producer view (key columns in a shuffled group-by, plus a carried
+    column when ``carried``), its consumer binding and probe columns."""
+    width = 7 if kind == "code-limit" else int(rng.integers(1, 4))
+    size = int(rng.integers(1, 60))
+    pool = _distinct_rows(_probe_rows(rng, kind, width, size), size)
+    if kind == "code-limit":  # the span ends: 1024 offsets a column, 1024**7 > 2**62
+        pool = np.vstack([np.zeros(width, int), np.full(width, 1023), pool])
+    names = [f"k{c}" for c in range(width)]
+    if carried:  # every pool key, some repeated; distinct (key, carried) tuples
+        picks = np.concatenate([
+            np.arange(len(pool)), rng.integers(0, len(pool), 2 * len(pool))
+        ])
+        rng.shuffle(picks)
+        entries = len(picks)
+        rows = np.column_stack([pool[picks], rng.integers(0, 8, entries)])
+        rows = _distinct_rows(rows.astype(pool.dtype), entries)
+        key_rows, carried_column = rows[:, :width], rows[:, width].astype(np.int64)
+    else:
+        key_rows, carried_column = pool, None
+    group_by = list(names) + (["c"] if carried else [])
+    rng.shuffle(group_by)
+    key = tuple(rng.permutation(names))
+    columns = {
+        name: np.ascontiguousarray(key_rows[:, c]) for c, name in enumerate(names)
+    }
+    if carried:
+        columns["c"] = carried_column
+    agg_width = int(rng.integers(1, 3))
+    # integer-valued floats: any summation order is exact
+    values = rng.integers(-50, 50, (len(key_rows), agg_width)).astype(np.float64)
+    view = ArrayViewData.from_arrays([columns[a] for a in group_by], values)
+    binding = ViewBinding(
+        view="V", num_aggregates=agg_width, key=key,
+        key_levels=tuple(range(width)), bind_level=width - 1,
+        carried=("c",) if carried else (),
+    )
+    keys = [columns[a] for a in key]
+    probes = _probe_columns(rng, keys, int(rng.integers(1, 200)))
+    return view, tuple(group_by), binding, keys, probes
+
+
+def _tuples(columns: list[np.ndarray]) -> list[tuple]:
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+@given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(_PROBE_KINDS),
+       carried=st.booleans())
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_binding_tables_match_a_dict_lookup(seed, kind, carried):
+    """A scalar table's found mask and value rows, and a carried table's
+    key rows, entry segments, entry order and sub-sums equal a dict-lookup
+    oracle, for keys coded by offset or by uniques, one to three columns
+    and a seven-column key whose code space passes ``_CODE_LIMIT``; probe
+    columns mix hits, absent values and values on either side of the
+    producer's range. C's carried entry arrays are the same ordered
+    entries. No input array changes."""
+    rng = np.random.default_rng(seed)
+    view, group_by, binding, keys, probes = _probe_case(rng, kind, carried)
+    before = [a.copy() for a in (*view.key_columns, view.value_matrix, *probes)]
+    values = view.value_matrix
+    key_tuples, probe_tuples = _tuples(keys), _tuples(probes)
+    if kind == "code-limit":
+        space = math.prod(_dense_codes(column)[1].card for column in keys)
+        assert space >= _CODE_LIMIT
+    if not carried:
+        rows = {key: row for row, key in enumerate(key_tuples)}
+        want_found = np.array([key in rows for key in probe_tuples])
+        want_rows = np.array([rows.get(key, 0) for key in probe_tuples])
+        got, found = _BindingTable(binding, group_by, view).probe(probes)
+        assert _same(found, want_found)
+        assert np.array_equal(got[found], values[want_rows[found]])
+    else:
+        carried_column = view.key_columns[group_by.index("c")]
+        order = sorted(range(len(key_tuples)), key=key_tuples.__getitem__)
+        distinct = sorted(set(key_tuples))
+        rank = {key: i for i, key in enumerate(distinct)}
+        counts = [key_tuples.count(key) for key in distinct]
+        table = _CarriedTable(binding, group_by, view)
+        key_row, found = table.probe(probes)
+        assert _same(found, np.array([key in rank for key in probe_tuples]))
+        assert [key_row[i] for i in np.flatnonzero(found)] == [
+            rank[probe_tuples[i]] for i in np.flatnonzero(found)
+        ]
+        assert table.num_keys == len(distinct)
+        assert table.entry_offsets.tolist() == np.cumsum([0] + counts).tolist()
+        assert _same(table.carried_columns[0], carried_column[order])
+        assert _same(table.agg_matrix, values[order])
+        want_subsums = np.array(
+            [values[[i for i in order if key_tuples[i] == key]].sum(axis=0)
+             for key in distinct]
+        )
+        assert np.array_equal(table.subsums, want_subsums)
+        if kind != "float":  # C takes integer keys only
+            c_keys, c_carried, c_values, c_counts = CCompiledGroup._binding_entries(
+                binding, {"V": view}, {"V": group_by}
+            )
+            assert all(_same(a, b[order]) for a, b in zip(c_keys, keys))
+            assert _same(c_carried[0], carried_column[order])
+            assert _same(c_values, values[order])
+            assert c_counts == (len(np.unique(carried_column)),)
+    after = [*view.key_columns, view.value_matrix, *probes]
+    assert all(_same(a, b) for a, b in zip(after, before))

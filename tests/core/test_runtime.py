@@ -663,7 +663,7 @@ def test_sum_by_key_is_a_left_fold_from_zero(case):
     order, and it mutates no input array — for scalar pieces, integer
     keys on both sides of the offsets/sort cut, float keys, and keys
     whose code space passes ``_CODE_LIMIT``."""
-    from repro.core.runtime import _CODE_LIMIT, _dense_codes
+    from repro.data.keycodes import _CODE_LIMIT, _dense_codes
 
     kind, pieces = case
     before = [
@@ -695,5 +695,5 @@ def test_sum_by_key_is_a_left_fold_from_zero(case):
         span = int(stacked[0].max()) - int(stacked[0].min()) + 1
         assert (span <= max(4 * len(stacked[0]), 1024)) == (kind == "int-offsets")
     if kind == "wide" and len(stacked[0]):
-        space = math.prod(_dense_codes(column)[1] for column in stacked)
+        space = math.prod(_dense_codes(column)[1].card for column in stacked)
         assert space >= _CODE_LIMIT

@@ -200,3 +200,37 @@ def test_partitions_reconstruct_the_whole_index(seed, n, k):
         local = p.prefix_sum("x", lambda rel: rel.column("x"))
         assert local[-1] == pytest.approx(whole[offset + p.num_rows] - whole[offset])
         offset += p.num_rows
+
+
+#: columns of the distinct-count property, by the coding they take:
+#: offsets (narrow, negative) and sorted uniques (wide, float)
+_COUNTED = {
+    "narrow": lambda rng, n: rng.integers(0, 30, n),
+    "negative": lambda rng, n: rng.integers(-500, -100, n),
+    "wide": lambda rng, n: rng.integers(-10**12, 10**12, n),
+    "float": lambda rng, n: np.round(rng.normal(size=n), 1),
+}
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    kind=st.sampled_from(sorted(_COUNTED)),
+    n=st.integers(0, 300),
+)
+@settings(max_examples=100, deadline=None)
+def test_distinct_counts_match_np_unique(seed, kind, n):
+    """Counts through the key coder — ``Relation.distinct_count`` and
+    ``TrieIndex.distinct_values`` at both levels — equal
+    ``len(np.unique(column))`` for narrow, wide and negative integer
+    columns, float columns and empty ones."""
+    rng = np.random.default_rng(seed)
+    column = _COUNTED[kind](rng, n)
+    value = F if kind == "float" else C
+    relation = Relation(
+        RelationSchema("R", (C("a"), value("b"))),
+        {"a": rng.integers(0, 4, n), "b": column},
+    )
+    assert relation.distinct_count("b") == len(np.unique(column))
+    trie = TrieIndex(relation, ("a", "b"))
+    assert trie.distinct_values(0) == len(np.unique(relation.column("a")))
+    assert trie.distinct_values(1) == len(np.unique(column))

@@ -161,6 +161,28 @@ def test_dangling_inserts(favorita_engine):
     _assert_close(handle)
 
 
+def test_maintained_rows_equal_recompute_as_a_mapping(favorita_engine, favorita_db):
+    """After an insert-only apply, a maintained query's rows come from the
+    per-key delta merge and ascend by key, while a from-scratch run emits
+    an aligned query in trie order. Group-by ``(item, date)`` over the
+    Sales trie ``(date, item, store)`` is a case where the two orders
+    differ; the row order of an unordered result is backend-defined, so
+    the handle and ``recompute()`` are equal as mappings."""
+    batch = QueryBatch([
+        Query(
+            "by_item_date",
+            group_by=("item", "date"),
+            aggregates=(Aggregate.count(), Aggregate.sum("units")),
+        )
+    ])
+    handle = favorita_engine.maintain(batch)
+    sales = favorita_db.relation("Sales")
+    handle.apply(inserts={"Sales": [sales.row(i) for i in range(0, 40, 4)]})
+    fresh = handle.recompute()
+    got = handle.results["by_item_date"].groups
+    assert dict(got) == dict(fresh.results["by_item_date"].groups)
+
+
 # ------------------------------------------------------- parallel configurations
 @pytest.mark.parametrize("workers, partitions", [(4, 1), (1, 4), (4, 4)])
 def test_interleaved_updates_exact_rescan_parallel(favorita_db, workers, partitions):

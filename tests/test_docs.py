@@ -239,6 +239,23 @@ def test_docs_name_no_retired_view_mirror():
             assert name not in text, f"{doc.name} names {name}"
 
 
+#: the NumPy probes' second key-coding scheme and C's lexicographic check,
+#: which the one key coder replaced
+_RETIRED_KEY_CODER_NAMES = (
+    "_ProbeTable",
+    "_build_codes",
+    "_probe_codes",
+    "_lex_sorted",
+)
+
+
+def test_docs_name_no_retired_key_coding():
+    for doc in _doc_files():
+        text = doc.read_text()
+        for name in _RETIRED_KEY_CODER_NAMES:
+            assert name not in text, f"{doc.name} names {name}"
+
+
 #: the retired second benchmark system: its directory, its JSON records and
 #: its strictness switch (``.benchmarks/``, pytest-benchmark's store, is not it)
 _RETIRED_BENCH = re.compile(
