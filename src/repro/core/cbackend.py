@@ -850,7 +850,11 @@ def compile_c_groups(
             continue
         if not supports_plan(plan, attribute_kinds):
             continue
-        symbol = f"lmfao_run_g{i}"
+        # named for the group's index (a plan's group is G<index>_<node>),
+        # not its position in ``plans``: a group built among a later
+        # batch's group-cache misses emits the same source as in a first
+        # compile, so it loads the same artifact
+        symbol = "lmfao_run_g" + plan.group_name[1:].split("_", 1)[0]
         source, args = generate_c_source(plan, symbol)
         native_groups[i] = CCompiledGroup(
             plan=plan, symbol=symbol, args=args, source=source

@@ -151,8 +151,11 @@ class _BindingTable:
     ):
         self.width = binding.num_aggregates
         columns, values = view_columns(data, group_by, self.width)
-        self.keys = KeyIndex([columns[group_by.index(attr)] for attr in binding.key])
-        # a view's keys are distinct: key id i is producer row first_index[i]
+        # a scalar view is keyed by exactly its group-by, so its keys are
+        # distinct: key id i is producer row first_index[i]
+        self.keys = KeyIndex(
+            [columns[group_by.index(attr)] for attr in binding.key], distinct=True
+        )
         self.values = values[self.keys.first_index]
 
     def probe(self, probe_columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -177,15 +177,17 @@ def sum_by_key(pieces: Sequence[ArrayViewData]) -> ArrayViewData:
     from ``0.0`` over the pieces in order (``np.bincount`` adds in input
     order). Rows come out in ascending key order
     (:func:`~repro.data.keycodes._group_codes`).
-    Scalar pieces (no key columns) sum into one row. Inputs are not
-    mutated.
+    Scalar pieces (no key columns) sum into one row, the same fold taken
+    a row at a time over all slots at once. Inputs are not mutated.
     """
     keys, stacked = _stacked(pieces)
-    if keys:
-        ids, num_keys, first_index = _group_codes(keys)
-        keys = [column[first_index] for column in keys]
-    else:  # scalar pieces: every row is the one key's
-        ids, num_keys = np.zeros(len(stacked), dtype=np.int64), min(len(stacked), 1)
+    if not keys:
+        matrix = np.zeros((min(len(stacked), 1), stacked.shape[1]))
+        for row in stacked:
+            matrix[0] += row
+        return ArrayViewData.from_arrays([], matrix)
+    ids, num_keys, first_index = _group_codes(keys)
+    keys = [column[first_index] for column in keys]
     matrix = np.empty((num_keys, stacked.shape[1]))
     for slot, column in enumerate(stacked.T):
         matrix[:, slot] = np.bincount(ids, weights=column, minlength=num_keys)

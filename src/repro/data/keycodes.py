@@ -173,14 +173,24 @@ class KeyIndex:
     and reads a direct-address table while that space is within the
     presence-scan bound of the producer's rows, else binary-searches the
     keys' ascending composites. O(rows) memory; read-only once built.
+
+    ``distinct`` says the rows' keys are distinct (a scalar view keyed by
+    exactly its group-by): within the bound the grouping is then skipped
+    and key id ``i`` is row ``i``, so ids follow row order, not key order.
     """
 
-    def __init__(self, columns: list[np.ndarray]) -> None:
+    def __init__(self, columns: list[np.ndarray], distinct: bool = False) -> None:
         comp, self.coder = _composite_codes(columns)
-        self.ids, self.num_keys, self.first_index = _grouped(comp, self.coder.space)
+        n = 0 if comp is None else len(comp)
+        dense = _dense_enough(self.coder.space, n)
+        if distinct and dense:
+            self.ids = self.first_index = np.arange(n, dtype=np.int64)
+            self.num_keys = n
+        else:
+            self.ids, self.num_keys, self.first_index = _grouped(comp, self.coder.space)
         self.key_comp = comp[self.first_index]
         self.table: np.ndarray | None = None
-        if _dense_enough(self.coder.space, len(self.ids)):
+        if dense:
             self.table = np.full(self.coder.space, -1, dtype=np.int64)
             self.table[self.key_comp] = np.arange(self.num_keys, dtype=np.int64)
 

@@ -20,11 +20,11 @@ from repro.serve.fingerprint import (
     bind_batch,
     view_identities,
 )
-from repro.serve.lru import CacheStats, LRUCache
 from repro.serve.server import AggregateServer, ServerStats
 from repro.serve.viewcache import CachedView, ViewCache, live_caches
 from repro.serve.writequeue import WriteQueue, WriteStats, WriteTicket
 from repro.util.errors import WriteOverloadError
+from repro.util.lru import CacheStats, LRUCache
 
 __all__ = [
     "AggregateServer",

@@ -8,7 +8,7 @@ engine for serving heavy concurrent traffic:
   identical batches reuse one :class:`~repro.core.engine.CompiledBatch`
   with predicate constants re-bound at execution
   (:func:`~repro.serve.fingerprint.bind_batch`), LRU-bounded with hit/miss
-  stats (an entry-bounded :class:`~repro.serve.lru.LRUCache`);
+  stats (an entry-bounded :class:`~repro.util.lru.LRUCache`);
 * **materialized-view cache** — above the plan cache, computed views are
   published to a byte-bounded cross-request cache keyed by
   ``(canonical view identity, snapshot version)``
@@ -106,10 +106,10 @@ from repro.serve.fingerprint import (
     bind_batch,
     view_identities,
 )
-from repro.serve.lru import CacheStats, LRUCache
 from repro.serve.viewcache import CachedView, ViewCache
 from repro.serve.writequeue import WriteQueue, WriteStats, WriteTicket
 from repro.util.errors import PlanError
+from repro.util.lru import CacheStats, LRUCache
 from repro.util.timer import Stopwatch
 
 

@@ -13,7 +13,7 @@ Lifecycle contract (see ``docs/serving.md`` §View cache):
 
 * **byte bound** — entries are weighted by
   :func:`~repro.core.runtime.estimate_view_bytes` in a shared
-  :class:`~repro.serve.lru.LRUCache`; the weight bound holds after every
+  :class:`~repro.util.lru.LRUCache`; the weight bound holds after every
   insert.
 * **version death** — the cache registers
   :meth:`drop_version` as a snapshot-store reclaim hook: when a
@@ -39,7 +39,7 @@ from typing import Callable
 
 from repro.core.runtime import estimate_view_bytes
 from repro.serve.fingerprint import ViewIdentity, ViewKey
-from repro.serve.lru import CacheStats, LRUCache
+from repro.util.lru import CacheStats, LRUCache
 
 #: every live ViewCache, so session-wide invariants (the no-orphans leak
 #: check) can be asserted without plumbing cache handles around.
@@ -86,7 +86,7 @@ class CachedView:
 class ViewCache:
     """Byte-bounded LRU of materialized views keyed by :class:`ViewKey`.
 
-    Thread-safe (delegates to :class:`~repro.serve.lru.LRUCache`); the
+    Thread-safe (delegates to :class:`~repro.util.lru.LRUCache`); the
     group commit additionally serialises through the engine's commit
     lock, so carry-or-drop decisions are made against a stable version
     frontier.

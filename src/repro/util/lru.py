@@ -1,16 +1,21 @@
-"""Generic thread-safe LRU machinery shared by the serving caches.
+"""Generic thread-safe LRU machinery: the one cache constructor.
 
-Both serving caches — the structural plan cache
-(``AggregateServer.plan_cache``, ``BatchFingerprint → CompiledBatch``,
-entry-count bounded; compiled batches are pure structure, so its entries
-never go stale and eviction only bounds memory) and the materialized
-:class:`~repro.serve.viewcache.ViewCache` (byte bounded) — are the same
-data structure: an ``OrderedDict`` in LRU discipline under one lock, with
-hit/miss/eviction counters. :class:`LRUCache` is that structure, bounded
-by **entry count** (``capacity``), by **total weight** (``max_weight``,
-with a caller-supplied weight per entry — bytes, for the view cache), or
-both. Hits refresh recency; inserts evict from the cold end until both
-bounds hold.
+Three caches are instances of :class:`LRUCache`, an ``OrderedDict`` in
+LRU discipline under one lock, with hit/miss/eviction counters:
+
+* the engine's group cache (:data:`repro.core.engine.GROUP_CACHE_ENTRIES`
+  entries, each one group's plan and executable), entry-count bounded;
+* the serving layer's structural plan cache
+  (``AggregateServer.plan_cache``, ``BatchFingerprint → CompiledBatch``),
+  entry-count bounded — compiled batches are pure structure, so neither
+  cache's entries go stale and eviction only bounds memory;
+* the materialized :class:`~repro.serve.viewcache.ViewCache`, byte
+  bounded.
+
+:class:`LRUCache` is bounded by **entry count** (``capacity``), by
+**total weight** (``max_weight``, with a caller-supplied weight per
+entry — bytes, for the view cache), or both. Hits refresh recency;
+inserts evict from the cold end until both bounds hold.
 
 All operations are O(1) under the lock except the bulk removals
 (:meth:`LRUCache.remove_where`), which are O(entries) and exist for

@@ -58,6 +58,9 @@ gathering the occupied slots.
 A group's backend is decided one way: at compile, by
 :func:`repro.core.runtime.compile_executables`, which returns one
 compiled group per plan; a run reads it and never re-selects.
+A group is planned and compiled in one place, the engine's group-cache
+miss path (:meth:`repro.core.engine.LMFAO._plan_groups`), and every cache
+is an instance of the one :class:`repro.util.lru.LRUCache`.
 
 A ``WHERE`` predicate reaches execution one way: folded into an indicator
 factor at compile time, re-bound on a plan-cache hit. Nothing below the
@@ -591,7 +594,11 @@ def test_python_generated_only_when_run(favorita_db, monkeypatch):
         name: seeding.view_data[name]
         for name in reference.plans[seeded].produced_views
     }
+    # the seeding engine's groups are built and cached: compiling the
+    # batch there again reuses their Python, so seed a fresh engine
     made.clear()
+    assert python.compile(example_queries()).executables == reference.executables
+    python = engine("python")
     compiled = python.compile(example_queries())
     view_identities(compiled)
     assert made == []
@@ -604,6 +611,7 @@ def test_python_generated_only_when_run(favorita_db, monkeypatch):
     # per group, and every result bit-exact against a sequential run
     expected = engine("python").run(example_queries()).results
     made.clear()
+    python = engine("python")
     shared = python.compile(example_queries())
     results: list = [None] * 8
     barrier = threading.Barrier(len(results))
@@ -931,3 +939,23 @@ def test_one_key_coder():
     for module, tree in _modules().items():
         visit(tree, module, None)
     assert bounds == {"data/keycodes.py:_dense_enough"}, bounds
+
+
+def test_one_group_compile():
+    # a group is decomposed (a hit re-checked under LMFAO_DEBUG) and
+    # compiled at one call site each, on the engine's group-cache miss
+    # path; only the process executor's warm-up recompiles shipped plans
+    def calls(name: str, prefix: str) -> list[str]:
+        return [site for site in _enclosing_functions(name) if site.startswith(prefix)]
+
+    assert calls("decompose_group", "core/") == ["core/engine.py:_plan_groups"]
+    assert calls("compile_executables", "core/engine.py") == [
+        "core/engine.py:_plan_groups"
+    ]
+    # one cache constructor, under util/
+    homes = [
+        module for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "LRUCache"
+    ]
+    assert homes == ["util/lru.py"], homes

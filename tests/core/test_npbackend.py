@@ -18,7 +18,7 @@ from repro.core.npbackend import (
 from repro.core.plan import ViewBinding
 from repro.core.runtime import ArrayViewData, as_mapping, view_columns
 from repro.data import Attribute, Database, Relation, RelationSchema
-from repro.data.keycodes import _CODE_LIMIT, _dense_codes
+from repro.data.keycodes import _CODE_LIMIT, KeyIndex, _dense_codes, _dense_enough
 from repro.paper import EXAMPLE_ROOTS, FAVORITA_TREE, example_queries
 from repro.query import Aggregate, Factor, Op, Predicate, Query, QueryBatch
 from repro.query.functions import identity
@@ -674,9 +674,23 @@ def test_binding_tables_match_a_dict_lookup(seed, kind, carried):
         rows = {key: row for row, key in enumerate(key_tuples)}
         want_found = np.array([key in rows for key in probe_tuples])
         want_rows = np.array([rows.get(key, 0) for key in probe_tuples])
-        got, found = _BindingTable(binding, group_by, view).probe(probes)
+        table = _BindingTable(binding, group_by, view)
+        got, found = table.probe(probes)
         assert _same(found, want_found)
         assert np.array_equal(got[found], values[want_rows[found]])
+        # a scalar view's keys are distinct: within the presence-scan
+        # bound the table skips the grouping and key id i is row i, and
+        # it finds what a grouped index finds
+        grouped = KeyIndex(keys)
+        if _dense_enough(grouped.coder.space, len(key_tuples)):
+            assert _same(table.keys.first_index, np.arange(len(key_tuples)))
+        else:
+            assert _same(table.keys.first_index, grouped.first_index)
+        grouped_key, grouped_found = grouped.lookup(probes)
+        assert _same(grouped_found, found)
+        assert np.array_equal(
+            values[grouped.first_index[grouped_key[found]]], got[found]
+        )
     else:
         carried_column = view.key_columns[group_by.index("c")]
         order = sorted(range(len(key_tuples)), key=key_tuples.__getitem__)

@@ -697,3 +697,38 @@ def test_sum_by_key_is_a_left_fold_from_zero(case):
     if kind == "wide" and len(stacked[0]):
         space = math.prod(_dense_codes(column)[1].card for column in stacked)
         assert space >= _CODE_LIMIT
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    rows=st.integers(0, 6),
+    width=st.integers(1, 400),
+)
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_scalar_sum_matches_the_per_slot_bincount(seed, rows, width):
+    """Scalar pieces fold a row at a time; the result is bit-identical to
+    the per-slot ``np.bincount`` loop keyed pieces take, ``-0.0`` rows,
+    zeros and empty pieces included."""
+    rng = np.random.default_rng(seed)
+    pieces = []
+    for _ in range(rows):
+        values = _values(rng, int(rng.integers(0, 2)), width)
+        values[rng.random(values.shape) < 0.2] = -0.0
+        if rng.random() < 0.2:
+            values[:] = -0.0
+        pieces.append(ArrayViewData.from_arrays([], values))
+    if not pieces:
+        pieces.append(ArrayViewData.from_arrays([], np.zeros((0, width))))
+    stacked = np.concatenate([piece.value_matrix for piece in pieces])
+    ids = np.zeros(len(stacked), dtype=np.int64)
+    want = np.empty((min(len(stacked), 1), width))
+    for slot, column in enumerate(stacked.T):
+        want[:, slot] = np.bincount(ids, weights=column, minlength=len(want))
+    got = sum_by_key(pieces)
+    assert got.key_columns == []
+    assert got.value_matrix.shape == want.shape
+    assert np.array_equal(got.value_matrix.view(np.int64), want.view(np.int64))
