@@ -119,7 +119,7 @@ from repro.core.lowering import (
     MODE_ALIGNED,
     MODE_HASH,
     MODE_SCALAR,
-    base_emission_mode,
+    emission_mode,
 )
 from repro.core.plan import Emission, MultiOutputPlan, ViewBinding
 from repro.core.runtime import (
@@ -292,7 +292,7 @@ class CEmitter(LoopNestEmitter):
                     ("bind_carried", binding.view, p),
                 )
         for i, emission in enumerate(plan.emissions):
-            mode = base_emission_mode(emission)
+            mode = emission_mode(emission)
             if mode == MODE_SCALAR:
                 arg(f"O{i}_v", "double*", ("out_scalar", i))
                 continue
@@ -470,7 +470,7 @@ class CCompiledGroup:
         #: deepest level that emits it (read by :meth:`key_bounds`)
         self._hash_keys: dict[int, dict[tuple, int]] = {}
         for index, emission in enumerate(plan.emissions):
-            if base_emission_mode(emission) != MODE_HASH:
+            if emission_mode(emission) != MODE_HASH:
                 continue
             shapes = self._hash_keys[index] = {}
             for slot in emission.slots:
@@ -610,7 +610,7 @@ class CCompiledGroup:
             if buffers is not None:
                 return buffers
             emission = plan.emissions[index]
-            mode = base_emission_mode(emission)
+            mode = emission_mode(emission)
             width = emission.width
             buffers = out_buffers[index] = {}
             if mode == MODE_SCALAR:
@@ -686,7 +686,7 @@ class CCompiledGroup:
 
         outputs: dict[str, ArrayViewData] = {}
         for index, emission in enumerate(plan.emissions):
-            mode = base_emission_mode(emission)
+            mode = emission_mode(emission)
             buffers = out_buffers[index]
             width = emission.width
             if mode == MODE_SCALAR:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING
 
-from repro.core.lowering import MODE_HASH, base_emission_mode
+from repro.core.lowering import MODE_HASH, emission_mode
 from repro.core.plan import MultiOutputPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -142,6 +142,6 @@ def group_decision(
         "strategies": {
             e.artifact: "hash"
             for e in plan.emissions
-            if base_emission_mode(e) == MODE_HASH
+            if emission_mode(e) == MODE_HASH
         },
     }

@@ -294,7 +294,6 @@ def decompose_group(
     # ---- lower every artifact ------------------------------------------------
     order_attrs = tuple(lvl.attr for lvl in order.relation_levels)
     for artifact in group.artifacts:
-        is_view = isinstance(artifact, View)
         group_by = artifact.group_by
         slots = tuple(
             lower_slot(artifact.name, i, aggregate, group_by)
@@ -307,18 +306,14 @@ def decompose_group(
             and set(group_by) == set(order_attrs[: len(group_by)])
             and slots[0].level == len(group_by) - 1
         )
-        order_spec = None
-        if not is_view and artifact.query.order_by is not None:
-            order_spec = (artifact.query.order_by.signature, artifact.query.limit)
         emissions.append(
             Emission(
                 artifact=artifact.name,
-                kind="view" if is_view else "query",
+                kind="view" if isinstance(artifact, View) else "query",
                 width=len(slots),
                 group_by=group_by,
                 slots=slots,
                 aligned=aligned,
-                order=order_spec,
             )
         )
 

@@ -1183,8 +1183,8 @@ def _group_key(
     group: Group, order: GroupOrder, config: EngineConfig, c_candidate: bool
 ) -> tuple:
     """The group cache's key: everything a group's plan and executable are
-    built from — the group's artifacts (names, edges, group-bys, ordering
-    and aggregate signatures, function names included), its attribute
+    built from — the group's artifacts (names, edges, group-bys and
+    aggregate signatures, function names included), its attribute
     order and view bindings, the config fields that shape the plan or pick
     its backend, and whether ``"auto"`` makes it a C candidate."""
     return (
@@ -1197,8 +1197,7 @@ def _group_key(
         ),
         tuple(
             (output.name, output.group_by,
-             tuple(aggregate.signature for aggregate in output.aggregates),
-             output.query.order_by, output.query.limit)
+             tuple(aggregate.signature for aggregate in output.aggregates))
             for output in group.outputs
         ),
         order.relation_levels,
@@ -1304,19 +1303,20 @@ def _debug_check_run_consistency(run: RunResult) -> None:
     """LMFAO_DEBUG invariants tying decisions/timings/skips together.
 
     Every executed group must have exactly one decision record and one
-    wall-clock entry; skipped groups must have neither.
+    wall-clock entry; skipped groups must have neither. Raises
+    :class:`~repro.util.errors.PlanError`, so ``python -O`` keeps them.
     """
     all_groups = {g.name for g in run.compiled.group_plan.groups}
     skipped = set(run.skipped_groups)
     executed = all_groups - skipped
-    assert skipped <= all_groups, (
-        f"skipped_groups {sorted(skipped - all_groups)} not in the plan"
-    )
-    assert set(run.decisions) == executed, (
-        f"decision records diverge from executed groups: "
-        f"{sorted(set(run.decisions) ^ executed)}"
-    )
-    assert set(run.group_times) == executed, (
-        f"group_times diverge from executed groups: "
-        f"{sorted(set(run.group_times) ^ executed)}"
-    )
+    if not skipped <= all_groups:
+        raise PlanError(
+            f"skipped_groups {sorted(skipped - all_groups)} not in the plan"
+        )
+    for field_name in ("decisions", "group_times"):
+        recorded = set(getattr(run, field_name))
+        if recorded != executed:
+            raise PlanError(
+                f"{field_name} diverge from executed groups: "
+                f"{sorted(recorded ^ executed)}"
+            )

@@ -69,37 +69,20 @@ from repro.core.plan import (
 MODE_SCALAR = "scalar"
 MODE_ALIGNED = "aligned"
 MODE_HASH = "hash"
-MODE_TOPK = "topk"
 
 
-def base_emission_mode(emission: Emission) -> str:
-    """The structural *host* mode: how the loop nest accumulates the
-    emission's groups, ignoring any ordering on top. This is what the
-    backends' accumulation code and the grouping-strategy cost model
-    dispatch on — an ordered emission still groups like its base."""
+def emission_mode(emission: Emission) -> str:
+    """``'scalar'`` (no group-by), ``'aligned'`` (assignment fast path) or
+    ``'hash'`` (probe-accumulate) — the one mode split every backend and
+    the cost model dispatch on (the C backend renders ``'aligned'`` as
+    array append). An ordered query's emission accumulates its full group
+    set like any other; ranking happens once, at result finishing
+    (:mod:`repro.core.topk`)."""
     if not emission.group_by:
         return MODE_SCALAR
     if emission.aligned:
         return MODE_ALIGNED
     return MODE_HASH
-
-
-def emission_mode(emission: Emission) -> str:
-    """``'scalar'`` (no group-by), ``'aligned'`` (assignment fast path),
-    ``'hash'`` (probe-accumulate), or ``'topk'`` (ordered query output) —
-    the one mode split every backend dispatches on (the C backend renders
-    ``'aligned'`` as array append).
-
-    ``'topk'`` layers on a base mode (:func:`base_emission_mode`): the
-    backends accumulate the **full** grouped aggregate exactly like the
-    base — per-partition top-k is not mergeable from truncated partials,
-    so truncating inside a backend would break the partitioned and
-    incremental paths — and the ranked cut happens once, at result
-    finishing (:mod:`repro.core.topk`).
-    """
-    if emission.order is not None and emission.group_by:
-        return MODE_TOPK
-    return base_emission_mode(emission)
 
 
 #: operand kinds; ``Operand.index`` is a position in plan.level_functions
@@ -160,11 +143,8 @@ class LoweredEmission:
     emission: Emission
     mode: str
     #: the groups that write the emission (one for an ``'aligned'`` or
-    #: ``'scalar'`` base).
+    #: ``'scalar'`` emission).
     slot_groups: tuple[SlotGroupSchedule, ...]
-    #: the host accumulation mode (= ``mode`` except for ``'topk'``,
-    #: whose loop-nest scheduling follows its base).
-    base_mode: str
 
 
 @dataclass(frozen=True)
@@ -276,23 +256,17 @@ def lower_plan(plan: MultiOutputPlan) -> LoweredPlan:
     aligned_at: dict[int, list[SlotGroupSchedule]] = {}
     hash_at: dict[int, list[SlotGroupSchedule]] = {}
     for index, emission in enumerate(plan.emissions):
-        # scheduling follows the *base* mode: a topk emission's loop-nest
-        # hosting is exactly its base's (the ranked cut runs after all
-        # loops, at result finishing).
-        base = base_emission_mode(emission)
-        if base == MODE_HASH:
+        mode = emission_mode(emission)
+        if mode == MODE_HASH:
             groups = tuple(
                 slot_group(index, emission, slots)
                 for _key, slots in emission.slot_groups()
             )
         else:
             groups = (slot_group(index, emission, emission.slots),)
-        lowered = LoweredEmission(
-            index, emission, emission_mode(emission), groups, base
-        )
-        lowered_emissions.append(lowered)
+        lowered_emissions.append(LoweredEmission(index, emission, mode, groups))
         # level -1 hosts only scalar groups: they land in emission order
-        hosts = aligned_at if base == MODE_ALIGNED else hash_at
+        hosts = aligned_at if mode == MODE_ALIGNED else hash_at
         for group in groups:
             hosts.setdefault(group.first.level, []).append(group)
 

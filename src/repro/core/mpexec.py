@@ -615,10 +615,10 @@ class ProcessExecutor:
         compiled,
         group_index: int,
         export: TrieExport,
-        view_data: Mapping[str, dict],
+        view_data: Mapping[str, ArrayViewData],
         view_group_by: Mapping[str, tuple[str, ...]],
         functions: Mapping[str, Function],
-    ) -> dict[str, dict]:
+    ) -> dict[str, ArrayViewData]:
         """Run one group's partitions across the pool and merge the partials.
 
         Partitions are split into a **canonical** grid of contiguous

@@ -592,7 +592,7 @@ class _PlanEvaluation:
         emission is one row with no key columns.
         """
         emission = lowered.emission
-        if lowered.base_mode == MODE_SCALAR:
+        if lowered.mode == MODE_SCALAR:
             (group,) = lowered.slot_groups
             row = [[self.product(p, -1) for p in group.products]]
             return ArrayViewData.from_arrays([], np.array(row, dtype=np.float64))

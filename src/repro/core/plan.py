@@ -249,14 +249,9 @@ class Emission:
     equals the attribute-order prefix — each key is then visited exactly
     once and the emission is a plain assignment.
 
-    ``order`` marks an **ordered** query emission — the canonical
-    ``(OrderSpec.signature, limit)`` pair of the producing query (always
-    None for view emissions: views feed further aggregation and must
-    stay complete). The lowering maps it to ``emission_mode == 'topk'``
-    layered over the structural base mode; execution still accumulates
-    the full group set (per-partition top-k is not mergeable from
-    truncated partials) and the ranked cut happens once, at result
-    finishing.
+    An ordered query's emission is no different: it accumulates the full
+    group set, and the ranked cut happens once, at result finishing
+    (:mod:`repro.core.topk`).
     """
 
     artifact: str
@@ -265,7 +260,6 @@ class Emission:
     group_by: tuple[str, ...]
     slots: tuple[EmissionSlot, ...]
     aligned: bool
-    order: tuple | None = None
 
     def slot_groups(self) -> list[tuple[SlotGroupKey, tuple[EmissionSlot, ...]]]:
         """Slots grouped by host ``(level, key parts, key blocks, support)``.

@@ -72,40 +72,13 @@ class ViewPlan:
         """
         if self._signatures is None:
             sigs: dict[str, ViewSignature] = {}
-            # Order profile per query: views feeding an ordered (top-k)
-            # query carry that query's order spec and limit in their
-            # signature, so a cached view computed for ``... LIMIT 5``
-            # can never be identified with one computed for the same
-            # structure unordered (or under a different k). Unordered
-            # batches contribute no profile, keeping their signatures
-            # byte-identical to pre-ordering builds.
-            query_orders = {
-                output.query.name: (output.query.order_by.signature,
-                                    output.query.limit)
-                for output in self.outputs
-                if output.query.order_by is not None
-            }
-
-            def order_profile(name: str) -> tuple:
-                users = self.queries_using.get(name, ())
-                return tuple(sorted(
-                    {query_orders[q] for q in users if q in query_orders}
-                ))
 
             def sig(name: str) -> ViewSignature:
                 cached = sigs.get(name)
                 if cached is None:
                     view = self.views[name]
                     children = tuple(sig(c) for c in view.referenced_views)
-                    base = view_signature(view, children)
-                    profile = order_profile(name)
-                    if profile:
-                        base = ViewSignature(
-                            structure=(base.structure, ("topk", profile)),
-                            slots=base.slots,
-                            subtree=base.subtree,
-                        )
-                    cached = sigs[name] = base
+                    cached = sigs[name] = view_signature(view, children)
                 return cached
 
             for name in self.views:

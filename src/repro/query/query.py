@@ -38,9 +38,9 @@ class Query:
         the spec's deterministic total order (and truncated by
         ``limit``), identically on every backend and execution path.
     limit:
-        Optional top-k cut *per partition* (requires ``order_by``);
-        ``None`` keeps every row, ordered. ``0`` is allowed and yields
-        an empty result.
+        Optional top-k cut *per partition* (requires ``order_by``), an
+        ``int``; ``None`` keeps every row, ordered. ``0`` is allowed and
+        yields an empty result.
     """
 
     name: str
@@ -77,8 +77,14 @@ class Query:
                     f"query {self.name}: order_by.partition_by attributes "
                     f"{sorted(unknown)} are not in the group-by"
                 )
-        if self.limit is not None and self.limit < 0:
-            raise QueryError(f"query {self.name}: limit must be >= 0")
+        if self.limit is not None:
+            if not isinstance(self.limit, int) or isinstance(self.limit, bool):
+                raise QueryError(
+                    f"query {self.name}: limit must be an int, "
+                    f"not {type(self.limit).__name__}"
+                )
+            if self.limit < 0:
+                raise QueryError(f"query {self.name}: limit must be >= 0")
 
     @property
     def is_ordered(self) -> bool:

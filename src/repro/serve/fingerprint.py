@@ -16,7 +16,11 @@ Two functions define the whole contract:
   in first-occurrence order of distinct ``(op, value)`` pairs, the join
   tree's edges, and the full :class:`~repro.core.engine.EngineConfig`.
   Two batches get the same fingerprint iff the compiled artefacts of one
-  execute the other correctly after constant rebinding.
+  execute the other correctly after constant rebinding. ``order_by`` and
+  ``limit`` are not structure: they change no plan, generated source or
+  view, only how the result is finished
+  (:func:`repro.core.engine._to_query_result`), which ranks by the
+  request's own queries.
 * :func:`bind_batch` — given a cache hit, aligns the request's constants
   with the cached compilation and returns a copy of it that carries the
   request's batch and functions and shares every other artefact; the
@@ -88,14 +92,16 @@ def _config_key(config: EngineConfig) -> tuple:
 
 def batch_fingerprint(
     batch: QueryBatch, tree: JoinTree, config: EngineConfig
-) -> tuple[BatchFingerprint, tuple[Constant, ...]]:
-    """The structural fingerprint of a batch plus its abstracted constants.
+) -> tuple[BatchFingerprint, tuple]:
+    """The structural fingerprint of a batch plus its request identity.
 
-    Returns ``(fingerprint, constants)``: ``constants`` lists the actual
-    ``(op, value)`` pair behind each placeholder in placeholder order —
-    the request's *identity beyond structure*, used by the server to
+    Returns ``(fingerprint, request)``: ``request`` lists the actual
+    ``(op, value)`` pair behind each placeholder in placeholder order,
+    then ``(name, order signature, limit)`` for each ordered query — the
+    request's *identity beyond structure*, used by the server to
     coalesce identical in-flight requests (same fingerprint **and** same
-    constants **and** same snapshot version).
+    request identity **and** same snapshot version). The fingerprint
+    fixes the number of placeholders, so the two parts never blur.
     """
     placeholders: dict[Constant, int] = {}
     constants: list[Constant] = []
@@ -117,17 +123,16 @@ def batch_fingerprint(
                 (p.attribute, p.op.value, placeholder(p.op.value, float(p.value)))
                 for p in query.where
             ),
-            # ordering is literal structure, never abstracted: top-k
-            # truncation changes which groups a result even contains, so
-            # an ordered batch can never ride an unordered compilation
-            # (or one with a different spec or k).
-            query.order_by.signature if query.order_by is not None else None,
-            query.limit,
         )
         for query in batch
     )
+    orders = tuple(
+        (query.name, query.order_by.signature, query.limit)
+        for query in batch
+        if query.order_by is not None
+    )
     key = (shape, tree.edges, _config_key(config))
-    return BatchFingerprint(key=key), tuple(constants)
+    return BatchFingerprint(key=key), tuple(constants) + orders
 
 
 def bind_batch(compiled: CompiledBatch, batch: QueryBatch) -> CompiledBatch:
@@ -145,7 +150,9 @@ def bind_batch(compiled: CompiledBatch, batch: QueryBatch) -> CompiledBatch:
     the request and whose ``functions`` hold the rebinding; ``folded``,
     the view and group plans, orders, plans, executables and execution
     order are the cached batch's own objects, so ``folded`` keeps the
-    constants the cache entry was compiled with.
+    constants the cache entry was compiled with. The request's
+    ``order_by``/``limit`` may differ from the cached batch's: results
+    are finished by ``compiled.batch``'s queries, i.e. the request's.
 
     The walk is validated as it goes; a shape mismatch — which a correct
     fingerprint makes impossible — raises
@@ -165,8 +172,6 @@ def bind_batch(compiled: CompiledBatch, batch: QueryBatch) -> CompiledBatch:
             cached_q.name != request_q.name
             or cached_q.group_by != request_q.group_by
             or len(cached_q.where) != len(request_q.where)
-            or cached_q.order_by != request_q.order_by
-            or cached_q.limit != request_q.limit
         ):
             raise PlanError(
                 f"bind_batch: query {request_q.name!r} diverged structurally "

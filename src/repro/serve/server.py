@@ -34,8 +34,8 @@ engine for serving heavy concurrent traffic:
   durability;
 * **async submission** — :meth:`submit` returns a
   :class:`concurrent.futures.Future` over a shared worker pool, and
-  identical in-flight requests (same fingerprint, same constants, same
-  snapshot version) **coalesce** onto one future: a thundering herd of
+  identical in-flight requests (same fingerprint, same constants and
+  ordering, same snapshot version) **coalesce** onto one future: a thundering herd of
   the same dashboard query costs one execution.
 
 Examples
@@ -87,6 +87,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.engine import (
+    ArrayViewData,
     CompiledBatch,
     EngineConfig,
     LMFAO,
@@ -100,7 +101,6 @@ from repro.incremental.maintain import MaintainedBatch
 from repro.query.batch import QueryBatch
 from repro.serve.fingerprint import (
     BatchFingerprint,
-    Constant,
     ViewKey,
     batch_fingerprint,
     bind_batch,
@@ -256,16 +256,17 @@ class AggregateServer:
         pin is released when the future completes, never mid-queue, so
         snapshot GC cannot reclaim the version under it). Identical
         in-flight requests — same structure, same constants, same
-        snapshot version — coalesce onto one future (the request is
-        executed once; every submitter gets the same ``RunResult``).
+        ``order_by``/``limit``, same snapshot version — coalesce onto one
+        future (the request is executed once; every submitter gets the
+        same ``RunResult``).
         """
         snapshot = self.engine.pin_snapshot()
         transferred = False
         try:
-            fingerprint, constants = batch_fingerprint(
+            fingerprint, request = batch_fingerprint(
                 batch, self.engine.tree, self.engine.config
             )
-            key = (fingerprint, constants, snapshot.version)
+            key = (fingerprint, request, snapshot.version)
             with self._lock:
                 # checked under the lock: a close() racing this submit
                 # either ran before (we raise) or runs after
@@ -340,13 +341,13 @@ class AggregateServer:
             return None
         identities = view_identities(compiled)
         version = snapshot.version
-        seeds: dict[str, dict] = {}
+        seeds: dict[str, ArrayViewData] = {}
         for name, identity in identities.items():
             entry = cache.get(ViewKey(identity, version))
             if entry is not None:
                 seeds[name] = entry.data
 
-        def publish(name: str, data: dict) -> None:
+        def publish(name: str, data: ArrayViewData) -> None:
             identity = identities[name]
             cache.put(
                 ViewKey(identity, version),

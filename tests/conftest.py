@@ -10,7 +10,7 @@ one of::
 
     LMFAO_TEST_BACKEND=numpy   # the shipped default, under forced partitions
     LMFAO_TEST_BACKEND=python  # generated Python over every base trie
-    LMFAO_TEST_BACKEND=c       # generated C (float keys fall back to Python)
+    LMFAO_TEST_BACKEND=c       # generated C (float keys fall back to NumPy)
 
 and the multiprocess leg routes domain parallelism to worker processes
 with::

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core import EngineConfig, LMFAO, cbackend
 from repro.core.cbackend import gcc_available, supports_plan
-from repro.core.lowering import MODE_HASH, base_emission_mode
+from repro.core.lowering import MODE_HASH, emission_mode
 from repro.core.runtime import ArrayViewData
 from repro.ml import covariance_batch
 from repro.ml.features import favorita_features, retailer_features
@@ -131,7 +131,7 @@ def test_hash_overflow_retry_keeps_dense_rows(favorita_db, monkeypatch):
     hashed = 0
     for plan, outputs in collected:
         for emission in plan.emissions:
-            if base_emission_mode(emission) != MODE_HASH:
+            if emission_mode(emission) != MODE_HASH:
                 continue
             hashed += 1
             data = outputs[emission.artifact]
@@ -154,7 +154,7 @@ def _hash_outputs(db, batch, backend: str, **config) -> dict[str, ArrayViewData]
         emission.artifact: stores[emission.artifact]
         for plan in compiled.plans
         for emission in plan.emissions
-        if base_emission_mode(emission) == MODE_HASH
+        if emission_mode(emission) == MODE_HASH
     }
 
 

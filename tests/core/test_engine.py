@@ -1,5 +1,6 @@
 """Engine behaviours: caching, parallelism, config knobs, results."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -7,11 +8,12 @@ import pytest
 
 from repro.core import EngineConfig, LMFAO
 from repro.core.cbackend import gcc_available
-from repro.core.engine import _to_query_result
+from repro.core.engine import _debug_check_run_consistency, _to_query_result
 from repro.core.runtime import ArrayViewData, as_mapping
 from repro.data import AttributeKind
 from repro.paper import FAVORITA_TREE, example_queries
 from repro.query import Aggregate, Op, OrderSpec, Predicate, Query, QueryBatch
+from repro.util.errors import PlanError
 
 from tests.helpers import assert_results_equal, mapping_built, oracle, walk_all
 
@@ -237,6 +239,16 @@ def test_timings_and_group_times_populated(favorita_engine):
     assert set(run.timings) >= {"compile", "execute", "collect"}
     assert run.total_time > 0
     assert len(run.group_times) == run.compiled.num_groups
+
+
+def test_run_consistency_check_raises_a_typed_error(favorita_engine):
+    # a typed error, not an assert: ``python -O`` must not drop the check
+    run = favorita_engine.run(example_queries())
+    _debug_check_run_consistency(run)
+    dropped = sorted(run.decisions)[0]
+    missing = {k: v for k, v in run.decisions.items() if k != dropped}
+    with pytest.raises(PlanError, match=dropped):
+        _debug_check_run_consistency(dataclasses.replace(run, decisions=missing))
 
 
 def test_generated_source_accessible(favorita_engine):

@@ -35,7 +35,11 @@ through the one dict → columns conversion and keeps no heap kernel
 beside its columnar one. Maintained handles finish their dirty queries
 through the same seam: nothing under ``incremental/`` imports the top-k
 layer or builds a ``QueryResult`` of its own, and the delta merge
-reports no per-key change set.
+reports no per-key change set. Ordering is known to the finisher alone:
+no emission, emission mode, view signature or group-cache key carries
+it, and in the serving layer it enters only the request identity
+:func:`repro.serve.fingerprint.batch_fingerprint` returns beside the
+structural key.
 
 A view is its columns: :class:`~repro.core.runtime.ArrayViewData` has no
 base class and keeps no second copy of its contents, and one function
@@ -89,6 +93,7 @@ its source is read, once, whichever thread gets there first.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import sys
 import threading
 import time
@@ -140,15 +145,15 @@ def test_group_step_owns_every_execution_decision():
         assert sites[0].startswith("core/engine.py:"), sites
 
 
-def _enclosing_functions(name: str) -> list[str]:
-    """``file:function`` of the innermost function around every call whose
-    callee is (an attribute) ``name``."""
+def _enclosing(matches) -> list[str]:
+    """``file:function`` of the innermost function around every node for
+    which ``matches(node)`` holds."""
     sites = []
 
     def visit(node, module: str, function: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call) and _called_name(node) == name:
+        if matches(node):
             sites.append(f"{module}:{function}")
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
@@ -156,6 +161,14 @@ def _enclosing_functions(name: str) -> list[str]:
     for module, tree in _modules().items():
         visit(tree, module, None)
     return sites
+
+
+def _enclosing_functions(name: str) -> list[str]:
+    """``file:function`` of the innermost function around every call whose
+    callee is (an attribute) ``name``."""
+    return _enclosing(
+        lambda node: isinstance(node, ast.Call) and _called_name(node) == name
+    )
 
 
 def test_one_predicate_path():
@@ -714,6 +727,40 @@ def test_one_ordered_finisher():
         "target", "delta"
     ]
     assert args.vararg is None and args.kwarg is None
+
+
+def test_ordering_lives_in_the_finisher():
+    from repro.core.lowering import LoweredEmission
+    from repro.core.plan import Emission
+
+    def named(node) -> str | None:
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        return node.name if isinstance(node, ast.alias) else None
+
+    assert not _enclosing(lambda node: named(node) == "MODE_TOPK")
+    assert "order" not in {f.name for f in dataclasses.fields(Emission)}
+    modes = [f.name for f in dataclasses.fields(LoweredEmission) if "mode" in f.name]
+    assert modes == ["mode"], modes
+    # below the finisher nothing reads a query's ordering; the serving
+    # layer reads it once, into the request identity
+    reads = _enclosing(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr in ("order_by", "limit")
+        and isinstance(node.ctx, ast.Load)
+    )
+    stray = sorted({
+        site for site in reads
+        if site.startswith(("core/", "serve/"))
+        and not site.startswith("core/topk.py:")
+        and site not in (
+            "core/engine.py:_to_query_result",
+            "serve/fingerprint.py:batch_fingerprint",
+        )
+    })
+    assert not stray, stray
 
 
 def _gcc_calls() -> list[tuple[str, str | None, bool]]:

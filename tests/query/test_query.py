@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.query import Aggregate, Op, Predicate, Query, QueryBatch
+from repro.query import Aggregate, Op, OrderSpec, Predicate, Query, QueryBatch
 from repro.query.query import QueryResult
 from repro.util.errors import QueryError
 
@@ -27,6 +27,15 @@ def test_query_validation(favorita_db):
         Query("q", group_by=("a", "a"))
     with pytest.raises(QueryError):
         Query("q", aggregates=())
+
+
+@pytest.mark.parametrize("limit", [2.5, 2.0, "3", True])
+def test_non_integer_limit_is_rejected_at_construction(limit):
+    # a limit is part of the serving layer's coalescing identity, so it is
+    # validated where the request is built, not at result finishing
+    with pytest.raises(QueryError, match="limit must be an int"):
+        Query("q", group_by=("a",), order_by=OrderSpec(), limit=limit)
+    assert Query("q", group_by=("a",), order_by=OrderSpec(), limit=3).limit == 3
 
 
 def test_query_result_scalar():

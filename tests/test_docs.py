@@ -140,11 +140,13 @@ def test_readme_mentions_serving_example():
 
 def test_ci_has_docs_leg_and_serving_bench():
     """The docs leg runs this module; the serving suites run in the
-    view-cache leg, both ways."""
+    view-cache leg three ways: on, on with the evicting budget
+    ``tests/conftest.py`` documents, and off."""
     text = (_ROOT / ".github" / "workflows" / "ci.yml").read_text()
     assert "tests/test_docs.py" in text
     assert "test -s docs/serving.md" in text
     assert "LMFAO_TEST_VIEWCACHE=1" in text
+    assert "LMFAO_TEST_VIEWCACHE=65536" in text
     assert "LMFAO_TEST_VIEWCACHE=0" in text
     assert "tests/serve" in text
 
@@ -219,6 +221,23 @@ def test_docs_name_no_retired_ordered_finisher():
     for doc in _doc_files():
         text = doc.read_text()
         for name in _RETIRED_ORDERED_NAMES:
+            assert name not in text, f"{doc.name} names {name}"
+
+
+#: the ordering that plans, view signatures and fingerprints carried
+#: before the finisher became the only layer that knows it
+_RETIRED_ORDERING_NAMES = (
+    "MODE_TOPK",
+    "base_emission_mode",
+    "base_mode",
+    "order profile",
+)
+
+
+def test_docs_name_no_retired_ordering_identity():
+    for doc in _doc_files():
+        text = doc.read_text()
+        for name in _RETIRED_ORDERING_NAMES:
             assert name not in text, f"{doc.name} names {name}"
 
 
