@@ -76,8 +76,9 @@ from repro.jointree.roots import assign_roots
 from repro.query.aggregates import Aggregate, Factor
 from repro.query.batch import QueryBatch
 from repro.query.functions import Function
+from repro.query.predicates import Predicate
 from repro.query.query import Query, QueryResult
-from repro.util.errors import PlanError
+from repro.util.errors import PlanError, QueryError
 from repro.util.lru import LRUCache
 from repro.util.timer import Stopwatch
 
@@ -385,7 +386,7 @@ class ViewSeeds:
     """
 
     seeds: dict[str, ArrayViewData] = field(default_factory=dict)
-    publish: object | None = None
+    publish: Callable[[str, ArrayViewData], None] | None = None
 
 
 @dataclass
@@ -451,9 +452,21 @@ class RunResult:
     #: was seeded from the view cache (empty without :class:`ViewSeeds`).
     #: Skipped groups have no ``group_times`` / ``decisions`` entries.
     skipped_groups: tuple[str, ...] = ()
+    #: query name → the raw store :attr:`results` was finished from
+    query_raw: dict[str, ArrayViewData] = field(default_factory=dict, repr=False)
 
     def __getitem__(self, query_name: str) -> QueryResult:
         return self.results[query_name]
+
+    def columns(self, query_name: str) -> ArrayViewData:
+        """One unordered query's result as columns: key columns in its
+        group-by order and one row of aggregates per key, the rows of
+        ``results[query_name].groups`` in the same order. An ordered
+        query's raw store is unranked and untruncated, so asking for it
+        raises :class:`~repro.util.errors.QueryError`."""
+        if self.results[query_name].query.order_by is not None:
+            raise QueryError(f"query {query_name!r} is ordered: read its groups")
+        return self.query_raw[query_name]
 
     @property
     def total_time(self) -> float:
@@ -883,6 +896,7 @@ class LMFAO:
             skipped_groups=tuple(
                 compiled.group_plan.groups[index].name for index in sorted(skipped)
             ),
+            query_raw=run.query_raw,
         )
         if debug_checks_enabled():
             _debug_check_run_consistency(result)
@@ -1230,20 +1244,24 @@ def _collect_functions(batch: QueryBatch) -> dict[str, Function]:
 def _fold_predicates(
     batch: QueryBatch, functions: dict[str, Function]
 ) -> QueryBatch:
-    """Fold every WHERE predicate into indicator factors."""
+    """Fold every WHERE predicate into indicator factors (once per distinct
+    WHERE: CART's node batches share one path across all their queries)."""
     queries: list[Query] = []
+    folded: dict[tuple[Predicate, ...], tuple[Factor, ...]] = {}
     for query in batch:
         if not query.where:
             queries.append(query)
             continue
-        indicator_factors = []
-        for predicate in query.where:
-            fn = predicate.as_indicator()
-            fn = functions.setdefault(fn.name, fn)
-            indicator_factors.append(Factor(predicate.attribute, fn))
+        indicator_factors = folded.get(query.where)
+        if indicator_factors is None:
+            factors = []
+            for predicate in query.where:
+                fn = predicate.as_indicator()
+                fn = functions.setdefault(fn.name, fn)
+                factors.append(Factor(predicate.attribute, fn))
+            indicator_factors = folded[query.where] = tuple(factors)
         new_aggs = tuple(
-            Aggregate(agg.factors + tuple(indicator_factors))
-            for agg in query.aggregates
+            Aggregate(agg.factors + indicator_factors) for agg in query.aggregates
         )
         queries.append(replace(query, aggregates=new_aggs, where=()))
     return QueryBatch(queries)

@@ -110,6 +110,7 @@ class ViewGenerator:
         self._registry: dict[tuple, View] = {}
         self._uses: dict[str, list[str]] = {}
         self._counter = 0
+        self._shapes: dict[str, tuple] = {}
 
     def generate(self, batch: QueryBatch, roots: dict[str, str]) -> ViewPlan:
         """Run pushdown + merging for every query; returns the view plan."""
@@ -127,52 +128,68 @@ class ViewGenerator:
 
     # ------------------------------------------------------------------ internals
     def _decompose(self, query: Query, root: str) -> Output:
-        tree = self._tree
-        parents = tree.rooted_parents(root)
-        children: dict[str, list[str]] = {node: [] for node in tree.nodes}
-        for node, parent in parents.items():
-            if parent is not None:
-                children[parent].append(node)
-        depth = self._depths(root)
+        children, edges, depth, highest = self._hung_from(root)
 
         # Assign every factor occurrence to the highest node containing its
-        # attribute (unique by the running-intersection property).
-        factor_home: list[dict[str, list[Factor]]] = []
+        # attribute (unique by the running-intersection property); an
+        # aggregate's factors are canonically ordered, so each node's share
+        # is too.
+        factor_home: list[dict[str, tuple[Factor, ...]]] = []
         for agg in query.aggregates:
             homes: dict[str, list[Factor]] = {}
             for factor in agg.factors:
-                node = self._highest_node(factor.attribute, depth)
-                homes.setdefault(node, []).append(factor)
-            factor_home.append(homes)
+                home = highest.get(factor.attribute)
+                if home is None:
+                    home = highest[factor.attribute] = self._highest_node(
+                        factor.attribute, depth
+                    )
+                homes.setdefault(home, []).append(factor)
+            factor_home.append({node: tuple(fs) for node, fs in homes.items()})
 
         gb_set = set(query.group_by)
-        # refs[agg_index][child] = AggRef into the (merged) child view.
-        refs: list[dict[str, AggRef]] = [{} for _ in query.aggregates]
+        # slots[agg_index][child] = (view name, slot) in the merged child view.
+        slots: list[dict[str, tuple[str, int]]] = [{} for _ in query.aggregates]
 
-        for node in tree.topological_from_leaves(root):
-            parent = parents[node]
-            if parent is None:
-                continue  # the root produces the Output below
-            separator = tree.separator(node, parent)
-            carried = gb_set & set(tree.subtree_attributes(node, parent))
-            group_by = tuple(sorted(set(separator) | carried))
+        for node, parent, separator, subtree in edges:
+            group_by = tuple(sorted(separator | (gb_set & subtree)))
             view = self._view_for(query, node, parent, group_by)
-            for i in range(len(query.aggregates)):
-                aggregate = ViewAggregate(
-                    factors=tuple(factor_home[i].get(node, ())),
-                    refs=tuple(refs[i][child] for child in children[node]),
-                )
-                index = view.add_aggregate(aggregate)
-                refs[i][node] = view.ref(index)
+            for homes, placed in zip(factor_home, slots):
+                refs = tuple(sorted([placed[child] for child in children[node]]))
+                placed[node] = (view.name, view.slot(homes.get(node, ()), refs))
 
         output_aggs = [
             ViewAggregate(
-                factors=tuple(factor_home[i].get(root, ())),
-                refs=tuple(refs[i][child] for child in children[root]),
+                factors=homes.get(root, ()),
+                refs=tuple(AggRef(*placed[child]) for child in children[root]),
             )
-            for i in range(len(query.aggregates))
+            for homes, placed in zip(factor_home, slots)
         ]
         return Output(query=query, node=root, aggregates=output_aggs)
+
+    def _hung_from(self, root: str) -> tuple[
+        dict[str, list[str]], list[tuple], dict[str, int], dict[str, str]
+    ]:
+        """The join tree hung from ``root``, built once per generator:
+        each node's children, the edges ``(node, parent, separator,
+        subtree attributes)`` leaves first, each node's depth, and the
+        highest node holding an attribute, filled in as attributes are
+        met."""
+        shape = self._shapes.get(root)
+        if shape is None:
+            tree = self._tree
+            parents = tree.rooted_parents(root)
+            children: dict[str, list[str]] = {node: [] for node in tree.nodes}
+            for node, parent in parents.items():
+                if parent is not None:
+                    children[parent].append(node)
+            edges = [
+                (node, parent, frozenset(tree.separator(node, parent)),
+                 tree.subtree_attributes(node, parent))
+                for node in tree.topological_from_leaves(root)
+                if (parent := parents[node]) is not None
+            ]
+            shape = self._shapes[root] = (children, edges, self._depths(root), {})
+        return shape
 
     def _depths(self, root: str) -> dict[str, int]:
         depth = {root: 0}

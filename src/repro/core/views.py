@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from repro.query.aggregates import Factor
 from repro.query.query import Query
-from repro.util.errors import PlanError
 
 
 @dataclass(frozen=True)
@@ -51,22 +50,19 @@ class ViewAggregate:
 
     factors: tuple[Factor, ...] = ()
     refs: tuple[AggRef, ...] = ()
+    #: structural identity used for aggregate deduplication (and by the
+    #: engine's group-cache key); fixed at construction
+    signature: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "factors", tuple(sorted(self.factors, key=lambda f: f.signature))
-        )
-        object.__setattr__(
-            self, "refs", tuple(sorted(self.refs, key=lambda r: (r.view, r.index)))
-        )
-
-    @property
-    def signature(self) -> tuple:
-        """Structural identity used for aggregate deduplication."""
-        return (
-            tuple(f.signature for f in self.factors),
-            tuple((r.view, r.index) for r in self.refs),
-        )
+        factors = tuple(sorted(self.factors, key=lambda f: f.signature))
+        refs = tuple(sorted(self.refs, key=lambda r: (r.view, r.index)))
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "refs", refs)
+        object.__setattr__(self, "signature", (
+            tuple(f.signature for f in factors),
+            tuple((r.view, r.index) for r in refs),
+        ))
 
 
 @dataclass
@@ -94,25 +90,27 @@ class View:
     aggregates: list[ViewAggregate] = field(default_factory=list)
     _index: dict[tuple, int] = field(default_factory=dict, repr=False)
 
-    def add_aggregate(self, aggregate: ViewAggregate) -> int:
-        """Add (or find) an aggregate; returns its slot index."""
-        sig = aggregate.signature
-        found = self._index.get(sig)
-        if found is not None:
-            return found
-        self.aggregates.append(aggregate)
-        self._index[sig] = len(self.aggregates) - 1
-        return len(self.aggregates) - 1
+    def slot(
+        self, factors: tuple[Factor, ...], refs: tuple[tuple[str, int], ...]
+    ) -> int:
+        """The slot index of ``SUM(∏ factors × ∏ refs)``, added if new.
+
+        ``factors`` come in canonical (signature) order and ``refs`` are
+        sorted ``(view, index)`` pairs, so together they are the
+        aggregate's signature and a repeated aggregate is found without
+        building it.
+        """
+        signature = (tuple(f.signature for f in factors), refs)
+        found = self._index.get(signature)
+        if found is None:
+            aggregate = ViewAggregate(factors, tuple(AggRef(*ref) for ref in refs))
+            found = self._index[aggregate.signature] = len(self.aggregates)
+            self.aggregates.append(aggregate)
+        return found
 
     @property
     def num_aggregates(self) -> int:
         return len(self.aggregates)
-
-    def ref(self, index: int) -> AggRef:
-        """An :class:`AggRef` to slot ``index`` of this view."""
-        if not 0 <= index < len(self.aggregates):
-            raise PlanError(f"view {self.name} has no aggregate {index}")
-        return AggRef(self.name, index)
 
     @property
     def referenced_views(self) -> tuple[str, ...]:

@@ -7,8 +7,8 @@ the path conditions. Two batch formulations are provided:
 * ``mode="groupby"`` (default) — one query per feature, grouped by the
   feature, with the path conditions as WHERE (folded by the engine into
   indicator factors). All thresholds of a feature come for free from a
-  prefix scan over its sorted group-by result. This keeps one LMFAO pass
-  per tree node and reuses every trie across the whole tree.
+  prefix scan over its sorted group-by result, and every trie is reused
+  across the whole tree.
 * ``mode="indicator"`` — one explicit threshold-indicator aggregate per
   candidate ``(feature, threshold, statistic)``, the formulation whose
   batch size the paper reports (thousands of aggregates per node). Same
@@ -17,21 +17,26 @@ the path conditions. Two batch formulations are provided:
 
 Splits: continuous features use ``Xj <= t`` / ``Xj > t``; categorical
 features use one-vs-rest equality ``Xj = v`` / ``Xj ≠ v``.
+
+A tree grows in one LMFAO pass per tree node, its batch compiled against
+the engine's warm trie and group caches. Splits are picked from each
+node's results as columns (:meth:`RunResult.columns`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from repro.core.engine import LMFAO
+from repro.core.engine import ArrayViewData, LMFAO
 from repro.ml.features import FeatureSpec
 from repro.query.aggregates import Aggregate, Factor
 from repro.query.batch import QueryBatch
 from repro.query.functions import indicator, square
 from repro.query.predicates import Op, Predicate
-from repro.query.query import Query, QueryResult
+from repro.query.query import Query
 
 
 @dataclass(frozen=True)
@@ -74,13 +79,6 @@ class TreeNode:
         return "\n".join(lines)
 
 
-def _variance(n: float, s: float, q: float) -> float:
-    # the paper's VARIANCE: Σy² − (Σy)²/|T|
-    if n <= 0:
-        return 0.0
-    return max(0.0, q - s * s / n)
-
-
 def cart_node_batch(
     spec: FeatureSpec,
     path: tuple[Predicate, ...],
@@ -92,7 +90,8 @@ def cart_node_batch(
     In groupby mode: one 3-aggregate query per feature plus the node
     totals. In indicator mode: the totals query plus, per continuous
     feature, ``3 × num_thresholds`` indicator aggregates (and group-by
-    queries for categorical features).
+    queries for categorical features). Query names are ``node_total``
+    and ``node_<feature>``.
     """
     label = spec.label
     triple = (
@@ -100,17 +99,15 @@ def cart_node_batch(
         Aggregate.sum(label),
         Aggregate.sum(label, square),
     )
-    queries: list[Query] = [
-        Query("node_total", aggregates=triple, where=path)
-    ]
-    features = spec.continuous + spec.categorical
+
+    def grouped(feature: str) -> Query:
+        return Query(
+            f"node_{feature}", group_by=(feature,), aggregates=triple, where=path
+        )
+
+    queries = [Query("node_total", aggregates=triple, where=path)]
     if mode == "groupby":
-        for feature in features:
-            queries.append(
-                Query(
-                    f"node_{feature}", group_by=(feature,), aggregates=triple, where=path
-                )
-            )
+        queries += [grouped(feature) for feature in spec.continuous]
     elif mode == "indicator":
         if thresholds is None:
             raise ValueError("indicator mode requires per-feature thresholds")
@@ -124,14 +121,9 @@ def cart_node_batch(
                 queries.append(
                     Query(f"node_{feature}", aggregates=tuple(aggs), where=path)
                 )
-        for feature in spec.categorical:
-            queries.append(
-                Query(
-                    f"node_{feature}", group_by=(feature,), aggregates=triple, where=path
-                )
-            )
     else:
         raise ValueError(f"unknown CART mode {mode!r}")
+    queries += [grouped(feature) for feature in spec.categorical]
     return QueryBatch(queries)
 
 
@@ -140,76 +132,70 @@ class _Split:
     feature: str
     threshold: float
     categorical: bool
-    left: tuple[float, float, float]
-    right: tuple[float, float, float]
     variance_after: float
 
 
-def _best_split_groupby(
+def _by_key(view: ArrayViewData) -> tuple[np.ndarray, np.ndarray]:
+    """A one-key view's keys and aggregate rows, ascending by key."""
+    keys = view.key_columns[0]
+    order = np.argsort(keys, kind="stable")
+    return keys[order], np.asarray(view.value_matrix, dtype=np.float64)[order]
+
+
+def _variances(stats: np.ndarray) -> np.ndarray:
+    """The paper's VARIANCE, Σy² − (Σy)²/|T|, of every ``(n, s, q)`` row
+    (0 where ``n <= 0`` or rounding takes it below 0)."""
+    n, s, q = stats.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = q - s * s / n
+    return np.where((n > 0) & (v > 0), v, 0.0)
+
+
+def _best_split(
     spec: FeatureSpec,
-    results: dict[str, QueryResult],
+    columns: Callable[[str], ArrayViewData],
     total: tuple[float, float, float],
     min_samples: float,
+    thresholds: dict[str, list[float]] | None = None,
 ) -> _Split | None:
-    n_tot, s_tot, q_tot = total
-    best: _Split | None = None
+    """One node's best split, read from its results as columns.
 
-    def consider(feature: str, threshold: float, categorical: bool,
-                 left: tuple[float, float, float]) -> None:
-        nonlocal best
-        right = (n_tot - left[0], s_tot - left[1], q_tot - left[2])
-        if left[0] < min_samples or right[0] < min_samples:
-            return
-        after = _variance(*left) + _variance(*right)
-        if best is None or after < best.variance_after:
-            best = _Split(feature, threshold, categorical, left, right, after)
-
+    ``columns(name)`` is the node's query ``name`` (``node_<feature>``).
+    A continuous feature's candidates are left-side prefix sums: over its
+    group-by rows sorted by key (the last key leaves the right side
+    empty), or, given ``thresholds`` (indicator mode), its indicator
+    aggregates. A categorical feature's are one-vs-rest, one per key.
+    The split is the first strict minimum of the variance after it, in
+    (spec feature order, ascending threshold) order, among the
+    candidates leaving ``min_samples`` on both sides; None if there is
+    no such candidate.
+    """
+    blocks: list[tuple[str, bool, np.ndarray, np.ndarray]] = []
     for feature in spec.continuous:
-        groups = results[f"node_{feature}"].groups
-        items = sorted(groups.items())
-        n = s = q = 0.0
-        for (value, *_), stats in items[:-1]:  # last split is empty-right
-            n += stats[0]
-            s += stats[1]
-            q += stats[2]
-            consider(feature, float(value), False, (n, s, q))
+        if thresholds is None:
+            keys, stats = _by_key(columns(f"node_{feature}"))
+            blocks.append((feature, False, keys[:-1], np.cumsum(stats[:-1], axis=0)))
+        elif thresholds[feature]:
+            values = columns(f"node_{feature}").value_matrix
+            if len(values):
+                left = np.asarray(values[0], dtype=np.float64).reshape(-1, 3)
+                blocks.append((feature, False, np.asarray(thresholds[feature]), left))
     for feature in spec.categorical:
-        for (value, *_), stats in sorted(results[f"node_{feature}"].groups.items()):
-            consider(feature, float(value), True, (stats[0], stats[1], stats[2]))
-    return best
-
-
-def _best_split_indicator(
-    spec: FeatureSpec,
-    results: dict[str, QueryResult],
-    total: tuple[float, float, float],
-    thresholds: dict[str, list[float]],
-    min_samples: float,
-) -> _Split | None:
-    n_tot, s_tot, q_tot = total
-    best: _Split | None = None
-
-    def consider(feature: str, threshold: float, categorical: bool,
-                 left: tuple[float, float, float]) -> None:
-        nonlocal best
-        right = (n_tot - left[0], s_tot - left[1], q_tot - left[2])
-        if left[0] < min_samples or right[0] < min_samples:
-            return
-        after = _variance(*left) + _variance(*right)
-        if best is None or after < best.variance_after:
-            best = _Split(feature, threshold, categorical, left, right, after)
-
-    for feature in spec.continuous:
-        values = results[f"node_{feature}"].groups.get((), None)
-        if values is None:
-            continue
-        for i, t in enumerate(thresholds[feature]):
-            left = (values[3 * i], values[3 * i + 1], values[3 * i + 2])
-            consider(feature, float(t), False, left)
-    for feature in spec.categorical:
-        for (value, *_), stats in sorted(results[f"node_{feature}"].groups.items()):
-            consider(feature, float(value), True, (stats[0], stats[1], stats[2]))
-    return best
+        blocks.append((feature, True, *_by_key(columns(f"node_{feature}"))))
+    if not blocks:
+        return None
+    left = np.concatenate([block[3] for block in blocks])
+    right = np.asarray(total, dtype=np.float64) - left
+    valid = np.flatnonzero(~(left[:, 0] < min_samples) & ~(right[:, 0] < min_samples))
+    if not len(valid):
+        return None
+    after = _variances(left[valid]) + _variances(right[valid])
+    best = int(np.argmin(after))
+    row = valid[best]
+    keys = np.concatenate([np.asarray(block[2], dtype=np.float64) for block in blocks])
+    owner = np.repeat(np.arange(len(blocks)), [len(block[2]) for block in blocks])
+    feature, categorical = blocks[owner[row]][:2]
+    return _Split(feature, float(keys[row]), categorical, float(after[best]))
 
 
 @dataclass
@@ -227,10 +213,8 @@ class RegressionTree:
 
     def fit(self, engine: LMFAO) -> "RegressionTree":
         """Grow the tree over the engine's database."""
-        if self.config.mode == "indicator":
-            self._thresholds = self._candidate_thresholds(engine)
-        self.root = self._grow(engine, path=(), depth=0)
-        return self
+        self._thresholds = {}
+        return self.refresh(engine)
 
     def refresh(self, engine: LMFAO) -> "RegressionTree":
         """Re-grow the tree after the underlying data changed.
@@ -238,20 +222,34 @@ class RegressionTree:
         Pass an engine over the updated database — typically
         ``LMFAO(handle.database, config)`` where ``handle`` is the
         :class:`~repro.incremental.MaintainedBatch` tracking the updates.
-        Tree growth re-runs (splits are data-dependent, so the per-node
+        Tree growth re-runs (splits are data-dependent, so the node
         batches cannot be maintained ahead of time), but the expensive
         preparation is reused: candidate thresholds in indicator mode are
-        kept from the original fit, and the engine's trie caches make each
-        node batch a warm re-execution. Counters restart so the refreshed
-        tree reports its own statistics.
+        kept from the original fit, and the engine's trie and group
+        caches serve every batch after the first. Counters restart so the
+        refreshed tree reports its own statistics.
         """
-        self.num_nodes = 0
-        self.aggregates_per_node = 0
-        self.total_aggregates = 0
-        self.aggregate_seconds = 0.0
         if self.config.mode == "indicator" and not self._thresholds:
             self._thresholds = self._candidate_thresholds(engine)
-        self.root = self._grow(engine, path=(), depth=0)
+        self.num_nodes = self.total_aggregates = 0
+        self.aggregate_seconds = 0.0
+        root, split = self._evaluate(engine, (), depth=0)
+        self.aggregates_per_node = self.total_aggregates
+        pending = [(root, (), split)]
+        while pending:
+            node, path, split = pending.pop()
+            if split is None:
+                continue
+            node.feature = split.feature
+            node.threshold = split.threshold
+            node.categorical = split.categorical
+            ops = (Op.EQ, Op.NE) if split.categorical else (Op.LE, Op.GT)
+            paths = [path + (Predicate(split.feature, op, split.threshold),) for op in ops]
+            node.left, left_split = self._evaluate(engine, paths[0], node.depth + 1)
+            node.right, right_split = self._evaluate(engine, paths[1], node.depth + 1)
+            pending.append((node.right, paths[1], right_split))
+            pending.append((node.left, paths[0], left_split))
+        self.root = root
         return self
 
     # ------------------------------------------------------------------ growing
@@ -264,9 +262,8 @@ class RegressionTree:
         run = engine.run(QueryBatch(queries))
         thresholds: dict[str, list[float]] = {}
         for feature in self.spec.continuous:
-            groups = sorted(run.results[f"hist_{feature}"].groups.items())
-            values = np.array([k[0] for k, _ in groups], dtype=np.float64)
-            counts = np.array([v[0] for _, v in groups])
+            keys, rows = _by_key(run.columns(f"hist_{feature}"))
+            values, counts = keys.astype(np.float64), rows[:, 0]
             if len(values) <= self.config.num_thresholds:
                 thresholds[feature] = [float(v) for v in values[:-1]]
                 continue
@@ -277,52 +274,33 @@ class RegressionTree:
             thresholds[feature] = sorted({float(values[i]) for i in picks})
         return thresholds
 
-    def _grow(
+    def _evaluate(
         self, engine: LMFAO, path: tuple[Predicate, ...], depth: int
-    ) -> TreeNode:
+    ) -> tuple[TreeNode, _Split | None]:
+        """Evaluate the node at ``path`` in one LMFAO pass: the node and
+        the split it takes, None for a leaf."""
         batch = cart_node_batch(
             self.spec, path, mode=self.config.mode, thresholds=self._thresholds or None
         )
         run = engine.run(batch)
         self.aggregate_seconds += run.total_time
-        self.total_aggregates += batch.num_aggregates
-        if self.aggregates_per_node == 0:
-            self.aggregates_per_node = batch.num_aggregates
-        totals = run.results["node_total"].groups.get((), (0.0, 0.0, 0.0))
-        n, s, q = totals[0], totals[1], totals[2]
-        node = TreeNode(
-            prediction=s / n if n > 0 else 0.0,
-            count=n,
-            variance=_variance(n, s, q),
-            depth=depth,
-        )
         self.num_nodes += 1
-        if depth >= self.config.max_depth or n < 2 * self.config.min_samples:
-            return node
-        if self.config.mode == "groupby":
-            split = _best_split_groupby(
-                self.spec, run.results, (n, s, q), self.config.min_samples
+        self.total_aggregates += batch.num_aggregates
+        totals = run.columns("node_total").value_matrix
+        n, s, q = totals[0].tolist() if len(totals) else (0.0, 0.0, 0.0)
+        variance = float(_variances(np.array([(n, s, q)]))[0])
+        node = TreeNode(s / n if n > 0 else 0.0, n, variance, depth)
+        split = None
+        if depth < self.config.max_depth and n >= 2 * self.config.min_samples:
+            split = _best_split(
+                self.spec, run.columns, (n, s, q),
+                self.config.min_samples, self._thresholds or None,
             )
-        else:
-            split = _best_split_indicator(
-                self.spec, run.results, (n, s, q), self._thresholds,
-                self.config.min_samples,
-            )
-        if split is None or node.variance - split.variance_after <= (
+        if split is not None and node.variance - split.variance_after <= (
             self.config.min_variance_gain * max(1.0, node.variance)
         ):
-            return node
-        node.feature = split.feature
-        node.threshold = split.threshold
-        node.categorical = split.categorical
-        left_op, right_op = (Op.EQ, Op.NE) if split.categorical else (Op.LE, Op.GT)
-        node.left = self._grow(
-            engine, path + (Predicate(split.feature, left_op, split.threshold),), depth + 1
-        )
-        node.right = self._grow(
-            engine, path + (Predicate(split.feature, right_op, split.threshold),), depth + 1
-        )
-        return node
+            split = None
+        return node, split
 
     # --------------------------------------------------------------- prediction
     def predict_rows(self, rows: dict[str, np.ndarray]) -> np.ndarray:

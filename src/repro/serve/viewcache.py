@@ -37,6 +37,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.core.engine import ArrayViewData
 from repro.core.runtime import estimate_view_bytes
 from repro.serve.fingerprint import ViewIdentity, ViewKey
 from repro.util.lru import CacheStats, LRUCache
@@ -55,10 +56,10 @@ def live_caches() -> list["ViewCache"]:
 class CachedView:
     """One materialized view held by the cache."""
 
-    #: the view's contents as its group emitted them — a columnar
-    #: ``ArrayViewData``, shared with every run it seeds and never
-    #: mutated (dict readers go through ``as_mapping``)
-    data: object
+    #: the view's contents as its group emitted them, shared with every
+    #: run it seeds and never mutated (dict readers go through
+    #: ``as_mapping``)
+    data: ArrayViewData
     nbytes: int
     #: all join-tree relations feeding the view: a group commit carries
     #: the entry forward only when no changed relation is among them.
@@ -67,7 +68,7 @@ class CachedView:
 
     @classmethod
     def of(
-        cls, compiled, name: str, data: object, identity: ViewIdentity
+        cls, compiled, name: str, data: ArrayViewData, identity: ViewIdentity
     ) -> "CachedView":
         """The cache entry for view ``name`` of one compilation.
 

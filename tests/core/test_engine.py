@@ -13,7 +13,7 @@ from repro.core.runtime import ArrayViewData, as_mapping
 from repro.data import AttributeKind
 from repro.paper import FAVORITA_TREE, example_queries
 from repro.query import Aggregate, Op, OrderSpec, Predicate, Query, QueryBatch
-from repro.util.errors import PlanError
+from repro.util.errors import PlanError, QueryError
 
 from tests.helpers import assert_results_equal, mapping_built, oracle, walk_all
 
@@ -319,6 +319,25 @@ _COLLECTED = QueryBatch([
         limit=2,
     ),
 ])
+
+
+def test_run_columns_are_the_rows_of_groups(favorita_db):
+    """``RunResult.columns`` hands out the store each unordered result was
+    finished from, row for row; an ordered query's store is unranked, so
+    asking for it is an error."""
+    run = LMFAO(favorita_db, EngineConfig(join_tree_edges=FAVORITA_TREE)).run(
+        _COLLECTED
+    )
+    for query in _COLLECTED:
+        if query.order_by is not None:
+            with pytest.raises(QueryError, match="ordered"):
+                run.columns(query.name)
+            continue
+        view = run.columns(query.name)
+        keys = zip(*(c.tolist() for c in view.key_columns)) if view.key_columns \
+            else [()] * len(view)
+        rows = list(zip(keys, map(tuple, view.value_matrix.tolist())))
+        assert rows == list(run.results[query.name].groups.items()), query.name
 
 
 @pytest.mark.parametrize(

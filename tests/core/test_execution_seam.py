@@ -85,6 +85,9 @@ are dropped from one place (the engine's reclaim of a dead version —
 the store's GC hook, or a commit that failed before its install). The
 DAG walk knows no executor; only the group step ships work to one.
 
+CART asks the engine for one batch per tree node, from one call site,
+and picks splits from the columns of its results.
+
 One behavioural check rides along: compilation pays only for the code a
 run uses — a group's Python is generated when it first runs on Python or
 its source is read, once, whichever thread gets there first.
@@ -757,10 +760,28 @@ def test_ordering_lives_in_the_finisher():
         and not site.startswith("core/topk.py:")
         and site not in (
             "core/engine.py:_to_query_result",
+            "core/engine.py:columns",  # refuses an ordered query's raw store
             "serve/fingerprint.py:batch_fingerprint",
         )
     })
     assert not stray, stray
+
+
+def test_cart_runs_node_batches_from_one_site_and_reads_columns():
+    # CART grows from one node-batch run site beside the indicator
+    # histogram's, and reads every result through RunResult.columns, never
+    # a groups dict
+    cart = _modules()["ml/cart.py"]
+    runs = [
+        site for site in _enclosing_functions("run") if site.startswith("ml/cart.py:")
+    ]
+    assert sorted(runs) == ["ml/cart.py:_candidate_thresholds", "ml/cart.py:_evaluate"]
+    reads = [
+        node.lineno for node in ast.walk(cart)
+        if isinstance(node, ast.Attribute) and node.attr == "groups"
+    ]
+    assert not reads, f"ml/cart.py:{reads} reads a groups dict"
+    assert "_grow" not in {function.name for function in _functions("ml/cart.py")}
 
 
 def _gcc_calls() -> list[tuple[str, str | None, bool]]:
