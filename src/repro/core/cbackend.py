@@ -17,14 +17,15 @@ Runtime data layout (all buffers allocated by Python as numpy arrays and
 passed as a single ``void**`` argument vector):
 
 * trie levels — the CSR arrays of :class:`repro.data.trie.TrieIndex`;
-* scalar incoming views — flattened entry arrays (key part columns + a
-  row-major aggregate matrix); the generated prologue builds an
-  open-addressing hash table (linear probing, splitmix64 mixing) in
-  preallocated buffers;
-* carried incoming views — entries stably ordered by local key through
-  the key coder (:mod:`repro.data.keycodes`); a hash table maps each
-  distinct key to its contiguous entry range (sub-sums and keyed
-  emissions iterate ranges);
+* incoming views — the binding tables NumPy probes
+  (:func:`~repro.core.runtime.prepare_binding_tables`). A binding's
+  :class:`~repro.data.keycodes.KeyIndex` arrives as its recorded coding
+  (:func:`_index_descriptor`) and its direct-address ``table``, or the
+  ``key_comp`` a binary search reads; the prelude's one ``lmfao_lookup``
+  returns a probe key's id, ``-1`` on a miss. A scalar binding's
+  aggregates are row ``id`` of its ``values``; a carried binding's
+  entries are ``entry_offsets[id] .. entry_offsets[id + 1]`` of its
+  ``carried_columns`` and ``agg_matrix``;
 * outputs — aligned emissions append into arrays sized by the emission
   level's run count; accumulating (hash) emissions use a preallocated
   open-addressing table whose slots hold a row index (``-1`` when free):
@@ -50,10 +51,10 @@ attributes. :func:`supports_plan` reports this; at compile,
 NumPy group (e.g. Rk-means' float dimensions).
 
 **Concurrency.** Generated functions are reentrant: they touch only their
-argument vector, every mutable buffer (view hash tables, output tables) is
+argument vector, the only mutable buffers (the output tables) are
 allocated fresh per call by :meth:`CCompiledGroup._attempt`, and the shared
-input arrays (trie levels, prefix sums, view entries) are ``const`` on the
-C side and read-only numpy arrays on the Python side. Calls go through
+input arrays (trie levels, prefix sums, binding tables) are ``const`` on
+the C side and read-only numpy arrays on the Python side. Calls go through
 ``ctypes.CDLL``, which **releases the GIL** for the duration of the native
 call — so the engine's domain-parallel mode (one call per trie partition,
 see ``repro.core.runtime``) gets real multicore scaling on this backend.
@@ -126,9 +127,9 @@ from repro.core.runtime import (
     ArrayViewData,
     bind_operands,
     debug_checks_enabled,
-    view_columns,
+    prepare_binding_tables,
 )
-from repro.data.keycodes import _composite_codes, _group_codes, _key_order
+from repro.data.keycodes import KeyIndex
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
@@ -141,6 +142,36 @@ static inline uint64_t lmfao_mix(uint64_t x) {
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
+}
+
+/* position of value in sorted[0 .. n), or -1 */
+static int64_t lmfao_rank(const int64_t* sorted, int64_t n, int64_t value) {
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (sorted[mid] < value) lo = mid + 1; else hi = mid;
+    }
+    return lo < n && sorted[lo] == value ? lo : -1;
+}
+
+/* KeyIndex.lookup for one probe key: its key id, or -1 on a miss.
+   ix = {steps, num_keys, direct, then per step {densify, lo, card,
+   uniques at ix[.] or -1}, then the uniques}; kt is the direct-address
+   table when direct, else the ascending key composites. */
+static int64_t lmfao_lookup(const int64_t* ix, const int64_t* kt,
+                            const int64_t* key) {
+    if (ix[1] == 0) return -1;
+    int64_t comp = 0;
+    const int64_t* step = ix + 3;
+    for (int64_t s = 0; s < ix[0]; s++, step += 4) {
+        const int64_t value = step[0] ? comp : *key++;
+        const uint64_t shifted = (uint64_t)value - (uint64_t)step[1];
+        const int64_t code = step[3] >= 0 ? lmfao_rank(ix + step[3], step[2], value)
+                             : shifted < (uint64_t)step[2] ? (int64_t)shifted : -1;
+        if (code < 0) return -1;
+        comp = step[0] ? code : comp * step[2] + code;
+    }
+    return ix[2] ? kt[comp] : lmfao_rank(kt, ix[1], comp);
 }
 """
 
@@ -230,7 +261,7 @@ def _mix(keys: list[str]) -> str:
 
 
 class CEmitter(LoopNestEmitter):
-    """C99 syntax leaves: open-addressing probes, entry ranges, flat outputs.
+    """C99 syntax leaves: key-index probes, entry ranges, flat outputs.
 
     Term hoisting is always on (C consts). The walker's ``B<i>`` / ``O<i>``
     positions name the argument-vector slots declared by :meth:`prologue`.
@@ -274,23 +305,17 @@ class CEmitter(LoopNestEmitter):
         for i, product in enumerate(plan.row_products):
             arg(f"P{i}", "const double*", ("psum", product))
         for i, binding in enumerate(plan.bindings):
-            kparts = len(binding.key)
-            arg(f"B{i}_m", "const int64_t*", ("bind_count", binding.view))
-            for p in range(kparts):
-                arg(f"B{i}_ek{p}", "const int64_t*", ("bind_keys", binding.view, p))
-            arg(f"B{i}_ev", "const double*", ("bind_vals", binding.view))
-            arg(f"B{i}_mask_p", "const int64_t*", ("bind_mask", binding.view))
-            arg(f"B{i}_occ", "int8_t*", ("bind_occ", binding.view))
-            for p in range(kparts):
-                arg(f"B{i}_k{p}", "int64_t*", ("bind_tk", binding.view, p))
-            arg(f"B{i}_lo", "int64_t*", ("bind_lo", binding.view))
-            arg(f"B{i}_hi", "int64_t*", ("bind_hi", binding.view))
+            view = binding.view
+            arg(f"B{i}_ix", "const int64_t*", ("bind_index", view))
+            arg(f"B{i}_kt", "const int64_t*", ("bind_table", view))
+            if not binding.is_carried:
+                arg(f"B{i}_ev", "const double*", ("bind_array", view, "values"))
+                continue
+            arg(f"B{i}_ev", "const double*", ("bind_array", view, "agg_matrix"))
+            arg(f"B{i}_off", "const int64_t*", ("bind_array", view, "entry_offsets"))
             for p in range(len(binding.carried)):
-                arg(
-                    f"CB{binding.block}_c{p}",
-                    "const int64_t*",
-                    ("bind_carried", binding.view, p),
-                )
+                role = ("bind_carried", view, p)
+                arg(f"CB{binding.block}_c{p}", "const int64_t*", role)
         for i, emission in enumerate(plan.emissions):
             mode = emission_mode(emission)
             if mode == MODE_SCALAR:
@@ -304,31 +329,8 @@ class CEmitter(LoopNestEmitter):
             arg(f"O{i}_v", "double*", ("out_vals", i))
             arg(f"O{i}_n", "int64_t*", ("out_count", i))
 
-        # ---------------- build the view hash tables -------------------------
         w.line("const int64_t NROWS = NROWS_P[0];")
         w.line("(void)NROWS; (void)NRUNS_P;")
-        for i, binding in enumerate(plan.bindings):
-            kparts = range(len(binding.key))
-            w.line(f"const int64_t B{i}_mask = B{i}_mask_p[0];")
-            w.open(f"for (int64_t e = 0; e < B{i}_m[0]; e++) {{")
-            hi = "e + 1"
-            if binding.is_carried:
-                # entries arrive sorted by key: hash distinct keys to ranges
-                same = " && ".join(f"B{i}_ek{p}[e] == B{i}_ek{p}[e-1]" for p in kparts)
-                w.line(f"if (e > 0 && {same}) continue;")
-                w.line("int64_t hi = e + 1;")
-                cont = " && ".join(f"B{i}_ek{p}[hi] == B{i}_ek{p}[e]" for p in kparts)
-                w.line(f"while (hi < B{i}_m[0] && {cont}) hi++;")
-                hi = "hi"
-            # else one table entry per view entry: key -> row range [e, e+1)
-            parts = _mix([f"B{i}_ek{p}[e]" for p in kparts])
-            w.line(f"uint64_t h = ({parts}) & (uint64_t)B{i}_mask;")
-            w.line(f"while (B{i}_occ[h]) h = (h + 1) & (uint64_t)B{i}_mask;")
-            w.line(f"B{i}_occ[h] = 1;")
-            for p in kparts:
-                w.line(f"B{i}_k{p}[h] = B{i}_ek{p}[e];")
-            w.line(f"B{i}_lo[h] = e; B{i}_hi[h] = {hi};")
-            w.close()
 
     def epilogue(self) -> str:
         self.w.line("return 0;")
@@ -351,30 +353,23 @@ class CEmitter(LoopNestEmitter):
         return f"const int64_t v{level} = L{level}_vals[r{level}]; (void)v{level};"
 
     def probe(self, i: int, binding: ViewBinding) -> None:
-        w = self.w
-        keys = [f"v{level}" for level in binding.key_levels]
-        w.line(f"int64_t sl_B{i} = -1, hi_B{i} = -1;")
-        w.open("{")
-        w.line(f"uint64_t h = ({_mix(keys)}) & (uint64_t)B{i}_mask;")
-        w.open(f"while (B{i}_occ[h]) {{")
-        match = " && ".join(f"B{i}_k{p}[h] == {key}" for p, key in enumerate(keys))
-        w.line(
-            f"if ({match}) {{ sl_B{i} = B{i}_lo[h]; hi_B{i} = B{i}_hi[h]; break; }}"
+        keys = ", ".join(f"v{level}" for level in binding.key_levels)
+        self.w.line(
+            f"const int64_t id_B{i} = "
+            f"lmfao_lookup(B{i}_ix, B{i}_kt, (const int64_t[]){{{keys}}});"
         )
-        w.line(f"h = (h + 1) & (uint64_t)B{i}_mask;")
-        w.close()
-        w.close()
-        w.line(f"if (sl_B{i} < 0) continue;")
-        if not binding.is_carried:
-            w.line(f"(void)hi_B{i};")
+        self.w.line(f"if (id_B{i} < 0) continue;")
 
     def view_aggregate(self, i: int, agg_index: int) -> str:
-        return self._ev(i, f"sl_B{i}", agg_index)
+        return self._ev(i, f"id_B{i}", agg_index)
 
     def open_entries(self, block: int, keyed: bool) -> None:
         i = self.block_binding[block]
         e = f"e{block}" if keyed else "e"
-        self.w.open(f"for (int64_t {e} = sl_B{i}; {e} < hi_B{i}; {e}++) {{")
+        self.w.open(
+            f"for (int64_t {e} = B{i}_off[id_B{i}]; "
+            f"{e} < B{i}_off[id_B{i} + 1]; {e}++) {{"
+        )
 
     def entry_aggregate(self, block: int, agg_index: int, keyed: bool) -> str:
         row = f"e{block}" if keyed else "e"
@@ -441,14 +436,32 @@ def _table_capacity(keys: float) -> int:
     """Slots of an open-addressing table for ``keys`` keys: the least power
     of two, at least 8, that holds them at most half full.
 
-    The one sizing rule: a view table takes its entry count, a hash output
-    table its key bound (capped at :data:`_KEY_CAP`) times the overflow
+    The one sizing rule of the hash output tables: a table takes its
+    emission's key bound (capped at :data:`_KEY_CAP`) times the overflow
     retry's growth.
     """
     size = 8
     while size < 2 * (keys + 1):
         size <<= 1
     return size
+
+
+def _index_descriptor(keys: KeyIndex) -> np.ndarray:
+    """One binding's recorded coding as the int64 array ``lmfao_lookup``
+    reads: ``steps, num_keys, direct``, then per coding step ``densify,
+    lo, card, start`` — ``start`` the position of the step's uniques in
+    this array, ``-1`` for an offset step — then the uniques."""
+    steps = keys.coder.steps
+    head = [len(steps), keys.num_keys, keys.table is not None]
+    uniques, start = [], len(head) + 4 * len(steps)
+    for densify, coding in steps:
+        if coding.uniques is None:
+            head += [densify, coding.lo, coding.card, -1]
+        else:
+            head += [densify, coding.lo, coding.card, start]
+            uniques.append(coding.uniques)
+            start += len(coding.uniques)
+    return np.concatenate([head, *uniques]).astype(np.int64)
 
 
 class CCompiledGroup:
@@ -478,53 +491,23 @@ class CCompiledGroup:
 
     # ------------------------------------------------------------- marshaling
     def prepare_bindings(self, view_data, view_group_by) -> dict:
-        """Entry arrays for every binding, marshalled once per group.
+        """Every incoming view as the binding table NumPy probes
+        (:func:`~repro.core.runtime.prepare_binding_tables`), once per
+        group.
 
-        Partitioned execution shares the returned dict (read-only numpy
+        Partitioned execution shares the returned tables (read-only numpy
         arrays — the generated C takes them as ``const``) across all
-        concurrent per-partition calls; only the hash-table scratch buffers
-        are per-call, which keeps the generated functions reentrant.
+        concurrent per-partition calls; only the output tables are
+        per-call, which keeps the generated functions reentrant.
         """
-        return {
-            binding.view: self._binding_entries(binding, view_data, view_group_by)
-            for binding in self.plan.bindings
-        }
-
-    @staticmethod
-    def _binding_entries(binding, view_data, view_group_by):
-        """Entry arrays for one binding: key part cols, carried cols, aggs,
-        and the distinct count of each carried column.
-
-        Read through :func:`~repro.core.runtime.view_columns` — a columnar
-        view from a native producer is used as is, never turned into
-        Python objects. Carried entries are stably ordered by their
-        order-preserving local-key composite (the key coder's) so the
-        generated prologue can hash distinct keys to contiguous ranges;
-        entries already in key order (a view emitted in trie order) stay
-        put. Carried columns are counted by the same coder.
-        """
-        group_by = view_group_by[binding.view]
-        columns, vals = view_columns(
-            view_data[binding.view], group_by, binding.num_aggregates, np.int64
-        )
-        key_cols = [columns[group_by.index(a)] for a in binding.key]
-        carried_cols = [columns[group_by.index(a)] for a in binding.carried]
-        order = None
-        if binding.is_carried:
-            order = _key_order(_composite_codes(key_cols)[0])
-        if order is not None:
-            key_cols = [c[order] for c in key_cols]
-            carried_cols = [c[order] for c in carried_cols]
-            vals = vals[order]
-        counts = tuple(_group_codes([c])[1] for c in carried_cols)
-        return key_cols, carried_cols, vals, counts
+        return prepare_binding_tables(self.plan, view_data, view_group_by)
 
     def key_bounds(self, trie: TrieIndex, bind_entries: dict) -> dict[int, int]:
         """An upper bound on the distinct keys of every hash emission.
 
         A key part takes at most its attribute's distinct count: a trie
         level's (:meth:`TrieIndex.distinct_values`) or its carried
-        column's (counted by :meth:`prepare_bindings`); a key, at most the
+        column's (``_CarriedTable.carried_counts``); a key, at most the
         product. A key of trie levels only is also at most one per run of
         the level that emits it. Slots keyed differently add their bounds.
         Under ``LMFAO_DEBUG`` (:func:`~repro.core.runtime.debug_checks_enabled`)
@@ -541,7 +524,7 @@ class CCompiledGroup:
                         bound *= trie.distinct_values(part.level)
                     else:
                         view = self.plan.block_binding(part.level).view
-                        bound *= bind_entries[view][3][part.pos]
+                        bound *= bind_entries[view].carried_counts[part.pos]
                 if all(part.kind == "rel" for part in parts):
                     bound = min(bound, trie.level(host).num_runs)
                 total += bound
@@ -572,8 +555,8 @@ class CCompiledGroup:
         capacity_boost = 1
         for _attempt in range(24):
             outputs = self._attempt(
-                trie, plan, bind_entries, view_data, functions, run_counts,
-                bounds, capacity_boost,
+                trie, plan, bind_entries, functions, run_counts, bounds,
+                capacity_boost,
             )
             if outputs is None:
                 capacity_boost *= 4
@@ -589,8 +572,8 @@ class CCompiledGroup:
             return outputs
         raise PlanError(f"{plan.group_name}: C output tables kept overflowing")
 
-    def _attempt(self, trie, plan, bind_entries, view_data, functions, run_counts,
-                 bounds, capacity_boost):
+    def _attempt(self, trie, plan, bind_entries, functions, run_counts, bounds,
+                 capacity_boost):
         holders: list[np.ndarray] = []
         argv = (ctypes.c_void_p * len(self.args))()
 
@@ -655,22 +638,17 @@ class CCompiledGroup:
                 put(i, farrs[role[1]])
             elif kind == "psum":
                 put(i, psums[role[1]])
-            elif kind == "bind_count":
-                put(i, np.array([len(view_data[role[1]])], dtype=np.int64))
-            elif kind == "bind_keys":
-                put(i, bind_entries[role[1]][0][role[2]])
+            elif kind == "bind_index":
+                put(i, _index_descriptor(bind_entries[role[1]].keys))
+            elif kind == "bind_table":
+                keys = bind_entries[role[1]].keys
+                put(i, keys.key_comp if keys.table is None else keys.table)
+            elif kind == "bind_array":
+                put(i, getattr(bind_entries[role[1]], role[2]))
             elif kind == "bind_carried":
-                put(i, bind_entries[role[1]][1][role[2]])
-            elif kind == "bind_vals":
-                put(i, bind_entries[role[1]][2])
-            elif kind in {"bind_mask", "bind_occ", "bind_tk", "bind_lo", "bind_hi"}:
-                slots = _table_capacity(len(view_data[role[1]]))
-                if kind == "bind_mask":
-                    put(i, np.array([slots - 1], dtype=np.int64))
-                elif kind == "bind_occ":
-                    put(i, np.zeros(slots, dtype=np.int8))
-                else:  # written by the prologue before any read (occ gates reads)
-                    put(i, np.empty(slots, dtype=np.int64))
+                put(i, np.ascontiguousarray(
+                    bind_entries[role[1]].carried_columns[role[2]], dtype=np.int64
+                ))
             elif kind == "out_keys":
                 put(i, buffers_of(role[1])["keys"][role[2]])
             elif kind in {"out_scalar", "out_vals"}:

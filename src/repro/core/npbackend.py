@@ -12,14 +12,16 @@ construct for *all* runs of a level at once:
   (child-span composition) are derived once per index and cached on it;
 * **probes** — each view's key columns are indexed once in
   ``prepare_bindings`` by the key coder the emissions group with
-  (:mod:`repro.data.keycodes`); a probe codes the bound level's key
-  columns into the view's key space and reads a direct-address table
-  (a binary search when the space is too wide). Semi-join misses become
+  (:mod:`repro.data.keycodes`), into the binding tables the C backend
+  probes too (:func:`~repro.core.runtime.prepare_binding_tables`); a
+  probe codes the bound level's key columns into the view's key space
+  and reads a direct-address table (a binary search when the space is
+  too wide). Semi-join misses become
   a per-level **alive mask**, composed down the trie exactly like the
   generated ``continue`` cascades;
 * **carried views** — incoming views whose group-by includes non-local
   attributes are flattened to **CSR entry lists** per local key
-  (:class:`_CarriedTable`), ``entry_offsets`` bounding each key's
+  (:class:`~repro.core.runtime._CarriedTable`), ``entry_offsets`` bounding each key's
   contiguous segment in the flattened carried columns and aggregate
   matrix. A probe at the block's bind level yields a per-run key row
   (hence an entry segment) plus the semi-join found mask;
@@ -94,14 +96,14 @@ from repro.core.lowering import (
     LoweredEmission,
     Operand,
 )
-from repro.core.plan import MultiOutputPlan, ViewBinding
+from repro.core.plan import MultiOutputPlan
 from repro.core.runtime import (
     ArrayViewData,
     bind_operands,
+    prepare_binding_tables,
     sum_by_key,
-    view_columns,
 )
-from repro.data.keycodes import KeyIndex, _group_codes, _key_order
+from repro.data.keycodes import _group_codes
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
@@ -130,102 +132,6 @@ def compile_numpy_groups(
     (``bench/benchkit/layers.py::_compile_native``) still passes it.
     """
     return [NumpyCompiledGroup(plan) for plan in plans]
-
-
-# ---------------------------------------------------------------------------
-# incoming-view binding tables
-# ---------------------------------------------------------------------------
-
-
-class _BindingTable:
-    """One scalar (non-carried) incoming view marshalled for probing.
-
-    Key columns, in the consumer binding's key order, are indexed once by
-    the key coder (:class:`KeyIndex`) and value rows kept in key-id
-    order, so a probe is a key lookup and one gather. Read-only after
-    construction and shared across partitions.
-    """
-
-    def __init__(
-        self, binding: ViewBinding, group_by: tuple[str, ...], data: ArrayViewData
-    ):
-        self.width = binding.num_aggregates
-        columns, values = view_columns(data, group_by, self.width)
-        # a scalar view is keyed by exactly its group-by, so its keys are
-        # distinct: key id i is producer row first_index[i]
-        self.keys = KeyIndex(
-            [columns[group_by.index(attr)] for attr in binding.key], distinct=True
-        )
-        self.values = values[self.keys.first_index]
-
-    def probe(self, probe_columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized lookup: ``(values matrix, found mask)`` per run.
-
-        Missing keys yield ``found=False`` with an arbitrary (but
-        in-bounds) values row — callers mask dead runs out of every sum.
-        """
-        key, found = self.keys.lookup(probe_columns)
-        if self.keys.num_keys == 0:
-            return np.zeros((len(key), self.width), dtype=np.float64), found
-        return self.values[key], found
-
-
-class _CarriedTable:
-    """One carried incoming view flattened to CSR entry lists.
-
-    Entries (producer rows) are grouped by local key (:class:`KeyIndex`)
-    and stably ordered by key id, i.e. by key: ``entry_offsets[i] :
-    entry_offsets[i + 1]`` bounds key row ``i``'s entries in the flattened
-    ``carried_columns`` (one array per carried attribute) and
-    ``agg_matrix``. Stability keeps producer order within each key — the
-    order the interpreted entry lists iterate. ``subsums`` holds Σ over
-    each key's entries of every aggregate (one ``np.add.reduceat``), so a
-    sub-sum operand reads a per-run gather.
-    """
-
-    def __init__(
-        self, binding: ViewBinding, group_by: tuple[str, ...], data: ArrayViewData
-    ):
-        self.width = binding.num_aggregates
-        columns, values = view_columns(data, group_by, self.width)
-        self.keys = KeyIndex([columns[group_by.index(attr)] for attr in binding.key])
-        self.num_keys = self.keys.num_keys
-        counts = np.bincount(self.keys.ids, minlength=self.num_keys)
-        self.entry_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        carried = [columns[group_by.index(attr)] for attr in binding.carried]
-        order = _key_order(self.keys.ids)
-        if order is not None:
-            carried = [column[order] for column in carried]
-            values = values[order]
-        self.carried_columns = carried
-        self.agg_matrix = values
-        if self.num_keys:
-            self.subsums = np.add.reduceat(values, self.entry_offsets[:-1], axis=0)
-        else:
-            self.subsums = np.zeros((0, self.width), dtype=np.float64)
-
-    def probe(self, probe_columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized fetch: ``(key row, found mask)`` per run; ``key
-        row`` indexes ``entry_offsets`` / ``subsums``, and is 0 for a miss
-        (masked out downstream like scalar probe misses)."""
-        return self.keys.lookup(probe_columns)
-
-    def subsum(self, key_row: np.ndarray, found: np.ndarray, agg_index: int):
-        """Σ over the probed key's entries of one aggregate, per run."""
-        if self.num_keys == 0:
-            return np.zeros(len(key_row), dtype=np.float64)
-        return np.where(found, self.subsums[key_row, agg_index], 0.0)
-
-    def entry_ranges(
-        self, key_row: np.ndarray, found: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-run entry segment ``(start, count)``; count 0 where dead."""
-        if self.num_keys == 0:
-            zeros = np.zeros(len(key_row), dtype=np.int64)
-            return zeros, zeros
-        starts = self.entry_offsets[key_row]
-        counts = np.where(found, self.entry_offsets[key_row + 1] - starts, 0)
-        return starts, counts
 
 
 # ---------------------------------------------------------------------------
@@ -665,24 +571,11 @@ class NumpyCompiledGroup:
         view_data: Mapping[str, ArrayViewData],
         view_group_by: Mapping[str, tuple[str, ...]],
     ) -> dict[str, object]:
-        """Marshal every incoming view into a probe table, once per group.
-
-        Scalar views become sorted key-code tables, carried views CSR
-        entry-list tables. Tables are read-only and shared across
-        concurrent per-partition executions. Every input is a columnar
-        ``ArrayViewData``, read as arrays
-        (:func:`~repro.core.runtime.view_columns`).
-        """
-        tables: dict[str, object] = {}
-        for binding in self.plan.bindings:
-            data = view_data.get(binding.view)
-            if data is None:
-                raise PlanError(f"missing incoming view data for {binding.view}")
-            table_cls = _CarriedTable if binding.is_carried else _BindingTable
-            tables[binding.view] = table_cls(
-                binding, view_group_by[binding.view], data
-            )
-        return tables
+        """Every incoming view as a probe table, once per group: the
+        key-indexed binding tables C reads too
+        (:func:`~repro.core.runtime.prepare_binding_tables`) — a scalar
+        view's value rows by key id, a carried view's CSR entry lists."""
+        return prepare_binding_tables(self.plan, view_data, view_group_by)
 
     def execute(
         self,

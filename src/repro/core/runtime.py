@@ -7,8 +7,9 @@ same two methods and a ``backend`` name — the generated-Python
 :class:`~repro.core.cbackend.CCompiledGroup`:
 
 * ``prepare_bindings(view_data, view_group_by)`` marshals the incoming
-  views into the backend's probe layout, once per group (reshaped dicts,
-  sorted key-code tables, flattened entry arrays), read-only afterwards;
+  views into the backend's probe layout, once per group, read-only
+  afterwards: reshaped dicts for generated Python, and for NumPy and C
+  the same key-indexed binding tables (:func:`prepare_binding_tables`);
 * ``execute(trie, view_data, view_group_by, functions, bind_entries=None)``
   runs the plan over one trie and returns ``artifact → ArrayViewData``.
 
@@ -34,13 +35,14 @@ from __future__ import annotations
 
 import os
 import threading
+from functools import cached_property
 from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
 from repro.core import costmodel
 from repro.core.plan import MultiOutputPlan, ViewBinding
-from repro.data.keycodes import _group_codes
+from repro.data.keycodes import KeyIndex, _group_codes, _key_order
 from repro.data.relation import Relation
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
@@ -153,6 +155,131 @@ def view_columns(
     columns = [keys] if len(group_by) == 1 else zip(*keys)
     values = np.asarray(list(data.values()), dtype=np.float64).reshape(m, width)
     return [np.asarray(c, dtype=key_dtype).reshape(m) for c in columns], values
+
+
+# ------------------------------------------------------------ binding tables
+
+
+class _BindingTable:
+    """One scalar (non-carried) incoming view marshalled for probing.
+
+    Key columns, in the consumer binding's key order, are indexed once by
+    the key coder (:class:`KeyIndex`) and value rows kept in key-id
+    order, so a probe is a key lookup and one gather. Read-only after
+    construction and shared across partitions.
+    """
+
+    def __init__(
+        self, binding: ViewBinding, group_by: tuple[str, ...], data: ArrayViewData
+    ):
+        self.width = binding.num_aggregates
+        columns, values = view_columns(data, group_by, self.width)
+        # a scalar view is keyed by exactly its group-by, so its keys are
+        # distinct: key id i is producer row first_index[i], often row i
+        self.keys = KeyIndex(
+            [columns[group_by.index(attr)] for attr in binding.key], distinct=True
+        )
+        first = self.keys.first_index
+        self.values = values if _key_order(first) is None else values[first]
+
+    def probe(self, probe_columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized lookup: ``(values matrix, found mask)`` per run.
+
+        Missing keys yield ``found=False`` with an arbitrary (but
+        in-bounds) values row — callers mask dead runs out of every sum.
+        """
+        key, found = self.keys.lookup(probe_columns)
+        if self.keys.num_keys == 0:
+            return np.zeros((len(key), self.width), dtype=np.float64), found
+        return self.values[key], found
+
+
+class _CarriedTable:
+    """One carried incoming view flattened to CSR entry lists.
+
+    Entries (producer rows) are grouped by local key (:class:`KeyIndex`)
+    and stably ordered by key id, i.e. by key: ``entry_offsets[i] :
+    entry_offsets[i + 1]`` bounds key row ``i``'s entries in the flattened
+    ``carried_columns`` (one array per carried attribute) and
+    ``agg_matrix``. Stability keeps producer order within each key — the
+    order the interpreted entry lists iterate. ``subsums`` holds Σ over
+    each key's entries of every aggregate (one ``np.add.reduceat``), so a
+    sub-sum operand reads a per-run gather.
+    """
+
+    def __init__(
+        self, binding: ViewBinding, group_by: tuple[str, ...], data: ArrayViewData
+    ):
+        self.width = binding.num_aggregates
+        columns, values = view_columns(data, group_by, self.width)
+        self.keys = KeyIndex([columns[group_by.index(attr)] for attr in binding.key])
+        self.num_keys = self.keys.num_keys
+        counts = np.bincount(self.keys.ids, minlength=self.num_keys)
+        self.entry_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        carried = [columns[group_by.index(attr)] for attr in binding.carried]
+        order = _key_order(self.keys.ids)
+        if order is not None:
+            carried = [column[order] for column in carried]
+            values = values[order]
+        self.carried_columns = carried
+        self.agg_matrix = values
+        if self.num_keys:
+            self.subsums = np.add.reduceat(values, self.entry_offsets[:-1], axis=0)
+        else:
+            self.subsums = np.zeros((0, self.width), dtype=np.float64)
+
+    @cached_property
+    def carried_counts(self) -> tuple[int, ...]:
+        """The distinct count of each carried column (C's output key
+        bounds read them), counted by the key coder on first read."""
+        return tuple(_group_codes([column])[1] for column in self.carried_columns)
+
+    def probe(self, probe_columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized fetch: ``(key row, found mask)`` per run; ``key
+        row`` indexes ``entry_offsets`` / ``subsums``, and is 0 for a miss
+        (masked out downstream like scalar probe misses)."""
+        return self.keys.lookup(probe_columns)
+
+    def subsum(self, key_row: np.ndarray, found: np.ndarray, agg_index: int):
+        """Σ over the probed key's entries of one aggregate, per run."""
+        if self.num_keys == 0:
+            return np.zeros(len(key_row), dtype=np.float64)
+        return np.where(found, self.subsums[key_row, agg_index], 0.0)
+
+    def entry_ranges(
+        self, key_row: np.ndarray, found: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-run entry segment ``(start, count)``; count 0 where dead."""
+        if self.num_keys == 0:
+            zeros = np.zeros(len(key_row), dtype=np.int64)
+            return zeros, zeros
+        starts = self.entry_offsets[key_row]
+        counts = np.where(found, self.entry_offsets[key_row + 1] - starts, 0)
+        return starts, counts
+
+
+def prepare_binding_tables(
+    plan: MultiOutputPlan,
+    view_data: Mapping[str, ArrayViewData],
+    view_group_by: Mapping[str, tuple[str, ...]],
+) -> dict[str, _BindingTable | _CarriedTable]:
+    """Every incoming view of ``plan`` as a probe table: the one binding
+    index of the NumPy and C backends.
+
+    Scalar views become :class:`_BindingTable`\\ s, carried views
+    :class:`_CarriedTable`\\ s, both keyed by :class:`KeyIndex`. Tables are
+    read-only and shared across concurrent per-partition executions.
+    Every input is a columnar ``ArrayViewData``, read as arrays
+    (:func:`view_columns`).
+    """
+    tables: dict[str, _BindingTable | _CarriedTable] = {}
+    for binding in plan.bindings:
+        data = view_data.get(binding.view)
+        if data is None:
+            raise PlanError(f"missing incoming view data for {binding.view}")
+        table_cls = _CarriedTable if binding.is_carried else _BindingTable
+        tables[binding.view] = table_cls(binding, view_group_by[binding.view], data)
+    return tables
 
 
 # ------------------------------------------------------------- sum by key

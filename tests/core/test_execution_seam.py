@@ -54,10 +54,16 @@ the carried entry lists on both backends and every distinct count go
 through the coder the emissions group with, and neither backend sorts,
 searches or uniques keys itself.
 
-C sizes its open-addressing tables by one rule
-(:func:`repro.core.cbackend._table_capacity`), a hash output's from its
-key bound, and collects a hash output as its dense rows, never by
-gathering the occupied slots.
+C sizes its open-addressing output tables by one rule
+(:func:`repro.core.cbackend._table_capacity`), from the output's key
+bound, and collects a hash output as its dense rows, never by gathering
+the occupied slots.
+
+An incoming view is indexed one way for both native backends: NumPy and
+C probe the same binding tables
+(:func:`repro.core.runtime.prepare_binding_tables`), the only builders
+of a :class:`~repro.data.keycodes.KeyIndex`; C reads their recorded
+coding through one lookup in its prelude and hashes no binding keys.
 
 A group's backend is decided one way: at compile, by
 :func:`repro.core.runtime.compile_executables`, which returns one
@@ -105,11 +111,12 @@ from pathlib import Path
 
 import repro
 from repro.core import EngineConfig, LMFAO
+from repro.core.cbackend import _PRELUDE, generate_c_source
 from repro.core.engine import ViewSeeds
 from repro.paper import FAVORITA_TREE, example_queries
 from repro.serve import view_identities
 
-from tests.core.test_source_identity import DIGESTS, source_digest
+from tests.core.test_source_identity import DIGESTS, _corpus, source_digest
 from tests.helpers import walk_all
 
 SRC = Path(repro.__file__).resolve().parent
@@ -932,13 +939,13 @@ def test_one_sum_by_key():
 
 
 def test_c_tables_sized_by_one_rule():
-    # one capacity function sizes every C table: the view tables and the
-    # output tables, which _attempt's buffers_of allocates
+    # one capacity function sizes every C table: the output tables, which
+    # _attempt's buffers_of allocates (C builds no binding tables)
     functions = {function.name for function in _functions("core/cbackend.py")}
     assert {name for name in functions if "capacity" in name} == {"_table_capacity"}
     assert "_next_pow2" not in functions
     assert sorted(set(_enclosing_functions("_table_capacity"))) == [
-        "core/cbackend.py:_attempt", "core/cbackend.py:buffers_of",
+        "core/cbackend.py:buffers_of",
     ]
     # collect takes a hash output's first n dense rows: nothing in the
     # attempt indexes by occupancy or reinterprets a buffer as booleans
@@ -957,6 +964,60 @@ def test_c_tables_sized_by_one_rule():
             assert not any(
                 isinstance(arg, ast.Name) and arg.id == "bool" for arg in node.args
             ), f"core/cbackend.py:{node.lineno}"
+
+
+def test_one_binding_index():
+    # a KeyIndex is built only by the two binding tables ...
+    builders = [
+        f"{module}:{cls.name}"
+        for module, tree in _modules().items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Call) and _called_name(node) == "KeyIndex"
+    ]
+    assert sorted(builders) == [
+        "core/runtime.py:_BindingTable", "core/runtime.py:_CarriedTable",
+    ]
+    assert len(_call_sites("KeyIndex")) == len(builders)
+    # ... which one function prepares for both backends
+    for module, cls in (
+        ("core/npbackend.py", "NumpyCompiledGroup"),
+        ("core/cbackend.py", "CCompiledGroup"),
+    ):
+        method = _definition(module, "prepare_bindings", inside=cls)
+        calls = {
+            _called_name(node) for node in ast.walk(method)
+            if isinstance(node, ast.Call)
+        }
+        assert calls == {"prepare_binding_tables"}, (module, calls)
+    assert sorted(_enclosing_functions("prepare_binding_tables")) == [
+        "core/cbackend.py:prepare_bindings", "core/npbackend.py:prepare_bindings",
+    ]
+    # C keeps no binding hash tables: none of their argument roles, and
+    # the key mixer only accumulates hash outputs
+    retired = {
+        "bind_count", "bind_keys", "bind_mask", "bind_occ", "bind_tk",
+        "bind_lo", "bind_hi",
+    }
+    for node in ast.walk(_modules()["core/cbackend.py"]):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            assert node.value not in retired, f"core/cbackend.py:{node.lineno}"
+    assert sorted(set(_enclosing_functions("_mix"))) == [
+        "core/cbackend.py:accumulate_row"
+    ]
+    # one binding lookup, in the prelude, which every probe calls
+    assert _PRELUDE.count("static int64_t lmfao_lookup(") == 1
+    database, batch, config = _corpus()["carried_class_city"]
+    engine = LMFAO(database(), EngineConfig(backend="python", **config))
+    compiled = engine.compile(batch())
+    for index, plan in enumerate(compiled.plans):
+        source, _args = generate_c_source(plan, f"lmfao_run_g{index}")
+        assert "_occ" not in source
+        assert source.count("lmfao_lookup(") == len(plan.bindings)
+        assert all(
+            line.endswith("& (uint64_t)mask;")  # accumulate_row's probe
+            for line in source.splitlines() if "lmfao_mix(" in line
+        )
 
 
 def test_one_key_coder():

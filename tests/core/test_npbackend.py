@@ -1,6 +1,9 @@
 """NumPy backend: differential equality with the Python backend."""
 
+import ctypes
 import math
+import subprocess
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,15 +11,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import EngineConfig, LMFAO
+from repro.core import cbackend
 from repro.core.cbackend import CCompiledGroup
-from repro.core.npbackend import (
-    NumpyCompiledGroup,
+from repro.core.npbackend import NumpyCompiledGroup, supports_plan
+from repro.core.plan import ViewBinding
+from repro.core.runtime import (
+    ArrayViewData,
     _BindingTable,
     _CarriedTable,
-    supports_plan,
+    as_mapping,
+    view_columns,
 )
-from repro.core.plan import ViewBinding
-from repro.core.runtime import ArrayViewData, as_mapping, view_columns
 from repro.data import Attribute, Database, Relation, RelationSchema
 from repro.data.keycodes import _CODE_LIMIT, KeyIndex, _dense_codes, _dense_enough
 from repro.paper import EXAMPLE_ROOTS, FAVORITA_TREE, example_queries
@@ -639,6 +644,37 @@ def _probe_case(rng, kind: str, carried: bool):
     return view, tuple(group_by), binding, keys, probes
 
 
+def _assert_same_tables(a, b) -> None:
+    """Two binding tables of one class with equal arrays, key indexes and
+    recorded codings (a count cached on first read aside)."""
+    assert type(a) is type(b)
+    for left, right in ((vars(a), vars(b)), (vars(a.keys), vars(b.keys))):
+        built = left.keys() - {"carried_counts"}
+        assert built == right.keys() - {"carried_counts"}
+        for name in built - {"keys"}:  # the key indexes are the second pair
+            value, other = left[name], right[name]
+            if name == "coder":
+                assert value.space == other.space
+                assert len(value.steps) == len(other.steps)
+                for (densify, coding), (densify2, coding2) in zip(
+                    value.steps, other.steps
+                ):
+                    assert (densify, coding.card, coding.lo) == (
+                        densify2, coding2.card, coding2.lo
+                    )
+                    assert (coding.uniques is None) == (coding2.uniques is None)
+                    assert coding.uniques is None or _same(
+                        coding.uniques, coding2.uniques
+                    )
+            elif isinstance(value, list):
+                assert len(value) == len(other), name
+                assert all(_same(x, y) for x, y in zip(value, other)), name
+            elif isinstance(value, np.ndarray):
+                assert _same(value, other), name
+            else:
+                assert value == other, name
+
+
 def _tuples(columns: list[np.ndarray]) -> list[tuple]:
     return list(zip(*(column.tolist() for column in columns)))
 
@@ -660,8 +696,8 @@ def test_binding_tables_match_a_dict_lookup(seed, kind, carried):
     oracle, for keys coded by offset or by uniques, one to three columns
     and a seven-column key whose code space passes ``_CODE_LIMIT``; probe
     columns mix hits, absent values and values on either side of the
-    producer's range. C's carried entry arrays are the same ordered
-    entries. No input array changes."""
+    producer's range. C's binding preparation returns the tables NumPy's
+    returns. No input array changes."""
     rng = np.random.default_rng(seed)
     view, group_by, binding, keys, probes = _probe_case(rng, kind, carried)
     before = [a.copy() for a in (*view.key_columns, view.value_matrix, *probes)]
@@ -712,13 +748,90 @@ def test_binding_tables_match_a_dict_lookup(seed, kind, carried):
              for key in distinct]
         )
         assert np.array_equal(table.subsums, want_subsums)
-        if kind != "float":  # C takes integer keys only
-            c_keys, c_carried, c_values, c_counts = CCompiledGroup._binding_entries(
-                binding, {"V": view}, {"V": group_by}
-            )
-            assert all(_same(a, b[order]) for a, b in zip(c_keys, keys))
-            assert _same(c_carried[0], carried_column[order])
-            assert _same(c_values, values[order])
-            assert c_counts == (len(np.unique(carried_column)),)
+        assert table.carried_counts == (len(np.unique(carried_column)),)
+    # C probes the tables NumPy builds: same classes, same arrays
+    plan = SimpleNamespace(bindings=(binding,), emissions=())
+    numpy_tables = NumpyCompiledGroup.prepare_bindings(
+        SimpleNamespace(plan=plan), {"V": view}, {"V": group_by}
+    )
+    c_tables = CCompiledGroup(plan, "unused", [], "").prepare_bindings(
+        {"V": view}, {"V": group_by}
+    )
+    _assert_same_tables(c_tables["V"], numpy_tables["V"])
+    _assert_same_tables(numpy_tables["V"], table)
     after = [*view.key_columns, view.value_matrix, *probes]
     assert all(_same(a, b) for a, b in zip(after, before))
+
+
+#: probes every row of a key matrix through the prelude's one lookup
+_LOOKUP_ROWS = r"""
+void lookup_rows(const int64_t* ix, const int64_t* kt, const int64_t* keys,
+                 int64_t n, int64_t width, int64_t* out) {
+    for (int64_t r = 0; r < n; r++) out[r] = lmfao_lookup(ix, kt, keys + r * width);
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def c_lookup(tmp_path_factory):
+    """``KeyIndex`` lookups through the generated code's ``lmfao_lookup``:
+    key ids, ``-1`` for a miss."""
+    if not cbackend.gcc_available():
+        pytest.skip("gcc not on PATH")
+    path = tmp_path_factory.mktemp("lookup") / "lookup.so"
+    subprocess.run(
+        ["gcc", *cbackend.CFLAGS, "-x", "c", "-o", str(path), "-"],
+        input=cbackend._PRELUDE + _LOOKUP_ROWS, text=True, check=True,
+    )
+    fn = ctypes.CDLL(str(path)).lookup_rows
+    fn.restype = None
+    fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 2 + [ctypes.c_void_p]
+
+    def lookup(keys: KeyIndex, probes: list[np.ndarray]) -> np.ndarray:
+        descriptor = cbackend._index_descriptor(keys)
+        table = keys.key_comp if keys.table is None else keys.table
+        rows = np.ascontiguousarray(np.column_stack(probes), dtype=np.int64)
+        out = np.empty(len(rows), dtype=np.int64)
+        fn(descriptor.ctypes.data, table.ctypes.data, rows.ctypes.data,
+           len(rows), rows.shape[1], out.ctypes.data)
+        return out
+
+    return lookup
+
+
+def test_c_lookup_matches_key_index(c_lookup):
+    """C's one binding lookup finds what :meth:`KeyIndex.lookup` finds,
+    with the same key ids, over every integer probe kind — offset and
+    uniques codings, the densify step past ``_CODE_LIMIT``, the
+    direct-address table and the binary search — for scalar and carried
+    tables, an empty producer and probes that all miss."""
+    seen = set()
+    for kind in [kind for kind in _PROBE_KINDS if kind != "float"]:
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            for carried in (False, True):
+                view, group_by, binding, keys, probes = _probe_case(rng, kind, carried)
+                table_cls = _CarriedTable if carried else _BindingTable
+                empty = ArrayViewData.from_arrays(
+                    [column[:0] for column in view.key_columns], view.value_matrix[:0]
+                )
+                for producer in (view, empty):
+                    index = table_cls(binding, group_by, producer).keys
+                    key, found = index.lookup(probes)
+                    # the probes that miss, and one above every producer key
+                    misses = [
+                        np.append(column[~found], key_column.max() + 1)
+                        for column, key_column in zip(probes, keys)
+                    ]
+                    assert not index.lookup(misses)[1].any()
+                    assert _same(c_lookup(index, probes), np.where(found, key, -1))
+                    assert (c_lookup(index, misses) == -1).all()
+                    seen.add("direct" if index.table is not None else "search")
+                    for densify, coding in index.coder.steps:
+                        seen.add("densify" if densify else "column")
+                        seen.add("offset" if coding.uniques is None else "uniques")
+                    if index.num_keys == 0:
+                        seen.add("empty")
+    assert seen == {
+        "direct", "search", "densify", "column", "offset", "uniques", "empty"
+    }

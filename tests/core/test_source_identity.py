@@ -41,22 +41,22 @@ from repro.query import Aggregate, OrderSpec, Query, QueryBatch
 from repro.query.predicates import Op, Predicate
 
 DIGESTS = {
-    # 3 C hash emissions (3 of 6 groups) keep keys by dense row, drop O<i>_occ
-    'carried_class_city': 'eb21661179cc6ea090b2de51cf1f8ae0d6829b7dfce44a900c3fd340132f96e9',
-    # 6 C hash emissions (5 of 9 groups) keep keys by dense row, drop O<i>_occ
-    'cart_groupby': 'e05437cafd65555d1ab04f053ca1dbca7e1b2da4096458b76ae27ed2175e14cf',
-    # 3 C hash emissions (3 of 8 groups) keep keys by dense row, drop O<i>_occ
-    'cart_indicator': '8183fc6e611f5140b1950da1e37cd3a4d73e60f12e4051a1f8f332a142700c8e',
-    # 198 C hash emissions (6 of 8 groups) keep keys by dense row, drop O<i>_occ
-    'covariance_retailer': '2a411b61ca6e84e8147470e85c0509798e6ac6b50400bb17492e2dba5f165885',
-    # 4 C hash emissions (3 of 7 groups) keep keys by dense row, drop O<i>_occ
-    'ordered_topk': '0f9971b2a5ec972f06d1ed6e3f2dd0de78d7277040178084e7bc1a950be2b6e6',
-    # 2 C hash emissions (2 of 7 groups) keep keys by dense row, drop O<i>_occ
-    'paper_example': '99838f9adeff789a3b7f4514f920774305941f51b0c59e3b0324e1ea729496a2',
-    # 3 C hash emissions (3 of 9 groups) keep keys by dense row, drop O<i>_occ
-    'paper_example_single_output': 'e8fd83f7a68a4e4f50119fc5deeec8f02a8d79c65ed3f3c6bfa052fcb4de1d5b',
-    # 2 C hash emissions (2 of 7 groups) keep keys by dense row, drop O<i>_occ
-    'paper_example_unfactorized': '7b7689687665f66329588fa49f7f711c17454b9c3bf08854a9516fdb258f87c3',
+    # 2 scalar + 3 carried C bindings (3 of 6 groups) probe KeyIndex via lmfao_lookup
+    'carried_class_city': 'd788c09a63f93b09e45a2815ab945ec7c847914bf55684f578efc3d4b9b50b85',
+    # 10 scalar C bindings (5 of 9 groups) probe KeyIndex via lmfao_lookup
+    'cart_groupby': '55f30279f8f537cd89ba23d0df1672199cae9891418716025416b848d917c6a0',
+    # 9 scalar C bindings (4 of 8 groups) probe KeyIndex via lmfao_lookup
+    'cart_indicator': 'cda2ab3c048511375190a7a7e9886dcd67d38906a11d2b6ae103c7661bfab880',
+    # 8 scalar + 13 carried C bindings (5 of 8 groups) probe KeyIndex via lmfao_lookup
+    'covariance_retailer': '756315183c98595234def258196d6032908951335421f46d4602bd5ef6e81283',
+    # 5 scalar + 3 carried C bindings (3 of 7 groups) probe KeyIndex via lmfao_lookup
+    'ordered_topk': 'ea5ce3d2ce7a0ee693c177c70c31975e7c48e0b61d7fa35396fa679c3ec650a2',
+    # 6 scalar C bindings (3 of 7 groups) probe KeyIndex via lmfao_lookup
+    'paper_example': 'fe3b2470b792ed316f27df92de58b60f58a9f8fd62b526af89ac1eca76707d43',
+    # 11 scalar C bindings (5 of 9 groups) probe KeyIndex via lmfao_lookup
+    'paper_example_single_output': '64588a546ffaae6ac943424659efe12f6eb6d533fb79b4d589420fe95f64fedf',
+    # 6 scalar C bindings (3 of 7 groups) probe KeyIndex via lmfao_lookup
+    'paper_example_unfactorized': '0e52d0e4acd696d413709947dca5359736a0a0c21eb2a45130a593e947d4aecb',
 }
 
 NUMPY_DIGESTS = {
