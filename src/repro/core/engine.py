@@ -758,9 +758,10 @@ class LMFAO:
         layer's group commit both end here. Under the commit lock it
         stages every updated relation (a delta that cannot apply, such as
         the delete of an absent tuple, raises before anything changes),
-        builds the successor snapshot, advances every registered
-        maintained handle against it off to the side, installs the
-        successor and then flips the handles. A failure at any point
+        builds the successor snapshot (carrying the updated nodes' cached
+        tries forward by ``deltas`` rather than dropping them), advances
+        every registered maintained handle against it off to the side,
+        installs the successor and then flips the handles. A failure at any point
         leaves the store and every handle on the last good version; one
         before the install also reclaims the successor's version, so
         nothing the handles exported for it (shared-memory trie segments
@@ -783,7 +784,7 @@ class LMFAO:
                     name: delta.apply_to(snapshot.db.relation(name))
                     for name, delta in deltas.items()
                 }
-                successor = snapshot.with_relations(staged)
+                successor = snapshot.with_relations(staged, deltas)
                 advanced = [
                     (handle, *handle._advance_state(deltas, successor))
                     for handle in list(self._handles)

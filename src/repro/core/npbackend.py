@@ -100,6 +100,7 @@ from repro.core.plan import MultiOutputPlan
 from repro.core.runtime import (
     ArrayViewData,
     bind_operands,
+    holds_constant,
     prepare_binding_tables,
     sum_by_key,
 )
@@ -174,6 +175,7 @@ class _PlanEvaluation:
         self.plan = plan
         self.trie = trie
         self.tables = tables
+        self.functions = functions
         self.farrs, self.psums = bind_operands(plan, trie, functions)
         self.lowered = plan.lowered
         self.num_rel = len(plan.relation_levels)
@@ -289,8 +291,10 @@ class _PlanEvaluation:
                     got = (lvl.row_end - lvl.row_start).astype(np.float64)
                 self.cache[("count", k)] = got
         else:  # OP_ROWSUM: cached on the index by register identity — the
-            # entry holds the register, so its id is never reused meanwhile
-            psum = self.psums[self.plan.row_products[op.index]]
+            # entry holds the register, so its id is never reused meanwhile;
+            # a register that holds a constant lives for this run only
+            product = self.plan.row_products[op.index]
+            psum = self.psums[product]
             held, got = self.cache.get(("rowsum", k, id(psum)), (None, None))
             if held is not psum:
                 if k < 0:
@@ -298,7 +302,8 @@ class _PlanEvaluation:
                 else:
                     lvl = self.trie.level(k)
                     got = psum[lvl.row_end] - psum[lvl.row_start]
-                self.cache[("rowsum", k, id(psum))] = (psum, got)
+                if not holds_constant(product, self.functions):
+                    self.cache[("rowsum", k, id(psum))] = (psum, got)
         self._values[op] = got
         return got
 

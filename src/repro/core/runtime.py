@@ -45,7 +45,7 @@ from repro.core.plan import MultiOutputPlan, ViewBinding
 from repro.data.keycodes import KeyIndex, _group_codes, _key_order
 from repro.data.relation import Relation
 from repro.data.trie import TrieIndex
-from repro.query.functions import Function
+from repro.query.functions import Function, is_indicator
 from repro.util.errors import PlanError
 
 
@@ -334,6 +334,14 @@ def _product_signature(
         ) from None
 
 
+def holds_constant(
+    product: tuple[tuple[str, str], ...], functions: Mapping[str, Function]
+) -> bool:
+    """Whether a factor product holds a folded-``WHERE`` indicator, whose
+    constant is the request's (see :func:`bind_operands`)."""
+    return any(is_indicator(functions[func]) for _attr, func in product)
+
+
 def bind_operands(
     plan: MultiOutputPlan,
     trie: TrieIndex,
@@ -368,8 +376,11 @@ def bind_operands(
         farrs[key] = trie.operand_list((level, signature)) if lists else array
     psums: dict = {}
     for product, signature in zip(plan.row_products, signatures[len(level_products):]):
-        array = trie.prefix_sum(signature, _product_column(product, functions))
-        psums[product] = trie.operand_list(signature) if lists else array
+        keep = not holds_constant(product, functions)
+        array = trie.prefix_sum(signature, _product_column(product, functions), keep)
+        if lists:
+            array = trie.operand_list(signature) if keep else array.tolist()
+        psums[product] = array
     return farrs, psums
 
 

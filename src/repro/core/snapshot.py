@@ -19,9 +19,10 @@ at the start of the run.
   through the engine's one commit path,
   :meth:`repro.core.engine.LMFAO.commit`. It builds the **next** snapshot
   off to the side with :meth:`Snapshot.with_relations` — structurally
-  sharing every unchanged relation and every unchanged node's tries — and
-  publishes it through :meth:`SnapshotStore.install`, a single atomic
-  reference swap.
+  sharing every unchanged relation and every unchanged node's tries, and
+  carrying an updated node's tries forward by its delta instead of
+  dropping them — and publishes it through :meth:`SnapshotStore.install`,
+  a single atomic reference swap.
 * Readers pin :meth:`SnapshotStore.current` once and never look again;
   a concurrently installed version is simply invisible to them.
 
@@ -83,19 +84,37 @@ class Snapshot:
     db: Database
     tries: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def with_relations(self, updated: Mapping[str, Relation]) -> "Snapshot":
+    def with_relations(
+        self, updated: Mapping[str, Relation], deltas: Mapping | None = None
+    ) -> "Snapshot":
         """The successor snapshot with the given relations replaced.
 
         Structural sharing on both axes: unchanged relations are carried
-        by reference into the new database, and the trie memo is seeded
-        with every entry whose node is *not* in ``updated`` — the
-        partitioned-rebuild guarantee that an update to one join-tree
-        node leaves every other node's indexes warm.
+        by reference into the new database, and the trie memo keeps every
+        entry whose node is *not* in ``updated`` — the partitioned-rebuild
+        guarantee that an update to one join-tree node leaves every other
+        node's indexes warm. An updated node's indexes are **carried**:
+        ``deltas`` (relation name →
+        :class:`~repro.incremental.delta.RelationDelta`, what staged
+        ``updated``) moves each one to the new relation in O(|Δ|) lookups
+        and one linear copy (:meth:`~repro.data.trie.TrieIndex.carried`),
+        ``array_equal`` to a cold build. A node without a delta here, or
+        whose delta holds a ``delete_mask``, has its indexes dropped; the
+        next reader rebuilds them.
         """
         db = self.db
         for relation in updated.values():
             db = db.with_relation(relation)
-        tries = {k: v for k, v in self.tries.items() if k[0] not in updated}
+        deltas = deltas or {}
+        tries = {}
+        # a list first: readers may add entries to this memo meanwhile
+        for key, trie in list(self.tries.items()):
+            node = key[0]
+            delta = deltas.get(node)
+            if node not in updated:
+                tries[key] = trie
+            elif delta is not None and delta.delete_mask is None:
+                tries[key] = trie.carried(updated[node], delta.deletes, delta.inserts)
         return Snapshot(version=self.version + 1, db=db, tries=tries)
 
     def __repr__(self) -> str:

@@ -10,7 +10,8 @@ The coding is recorded (:class:`KeyCoder`), so a probing level's columns
 code into the same space, a value the producer lacks being a miss.
 Grouping (:func:`_group_codes`) and lookup (:class:`KeyIndex`) use a
 direct-address table while the space is within the bound, a sort or a
-binary search beyond it.
+binary search beyond it. :func:`match_bag` matches tuples as bags the
+same way: the wanted side is coded, the other side probes.
 """
 
 from __future__ import annotations
@@ -208,3 +209,77 @@ class KeyIndex:
             key = np.minimum(np.searchsorted(self.key_comp, comp), self.num_keys - 1)
             found &= self.key_comp[key] == comp
         return np.where(found, key, 0), found
+
+
+def _match_column(column: np.ndarray) -> np.ndarray:
+    """A column as int64 values equal exactly where its values compare
+    equal: a float column by the bits of its value, with ``-0.0`` folded
+    into ``0.0`` and every NaN into one NaN (a NaN matches a NaN)."""
+    if column.dtype.kind != "f":
+        return column
+    return np.where(np.isnan(column), np.nan, column + 0.0).view(np.int64)
+
+
+def _occurrence(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each entry's occurrence number among the entries of its key, in
+    index order (``counts`` is ``bincount(keys)``)."""
+    order = np.argsort(keys, kind="stable")
+    firsts = np.cumsum(counts) - counts
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(keys), dtype=np.int64) - firsts[keys[order]]
+    return rank
+
+
+def match_bag(
+    rows: list[np.ndarray], wanted: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Match the ``wanted`` tuples against ``rows`` as bags, column-wise.
+
+    A tuple wanted ``c`` times takes its ``c`` lowest-indexed equal rows
+    (values compare as ``==``, and NaN matches NaN). Returns ``(taken,
+    short)``: the mask of taken rows, and the mask of wanted occurrences
+    left without a row — for each tuple, its last ones. The one bag
+    matcher of the write path: staging's deletes
+    (:meth:`~repro.data.relation.Relation.remove_rows`), a trie carried to
+    the next version (:meth:`~repro.data.trie.TrieIndex.carried`) and a
+    delete cancelling a pending insert
+    (:func:`~repro.incremental.delta.coalesce_relation_deltas`).
+
+    Nothing sorts ``rows``: the wanted tuples are coded once, each column
+    of ``rows`` is coded only on the rows whose earlier columns all hold
+    a wanted value, and those rows binary-search the wanted composites.
+    O(|rows|) for the first column, O(|wanted| log |wanted|) besides.
+    """
+    taken = np.zeros(len(rows[0]), dtype=bool)
+    if len(wanted[0]) == 0:
+        return taken, np.zeros(0, dtype=bool)
+    wanted = [_match_column(c) for c in wanted]
+    comp, coder = _composite_codes(wanted)
+    ids, num_keys, first_index = _grouped(comp, coder.space)
+    key_comp = comp[first_index]
+    # the coder's steps over the rows still in the running: a row leaves
+    # at its first value (or key prefix) no wanted tuple holds
+    hits = probe = None
+    pairs = iter(zip(rows, wanted))
+    for densify, coding in coder.steps:
+        if densify:
+            probe, hit = coding.code(probe)
+        else:
+            column, values = next(pairs)
+            code, hit = coding.code(
+                _match_column(column if hits is None else column[hits])
+            )
+            if coding.uniques is None:  # an offset range may hold gaps
+                present = np.zeros(coding.card, dtype=bool)
+                present[coding.code(values)[0]] = True
+                hit &= present[code]
+            probe = code if probe is None else probe * coding.card + code
+        hits = np.flatnonzero(hit) if hits is None else hits[hit]
+        probe = probe[hit]
+    key = np.minimum(np.searchsorted(key_comp, probe), num_keys - 1)
+    found = key_comp[key] == probe
+    hits, key = hits[found], key[found]
+    need = np.bincount(ids, minlength=num_keys)
+    have = np.bincount(key, minlength=num_keys)
+    taken[hits[_occurrence(key, have) < need[key]]] = True
+    return taken, _occurrence(ids, need) >= have[ids]

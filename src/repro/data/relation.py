@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.data.keycodes import _group_codes
+from repro.data.keycodes import _group_codes, match_bag
 from repro.data.schema import RelationSchema
 from repro.data.types import coerce_column
 from repro.util.errors import SchemaError
@@ -183,8 +183,10 @@ class Relation:
         """Remove one occurrence per tuple of ``other`` (bag difference).
 
         The incremental-maintenance tombstone path: each delete tuple marks
-        exactly one matching row; duplicates in ``other`` remove that many
-        occurrences. Raises :class:`SchemaError` when a tuple has no
+        exactly one matching row, the lowest-indexed one still unmarked;
+        duplicates in ``other`` remove that many occurrences. Matched by
+        lookup (:func:`~repro.data.keycodes.match_bag`): this relation is
+        never sorted. Raises :class:`SchemaError` when a tuple has no
         remaining match — a delete of a non-existent row is always a bug in
         the caller's delta, never silently ignored.
         """
@@ -195,40 +197,16 @@ class Relation:
             )
         if other.num_rows == 0:
             return self
-        # Vectorised multiset matching: pack rows into structured arrays,
-        # sort this relation once, then binary-search each distinct delete
-        # row's run. Python-level work is O(distinct delete rows), never
-        # O(|relation|).
-        names = list(self.attribute_names)
-        mine = np.rec.fromarrays([self._columns[n] for n in names], names=names)
-        gone = np.sort(
-            np.rec.fromarrays([other.column(n) for n in names], names=names)
+        names = self.attribute_names
+        taken, short = match_bag(
+            [self._columns[n] for n in names], [other.column(n) for n in names]
         )
-        order = np.argsort(mine, kind="stable")
-        sorted_mine = mine[order]
-        run_starts = np.flatnonzero(np.concatenate(([True], gone[1:] != gone[:-1])))
-        run_ends = np.append(run_starts[1:], len(gone))
-        keep = np.ones(self._num_rows, dtype=bool)
-        missing = 0
-        example = None
-        for start, end in zip(run_starts, run_ends):
-            row = gone[start]
-            wanted = end - start
-            lo = np.searchsorted(sorted_mine, row, side="left")
-            hi = np.searchsorted(sorted_mine, row, side="right")
-            available = hi - lo
-            if available < wanted:
-                missing += wanted - available
-                if example is None:
-                    example = row.item()
-                wanted = available
-            keep[order[lo : lo + wanted]] = False
-        if missing:
+        if short.any():
             raise SchemaError(
-                f"delete from {self.name}: {missing} tuple(s) not present, "
-                f"e.g. {example}"
+                f"delete from {self.name}: {int(short.sum())} tuple(s) not "
+                f"present, e.g. {other.row(int(np.argmax(short)))}"
             )
-        return self.filter(keep)
+        return self.filter(~taken)
 
     # ------------------------------------------------------------------- access
     def iter_rows(self) -> Iterator[tuple[object, ...]]:

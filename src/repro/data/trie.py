@@ -18,7 +18,9 @@ attribute order:
 
 Building the index costs one ``lexsort`` of the relation; the engine caches
 one index per (node, attribute order) pair
-(:func:`repro.core.runtime.trie_cache_key`).
+(:func:`repro.core.runtime.trie_cache_key`), and a commit carries each
+cached index of an updated node to the next version
+(:meth:`TrieIndex.carried`) instead of sorting again.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.data.keycodes import _group_codes
+from repro.data.keycodes import _composite_codes, _group_codes, match_bag
 from repro.data.relation import Relation
 from repro.util.errors import PlanError
 
@@ -81,6 +83,58 @@ class TrieIndex:
         only pays the (vectorised, linear) run-boundary scan.
         """
         return cls(relation, order, presorted=True)
+
+    def carried(
+        self,
+        relation: Relation,
+        deletes: Relation | None,
+        inserts: Relation | None,
+    ) -> "TrieIndex":
+        """This index moved to the next version of its relation.
+
+        ``relation`` is this index's relation with ``deletes`` removed
+        (per tuple, its lowest-indexed rows, as
+        :meth:`~repro.data.relation.Relation.remove_rows` removes them) and
+        ``inserts`` appended. The result is ``array_equal`` to
+        ``TrieIndex(relation, order)`` and costs no sort of it: the
+        deletes leave the sorted rows by lookup
+        (:func:`~repro.data.keycodes.match_bag` — equal tuples sort in
+        storage order, so the lowest-indexed ones go here too), and the
+        sorted inserts enter where a stable sort of the appended relation
+        puts them, after every row with an equal key: ``searchsorted(...,
+        side="right")`` over order-preserving key codes. One linear copy
+        per column, then :meth:`from_sorted`'s run scan.
+        """
+        names = relation.attribute_names
+        columns = [self.relation.column(name) for name in names]
+        if deletes is not None and deletes.num_rows:
+            taken = match_bag(columns, [deletes.column(name) for name in names])[0]
+            columns = [column[~taken] for column in columns]
+        if inserts is not None and inserts.num_rows:
+            n, added = len(columns[0]), inserts.num_rows
+            comp, _coder = _composite_codes(
+                [
+                    np.concatenate((columns[names.index(a)], inserts.column(a)))
+                    for a in self.order
+                ]
+            )
+            if comp is None:  # no order attributes: every key is equal
+                comp = np.zeros(n + added, dtype=np.int64)
+            order = np.argsort(comp[n:], kind="stable")
+            at = np.searchsorted(comp[:n], comp[n:][order], side="right")
+            at += np.arange(added)
+            kept = np.ones(n + added, dtype=bool)
+            kept[at] = False
+            merged = []
+            for column, name in zip(columns, names):
+                out = np.empty(n + added, dtype=column.dtype)
+                out[kept] = column
+                out[at] = inserts.column(name)[order]
+                merged.append(out)
+            columns = merged
+        return TrieIndex.from_sorted(
+            Relation(relation.schema, dict(zip(names, columns))), self.order
+        )
 
     @classmethod
     def from_shared_parts(
@@ -196,14 +250,20 @@ class TrieIndex:
         self,
         signature: str,
         compute: Callable[[Relation], np.ndarray],
+        keep: bool = True,
     ) -> np.ndarray:
-        """Cached prefix-sum register for a row-level term.
+        """Prefix-sum register for a row-level term, cached unless ``keep``
+        is false.
 
         ``compute`` receives the sorted relation and returns one float per
         row (e.g. ``units * price`` or an indicator column). The returned
         array ``P`` has ``len+1`` entries with
         ``P[hi] - P[lo] == sum(term[lo:hi])``. Cached under ``signature``
-        (see :meth:`operand_list`).
+        (see :meth:`operand_list`); a register built with ``keep=False``
+        (one whose term holds a request's constant —
+        :func:`repro.core.runtime.bind_operands`) is its caller's alone,
+        so a stream of new constants leaves this index's caches as they
+        were.
         """
         cached = self._operands.get(signature)
         if cached is not None:
@@ -218,7 +278,8 @@ class TrieIndex:
         out[0] = 0.0
         np.cumsum(term, out=out[1:])
         out.setflags(write=False)
-        self._operands[signature] = out
+        if keep:
+            self._operands[signature] = out
         return out
 
     # --------------------------------------------------------------- partitions

@@ -27,6 +27,17 @@ treats deleting an absent tuple as a hard error), and it preserves
 :attr:`RelationDelta.insert_only`: a queue of small insert-only writes
 merges into one insert-only delta, so one numeric step (and one view
 copy) serves the whole group.
+
+A commit costs O(|Δ|) lookups plus linear copies. Every tuple delete —
+:meth:`RelationDelta.apply_to` staging it, the commit carrying each cached
+trie of the relation to the new version
+(:meth:`repro.data.trie.TrieIndex.carried`, through
+:meth:`repro.core.snapshot.Snapshot.with_relations`), and the
+cancellation above — is matched by one vectorised bag matcher,
+:func:`repro.data.keycodes.match_bag`: the delete tuples are coded, the
+other side's columns probe them, and a tuple takes its lowest-indexed
+equal rows. No relation is sorted. A ``delete_mask`` delta drops the
+relation's tries instead; the next reader rebuilds them.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.data.catalog import Database
+from repro.data.keycodes import match_bag
 from repro.data.relation import Relation
 from repro.data.schema import RelationSchema
 from repro.util.errors import SchemaError
@@ -165,39 +177,22 @@ def _cancel_inserts(
 
     Returns ``(surviving inserts, surviving deletes)`` (either may be
     None when fully cancelled). Each delete tuple consumes at most one
-    matching pending-insert occurrence; unmatched deletes survive and
-    will be removed from the *base* relation when the merged delta
-    applies — exactly what applying the two deltas in sequence would do,
-    since :meth:`RelationDelta.apply_to` appends the first delta's
-    inserts before the second delta's deletes run.
+    matching pending-insert occurrence, the lowest-indexed one left, by
+    the bag matcher staging uses (:func:`~repro.data.keycodes.match_bag`);
+    unmatched deletes survive and will be removed from the *base*
+    relation when the merged delta applies — exactly what applying the
+    two deltas in sequence would do, since :meth:`RelationDelta.apply_to`
+    appends the first delta's inserts before the second delta's deletes
+    run.
     """
-    from collections import Counter
-
-    available = Counter(pending.iter_rows())
-    cancel: Counter = Counter()
-    surviving_deletes: list[tuple] = []
-    for row in deletes.iter_rows():
-        if cancel[row] < available[row]:
-            cancel[row] += 1
-        else:
-            surviving_deletes.append(row)
-    if not cancel:
-        return pending, deletes
-    kept: list[tuple] = []
-    used: Counter = Counter()
-    for row in pending.iter_rows():
-        if used[row] < cancel[row]:
-            used[row] += 1  # this occurrence is annihilated by a delete
-        else:
-            kept.append(row)
-    schema = pending.schema
-    inserts = Relation.from_rows(schema, kept) if kept else None
-    dels = (
-        Relation.from_rows(schema, surviving_deletes)
-        if surviving_deletes
-        else None
+    names = pending.attribute_names
+    taken, short = match_bag(
+        [pending.column(n) for n in names], [deletes.column(n) for n in names]
     )
-    return inserts, dels
+    if not taken.any():
+        return pending, deletes
+    inserts = None if taken.all() else pending.filter(~taken)
+    return inserts, deletes.filter(short) if short.any() else None
 
 
 def coalesce_relation_deltas(

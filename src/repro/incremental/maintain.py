@@ -6,9 +6,10 @@ indexes of every join-tree node — and refreshes exactly the affected slice
 of it per update round:
 
 1. **base update** — each delta is applied to its relation (append /
-   tombstone), and only that node's tries are dropped
-   (:meth:`repro.core.snapshot.Snapshot.with_relations`; the next reader
-   rebuilds them in :func:`repro.core.runtime.node_trie`);
+   tombstone), and only that node's tries change: each is carried to the
+   new relation by the delta
+   (:meth:`repro.core.snapshot.Snapshot.with_relations`), so a rescan
+   below reads a warm trie equal to a cold build;
 2. **dirty-path walk** — groups run in the compiled execution order, but a
    group runs at all only when its node's relation changed or one of its
    incoming views changed this round; everything off the path keeps its

@@ -108,6 +108,12 @@ def indicator(op: str, threshold: float) -> Function:
 _INDICATOR_OPS = ("<=", ">=", "==", "!=", "<", ">")  # longest-match first
 
 
+def is_indicator(fn: Function) -> bool:
+    """Whether ``fn`` is an ``ind[...]`` indicator: a folded ``WHERE``
+    predicate, which carries its request's constant."""
+    return fn.name.startswith("ind[")
+
+
 def _parse_indicator_name(name: str) -> Function | None:
     """Reconstruct an ``ind[<op><threshold>]`` function from its name."""
     if not (name.startswith("ind[") and name.endswith("]")):

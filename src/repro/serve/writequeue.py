@@ -259,8 +259,10 @@ class WriteQueue:
             with self._lock:
                 while not self._entries and not self._closed:
                     self._work.wait()
-                if not self._entries:
-                    return  # closed and fully drained
+                if not self._entries:  # closed and fully drained: drop the
+                    # owner's callback, so a closed owner is freed by refcount
+                    self._commit = None
+                    return
                 deltas, tickets = self._next_group_locked()
                 self._not_full.notify_all()
             try:
@@ -338,11 +340,14 @@ class WriteQueue:
         :meth:`flush` waiter is released with the same clear error
         instead of hanging. Blocked ``submit`` callers are woken and
         refused either way. The group being committed right now (if any)
-        always completes.
+        always completes. The ``commit`` callback is dropped once the
+        committer exits, so the queue no longer holds its owner alive.
         """
         discarded: list[_Entry] = []
         with self._lock:
             thread = self._thread
+            if thread is None:  # no committer to drop the callback on exit
+                self._commit = None
             if not self._closed:
                 self._accepting = False
                 self._closed = True

@@ -311,6 +311,18 @@ def test_backend_decided_at_compile():
 def test_one_commit_path():
     for name in ("with_relations", "install", "_advance_state", "_commit_state"):
         assert _enclosing_functions(name) == ["core/engine.py:commit"], name
+    # a trie is carried to the next version only by the successor snapshot
+    # the commit builds, and one bag matcher serves every delete match
+    assert _enclosing_functions("carried") == ["core/snapshot.py:with_relations"]
+    assert sorted(_enclosing_functions("match_bag")) == [
+        "data/relation.py:remove_rows", "data/trie.py:carried",
+        "incremental/delta.py:_cancel_inserts",
+    ]
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            assert not (
+                isinstance(node, ast.Attribute) and node.attr == "rec"
+            ), f"{module}:{node.lineno} packs rows into a record array"
     for module, tree in _modules().items():
         for node in ast.walk(tree):
             named = (
