@@ -502,7 +502,7 @@ class CCompiledGroup:
         """
         return prepare_binding_tables(self.plan, view_data, view_group_by)
 
-    def key_bounds(self, trie: TrieIndex, bind_entries: dict) -> dict[int, int]:
+    def key_bounds(self, trie: TrieIndex, tables: dict) -> dict[int, int]:
         """An upper bound on the distinct keys of every hash emission.
 
         A key part takes at most its attribute's distinct count: a trie
@@ -524,7 +524,7 @@ class CCompiledGroup:
                         bound *= trie.distinct_values(part.level)
                     else:
                         view = self.plan.block_binding(part.level).view
-                        bound *= bind_entries[view].carried_counts[part.pos]
+                        bound *= tables[view].carried_counts[part.pos]
                 if all(part.kind == "rel" for part in parts):
                     bound = min(bound, trie.level(host).num_runs)
                 total += bound
@@ -532,30 +532,22 @@ class CCompiledGroup:
         return bounds
 
     def execute(
-        self,
-        trie: TrieIndex,
-        view_data: Mapping[str, ArrayViewData],
-        view_group_by: Mapping[str, tuple[str, ...]],
-        functions: Mapping[str, Function],
-        bind_entries: dict | None = None,
+        self, trie: TrieIndex, tables: dict, functions: Mapping[str, Function]
     ) -> dict[str, ArrayViewData]:
         if self.fn is None:
             raise PlanError("C group not loaded")
         plan = self.plan
-
-        if bind_entries is None:
-            bind_entries = self.prepare_bindings(view_data, view_group_by)
         run_counts = np.array(
             [trie.level(k).num_runs for k in range(len(plan.relation_levels))]
             or [0],
             dtype=np.int64,
         )
-        bounds = self.key_bounds(trie, bind_entries)
+        bounds = self.key_bounds(trie, tables)
 
         capacity_boost = 1
         for _attempt in range(24):
             outputs = self._attempt(
-                trie, plan, bind_entries, functions, run_counts, bounds,
+                trie, plan, tables, functions, run_counts, bounds,
                 capacity_boost,
             )
             if outputs is None:
@@ -572,7 +564,7 @@ class CCompiledGroup:
             return outputs
         raise PlanError(f"{plan.group_name}: C output tables kept overflowing")
 
-    def _attempt(self, trie, plan, bind_entries, functions, run_counts, bounds,
+    def _attempt(self, trie, plan, tables, functions, run_counts, bounds,
                  capacity_boost):
         holders: list[np.ndarray] = []
         argv = (ctypes.c_void_p * len(self.args))()
@@ -639,15 +631,15 @@ class CCompiledGroup:
             elif kind == "psum":
                 put(i, psums[role[1]])
             elif kind == "bind_index":
-                put(i, _index_descriptor(bind_entries[role[1]].keys))
+                put(i, _index_descriptor(tables[role[1]].keys))
             elif kind == "bind_table":
-                keys = bind_entries[role[1]].keys
+                keys = tables[role[1]].keys
                 put(i, keys.key_comp if keys.table is None else keys.table)
             elif kind == "bind_array":
-                put(i, getattr(bind_entries[role[1]], role[2]))
+                put(i, getattr(tables[role[1]], role[2]))
             elif kind == "bind_carried":
                 put(i, np.ascontiguousarray(
-                    bind_entries[role[1]].carried_columns[role[2]], dtype=np.int64
+                    tables[role[1]].carried_columns[role[2]], dtype=np.int64
                 ))
             elif kind == "out_keys":
                 put(i, buffers_of(role[1])["keys"][role[2]])

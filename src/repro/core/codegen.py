@@ -73,8 +73,7 @@ class CompiledGroup:
     """One plan compiled to a Python function, plus its source for inspection.
 
     Implements the compiled-group protocol (``prepare_bindings`` /
-    ``execute``) every backend shares — see
-    :func:`repro.core.runtime.execute_plan`.
+    ``execute``) every backend shares — see :mod:`repro.core.runtime`.
     """
 
     plan: MultiOutputPlan
@@ -106,16 +105,13 @@ class CompiledGroup:
     def execute(
         self,
         trie: TrieIndex,
-        view_data: Mapping[str, ArrayViewData],
-        view_group_by: Mapping[str, tuple[str, ...]],
+        tables: dict[str, dict],
         functions: Mapping[str, Function],
-        bind_entries: dict | None = None,
     ) -> dict[str, ArrayViewData]:
-        """Run the generated function; its output dicts leave as views
+        """Run the generated function over ``trie`` and the prepared
+        ``tables``; its output dicts leave as views
         (:func:`~repro.core.runtime.view_columns`), like every backend's."""
-        if bind_entries is None:
-            bind_entries = self.prepare_bindings(view_data, view_group_by)
-        outputs = self.fn(GroupEnvironment(self.plan, trie, functions, bind_entries))
+        outputs = self.fn(GroupEnvironment(self.plan, trie, functions, tables))
         return {
             e.artifact: ArrayViewData.from_arrays(
                 *view_columns(outputs[e.artifact], e.group_by, e.width)

@@ -60,8 +60,6 @@ from repro.core.runtime import (
     LazyPythonGroup,
     compile_executables,
     debug_checks_enabled,
-    execute_plan,
-    execute_plan_partitioned,
     merge_partial_outputs,
     node_trie,
     partition_tries,
@@ -391,15 +389,17 @@ class ViewSeeds:
 
 @dataclass
 class GroupRun:
-    """The per-run state one pass over a compiled batch's groups shares.
+    """The per-run state one walk over a compiled batch's groups shares.
 
     What the group step (:meth:`LMFAO.execute_group`) reads — the
     compilation (with the runtime functions bound for this request), the
     pinned snapshot, the views computed (or seeded) so far — and what the
-    DAG walk (:meth:`LMFAO.walk_groups`) writes back. The engine's own
-    runs and the incremental maintainer's rounds each build one;
-    ``snapshot`` may stay None when every group is stepped over an
-    explicit (delta) trie.
+    DAG walk (:meth:`LMFAO.walk_groups`) writes back through
+    :meth:`adopt`. The walk asks :meth:`step` over which trie, if any, to
+    step each group. The engine's runs use this class as it is; a
+    maintained handle's round answers :meth:`step` from its deltas and
+    merges in :meth:`adopt`
+    (:class:`repro.incremental.maintain.MaintainedRound`).
     """
 
     compiled: CompiledBatch
@@ -411,6 +411,15 @@ class GroupRun:
     #: group name → wall-clock seconds / cost-model decision record.
     group_times: dict[str, float] = field(default_factory=dict)
     decisions: dict[str, dict] = field(default_factory=dict)
+
+    def step(self, index: int) -> tuple[bool, TrieIndex | None]:
+        """Whether the walk steps group ``index``, and over which trie:
+        ``None`` for its node's trie under :attr:`snapshot`, else an ad
+        hoc trie, which runs in-process. The walk asks once per group, on
+        its own thread, when the group's producers are done; a group it
+        does not step counts as done. A run steps every group over the
+        snapshot."""
+        return True, None
 
     def adopt(
         self, index: int, outputs: dict[str, ArrayViewData], started: float
@@ -923,17 +932,14 @@ class LMFAO:
     ) -> dict[str, ArrayViewData]:
         """The group step: one compiled group over one trie → its outputs.
 
-        The single place a group turns into execution, for every caller —
-        the DAG walk (:meth:`walk_groups`), the incremental maintainer's
-        dirty-path rescans and the numeric delta run
-        (:func:`repro.incremental.rules.numeric_delta_run`). ``trie=None``
-        scans the group's node under ``run.snapshot`` (its cached trie);
-        an explicit ``trie`` is ad hoc — a delta trie over just the
-        inserted tuples — and always runs in-process, since no snapshot
-        trie key addresses it. Records the cost model's
-        decision in ``run.decisions`` and returns the merged outputs
-        without storing them: adoption (plain store, or the maintainer's
-        diff-tracking merge) belongs to the caller.
+        The single place a group turns into execution. Its one caller is
+        the DAG walk (:meth:`walk_groups`) on its own thread, which runs
+        the step's calls (:meth:`_group_tasks`) in order and merges them
+        here; the thread scheduler runs the same calls in its pool and
+        merges them the same way. ``trie`` is the run's answer to
+        :meth:`GroupRun.step`. Records the cost model's decision in
+        ``run.decisions`` and returns the merged outputs without storing
+        them: adoption (:meth:`GroupRun.adopt`) belongs to the walk.
         """
         return merge_partial_outputs(
             run.compiled.plans[index],
@@ -941,34 +947,30 @@ class LMFAO:
         )
 
     def _group_tasks(
-        self,
-        run: GroupRun,
-        index: int,
-        trie: TrieIndex | None = None,
-        pooled: bool = False,
+        self, run: GroupRun, index: int, trie: TrieIndex | None = None
     ) -> list[Callable[[], dict]]:
         """Plan one group's execution: the calls that produce its partials.
 
         Everything data-dependent about running a group is decided here
-        and nowhere else — the trie, the partition fan-out, the recorded
+        and nowhere else — the trie (``None``: the node's trie under
+        ``run.snapshot``), the partition fan-out, the recorded
         :func:`~repro.core.costmodel.group_decision` (its backend is the
-        compiled group's, fixed at compile) — and the partitions
-        become partial-producing calls the executor-specific way:
-
-        * ``executor="process"`` and the snapshot's trie actually split
-          and the plan's functions travel by name: one call shipping the
-          partitions to the worker pool (canonical chunk grid, pairwise
-          tree reduce — :meth:`_ship_group`);
-        * ``pooled`` (the thread scheduler): bindings marshalled once,
-          then one call per partition for the shared pool;
-        * otherwise one call running the partitions in order on the
-          caller's thread (:func:`execute_plan_partitioned`).
+        compiled group's, fixed at compile). Here, and in the process
+        executor's worker, a compiled group meets its trie: the trie's
+        order is checked once (compiled code addresses level arrays
+        positionally, so a trie in another order would aggregate the
+        wrong attributes), the incoming views are prepared into the
+        group's tables once, and every partition becomes one
+        ``execute(partition, tables, functions)`` call over them. Under
+        ``executor="process"``, when the snapshot's trie splits and the
+        plan's functions travel by name, the partitions are instead one
+        call shipping them to the worker pool (canonical chunk grid,
+        pairwise tree reduce — :meth:`_ship_group`); an ad hoc trie never
+        ships, since no snapshot trie key addresses it.
 
         :func:`merge_partial_outputs` over the calls' results, in list
-        order, is the group's output in every case: a partition-order
-        left fold in-process, the identity over the single shipped or
-        inline result. The fallbacks from shipping are bit-identical to
-        it, so they are purely performance decisions.
+        order, is the group's output either way: a partition-order left
+        fold in-process, the identity over the single shipped result.
         """
         compiled, config = run.compiled, self.config
         plan = compiled.plans[index]
@@ -976,6 +978,10 @@ class LMFAO:
         if trie is None:
             snapshot = run.snapshot
             trie = node_trie(snapshot.db, plan.node, plan.order, snapshot.tries)
+        if trie.order != plan.order:
+            raise PlanError(
+                f"trie order {trie.order} does not match plan order {plan.order}"
+            )
         group = compiled.executables[index]
         tries = partition_tries(
             plan, trie, config.partitions, config.parallel_threshold,
@@ -994,19 +1000,10 @@ class LMFAO:
 
             if mpexec.plan_transportable(plan, compiled.functions):
                 return [lambda: self._ship_group(run, index, tries)]
-        group_by, functions = compiled.view_group_by, compiled.functions
-        if len(tries) > 1 and pooled:
-            prepared = group.prepare_bindings(run.view_data, group_by)
-            return [
-                lambda part=part: execute_plan(
-                    group, part, run.view_data, group_by, functions, prepared
-                )
-                for part in tries
-            ]
+        tables = group.prepare_bindings(run.view_data, compiled.view_group_by)
         return [
-            lambda: execute_plan_partitioned(
-                group, tries, run.view_data, group_by, functions
-            )
+            lambda part=part: group.execute(part, tables, compiled.functions)
+            for part in tries
         ]
 
     def _ship_group(self, run: GroupRun, index: int, tries) -> dict[str, ArrayViewData]:
@@ -1043,18 +1040,23 @@ class LMFAO:
         )
 
     def walk_groups(self, run: GroupRun, skipped: set[int] = frozenset()) -> None:
-        """The DAG walk: every non-skipped group through the group step.
+        """The DAG walk: every group through the group step, for runs and
+        maintained rounds alike.
 
-        One walk for every configuration; ``run`` collects the outputs,
-        decisions and per-group wall-clock. What varies is only who runs
-        the step's partial-producing calls:
+        ``skipped`` groups (a seeded run's, decided up front) count as
+        done from the start. Every other group is asked of
+        :meth:`GroupRun.step` once its producers are done: a group the
+        run does not step counts as done, and a stepped one goes through
+        the group step and :meth:`GroupRun.adopt`. ``run`` collects the
+        outputs, decisions and per-group wall-clock. What varies is only
+        who runs the step's partial-producing calls:
 
         * the **thread scheduler** (``executor="thread"``, ``workers > 1``)
           is event-driven over both parallelism axes. *Task parallelism*:
           a group is launched as soon as its dependencies complete.
           *Domain parallelism*: a launched group first runs a *prepare*
           task (the group step's planning half — trie build, partitioning,
-          one-time view marshalling), then one task per trie partition;
+          one-time table preparation), then one task per trie partition;
           partials merge in partition order on the scheduler thread. All
           tasks, across all in-flight groups, share one ``workers``-sized
           pool and none ever blocks on another, so the pool cannot
@@ -1073,9 +1075,12 @@ class LMFAO:
             self._walk_pooled(run, skipped)
             return
         for index in run.compiled.execution_order:
-            if index not in skipped:
+            if index in skipped:
+                continue
+            stepped, trie = run.step(index)
+            if stepped:
                 started = time.perf_counter()
-                run.adopt(index, self.execute_group(run, index), started)
+                run.adopt(index, self.execute_group(run, index, trie), started)
 
     def _walk_pooled(self, run: GroupRun, skipped: set[int]) -> None:
         """:meth:`walk_groups` under the thread scheduler (see there)."""
@@ -1095,20 +1100,30 @@ class LMFAO:
         outstanding: dict[int, int] = {}  # index -> partitions still running
         started: dict[int, float] = {}
 
-        def prepare(index: int):
+        def prepare(index: int, trie: TrieIndex | None):
             started[index] = time.perf_counter()
-            return self._group_tasks(run, index, pooled=True)
+            return self._group_tasks(run, index, trie)
 
         pool = ThreadPoolExecutor(max_workers=self.config.workers)
 
-        def launch(index: int) -> None:
-            launched.add(index)
-            pending[pool.submit(prepare, index)] = (index, None)
+        def launch(candidates) -> None:
+            """Launch every candidate whose producers are done. A group
+            the run does not step is done at once, so its consumers
+            become candidates too: the list grows while it is walked."""
+            candidates = list(candidates)
+            for index in candidates:
+                if index in launched or not remaining[index] <= done:
+                    continue
+                launched.add(index)
+                stepped, trie = run.step(index)
+                if stepped:
+                    pending[pool.submit(prepare, index, trie)] = (index, None)
+                else:
+                    done.add(index)
+                    candidates.extend(consumers.get(index, ()))
 
         try:
-            for index in range(num_groups):
-                if index not in launched and remaining[index] <= done:
-                    launch(index)
+            launch(range(num_groups))
             while len(done) < num_groups:
                 if not pending:
                     raise PlanError("group dependency graph is not schedulable")
@@ -1135,9 +1150,7 @@ class LMFAO:
                         started[index],
                     )
                     done.add(index)
-                    for consumer in consumers.get(index, ()):
-                        if consumer not in launched and remaining[consumer] <= done:
-                            launch(consumer)
+                    launch(consumers.get(index, ()))
         except BaseException:
             # Drop every half-merged partial so nothing incomplete can
             # reach the run's stores, then cancel all queued tasks and
@@ -1318,12 +1331,16 @@ def _to_query_result(query: Query, raw: ArrayViewData) -> QueryResult:
     return QueryResult(query=query, groups=dict(zip(keys, values)))
 
 
-def _debug_check_run_consistency(run: RunResult) -> None:
+def _debug_check_run_consistency(run) -> None:
     """LMFAO_DEBUG invariants tying decisions/timings/skips together.
 
     Every executed group must have exactly one decision record and one
-    wall-clock entry; skipped groups must have neither. Raises
-    :class:`~repro.util.errors.PlanError`, so ``python -O`` keeps them.
+    wall-clock entry; skipped groups must have neither. ``run`` is a
+    :class:`RunResult` or a maintained round
+    (:class:`repro.incremental.maintain.MaintainedRound`): anything with
+    ``compiled``, ``skipped_groups``, ``decisions`` and ``group_times``.
+    Raises :class:`~repro.util.errors.PlanError`, so ``python -O`` keeps
+    them.
     """
     all_groups = {g.name for g in run.compiled.group_plan.groups}
     skipped = set(run.skipped_groups)

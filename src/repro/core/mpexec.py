@@ -62,7 +62,6 @@ from repro.core.plan import MultiOutputPlan
 from repro.core.runtime import (
     ArrayViewData,
     compile_executables,
-    execute_plan_partitioned,
     merge_partial_outputs,
 )
 from repro.data.relation import Relation
@@ -320,6 +319,11 @@ def _worker_main(conn) -> None:
     """Worker loop: warm and forget batches, execute partition chunks,
     drop segments.
 
+    A chunk runs the way the engine's group step runs a group: the
+    group's tables are prepared once, each partition is one ``execute``
+    call over them, and the partials merge in partition order
+    (:func:`merge_partial_outputs`).
+
     Messages arrive in pipe order, so a ``warm`` preceding the first
     ``exec`` of a batch needs no acknowledgement round-trip. Any failure
     is reported as ``("error", traceback)`` — the parent turns it into a
@@ -365,8 +369,11 @@ def _worker_main(conn) -> None:
                         trie = attach_partition(shm, export, part)
                         tries[(export.segment, part)] = trie
                     chunk.append(trie)
-                outputs = execute_plan_partitioned(
-                    groups[group_index], chunk, view_data, view_group_by, functions
+                group = groups[group_index]
+                tables = group.prepare_bindings(view_data, view_group_by)
+                outputs = merge_partial_outputs(
+                    group.plan,
+                    [group.execute(trie, tables, functions) for trie in chunk],
                 )
                 conn.send(("done", outputs))
             else:

@@ -583,13 +583,6 @@ class NumpyCompiledGroup:
         return prepare_binding_tables(self.plan, view_data, view_group_by)
 
     def execute(
-        self,
-        trie: TrieIndex,
-        view_data: Mapping[str, ArrayViewData],
-        view_group_by: Mapping[str, tuple[str, ...]],
-        functions: Mapping[str, Function],
-        bind_entries: dict | None = None,
+        self, trie: TrieIndex, tables: dict, functions: Mapping[str, Function]
     ) -> dict[str, ArrayViewData]:
-        if bind_entries is None:
-            bind_entries = self.prepare_bindings(view_data, view_group_by)
-        return _PlanEvaluation(self.plan, trie, bind_entries, functions).outputs()
+        return _PlanEvaluation(self.plan, trie, tables, functions).outputs()

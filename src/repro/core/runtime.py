@@ -7,15 +7,20 @@ same two methods and a ``backend`` name — the generated-Python
 :class:`~repro.core.cbackend.CCompiledGroup`:
 
 * ``prepare_bindings(view_data, view_group_by)`` marshals the incoming
-  views into the backend's probe layout, once per group, read-only
-  afterwards: reshaped dicts for generated Python, and for NumPy and C
-  the same key-indexed binding tables (:func:`prepare_binding_tables`);
-* ``execute(trie, view_data, view_group_by, functions, bind_entries=None)``
-  runs the plan over one trie and returns ``artifact → ArrayViewData``.
+  views into the backend's probe layout — the group's *tables* — once
+  per group, read-only afterwards: reshaped dicts for generated Python,
+  and for NumPy and C the same key-indexed binding tables
+  (:func:`prepare_binding_tables`);
+* ``execute(trie, tables, functions)`` runs the plan over one trie (or
+  trie partition) and those tables, and returns ``artifact →
+  ArrayViewData``.
 
 :func:`compile_executables` decides each plan's backend once, at compile
-time, and returns one such group per plan; :func:`execute_plan` is the
-one place a compiled group meets a trie.
+time, and returns one such group per plan. The engine's group step
+(:meth:`repro.core.engine.LMFAO._group_tasks`) is where a compiled group
+meets a trie: it checks the trie's order, prepares the tables once and
+makes one ``execute`` call per partition; the process executor's worker
+does the same for the partitions it is sent.
 
 View contents cross the group boundary in one form, :class:`ArrayViewData`:
 key columns and a value matrix (a scalar emission is one row with no key
@@ -362,7 +367,9 @@ def bind_operands(
     which carries the cached batch's constant, to the request's function.
     Tries are shared across requests, so slot-name keys would serve one
     request's indicator arrays to another. Function names
-    are unique per behaviour (the registry contract): a sound key.
+    are unique per behaviour (the registry contract): a sound key. An
+    array whose product holds a request's constant (:func:`holds_constant`)
+    is built for this call and kept in neither cache.
     """
     level_products = [((attr, func),) for _level, attr, func in plan.level_functions]
     signatures = [
@@ -370,10 +377,15 @@ def bind_operands(
         for product in (*level_products, *plan.row_products)
     ]
     farrs: dict = {}
-    for key, signature in zip(plan.level_functions, signatures):
+    for key, product, signature in zip(
+        plan.level_functions, level_products, signatures
+    ):
         level, _attr, func = key
-        array = trie.level_function_array(level, signature, functions[func])
-        farrs[key] = trie.operand_list((level, signature)) if lists else array
+        keep = not holds_constant(product, functions)
+        array = trie.level_function_array(level, signature, functions[func], keep)
+        if lists:
+            array = trie.operand_list((level, signature)) if keep else array.tolist()
+        farrs[key] = array
     psums: dict = {}
     for product, signature in zip(plan.row_products, signatures[len(level_products):]):
         keep = not holds_constant(product, functions)
@@ -538,40 +550,6 @@ def compile_executables(
     return [c or numpy for c, numpy in zip(native, groups)]
 
 
-def execute_plan(
-    group,
-    trie: TrieIndex,
-    view_data: Mapping[str, ArrayViewData],
-    view_group_by: Mapping[str, tuple[str, ...]],
-    functions: Mapping[str, Function],
-    prepared_bindings: dict | None = None,
-) -> dict[str, ArrayViewData]:
-    """Run one compiled group over a trie and incoming view contents.
-
-    ``group`` is any backend's compiled group (see the module docstring).
-    Both the batch executor and the incremental maintainer call this — the
-    maintainer additionally passes *delta* tries (an index over just the
-    inserted tuples) to obtain per-view deltas from the very same compiled
-    code, since every emitted slot is a sum over the node's rows and
-    therefore linear in the row multiset.
-
-    The trie must be built in the plan's attribute order: compiled code
-    addresses level arrays positionally, so a mismatch would not fail but
-    aggregate the wrong attributes — checked here, for every backend.
-
-    ``prepared_bindings`` (from ``group.prepare_bindings``) lets
-    partitioned execution marshal the incoming views once and share them,
-    read-only, across concurrent per-partition calls.
-    """
-    if trie.order != group.plan.order:
-        raise PlanError(
-            f"trie order {trie.order} does not match plan order {group.plan.order}"
-        )
-    return group.execute(
-        trie, view_data, view_group_by, functions, bind_entries=prepared_bindings
-    )
-
-
 # ------------------------------------------------------------ domain parallelism
 
 
@@ -636,31 +614,6 @@ def merge_partial_outputs(
         else:
             merged[emission.artifact] = sum_by_key(pieces)
     return merged
-
-
-def execute_plan_partitioned(
-    group,
-    tries: Sequence[TrieIndex],
-    view_data: Mapping[str, ArrayViewData],
-    view_group_by: Mapping[str, tuple[str, ...]],
-    functions: Mapping[str, Function],
-) -> dict[str, ArrayViewData]:
-    """Run one compiled group over trie partitions (serially) and merge.
-
-    The sequential executor and the incremental maintainer both refresh
-    groups through this path, so a partitioned configuration produces
-    bit-identical state no matter which of them ran the group. The parallel
-    engine scheduler fans the same per-partition calls out across its
-    worker pool and merges with :func:`merge_partial_outputs` itself.
-    """
-    if len(tries) == 1:
-        return execute_plan(group, tries[0], view_data, view_group_by, functions)
-    prepared = group.prepare_bindings(view_data, view_group_by)
-    partial = [
-        execute_plan(group, trie, view_data, view_group_by, functions, prepared)
-        for trie in tries
-    ]
-    return merge_partial_outputs(group.plan, partial)
 
 
 def estimate_view_bytes(data: ArrayViewData) -> int:

@@ -54,10 +54,6 @@ class ViewPlan:
             v for v in self.views.values() if v.source == source and v.target == target
         ]
 
-    def incoming_views(self, node: str) -> list[View]:
-        """All merged views consumed at ``node``."""
-        return [v for v in self.views.values() if v.target == node]
-
     @property
     def num_views(self) -> int:
         return len(self.views)

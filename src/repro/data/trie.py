@@ -361,14 +361,22 @@ class TrieIndex:
         return cached
 
     def level_function_array(
-        self, k: int, signature: str, compute: Callable[[np.ndarray], np.ndarray]
+        self,
+        k: int,
+        signature: str,
+        compute: Callable[[np.ndarray], np.ndarray],
+        keep: bool = True,
     ) -> np.ndarray:
-        """``compute`` applied to the distinct values of level ``k`` (cached array).
+        """``compute`` applied to the distinct values of level ``k``, cached
+        unless ``keep`` is false.
 
         This materialises a per-run factor array: plans evaluate
         ``f(attr)`` once per distinct value, not once per row. The NumPy
         and C backends read the ndarray directly; the Python backend
-        works off its :meth:`operand_list`. Cached under ``(k, signature)``.
+        works off its :meth:`operand_list`. Cached under ``(k, signature)``;
+        like a :meth:`prefix_sum` register, an array built with
+        ``keep=False`` (an indicator holding a request's constant) is its
+        caller's alone.
         """
         key = (k, signature)
         cached = self._operands.get(key)
@@ -377,7 +385,8 @@ class TrieIndex:
                 compute(self._levels[k].values), dtype=np.float64
             )
             cached.setflags(write=False)
-            self._operands[key] = cached
+            if keep:
+                self._operands[key] = cached
         return cached
 
     def operand_list(self, key) -> list:

@@ -6,14 +6,17 @@ alive across data changes instead of recomputing it:
 
 * :mod:`repro.incremental.delta` — delta relations (insert/delete bags per
   base relation, with append/tombstone application);
-* :mod:`repro.incremental.rules` — the per-group delta rule (numeric
-  step over just the inserted tuples, then a copy-on-write delta merge,
-  which copies the whole maintained view: O(|view|));
+* :mod:`repro.incremental.rules` — the rules a stepped group's outputs
+  are taken in by: the copy-on-write merge of a numeric step's deltas
+  (it copies the whole maintained view: O(|view|)) and the rescan's
+  change test, which compares columns as bags of rows;
 * :mod:`repro.incremental.maintain` — the :class:`MaintainedBatch` handle
-  returned by :meth:`repro.core.engine.LMFAO.maintain`, scheduling numeric
-  delta steps and full-trie rescans over the dirty path only, then
-  finishing each changed query — ordered ones included — through the
-  engine's one result seam.
+  returned by :meth:`repro.core.engine.LMFAO.maintain`. Each commit is a
+  round (:class:`~repro.incremental.maintain.MaintainedRound`) that the
+  engine's one DAG walk walks like a run: it steps the dirty path only —
+  numeric delta steps over the inserted tuples, full-trie rescans
+  otherwise — then finishes each changed query, ordered ones included,
+  through the engine's one result seam.
 
 Every apply round builds an immutable successor version (a new
 :class:`~repro.core.snapshot.Snapshot` plus copy-on-write stores) and

@@ -10,25 +10,28 @@ of it per update round:
    new relation by the delta
    (:meth:`repro.core.snapshot.Snapshot.with_relations`), so a rescan
    below reads a warm trie equal to a cold build;
-2. **dirty-path walk** — groups run in the compiled execution order, but a
-   group runs at all only when its node's relation changed or one of its
-   incoming views changed this round; everything off the path keeps its
-   cached outputs;
-3. **per-group maintenance** — a dirty group is refreshed either by the
-   **numeric** delta step (insert-only change at its own node:
-   :func:`~repro.incremental.rules.numeric_delta_run` executes the same
-   compiled group code over a trie of just the inserted tuples and
+2. **dirty-path walk** — the round is a :class:`MaintainedRound`, which
+   the engine's one DAG walk (:meth:`~repro.core.engine.LMFAO.walk_groups`)
+   walks like any run, on the thread scheduler when ``workers > 1``. The
+   walk asks the round, once a group's producers are done, whether and
+   over which trie to step it: a group steps only when its node's
+   relation changed or one of its incoming views changed this round;
+   everything off the path keeps its cached outputs;
+3. **per-group maintenance** — a stepped group is refreshed either by the
+   **numeric** delta step (insert-only change at its own node: the group
+   step runs the same compiled group code over a trie of just the
+   inserted tuples and
    :func:`~repro.incremental.rules.merge_delta_outputs` adds the emitted
    deltas in — exact because every slot is a sum over the node's rows,
    hence linear in the row multiset, and key sets only grow under
    inserts) or by a **rescan** (re-execute over the node's full trie with
-   refreshed inputs — bit-identical to a from-scratch run). Both go
-   through the engine's one group step
-   (:meth:`~repro.core.engine.LMFAO.execute_group`);
-4. **delta cutoff** — a refreshed view whose contents compare equal to
-   its previous ones (as dicts, through
-   :func:`~repro.core.runtime.as_mapping`) stops dirtying its consumers
-   (always on);
+   refreshed inputs — bit-identical to a from-scratch run). Both are the
+   engine's one group step
+   (:meth:`~repro.core.engine.LMFAO.execute_group`), and the round
+   records ``group_times`` and ``decisions`` for them as a run does;
+4. **delta cutoff** — a refreshed view whose rows equal its previous
+   ones, as bags (:func:`~repro.incremental.rules.same_rows`), stops
+   dirtying its consumers (always on);
 5. **finish** — every query whose raw groups changed is finished afresh
    by :func:`~repro.core.engine._to_query_result`, the seam a run's
    collect phase uses. An ordered query's raw store is kept **full**, so
@@ -76,13 +79,15 @@ from repro.core.engine import (
     GroupRun,
     LMFAO,
     RunResult,
+    _debug_check_run_consistency,
     _to_query_result,
 )
-from repro.core.runtime import ArrayViewData, as_mapping
+from repro.core.runtime import ArrayViewData, as_mapping, debug_checks_enabled
 from repro.core.snapshot import Snapshot
 from repro.data.catalog import Database
+from repro.data.trie import TrieIndex
 from repro.incremental.delta import RelationDelta, normalize_deltas
-from repro.incremental.rules import merge_delta_outputs, numeric_delta_run
+from repro.incremental.rules import merge_delta_outputs, same_rows
 from repro.query.query import QueryResult
 from repro.util.errors import PlanError
 
@@ -129,6 +134,72 @@ class _MaintainedVersion:
     view_data: dict[str, ArrayViewData] = field(repr=False)
     query_raw: dict[str, ArrayViewData] = field(repr=False)
     results: dict[str, QueryResult] = field(repr=False)
+
+
+@dataclass
+class MaintainedRound(GroupRun):
+    """One update round as a run of the engine's DAG walk.
+
+    :meth:`step` is the dirty-path rule: a group whose node's relation
+    and incoming views are all unchanged this round is not stepped (it
+    keeps its outputs); an insert-only change at its own node, with no
+    incoming view changed and ``numeric`` on, steps it over a trie of the
+    inserted tuples; anything else rescans the node's trie under the
+    successor snapshot. :meth:`adopt` takes a stepped group's outputs in
+    copy-on-write — numeric deltas merged
+    (:func:`~repro.incremental.rules.merge_delta_outputs`), rescans
+    replacing — into the stores the round started from copies of, and
+    notes the artifacts that changed. The walk asks :meth:`step` only
+    when a group's producers are adopted, so the choice reads their
+    changes, and both run on the walk's own thread.
+    """
+
+    deltas: Mapping[str, RelationDelta] = field(default_factory=dict)
+    numeric: bool = True
+    #: group indices by how this round treated them: stepped over the
+    #: inserted tuples and merged, rescanned, or not stepped
+    merged: set[int] = field(default_factory=set)
+    rescanned: set[int] = field(default_factory=set)
+    skipped: set[int] = field(default_factory=set)
+    refreshed_views: set[str] = field(default_factory=set)
+    dirty_queries: set[str] = field(default_factory=set)
+
+    @property
+    def skipped_groups(self) -> tuple[str, ...]:
+        groups = self.compiled.group_plan.groups
+        return tuple(groups[index].name for index in sorted(self.skipped))
+
+    def step(self, index: int) -> tuple[bool, TrieIndex | None]:
+        plan = self.compiled.plans[index]
+        delta = self.deltas.get(plan.node)
+        upstream = any(v in self.refreshed_views for v in plan.consumed_views)
+        if delta is None and not upstream:
+            self.skipped.add(index)
+            return False, None
+        if self.numeric and delta is not None and delta.insert_only and not upstream:
+            self.merged.add(index)
+            return True, TrieIndex(delta.inserts, plan.order)
+        # over the node's full (cached) trie: same cut points, partition
+        # order and offload decision as a from-scratch run, so a rescan
+        # stays bit-identical to one
+        self.rescanned.add(index)
+        return True, None
+
+    def adopt(
+        self, index: int, outputs: dict[str, ArrayViewData], started: float
+    ) -> None:
+        adopted = dict(outputs)
+        for emission in self.compiled.plans[index].emissions:
+            is_view = emission.kind == "view"
+            name = emission.artifact
+            old = (self.view_data if is_view else self.query_raw)[name]
+            if index in self.merged:
+                adopted[name], changed = merge_delta_outputs(old, outputs[name])
+            else:
+                changed = not same_rows(old, outputs[name])
+            if changed:
+                (self.refreshed_views if is_view else self.dirty_queries).add(name)
+        super().adopt(index, adopted, started)
 
 
 class MaintainedBatch:
@@ -261,43 +332,22 @@ class MaintainedBatch:
                 f"maintained handle at version {state.snapshot.version} "
                 f"cannot advance to non-successor version {snapshot.version}"
             )
-        changed: dict[str, RelationDelta] = dict(deltas)
-
-        # ---- build the successor version off to the side (copy-on-write);
+        # the successor version is built off to the side (copy-on-write);
         # a downstream group reads its upstream views refreshed-this-round
-        run = GroupRun(
-            self.compiled, snapshot, dict(state.view_data), dict(state.query_raw)
+        run = MaintainedRound(
+            self.compiled,
+            snapshot,
+            dict(state.view_data),
+            dict(state.query_raw),
+            deltas=deltas,
+            numeric=self.config.incremental_mode != "rescan",
         )
-
-        numeric = rescanned = skipped = 0
-        refreshed_views: set[str] = set()
-        dirty_queries: set[str] = set()
-        for index in self.compiled.execution_order:
-            plan = self.compiled.plans[index]
-            node_delta = changed.get(plan.node)
-            upstream_dirty = any(v in refreshed_views for v in plan.consumed_views)
-            if node_delta is None and not upstream_dirty:
-                skipped += 1
-                continue
-            if self._numeric_applicable(node_delta, upstream_dirty):
-                outputs = numeric_delta_run(
-                    self._engine, run, index, node_delta.inserts
-                )
-                merge = merge_delta_outputs
-                numeric += 1
-            else:
-                # over the node's full (cached) trie: same cut points,
-                # partition order and offload decision as a from-scratch
-                # run, so a rescan stays bit-identical to one
-                outputs = self._engine.execute_group(run, index)
-                merge = None
-                rescanned += 1
-            self._adopt_outputs(
-                index, outputs, run, merge, refreshed_views, dirty_queries
-            )
+        self._engine.walk_groups(run)
+        if debug_checks_enabled():
+            _debug_check_run_consistency(run)
         results = dict(state.results)
         for query in self.compiled.batch:
-            if query.name in dirty_queries:
+            if query.name in run.dirty_queries:
                 results[query.name] = _to_query_result(
                     query, run.query_raw[query.name]
                 )
@@ -306,12 +356,12 @@ class MaintainedBatch:
         )
         result = ApplyResult(
             results=results,
-            refreshed_queries=tuple(sorted(dirty_queries)),
-            refreshed_views=tuple(sorted(refreshed_views)),
-            relations_changed=tuple(sorted(changed)),
-            groups_numeric=numeric,
-            groups_rescanned=rescanned,
-            groups_skipped=skipped,
+            refreshed_queries=tuple(sorted(run.dirty_queries)),
+            refreshed_views=tuple(sorted(run.refreshed_views)),
+            relations_changed=tuple(sorted(deltas)),
+            groups_numeric=len(run.merged),
+            groups_rescanned=len(run.rescanned),
+            groups_skipped=len(run.skipped),
             seconds=time.perf_counter() - start,
             version=snapshot.version,
         )
@@ -321,52 +371,6 @@ class MaintainedBatch:
         """Flip the handle to an already-installed successor state."""
         self._state = new_state
         self.applies += 1
-
-    # ----------------------------------------------------------- group execution
-    def _numeric_applicable(
-        self, node_delta: RelationDelta | None, upstream_dirty: bool
-    ) -> bool:
-        if self.config.incremental_mode == "rescan":
-            return False
-        return (
-            node_delta is not None
-            and node_delta.insert_only
-            and not upstream_dirty
-        )
-
-    def _adopt_outputs(
-        self,
-        index: int,
-        outputs: dict[str, ArrayViewData],
-        run: GroupRun,
-        merge,
-        refreshed_views: set[str],
-        dirty_queries: set[str],
-    ) -> None:
-        """Adopt (rescan) or add (numeric) one group's outputs; note changes.
-
-        Writes only into the successor version's stores (``run.view_data``
-        / ``run.query_raw``); the previous version's views are never
-        touched — numeric merges (``merge`` given) go through
-        the copy-on-write
-        :func:`~repro.incremental.rules.merge_delta_outputs`. An artifact
-        that changed is recorded by name only: a refreshed view dirties
-        its consumers, and a dirty query — ordered or not — is finished
-        afresh from its full raw store by
-        :func:`~repro.core.engine._to_query_result`.
-        """
-        for emission in self.compiled.plans[index].emissions:
-            is_view = emission.kind == "view"
-            store = run.view_data if is_view else run.query_raw
-            name = emission.artifact
-            old = store[name]
-            if merge is not None:
-                store[name], artifact_changed = merge(old, outputs[name])
-            else:
-                new = store[name] = outputs[name]
-                artifact_changed = as_mapping(old) != as_mapping(new)
-            if artifact_changed:
-                (refreshed_views if is_view else dirty_queries).add(name)
 
     def __repr__(self) -> str:
         return (

@@ -1,57 +1,45 @@
-"""Per-group delta rules: how one dirty group is brought up to date.
+"""Per-group delta rules: how one dirty group's outputs are taken in.
 
 A compiled batch is a DAG of view groups (paper Figure 2, right). An
 update to relation ``R`` can only affect the views on the paths from
 ``R``'s node towards each query root (Bakibayev et al., "Aggregation and
 Ordering in Factorised Databases"): every other group's inputs are
-bit-identical and its cached outputs remain valid. The scheduler in
-:mod:`repro.incremental.maintain` walks the execution order and runs a
-group only when its node's relation or one of its incoming views changed
-this round, *cutting off* propagation when a refreshed view turns out
-unchanged (delta cutoff).
+bit-identical and its cached outputs remain valid. A maintained round
+(:class:`repro.incremental.maintain.MaintainedRound`) is walked by the
+engine's one DAG walk and steps a group only when its node's relation or
+one of its incoming views changed this round, *cutting off* propagation
+when a refreshed view turns out unchanged (delta cutoff).
 
-The per-group rule applied along that path lives here:
-:func:`numeric_delta_run` + :func:`merge_delta_outputs` (the insert rule
-of maintained handles: the run scans only the inserted tuples, but the
-merge builds a new view from the target and the delta, so each round
-costs O(|view|), not O(|Δ|)). Ordered queries need no rule of their own: the
-maintainer keeps their full raw stores and finishes a dirty one through
-the engine's one seam, :func:`repro.core.engine._to_query_result`.
+The rules the round adopts a stepped group's outputs by live here. The
+insert rule: the group step runs over a trie of the inserted tuples
+alone, and :func:`merge_delta_outputs` adds the emitted deltas into a new
+view built from the target and the delta, so each round costs
+O(|view|), not O(|Δ|). The rescan rule: the outputs replace the old
+ones, and :func:`same_rows` decides whether they changed. Ordered
+queries need no rule of their own: the round keeps their full raw stores
+and finishes a dirty one through the engine's one seam,
+:func:`repro.core.engine._to_query_result`.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.runtime import ArrayViewData, sum_by_key
-from repro.data.trie import TrieIndex
-
-
-def numeric_delta_run(engine, run, index: int, inserts) -> dict[str, ArrayViewData]:
-    """The numeric delta rule: one group's compiled code over ``ΔR`` alone.
-
-    Every emitted slot is ``Σ over node rows`` of a product that does not
-    otherwise depend on the node's row multiset, so the group's outputs
-    over just the inserted tuples *are* the per-artifact deltas
-    (:func:`merge_delta_outputs` adds them in). Key sets are exact too:
-    under inserts a key exists in the updated artifact iff it existed
-    before or some inserted tuple supports it — exactly the keys the
-    delta run emits.
-
-    ``inserts`` is the inserted-tuples relation of the group's own node,
-    indexed in the plan's order and stepped through
-    :meth:`~repro.core.engine.LMFAO.execute_group` as an ad hoc trie —
-    in-process, reading incoming views from ``run.view_data``. Maintained
-    handles are its only caller: the serving layer's view cache carries
-    clean entries across a commit or drops them, and never runs delta
-    code.
-    """
-    trie = TrieIndex(inserts, run.compiled.plans[index].order)
-    return engine.execute_group(run, index, trie)
+from repro.data.keycodes import _group_codes
 
 
 def merge_delta_outputs(
     target: ArrayViewData, delta: ArrayViewData
 ) -> tuple[ArrayViewData, bool]:
     """The merged view ``target + delta`` per key and slot (copy-on-write).
+
+    ``delta`` is what the group's compiled code emits over just the
+    inserted tuples: every emitted slot is a sum over the node's rows of a
+    product that does not otherwise depend on the node's row multiset, so
+    those outputs *are* the per-artifact deltas. Key sets are exact too:
+    under inserts a key exists in the updated artifact iff it existed
+    before or some inserted tuple supports it.
 
     Returns ``(merged, changed)``. The sum is the one per-key summation,
     :func:`~repro.core.runtime.sum_by_key`, which builds a new view:
@@ -64,3 +52,32 @@ def merge_delta_outputs(
     merged = sum_by_key([target, delta])
     changed = len(merged) > len(target) or bool(delta.value_matrix.any())
     return merged, changed
+
+
+def same_rows(old: ArrayViewData, new: ArrayViewData) -> bool:
+    """Whether two views of one artifact hold the same rows, in any order:
+    the rescan rule's delta cutoff.
+
+    A view's keys are distinct, so the views are equal as bags of rows
+    iff their keys pair up one to one and each pair's slots are equal.
+    Keys and slots compare as ``==`` (``-0.0`` equals ``0.0``); a NaN in
+    a key or a slot never equals, so it always reads as a change.
+    """
+    rows = len(old)
+    if len(new) != rows or old.value_matrix.shape != new.value_matrix.shape:
+        return False
+    columns = [*old.key_columns, *new.key_columns, old.value_matrix, new.value_matrix]
+    if any(c.dtype.kind == "f" and np.isnan(c).any() for c in columns):
+        return False
+    if not old.key_columns:
+        return bool((old.value_matrix == new.value_matrix).all())
+    ids, num_keys, _first = _group_codes(
+        [np.concatenate(pair) for pair in zip(old.key_columns, new.key_columns)]
+    )
+    if num_keys != rows:
+        return False
+    old_rows = np.empty(rows, dtype=np.int64)
+    old_rows[ids[:rows]] = np.arange(rows)
+    new_rows = np.empty(rows, dtype=np.int64)
+    new_rows[ids[rows:]] = np.arange(rows)
+    return bool((old.value_matrix[old_rows] == new.value_matrix[new_rows]).all())

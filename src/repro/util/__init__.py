@@ -7,12 +7,11 @@ from repro.util.errors import (
     ReproError,
     SchemaError,
 )
-from repro.util.ordered import OrderedSet, stable_unique
+from repro.util.ordered import stable_unique
 from repro.util.timer import Stopwatch
 
 __all__ = [
     "CyclicSchemaError",
-    "OrderedSet",
     "PlanError",
     "QueryError",
     "ReproError",

@@ -1,13 +1,13 @@
-"""Deterministic ordered collections.
+"""Deterministic ordering helpers.
 
 The optimiser must be deterministic: view names, group numbering and
-attribute orders all depend on iteration order. ``OrderedSet`` provides set
-semantics with insertion order, built on the insertion-ordered ``dict``.
+attribute orders all depend on iteration order, so de-duplication keeps
+first-seen order (the insertion-ordered ``dict``).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, TypeVar
+from typing import Hashable, Iterable, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 
@@ -15,63 +15,3 @@ T = TypeVar("T", bound=Hashable)
 def stable_unique(items: Iterable[T]) -> list[T]:
     """Return the unique items of ``items`` preserving first-seen order."""
     return list(dict.fromkeys(items))
-
-
-class OrderedSet:
-    """A set that iterates in insertion order.
-
-    Supports the small subset of the ``set`` API the optimiser needs:
-    membership, union/intersection/difference (all order-preserving on the
-    left operand), ``add`` and equality (order-insensitive, like ``set``).
-    """
-
-    def __init__(self, items: Iterable[Hashable] = ()) -> None:
-        self._items: dict[Hashable, None] = dict.fromkeys(items)
-
-    def add(self, item: Hashable) -> None:
-        self._items[item] = None
-
-    def update(self, items: Iterable[Hashable]) -> None:
-        for item in items:
-            self._items[item] = None
-
-    def discard(self, item: Hashable) -> None:
-        self._items.pop(item, None)
-
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._items
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, OrderedSet):
-            return set(self._items) == set(other._items)
-        if isinstance(other, (set, frozenset)):
-            return set(self._items) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:  # pragma: no cover - OrderedSet is not hashable
-        raise TypeError("OrderedSet is unhashable; convert to frozenset first")
-
-    def __or__(self, other: Iterable[Hashable]) -> "OrderedSet":
-        result = OrderedSet(self._items)
-        result.update(other)
-        return result
-
-    def __and__(self, other: Iterable[Hashable]) -> "OrderedSet":
-        keep = set(other)
-        return OrderedSet(item for item in self._items if item in keep)
-
-    def __sub__(self, other: Iterable[Hashable]) -> "OrderedSet":
-        drop = set(other)
-        return OrderedSet(item for item in self._items if item not in drop)
-
-    def __repr__(self) -> str:
-        return f"OrderedSet({list(self._items)!r})"

@@ -29,22 +29,6 @@ class Stopwatch:
         """A copy of the accumulated lap times, keyed by lap name."""
         return dict(self._laps)
 
-    def total(self) -> float:
-        """Sum of all laps."""
-        return sum(self._laps.values())
-
-    def report(self) -> str:
-        """Human-readable multi-line report, longest lap first."""
-        if not self._laps:
-            return "(no laps recorded)"
-        width = max(len(name) for name in self._laps)
-        lines = [
-            f"{name:<{width}}  {secs * 1e3:10.2f} ms"
-            for name, secs in sorted(self._laps.items(), key=lambda kv: -kv[1])
-        ]
-        lines.append(f"{'total':<{width}}  {self.total() * 1e3:10.2f} ms")
-        return "\n".join(lines)
-
 
 class _Lap:
     def __init__(self, watch: Stopwatch, name: str) -> None:

@@ -151,13 +151,16 @@ def test_below_threshold_runs_unpartitioned(favorita_db):
 
 def test_failing_group_propagates_from_parallel_scheduler(favorita_db, monkeypatch):
     """A group exception must surface promptly, not deadlock the wait loop."""
-    import repro.core.engine as engine_module
+    from repro.core.cbackend import CCompiledGroup
+    from repro.core.codegen import CompiledGroup
+    from repro.core.npbackend import NumpyCompiledGroup
 
     def boom(*args, **kwargs):
         raise RuntimeError("injected group failure")
 
-    monkeypatch.setattr(engine_module, "execute_plan", boom)
-    monkeypatch.setattr(engine_module, "execute_plan_partitioned", boom)
+    # every backend's compiled group fails where the group step calls it
+    for group_class in (CompiledGroup, NumpyCompiledGroup, CCompiledGroup):
+        monkeypatch.setattr(group_class, "execute", boom)
     engine = LMFAO(
         favorita_db, EngineConfig(join_tree_edges=FAVORITA_TREE, workers=4)
     )

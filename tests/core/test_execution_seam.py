@@ -2,12 +2,17 @@
 
 Structural guard (an ``ast`` walk over ``src/repro``, no execution): the
 decisions that make up "run one group over one trie" — partition
-fan-out, the recorded cost-model decision, the partitioned execute —
+fan-out, the recorded cost-model decision, the trie-order check, the
+one preparation of a group's tables and the per-partition execute —
 each have exactly one call site, inside the engine's group step
 (:meth:`repro.core.engine.LMFAO.execute_group`), plus the process
-executor's worker-local combine. Only maintained handles run delta code
-(:func:`repro.incremental.rules.numeric_delta_run`). The serving layer
-never reaches the step: it imports no execution primitive from
+executor's worker-local combine. Every compiled group's ``execute``
+takes ``(trie, tables, functions)``. The step's one caller is the DAG
+walk (:meth:`repro.core.engine.LMFAO.walk_groups`), which walks runs and
+maintained rounds alike: nothing under ``incremental/`` walks the
+execution order or steps a group itself, and the one ad hoc trie a
+group steps over is a round's trie of inserted tuples. The serving
+layer never reaches the step: it imports no execution primitive from
 :mod:`repro.core.runtime`, nothing from :mod:`repro.incremental.rules`,
 and touches no engine private of the step.
 
@@ -357,21 +362,120 @@ def test_one_version_lifetime():
     assert not attrs & {"_process_executor", "_mpexec", "retain", "release"}
 
 
+def _receiver(call: ast.Call) -> str | None:
+    """The name an attribute call is made on: ``group`` for
+    ``group.execute(...)``, ``engine`` for ``self.engine.execute(...)``."""
+    if not isinstance(call.func, ast.Attribute):
+        return None
+    return next(iter(_node_names(call.func.value)), None)
+
+
+def _compiled_groups() -> list[tuple[str, ast.ClassDef]]:
+    """``(module, class)`` of every compiled group: the classes that
+    implement the protocol's ``prepare_bindings``."""
+    return [
+        (module, node)
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and "prepare_bindings" in {
+            f.name for f in node.body if isinstance(f, ast.FunctionDef)
+        }
+    ]
+
+
 def test_partitioned_execute_has_two_homes():
-    # the group step's inline loop and the worker-local combine
-    sites = sorted(_call_sites("execute_plan_partitioned"))
-    assert [site.split(":")[0] for site in sites] == [
-        "core/engine.py", "core/mpexec.py",
-    ], sites
+    # a compiled group meets its partitions in the group step's calls and
+    # in the worker-local combine, and both prepare its tables once there
+    for name in ("prepare_bindings", "execute"):
+        homes = sorted({
+            f"{module}:{function}"
+            for module, function, call in _calls_in_functions(name)
+            if name == "prepare_bindings" or _receiver(call) == "group"
+        })
+        assert homes == [
+            "core/engine.py:_group_tasks", "core/mpexec.py:_worker_main",
+        ], (name, homes)
+
+
+def _calls_in_functions(name: str) -> list[tuple[str, str | None, ast.Call]]:
+    """``(module, innermost function, call)`` of every call to ``name``."""
+    found = []
+
+    def visit(node, module: str, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and _called_name(node) == name:
+            found.append((module, function, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for module, tree in _modules().items():
+        visit(tree, module, None)
+    return found
+
+
+def test_one_dag_walk_for_runs_and_rounds():
+    # the engine's group step runs only inside the DAG walk; the other
+    # execute_group is the process executor's, which only the step's
+    # shipping call reaches
+    steps = sorted(
+        (f"{module}:{function}", _receiver(call))
+        for module, function, call in _calls_in_functions("execute_group")
+    )
+    assert steps == [
+        ("core/engine.py:_ship_group", "executor"),
+        ("core/engine.py:walk_groups", "self"),
+    ], steps
+    # every compiled group executes over a trie and the tables the group
+    # step prepared, and nothing else calls a compiled group's execute:
+    # every other ``execute`` call runs a compiled batch on an engine
+    groups = sorted(f"{module}:{cls.name}" for module, cls in _compiled_groups())
+    assert groups == [
+        "core/cbackend.py:CCompiledGroup",
+        "core/codegen.py:CompiledGroup",
+        "core/npbackend.py:NumpyCompiledGroup",
+    ], groups
+    for module, cls in _compiled_groups():
+        execute = _definition(module, "execute", inside=cls.name)
+        assert [a.arg for a in execute.args.posonlyargs + execute.args.args] == [
+            "self", "trie", "tables", "functions",
+        ], f"{module}:{cls.name}.execute"
+        assert not execute.args.kwonlyargs and not execute.args.defaults
+        assert execute.args.vararg is None and execute.args.kwarg is None
+    for module, function, call in _calls_in_functions("execute"):
+        if _receiver(call) == "group":
+            continue
+        assert call.args and _node_names(call.args[0]) == ("compiled",), (
+            f"{module}:{call.lineno} calls execute on {_receiver(call)}"
+        )
+    # a maintained round is a run of that walk: nothing under incremental/
+    # walks the execution order or steps a group itself
+    for module, tree in _modules().items():
+        if not module.startswith("incremental/"):
+            continue
+        for node in ast.walk(tree):
+            assert not (
+                isinstance(node, ast.Attribute) and node.attr == "execution_order"
+            ), f"{module}:{node.lineno} reads the execution order"
+            assert not (
+                isinstance(node, ast.Call)
+                and _called_name(node) in {"execute_group", "_group_tasks"}
+            ), f"{module}:{node.lineno} steps a group"
 
 
 def test_one_cache_entry_constructor():
-    # delta code runs in maintained handles only; the view cache carries
-    # or drops its entries and has no updater to build
-    sites = _call_sites("numeric_delta_run")
-    assert [site.split(":")[0] for site in sites] == [
-        "incremental/maintain.py"
-    ], sites
+    # delta code runs in maintained rounds only: the one ad hoc trie a
+    # group steps over is the round's trie of inserted tuples (the other
+    # trie build is the snapshot memo's); the view cache carries or drops
+    # its entries and has no updater to build
+    builds = sorted(
+        f"{module}:{function}"
+        for module, function, _call in _calls_in_functions("TrieIndex")
+    )
+    assert builds == ["core/runtime.py:node_trie", "incremental/maintain.py:step"], (
+        builds
+    )
     assert _call_sites("ViewUpdater") == []
 
 

@@ -498,7 +498,7 @@ def test_outputs_keep_columnar_arrays():
     plan = compiled.plans[index]
     trie = node_trie(db, plan.node, plan.order, {})
     outputs = compiled.executables[index].execute(
-        trie, {}, {}, compiled.functions
+        trie, {}, compiled.functions
     )
     keyed = [e.artifact for e in plan.emissions if e.group_by]
     assert keyed

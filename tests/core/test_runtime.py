@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 from repro.core import EngineConfig, LMFAO
 from repro.core.cbackend import gcc_available
+from repro.core.engine import GroupRun
 from repro.core.plan import ViewBinding
 from repro.core.runtime import (
     ArrayViewData,
     as_mapping,
     estimate_view_bytes,
-    execute_plan,
     reshape_binding,
     sum_by_key,
     view_columns,
@@ -285,25 +285,20 @@ def test_execute_plan_rejects_a_trie_in_another_order(favorita_db, backend):
     wrong_trie = TrieIndex(
         favorita_db.relation(plan.node), tuple(reversed(plan.order))
     )
+    run = GroupRun(compiled, engine.snapshot())
     with pytest.raises(PlanError, match="trie order"):
-        execute_plan(group, wrong_trie, {}, {}, compiled.functions)
+        engine.execute_group(run, index, wrong_trie)
 
 
 def test_environment_requires_view_data(favorita_db, favorita_engine):
-    from repro.data import TrieIndex
+    """Generated Python's tables are prepared from the incoming views: a
+    group without them raises before its environment is built."""
     from repro.paper import example_queries
 
     compiled = favorita_engine.compile(example_queries())
     index = next(i for i, p in enumerate(compiled.plans) if p.bindings)
-    plan = compiled.plans[index]
-    trie = TrieIndex(favorita_db.relation(plan.node), plan.order)
-    with pytest.raises(PlanError):
-        compiled.python[index].execute(
-            trie,
-            {},  # missing inputs
-            {},
-            compiled.functions,
-        )
+    with pytest.raises(PlanError, match="missing incoming view data"):
+        compiled.python[index].prepare_bindings({}, compiled.view_group_by)
 
 
 # ------------------------------------------------ a view and its as_mapping dict

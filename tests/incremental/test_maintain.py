@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import EngineConfig, LMFAO
-from repro.incremental.rules import merge_delta_outputs
+from repro.incremental.rules import merge_delta_outputs, same_rows
 from repro.paper import FAVORITA_TREE, example_queries
 from repro.query import Aggregate, Factor, Query, QueryBatch
 from repro.util.errors import PlanError
@@ -423,3 +423,110 @@ def test_affected_views_cover_changed_view_names(favorita_db):
         outcome = handle.apply(**delta)
         assert set(outcome.refreshed_views) <= allowed, relation
 
+
+
+# ------------------------------------------------------- rounds on the walk
+def _round_counters(outcome):
+    return (
+        outcome.refreshed_queries, outcome.refreshed_views,
+        outcome.relations_changed, outcome.groups_numeric,
+        outcome.groups_rescanned, outcome.groups_skipped, outcome.version,
+    )
+
+
+def test_rounds_on_the_thread_scheduler_match_the_serial_walk(
+    favorita_db, monkeypatch
+):
+    """A maintained round is a run of the engine's DAG walk, so under
+    ``workers > 1`` its commits go through the thread scheduler — and
+    give bit for bit what the serial walk gives. Both handles split
+    Sales-sized tries at the same literal fan-out (``adaptive=False``), so
+    the only difference is who runs the group step's calls."""
+    pooled: list[str] = []
+    walk = LMFAO._walk_pooled
+
+    def spy(self, run, skipped):
+        pooled.append(type(run).__name__)
+        return walk(self, run, skipped)
+
+    monkeypatch.setattr(LMFAO, "_walk_pooled", spy)
+
+    def handle(workers: int):
+        config = EngineConfig(
+            join_tree_edges=FAVORITA_TREE, executor="thread", workers=workers,
+            partitions=2, parallel_threshold=0, adaptive=False,
+        )
+        return LMFAO(favorita_db, config).maintain(example_queries())
+
+    serial, parallel = handle(1), handle(2)
+    assert pooled == ["GroupRun"]  # the parallel handle's first walk
+    rng = np.random.default_rng(41)
+    rounds = 10
+    for _ in range(rounds):
+        delta = _random_delta(rng, serial.database, ("Sales", "Items", "Oil"))
+        want, got = serial.apply(**delta), parallel.apply(**delta)
+        assert _round_counters(got) == _round_counters(want)
+        for name, result in want.results.items():
+            assert list(got[name].groups.items()) == list(result.groups.items())
+    # every commit of the parallel handle entered the pooled walk
+    assert pooled == ["GroupRun"] + ["MaintainedRound"] * rounds
+
+
+def test_a_round_checks_its_group_records_under_debug(favorita_engine, monkeypatch):
+    """Under LMFAO_DEBUG a round, like a run, has one decision and one
+    wall-clock entry for every group it stepped and neither for a group it
+    did not; a round that breaks this raises and commits nothing."""
+    from repro.incremental.maintain import MaintainedRound
+
+    monkeypatch.setenv("LMFAO_DEBUG", "1")
+    handle = favorita_engine.maintain(example_queries())
+    sales = handle.database.relation("Sales")
+    outcome = handle.apply(inserts={"Sales": [sales.row(0)]})
+    assert outcome.groups_skipped > 0 and outcome.groups_numeric > 0
+    step = MaintainedRound.step
+
+    def leaky(self, index):
+        stepped, trie = step(self, index)
+        if not stepped:  # a skipped group that leaves a decision behind
+            self.decisions[self.compiled.group_plan.groups[index].name] = {}
+        return stepped, trie
+
+    monkeypatch.setattr(MaintainedRound, "step", leaky)
+    version = handle.version
+    with pytest.raises(PlanError, match="decisions diverge"):
+        handle.apply(inserts={"Sales": [sales.row(1)]})
+    assert handle.version == version
+
+
+def test_same_rows_compares_views_as_bags():
+    """The rescan cutoff reads columns, not dicts, with the dicts'
+    equality: rows in any order, ``-0.0 == 0.0``, and a NaN key or slot
+    always a change."""
+    from repro.core.runtime import ArrayViewData, as_mapping
+
+    def view(keys, values):
+        return ArrayViewData.from_arrays(
+            [np.array(column) for column in keys], np.array(values, dtype=float)
+        )
+
+    old = view([[1, 2, 3], [0.5, 0.0, 7.0]], [[1.0, 2.0], [3.0, -0.0], [5.0, 6.0]])
+    shuffled = view([[3, 1, 2], [7.0, 0.5, -0.0]], [[5.0, 6.0], [1.0, 2.0], [3.0, 0.0]])
+    assert same_rows(old, shuffled) and same_rows(shuffled, old)
+    assert as_mapping(old) == as_mapping(shuffled)
+    for changed in (
+        view([[1, 2, 4], [0.5, 0.0, 7.0]], [[1.0, 2.0], [3.0, 0.0], [5.0, 6.0]]),
+        view([[1, 2, 3], [0.5, 0.0, 7.0]], [[1.0, 2.0], [3.0, 0.0], [5.0, 6.5]]),
+        view([[1, 2], [0.5, 0.0]], [[1.0, 2.0], [3.0, 0.0]]),
+    ):
+        assert not same_rows(old, changed)
+        assert as_mapping(old) != as_mapping(changed)
+    keys, values = [[1, 2, 3], [0.5, 0.0, 7.0]], [[1.0, 2.0], [3.0, 0.0], [5.0, 6.0]]
+    nan_slot = view(keys, [*values[:2], [5.0, np.nan]])
+    nan_key = view([keys[0], [0.5, 0.0, np.nan]], values)
+    assert same_rows(view(keys, values), view(keys, values))
+    for view_with_nan in (nan_slot, nan_key):
+        assert not same_rows(view_with_nan, view_with_nan)
+    # scalar views: one row, no keys
+    assert same_rows(view([], [[0.0, 1.0]]), view([], [[-0.0, 1.0]]))
+    assert not same_rows(view([], [[np.nan]]), view([], [[np.nan]]))
+    assert same_rows(view([[]], np.zeros((0, 1))), view([[]], np.zeros((0, 1))))

@@ -261,30 +261,28 @@ def test_an_absent_delete_leaves_store_and_handles_on_the_last_good_version(
 
 @pytest.mark.parametrize("backend", ["numpy", "python"])
 def test_never_repeating_constants_leave_the_trie_caches_alone(favorita_db, backend):
-    """A register whose product holds a ``WHERE`` constant lives for one
+    """An operand whose product holds a ``WHERE`` constant lives for one
     run: 50 runs with new constants keep the Sales trie's caches as the
-    first run left them."""
-    engine = LMFAO(favorita_db, EngineConfig(backend=backend))
+    first run left them. Two cases: a prefix-sum register (``units`` is
+    a row attribute) and a level-function array (``date`` is a trie
+    level of Sales)."""
+    for template in (
+        "SELECT store, SUM(units), SUM(1) FROM D WHERE units <= {} GROUP BY store",
+        "SELECT store, SUM(units) FROM D WHERE date <= {} GROUP BY store",
+    ):
+        engine = LMFAO(favorita_db, EngineConfig(backend=backend))
 
-    def batch(constant: float) -> QueryBatch:
-        return QueryBatch(
-            [
-                parse_query(
-                    f"SELECT store, SUM(units), SUM(1) FROM D "
-                    f"WHERE units <= {constant} GROUP BY store",
-                    "q",
-                )
-            ]
-        )
+        def batch(constant: float) -> QueryBatch:
+            return QueryBatch([parse_query(template.format(constant), "q")])
 
-    engine.run(batch(0.5))
-    (trie,) = [t for k, t in engine.snapshot().tries.items() if k[0] == "Sales"]
-    counts = (len(trie._operands), len(trie._operand_lists), len(trie._np_cache))
-    for step in range(50):
-        engine.run(batch(1.5 + step))
-    assert (
-        len(trie._operands), len(trie._operand_lists), len(trie._np_cache)
-    ) == counts
+        engine.run(batch(0.5))
+        (trie,) = [t for k, t in engine.snapshot().tries.items() if k[0] == "Sales"]
+        counts = (len(trie._operands), len(trie._operand_lists), len(trie._np_cache))
+        for step in range(50):
+            engine.run(batch(1.5 + step))
+        assert (
+            len(trie._operands), len(trie._operand_lists), len(trie._np_cache)
+        ) == counts, template
 
 
 def test_a_closed_server_is_freed_by_refcount(favorita_db):

@@ -95,22 +95,14 @@ def test_unknown_backend_is_rejected(favorita_db):
 
 def test_missing_view_data_raises(favorita_db, favorita_engine):
     """Executing a group without its inputs is an internal error, loudly."""
-    from repro.core.runtime import execute_plan
-    from repro.data import TrieIndex
+    from repro.core.engine import GroupRun
     from repro.paper import example_queries
 
     compiled = favorita_engine.compile(example_queries())
     index = next(i for i, p in enumerate(compiled.plans) if p.bindings)
-    plan = compiled.plans[index]
-    trie = TrieIndex(favorita_db.relation(plan.node), plan.order)
-    with pytest.raises(PlanError):
-        execute_plan(
-            compiled.python[index],
-            trie,
-            view_data={},
-            view_group_by={},
-            functions=compiled.functions,
-        )
+    run = GroupRun(compiled, favorita_engine.snapshot())
+    with pytest.raises(PlanError, match="missing incoming view data"):
+        favorita_engine.execute_group(run, index)
 
 
 def test_batch_with_hundreds_of_scalar_aggregates():

@@ -384,3 +384,20 @@ def test_no_dangling_file_references():
             assert any(c.exists() for c in candidates), (
                 f"{doc.name}: reference to missing file `{ref}`"
             )
+
+
+#: the second DAG walk and the extra group-execution shapes: the runtime's
+#: two execute wrappers and the maintainer's own delta run, which the
+#: group step and the maintained round replaced
+_RETIRED_EXECUTION_NAMES = (
+    "execute_plan",
+    "execute_plan_partitioned",
+    "numeric_delta_run",
+)
+
+
+def test_docs_name_no_retired_execution_shapes():
+    for doc in _doc_files():
+        text = doc.read_text()
+        for name in _RETIRED_EXECUTION_NAMES:
+            assert name not in text, f"{doc.name} names {name}"
