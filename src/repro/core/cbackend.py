@@ -18,29 +18,50 @@ passed as a single ``void**`` argument vector):
 
 * trie levels — the CSR arrays of :class:`repro.data.trie.TrieIndex`;
 * incoming views — the binding tables NumPy probes
-  (:func:`~repro.core.runtime.prepare_binding_tables`). A binding's
-  :class:`~repro.data.keycodes.KeyIndex` arrives as its recorded coding
+  (:func:`~repro.core.runtime.prepare_binding_tables`), which hold one
+  :class:`~repro.data.keycodes.KeyIndex` per distinct key-column content
+  of the group. A binding's index arrives as its recorded coding
   (:func:`_index_descriptor`) and its direct-address ``table``, or the
-  ``key_comp`` a binary search reads; the prelude's one ``lmfao_lookup``
-  returns a probe key's id, ``-1`` on a miss. A scalar binding's
+  ``key_comp`` a binary search reads. The prelude's ``lmfao_code`` codes
+  a probe key, ``lmfao_find`` reads a code's id (``-1`` on a miss), and
+  ``lmfao_lookup`` is the two in one. Bindings probed at one level with
+  one key (its *key levels*) code it once: the first codes it, and each
+  later one reads a flag (``B<i>_sh``, set per call by
+  :func:`_shares_coding`) that says whether both indexes address their
+  keys directly in one coding (it reads its own table at the first's
+  code) or not (it looks the key up itself). A scalar binding's
   aggregates are row ``id`` of its ``values``; a carried binding's
   entries are ``entry_offsets[id] .. entry_offsets[id + 1]`` of its
   ``carried_columns`` and ``agg_matrix``;
 * outputs — aligned emissions append into arrays sized by the emission
-  level's run count; accumulating (hash) emissions use a preallocated
-  open-addressing table whose slots hold a row index (``-1`` when free):
-  a new key takes the next dense row of the key and value arrays, and a
-  probe matches through the row, so a call touches only ``n`` keys and
-  ``n × width`` doubles, not one of each per slot. A table is sized from
-  its emission's key bound (:meth:`CCompiledGroup.key_bounds`: the
-  product of the key attributes' distinct counts, and, for keys of trie
-  levels only, at most the emitting level's runs), capped at
-  :data:`_KEY_CAP` keys, so its footprint follows the number of groups,
-  not of rows. The table may fill half its slots; overflow makes the
-  function return 1 and the wrapper retries with quadrupled capacities
-  (results are a pure function of the inputs, so the retry is safe).
-  Collect copies the first ``n`` rows, so a hash output's rows come in
-  first-seen trie-scan order whatever the table size. The key/value
+  level's run count; scalar emissions write their slots into one shared
+  buffer. Accumulating (hash) emissions keep a slot array whose slots
+  hold a row index (``-1`` when free): a new key takes the next dense
+  row of the key and value arrays, so a call touches only ``n`` keys and
+  ``n × width`` doubles, and the rows come out in first-seen trie-scan
+  order. The prelude's one ``lmfao_row`` finds or takes a key's row; the
+  emission's addressing array (``O<i>_ad``;
+  :meth:`CCompiledGroup.key_spaces`) says, per call, how it finds the
+  key's slot and how many rows the output holds:
+
+  - *direct* — when the key space, the product of the key parts' value
+    spans (:meth:`TrieIndex.value_span`, ``_CarriedTable.carried_spans``),
+    passes :func:`~repro.data.keycodes._dense_enough` over the emission's
+    key bound (the product of the key attributes' distinct counts, and,
+    for keys of trie levels only, at most the emitting level's runs)
+    capped at :data:`_KEY_CAP` keys, the slot is the key's mixed-radix
+    offset in that space: no hash and no probe loop; the rows are the
+    bound's;
+  - *hash* — otherwise an open-addressing table, sized from the same
+    capped bound, so its footprint follows the number of groups, not of
+    rows. The table may fill half its slots.
+
+  On both paths a new key beyond the output's rows makes the function
+  return 1 and the wrapper retries with quadrupled capacities (results
+  are a pure function of the inputs, so the retry is safe); a direct
+  output's rows grow up to its slots, so a bound that was too low costs a
+  retry, never a write out of bounds. Both paths write the same rows in
+  the same order. The key/value
   arrays — a scalar emission's one row included — leave as a columnar
   :class:`~repro.core.runtime.ArrayViewData`; a Python dict of it is
   built only by :func:`~repro.core.runtime.as_mapping`.
@@ -129,7 +150,7 @@ from repro.core.runtime import (
     debug_checks_enabled,
     prepare_binding_tables,
 )
-from repro.data.keycodes import KeyIndex
+from repro.data.keycodes import KeyIndex, _dense_enough
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
@@ -154,12 +175,10 @@ static int64_t lmfao_rank(const int64_t* sorted, int64_t n, int64_t value) {
     return lo < n && sorted[lo] == value ? lo : -1;
 }
 
-/* KeyIndex.lookup for one probe key: its key id, or -1 on a miss.
-   ix = {steps, num_keys, direct, then per step {densify, lo, card,
-   uniques at ix[.] or -1}, then the uniques}; kt is the direct-address
-   table when direct, else the ascending key composites. */
-static int64_t lmfao_lookup(const int64_t* ix, const int64_t* kt,
-                            const int64_t* key) {
+/* A probe key's composite code in a KeyIndex's recorded coding, or -1
+   on a miss. ix = {steps, num_keys, direct, then per step {densify, lo,
+   card, uniques at ix[.] or -1}, then the uniques}. */
+static int64_t lmfao_code(const int64_t* ix, const int64_t* key) {
     if (ix[1] == 0) return -1;
     int64_t comp = 0;
     const int64_t* step = ix + 3;
@@ -171,7 +190,55 @@ static int64_t lmfao_lookup(const int64_t* ix, const int64_t* kt,
         if (code < 0) return -1;
         comp = step[0] ? code : comp * step[2] + code;
     }
+    return comp;
+}
+
+/* The key id of a code (-1: a miss); kt is the direct-address table
+   when ix says direct, else the ascending key composites. */
+static inline int64_t lmfao_find(const int64_t* ix, const int64_t* kt,
+                                 int64_t comp) {
+    if (comp < 0) return -1;
     return ix[2] ? kt[comp] : lmfao_rank(kt, ix[1], comp);
+}
+
+/* KeyIndex.lookup for one probe key: its key id, or -1 on a miss. */
+static int64_t lmfao_lookup(const int64_t* ix, const int64_t* kt,
+                            const int64_t* key) {
+    return lmfao_find(ix, kt, lmfao_code(ix, key));
+}
+
+/* An accumulating output's row for key[0 .. parts): the row holding the
+   key, else the next dense row n[0], which the key takes with its width
+   values zeroed; -1 when the output already holds its ad[1] rows. The
+   key's slot is its mixed-radix offset when ad[0] says direct (per part
+   {lo, stride} from ad[2]), else found by open addressing over 2 * ad[1]
+   slots (a power of two). */
+static inline int64_t lmfao_row(const int64_t* ad, int64_t* slots,
+                                int64_t* const* columns, const int64_t* key,
+                                int parts, int64_t* n, double* vals, int width) {
+    uint64_t h = 0;
+    int64_t row;
+    if (ad[0]) {
+        for (int p = 0; p < parts; p++)
+            h += (uint64_t)(key[p] - ad[2 + 2 * p]) * (uint64_t)ad[3 + 2 * p];
+        row = slots[h];
+    } else {
+        const uint64_t mask = 2 * (uint64_t)ad[1] - 1;
+        for (int p = 0; p < parts; p++) h ^= lmfao_mix((uint64_t)key[p] + p);
+        for (h &= mask; (row = slots[h]) >= 0; h = (h + 1) & mask) {
+            int p = 0;
+            while (p < parts && columns[p][row] == key[p]) p++;
+            if (p == parts) break;
+        }
+    }
+    if (row >= 0) return row;
+    row = n[0];
+    if (row >= ad[1]) return -1;
+    slots[h] = row;
+    for (int p = 0; p < parts; p++) columns[p][row] = key[p];
+    for (int j = 0; j < width; j++) vals[row * width + j] = 0.0;
+    n[0] = row + 1;
+    return row;
 }
 """
 
@@ -243,28 +310,25 @@ class _ArgSpec:
     role: tuple  # how the Python wrapper fills it
 
 
-def generate_c_source(plan: MultiOutputPlan, symbol: str) -> tuple[str, list[_ArgSpec]]:
+def generate_c_source(
+    plan: MultiOutputPlan, symbol: str, share_terms: bool = True
+) -> tuple[str, list[_ArgSpec]]:
     """Lower one plan to a C function ``int32_t <symbol>(void** a)``.
 
     Returns the source and the ordered argument specs the wrapper must
     provide. A return value of 1 signals output-table overflow (retry with
-    larger buffers).
+    larger buffers). ``share_terms`` hoists trie-function operands into
+    ``t<n>`` consts (:class:`~repro.core.loopnest.LoopNestEmitter`).
     """
-    emitter = CEmitter(plan, symbol)
+    emitter = CEmitter(plan, symbol, share_terms)
     return emitter.generate(), emitter.args
-
-
-def _mix(keys: list[str]) -> str:
-    return " ^ ".join(
-        f"lmfao_mix((uint64_t){key} + {p})" for p, key in enumerate(keys)
-    )
 
 
 class CEmitter(LoopNestEmitter):
     """C99 syntax leaves: key-index probes, entry ranges, flat outputs.
 
-    Term hoisting is always on (C consts). The walker's ``B<i>`` / ``O<i>``
-    positions name the argument-vector slots declared by :meth:`prologue`.
+    Hoisted terms are C consts. The walker's ``B<i>`` / ``O<i>`` positions
+    name the argument-vector slots declared by :meth:`prologue`.
     """
 
     const_decl = "const double "
@@ -275,14 +339,24 @@ class CEmitter(LoopNestEmitter):
     count_cast = "(double)"
     indent = 1
 
-    def __init__(self, plan: MultiOutputPlan, symbol: str) -> None:
-        super().__init__(plan)
+    def __init__(
+        self, plan: MultiOutputPlan, symbol: str, share_terms: bool = True
+    ) -> None:
+        super().__init__(plan, share_terms)
         self.symbol = symbol
         self.args: list[_ArgSpec] = []
         #: carried block index → position of the binding that fetches it
         self.block_binding = {
             cb.index: self.binding_index[cb.view] for cb in plan.carried_blocks
         }
+        #: binding position → the first binding probed at its level with
+        #: its key levels, for every binding that is not that first one
+        self.key_leader: dict[int, int] = {}
+        first: dict[tuple, int] = {}
+        for i, binding in enumerate(plan.bindings):
+            leader = first.setdefault((binding.bind_level, binding.key_levels), i)
+            if leader != i:
+                self.key_leader[i] = leader
 
     def _arg(self, name: str, ctype: str, role: tuple) -> None:
         self.args.append(_ArgSpec(name=name, ctype=ctype, role=role))
@@ -308,6 +382,9 @@ class CEmitter(LoopNestEmitter):
             view = binding.view
             arg(f"B{i}_ix", "const int64_t*", ("bind_index", view))
             arg(f"B{i}_kt", "const int64_t*", ("bind_table", view))
+            if i in self.key_leader:
+                leader = plan.bindings[self.key_leader[i]].view
+                arg(f"B{i}_sh", "const int64_t*", ("bind_share", view, leader))
             if not binding.is_carried:
                 arg(f"B{i}_ev", "const double*", ("bind_array", view, "values"))
                 continue
@@ -322,7 +399,7 @@ class CEmitter(LoopNestEmitter):
                 arg(f"O{i}_v", "double*", ("out_scalar", i))
                 continue
             if mode == MODE_HASH:
-                arg(f"O{i}_mask_p", "const int64_t*", ("out_mask", i))
+                arg(f"O{i}_ad", "const int64_t*", ("out_addr", i))
                 arg(f"O{i}_row", "int64_t*", ("out_row", i))
             for p in range(len(emission.group_by)):
                 arg(f"O{i}_k{p}", "int64_t*", ("out_keys", i, p))
@@ -353,12 +430,22 @@ class CEmitter(LoopNestEmitter):
         return f"const int64_t v{level} = L{level}_vals[r{level}]; (void)v{level};"
 
     def probe(self, i: int, binding: ViewBinding) -> None:
-        keys = ", ".join(f"v{level}" for level in binding.key_levels)
-        self.w.line(
-            f"const int64_t id_B{i} = "
-            f"lmfao_lookup(B{i}_ix, B{i}_kt, (const int64_t[]){{{keys}}});"
-        )
-        self.w.line(f"if (id_B{i} < 0) continue;")
+        w = self.w
+        key = "(const int64_t[]){" + ", ".join(
+            f"v{level}" for level in binding.key_levels
+        ) + "}"
+        lookup = f"lmfao_lookup(B{i}_ix, B{i}_kt, {key})"
+        leader = self.key_leader.get(i)
+        if leader is not None:  # its key is coded already: _shares_coding
+            w.line(
+                f"const int64_t id_B{i} = B{i}_sh[0] ? B{i}_kt[c_B{leader}] : {lookup};"
+            )
+        elif i in self.key_leader.values():  # the level's one coding of its key
+            w.line(f"const int64_t c_B{i} = lmfao_code(B{i}_ix, {key});")
+            w.line(f"const int64_t id_B{i} = lmfao_find(B{i}_ix, B{i}_kt, c_B{i});")
+        else:
+            w.line(f"const int64_t id_B{i} = {lookup};")
+        w.line(f"if (id_B{i} < 0) continue;")
 
     def view_aggregate(self, i: int, agg_index: int) -> str:
         return self._ev(i, f"id_B{i}", agg_index)
@@ -392,27 +479,17 @@ class CEmitter(LoopNestEmitter):
     def accumulate_row(
         self, index: int, emission: Emission, keys, values, keyed: bool
     ) -> None:
+        """Take the key's row from the prelude's one ``lmfao_row`` (its
+        addressing in ``O<i>_ad``), then add the values."""
         w, width = self.w, emission.width
-        match = " && ".join(
-            f"O{index}_k{p}[row] == ({key})" for p, key in enumerate(keys)
-        )
+        columns = ", ".join(f"O{index}_k{p}" for p in range(len(keys)))
         w.open("{")
-        w.line(f"const int64_t mask = O{index}_mask_p[0];")
-        w.line(f"uint64_t h = ({_mix([f'({key})' for key in keys])}) & (uint64_t)mask;")
-        w.line(f"int64_t row = O{index}_row[h];")
-        w.open(f"while (row >= 0 && !({match})) {{")
-        w.line("h = (h + 1) & (uint64_t)mask;")
-        w.line(f"row = O{index}_row[h];")
-        w.close()
-        w.open("if (row < 0) {")
-        w.line(f"row = O{index}_n[0];")
-        w.line("if (2 * (row + 1) > mask + 1) return 1;")
-        w.line(f"O{index}_row[h] = row;")
-        for p, key in enumerate(keys):
-            w.line(f"O{index}_k{p}[row] = {key};")
-        w.line(f"for (int j = 0; j < {width}; j++) O{index}_v[row * {width} + j] = 0.0;")
-        w.line(f"O{index}_n[0] = row + 1;")
-        w.close()
+        w.line(
+            f"const int64_t row = lmfao_row(O{index}_ad, O{index}_row, "
+            f"(int64_t* const[]){{{columns}}}, (const int64_t[]){{{', '.join(keys)}}}, "
+            f"{len(keys)}, O{index}_n, O{index}_v, {width});"
+        )
+        w.line("if (row < 0) return 1;")
         for slot, value in values:
             w.line(f"O{index}_v[row * {width} + {slot}] += {value};")
         w.close()
@@ -428,7 +505,8 @@ class CEmitter(LoopNestEmitter):
 
 
 #: distinct keys a hash output table is first sized for; an emission whose
-#: key bound is larger overflows its first table and is retried larger
+#: key bound is larger overflows its first table and is retried larger. A
+#: direct-addressed output's slot array is held to the same keys.
 _KEY_CAP = 65536
 
 
@@ -464,6 +542,32 @@ def _index_descriptor(keys: KeyIndex) -> np.ndarray:
     return np.concatenate([head, *uniques]).astype(np.int64)
 
 
+#: a later binding's ``B<i>_sh`` flag, 1 when it reads its own table at
+#: its leader's code (see :func:`_shares_coding`), else 0; one read-only
+#: array the ``B<i>_sh`` slots point into
+_SHARE_FLAGS = np.arange(2, dtype=np.int64)
+_SHARE_FLAGS.setflags(write=False)
+
+
+def _shares_coding(keys: KeyIndex, leader: KeyIndex, descriptors: dict) -> bool:
+    """Whether a binding probed after ``leader`` at one level with one key
+    reads its own direct-address table at the leader's code: both indexes
+    address their keys directly and record one coding (one shared index
+    does). Otherwise it looks its key up itself."""
+    if keys.table is None or leader.table is None:
+        return False
+    mine, theirs = (_descriptor(descriptors, k) for k in (keys, leader))
+    return bool(mine[0] == theirs[0] and np.array_equal(mine[3:], theirs[3:]))
+
+
+def _descriptor(descriptors: dict, keys: KeyIndex) -> np.ndarray:
+    """:func:`_index_descriptor` of ``keys``, once per call."""
+    descriptor = descriptors.get(id(keys))
+    if descriptor is None:
+        descriptor = descriptors[id(keys)] = _index_descriptor(keys)
+    return descriptor
+
+
 class CCompiledGroup:
     """One plan compiled to native code, with its marshaling logic.
 
@@ -480,7 +584,7 @@ class CCompiledGroup:
         self.source = source
         self.fn = None  # bound by _bind; keeps its shared object loaded
         #: hash emission index → its slots' key-part tuples, each with the
-        #: deepest level that emits it (read by :meth:`key_bounds`)
+        #: deepest level that emits it (read by :meth:`key_spaces`)
         self._hash_keys: dict[int, dict[tuple, int]] = {}
         for index, emission in enumerate(plan.emissions):
             if emission_mode(emission) != MODE_HASH:
@@ -488,6 +592,40 @@ class CCompiledGroup:
             shapes = self._hash_keys[index] = {}
             for slot in emission.slots:
                 shapes[slot.key_parts] = max(slot.level, shapes.get(slot.key_parts, -1))
+        #: every slot but the outputs': the trie's, operands, binding tables
+        self._input_slots = [
+            (i, spec.role) for i, spec in enumerate(args)
+            if not spec.role[0].startswith("out_")
+        ]
+        #: emission index → its argument slots by role kind (key slots by
+        #: position)
+        self._out_slots: dict[int, dict] = {}
+        for i, spec in enumerate(args):
+            kind = spec.role[0]
+            if kind.startswith("out_"):
+                slots = self._out_slots.setdefault(spec.role[1], {"keys": []})
+                if kind == "out_keys":
+                    slots["keys"].append(i)
+                else:
+                    slots[kind] = i
+        #: scalar emission index → the offset of its slots in the one buffer
+        #: every scalar emission writes into, and their argument slots
+        self._scalar_at: dict[int, int] = {}
+        slots, offsets, width = [], [], 0
+        for index, emission in enumerate(plan.emissions):
+            if emission_mode(emission) == MODE_SCALAR:
+                self._scalar_at[index] = width
+                slots.append(self._out_slots[index]["out_scalar"])
+                offsets.append(8 * width)
+                width += emission.width
+        self._scalar_width = width
+        self._scalar_slots = np.array(slots, dtype=np.intp)
+        self._scalar_bytes = np.array(offsets, dtype=np.uintp)
+        #: every other emission, in order: its position is its count's
+        self._rowed = [
+            (index, slots) for index, slots in self._out_slots.items()
+            if index not in self._scalar_at
+        ]
 
     # ------------------------------------------------------------- marshaling
     def prepare_bindings(self, view_data, view_group_by) -> dict:
@@ -502,8 +640,11 @@ class CCompiledGroup:
         """
         return prepare_binding_tables(self.plan, view_data, view_group_by)
 
-    def key_bounds(self, trie: TrieIndex, tables: dict) -> dict[int, int]:
-        """An upper bound on the distinct keys of every hash emission.
+    def key_spaces(
+        self, trie: TrieIndex, tables: dict
+    ) -> tuple[dict[int, int], dict[int, tuple[int, list[int]]]]:
+        """Every hash emission's key bound, and the direct addressing of
+        those whose key space is dense enough.
 
         A key part takes at most its attribute's distinct count: a trie
         level's (:meth:`TrieIndex.distinct_values`) or its carried
@@ -513,23 +654,53 @@ class CCompiledGroup:
         Under ``LMFAO_DEBUG`` (:func:`~repro.core.runtime.debug_checks_enabled`)
         :meth:`execute` checks every hash output's row count against its
         bound.
+
+        A key part's values lie in its source's span
+        (:meth:`TrieIndex.value_span`, ``_CarriedTable.carried_spans``;
+        a shape with an empty source emits nothing), a key in the product
+        of its parts' spans, merged over the emission's slot shapes. When
+        :func:`~repro.data.keycodes._dense_enough` accepts that space for
+        the bound (at most :data:`_KEY_CAP` keys), the emission is
+        addressed directly: ``(space, addressing)``, the addressing being
+        each key part's least value and mixed-radix stride (the tail of
+        ``O<i>_ad``).
         """
-        bounds = {}
+        bounds: dict[int, int] = {}
+        direct: dict[int, tuple[int, list[int]]] = {}
         for index, shapes in self._hash_keys.items():
             total = 0
+            spans: list = [None] * len(self.plan.emissions[index].group_by)
             for parts, host in shapes.items():
-                bound = 1
+                bound, shape = 1, []
                 for part in parts:
                     if part.kind == "rel":
                         bound *= trie.distinct_values(part.level)
+                        shape.append(trie.value_span(part.level))
                     else:
-                        view = self.plan.block_binding(part.level).view
-                        bound *= tables[view].carried_counts[part.pos]
+                        table = tables[self.plan.block_binding(part.level).view]
+                        bound *= table.carried_counts[part.pos]
+                        shape.append(table.carried_spans[part.pos])
                 if all(part.kind == "rel" for part in parts):
                     bound = min(bound, trie.level(host).num_runs)
                 total += bound
+                if None in shape:
+                    continue
+                for p, (lo, hi) in enumerate(shape):
+                    if spans[p] is not None:
+                        lo, hi = min(lo, spans[p][0]), max(hi, spans[p][1])
+                    spans[p] = (lo, hi)
             bounds[index] = total
-        return bounds
+            space, addressing = 1, []
+            for span in reversed(spans):
+                lo, hi = span or (0, 0)
+                addressing[:0] = [lo, space]
+                space *= hi - lo + 1
+            # the keys the first hash table would be sized for: so the
+            # slot array is never much larger than that table, however
+            # loose a bound of carried key parts is
+            if _dense_enough(space, min(total, _KEY_CAP)):
+                direct[index] = (space, addressing)
+        return bounds, direct
 
     def execute(
         self, trie: TrieIndex, tables: dict, functions: Mapping[str, Function]
@@ -537,19 +708,12 @@ class CCompiledGroup:
         if self.fn is None:
             raise PlanError("C group not loaded")
         plan = self.plan
-        run_counts = np.array(
-            [trie.level(k).num_runs for k in range(len(plan.relation_levels))]
-            or [0],
-            dtype=np.int64,
-        )
-        bounds = self.key_bounds(trie, tables)
-
+        # inputs: the arrays argv points at, alive through every attempt
+        argv, inputs = self._bind_inputs(trie, tables, functions)
+        bounds, direct = self.key_spaces(trie, tables)
         capacity_boost = 1
         for _attempt in range(24):
-            outputs = self._attempt(
-                trie, plan, tables, functions, run_counts, bounds,
-                capacity_boost,
-            )
+            outputs = self._attempt(argv, trie, direct, bounds, capacity_boost)
             if outputs is None:
                 capacity_boost *= 4
                 continue
@@ -564,113 +728,132 @@ class CCompiledGroup:
             return outputs
         raise PlanError(f"{plan.group_name}: C output tables kept overflowing")
 
-    def _attempt(self, trie, plan, tables, functions, run_counts, bounds,
-                 capacity_boost):
-        holders: list[np.ndarray] = []
+    def _bind_inputs(self, trie, tables, functions) -> tuple[ctypes.Array, list]:
+        """A fresh argument vector for one call with every input slot
+        filled: the trie's row count, run counts and level arrays, the
+        operand arrays and the binding tables. Returns it with the arrays
+        its slots point at, which must outlive the call."""
         argv = (ctypes.c_void_p * len(self.args))()
-
-        def put(i: int, array: np.ndarray) -> None:
-            holders.append(array)
-            argv[i] = array.ctypes.data
-
-        farrs, psums = bind_operands(plan, trie, functions)
-        out_buffers: dict[int, dict] = {}
-
-        def buffers_of(index: int) -> dict:
-            """One emission's output arrays. Keys and values need no
-            zeroing: the generated code writes every row it later reads
-            (the count gates the reads), and np.empty leaves untouched pages
-            unmapped. A hash table's slots start free (-1)."""
-            buffers = out_buffers.get(index)
-            if buffers is not None:
-                return buffers
-            emission = plan.emissions[index]
-            mode = emission_mode(emission)
-            width = emission.width
-            buffers = out_buffers[index] = {}
-            if mode == MODE_SCALAR:
-                buffers["vals"] = np.empty(width, dtype=np.float64)
-                return buffers
-            if mode == MODE_ALIGNED:
-                host = max(s.level for s in emission.slots)
-                rows = max(1, trie.level(host).num_runs)
-            else:
-                capacity = _table_capacity(
-                    min(bounds[index], _KEY_CAP) * capacity_boost
-                )
-                rows = capacity // 2  # dense rows: the overflow check's limit
-                buffers["mask"] = np.array([capacity - 1], dtype=np.int64)
-                buffers["row"] = np.full(capacity, -1, dtype=np.int64)
-            buffers["keys"] = [
-                np.empty(rows, dtype=np.int64) for _ in emission.group_by
-            ]
-            buffers["vals"] = np.empty(rows * width, dtype=np.float64)
-            buffers["count"] = np.zeros(1, dtype=np.int64)
-            return buffers
-
-        for i, spec in enumerate(self.args):
-            role = spec.role
+        farrs, psums = bind_operands(self.plan, trie, functions)
+        inputs: list = []
+        descriptors: dict = {}
+        for i, role in self._input_slots:
             kind = role[0]
             if kind == "nrows":
-                put(i, np.array([trie.num_rows], dtype=np.int64))
+                array = np.array([trie.num_rows], dtype=np.int64)
             elif kind == "run_counts":
-                put(i, run_counts)
+                array = np.array(
+                    [trie.level(k).num_runs for k in range(len(self.plan.relation_levels))]
+                    or [0],
+                    dtype=np.int64,
+                )
             elif kind == "level":
                 _, k, part = role
                 level = trie.level(k)
-                array = {
-                    "vals": level.values,
-                    "rs": level.row_start,
-                    "re": level.row_end,
-                    "cs": level.child_start,
-                    "ce": level.child_end,
-                }[part]
-                put(i, np.ascontiguousarray(array, dtype=np.int64))
+                array = np.ascontiguousarray(
+                    {
+                        "vals": level.values,
+                        "rs": level.row_start,
+                        "re": level.row_end,
+                        "cs": level.child_start,
+                        "ce": level.child_end,
+                    }[part],
+                    dtype=np.int64,
+                )
             elif kind == "farr":
-                put(i, farrs[role[1]])
+                array = farrs[role[1]]
             elif kind == "psum":
-                put(i, psums[role[1]])
+                array = psums[role[1]]
             elif kind == "bind_index":
-                put(i, _index_descriptor(tables[role[1]].keys))
+                array = _descriptor(descriptors, tables[role[1]].keys)
             elif kind == "bind_table":
                 keys = tables[role[1]].keys
-                put(i, keys.key_comp if keys.table is None else keys.table)
+                array = keys.key_comp if keys.table is None else keys.table
+            elif kind == "bind_share":
+                shares = _shares_coding(
+                    tables[role[1]].keys, tables[role[2]].keys, descriptors
+                )
+                array = _SHARE_FLAGS[int(shares):]
             elif kind == "bind_array":
-                put(i, getattr(tables[role[1]], role[2]))
+                array = getattr(tables[role[1]], role[2])
             elif kind == "bind_carried":
-                put(i, np.ascontiguousarray(
+                array = np.ascontiguousarray(
                     tables[role[1]].carried_columns[role[2]], dtype=np.int64
-                ))
-            elif kind == "out_keys":
-                put(i, buffers_of(role[1])["keys"][role[2]])
-            elif kind in {"out_scalar", "out_vals"}:
-                put(i, buffers_of(role[1])["vals"])
-            elif kind in {"out_count", "out_mask", "out_row"}:
-                put(i, buffers_of(role[1])[kind.removeprefix("out_")])
+                )
             else:  # pragma: no cover
                 raise PlanError(f"unknown argument role {role!r}")
+            inputs.append(array)
+            argv[i] = array.ctypes.data
+        return argv, inputs
 
-        status = self.fn(argv)
-        if status != 0:
+    def _attempt(self, argv, trie, direct, bounds, capacity_boost):
+        """One call with fresh output buffers; ``None`` when an output
+        outgrew its rows. Keys and values need no zeroing: the generated code
+        writes every row it later reads (the count gates the reads), and
+        np.empty leaves untouched pages unmapped. Slots start free (-1)."""
+        plan = self.plan
+        scalars = np.empty(max(self._scalar_width, 1), dtype=np.float64)
+        pointers = np.frombuffer(argv, dtype=np.uintp)
+        pointers[self._scalar_slots] = scalars.ctypes.data + self._scalar_bytes
+        counts = np.zeros(max(len(self._rowed), 1), dtype=np.int64)
+        buffers, addressing = [], []
+        for position, (index, slots) in enumerate(self._rowed):
+            emission = plan.emissions[index]
+            table = None
+            if index not in bounds:  # aligned
+                host = max(s.level for s in emission.slots)
+                rows = max(1, trie.level(host).num_runs)
+            elif index in direct:
+                # a key beyond the bound returns 1, and the retry grows
+                # the rows up to the slots
+                table, strides = direct[index]
+                rows = max(1, min(bounds[index] * capacity_boost, table))
+                address = [1, rows, *strides]
+            else:
+                table = _table_capacity(min(bounds[index], _KEY_CAP) * capacity_boost)
+                rows = table // 2  # the overflow check's limit
+                address = [0, rows] + [0, 0] * len(emission.group_by)
+            keys = [np.empty(rows, dtype=np.int64) for _ in emission.group_by]
+            vals = np.empty(rows * emission.width, dtype=np.float64)
+            for p, slot in enumerate(slots["keys"]):
+                argv[slot] = keys[p].ctypes.data
+            argv[slots["out_vals"]] = vals.ctypes.data
+            argv[slots["out_count"]] = counts.ctypes.data + 8 * position
+            row = None
+            if table is not None:
+                row = np.full(table, -1, dtype=np.int64)
+                argv[slots["out_row"]] = row.ctypes.data
+                addressing.append((slots["out_addr"], address))
+            buffers.append((rows, keys, vals, row))
+        if addressing:
+            flat = np.array(
+                [value for _slot, address in addressing for value in address],
+                dtype=np.int64,
+            )
+            at = flat.ctypes.data
+            for slot, address in addressing:
+                argv[slot] = at
+                at += 8 * len(address)
+
+        if self.fn(argv) != 0:
             return None
 
         outputs: dict[str, ArrayViewData] = {}
-        for index, emission in enumerate(plan.emissions):
-            mode = emission_mode(emission)
-            buffers = out_buffers[index]
-            width = emission.width
-            if mode == MODE_SCALAR:
-                vals = buffers["vals"].reshape(1, width)
-                keys = []
-            else:
-                n = int(buffers["count"][0])
-                vals = buffers["vals"][: n * width].reshape(n, width)
-                keys = [column[:n] for column in buffers["keys"]]
-                if mode == MODE_HASH:
-                    # dense rows in first-seen order; copied, so a kept view
-                    # holds its n rows and not the table's spare room
-                    vals = vals.copy()
-                    keys = [column.copy() for column in keys]
+        for index, offset in self._scalar_at.items():
+            emission = plan.emissions[index]
+            vals = scalars[offset:offset + emission.width].reshape(1, emission.width)
+            outputs[emission.artifact] = ArrayViewData.from_arrays([], vals)
+        for position, (index, _slots) in enumerate(self._rowed):
+            emission, width = plan.emissions[index], plan.emissions[index].width
+            rows, keys, vals, _row = buffers[position]
+            n = int(counts[position])
+            vals = vals[: n * width].reshape(n, width)
+            keys = [column[:n] for column in keys]
+            if n < rows and index in bounds:
+                # dense rows in first-seen order; copied, so a kept view
+                # holds its n rows and not the table's spare room
+                vals = vals.copy()
+                keys = [column.copy() for column in keys]
             outputs[emission.artifact] = ArrayViewData.from_arrays(keys, vals)
         return outputs
 
@@ -802,15 +985,17 @@ def compile_c_groups(
     plans: Sequence[MultiOutputPlan],
     attribute_kinds: Mapping[str, str],
     candidates: Collection[int] | None = None,
+    share_terms: bool = True,
 ) -> tuple[list, tuple[ctypes.CDLL, ...] | None]:
     """Lower supported plans to C; the runtime gives the others NumPy.
 
     ``candidates`` (plan indices) restricts compilation to those plans;
-    None compiles every supported one. Returns ``(groups, library)``: one
-    entry per plan (``None`` where it is not a supported candidate) and
-    the loaded shared objects (``None`` when nothing compiled; each
-    group's bound function also keeps its own loaded). Raises
-    :class:`PlanError` without gcc or when gcc fails.
+    None compiles every supported one. ``share_terms`` is
+    :attr:`~repro.core.engine.EngineConfig.share_scan_terms`. Returns
+    ``(groups, library)``: one entry per plan (``None`` where it is not a
+    supported candidate) and the loaded shared objects (``None`` when
+    nothing compiled; each group's bound function also keeps its own
+    loaded). Raises :class:`PlanError` without gcc or when gcc fails.
     """
     if not gcc_available():
         raise PlanError("backend='c' requires gcc on PATH")
@@ -825,7 +1010,7 @@ def compile_c_groups(
         # batch's group-cache misses emits the same source as in a first
         # compile, so it loads the same artifact
         symbol = "lmfao_run_g" + plan.group_name[1:].split("_", 1)[0]
-        source, args = generate_c_source(plan, symbol)
+        source, args = generate_c_source(plan, symbol, share_terms)
         native_groups[i] = CCompiledGroup(
             plan=plan, symbol=symbol, args=args, source=source
         )

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.core import costmodel
 from repro.core.plan import MultiOutputPlan, ViewBinding
-from repro.data.keycodes import KeyIndex, _group_codes, _key_order
+from repro.data.keycodes import _group_codes, _key_order, index_keys
 from repro.data.relation import Relation
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function, is_indicator
@@ -169,20 +169,27 @@ class _BindingTable:
     """One scalar (non-carried) incoming view marshalled for probing.
 
     Key columns, in the consumer binding's key order, are indexed once by
-    the key coder (:class:`KeyIndex`) and value rows kept in key-id
+    the key coder (:class:`~repro.data.keycodes.KeyIndex`, shared through
+    ``built`` with the group's other bindings over equal key columns —
+    :func:`~repro.data.keycodes.index_keys`) and value rows kept in key-id
     order, so a probe is a key lookup and one gather. Read-only after
     construction and shared across partitions.
     """
 
     def __init__(
-        self, binding: ViewBinding, group_by: tuple[str, ...], data: ArrayViewData
+        self,
+        binding: ViewBinding,
+        group_by: tuple[str, ...],
+        data: ArrayViewData,
+        built: list | None = None,
     ):
         self.width = binding.num_aggregates
         columns, values = view_columns(data, group_by, self.width)
         # a scalar view is keyed by exactly its group-by, so its keys are
         # distinct: key id i is producer row first_index[i], often row i
-        self.keys = KeyIndex(
-            [columns[group_by.index(attr)] for attr in binding.key], distinct=True
+        self.keys = index_keys(
+            [columns[group_by.index(attr)] for attr in binding.key],
+            distinct=True, built=built,
         )
         first = self.keys.first_index
         self.values = values if _key_order(first) is None else values[first]
@@ -202,22 +209,29 @@ class _BindingTable:
 class _CarriedTable:
     """One carried incoming view flattened to CSR entry lists.
 
-    Entries (producer rows) are grouped by local key (:class:`KeyIndex`)
-    and stably ordered by key id, i.e. by key: ``entry_offsets[i] :
-    entry_offsets[i + 1]`` bounds key row ``i``'s entries in the flattened
-    ``carried_columns`` (one array per carried attribute) and
-    ``agg_matrix``. Stability keeps producer order within each key — the
+    Entries (producer rows) are grouped by local key (a
+    :class:`~repro.data.keycodes.KeyIndex`, shared as for
+    :class:`_BindingTable`) and stably ordered by key id, i.e. by key:
+    ``entry_offsets[i] : entry_offsets[i + 1]`` bounds key row ``i``'s
+    entries in the flattened ``carried_columns`` (one array per carried
+    attribute) and ``agg_matrix``. Stability keeps producer order within each key — the
     order the interpreted entry lists iterate. ``subsums`` holds Σ over
     each key's entries of every aggregate (one ``np.add.reduceat``), so a
     sub-sum operand reads a per-run gather.
     """
 
     def __init__(
-        self, binding: ViewBinding, group_by: tuple[str, ...], data: ArrayViewData
+        self,
+        binding: ViewBinding,
+        group_by: tuple[str, ...],
+        data: ArrayViewData,
+        built: list | None = None,
     ):
         self.width = binding.num_aggregates
         columns, values = view_columns(data, group_by, self.width)
-        self.keys = KeyIndex([columns[group_by.index(attr)] for attr in binding.key])
+        self.keys = index_keys(
+            [columns[group_by.index(attr)] for attr in binding.key], built=built
+        )
         self.num_keys = self.keys.num_keys
         counts = np.bincount(self.keys.ids, minlength=self.num_keys)
         self.entry_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
@@ -238,6 +252,16 @@ class _CarriedTable:
         """The distinct count of each carried column (C's output key
         bounds read them), counted by the key coder on first read."""
         return tuple(_group_codes([column])[1] for column in self.carried_columns)
+
+    @cached_property
+    def carried_spans(self) -> tuple[tuple[int, int] | None, ...]:
+        """``(least, greatest)`` of each carried column, ``None`` when the
+        view is empty (C's direct output addressing reads them), taken on
+        first read."""
+        return tuple(
+            (int(column.min()), int(column.max())) if len(column) else None
+            for column in self.carried_columns
+        )
 
     def probe(self, probe_columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized fetch: ``(key row, found mask)`` per run; ``key
@@ -272,18 +296,24 @@ def prepare_binding_tables(
     index of the NumPy and C backends.
 
     Scalar views become :class:`_BindingTable`\\ s, carried views
-    :class:`_CarriedTable`\\ s, both keyed by :class:`KeyIndex`. Tables are
-    read-only and shared across concurrent per-partition executions.
-    Every input is a columnar ``ArrayViewData``, read as arrays
-    (:func:`view_columns`).
+    :class:`_CarriedTable`\\ s, both keyed by a
+    :class:`~repro.data.keycodes.KeyIndex`: one per distinct key-column
+    content among the group's bindings (equal columns and an equal
+    ``distinct`` flag share the object), so a key is coded once however
+    many bindings probe it. Tables are read-only and shared across
+    concurrent per-partition executions. Every input is a columnar
+    ``ArrayViewData``, read as arrays (:func:`view_columns`).
     """
     tables: dict[str, _BindingTable | _CarriedTable] = {}
+    built: list = []
     for binding in plan.bindings:
         data = view_data.get(binding.view)
         if data is None:
             raise PlanError(f"missing incoming view data for {binding.view}")
         table_cls = _CarriedTable if binding.is_carried else _BindingTable
-        tables[binding.view] = table_cls(binding, view_group_by[binding.view], data)
+        tables[binding.view] = table_cls(
+            binding, view_group_by[binding.view], data, built
+        )
     return tables
 
 
@@ -540,7 +570,7 @@ def compile_executables(
 
     try:
         native, _library = cbackend.compile_c_groups(
-            plans, attribute_kinds, c_candidates
+            plans, attribute_kinds, c_candidates, share_terms
         )
     except PlanError:
         # no gcc on this machine: auto degrades to numpy.

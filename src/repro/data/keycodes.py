@@ -10,8 +10,9 @@ The coding is recorded (:class:`KeyCoder`), so a probing level's columns
 code into the same space, a value the producer lacks being a miss.
 Grouping (:func:`_group_codes`) and lookup (:class:`KeyIndex`) use a
 direct-address table while the space is within the bound, a sort or a
-binary search beyond it. :func:`match_bag` matches tuples as bags the
-same way: the wanted side is coded, the other side probes.
+binary search beyond it; :func:`index_keys` builds one index per
+distinct key-column content of a group. :func:`match_bag` matches tuples
+as bags the same way: the wanted side is coded, the other side probes.
 """
 
 from __future__ import annotations
@@ -209,6 +210,29 @@ class KeyIndex:
             key = np.minimum(np.searchsorted(self.key_comp, comp), self.num_keys - 1)
             found &= self.key_comp[key] == comp
         return np.where(found, key, 0), found
+
+
+def index_keys(
+    columns: list[np.ndarray], distinct: bool = False, built: list | None = None
+) -> KeyIndex:
+    """The :class:`KeyIndex` of ``columns``: one already in ``built`` when
+    it indexes equal columns (dtype and values) under the same
+    ``distinct`` flag, else a new one, recorded there.
+
+    ``built`` (``None``: no reuse) is one group's list, so the bindings of
+    a group that share key-column content share one index.
+    """
+    if built is not None:
+        for seen, flag, keys in built:
+            if flag == distinct and len(seen) == len(columns) and all(
+                a is b or a.dtype == b.dtype and np.array_equal(a, b)
+                for a, b in zip(seen, columns)
+            ):
+                return keys
+    keys = KeyIndex(columns, distinct)
+    if built is not None:
+        built.append((columns, distinct, keys))
+    return keys
 
 
 def _match_column(column: np.ndarray) -> np.ndarray:

@@ -172,6 +172,8 @@ class TrieIndex:
         self._partition_cache: dict[int, list["TrieIndex"]] = {}
         #: distinct attribute values per level (:meth:`distinct_values`)
         self._distinct: dict[int, int] = {}
+        #: least and greatest value per level (:meth:`value_span`)
+        self._spans: dict[int, tuple[int, int] | None] = {}
         #: scratch cache for derived run geometry (parent maps, ancestor
         #: maps, span starts) computed by the NumPy backend — keyed and
         #: owned by repro.core.npbackend, invalidated with the index.
@@ -236,6 +238,17 @@ class TrieIndex:
         if count is None:
             count = self._distinct[k] = _group_codes([self._levels[k].values])[1]
         return count
+
+    def value_span(self, k: int) -> tuple[int, int] | None:
+        """``(least, greatest)`` value of level ``k``'s attribute (cached),
+        ``None`` for an empty level. The C backend addresses an output's
+        rows directly when its key parts' spans are narrow enough."""
+        if k not in self._spans:
+            values = self._levels[k].values
+            self._spans[k] = (
+                (int(values.min()), int(values.max())) if len(values) else None
+            )
+        return self._spans[k]
 
     @property
     def num_rows(self) -> int:

@@ -209,8 +209,8 @@ def test_concurrent_compiles_install_one_file_per_key(db, expected, artifacts):
 def test_gcc_failure_reaps_every_child(db, artifacts, spawned, monkeypatch):
     generate = cbackend.generate_c_source
 
-    def broken(plan, symbol):
-        source, args = generate(plan, symbol)
+    def broken(plan, symbol, *share_terms):
+        source, args = generate(plan, symbol, *share_terms)
         if symbol == "lmfao_run_g0":
             source += "\n#error deliberately broken\n"
         return source, args

@@ -62,13 +62,18 @@ searches or uniques keys itself.
 C sizes its open-addressing output tables by one rule
 (:func:`repro.core.cbackend._table_capacity`), from the output's key
 bound, and collects a hash output as its dense rows, never by gathering
-the occupied slots.
+the occupied slots. Whether an output is addressed directly instead is
+the key coder's presence-scan bound, read in one place; C adds no size
+constant for it, and one emitter leaf writes every accumulated row.
 
 An incoming view is indexed one way for both native backends: NumPy and
 C probe the same binding tables
-(:func:`repro.core.runtime.prepare_binding_tables`), the only builders
-of a :class:`~repro.data.keycodes.KeyIndex`; C reads their recorded
-coding through one lookup in its prelude and hashes no binding keys.
+(:func:`repro.core.runtime.prepare_binding_tables`), which get one
+:class:`~repro.data.keycodes.KeyIndex` per distinct key-column content
+from the key coder (:func:`~repro.data.keycodes.index_keys`, its only
+builder); C reads their recorded coding through one lookup in its
+prelude, codes a level's key once however many bindings probe it, and
+hashes no binding keys.
 
 A group's backend is decided one way: at compile, by
 :func:`repro.core.runtime.compile_executables`, which returns one
@@ -1055,13 +1060,13 @@ def test_one_sum_by_key():
 
 
 def test_c_tables_sized_by_one_rule():
-    # one capacity function sizes every C table: the output tables, which
-    # _attempt's buffers_of allocates (C builds no binding tables)
+    # one capacity function sizes every C hash table: the output tables,
+    # which _attempt allocates (C builds no binding tables)
     functions = {function.name for function in _functions("core/cbackend.py")}
     assert {name for name in functions if "capacity" in name} == {"_table_capacity"}
     assert "_next_pow2" not in functions
     assert sorted(set(_enclosing_functions("_table_capacity"))) == [
-        "core/cbackend.py:buffers_of",
+        "core/cbackend.py:_attempt",
     ]
     # collect takes a hash output's first n dense rows: nothing in the
     # attempt indexes by occupancy or reinterprets a buffer as booleans
@@ -1083,18 +1088,26 @@ def test_c_tables_sized_by_one_rule():
 
 
 def test_one_binding_index():
-    # a KeyIndex is built only by the two binding tables ...
-    builders = [
+    # a KeyIndex is built only by the key coder's index_keys, which reuses
+    # one per key-column content; the two binding tables call it, and
+    # they are built only by prepare_binding_tables, which hands each
+    # group's tables one list of the indexes built so far
+    assert _enclosing_functions("KeyIndex") == ["data/keycodes.py:index_keys"]
+    callers = [
         f"{module}:{cls.name}"
         for module, tree in _modules().items()
         for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
         for node in ast.walk(cls)
-        if isinstance(node, ast.Call) and _called_name(node) == "KeyIndex"
+        if isinstance(node, ast.Call) and _called_name(node) == "index_keys"
     ]
-    assert sorted(builders) == [
+    assert sorted(callers) == [
         "core/runtime.py:_BindingTable", "core/runtime.py:_CarriedTable",
     ]
-    assert len(_call_sites("KeyIndex")) == len(builders)
+    assert len(_call_sites("index_keys")) == len(callers)
+    for table in ("_BindingTable", "_CarriedTable"):
+        assert set(_enclosing_functions(table)) <= {
+            "core/runtime.py:prepare_binding_tables"
+        }, table
     # ... which one function prepares for both backends
     for module, cls in (
         ("core/npbackend.py", "NumpyCompiledGroup"),
@@ -1118,22 +1131,97 @@ def test_one_binding_index():
     for node in ast.walk(_modules()["core/cbackend.py"]):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             assert node.value not in retired, f"core/cbackend.py:{node.lineno}"
-    assert sorted(set(_enclosing_functions("_mix"))) == [
-        "core/cbackend.py:accumulate_row"
-    ]
-    # one binding lookup, in the prelude, which every probe calls
+    assert [
+        function.split("(")[0].split()[-1]
+        for function in _PRELUDE.split("\nstatic ")[1:]
+        if "lmfao_mix(" in function
+    ] == ["lmfao_mix", "lmfao_row"]
+    # one binding lookup, in the prelude: every probe codes its key at
+    # most once, through it or through its coding half
     assert _PRELUDE.count("static int64_t lmfao_lookup(") == 1
+    assert _PRELUDE.count("static int64_t lmfao_code(") == 1
     database, batch, config = _corpus()["carried_class_city"]
     engine = LMFAO(database(), EngineConfig(backend="python", **config))
     compiled = engine.compile(batch())
     for index, plan in enumerate(compiled.plans):
         source, _args = generate_c_source(plan, f"lmfao_run_g{index}")
         assert "_occ" not in source
-        assert source.count("lmfao_lookup(") == len(plan.bindings)
-        assert all(
-            line.endswith("& (uint64_t)mask;")  # accumulate_row's probe
-            for line in source.splitlines() if "lmfao_mix(" in line
+        probes = source.count("lmfao_lookup(") + source.count("lmfao_code(")
+        assert probes == len(plan.bindings)
+        assert "lmfao_mix(" not in source
+
+
+def test_c_codes_keys_once_and_addresses_rows_by_the_coder_bound():
+    module = _modules()["core/cbackend.py"]
+    # direct output addressing reads the key coder's one presence-scan
+    # bound, in one place, and cbackend adds no size constant for it: its
+    # module-level numbers are the artifact bound, the keys a first output
+    # table is sized for (read where tables are sized and where the bound
+    # is taken) and the share flags
+    imported = {
+        alias.name for node in ast.walk(module)
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.data.keycodes"
+        for alias in node.names
+    }
+    assert "_dense_enough" in imported
+    assert [
+        site for site in _enclosing_functions("_dense_enough")
+        if site.startswith("core/")
+    ] == ["core/cbackend.py:key_spaces"]
+    numbered = {
+        target.id
+        for node in module.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in ast.walk(
+            node.targets[0] if isinstance(node, ast.Assign) else node.target
         )
+        if isinstance(target, ast.Name)
+        and any(
+            isinstance(leaf, ast.Constant) and type(leaf.value) is int
+            for leaf in ast.walk(node.value)
+        )
+    }
+    assert numbered == {
+        "ARTIFACT_BYTES", "_KEY_CAP", "_SHARE_FLAGS",
+    }, numbered
+    assert _enclosing(
+        lambda node: isinstance(node, ast.Name) and node.id == "_KEY_CAP"
+        and isinstance(node.ctx, ast.Load)
+    ) == ["core/cbackend.py:key_spaces", "core/cbackend.py:_attempt"]
+    # accumulate_row, which the walker calls from one place, is the one
+    # writer of accumulated rows: no other C text takes a row from the
+    # prelude's one slot finder (direct and hashed alike) or adds into an
+    # output, and generated code touches no row slot itself
+    assert _enclosing_functions("accumulate_row") == ["core/loopnest.py:emit_output"]
+    assert _PRELUDE.count("lmfao_row(") == 1  # its definition
+    writers = _enclosing(
+        lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and ("lmfao_row(" in node.value or "] +=" in node.value)
+    )
+    writers = {
+        site for site in writers
+        if site.startswith("core/cbackend.py:") and not site.endswith(":None")
+    }
+    assert writers == {"core/cbackend.py:accumulate_row"}, writers
+    # a level's key is coded once: the first binding probing it codes it,
+    # later ones read a flag and at most look it up themselves
+    database, batch, config = _corpus()["covariance_retailer"]
+    engine = LMFAO(database(), EngineConfig(backend="python", **config))
+    compiled = engine.compile(batch())
+    shared = 0
+    for index, plan in enumerate(compiled.plans):
+        source, args = generate_c_source(plan, f"lmfao_run_g{index}")
+        keys: dict = {}
+        for binding in plan.bindings:
+            probe = (binding.bind_level, binding.key_levels)
+            keys.setdefault(probe, []).append(binding)
+        leaders = sum(len(bindings) > 1 for bindings in keys.values())
+        flags = sum(len(bindings) - 1 for bindings in keys.values())
+        shared += flags
+        assert source.count("lmfao_code(") == leaders
+        assert [a.role[0] for a in args].count("bind_share") == flags
+        assert source.count(" : lmfao_lookup(") == flags
+        assert "_row[" not in source
+    assert shared
 
 
 def test_one_key_coder():

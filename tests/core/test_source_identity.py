@@ -41,22 +41,22 @@ from repro.query import Aggregate, OrderSpec, Query, QueryBatch
 from repro.query.predicates import Op, Predicate
 
 DIGESTS = {
-    # 2 scalar + 3 carried C bindings (3 of 6 groups) probe KeyIndex via lmfao_lookup
-    'carried_class_city': 'd788c09a63f93b09e45a2815ab945ec7c847914bf55684f578efc3d4b9b50b85',
-    # 10 scalar C bindings (5 of 9 groups) probe KeyIndex via lmfao_lookup
-    'cart_groupby': '55f30279f8f537cd89ba23d0df1672199cae9891418716025416b848d917c6a0',
-    # 9 scalar C bindings (4 of 8 groups) probe KeyIndex via lmfao_lookup
-    'cart_indicator': 'cda2ab3c048511375190a7a7e9886dcd67d38906a11d2b6ae103c7661bfab880',
-    # 8 scalar + 13 carried C bindings (5 of 8 groups) probe KeyIndex via lmfao_lookup
-    'covariance_retailer': '756315183c98595234def258196d6032908951335421f46d4602bd5ef6e81283',
-    # 5 scalar + 3 carried C bindings (3 of 7 groups) probe KeyIndex via lmfao_lookup
-    'ordered_topk': 'ea5ce3d2ce7a0ee693c177c70c31975e7c48e0b61d7fa35396fa679c3ec650a2',
-    # 6 scalar C bindings (3 of 7 groups) probe KeyIndex via lmfao_lookup
-    'paper_example': 'fe3b2470b792ed316f27df92de58b60f58a9f8fd62b526af89ac1eca76707d43',
-    # 11 scalar C bindings (5 of 9 groups) probe KeyIndex via lmfao_lookup
-    'paper_example_single_output': '64588a546ffaae6ac943424659efe12f6eb6d533fb79b4d589420fe95f64fedf',
-    # 6 scalar C bindings (3 of 7 groups) probe KeyIndex via lmfao_lookup
-    'paper_example_unfactorized': '0e52d0e4acd696d413709947dca5359736a0a0c21eb2a45130a593e947d4aecb',
+    # 3 C hash emissions (3 of 6 groups) take rows from lmfao_row, direct or hashed per call
+    'carried_class_city': 'ecd20cd041ed9a9ce77fbf87d1baf67982092cb0796abc47bb63835aaeb64123',
+    # 6 C hash emissions (5 of 9 groups) take rows from lmfao_row, direct or hashed per call
+    'cart_groupby': '0aef044044b1d895a3c6fa61b3f662353bd25194fe40ff58ab1ac5fc7db32a27',
+    # 3 C hash emissions (3 of 8 groups) take rows from lmfao_row, direct or hashed per call
+    'cart_indicator': '3e16be962b5c172eff67596e6abe4fc73338974f037adcc264e07b53cb7ed5d6',
+    # 198 C hash emissions (6 of 8 groups) as above; 13 C bindings reuse their level's key code
+    'covariance_retailer': '2d3faf21a147e1c9b741f719a8d367468726f63347e17838aa3626ba40d0a7fe',
+    # 4 C hash emissions (3 of 7 groups) as above; 2 C bindings reuse their level's key code
+    'ordered_topk': '62ce4a9173f708e92215976b26c0c5dd79272052c0ad9809c3453e2e6d763825',
+    # 2 C hash emissions (2 of 7 groups) take rows from lmfao_row, direct or hashed per call
+    'paper_example': '5b3caf4df22c1d34ed6048ee870d04fd688820152e6dece76d0ef693f88b8e5f',
+    # 3 C hash emissions (3 of 9 groups) take rows from lmfao_row, direct or hashed per call
+    'paper_example_single_output': '082588f6a987ea03f6aeb71cc9633f4a11dfd6d680c56ef1fad5569fdf82eacf',
+    # 2 C hash emissions (2 of 7 groups) take rows from lmfao_row, direct or hashed per call
+    'paper_example_unfactorized': '5be14927e025ade22f7879068b481d24e1511d4286ef168423e9e676866b82d6',
 }
 
 NUMPY_DIGESTS = {
